@@ -70,7 +70,6 @@ from repro.tdn import (
     TDNGraph,
     UniformLifetime,
 )
-from repro.utils.deprecation import warn_once
 
 __version__ = "1.1.0"
 
@@ -86,7 +85,6 @@ __all__ = [
     "DecayedCentralityTracker",
     "TrendTracker",
     "InfluenceOracle",
-    "WeightedInfluenceOracle",
     "top_spreaders",
     "SolutionHistory",
     "save_checkpoint",
@@ -116,24 +114,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    """Deprecation shims for spellings the facade supersedes.
-
-    ``repro.WeightedInfluenceOracle`` keeps working for one release but
-    warns: weighted spread now enters through ``open_tracker(semantics=
-    Semantics.WEIGHTED_SUM, weights=...)`` (power users can still import
-    the class from :mod:`repro.influence.weighted` warning-free).
-    """
-    if name == "WeightedInfluenceOracle":
-        warn_once(
-            "root-weighted-oracle",
-            "importing WeightedInfluenceOracle from the bare 'repro' "
-            "package is deprecated; use repro.api.open_tracker(semantics="
-            "Semantics.WEIGHTED_SUM, weights=...) or import it from "
-            "repro.influence.weighted",
-        )
-        from repro.influence.weighted import WeightedInfluenceOracle
-
-        return WeightedInfluenceOracle
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -144,8 +144,10 @@ class SieveADN:
         # sweep is issued as one batched oracle call group so the CSR
         # backend amortizes a single snapshot build across the whole
         # candidate batch (call counts are identical to per-node spreads).
-        singletons = self.oracle.spread_many(
-            [(node,) for node in candidates], self.min_expiry
+        oracle = self.oracle
+        min_expiry = self.min_expiry
+        singletons = oracle.spread_many(
+            [(node,) for node in candidates], min_expiry
         )
         singleton_values = {}
         for node, singleton in zip(candidates, singletons):
@@ -154,19 +156,22 @@ class SieveADN:
         # Lines 8-11: sieve each candidate against each threshold.  By
         # submodularity the marginal gain of ``node`` w.r.t. any set is at
         # most its singleton value, so thresholds above it can never be
-        # cleared: since items() yields thresholds in increasing order we
+        # cleared: since items() lists thresholds in increasing order we
         # stop there without spending oracle calls.  This pruning is what
         # keeps the per-batch call count at the paper's reported scale.
+        # The grid cannot change below this point, so items() is read once.
+        k = self.k
+        grid = self.thresholds.items()
         for node in candidates:
             upper_bound = singleton_values[node]
-            for threshold, sieve in self.thresholds.items():
+            for threshold, sieve in grid:
                 if threshold > upper_bound:
                     break
-                if len(sieve) >= self.k or node in sieve:
+                key = sieve.key
+                if len(key) >= k or node in key:
                     continue
-                base, with_node = self.oracle.spread_many(
-                    (tuple(sieve.nodes), tuple(sieve.nodes) + (node,)),
-                    self.min_expiry,
+                base, with_node = oracle.spread_many(
+                    (key, key | {node}), min_expiry
                 )
                 sieve.cached_value = float(base)
                 if with_node - base >= threshold:
@@ -178,10 +183,15 @@ class SieveADN:
         """Return the best sieve set under the current ``f_t`` (Alg. 1 line 12)."""
         best_nodes: List[Node] = []
         best_value = 0.0
-        for sieve in self.thresholds.sets():
-            if not sieve.nodes:
-                continue
-            value = self.oracle.spread(tuple(sieve.nodes), self.min_expiry)
+        # One batch, with accounting identical to one spread() per sieve
+        # (an empty batch is skipped: it would still sync the memo).
+        sieves = [sieve for sieve in self.thresholds.sets() if sieve.nodes]
+        values = (
+            self.oracle.spread_many([sieve.key for sieve in sieves], self.min_expiry)
+            if sieves
+            else []
+        )
+        for sieve, value in zip(sieves, values):
             if value > best_value:
                 best_value = value
                 best_nodes = list(sieve.nodes)

@@ -20,7 +20,7 @@ threshold.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterator, List, Tuple
 
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -35,8 +35,10 @@ class SieveSet:
     """One candidate set ``S_theta``: at most ``k`` nodes kept per threshold.
 
     Keeps both insertion order (solutions are reported in selection order)
-    and a membership set for O(1) duplicate checks — the paper's node stream
-    may present the same node many times.
+    and ``key``, the members as a frozenset, refreshed on every
+    :meth:`add`: it serves O(1) duplicate checks (the paper's node stream
+    may present the same node many times) and is the set the oracle is
+    asked about, so its cached hash is reused by every memo probe.
 
     ``cached_value`` remembers the most recent real evaluation of
     ``f(S_theta)``.  On an addition-only view the objective of a fixed set
@@ -46,30 +48,30 @@ class SieveSet:
     ``gamma`` factor.
     """
 
-    __slots__ = ("nodes", "cached_value", "_members")
+    __slots__ = ("nodes", "cached_value", "key")
 
     def __init__(self) -> None:
         self.nodes: List[Node] = []
         self.cached_value: float = 0.0
-        self._members: set = set()
+        self.key: FrozenSet[Node] = frozenset()
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def __contains__(self, node: Node) -> bool:
-        return node in self._members
+        return node in self.key
 
     def add(self, node: Node) -> None:
-        if node in self._members:
+        if node in self.key:
             raise ValueError(f"node {node!r} already in sieve set")
         self.nodes.append(node)
-        self._members.add(node)
+        self.key = self.key | {node}
 
     def copy(self) -> "SieveSet":
         dup = SieveSet()
         dup.nodes = list(self.nodes)
         dup.cached_value = self.cached_value
-        dup._members = set(self._members)
+        dup.key = self.key
         return dup
 
 
@@ -91,6 +93,9 @@ class ThresholdSet:
         self.delta = 0.0
         self._log_base = math.log1p(self.epsilon)
         self._sieves: Dict[int, SieveSet] = {}
+        #: ``(threshold, sieve)`` in increasing threshold order; rebuilt
+        #: whenever the grid changes, so :meth:`items` costs nothing.
+        self._ordered: List[Tuple[float, SieveSet]] = []
 
     # ------------------------------------------------------------------
     def _window(self, delta: float) -> Tuple[int, int]:
@@ -124,13 +129,29 @@ class ThresholdSet:
         for exponent in range(lo, hi + 1):
             if exponent not in self._sieves:
                 self._sieves[exponent] = SieveSet()
+        self._reorder()
         return True
 
+    def restore(self, delta: float, sieves: Dict[int, SieveSet]) -> None:
+        """Install a saved grid: ``Delta`` and its exponent-keyed sieves."""
+        self.delta = delta
+        self._sieves = dict(sieves)
+        self._reorder()
+
+    def _reorder(self) -> None:
+        self._ordered = [
+            (self.threshold_value(exponent), self._sieves[exponent])
+            for exponent in sorted(self._sieves)
+        ]
+
     # ------------------------------------------------------------------
-    def items(self) -> Iterator[Tuple[float, SieveSet]]:
-        """Iterate ``(threshold, sieve_set)`` in increasing threshold order."""
-        for exponent in sorted(self._sieves):
-            yield self.threshold_value(exponent), self._sieves[exponent]
+    def items(self) -> List[Tuple[float, SieveSet]]:
+        """``(threshold, sieve_set)`` pairs in increasing threshold order.
+
+        The list is the grid's own cache, rebuilt only when the grid
+        changes; callers iterate it and must not mutate it.
+        """
+        return self._ordered
 
     def sets(self) -> Iterator[SieveSet]:
         """Iterate the sieve sets (unordered use-cases: querying the max)."""
@@ -147,8 +168,7 @@ class ThresholdSet:
     def copy(self) -> "ThresholdSet":
         """Deep-copy the grid (used when HISTAPPROX clones an instance)."""
         dup = ThresholdSet(self.k, self.epsilon)
-        dup.delta = self.delta
-        dup._sieves = {e: s.copy() for e, s in self._sieves.items()}
+        dup.restore(self.delta, {e: s.copy() for e, s in self._sieves.items()})
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

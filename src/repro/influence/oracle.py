@@ -120,7 +120,6 @@ from repro.obs import names as metric_names
 from repro.obs.registry import metrics_registry
 from repro.tdn.graph import TDNGraph
 from repro.utils.counters import CallCounter
-from repro.utils.deprecation import warn_once
 
 Node = Hashable
 
@@ -164,9 +163,13 @@ def replay_batch_protocol(
     the batch in submission order taking hits, count one oracle call per
     miss, reserve each miss's FIFO cache slot with ``_PENDING`` (so
     in-batch duplicates replay as the cache hits they would sequentially
-    be), then evaluate the distinct misses together through ``evaluate``
-    and fulfill the reservations.  Values, call counts and eviction order
-    are exactly those of ``[spread(s) for s in sets]``.
+    be), then evaluate the distinct misses together through one
+    ``evaluate`` call and fulfill the reservations.  Values, call counts
+    and eviction order are exactly those of ``[spread(s) for s in sets]``.
+
+    The walk is flat: a set costs one key build and one probe of the
+    memo's dict, and the call counter and the hit/miss registry counters
+    are bumped once per batch, before ``evaluate`` runs.
 
     Every set is frozen *before* the first cache mutation: a bad input
     (unhashable member, exhausted iterator) must raise while the memo
@@ -179,65 +182,59 @@ def replay_batch_protocol(
     disjoint memo populations.
     """
     frozen_sets = [frozenset(nodes) for nodes in sets]
-    results: list = [None] * len(sets)
-    miss_keys: list = []  # first-miss order, mirrors sequential
-    miss_sets: list = []
-    slot_of: dict = {}
+    probe = memo.data.get
+    results: list = [zero] * len(frozen_sets)
+    miss_keys: list = []  # distinct misses, first-miss order
+    slot_of: dict = {}  # miss key -> its index in miss_keys
     placements: list = []  # (result index, miss slot)
-    # Hit/miss accounting is accumulated locally and flushed once after
-    # the replay loop — the registry lock must not be taken per set.
     hits = 0
     misses = 0
     for i, key_nodes in enumerate(frozen_sets):
         if not key_nodes:
-            results[i] = zero
             continue
         key = (
             (min_expiry, key_nodes)
             if semantics is None
             else (min_expiry, key_nodes, semantics)
         )
-        hit = memo.get(key)
-        if hit is _PENDING:
+        hit = probe(key)
+        if hit is None:
+            misses += 1
+            slot = slot_of.get(key)
+            if slot is None:
+                slot = slot_of[key] = len(miss_keys)
+                miss_keys.append(key)
+            # Reserve the FIFO slot exactly where a sequential evaluation
+            # would have inserted the computed value (a re-counted miss —
+            # its reservation evicted mid-batch — re-inserts, as it would
+            # sequentially).
+            memo.put(key, _PENDING)
+            placements.append((i, slot))
+        elif hit is _PENDING:
             # Duplicate of an in-batch miss: a sequential run would hit
             # the (by then populated) cache entry — no call counted.
             placements.append((i, slot_of[key]))
             hits += 1
-            continue
-        if hit is not None:
+        else:
             results[i] = hit
             hits += 1
-            continue
-        counter.increment()
-        misses += 1
-        slot = slot_of.get(key)
-        if slot is None:
-            slot = len(miss_keys)
-            slot_of[key] = slot
-            miss_keys.append(key)
-            miss_sets.append(key_nodes)
-        # Reserve the FIFO slot exactly where a sequential evaluation
-        # would have inserted the computed value (a re-counted miss —
-        # its reservation evicted mid-batch — re-inserts, as it would
-        # sequentially).
-        memo.put(key, _PENDING)
-        placements.append((i, slot))
     if hits:
         _MEMO_HITS.inc(hits)
-    if misses:
-        _MEMO_MISSES.inc(misses)
-    if miss_sets:
-        try:
-            values = evaluate(miss_sets, min_expiry)
-        except BaseException:
-            for key in miss_keys:
-                if memo.get(key) is _PENDING:
-                    memo.delete(key)
-            raise
-        for key, value in zip(miss_keys, values):
-            memo.fulfill(key, value)
-        for i, slot in placements:
-            results[i] = values[slot]
+    if not misses:
+        return results
+    counter.increment(misses)
+    _MEMO_MISSES.inc(misses)
+    try:
+        values = evaluate([key[1] for key in miss_keys], min_expiry)
+    except BaseException:
+        for key in miss_keys:
+            if memo.data.get(key) is _PENDING:
+                memo.delete(key)
+        raise
+    for key, value in zip(miss_keys, values):
+        memo.fulfill(key, value)
+    for i, slot in placements:
+        results[i] = values[slot]
     return results
 
 
@@ -355,18 +352,22 @@ class MemoTable:
 
     def put(self, key: _CacheKey, value) -> None:
         """Insert under FIFO capacity; overwriting never reorders."""
-        if self.max_entries <= 0:
-            return
         data = self.data
         if key in data:
             data[key] = value
             return
         if len(data) >= self.max_entries:
+            if self.max_entries <= 0:
+                return
             self.delete(next(iter(data)))
         data[key] = value
         index = self._index
         for node in key[1]:
-            index.setdefault(node, set()).add(key)
+            keys = index.get(node)
+            if keys is None:
+                index[node] = {key}
+            else:
+                keys.add(key)
 
     def fulfill(self, key: _CacheKey, value) -> None:
         """Replace a reserved ``_PENDING`` placeholder with its value.
@@ -381,9 +382,8 @@ class MemoTable:
 
     def delete(self, key: _CacheKey) -> None:
         """Drop one entry (no-op when absent), keeping the index exact."""
-        if key not in self.data:
+        if self.data.pop(key, None) is None:
             return
-        del self.data[key]
         index = self._index
         for node in key[1]:
             keys = index.get(node)
@@ -521,34 +521,13 @@ class InfluenceOracle:
         self,
         graph: TDNGraph,
         counter: Optional[CallCounter] = None,
-        *deprecated_positional,
+        *,
         max_cache_entries: int = 200_000,
         backend: str = "csr",
         memo_mode: str = "delta",
         parallel=None,
         semantics="count",
     ) -> None:
-        if deprecated_positional:
-            # Historical spelling: config passed positionally after the
-            # counter.  Kept working for one release; the keyword form is
-            # the supported API.
-            warn_once(
-                "oracle-positional-config",
-                "passing max_cache_entries/backend/memo_mode to "
-                "InfluenceOracle positionally is deprecated; pass them as "
-                "keywords (or use repro.api.open_tracker)",
-            )
-            names = ("max_cache_entries", "backend", "memo_mode")
-            if len(deprecated_positional) > len(names):
-                raise ConfigError(
-                    "InfluenceOracle takes at most graph, counter, "
-                    f"{', '.join(names)} positionally; "
-                    f"got {len(deprecated_positional) + 2} arguments"
-                )
-            values = dict(zip(names, deprecated_positional))
-            max_cache_entries = values.get("max_cache_entries", max_cache_entries)
-            backend = values.get("backend", backend)
-            memo_mode = values.get("memo_mode", memo_mode)
         if backend not in ORACLE_BACKENDS:
             raise ConfigError(
                 f"backend must be one of {ORACLE_BACKENDS}, got {backend!r}"
@@ -714,7 +693,7 @@ class InfluenceOracle:
             if token is None
             else (min_expiry, key_nodes, token)
         )
-        hit = self._memo.get(key)
+        hit = self._memo.data.get(key)
         if hit is not None and hit is not _PENDING:
             _MEMO_HITS.inc()
             return hit

@@ -22,12 +22,13 @@ A kernel instance is one *direction* of traversal, parameterized by
   engines that lazily tombstone resolve their ``t + 1`` clamp *before*
   calling, which also makes worker-side sweeps pure functions of the
   arrays), and
-* an optional **cutover resolver** for the adaptive scalar/vector
-  switch: below the resolved entry count the kernel walks plain Python
-  lists (numpy dispatch overhead dominates on tiny graphs), above it the
-  frontier expansion is vectorized.  ``None`` means always-vectorized
-  (the worker plane's historical behavior).  Both paths are
-  result-identical; the cutover can only ever cost time.
+* an optional **scalar/vector cutover**, an entry count resolved by
+  the owning engine when it builds the kernel: at or below it the kernel
+  walks plain Python adjacency lists (numpy dispatch overhead dominates
+  on tiny graphs), above it the frontier expansion is vectorized.
+  ``None`` means always-vectorized (the worker plane's historical
+  behavior).  Both paths are result-identical; the cutover can only ever
+  cost time.
 
 Sweeps
 ------
@@ -52,6 +53,8 @@ or which traversal path — rejected their input.
 
 from __future__ import annotations
 
+import bisect
+import math
 from typing import (
     Callable,
     Dict,
@@ -115,6 +118,10 @@ def set_sweep_sampler(sampler: Optional[SweepSampler]) -> None:
     _SWEEP_SAMPLER = sampler
 
 
+def _expiry_desc(entry: Tuple[int, float]) -> float:
+    return -entry[1]
+
+
 def seed_range_error(node_id: int, num_nodes: int) -> IndexError:
     """The one out-of-range seed error every engine raises."""
     return IndexError(f"seed id {int(node_id)} out of range [0, {num_nodes})")
@@ -166,13 +173,15 @@ class DictOverlay:
     state: a dict ``node id -> [(neighbor, expiry), ...]`` plus a boolean
     flag array marking which ids have entries (so the vectorized sweep
     selects overlay nodes out of a frontier in one gather instead of one
-    dict probe per node).  Any object with the same two methods plugs in
-    — the kernel never looks past this protocol:
+    dict probe per node; the scalar walk probes ``entry_map`` directly).
+    Any object with the same two methods plugs in:
 
     * ``select(frontier)`` — the subset of a frontier id array that has
       overlay entries;
-    * ``entries(node_id)`` — that node's ``(neighbor, expiry)`` list, or
-      ``None``/empty when it has none.
+    * ``entries(node_id)`` — that node's ``(neighbor, expiry)`` list in
+      descending expiry order, or ``None``/empty when it has none.  The
+      order lets the scalar walk stop at the first entry below the
+      query horizon; no sweep's result depends on it.
     """
 
     __slots__ = ("entry_map", "flags")
@@ -182,6 +191,19 @@ class DictOverlay:
     ) -> None:
         self.entry_map = entry_map
         self.flags = flags
+
+    @staticmethod
+    def insert(
+        entry_map: Dict[int, List[Tuple[int, float]]],
+        node_id: int,
+        entry: Tuple[int, float],
+    ) -> None:
+        """Add ``entry`` to ``node_id``'s list, keeping latest expiry first."""
+        entries = entry_map.get(node_id)
+        if entries is None:
+            entry_map[node_id] = [entry]
+        else:
+            bisect.insort(entries, entry, key=_expiry_desc)
 
     def select(self, frontier: np.ndarray) -> np.ndarray:
         return frontier[self.flags[frontier]]
@@ -205,11 +227,12 @@ class TraversalKernel:
         num_nodes: the live id space (defaults to the base node count).
         overlay: optional overlay injection (see :class:`DictOverlay`).
         entry_count: adjacency entries the cutover weighs (base pairs
-            plus overlay entries); engines refresh it before queries.
-        limit_resolver: zero-arg callable returning the scalar/vector
-            cutover in force *now* (re-checked per query so a class-knob
-            monkeypatch takes effect immediately); ``None`` pins the
-            kernel to the vectorized path.
+            plus overlay entries); engines keep it current from their
+            mutation hooks.
+        scalar_limit: the scalar/vector cutover, resolved once by the
+            engine that builds the kernel: queries take the scalar path
+            while ``entry_count <= scalar_limit``.  ``None`` (stored as
+            ``-1``) pins the kernel to the vectorized path.
         backend: ``"python"`` | ``"native"`` | ``"auto"`` | ``None``
             (= honor ``REPRO_KERNEL_BACKEND``, else auto-probe).  The
             native (numba) fixpoints serve only overlay-free sweeps;
@@ -226,7 +249,7 @@ class TraversalKernel:
         "overlay",
         "num_nodes",
         "entry_count",
-        "limit_resolver",
+        "scalar_limit",
         "backend",
         "_visit",
         "_stamp",
@@ -242,7 +265,7 @@ class TraversalKernel:
         num_nodes: Optional[int] = None,
         overlay: Optional[DictOverlay] = None,
         entry_count: Optional[int] = None,
-        limit_resolver: Optional[Callable[[], int]] = None,
+        scalar_limit: Optional[int] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.indptr = indptr
@@ -252,7 +275,7 @@ class TraversalKernel:
         base_nodes = int(indptr.shape[0]) - 1
         self.num_nodes = base_nodes if num_nodes is None else num_nodes
         self.entry_count = int(indices.shape[0]) if entry_count is None else entry_count
-        self.limit_resolver = limit_resolver
+        self.scalar_limit = -1 if scalar_limit is None else scalar_limit
         # Resolved once at construction: "python" or "native" (see
         # repro.kernels.backend for the explicit > env > auto ladder).
         self.backend = resolve_backend(backend)
@@ -260,8 +283,8 @@ class TraversalKernel:
         # the current traversal"; bumping the stamp is an O(1) clear.
         self._visit = np.zeros(self.num_nodes, dtype=np.int64)
         self._stamp = 0
-        # Lazily materialized plain-list mirror for the scalar path.
-        self._scalar: Optional[Tuple[list, list, list]] = None
+        # Lazily materialized per-node adjacency lists for the scalar path.
+        self._scalar: Optional[List[List[Tuple[int, float]]]] = None
 
     # ------------------------------------------------------------------
     # Workspace maintenance
@@ -276,8 +299,7 @@ class TraversalKernel:
         self.num_nodes = num_nodes
 
     def _use_scalar(self) -> bool:
-        resolver = self.limit_resolver
-        return resolver is not None and self.entry_count <= resolver()
+        return self.entry_count <= self.scalar_limit
 
     def _native_ok(self) -> bool:
         """Whether this query may run the compiled fixpoints.
@@ -301,7 +323,7 @@ class TraversalKernel:
         """A same-arrays twin with a private visited workspace.
 
         Shares the (read-only during queries) CSR triple, overlay,
-        cutover resolver and resolved backend, but owns a fresh
+        cutover and resolved backend, but owns a fresh
         epoch-stamp buffer — exactly what a thread-mode executor worker
         needs to sweep concurrently with its siblings.
         """
@@ -312,18 +334,36 @@ class TraversalKernel:
             num_nodes=self.num_nodes,
             overlay=self.overlay,
             entry_count=self.entry_count,
-            limit_resolver=self.limit_resolver,
+            scalar_limit=self.scalar_limit,
             backend=self.backend,
         )
 
-    def _scalar_view(self) -> Tuple[list, list, list]:
+    def _scalar_view(self) -> List[List[Tuple[int, float]]]:
+        """Per base node, its ``(successor, expiry)`` pairs, latest expiry
+        first, so a walk stops at the first pair below its horizon."""
         if self._scalar is None:
-            self._scalar = (
-                self.indptr.tolist(),
-                self.indices.tolist(),
-                self.expiries.tolist(),
-            )
+            bounds = self.indptr.tolist()
+            pairs = list(zip(self.indices.tolist(), self.expiries.tolist()))
+            self._scalar = [
+                sorted(pairs[bounds[node_id] : bounds[node_id + 1]], key=_expiry_desc)
+                for node_id in range(len(bounds) - 1)
+            ]
         return self._scalar
+
+    def _overlay_lookup(self) -> Optional[Callable[[int], Optional[list]]]:
+        """The scalar walk's per-node overlay probe (``None`` = nothing to probe).
+
+        A :class:`DictOverlay` is probed through its dict directly; an
+        empty one (the delta engine right after a compaction) needs no
+        probe at all.  Duck-typed overlays keep their ``entries`` method.
+        """
+        overlay = self.overlay
+        if overlay is None:
+            return None
+        if type(overlay) is DictOverlay:
+            entry_map = overlay.entry_map
+            return entry_map.get if entry_map else None
+        return overlay.entries
 
     # ------------------------------------------------------------------
     # Single/multi-source reachability
@@ -375,37 +415,43 @@ class TraversalKernel:
     ) -> Set[int]:
         """Plain-Python traversal (small-graph path; forced by tests and
         the calibration probe)."""
-        indptr, indices, expiries = self._scalar_view()
-        overlay = self.overlay
-        base_nodes = len(indptr) - 1
+        adjacency = self._scalar_view()
+        overlay_entries = self._overlay_lookup()
+        base_nodes = len(adjacency)
         num_nodes = self.num_nodes
+        if eff is None:
+            eff = -math.inf  # every expiry clears it
         visited: Set[int] = set()
         stack: List[int] = []
+        visit = visited.add
+        push = stack.append
+        pop = stack.pop
         for node_id in seed_ids:
             if node_id < 0 or node_id >= num_nodes:
                 raise seed_range_error(node_id, num_nodes)
             if node_id not in visited:
-                visited.add(node_id)
-                stack.append(node_id)
+                visit(node_id)
+                push(node_id)
+        # Both adjacency sources list the latest expiry first, so each
+        # scan ends at the first entry below the horizon.
         while stack:
-            node_id = stack.pop()
+            node_id = pop()
             if node_id < base_nodes:
-                for slot in range(indptr[node_id], indptr[node_id + 1]):
-                    if eff is not None and expiries[slot] < eff:
-                        continue
-                    successor = indices[slot]
+                for successor, expiry in adjacency[node_id]:
+                    if expiry < eff:
+                        break
                     if successor not in visited:
-                        visited.add(successor)
-                        stack.append(successor)
-            if overlay is not None:
-                entries = overlay.entries(node_id)
+                        visit(successor)
+                        push(successor)
+            if overlay_entries is not None:
+                entries = overlay_entries(node_id)
                 if entries:
                     for successor, expiry in entries:
-                        if (eff is None or expiry >= eff) and (
-                            successor not in visited
-                        ):
-                            visited.add(successor)
-                            stack.append(successor)
+                        if expiry < eff:
+                            break
+                        if successor not in visited:
+                            visit(successor)
+                            push(successor)
         sampler = _SWEEP_SAMPLER
         if sampler is not None:
             sampler.record("reach_scalar", 1, len(visited))
@@ -554,10 +600,12 @@ class TraversalKernel:
     ) -> List[int]:
         """Level-synchronous plain-Python BFS (the scalar-cutover twin of
         :meth:`_plane_level_counts` for a single seed set)."""
-        indptr, indices, expiries = self._scalar_view()
-        overlay = self.overlay
-        base_nodes = len(indptr) - 1
+        adjacency = self._scalar_view()
+        overlay_entries = self._overlay_lookup()
+        base_nodes = len(adjacency)
         num_nodes = self.num_nodes
+        if eff is None:
+            eff = -math.inf
         visited: Set[int] = set()
         frontier: List[int] = []
         for node_id in seed_ids:
@@ -572,20 +620,19 @@ class TraversalKernel:
             successors: List[int] = []
             for node_id in frontier:
                 if node_id < base_nodes:
-                    for slot in range(indptr[node_id], indptr[node_id + 1]):
-                        if eff is not None and expiries[slot] < eff:
-                            continue
-                        successor = indices[slot]
+                    for successor, expiry in adjacency[node_id]:
+                        if expiry < eff:
+                            break
                         if successor not in visited:
                             visited.add(successor)
                             successors.append(successor)
-                if overlay is not None:
-                    entries = overlay.entries(node_id)
+                if overlay_entries is not None:
+                    entries = overlay_entries(node_id)
                     if entries:
                         for successor, expiry in entries:
-                            if (eff is None or expiry >= eff) and (
-                                successor not in visited
-                            ):
+                            if expiry < eff:
+                                break
+                            if successor not in visited:
                                 visited.add(successor)
                                 successors.append(successor)
             frontier = successors

@@ -42,8 +42,11 @@ across Python versions, and the caller re-supplies policies on restore.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import threading
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -189,13 +192,14 @@ def _thresholds_to_dict(grid: ThresholdSet) -> Dict:
 
 def _thresholds_from_dict(payload: Dict) -> ThresholdSet:
     grid = ThresholdSet(payload["k"], payload["epsilon"])
-    grid.delta = payload["delta"]
+    sieves = {}
     for exponent_str, sieve_payload in payload["sieves"].items():
         sieve = SieveSet()
         for node in sieve_payload["nodes"]:
             sieve.add(node)
         sieve.cached_value = sieve_payload["cached_value"]
-        grid._sieves[int(exponent_str)] = sieve  # noqa: SLF001
+        sieves[int(exponent_str)] = sieve
+    grid.restore(payload["delta"], sieves)
     return grid
 
 
@@ -348,14 +352,42 @@ def algorithm_from_dict(payload: Dict, graph: TDNGraph, oracle=None):
 # File-level checkpoints
 # ----------------------------------------------------------------------
 def save_checkpoint(path: Union[str, Path], graph: TDNGraph, algorithm) -> None:
-    """Write a JSON checkpoint of the graph plus one algorithm."""
+    """Write a JSON checkpoint of the graph plus one algorithm, atomically.
+
+    The payload is written to a temporary file in the target's directory,
+    flushed and fsynced, then renamed over the target with
+    :func:`os.replace`.  A crash or error at any point leaves either the
+    previous checkpoint or the complete new one, never a torn file, and
+    the temporary file is removed when the write raises.
+    """
     payload = {
         "format_version": _FORMAT_VERSION,
         "graph": graph_to_dict(graph),
         "algorithm": algorithm_to_dict(algorithm),
     }
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
+    target = Path(path)
+    # Unique per process and thread, and created like the target itself
+    # (``open`` honours the umask, unlike ``tempfile.mkstemp``'s 0600).
+    temp = target.with_name(
+        f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
+    try:
+        with open(temp, "w") as handle:
+            json.dump(payload, handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
+    if os.name == "posix":
+        # Make the rename itself durable.
+        dir_fd = os.open(target.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
 
 def load_checkpoint(path: Union[str, Path]):

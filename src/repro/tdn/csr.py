@@ -25,11 +25,13 @@ actually serves queries from (:meth:`TDNGraph.csr`).  Instead of rebuilding
 a snapshot on every graph version (O(V + P) per batch), it keeps
 
 * an immutable :class:`CSRSnapshot` **base**,
-* a per-node **append overlay** of post-base arrivals (forward and reverse,
-  so the transpose stays incremental too), and
+* a per-node **overlay** of post-base arrivals (forward and reverse, so
+  the transpose stays incremental too; each node's entries are kept
+  latest expiry first), and
 * a lazy **tombstone count** for expiries.
 
-Arrivals append one ``(neighbor, expiry)`` entry in O(1); expiries cost
+Arrivals insert one ``(neighbor, expiry)`` entry into a per-node list
+that holds only the arrivals since the last compaction; expiries cost
 O(1) because a dead pair's base entry is *stale-but-harmless*: an expired
 edge has ``expiry <= t``, while every live query horizon is at least
 ``t + 1`` (an alive edge always satisfies ``expiry >= t + 1``), so queries
@@ -160,23 +162,21 @@ def calibrate_scalar_pair_limit(force: bool = False) -> int:
 def resolve_scalar_pair_limit(
     override: Optional[int] = None, backend: str = "python"
 ) -> int:
-    """The active scalar/vector cutover, by descending precedence.
+    """The scalar/vector cutover an engine built *now* uses.
 
-    1. ``CSRSnapshot.SCALAR_PAIR_LIMIT`` when not ``None`` — the legacy
-       one-knob class attribute (tests monkeypatch it; both engines and
-       every snapshot obey it immediately);
-    2. a per-engine constructor ``override``;
-    3. the ``REPRO_SCALAR_PAIR_LIMIT`` environment variable;
-    4. per resolved kernel ``backend``: under ``"native"`` the cutover is
+    Engines call this once, when they are constructed, and hand the
+    resulting int to their kernels; queries never re-resolve it.  By
+    descending precedence:
+
+    1. a per-engine constructor ``override``;
+    2. the ``REPRO_SCALAR_PAIR_LIMIT`` environment variable;
+    3. per resolved kernel ``backend``: under ``"native"`` the cutover is
        pinned to 0 (always vectorized — the calibration probe measures
        interpreted loops against numpy dispatch, a crossover the compiled
        fixpoints don't have, and the scalar path would *leave* the jit);
        under ``"python"`` the measured per-process calibration
-       (:func:`calibrate_scalar_pair_limit`) applies as before.
+       (:func:`calibrate_scalar_pair_limit`) applies.
     """
-    knob = CSRSnapshot.SCALAR_PAIR_LIMIT
-    if knob is not None:
-        return knob
     if override is not None:
         return override
     env = os.environ.get(SCALAR_LIMIT_ENV)
@@ -214,19 +214,6 @@ class CSRSnapshot:
         "_kernel",
     )
 
-    #: Below this many alive pairs, traversal walks the flat arrays with a
-    #: plain Python loop: per-level numpy dispatch overhead dominates on
-    #: tiny graphs, while the vectorized frontier expansion wins by a wide
-    #: margin above it.  Tests pin both paths to identical results.  The
-    #: delta engine reads this class attribute too, so one knob (and one
-    #: monkeypatch) governs both engines.  ``None`` (the default) means
-    #: *adaptive*: the cutover is resolved per process through
-    #: :func:`resolve_scalar_pair_limit` — constructor override, then the
-    #: ``REPRO_SCALAR_PAIR_LIMIT`` environment variable, then a measured
-    #: calibration probe (:func:`calibrate_scalar_pair_limit`); setting a
-    #: number here pins both engines exactly as before.
-    SCALAR_PAIR_LIMIT: Optional[int] = None
-
     def __init__(
         self,
         num_nodes: int,
@@ -243,25 +230,27 @@ class CSRSnapshot:
         self.indices = indices
         self.expiries = expiries
         self.version = version
-        self.scalar_pair_limit = scalar_pair_limit
-        # Resolved here (not just in the kernel) so the cutover resolver
-        # can re-resolve per backend: the calibrated scalar/vector
-        # crossover measured for the python loops is wrong for jitted
-        # loops, so "native" pins the kernel to the vectorized entry.
+        # The backend is resolved before the cutover because the cutover
+        # depends on it: the calibrated scalar/vector crossover measured
+        # for the python loops is wrong for jitted loops, so "native" pins
+        # the kernel to the vectorized entry.
         self.backend = resolve_backend(backend)
+        #: Below or at this many alive pairs, traversal walks plain Python
+        #: adjacency lists (per-level numpy dispatch dominates on tiny
+        #: graphs); above it the frontier expansion is vectorized.
+        #: Resolved once, here (:func:`resolve_scalar_pair_limit`).
+        self.scalar_pair_limit = resolve_scalar_pair_limit(
+            scalar_pair_limit, self.backend
+        )
         self._kernel = TraversalKernel(
             indptr,
             indices,
             expiries,
             num_nodes=num_nodes,
             entry_count=self.num_pairs,
-            limit_resolver=self._scalar_limit,
+            scalar_limit=self.scalar_pair_limit,
             backend=self.backend,
         )
-
-    def _scalar_limit(self) -> int:
-        """The cutover in force *now* (class knob re-checked per query)."""
-        return resolve_scalar_pair_limit(self.scalar_pair_limit, self.backend)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -276,9 +265,9 @@ class CSRSnapshot:
         Cost is O(V + P log P) for P alive pairs (one stable sort groups
         the pair list by source id); the per-pair max expiry is read off
         the graph's cached :class:`_PairEdges` maxima, so no multiset is
-        ever re-scanned.  The adaptive scalar/vector cutover is resolved
-        here — i.e. the calibration probe, if it has not run yet in this
-        process, runs at snapshot build, never inside a query.
+        ever re-scanned.  The scalar/vector cutover is resolved at
+        construction — i.e. the calibration probe, if it has not run yet
+        in this process, runs at snapshot build, never inside a query.
         """
         num_nodes = graph.num_interned
         node_ids = graph._node_ids
@@ -308,12 +297,10 @@ class CSRSnapshot:
             counts = np.zeros(num_nodes, dtype=np.int64)
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        resolved = resolve_backend(backend)
-        resolve_scalar_pair_limit(scalar_pair_limit, resolved)  # calibrate
         return cls(
             num_nodes, indptr, indices, exp, graph.version,
             scalar_pair_limit=scalar_pair_limit,
-            backend=resolved,
+            backend=backend,
         )
 
     # ------------------------------------------------------------------
@@ -383,7 +370,7 @@ class DeltaCSR:
     Owned by the graph (:meth:`TDNGraph.csr` creates it lazily and keeps it
     for the graph's lifetime); the graph's mutation hooks feed it directly:
 
-    * :meth:`record_arrival` appends one overlay entry per inserted edge —
+    * :meth:`record_arrival` inserts one overlay entry per inserted edge —
       forward (``u -> (v, expiry)``) and reverse (``v -> (u, expiry)``), so
       the transpose never needs a per-version rebuild either;
     * :meth:`record_pair_death` counts a tombstone when a pair's last alive
@@ -403,8 +390,11 @@ class DeltaCSR:
     TraversalKernel` per direction — base arrays (forward) or the lazily
     built base transpose (reverse), with the matching arrival overlay
     injected through the kernel's overlay protocol.  The engine's only
-    jobs are maintenance (overlay, tombstones, compaction) and resolving
-    the ``t + 1`` horizon clamp before each kernel call.
+    jobs are maintenance (overlay, tombstones, compaction, and keeping
+    the live kernels' entry count and id space current from the mutation
+    hooks) and resolving the ``t + 1`` horizon clamp before each kernel
+    call.  The scalar/vector cutover is resolved once, in the
+    constructor, and every kernel the engine builds reuses that int.
     """
 
     #: Compact when overlay entries + tombstones exceed this fraction of
@@ -450,8 +440,10 @@ class DeltaCSR:
             raise ValueError(f"mode must be one of {CSR_MODES}, got {mode!r}")
         self._graph = graph
         self.mode = mode
-        self.scalar_pair_limit = scalar_pair_limit
         self.backend = resolve_backend(backend)
+        self.scalar_pair_limit = resolve_scalar_pair_limit(
+            scalar_pair_limit, self.backend
+        )
         self.compactions = 0
         self._fwd: Optional[TraversalKernel] = None
         self._rev: Optional[TraversalKernel] = None
@@ -489,15 +481,23 @@ class DeltaCSR:
     # Mutation hooks (called by TDNGraph)
     # ------------------------------------------------------------------
     def record_arrival(self, uid: int, vid: int, expiry: float) -> None:
-        """Append one arrived edge to the forward and reverse overlays."""
+        """Add one arrived edge to the forward and reverse overlays.
+
+        Also keeps the live kernels' entry count and id space current, so
+        queries do no upkeep of their own.
+        """
         top = uid if uid > vid else vid
         if top >= self._ov_out_flag.shape[0]:
             self._grow(top + 1)
-        self._ov_out.setdefault(uid, []).append((vid, expiry))
-        self._ov_in.setdefault(vid, []).append((uid, expiry))
+        DictOverlay.insert(self._ov_out, uid, (vid, expiry))
+        DictOverlay.insert(self._ov_in, vid, (uid, expiry))
         self._ov_out_flag[uid] = True
         self._ov_in_flag[vid] = True
         self._ov_entries += 1
+        for kernel in (self._fwd, self._rev):
+            if kernel is not None:
+                kernel.entry_count += 1
+                kernel.ensure_capacity(self._graph.num_interned)
 
     def record_pair_death(self) -> None:
         """Count a tombstone for a pair whose last alive edge expired."""
@@ -519,10 +519,6 @@ class DeltaCSR:
             self._compact()
         else:
             self.version = graph.version
-
-    def _scalar_limit(self) -> int:
-        """The cutover in force *now* (class knob re-checked per query)."""
-        return resolve_scalar_pair_limit(self.scalar_pair_limit, self.backend)
 
     def _compact(self) -> None:
         """Fold overlay and tombstones into a fresh immutable base."""
@@ -577,35 +573,36 @@ class DeltaCSR:
         return min_expiry
 
     def _kernel(self, reverse: bool) -> TraversalKernel:
-        """The direction's shared kernel, current as of this call."""
+        """The direction's shared kernel (built on first use per base).
+
+        :meth:`record_arrival` keeps a live kernel's entry count and id
+        space current; compaction and overlay growth drop the kernels, so
+        a kernel served here always describes the engine's current state.
+        """
         kernel = self._rev if reverse else self._fwd
-        if kernel is None:
-            if reverse:
-                tindptr, tindices, texpiries = self._transpose_arrays()
-                kernel = TraversalKernel(
-                    tindptr,
-                    tindices,
-                    texpiries,
-                    num_nodes=self.num_nodes,
-                    overlay=DictOverlay(self._ov_in, self._ov_in_flag),
-                    limit_resolver=self._scalar_limit,
-                    backend=self.backend,
-                )
-                self._rev = kernel
-            else:
-                base = self._base
-                kernel = TraversalKernel(
-                    base.indptr,
-                    base.indices,
-                    base.expiries,
-                    num_nodes=self.num_nodes,
-                    overlay=DictOverlay(self._ov_out, self._ov_out_flag),
-                    limit_resolver=self._scalar_limit,
-                    backend=self.backend,
-                )
-                self._fwd = kernel
-        kernel.entry_count = self.num_entries
-        kernel.ensure_capacity(self.num_nodes)
+        if kernel is not None:
+            return kernel
+        if reverse:
+            indptr, indices, expiries = self._transpose_arrays()
+            overlay = DictOverlay(self._ov_in, self._ov_in_flag)
+        else:
+            base = self._base
+            indptr, indices, expiries = base.indptr, base.indices, base.expiries
+            overlay = DictOverlay(self._ov_out, self._ov_out_flag)
+        kernel = TraversalKernel(
+            indptr,
+            indices,
+            expiries,
+            num_nodes=self.num_nodes,
+            overlay=overlay,
+            entry_count=self.num_entries,
+            scalar_limit=self.scalar_pair_limit,
+            backend=self.backend,
+        )
+        if reverse:
+            self._rev = kernel
+        else:
+            self._fwd = kernel
         return kernel
 
     def kernel_clone(self, reverse: bool = False) -> TraversalKernel:

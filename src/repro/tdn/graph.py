@@ -445,16 +445,9 @@ class TDNGraph:
         interned (the caller passes de-duplicated sets; unknown nodes still
         trivially reach themselves in spread accounting).
         """
-        ids: List[int] = []
-        unknown = 0
-        lookup = self._node_ids
-        for node in nodes:
-            node_id = lookup.get(node)
-            if node_id is None:
-                unknown += 1
-            else:
-                ids.append(node_id)
-        return ids, unknown
+        found = list(map(self._node_ids.get, nodes))
+        ids = [node_id for node_id in found if node_id is not None]
+        return ids, len(found) - len(ids)
 
     def csr(self):
         """The incrementally maintained CSR engine, synced to this version.

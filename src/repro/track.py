@@ -35,6 +35,11 @@ from repro.tdn.lifetimes import ConstantLifetime, GeometricLifetime, InfiniteLif
 from repro.tdn.stream import BatchedStream
 
 
+#: The ``--algorithm`` choices :func:`repro.persistence.save_checkpoint`
+#: can serialize; ``--checkpoint`` is rejected for the others.
+CHECKPOINTABLE = ("hist-approx", "basic-reduction", "sieve-adn")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.track",
@@ -103,7 +108,13 @@ def load_interactions(args):
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.checkpoint and args.algorithm not in CHECKPOINTABLE:
+        parser.error(
+            f"--checkpoint cannot save --algorithm {args.algorithm}; "
+            f"checkpointable algorithms: {', '.join(CHECKPOINTABLE)}"
+        )
     interactions = load_interactions(args)
     if not interactions:
         print("no interactions to process", file=sys.stderr)

@@ -1,7 +1,6 @@
-"""Small shared utilities: counters, RNG helpers, validation, deprecation."""
+"""Small shared utilities: counters, RNG helpers, validation."""
 
 from repro.utils.counters import CallCounter
-from repro.utils.deprecation import reset_warned_keys, warn_once
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.validation import (
     check_fraction,
@@ -14,8 +13,6 @@ __all__ = [
     "CallCounter",
     "make_rng",
     "spawn_rngs",
-    "warn_once",
-    "reset_warned_keys",
     "check_fraction",
     "check_non_negative",
     "check_positive",

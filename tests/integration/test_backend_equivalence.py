@@ -27,11 +27,8 @@ from repro import (
     TDNGraph,
 )
 
-# This suite deliberately probes internal substrates (the CSR snapshot
-# engine and the shared call counter) to pin backend equivalence.
-# repro-lint: disable-next=RPL105
-from repro.tdn.csr import CSRSnapshot
-
+# This suite deliberately probes an internal substrate (the shared call
+# counter) to pin backend equivalence.
 # repro-lint: disable-next=RPL105
 from repro.utils.counters import CallCounter
 
@@ -120,7 +117,7 @@ def test_identical_solutions_and_call_counts(tracker_name, regime, seed):
 
 def test_vectorized_path_equivalence(monkeypatch):
     """Force the vector BFS (no scalar cutover) and re-check one of each."""
-    monkeypatch.setattr(CSRSnapshot, "SCALAR_PAIR_LIMIT", 0)
+    monkeypatch.setenv("REPRO_SCALAR_PAIR_LIMIT", "0")
     for tracker_name, regime in (
         ("sieve_adn", "mixed"),
         ("basic_reduction", "finite"),

@@ -81,7 +81,7 @@ class TestOverlayInjection:
         # Every node reaches back to 0, so 2 reaches {2, 0, 1}.
         assert kernel.reachable_ids([2], None) == {0, 1, 2}
         # Scalar path honors the same overlay protocol.
-        kernel.limit_resolver = lambda: 10**9
+        kernel.scalar_limit = 10**9
         assert kernel.reach_scalar([2], None) == {0, 1, 2}
 
     def test_overlay_serves_ids_past_the_base_arrays(self):
@@ -105,18 +105,19 @@ class TestScalarVectorCutover:
     def test_resolver_none_means_always_vectorized(self):
         indptr, indices, expiries = chain_arrays(4)
         kernel = TraversalKernel(indptr, indices, expiries)
-        assert kernel.limit_resolver is None
+        assert kernel.scalar_limit == -1
         assert not kernel._use_scalar()  # noqa: SLF001 - the cutover itself
+        kernel.entry_count = 0
+        assert not kernel._use_scalar()  # noqa: SLF001
 
     def test_resolver_flips_the_path_per_query(self):
         indptr, indices, expiries = chain_arrays(6)
-        limit = {"value": 0}
-        kernel = TraversalKernel(
-            indptr, indices, expiries, limit_resolver=lambda: limit["value"]
-        )
+        kernel = TraversalKernel(indptr, indices, expiries, scalar_limit=0)
         assert not kernel._use_scalar()  # noqa: SLF001
-        limit["value"] = 10**9
+        kernel.scalar_limit = 10**9
         assert kernel._use_scalar()  # noqa: SLF001
+        kernel.entry_count = 10**9 + 1
+        assert not kernel._use_scalar()  # noqa: SLF001
 
     def test_both_paths_are_result_identical(self):
         rng = np.random.default_rng(5)
@@ -134,10 +135,10 @@ class TestScalarVectorCutover:
             id_sets = [[i] for i in range(num_nodes)] + [[0, 1, 2]]
             vector_counts = kernel.spread_counts(id_sets, eff)
             vector_sums = kernel.weighted_spread_sums(id_sets, eff, weights)
-            kernel.limit_resolver = lambda: 10**9  # force scalar
+            kernel.scalar_limit = 10**9  # force scalar
             assert kernel.spread_counts(id_sets, eff) == vector_counts
             assert kernel.weighted_spread_sums(id_sets, eff, weights) == vector_sums
-            kernel.limit_resolver = None
+            kernel.scalar_limit = -1
 
 
 class TestUnifiedSeedValidation:

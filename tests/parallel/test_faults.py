@@ -59,6 +59,35 @@ def build_graph(seed=None, num_nodes=40, num_events=160):
     return graph
 
 
+#: Wall-clock bound on waiting for a worker-0 fault to fire.  Shards go
+#: through one shared queue, so on a small host worker 1 can drain every
+#: shard of many requests in a row before worker 0 claims its first.
+FAULT_DEADLINE_S = 20.0
+
+
+def dispatch_until_fired(executor, graph, fired) -> bool:
+    """Send exact-checked requests until ``fired(health report)`` holds.
+
+    Returns False when :data:`FAULT_DEADLINE_S` passes first.  Payloads
+    rotate through the graph's ids; none repeats before the fault fires
+    unless the deadline allows more rounds than there are windows.
+    """
+    ids = list(range(graph.num_interned))
+    windows = max(1, len(ids) - 9)
+    deadline = time.monotonic() + FAULT_DEADLINE_S
+    round_no = 0
+    while time.monotonic() < deadline:
+        start = round_no % windows
+        sets = [[i] for i in ids[start : start + 10]]
+        assert executor.spread_counts(graph, sets) == (
+            graph.csr().spread_counts(sets, None)
+        )
+        if fired(executor.health_report()):
+            return True
+        round_no += 1
+    return False
+
+
 def assert_no_shm_leak(prefix):
     from multiprocessing import shared_memory
 
@@ -84,19 +113,13 @@ class TestExecutorChaos:
         )
         prefix = None
         try:
-            ids = list(range(graph.num_interned))
-            saw_death = False
-            for round_no in range(12):
-                # Distinct payload per round: strikes must not accumulate
-                # into a quarantine here (that scenario is below).
-                sets = [[i] for i in ids[round_no : round_no + 10]]
-                assert executor.spread_counts(graph, sets) == (
-                    graph.csr().spread_counts(sets, None)
-                )
-                report = executor.health_report()
-                if report["incidents"].get("WORKER_DEATH", 0) >= 1:
-                    saw_death = True
-                    break
+            # Stops at the first death, so strikes cannot accumulate into
+            # a quarantine here (that scenario is below).
+            saw_death = dispatch_until_fired(
+                executor,
+                graph,
+                lambda report: report["incidents"].get("WORKER_DEATH", 0) >= 1,
+            )
             assert saw_death, "fault plan never fired (worker 0 got no task)"
             report = executor.health_report()
             assert report["state"] == "sharded"  # absorbed, not degraded
@@ -261,19 +284,15 @@ class TestExecutorChaos:
             fault_plan=plan("kill=w0:1"),
         )
         try:
-            ids = list(range(graph.num_interned))
-            for round_no in range(12):
-                sets = [[i] for i in ids[round_no : round_no + 10]]
-                assert executor.spread_counts(graph, sets) == (
-                    graph.csr().spread_counts(sets, None)
-                )
-                if executor.health_report()["state"] == "halted":
-                    break
+            halted = dispatch_until_fired(
+                executor, graph, lambda report: report["state"] == "halted"
+            )
+            assert halted, "fault plan never fired (worker 0 got no task)"
             report = executor.health_report()
             assert report["state"] == "halted"
             assert report["reason"] == "RESTART_BUDGET_EXHAUSTED"
             # Halted is sticky and still serves exactly (serially).
-            sets = [[i] for i in ids[:10]]
+            sets = [[i] for i in range(10)]
             assert executor.spread_counts(graph, sets) == (
                 graph.csr().spread_counts(sets, None)
             )

@@ -16,7 +16,7 @@ interleaved probe points:
 * the O(1) alive-node / alive-pair counters match full recomputation.
 
 Both the scalar and the vectorized traversal paths are exercised by
-parametrizing the shared ``SCALAR_PAIR_LIMIT`` cutover.
+parametrizing the ``REPRO_SCALAR_PAIR_LIMIT`` cutover.
 """
 
 import math
@@ -82,7 +82,7 @@ def graph_adjacency(graph):
 @pytest.mark.parametrize("seed", [3, 17, 91])
 def test_incremental_engine_matches_reference(seed, force_vectorized, monkeypatch):
     if force_vectorized:
-        monkeypatch.setattr(CSRSnapshot, "SCALAR_PAIR_LIMIT", 0)
+        monkeypatch.setenv("REPRO_SCALAR_PAIR_LIMIT", "0")
     rng = random.Random(seed)
     graph = TDNGraph()
     engine = graph.csr()  # live from the start: all mutations hit the overlay

@@ -170,9 +170,9 @@ def test_every_engine_rejects_bad_seeds_identically(
 ):
     """Satellite pin: one IndexError message across all engines and paths."""
     if force_scalar:
-        monkeypatch.setattr(CSRSnapshot, "SCALAR_PAIR_LIMIT", 10**9)
+        monkeypatch.setenv("REPRO_SCALAR_PAIR_LIMIT", str(10**9))
     else:
-        monkeypatch.setattr(CSRSnapshot, "SCALAR_PAIR_LIMIT", 0)
+        monkeypatch.setenv("REPRO_SCALAR_PAIR_LIMIT", "0")
     graph = build_stream_graph(7, 12, 60)
     delta = graph.csr()
     snapshot = CSRSnapshot.build(graph)

@@ -2,8 +2,8 @@
 
 The CSR engine must agree bit-for-bit with the reference dict-of-dict BFS
 on every graph shape and horizon — both on its vectorized frontier path
-and on the small-graph scalar path (``SCALAR_PAIR_LIMIT`` decides which
-one runs, so the fuzz below pins both).
+and on the small-graph scalar path (``REPRO_SCALAR_PAIR_LIMIT``, read when an
+engine is built, decides which one runs, so the fuzz below pins both).
 """
 
 import math
@@ -106,7 +106,7 @@ class TestEquivalenceFuzz:
     @pytest.mark.parametrize("force_vectorized", [False, True])
     def test_matches_reference_bfs(self, force_vectorized, monkeypatch):
         if force_vectorized:
-            monkeypatch.setattr(CSRSnapshot, "SCALAR_PAIR_LIMIT", 0)
+            monkeypatch.setenv("REPRO_SCALAR_PAIR_LIMIT", "0")
         rng = random.Random(42 + force_vectorized)
         for _ in range(25):
             graph = random_graph(rng)
@@ -133,7 +133,7 @@ class TestEquivalenceFuzz:
         graph = random_graph(rng, num_nodes=20, num_events=120)
         ids = list(range(graph.num_interned))
         scalar = graph.csr().reachable_ids(ids[:3], graph.time + 2)
-        monkeypatch.setattr(CSRSnapshot, "SCALAR_PAIR_LIMIT", 0)
+        monkeypatch.setenv("REPRO_SCALAR_PAIR_LIMIT", "0")
         fresh = CSRSnapshot.build(graph)
         vector = fresh.reachable_ids(ids[:3], graph.time + 2)
         assert scalar == vector
@@ -141,13 +141,6 @@ class TestEquivalenceFuzz:
 
 class TestAdaptiveScalarCutover:
     """Resolution precedence and calibration of the scalar/vector cutover."""
-
-    def test_class_knob_wins_over_everything(self, monkeypatch):
-        from repro.tdn import csr as csr_mod
-
-        monkeypatch.setattr(CSRSnapshot, "SCALAR_PAIR_LIMIT", 7)
-        monkeypatch.setenv(csr_mod.SCALAR_LIMIT_ENV, "999")
-        assert csr_mod.resolve_scalar_pair_limit(override=123) == 7
 
     def test_constructor_override_beats_env(self, monkeypatch):
         from repro.tdn import csr as csr_mod
@@ -174,7 +167,7 @@ class TestAdaptiveScalarCutover:
         assert csr_mod.calibrate_scalar_pair_limit() == first  # cached
 
     def test_engine_override_pins_both_paths(self, rng=None):
-        """A per-engine override steers the cutover without the class knob."""
+        """A per-engine override steers the cutover."""
         import random as random_mod
 
         from repro.tdn.csr import DeltaCSR
@@ -191,3 +184,92 @@ class TestAdaptiveScalarCutover:
         assert forced_vector.spread_counts([(i,) for i in ids], horizon) == (
             forced_scalar.spread_counts([(i,) for i in ids], horizon)
         )
+
+    def test_engine_resolves_cutover_once(self, monkeypatch):
+        """The env is read when an engine is built, never again after."""
+        from repro.kernels.traversal import TraversalKernel
+        from repro.tdn import csr as csr_mod
+
+        scalar_sweeps = []
+        reach_scalar = TraversalKernel.reach_scalar
+
+        def counted(kernel, seed_ids, eff):
+            scalar_sweeps.append(1)
+            return reach_scalar(kernel, seed_ids, eff)
+
+        monkeypatch.setattr(TraversalKernel, "reach_scalar", counted)
+        monkeypatch.setenv(csr_mod.SCALAR_LIMIT_ENV, "0")
+        graph = random_graph(random.Random(5), num_nodes=15, num_events=80)
+        engine = graph.csr()
+        ids = list(range(graph.num_interned))
+        engine.reachable_ids(ids[:3], None)
+
+        monkeypatch.setenv(csr_mod.SCALAR_LIMIT_ENV, str(10**9))
+        graph.add_interaction(Interaction("n1", "fresh", graph.time, 9))
+        engine._compact()  # noqa: SLF001 - a rebuild keeps the engine's cutover
+        assert graph.csr() is engine
+        assert engine.scalar_pair_limit == 0
+        assert engine.base.scalar_pair_limit == 0
+        engine.reachable_ids(ids[:3], None)
+        engine.ancestor_ids(ids[:3], None)
+        engine.spread_counts([[i] for i in ids[:5]], None)
+        assert scalar_sweeps == []
+
+        other = random_graph(random.Random(5), num_nodes=15, num_events=80)
+        assert other.csr().scalar_pair_limit == 10**9
+        other.csr().reachable_ids(ids[:3], None)
+        assert scalar_sweeps == [1]
+
+    def test_tracker_steps_read_no_environment(self, monkeypatch):
+        """After one warm-up step, stepping HistApprox reads no env var."""
+        import collections.abc
+        import os
+
+        from repro.core.tracker import InfluenceTracker
+
+        class EnvironSpy(collections.abc.MutableMapping):
+            def __init__(self, environ):
+                self.environ = environ
+                self.reads = []
+
+            def __getitem__(self, key):
+                self.reads.append(key)
+                return self.environ[key]
+
+            def __contains__(self, key):
+                self.reads.append(key)
+                return key in self.environ
+
+            def __iter__(self):
+                self.reads.append("<iter>")
+                return iter(self.environ)
+
+            def __len__(self):
+                return len(self.environ)
+
+            def __setitem__(self, key, value):
+                self.environ[key] = value
+
+            def __delitem__(self, key):
+                del self.environ[key]
+
+        rng = random.Random(11)
+        batches = [
+            [
+                (f"n{rng.randrange(20)}", f"n{rng.randrange(20)}", rng.randint(1, 30))
+                for _ in range(15)
+            ]
+            for _ in range(51)
+        ]
+        batches = [[edge for edge in batch if edge[0] != edge[1]] for batch in batches]
+        tracker = InfluenceTracker("hist-approx", k=3, epsilon=0.2)
+        tracker.step(0, batches[0])
+        compactions = tracker.graph.csr().compactions
+        spy = EnvironSpy(os.environ)
+        monkeypatch.setattr(os, "environ", spy)
+        for t, batch in enumerate(batches[1:], start=1):
+            tracker.step(t, batch)
+        monkeypatch.undo()
+        assert spy.reads == []
+        # The window spans engine compactions, which rebuild kernels.
+        assert tracker.graph.csr().compactions > compactions

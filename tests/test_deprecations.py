@@ -1,17 +1,14 @@
-"""Deprecation shims: each legacy spelling warns exactly once.
-
-Two historical spellings survive behind :func:`repro.utils.deprecation.
-warn_once` (the stdlib ``"once"`` filter is unreliable under pytest's
-filter resets, so the library keys warnings itself):
+"""Retired spellings: the two legacy forms the facade superseded are gone.
 
 * positional oracle configuration —
-  ``InfluenceOracle(graph, counter, 1000, "csr", "delta")``; and
-* importing ``WeightedInfluenceOracle`` from the bare ``repro`` package
-  (the facade spelling is ``open_tracker(semantics=Semantics.
-  WEIGHTED_SUM, weights=...)``).
+  ``InfluenceOracle(graph, counter, 1000, "csr", "delta")`` — is rejected;
+  configuration is keyword-only;
+* ``WeightedInfluenceOracle`` is no longer served from the bare ``repro``
+  package; the facade spelling is ``open_tracker(semantics=Semantics.
+  WEIGHTED_SUM, weights=...)`` and the class lives in
+  :mod:`repro.influence.weighted`.
 
-Both still *work* — values, types and behavior unchanged — they just
-announce themselves, once per process, never per call site.
+The supported spellings must not warn.
 """
 
 import warnings
@@ -19,17 +16,8 @@ import warnings
 import pytest
 
 import repro
-from repro.errors import ConfigError
 from repro.influence.oracle import InfluenceOracle
 from repro.tdn.graph import TDNGraph
-from repro.utils.deprecation import reset_warned_keys, warn_once
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    reset_warned_keys()
-    yield
-    reset_warned_keys()
 
 
 def collect(func):
@@ -39,61 +27,41 @@ def collect(func):
     return result, [w for w in caught if w.category is DeprecationWarning]
 
 
-class TestWarnOnce:
-    def test_second_emission_is_suppressed(self):
-        _, first = collect(lambda: warn_once("test-key", "legacy spelling"))
-        _, second = collect(lambda: warn_once("test-key", "legacy spelling"))
-        assert len(first) == 1 and "legacy spelling" in str(first[0].message)
-        assert second == []
-
-    def test_keys_are_independent(self):
-        collect(lambda: warn_once("key-a", "a"))
-        _, caught = collect(lambda: warn_once("key-b", "b"))
-        assert len(caught) == 1
-
-
 class TestPositionalOracleConfig:
-    def test_warns_exactly_once_and_still_configures(self):
+    def test_positional_config_is_rejected(self):
         graph = TDNGraph()
-        oracle, first = collect(
-            lambda: InfluenceOracle(graph, None, 1000, "csr", "version")
-        )
-        assert len(first) == 1
-        assert "positionally" in str(first[0].message)
-        # The legacy positions still land on the right knobs.
-        assert oracle.max_cache_entries == 1000
-        assert oracle.backend == "csr"
-        assert oracle.memo_mode == "version"
-
-        _, second = collect(lambda: InfluenceOracle(graph, None, 500))
-        assert second == []  # once per process, not per call
+        with pytest.raises(TypeError):
+            InfluenceOracle(graph, None, 1000, "csr", "version")
+        with pytest.raises(TypeError):
+            InfluenceOracle(graph, None, 500)
 
     def test_keyword_spelling_never_warns(self):
-        _, caught = collect(
-            lambda: InfluenceOracle(TDNGraph(), max_cache_entries=1000)
+        oracle, caught = collect(
+            lambda: InfluenceOracle(
+                TDNGraph(), max_cache_entries=1000, memo_mode="version"
+            )
         )
         assert caught == []
+        assert oracle.max_cache_entries == 1000
+        assert oracle.memo_mode == "version"
 
     def test_too_many_positionals_rejected(self):
-        with pytest.warns(DeprecationWarning), pytest.raises(ConfigError):
+        with pytest.raises(TypeError):
             InfluenceOracle(TDNGraph(), None, 1000, "csr", "delta", "extra")
 
 
 class TestRootWeightedOracleImport:
-    def test_warns_exactly_once_and_returns_the_class(self):
+    def test_bare_package_attribute_is_retired(self):
         from repro.influence.weighted import WeightedInfluenceOracle
 
-        cls, first = collect(lambda: repro.WeightedInfluenceOracle)
-        assert cls is WeightedInfluenceOracle
-        assert len(first) == 1
-        assert "open_tracker" in str(first[0].message)
+        with pytest.raises(AttributeError):
+            repro.WeightedInfluenceOracle  # noqa: B018
+        assert WeightedInfluenceOracle.__module__ == "repro.influence.weighted"
 
-        _, second = collect(lambda: repro.WeightedInfluenceOracle)
-        assert second == []
-
-    def test_stays_in_the_advertised_namespace(self):
-        assert "WeightedInfluenceOracle" in repro.__all__
+    def test_dropped_from_the_advertised_namespace(self):
+        assert "WeightedInfluenceOracle" not in repro.__all__
+        assert all(hasattr(repro, name) for name in repro.__all__)
 
     def test_unknown_attributes_still_raise(self):
         with pytest.raises(AttributeError):
-            repro.NoSuchThing
+            repro.NoSuchThing  # noqa: B018

@@ -205,6 +205,30 @@ class TestErrorHandling:
         with pytest.raises(ValueError, match="unsupported checkpoint format"):
             load_checkpoint(path)
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A write that dies mid-dump leaves the old file byte-identical."""
+        graph = TDNGraph()
+        algorithm = SieveADN(2, 0.1, graph)
+        for t, batch in MemoryStream(random_events(3), fill_gaps=True):
+            graph.advance_to(t)
+            graph.add_batch(batch)
+            algorithm.on_batch(t, batch)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, graph, algorithm)
+        before = path.read_bytes()
+
+        def torn_dump(payload, handle, **kwargs):
+            handle.write('{"format_version": ')
+            raise OSError("disk full")
+
+        graph.advance_to(graph.time + 1)
+        graph.add_interaction(Interaction("n0", "n9", graph.time, None))
+        monkeypatch.setattr("repro.persistence.json.dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, graph, algorithm)
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["checkpoint.json"]
+
     def test_unserializable_algorithm(self):
         from repro.baselines.random_baseline import RandomBaseline
 

@@ -98,6 +98,23 @@ class TestCheckpointing:
         assert algorithm.query().value >= 0.0
 
 
+    @pytest.mark.parametrize("algorithm", ["greedy", "random"])
+    def test_unsavable_algorithm_rejected_at_parse(
+        self, algorithm, tmp_path, capsys
+    ):
+        checkpoint = tmp_path / "state.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "--dataset", "twitter-hk", "--events", "200",
+                "--algorithm", algorithm, "--checkpoint", str(checkpoint),
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "hist-approx, basic-reduction, sieve-adn" in err
+        assert not checkpoint.exists()
+
+
 class TestWorkersFlag:
     def test_workers_default_is_serial(self):
         args = build_parser().parse_args(["--dataset", "gowalla"])
