@@ -169,12 +169,16 @@ def build_transpose(
 class DictOverlay:
     """Adjacency overlay injected into kernel sweeps.
 
-    The standard adapter over :class:`~repro.tdn.csr.DeltaCSR`'s overlay
-    state: a dict ``node id -> [(neighbor, expiry), ...]`` plus a boolean
-    flag array marking which ids have entries (so the vectorized sweep
-    selects overlay nodes out of a frontier in one gather instead of one
-    dict probe per node; the scalar walk probes ``entry_map`` directly).
-    Any object with the same two methods plugs in:
+    One direction of a delta engine's arrival overlay (the serial
+    :class:`~repro.tdn.csr.DeltaCSR` and the worker-side
+    :class:`~repro.parallel.plane.PlaneEngine` each keep a forward and a
+    reverse one): a dict ``node id -> [(neighbor, expiry), ...]`` plus a
+    boolean flag array marking which ids have entries (so the vectorized
+    sweep selects overlay nodes out of a frontier in one gather instead
+    of one dict probe per node; the scalar walk probes ``entry_map``
+    directly).  Engines mutate it in place through :meth:`add` and
+    :meth:`grow`, so kernels holding it never go stale.  Any object with
+    the same two query methods plugs into a kernel:
 
     * ``select(frontier)`` — the subset of a frontier id array that has
       overlay entries;
@@ -192,18 +196,30 @@ class DictOverlay:
         self.entry_map = entry_map
         self.flags = flags
 
-    @staticmethod
-    def insert(
-        entry_map: Dict[int, List[Tuple[int, float]]],
-        node_id: int,
-        entry: Tuple[int, float],
-    ) -> None:
-        """Add ``entry`` to ``node_id``'s list, keeping latest expiry first."""
-        entries = entry_map.get(node_id)
+    @classmethod
+    def empty(cls, capacity: int) -> "DictOverlay":
+        """An overlay with no entries whose flags cover ``capacity`` ids."""
+        return cls({}, np.zeros(capacity, dtype=bool))
+
+    def add(self, node_id: int, entry: Tuple[int, float]) -> None:
+        """Add ``entry`` to ``node_id``'s list, keeping latest expiry first.
+
+        ``node_id`` must be below the flags' capacity (see :meth:`grow`).
+        """
+        entries = self.entry_map.get(node_id)
         if entries is None:
-            entry_map[node_id] = [entry]
+            self.entry_map[node_id] = [entry]
         else:
             bisect.insort(entries, entry, key=_expiry_desc)
+        self.flags[node_id] = True
+
+    def grow(self, capacity: int) -> None:
+        """Cover at least ``capacity`` ids (amortized doubling)."""
+        flags = self.flags
+        if capacity > flags.shape[0]:
+            grown = np.zeros(max(capacity, 2 * flags.shape[0]), dtype=bool)
+            grown[: flags.shape[0]] = flags
+            self.flags = grown
 
     def select(self, frontier: np.ndarray) -> np.ndarray:
         return frontier[self.flags[frontier]]
@@ -912,6 +928,16 @@ class TraversalKernel:
             changed_parts = []
             gained_parts = []
             extra_gained: List[int] = []
+            # Overlay sources push the masks they held at the start of the
+            # round: a bit set this round (by the base update below or an
+            # earlier overlay write) may move one more hop only next round.
+            overlay_sources: List[Tuple[int, int]] = []
+            if overlay is not None:
+                overlay_nodes = overlay.select(frontier)
+                if overlay_nodes.size:
+                    overlay_sources = list(
+                        zip(overlay_nodes.tolist(), masks[overlay_nodes].tolist())
+                    )
             in_base = (
                 frontier[frontier < base_nodes]
                 if base_nodes < num_nodes
@@ -951,25 +977,20 @@ class TraversalKernel:
                             )
                             changed_parts.append(uniq)
                             gained_parts.append(gained[hit][first])
-            if overlay is not None:
-                overlay_nodes = overlay.select(frontier)
-                if overlay_nodes.size:
-                    extra = []
-                    for node_id in overlay_nodes.tolist():
-                        node_mask = int(masks[node_id])
-                        for successor, expiry in overlay.entries(node_id):
-                            if eff is not None and expiry < eff:
-                                continue
-                            old = int(masks[successor])
-                            new = old | node_mask
-                            if new != old:
-                                masks[successor] = new
-                                extra.append(successor)
-                                extra_gained.append(new & ~old)
-                    if extra:
-                        changed_parts.append(
-                            np.asarray(extra, dtype=np.int64)
-                        )
+            if overlay is not None and overlay_sources:
+                extra = []
+                for node_id, node_mask in overlay_sources:
+                    for successor, expiry in overlay.entries(node_id):
+                        if eff is not None and expiry < eff:
+                            continue
+                        old = int(masks[successor])
+                        new = old | node_mask
+                        if new != old:
+                            masks[successor] = new
+                            extra.append(successor)
+                            extra_gained.append(new & ~old)
+                if extra:
+                    changed_parts.append(np.asarray(extra, dtype=np.int64))
             if not changed_parts:
                 break
             for plane in range(len(chunk)):

@@ -14,7 +14,7 @@ on the naming scheme.
 * **RPL202** — a scope attaching (``SharedMemory(name=...)`` without
   ``create=True``) must contain a paired ``.close()`` call.
 * **RPL203** — string literals that look like segment-name fragments
-  (``-hdr``, ``-ip``/``-ix``/``-ex`` data suffixes, or ``-g``/``-w``
+  (``-hdr``, ``-ip``/``-ix``/``-ex``/``-lg`` data suffixes, or ``-g``/``-w``
   generation/weights stems feeding an f-string hole) outside
   ``repro/parallel/plane.py``.
 
@@ -33,7 +33,7 @@ from typing import List, Optional, Tuple
 from repro.lint.config import SEGMENT_NAME_OWNER, is_under
 from repro.lint.findings import Finding
 
-_SEGMENT_FRAGMENT = re.compile(r"-(hdr|ip|ix|ex)($|[^A-Za-z0-9])")
+_SEGMENT_FRAGMENT = re.compile(r"-(hdr|ip|ix|ex|lg)($|[^A-Za-z0-9])")
 _SEGMENT_STEM = re.compile(r"-[gw]$")
 
 

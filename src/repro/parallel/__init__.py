@@ -1,8 +1,9 @@
 """Sharded parallel influence engine.
 
-The scaling seam of the library: a shared-memory **CSR plane** publishes
-the graph's flat reachability arrays per epoch (:mod:`repro.parallel.
-plane`), a persistent worker pool shards batched spread / ancestor sweeps
+The scaling seam of the library: a shared-memory **CSR plane** mirrors
+the graph's delta engine — its compacted base once per compaction, its
+arrivals as an append-only log in between (:mod:`repro.parallel.
+plane`) — a persistent worker pool shards batched spread / ancestor sweeps
 across processes (:mod:`repro.parallel.executor`) under explicit
 supervision — dead workers respawn within a restart budget
 (:mod:`repro.parallel.supervisor`), degradation is an inspectable,

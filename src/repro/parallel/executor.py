@@ -46,9 +46,12 @@ The pool and plane are created lazily on the first parallel-eligible
 request and torn down by :meth:`close` (also registered via
 ``weakref.finalize`` over the supervisor's *live* process table, so an
 abandoned executor cannot leak segments or processes — including
-respawned ones).  Publishing is amortized per graph *epoch*:
-:meth:`ensure_plane` republishes only when the owning graph's version
-moved since the last publish.
+respawned ones).  The plane mirrors the graph's delta engine
+(:meth:`ensure_plane`): its compacted base is copied into a new plane
+generation once per compaction, and each graph version in between costs
+only an append of its arrivals to the generation's shared-memory log.
+Every task names the generation, log length and id-space size it was
+dispatched at, and workers replay the log up to exactly that point.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ EXECUTOR_MODES = ("processes", "threads", "auto")
 DEFAULT_MIN_BATCH = 8
 
 #: Default seed-count floor for sharding *reverse* sweeps.  Much higher
-#: than the forward floor: every worker must lazily build the plane
+#: than the forward floor: every worker must lazily build the base
 #: transpose (O(P log P)) once per generation before its first reverse
 #: BFS, and per-epoch dirty-cone syncs journal only a handful of seeds —
 #: sharding those would spend N transpose builds to split a sweep the
@@ -137,7 +140,7 @@ TASK_TIMEOUT = 30.0
 _POLL_INTERVAL = 0.05
 
 # Owner-side instruments, bound once at import.  Worker-side counters
-# arrive as ("metrics", {name: delta}) outcomes on the result queue and
+# arrive as {name: delta} dicts inside each shard's ok/error outcome and
 # are folded into the same process registry (see _dispatch).
 _DISPATCHES = metrics_registry().counter(metric_names.EXECUTOR_DISPATCHES_TOTAL)
 _SHARD_LATENCY = metrics_registry().histogram(
@@ -286,11 +289,11 @@ class ShardedOracleExecutor:
         self._weights_seq = 0
         self._weights_disabled: Optional[str] = None
         self._started = False
-        # Published-epoch stamp: a weakref (not id()) keeps graph identity
-        # honest — CPython reuses id()s after collection, and a stale
-        # plane served for a look-alike graph would be silently wrong.
+        # The graph the plane mirrors: a weakref (not id()) keeps graph
+        # identity honest — CPython reuses id()s after collection, and a
+        # stale plane served for a look-alike graph would be silently
+        # wrong.  Within one graph the plane tracks the engine's base.
         self._published_graph: Optional[weakref.ref] = None
-        self._published_version: Optional[int] = None
         self._request_seq = 0
 
     # ------------------------------------------------------------------
@@ -331,7 +334,9 @@ class ShardedOracleExecutor:
         ``mode`` (the resolved dispatch mode, or the requested ``"auto"``
         until the first query resolves it), ``pool`` (supervisor
         liveness, restart budget, quarantine count; None before first
-        use), ``plane_generation`` and ``weights_disabled``.
+        use), ``plane_generation`` (base publishes so far: one per
+        compaction of the mirrored engine, plus one per log overflow or
+        re-mirror) and ``weights_disabled``.
         """
         report = self._ladder.report()
         report["workers"] = self.workers
@@ -492,7 +497,6 @@ class ShardedOracleExecutor:
         self._supervisor = None
         self._weights = {}
         self._published_graph = None
-        self._published_version = None
         self._finalizer = weakref.finalize(self, _noop)
 
     def close(self) -> None:
@@ -516,36 +520,40 @@ class ShardedOracleExecutor:
     # Plane publication
     # ------------------------------------------------------------------
     def ensure_plane(self, graph: "TDNGraph") -> bool:
-        """Publish ``graph``'s current epoch if the plane is stale.
+        """Bring the plane up to ``graph``'s current state.
 
-        Returns whether the plane is usable.  Republishing happens at
-        most once per graph version — the executor's epoch — so a stream
-        of queries against an unchanged graph pays one O(V + P) snapshot
-        build total, exactly like the serial engine's compaction.  A
-        failed publish degrades *recoverably*: the epoch stamp is not
-        advanced, so the next eligible request retries the publish and
-        recovers to sharded mode when it succeeds.
+        Returns whether the plane is usable.  ``graph.csr()`` runs first,
+        so the engine has compacted if it is due.  While the engine keeps
+        the base the plane already holds, only the arrivals since the
+        last call are appended to the generation's log (O(new edges)).
+        A new generation — a copy of the engine's existing base arrays
+        and log — is published only when the base changed, the graph is
+        not the mirrored one, or the log would overflow.  A failed
+        publish degrades *recoverably*: nothing is marked current, so the
+        next eligible request retries the publish and recovers to
+        sharded mode when it succeeds.
         """
         if not self._ensure_pool():
             return False
+        assert self._plane is not None
+        engine = graph.csr()
         if (
             self._published_graph is not None
             and self._published_graph() is graph
-            and self._published_version == graph.version
+            and self._plane.append(engine)
         ):
             return True
-        assert self._plane is not None
         try:
             if self._fault_plan is not None and self._fault_plan.next_publish_fails():
                 raise FaultInjected("injected fault: plane publish failed")
-            self._plane.publish(graph)
+            self._plane.publish(engine)
         except (OSError, FaultInjected) as exc:
+            self._published_graph = None
             self._ladder.degrade(
                 DegradationReason.PUBLISH_FAILED, str(exc), retry_delay=0.05
             )
             return False
         self._published_graph = weakref.ref(graph)
-        self._published_version = graph.version
         return True
 
     # ------------------------------------------------------------------
@@ -577,7 +585,9 @@ class ShardedOracleExecutor:
         supervisor = self._supervisor
         self._request_seq += 1
         request_id = self._request_seq
-        generation = self._plane.generation
+        # The plane state every shard of this request is answered at.
+        plane = self._plane
+        state = (plane.generation, plane.log_length, plane.num_nodes)
         total = len(shards)
         _DISPATCHES.inc()
         results: List[Any] = [None] * total
@@ -592,9 +602,7 @@ class ShardedOracleExecutor:
 
         def enqueue(shard_index: int) -> None:
             payload, eff = shards[shard_index]
-            self._task_queue.put(
-                (op, request_id, shard_index, generation, payload, eff)
-            )
+            self._task_queue.put((op, request_id, shard_index, *state, payload, eff))
             sent[shard_index] = time.monotonic()
             deadlines[shard_index] = sent[shard_index] + self.task_timeout
 
@@ -622,14 +630,13 @@ class ShardedOracleExecutor:
             except queue_mod.Empty:
                 got_id = None
             if got_id is not None:
-                status, value = outcome
-                if status == "metrics":
-                    # Worker-drained counter deltas.  Merged before the
-                    # stale-request check: a drain advances the worker's
-                    # high-water marks, so a dropped message would lose
-                    # those counts forever.
-                    metrics_registry().merge_counter_deltas(value)
-                    continue
+                status, value = outcome[0], outcome[1]
+                if status != "started" and outcome[2]:
+                    # Worker-drained counter deltas ride in the reply.
+                    # Merged before the stale-request check: a drain
+                    # advances the worker's high-water marks, so a
+                    # dropped reply would lose those counts forever.
+                    metrics_registry().merge_counter_deltas(outcome[2])
                 if got_id != request_id or shard_index >= total:
                     continue  # stale result from an abandoned request
                 if status == "started":
@@ -1097,9 +1104,10 @@ class ShardedOracleExecutor:
         the same registry the owner resolved it from, so owner and worker
         can never disagree about what a semantics name means.  Derived
         node values (``time_decay``) are recomputed worker-side from the
-        mapped plane arrays; the derivation is elementwise over the same
-        float64 inputs the serial engine sees, which keeps sharded fold
-        scores bit-identical to serial ones.  Weight-carrying folds
+        mapped base arrays plus the replayed log's in-expiries; the
+        derivation runs over the same float64 inputs the serial engine
+        sees, which keeps sharded fold scores bit-identical to serial
+        ones.  Weight-carrying folds
         (``weighted_sum``) stay on :meth:`weighted_spread_sums` — this
         path never ships dense arrays through the task queue.
         """

@@ -8,7 +8,7 @@ InfluenceTracker` into a small always-on service:
   instead of buffering unboundedly;
 * one consumer loop applies batches in order on a single worker thread
   (the TDN graph and trackers are single-writer structures), advances the
-  service **epoch** after each batch, and republishes the shared-memory
+  service **epoch** after each batch, and syncs the shared-memory
   CSR plane when the tracker's oracle runs a sharded executor — so pool
   workers always map the last *consistent* graph;
 * ``await top_k()`` answers immediately from the last consistent epoch's
@@ -19,7 +19,7 @@ Failure handling
 ----------------
 Batches are *journaled* with sequence numbers from the moment the
 consumer dequeues them until their epoch publishes (``_latest`` is
-assigned only after ``tracker.step`` and the plane republish complete).
+assigned only after ``tracker.step`` and the plane sync complete).
 If the single writer thread dies (detected as :class:`WriterDeathError`
 or a broken thread pool), the service restarts the writer — within a
 bounded restart budget — and replays the journal's unapplied entries in
@@ -343,7 +343,7 @@ class IngestService:
         """Apply every journaled batch in order (writer thread only).
 
         Each entry commits atomically from the caller's point of view:
-        ``tracker.step`` + plane republish first, then ``_latest`` flips
+        ``tracker.step`` + plane sync first, then ``_latest`` flips
         to the new epoch and the entry leaves the journal.  A fault (or
         death) before the commit point leaves the entry journaled for
         replay; there is no state in which an epoch is served before its
@@ -399,15 +399,16 @@ class IngestService:
         return True
 
     def _republish(self) -> None:
-        """Republish the CSR plane for the new epoch (sharded oracles only).
+        """Sync the CSR plane to the new epoch (sharded oracles only).
 
-        Only once the pool is actually running: eagerly spawning workers
-        (or publishing generations nobody maps) for a stream whose
-        sweeps all fall below the executor's dispatch floor would pay an
-        O(V + P) snapshot per batch for nothing.  Dispatch re-checks the
-        plane against ``graph.version`` anyway; this merely keeps a live
+        The sync is a log append of the epoch's arrivals, plus a base
+        publish when the epoch compacted the graph's engine.  Only once
+        the pool is actually running: eagerly spawning workers (or
+        publishing generations nobody maps) for a stream whose sweeps
+        all fall below the executor's dispatch floor would be wasted.
+        Dispatch re-syncs the plane anyway; this merely keeps a live
         pool's plane warm so epoch-N query traffic never pays the
-        publish inside a query.  Publish failures are retried here with
+        sync inside a query.  Publish failures are retried here with
         backoff (we are on the writer thread — blocking is fine) before
         the executor is left degraded; its own recovery machinery then
         retries on later epochs.

@@ -3,10 +3,14 @@
 Each worker runs :func:`worker_main` forever: pull a task message off the
 shared task queue, run the requested sweep against the shared-memory CSR
 plane, push the result.  Task messages are tiny (op name, request id,
-shard index, plane generation, id lists, horizon) — the graph itself never
-crosses the pipe; workers map the published plane segments directly
-(:func:`repro.parallel.plane.attach_plane_engine`) and cache the mapping
-until the owner publishes a newer generation.  Weighted sweeps likewise
+shard index, plane generation, arrival-log length, live id-space size,
+id lists, horizon) — the graph itself never crosses the pipe.  A worker
+maps each generation's base segments once
+(:func:`repro.parallel.plane.attach_plane_engine`), keeping the mapping
+until the owner's engine compacts and a newer generation appears, and
+before every task replays the arrival-log rows it has not applied yet,
+up to exactly the length the task names.  A respawned worker starts from
+row 0 of the current generation.  Weighted sweeps likewise
 map the owner's published weight segment by name
 (:func:`repro.parallel.plane.attach_weights`, cached per weights key) and
 return 64-wide per-set weight sums instead of shipping reachable-id sets
@@ -18,8 +22,10 @@ to know *which* shard a worker held when it died — that is what powers
 poisoned-task strikes and targeted re-enqueueing instead of whole-request
 serial recomputation.  Every result is tagged with the request id and
 shard index so the owner can splice shard results back into submission
-order, and every failure is reported as an ``("error", message)`` payload
-instead of crashing the worker — the owner decides whether to retry.
+order, and every failure is reported as an ``("error", message, deltas)``
+outcome instead of crashing the worker — the owner decides whether to
+retry.  Each shard gets exactly one reply: the worker's drained metric
+counter deltas ride inside its ``ok``/``error`` outcome.
 
 Fault injection: an optional :class:`repro.parallel.faults.WorkerFaults`
 schedule (shipped pickled from the owner's :class:`FaultPlan`) can drop a
@@ -64,14 +70,20 @@ def worker_main(
 
     Args:
         task_queue: multiprocessing queue of task tuples
-            ``(op, request_id, shard_index, generation, payload, eff)``.
+            ``(op, request_id, shard_index, generation, log_length,
+            num_nodes, payload, eff)``: the plane generation, the
+            arrival-log rows and the id-space size the owner's graph had
+            at dispatch.
             For :data:`OP_WSPREAD` the payload is ``(id_sets, weights_key,
             weights_name, weights_len)``; for :data:`OP_FSPREAD` it is
             ``(id_sets, fold_spec)`` with the fold's ``(name, params)``
             wire form; for the other sweeps it is the id list(s) directly.
         result_queue: queue of ``(request_id, shard_index, outcome)``
             tuples where ``outcome`` is ``("started", worker_index)``
-            (claim ack), ``("ok", value)`` or ``("error", message)``.
+            (claim ack), ``("ok", value, deltas)`` or ``("error",
+            message, deltas)``; ``deltas`` maps counter names to the
+            increments drained from this worker's registry since its
+            previous reply.
         prefix: the shared plane's segment-name prefix.
         worker_index: this worker's stable slot in the pool (respawns
             reuse the slot).
@@ -79,10 +91,10 @@ def worker_main(
     """
     # Worker-local metrics: a private registry plus the kernel sweep
     # sampler, drained as tiny name->delta dicts after each task and
-    # shipped through the result queue (one aggregate message per task,
-    # never per-event traffic).  The owner folds the deltas into its own
-    # registry; see ShardedOracleExecutor._dispatch.  Imported here, not
-    # at module top, to keep the spawn-time import graph minimal.
+    # carried inside the task's reply (never per-event traffic).  The
+    # owner folds the deltas into its own registry; see
+    # ShardedOracleExecutor._dispatch.  Imported here, not at module
+    # top, to keep the spawn-time import graph minimal.
     from repro.kernels.instrument import enable_kernel_metrics
     from repro.obs import names as metric_names
     from repro.obs.registry import MetricsRegistry
@@ -91,15 +103,6 @@ def worker_main(
     enable_kernel_metrics(registry=registry)
     tasks_done = registry.counter(metric_names.WORKER_TASKS_TOTAL)
 
-    def flush_metrics(request_id: int, shard_index: int) -> None:
-        # Sent BEFORE the ok/error reply: once the owner has every shard
-        # result its dispatch loop returns, and a metrics message behind
-        # the final "ok" would be dropped as stale on the next request —
-        # losing the drained deltas (the drain high-water mark advanced).
-        deltas = registry.drain_counter_deltas()
-        if deltas:
-            result_queue.put((request_id, shard_index, ("metrics", deltas)))
-
     attachment: Optional[_Attachment] = None  # current generation's mapping
     weight_maps: Dict[str, _WeightsAttachment] = {}
     # A worker only ever needs the keys of currently-live oracles; cap
@@ -107,7 +110,7 @@ def worker_main(
     # owner already released) cannot accumulate mappings forever.
     max_weight_maps = 8
 
-    def engine_for(generation: int) -> PlaneEngine:
+    def engine_for(generation: int, log_length: int, num_nodes: int) -> PlaneEngine:
         nonlocal attachment
         if attachment is None or attachment.generation != generation:
             from repro.parallel.plane import attach_plane_engine
@@ -118,7 +121,7 @@ def worker_main(
             if stale is not None:
                 stale.detach()
             attachment = attach_plane_engine(prefix, generation)
-        return attachment.engine
+        return attachment.catch_up(log_length, num_nodes)
 
     def weights_for(key: str, name: str, length: int) -> "np.ndarray":
         cached = weight_maps.get(key)
@@ -140,9 +143,18 @@ def worker_main(
         if op == OP_STOP:
             break
         if op == OP_PING:
-            result_queue.put((task[1], 0, ("ok", "pong")))
+            result_queue.put((task[1], 0, ("ok", "pong", {})))
             continue
-        _, request_id, shard_index, generation, payload, eff = task
+        (
+            _,
+            request_id,
+            shard_index,
+            generation,
+            log_length,
+            num_nodes,
+            payload,
+            eff,
+        ) = task
         delay = 0.0
         if faults is not None:
             ordinal = faults.next_task()
@@ -160,18 +172,16 @@ def worker_main(
                 result_queue.join_thread()
             os._exit(1)  # simulate a hard crash mid-task (no cleanup)
         try:
-            engine = engine_for(generation)
+            engine = engine_for(generation, log_length, num_nodes)
             value = _run(engine, op, payload, eff, weights_for)
             if delay > 0.0:
                 time.sleep(delay)  # simulate a slow shard (past deadline)
             tasks_done.inc()
-            flush_metrics(request_id, shard_index)
-            result_queue.put((request_id, shard_index, ("ok", value)))
+            outcome = ("ok", value, registry.drain_counter_deltas())
         except BaseException as exc:  # report, never crash the loop
-            flush_metrics(request_id, shard_index)
-            result_queue.put(
-                (request_id, shard_index, ("error", f"{type(exc).__name__}: {exc}"))
-            )
+            message = f"{type(exc).__name__}: {exc}"
+            outcome = ("error", message, registry.drain_counter_deltas())
+        result_queue.put((request_id, shard_index, outcome))
     if attachment is not None:
         attachment.detach()
     for cached in weight_maps.values():

@@ -53,16 +53,17 @@ routes through the shared :class:`repro.kernels.TraversalKernel`.
 overlay through the kernel's overlay protocol (:class:`repro.kernels.
 DictOverlay`) and resolving the ``t + 1`` horizon clamp before every
 call.  The worker-side :class:`repro.parallel.plane.PlaneEngine` adapts
-the *same* kernel over the published flat arrays, which is what makes
-the sharded executor's bit-for-bit guarantee structural rather than a
-hand-synced convention.
+the *same* kernel over a published copy of this engine's base plus an
+overlay replayed from its arrival log (:attr:`DeltaCSR.arrival_log`),
+which is what makes the sharded executor's bit-for-bit guarantee
+structural rather than a hand-synced convention.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -372,7 +373,9 @@ class DeltaCSR:
 
     * :meth:`record_arrival` inserts one overlay entry per inserted edge —
       forward (``u -> (v, expiry)``) and reverse (``v -> (u, expiry)``), so
-      the transpose never needs a per-version rebuild either;
+      the transpose never needs a per-version rebuild either — and
+      appends the edge to the flat :attr:`arrival_log` the shared-memory
+      plane ships to worker processes;
     * :meth:`record_pair_death` counts a tombstone when a pair's last alive
       edge expires.  The dead pair's base entry stays in place: its
       recorded expiry is ``<= t`` while every query horizon is clamped to
@@ -419,9 +422,8 @@ class DeltaCSR:
         "_texpiries",
         "_ov_out",
         "_ov_in",
-        "_ov_out_flag",
-        "_ov_in_flag",
         "_ov_entries",
+        "_arrivals",
         "_tombstones",
         "_fwd",
         "_rev",
@@ -477,6 +479,24 @@ class DeltaCSR:
         """The immutable compacted base snapshot."""
         return self._base
 
+    @property
+    def arrival_log(self) -> List[Tuple[int, int, float]]:
+        """Every ``(uid, vid, expiry)`` arrival since the base, in order.
+
+        Append-only between compactions and reset by them: base plus log
+        replayed through :meth:`record_arrival`'s overlay inserts is this
+        engine's exact state, which is what the shared-memory plane ships
+        to worker processes instead of a fresh snapshot per version.
+        """
+        return self._arrivals
+
+    @property
+    def compact_trigger(self) -> int:
+        """Overlay entries plus tombstones past which :meth:`sync` compacts."""
+        return max(
+            self.COMPACT_MIN, int(self.COMPACT_FRACTION * self._base.num_pairs)
+        )
+
     # ------------------------------------------------------------------
     # Mutation hooks (called by TDNGraph)
     # ------------------------------------------------------------------
@@ -487,13 +507,13 @@ class DeltaCSR:
         queries do no upkeep of their own.
         """
         top = uid if uid > vid else vid
-        if top >= self._ov_out_flag.shape[0]:
-            self._grow(top + 1)
-        DictOverlay.insert(self._ov_out, uid, (vid, expiry))
-        DictOverlay.insert(self._ov_in, vid, (uid, expiry))
-        self._ov_out_flag[uid] = True
-        self._ov_in_flag[vid] = True
+        if top >= self._ov_out.flags.shape[0]:
+            self._ov_out.grow(top + 1)
+            self._ov_in.grow(top + 1)
+        self._ov_out.add(uid, (vid, expiry))
+        self._ov_in.add(vid, (uid, expiry))
         self._ov_entries += 1
+        self._arrivals.append((uid, vid, expiry))
         for kernel in (self._fwd, self._rev):
             if kernel is not None:
                 kernel.entry_count += 1
@@ -513,9 +533,7 @@ class DeltaCSR:
             if self.version != graph.version:
                 self._compact()
             return
-        if self._ov_entries + self._tombstones > max(
-            self.COMPACT_MIN, self.COMPACT_FRACTION * self._base.num_pairs
-        ):
+        if self._ov_entries + self._tombstones > self.compact_trigger:
             self._compact()
         else:
             self.version = graph.version
@@ -531,32 +549,18 @@ class DeltaCSR:
         self._tindptr = None
         self._tindices = None
         self._texpiries = None
-        self._ov_out = {}
-        self._ov_in = {}
         capacity = graph.num_interned
         if self._fwd is not None:
             capacity = max(capacity, self._fwd.num_nodes)
-        self._ov_out_flag = np.zeros(capacity, dtype=bool)
-        self._ov_in_flag = np.zeros(capacity, dtype=bool)
+        self._ov_out = DictOverlay.empty(capacity)
+        self._ov_in = DictOverlay.empty(capacity)
         self._ov_entries = 0
+        self._arrivals = []
         self._tombstones = 0
         self._fwd = None
         self._rev = None
         self.compactions += 1
         self.version = graph.version
-
-    def _grow(self, needed: int) -> None:
-        """Amortized-doubling growth of the id-indexed overlay buffers."""
-        capacity = max(needed, 2 * self._ov_out_flag.shape[0])
-        for name in ("_ov_out_flag", "_ov_in_flag"):
-            flags = getattr(self, name)
-            grown_flags = np.zeros(capacity, dtype=bool)
-            grown_flags[: flags.shape[0]] = flags
-            setattr(self, name, grown_flags)
-        # The kernels hold references to the replaced flag arrays; rebuild
-        # them lazily against the fresh buffers on the next query.
-        self._fwd = None
-        self._rev = None
 
     def _effective_horizon(self, min_expiry: Optional[float]) -> float:
         """Clamp the query horizon to ``t + 1``.
@@ -576,19 +580,20 @@ class DeltaCSR:
         """The direction's shared kernel (built on first use per base).
 
         :meth:`record_arrival` keeps a live kernel's entry count and id
-        space current; compaction and overlay growth drop the kernels, so
-        a kernel served here always describes the engine's current state.
+        space current (the overlays it holds are updated in place), and
+        compaction drops the kernels, so a kernel served here always
+        describes the engine's current state.
         """
         kernel = self._rev if reverse else self._fwd
         if kernel is not None:
             return kernel
         if reverse:
             indptr, indices, expiries = self._transpose_arrays()
-            overlay = DictOverlay(self._ov_in, self._ov_in_flag)
+            overlay = self._ov_in
         else:
             base = self._base
             indptr, indices, expiries = base.indptr, base.indices, base.expiries
-            overlay = DictOverlay(self._ov_out, self._ov_out_flag)
+            overlay = self._ov_out
         kernel = TraversalKernel(
             indptr,
             indices,
@@ -718,12 +723,8 @@ class DeltaCSR:
         eff = self._effective_horizon(min_expiry)
         base = self._base
         max_in = max_in_expiries(
-            base.indices, base.expiries, self.num_nodes, eff
+            base.indices, base.expiries, self.num_nodes, eff, self._ov_in.entry_map
         )
-        for vid, entries in self._ov_in.items():
-            for _, expiry in entries:
-                if expiry >= eff and expiry > max_in[vid]:
-                    max_in[vid] = expiry
         return fold.values_from_max_in(max_in, eff)
 
     def fold_spread_sums(

@@ -402,6 +402,14 @@ def test_rpl203_segment_name_literal():
     )
 
 
+def test_rpl203_arrival_log_suffix():
+    assert_fires(
+        'NAME = "plane-g3-lg"\n',
+        "src/repro/parallel/fixture.py",
+        "RPL203",
+    )
+
+
 def test_rpl203_fstring_stem():
     assert_fires(
         """

@@ -125,22 +125,40 @@ class TestPoolQueries:
         finally:
             executor.close()
 
-    def test_republish_tracks_graph_version(self):
+    def test_publishes_once_per_compaction(self):
+        """Arrivals between compactions only grow the plane's log; the
+        base is republished exactly when the engine compacts."""
         graph = build_graph()
+        engine = graph.csr()
         executor = ShardedOracleExecutor(WORKERS, min_batch=1)
         try:
             sets = [[i] for i in range(graph.num_interned)]
             first = executor.spread_counts(graph, sets)
             assert first == graph.csr().spread_counts(sets, None)
-            generation = executor._plane.generation
-            # Same version: no republish.
+            plane = executor._plane
+            generation = plane.generation
+            # Same version: nothing to copy.
             executor.spread_counts(graph, sets)
-            assert executor._plane.generation == generation
+            assert (plane.generation, plane.log_length) == (generation, 0)
             graph.advance_to(graph.time + 1)
             graph.add_interaction(Interaction("n0", "n1", graph.time, 30))
             second = executor.spread_counts(graph, sets)
-            assert executor._plane.generation == generation + 1
             assert second == graph.csr().spread_counts(sets, None)
+            assert plane.generation == generation
+            assert plane.log_length == len(engine.arrival_log) == 1
+            # Cross the compaction trigger: one new generation, empty log.
+            compactions = engine.compactions
+            rng = random.Random(5)
+            for _ in range(engine.compact_trigger + 1):
+                u, v = rng.sample(range(50), 2)
+                graph.add_interaction(
+                    Interaction(f"n{u}", f"n{v}", graph.time, rng.randint(3, 60))
+                )
+            third = executor.spread_counts(graph, sets)
+            assert third == graph.csr().spread_counts(sets, None)
+            assert engine.compactions == compactions + 1
+            assert plane.generation == generation + 1
+            assert plane.base is engine.base and plane.log_length == 0
         finally:
             executor.close()
 

@@ -232,7 +232,8 @@ class TestExecutorChaos:
     def test_publish_failure_degrades_then_recovers(self):
         """A failed plane publish serves the request serially, leaves a
         recoverable DEGRADED state, and the next eligible request
-        republishes and returns to SHARDED."""
+        republishes and returns to SHARDED.  Log appends between
+        compactions are not publishes and never trip the fault."""
         graph = build_graph(seed=SEED + 5)
         executor = ShardedOracleExecutor(
             2, min_batch=1, fault_plan=plan("publish=2")
@@ -247,10 +248,22 @@ class TestExecutorChaos:
             )
             assert executor.health_report()["state"] == "sharded"
             prefix = executor._plane.prefix
-            # Mutate the graph so the next request must republish;
-            # publish 2 is the injected failure.
+            # One arrival is a log append, not a publish: still sharded.
             graph.advance_to(graph.time + 1)
             graph.add_interaction(Interaction("n0", "n1", graph.time, 40))
+            assert executor.spread_counts(graph, sets) == (
+                graph.csr().spread_counts(sets, None)
+            )
+            report = executor.health_report()
+            assert (report["state"], report["plane_generation"]) == ("sharded", 1)
+            # Cross the compaction trigger so the next request must
+            # republish the base; publish 2 is the injected failure.
+            rng = random.Random(SEED)
+            for _ in range(graph.csr().compact_trigger + 1):
+                u, v = rng.sample(range(40), 2)
+                graph.add_interaction(
+                    Interaction(f"n{u}", f"n{v}", graph.time, rng.randint(5, 60))
+                )
             assert executor.spread_counts(graph, sets) == (
                 graph.csr().spread_counts(sets, None)
             )

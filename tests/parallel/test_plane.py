@@ -52,11 +52,11 @@ class TestPublishAttach:
         graph = build_graph()
         plane = SharedCSRPlane()
         try:
-            generation = plane.publish(graph)
+            generation = plane.publish(graph.csr())
             attachment = attach_plane_engine(plane.prefix, generation)
             try:
-                engine = attachment.engine
                 serial = graph.csr()
+                engine = attachment.catch_up(plane.log_length, plane.num_nodes)
                 eff = float(graph.time + 1)
                 ids = list(range(graph.num_interned))
                 for seeds in ([ids[0]], ids[:5], ids[3:9]):
@@ -79,10 +79,10 @@ class TestPublishAttach:
         graph = build_graph()
         plane = SharedCSRPlane()
         try:
-            first = plane.publish(graph)
+            first = plane.publish(graph.csr())
             graph.advance_to(graph.time + 1)
             graph.add_interaction(Interaction("n0", "n1", graph.time, 10))
-            second = plane.publish(graph)
+            second = plane.publish(graph.csr())
             assert second == first + 1
             # The superseded generation is unlinked; attaching it fails.
             with pytest.raises((RuntimeError, FileNotFoundError)):
@@ -96,7 +96,7 @@ class TestPublishAttach:
         graph = build_graph()
         plane = SharedCSRPlane()
         try:
-            generation = plane.publish(graph)
+            generation = plane.publish(graph.csr())
             with pytest.raises((RuntimeError, FileNotFoundError)):
                 attach_plane_engine(plane.prefix, generation + 7)
         finally:
@@ -106,7 +106,7 @@ class TestPublishAttach:
         graph = build_graph()
         plane = SharedCSRPlane()
         prefix = plane.prefix
-        plane.publish(graph)
+        plane.publish(graph.csr())
         plane.close()
         plane.close()  # idempotent
         assert plane_segments(prefix) == []
@@ -116,7 +116,7 @@ class TestPublishAttach:
     def test_empty_graph_publishes(self):
         plane = SharedCSRPlane()
         try:
-            generation = plane.publish(TDNGraph())
+            generation = plane.publish(TDNGraph().csr())
             attachment = attach_plane_engine(plane.prefix, generation)
             try:
                 assert attachment.engine.num_nodes == 0

@@ -433,8 +433,8 @@ class TestTeardownSafety:
     )
     def test_plane_double_close(self):
         plane = SharedCSRPlane()
-        plane.publish(tiny_graph())
+        plane.publish(tiny_graph().csr())
         plane.close()
         plane.close()
         with pytest.raises(RuntimeError):
-            plane.publish(tiny_graph())
+            plane.publish(tiny_graph().csr())

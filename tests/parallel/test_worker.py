@@ -3,7 +3,8 @@
 The pool tests exercise ``worker_main`` for real, but in child processes
 where coverage cannot see it; this module drives the exact same loop in a
 thread against plain queues, pinning the protocol — result tagging, error
-reporting instead of crashing, generation re-attachment, stop handling.
+reporting instead of crashing, arrival-log replay, generation
+re-attachment, stop handling.
 """
 
 import queue
@@ -39,18 +40,31 @@ def loop_harness():
 
 
 def get_reply(results, timeout=10):
-    """Next substantive result, skipping started-acks and metrics.
+    """Next substantive result, skipping started-acks.
 
     Every sweep op first acknowledges the claim with
     ``(request, shard, ("started", worker_index))`` so the supervisor can
-    attribute in-flight shards to workers, and flushes its drained
-    counter deltas as a ``("metrics", {name: delta})`` message before the
-    ok/error reply; the tests here mostly care about the reply itself.
+    attribute in-flight shards to workers; the tests here mostly care
+    about the ``(status, value, deltas)`` reply itself.
     """
     while True:
         item = results.get(timeout=timeout)
-        if item[2][0] not in ("started", "metrics"):
+        if item[2][0] != "started":
             return item
+
+
+def task(op, request, shard, plane, payload, eff):
+    """A task tuple dispatched at the plane's current state."""
+    return (
+        op,
+        request,
+        shard,
+        plane.generation,
+        plane.log_length,
+        plane.num_nodes,
+        payload,
+        eff,
+    )
 
 
 def build_graph(seed=3):
@@ -67,35 +81,34 @@ class TestWorkerLoop:
     def test_ping_and_all_ops(self, loop_harness):
         tasks, results, plane = loop_harness
         graph = build_graph()
-        generation = plane.publish(graph)
+        plane.publish(graph.csr())
         serial = graph.csr()
         eff = float(graph.time + 1)
         ids = list(range(graph.num_interned))
 
         tasks.put((worker.OP_PING, 1))
-        assert results.get(timeout=10) == (1, 0, ("ok", "pong"))
+        assert results.get(timeout=10) == (1, 0, ("ok", "pong", {}))
 
         # Sweep ops first acknowledge the claim, tagged with the worker
         # index, so the supervisor can strike in-flight tasks on death.
         sets = [[i] for i in ids[:10]]
-        tasks.put((worker.OP_SPREAD, 2, 4, generation, sets, eff))
+        tasks.put(task(worker.OP_SPREAD, 2, 4, plane, sets, eff))
         assert results.get(timeout=10) == (2, 4, ("started", 0))
-        # The worker-local metrics drain rides the result queue between
-        # the claim ack and the reply, tagged with the same request.
-        request, shard, (status, deltas) = results.get(timeout=10)
-        assert (request, shard, status) == (2, 4, "metrics")
-        assert deltas.get("repro_worker_tasks_total") == 1.0
-        request, shard, (status, counts) = results.get(timeout=10)
+        # One reply per shard: the worker-local metrics drain rides
+        # inside it, and no other message follows.
+        request, shard, (status, counts, deltas) = results.get(timeout=10)
         assert (request, shard, status) == (2, 4, "ok")
         assert counts == serial.spread_counts(sets, None)
+        assert deltas.get("repro_worker_tasks_total") == 1.0
+        assert results.empty()
 
-        tasks.put((worker.OP_REACH, 3, 0, generation, sets, eff))
-        _, _, (status, reach) = get_reply(results)
+        tasks.put(task(worker.OP_REACH, 3, 0, plane, sets, eff))
+        _, _, (status, reach, _) = get_reply(results)
         assert status == "ok"
         assert [set(r) for r in reach] == [serial.reachable_ids(s, None) for s in sets]
 
-        tasks.put((worker.OP_ANCESTORS, 4, 0, generation, ids[:5], eff))
-        _, _, (status, ancestors) = get_reply(results)
+        tasks.put(task(worker.OP_ANCESTORS, 4, 0, plane, ids[:5], eff))
+        _, _, (status, ancestors, _) = get_reply(results)
         assert status == "ok"
         assert set(ancestors) == serial.ancestor_ids(ids[:5], None)
 
@@ -109,7 +122,7 @@ class TestWorkerLoop:
 
         tasks, results, plane = loop_harness
         graph = build_graph(seed=21)
-        generation = plane.publish(graph)
+        plane.publish(graph.csr())
         serial = graph.csr()
         eff = float(graph.time + 1)
         ids = list(range(graph.num_interned))
@@ -119,8 +132,8 @@ class TestWorkerLoop:
         published = SharedWeights(f"{plane.prefix}-wk-{len(ids)}", weights)
         try:
             payload = (sets, "wk", published.name, published.length)
-            tasks.put((worker.OP_WSPREAD, 5, 2, generation, payload, eff))
-            request, shard, (status, sums) = get_reply(results)
+            tasks.put(task(worker.OP_WSPREAD, 5, 2, plane, payload, eff))
+            request, shard, (status, sums, _) = get_reply(results)
             assert (request, shard, status) == (5, 2, "ok")
             assert sums == serial.weighted_spread_sums(sets, None, weights)
 
@@ -130,8 +143,8 @@ class TestWorkerLoop:
             longer = SharedWeights(f"{plane.prefix}-wk-{len(ids)}b", rescaled)
             try:
                 payload = (sets, "wk", longer.name, longer.length)
-                tasks.put((worker.OP_WSPREAD, 6, 0, generation, payload, eff))
-                _, _, (status, sums) = get_reply(results)
+                tasks.put(task(worker.OP_WSPREAD, 6, 0, plane, payload, eff))
+                _, _, (status, sums, _) = get_reply(results)
                 assert status == "ok"
                 assert sums == serial.weighted_spread_sums(sets, None, rescaled)
             finally:
@@ -139,37 +152,50 @@ class TestWorkerLoop:
         finally:
             published.close()
 
-    def test_reattaches_on_new_generation(self, loop_harness):
+    def test_replays_log_then_reattaches_on_new_generation(self, loop_harness):
         tasks, results, plane = loop_harness
         graph = build_graph(seed=9)
-        first = plane.publish(graph)
+        engine = graph.csr()
+        first = plane.publish(engine)
         sets = [[0], [1]]
         eff = float(graph.time + 1)
-        tasks.put((worker.OP_SPREAD, 1, 0, first, sets, eff))
+        tasks.put(task(worker.OP_SPREAD, 1, 0, plane, sets, eff))
         assert get_reply(results)[2][0] == "ok"
+        # An arrival with a new node: appended to the same generation's
+        # log, replayed by the worker, id space grown to match.
         graph.advance_to(graph.time + 1)
-        graph.add_interaction(Interaction("n0", "n1", graph.time, 9))
-        second = plane.publish(graph)
-        tasks.put((worker.OP_SPREAD, 2, 0, second, sets, float(graph.time + 1)))
-        _, _, (status, counts) = get_reply(results)
+        graph.add_interaction(Interaction("n0", "fresh", graph.time, 9))
+        assert plane.append(graph.csr())
+        assert plane.generation == first and plane.log_length == 1
+        sets = [[i] for i in range(graph.num_interned)]
+        tasks.put(task(worker.OP_SPREAD, 2, 0, plane, sets, float(graph.time + 1)))
+        _, _, (status, counts, _) = get_reply(results)
+        assert status == "ok"
+        assert counts == graph.csr().spread_counts(sets, None)
+        # A new generation: the worker re-attaches and replays from row 0.
+        second = plane.publish(graph.csr())
+        assert second == first + 1
+        tasks.put(task(worker.OP_SPREAD, 3, 0, plane, sets, float(graph.time + 1)))
+        _, _, (status, counts, _) = get_reply(results)
         assert status == "ok"
         assert counts == graph.csr().spread_counts(sets, None)
 
     def test_errors_are_reported_not_fatal(self, loop_harness):
         tasks, results, plane = loop_harness
         graph = build_graph(seed=13)
-        generation = plane.publish(graph)
+        generation = plane.publish(graph.csr())
         eff = float(graph.time + 1)
         # Generation skew: the header does not match what the task expects.
-        tasks.put((worker.OP_SPREAD, 1, 0, generation + 5, [[0]], eff))
-        _, _, (status, message) = get_reply(results)
+        skewed = task(worker.OP_SPREAD, 1, 0, plane, [[0]], eff)
+        tasks.put(skewed[:3] + (generation + 5,) + skewed[4:])
+        _, _, (status, message, _) = get_reply(results)
         assert status == "error"
         # Unknown opcode travels the same error path...
-        tasks.put(("no-such-op", 2, 0, generation, [[0]], eff))
+        tasks.put(task("no-such-op", 2, 0, plane, [[0]], eff))
         assert get_reply(results)[2][0] == "error"
         # ...and the loop is still alive afterwards.
-        tasks.put((worker.OP_SPREAD, 3, 0, generation, [[0]], eff))
-        _, _, (status, counts) = get_reply(results)
+        tasks.put(task(worker.OP_SPREAD, 3, 0, plane, [[0]], eff))
+        _, _, (status, counts, _) = get_reply(results)
         assert status == "ok"
         assert counts == graph.csr().spread_counts([[0]], None)
 
@@ -206,22 +232,22 @@ class TestWorkerFaultHooks:
         )
         try:
             graph = build_graph(seed=5)
-            generation = plane.publish(graph)
+            plane.publish(graph.csr())
             eff = float(graph.time + 1)
             # Task 1 is dropped: no ack, no reply — the next reply on the
             # queue belongs to task 2.
-            tasks.put((worker.OP_SPREAD, 1, 0, generation, [[0]], eff))
+            tasks.put(task(worker.OP_SPREAD, 1, 0, plane, [[0]], eff))
             # Task 2 is acked (claimed, tagged with the worker index) but
             # its first plane attach raises — reported as an error reply,
             # loop alive.
-            tasks.put((worker.OP_SPREAD, 2, 1, generation, [[0]], eff))
+            tasks.put(task(worker.OP_SPREAD, 2, 1, plane, [[0]], eff))
             assert results.get(timeout=10) == (2, 1, ("started", 3))
-            request, shard, (status, message) = get_reply(results)
+            request, shard, (status, message, _) = get_reply(results)
             assert (request, shard, status) == (2, 1, "error")
             assert "attach" in message
             # Task 3 is delayed, then answers exactly (fresh attach works).
-            tasks.put((worker.OP_SPREAD, 3, 2, generation, [[0]], eff))
-            request, shard, (status, counts) = get_reply(results)
+            tasks.put(task(worker.OP_SPREAD, 3, 2, plane, [[0]], eff))
+            request, shard, (status, counts, _) = get_reply(results)
             assert (request, shard, status) == (3, 2, "ok")
             assert counts == graph.csr().spread_counts([[0]], None)
         finally:

@@ -61,7 +61,7 @@ def effective_adjacency(engine, graph):
                 key = (uid, int(base.indices[slot]))
                 if expiry > best.get(key, -math.inf):
                     best[key] = expiry
-    for uid, entries in engine._ov_out.items():  # noqa: SLF001 - test probe
+    for uid, entries in engine._ov_out.entry_map.items():  # noqa: SLF001 - test probe
         for vid, expiry in entries:
             if expiry >= floor:
                 key = (uid, vid)

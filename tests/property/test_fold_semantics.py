@@ -34,7 +34,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SemanticsError
@@ -47,22 +47,29 @@ from repro.kernels.folds import (
     WeightedSumFold,
     resolve_fold,
 )
+from repro.kernels.traversal import TraversalKernel, build_transpose
 from repro.parallel.plane import PlaneEngine
 from repro.persistence import oracle_from_dict, oracle_to_dict
-from repro.tdn.csr import CSRSnapshot
+from repro.tdn.csr import SCALAR_LIMIT_ENV, CSRSnapshot, DeltaCSR
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 
 
-def build_stream_graph(seed, num_nodes, num_events):
-    """A random decayed stream with the delta engine live from step one."""
+def build_stream_graph(seed, num_nodes, num_events, sync_every=None):
+    """A random decayed stream with the delta engine live from step one.
+
+    ``sync_every`` syncs the engine every that many events, so it can
+    compact mid-stream (and then holds both base and overlay entries).
+    """
     rng = random.Random(seed)
     graph = TDNGraph()
     graph.csr()  # live engine: every mutation flows through the overlay
     t = 0
-    for _ in range(num_events):
+    for event in range(num_events):
+        if sync_every and event % sync_every == 0:
+            graph.csr()
         if rng.random() < 0.25:
             t += rng.randint(1, 4)
             graph.advance_to(t)
@@ -75,8 +82,12 @@ def build_stream_graph(seed, num_nodes, num_events):
 # ----------------------------------------------------------------------
 # Independent dict references (no kernels, no numpy sweeps)
 # ----------------------------------------------------------------------
-def bfs_levels(graph, seed_nodes, min_expiry):
-    """``node -> hop level`` by a plain dict BFS (seeds are level 0)."""
+def bfs_levels(graph, seed_nodes, min_expiry, reverse=False):
+    """``node -> hop level`` by a plain dict BFS (seeds are level 0).
+
+    ``reverse`` walks in-edges instead: levels of the ancestor sweep.
+    """
+    neighbors = graph.in_neighbors if reverse else graph.out_neighbors
     levels = {}
     queue = deque()
     for node in seed_nodes:
@@ -85,7 +96,7 @@ def bfs_levels(graph, seed_nodes, min_expiry):
             queue.append(node)
     while queue:
         node = queue.popleft()
-        for nxt in graph.out_neighbors(node, min_expiry):
+        for nxt in neighbors(node, min_expiry):
             if nxt not in levels:
                 levels[nxt] = levels[node] + 1
                 queue.append(nxt)
@@ -114,9 +125,12 @@ def reference_decay_terms(graph, lam, eff):
     return terms
 
 
-def reference_score(graph, fold, seed_nodes, eff, weights_by_node):
+def reference_score(graph, fold, seed_nodes, eff, weights_by_node, reverse=False):
     """Fold a dict-BFS result per the fold's own scalar ``reference``."""
-    levels = {graph.node_id(n): lvl for n, lvl in bfs_levels(graph, seed_nodes, eff).items()}
+    levels = {
+        graph.node_id(n): lvl
+        for n, lvl in bfs_levels(graph, seed_nodes, eff, reverse).items()
+    }
     if isinstance(fold, WeightedSumFold):
         values = np.zeros(graph.num_interned, dtype=np.float64)
         for node, weight in weights_by_node.items():
@@ -212,6 +226,81 @@ def test_every_fold_agrees_on_every_engine_and_the_dict_reference(
             assert via_delta == [
                 float(c) for c in delta.spread_counts(id_sets, horizon)
             ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_nodes=st.integers(4, 20),
+    num_events=st.integers(20, 120),
+    horizon_offset=st.one_of(st.none(), st.integers(1, 30)),
+    data=st.data(),
+)
+def test_populated_overlay_on_the_vector_path_matches_snapshot_and_reference(
+    seed, num_nodes, num_events, horizon_offset, data
+):
+    """Every fold, both sweep directions, through a *populated* overlay.
+
+    The delta engine is pinned to its vectorized path (cutover 0) and
+    compacts early, so sweeps mix base arrays and overlay entries — the
+    state sharded workers sweep between compactions.  Small streams
+    otherwise stay on the scalar walk, which is how a hop-level bug in
+    the overlay branch of the vector sweep went unseen.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(SCALAR_LIMIT_ENV, "0")
+        patch.setattr(DeltaCSR, "COMPACT_MIN", 16)
+        graph = build_stream_graph(seed, num_nodes, num_events, sync_every=9)
+    delta = graph.csr()  # default trigger again: no compaction here
+    assert delta.scalar_pair_limit == 0
+    assume(delta.overlay_entries > 0)
+    snapshot = CSRSnapshot.build(graph)
+    ids = list(range(graph.num_interned))
+    t = graph.time
+    horizon = None if horizon_offset is None else float(t + horizon_offset)
+    eff = max(float(t + 1), horizon) if horizon is not None else float(t + 1)
+    id_sets = data.draw(
+        st.lists(
+            st.lists(st.sampled_from(ids), min_size=1, max_size=4),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    weights_by_node = {graph.node_of_id(i): 1.0 + (i % 7) * 0.5 for i in ids}
+    weights = np.asarray(
+        [weights_by_node[graph.node_of_id(i)] for i in ids], dtype=np.float64
+    )
+    base_arrays = (snapshot.indptr, snapshot.indices, snapshot.expiries)
+    for reverse in (False, True):
+        delta_kernel = delta.kernel_clone(reverse)
+        snapshot_kernel = TraversalKernel(
+            *(build_transpose(*base_arrays) if reverse else base_arrays)
+        )
+        for fold in all_folds():
+            node_values = weights if fold.needs_weights else None
+            if fold.derives_node_values:
+                node_values = snapshot.fold_node_values(fold, eff)
+                assert np.array_equal(
+                    delta.fold_node_values(fold, horizon), node_values
+                )
+            via_delta = fold.batch(delta_kernel, id_sets, eff, node_values)
+            via_snapshot = fold.batch(snapshot_kernel, id_sets, eff, node_values)
+            assert via_delta == via_snapshot
+            expected = [
+                reference_score(
+                    graph,
+                    fold,
+                    [graph.node_of_id(i) for i in id_set],
+                    eff,
+                    weights_by_node,
+                    reverse,
+                )
+                for id_set in id_sets
+            ]
+            if isinstance(fold, TimeDecayFold):
+                assert via_delta == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            else:
+                assert via_delta == expected
 
 
 @settings(max_examples=20, deadline=None)
