@@ -8,6 +8,12 @@ median runtime (plus the floors' ``extra_info`` speedups) per source file,
 ordered by source label — the per-PR performance trajectory of the
 substrate, ready for plotting or regression triage.
 
+Each source's machine fingerprint (``machine``, ``python_version``,
+``cpu.brand_raw``, ``cpu.count`` from the export's ``machine_info``) is
+recorded too.  A benchmark whose rows come from different fingerprints
+compares machines as much as code, so it is listed under
+``mixed_machines`` and a warning is printed for it.
+
 Usage::
 
     python benchmarks/assemble_trajectory.py \
@@ -22,8 +28,9 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 _LABEL_PATTERN = re.compile(r"^BENCH_(?P<label>.+)\.json$")
 
@@ -57,16 +64,30 @@ def load_export(path: Path) -> Dict:
     return payload
 
 
+def machine_fingerprint(payload: Dict) -> Dict[str, Optional[object]]:
+    """The facts of an export's ``machine_info`` that make timings comparable."""
+    info = payload.get("machine_info") or {}
+    cpu = info.get("cpu") or {}
+    return {
+        "machine": info.get("machine"),
+        "python_version": info.get("python_version"),
+        "cpu.brand_raw": cpu.get("brand_raw"),
+        "cpu.count": cpu.get("count"),
+    }
+
+
 def assemble(paths: List[Path]) -> Dict:
     """Build the trajectory document from the given exports."""
     if not paths:
         raise ValueError("no benchmark exports given")
     sources = []
+    machines: Dict[str, Dict] = {}
     benchmarks: Dict[str, List[Dict]] = {}
     for path in sorted(paths, key=lambda p: _natural_key(source_label(p))):
         payload = load_export(path)
         label = source_label(path)
         sources.append(label)
+        machines[label] = machine_fingerprint(payload)
         for row in payload["benchmarks"]:
             entry = {
                 "source": label,
@@ -76,9 +97,16 @@ def assemble(paths: List[Path]) -> Dict:
             if extra:
                 entry["extra_info"] = extra
             benchmarks.setdefault(row["name"], []).append(entry)
+    mixed = sorted(
+        name
+        for name, rows in benchmarks.items()
+        if len({tuple(machines[row["source"]].values()) for row in rows}) > 1
+    )
     return {
         "format_version": 1,
         "sources": sources,
+        "machines": machines,
+        "mixed_machines": mixed,
         "benchmarks": benchmarks,
     }
 
@@ -97,6 +125,12 @@ def main(argv=None) -> int:
         if not path.is_file():
             parser.error(f"benchmark export not found: {path}")
     document = assemble(paths)
+    for name in document["mixed_machines"]:
+        print(
+            f"warning: {name}: rows come from different machines; "
+            "its trajectory mixes hardware with code changes",
+            file=sys.stderr,
+        )
     with open(args.output, "w") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")

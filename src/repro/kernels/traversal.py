@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import chain
 from typing import (
     Callable,
     Dict,
@@ -84,12 +85,27 @@ __all__ = [
     "TraversalKernel",
     "build_transpose",
     "dense_weight_sum",
+    "plane_popcounts",
     "seed_range_error",
     "set_sweep_sampler",
 ]
 
 #: Seed sets packed per bit-plane traversal (uint64 mask width).
 PLANE_WIDTH = 64
+
+#: ``_PLANE_BITS[i]`` is plane *i*'s bit in a uint64 visited mask.
+_PLANE_BITS = np.left_shift(
+    np.uint64(1), np.arange(PLANE_WIDTH, dtype=np.uint64)
+)
+
+#: ``_BYTE_BITS[b, j]`` is bit *j* of the byte value *b* (as int64, so a
+#: byte histogram times this table counts set bits per bit position).
+_BYTE_BITS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).astype(np.int64)
+
+#: Bin offsets giving each of a uint64's eight bytes its own histogram.
+_BYTE_OFFSETS = np.arange(8, dtype=np.int64) * 256
 
 
 class SweepSampler(Protocol):
@@ -125,6 +141,49 @@ def _expiry_desc(entry: Tuple[int, float]) -> float:
 def seed_range_error(node_id: int, num_nodes: int) -> IndexError:
     """The one out-of-range seed error every engine raises."""
     return IndexError(f"seed id {int(node_id)} out of range [0, {num_nodes})")
+
+
+def plane_popcounts(masks: np.ndarray, planes: int) -> List[int]:
+    """Per-plane set-bit counts of a uint64 mask array, in one pass.
+
+    ``result[i]`` is the number of masks with bit *i* set, for the low
+    ``planes`` bits.  The masks' bytes are histogrammed once (byte *j*
+    of each mask into bins ``256 j .. 256 j + 255``) and the 8 x 256
+    histogram is multiplied by the byte-to-bits table.  Masks are read
+    little-endian, so byte *j* holds planes ``8 j .. 8 j + 7`` on every
+    host.
+    """
+    octets = masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    histogram = np.bincount(
+        (octets + _BYTE_OFFSETS).ravel(), minlength=8 * 256
+    ).reshape(8, 256)
+    return (histogram @ _BYTE_BITS).ravel()[:planes].tolist()
+
+
+def _check_seed_range(seeds: np.ndarray, num_nodes: int) -> None:
+    """Raise :func:`seed_range_error` if one set's ``seeds`` leave the id
+    range: for the minimum when it is negative, else for the maximum."""
+    if seeds.size == 0:
+        return
+    low = int(seeds.min())
+    if low < 0:
+        raise seed_range_error(low, num_nodes)
+    high = int(seeds.max())
+    if high >= num_nodes:
+        raise seed_range_error(high, num_nodes)
+
+
+def _seed_level_counts(
+    masks: np.ndarray, frontier: Optional[np.ndarray], planes: int
+) -> List[List[int]]:
+    """Level-0 histogram entries: each seeded plane's distinct seed count
+    (a plane whose set was empty starts, and stays, with no levels)."""
+    counts: List[List[int]] = [[] for _ in range(planes)]
+    if frontier is not None:
+        for plane, seeded in enumerate(plane_popcounts(masks[frontier], planes)):
+            if seeded:
+                counts[plane].append(seeded)
+    return counts
 
 
 def dense_weight_sum(weights: np.ndarray, reached: Iterable[int]) -> float:
@@ -530,10 +589,9 @@ class TraversalKernel:
             sampler = _SWEEP_SAMPLER
             if sampler is not None:
                 sampler.record("spread", len(chunk), int(reached.size))
-            results[start : start + len(chunk)] = [
-                int(np.count_nonzero(reached & np.uint64(1 << plane)))
-                for plane in range(len(chunk))
-            ]
+            results[start : start + len(chunk)] = plane_popcounts(
+                reached, len(chunk)
+            )
         return results
 
     def weighted_spread_sums(
@@ -728,26 +786,40 @@ class TraversalKernel:
 
     def _seed_planes(
         self, chunk: Sequence[Sequence[int]]
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Validated plane-seeded mask array plus the per-plane seed
-        arrays (empty list = every set was empty) — shared by both
-        backends so seeding and rejection cannot drift."""
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Validated plane-seeded mask array plus the deduplicated seed
+        frontier (``None`` = every set was empty) — shared by every
+        bit-plane sweep on both backends, so seeding and rejection cannot
+        drift.
+
+        One pass for the whole chunk: the sets' ids are flattened into one
+        int64 array, range-checked once, and scattered with one
+        ``bitwise_or.at`` whose operand repeats each set's plane bit over
+        its ids.  On a range failure the per-set check re-runs, so the
+        error names the same id a set-by-set scan meets first.
+        """
         num_nodes = self.num_nodes
         masks = np.zeros(num_nodes, dtype=np.uint64)
-        seed_parts: List[np.ndarray] = []
-        for plane, ids in enumerate(chunk):
-            seeds = np.asarray(list(ids), dtype=np.int64)
-            if seeds.size == 0:
-                continue
-            low = int(seeds.min())
-            if low < 0:
-                raise seed_range_error(low, num_nodes)
-            high = int(seeds.max())
-            if high >= num_nodes:
-                raise seed_range_error(high, num_nodes)
-            masks[seeds] |= np.uint64(1 << plane)
-            seed_parts.append(seeds)
-        return masks, seed_parts
+        sets = [
+            ids if isinstance(ids, (list, tuple)) else list(ids) for ids in chunk
+        ]
+        sizes = [len(ids) for ids in sets]
+        try:
+            seeds = np.fromiter(
+                chain.from_iterable(sets), dtype=np.int64, count=sum(sizes)
+            )
+            in_range = seeds.size == 0 or (
+                seeds.min() >= 0 and seeds.max() < num_nodes
+            )
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            for ids in sets:
+                _check_seed_range(np.asarray(ids, dtype=np.int64), num_nodes)
+        if seeds.size == 0:
+            return masks, None
+        np.bitwise_or.at(masks, seeds, np.repeat(_PLANE_BITS[: len(sets)], sizes))
+        return masks, np.unique(seeds)
 
     def _masks_for(
         self, chunk: Sequence[Sequence[int]], eff: Optional[float]
@@ -756,10 +828,9 @@ class TraversalKernel:
         produce the identical uint64 mask array, so every downstream
         float fold runs the same numpy expression either way."""
         if self._native_ok():
-            masks, seed_parts = self._seed_planes(chunk)
-            if not seed_parts:
+            masks, frontier = self._seed_planes(chunk)
+            if frontier is None:
                 return None
-            frontier = np.unique(np.concatenate(seed_parts))
             native_plane_masks(
                 self.indptr, self.indices, self.expiries,
                 masks, frontier, eff,
@@ -786,15 +857,10 @@ class TraversalKernel:
         already live, trailing zeros trimmed — so both backends return
         identical lists, element for element.
         """
-        masks, seed_parts = self._seed_planes(chunk)
-        counts: List[List[int]] = [[] for _ in chunk]
-        for plane, ids in enumerate(chunk):
-            seeds = np.asarray(list(ids), dtype=np.int64)
-            if seeds.size:
-                counts[plane].append(int(np.unique(seeds).size))
-        if not seed_parts:
+        masks, frontier = self._seed_planes(chunk)
+        counts = _seed_level_counts(masks, frontier, len(chunk))
+        if frontier is None:
             return counts
-        frontier = np.unique(np.concatenate(seed_parts))
         flips = native_plane_level_flips(
             self.indptr, self.indices, self.expiries, masks, frontier, eff
         )
@@ -818,8 +884,8 @@ class TraversalKernel:
         Returns the final uint64 mask array (bit *i* of ``masks[v]`` =
         "set *i* reaches *v*"), or ``None`` when every set was empty.
         """
-        masks, seed_parts = self._seed_planes(chunk)
-        if not seed_parts:
+        masks, frontier = self._seed_planes(chunk)
+        if frontier is None:
             return None
         num_nodes = self.num_nodes
         indptr = self.indptr
@@ -827,7 +893,6 @@ class TraversalKernel:
         expiries = self.expiries
         overlay = self.overlay
         base_nodes = indptr.shape[0] - 1
-        frontier = np.unique(np.concatenate(seed_parts))
         while frontier.size:
             changed_parts = []
             in_base = (
@@ -899,31 +964,16 @@ class TraversalKernel:
         ``r``.  Kept separate from :meth:`_plane_masks` so the count and
         weighted sweeps stay byte-identical to their pre-fold selves.
         """
-        num_nodes = self.num_nodes
-        masks = np.zeros(num_nodes, dtype=np.uint64)
-        counts: List[List[int]] = [[] for _ in chunk]
-        seed_parts = []
-        for plane, ids in enumerate(chunk):
-            seeds = np.asarray(list(ids), dtype=np.int64)
-            if seeds.size == 0:
-                continue
-            low = int(seeds.min())
-            if low < 0:
-                raise seed_range_error(low, num_nodes)
-            high = int(seeds.max())
-            if high >= num_nodes:
-                raise seed_range_error(high, num_nodes)
-            masks[seeds] |= np.uint64(1 << plane)
-            counts[plane].append(int(np.unique(seeds).size))
-            seed_parts.append(seeds)
-        if not seed_parts:
+        masks, frontier = self._seed_planes(chunk)
+        counts = _seed_level_counts(masks, frontier, len(chunk))
+        if frontier is None:
             return counts
+        num_nodes = self.num_nodes
         indptr = self.indptr
         indices = self.indices
         expiries = self.expiries
         overlay = self.overlay
         base_nodes = indptr.shape[0] - 1
-        frontier = np.unique(np.concatenate(seed_parts))
         while frontier.size:
             changed_parts = []
             gained_parts = []
@@ -993,13 +1043,10 @@ class TraversalKernel:
                     changed_parts.append(np.asarray(extra, dtype=np.int64))
             if not changed_parts:
                 break
-            for plane in range(len(chunk)):
-                bit = np.uint64(1 << plane)
-                flipped = sum(
-                    int(np.count_nonzero(part & bit))
-                    for part in gained_parts
-                )
-                flipped += sum(1 for g in extra_gained if g & (1 << plane))
+            if extra_gained:
+                gained_parts.append(np.asarray(extra_gained, dtype=np.uint64))
+            flips = plane_popcounts(np.concatenate(gained_parts), len(chunk))
+            for plane, flipped in enumerate(flips):
                 if flipped:
                     counts[plane].append(flipped)
                 elif counts[plane]:

@@ -11,7 +11,7 @@ Two layers
 flattened into three numpy arrays —
 
 * ``indptr``  (``num_nodes + 1``): per-node slice boundaries,
-* ``indices``: successor ids, grouped by source id,
+* ``indices``: successor ids, rows sorted by (source, target) id,
 * ``expiries``: the per-pair *maximum* alive expiry,
 
 indexed by the graph's dense interned node ids.  Horizon filtering stays
@@ -39,7 +39,9 @@ clamp their horizon to ``max(min_expiry, t + 1)`` and stale entries filter
 themselves out.  When the overlay-plus-tombstone fraction crosses
 :attr:`DeltaCSR.COMPACT_FRACTION` of the base, the engine compacts into a
 fresh base — so a stream of B-edge batches pays amortized O(B), not
-O(V + P), per step.
+O(V + P), per step.  After the first base, delta-mode compactions merge
+the old base's arrays with the arrival log in whole-array numpy passes
+instead of walking the graph.
 
 Traversals
 ----------
@@ -191,6 +193,13 @@ def resolve_scalar_pair_limit(
     return calibrate_scalar_pair_limit()
 
 
+def _row_indptr(src: np.ndarray, num_nodes: int) -> np.ndarray:
+    """``indptr`` of CSR rows whose source ids ``src`` are sorted."""
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
+    return indptr
+
+
 class CSRSnapshot:
     """Immutable flat-array view of the alive directed pairs of a TDN.
 
@@ -263,12 +272,15 @@ class CSRSnapshot:
     ) -> "CSRSnapshot":
         """Flatten ``graph``'s alive pair adjacency into CSR arrays.
 
-        Cost is O(V + P log P) for P alive pairs (one stable sort groups
-        the pair list by source id); the per-pair max expiry is read off
-        the graph's cached :class:`_PairEdges` maxima, so no multiset is
-        ever re-scanned.  The scalar/vector cutover is resolved at
-        construction — i.e. the calibration probe, if it has not run yet
-        in this process, runs at snapshot build, never inside a query.
+        Cost is O(V + P log P) for P alive pairs: one ``lexsort`` orders
+        the pair list by (source, target) id — the row layout
+        :class:`DeltaCSR`'s array-merge compaction also produces, so both
+        build paths agree array for array.  The per-pair max expiry is
+        read off the graph's cached :class:`_PairEdges` maxima, so no
+        multiset is ever re-scanned.  The scalar/vector cutover is
+        resolved at construction — i.e. the calibration probe, if it has
+        not run yet in this process, runs at snapshot build, never inside
+        a query.
         """
         num_nodes = graph.num_interned
         node_ids = graph._node_ids
@@ -283,23 +295,16 @@ class CSRSnapshot:
                 sources.append(uid)
                 targets.append(node_ids[v])
                 expiries.append(pair.max_expiry)
-        if sources:
-            src = np.asarray(sources, dtype=np.int64)
-            dst = np.asarray(targets, dtype=np.int64)
-            exp = np.asarray(expiries, dtype=np.float64)
-            order = np.argsort(src, kind="stable")
-            src = src[order]
-            indices = dst[order]
-            exp = exp[order]
-            counts = np.bincount(src, minlength=num_nodes)
-        else:
-            indices = np.empty(0, dtype=np.int64)
-            exp = np.empty(0, dtype=np.float64)
-            counts = np.zeros(num_nodes, dtype=np.int64)
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        src = np.asarray(sources, dtype=np.int64)
+        dst = np.asarray(targets, dtype=np.int64)
+        order = np.lexsort((dst, src))
+        src = src[order]
         return cls(
-            num_nodes, indptr, indices, exp, graph.version,
+            num_nodes,
+            _row_indptr(src, num_nodes),
+            dst[order],
+            np.asarray(expiries, dtype=np.float64)[order],
+            graph.version,
             scalar_pair_limit=scalar_pair_limit,
             backend=backend,
         )
@@ -383,11 +388,13 @@ class DeltaCSR:
 
     :meth:`sync` (called from :meth:`TDNGraph.csr`) compacts overlay and
     tombstones into a fresh base once their combined count crosses
-    ``max(COMPACT_MIN, COMPACT_FRACTION * base pairs)``; between
-    compactions every mutation is O(1) and every query sees the exact
-    current graph.  ``mode="rebuild"`` forces a compaction on every version
-    change, reproducing the PR 1 rebuild-per-version cost model for
-    benchmarking.
+    ``max(COMPACT_MIN, COMPACT_FRACTION * base pairs)`` — merging the
+    base arrays with the arrival log (:meth:`_merged_base`), not walking
+    the graph; between compactions every mutation is O(1) and every
+    query sees the exact current graph.  ``mode="rebuild"`` forces a
+    graph-walk compaction on every version change: the
+    rebuild-per-version cost model the incremental engine is benchmarked
+    against.
 
     Every traversal is served by one shared :class:`~repro.kernels.
     TraversalKernel` per direction — base arrays (forward) or the lazily
@@ -539,13 +546,21 @@ class DeltaCSR:
             self.version = graph.version
 
     def _compact(self) -> None:
-        """Fold overlay and tombstones into a fresh immutable base."""
+        """Fold overlay and tombstones into a fresh immutable base.
+
+        The first base, and every base under ``mode="rebuild"``, walks the
+        graph (:meth:`CSRSnapshot.build`); later delta-mode bases are
+        merged from arrays this engine already holds (:meth:`_merged_base`).
+        """
         graph = self._graph
-        self._base = CSRSnapshot.build(
-            graph,
-            scalar_pair_limit=self.scalar_pair_limit,
-            backend=self.backend,
-        )
+        if self.mode == "delta" and self.compactions:
+            self._base = self._merged_base()
+        else:
+            self._base = CSRSnapshot.build(
+                graph,
+                scalar_pair_limit=self.scalar_pair_limit,
+                backend=self.backend,
+            )
         self._tindptr = None
         self._tindices = None
         self._texpiries = None
@@ -561,6 +576,52 @@ class DeltaCSR:
         self._rev = None
         self.compactions += 1
         self.version = graph.version
+
+    def _merged_base(self) -> CSRSnapshot:
+        """The next base, merged from the current base and the arrival log.
+
+        Exact without walking the graph: only :meth:`TDNGraph.advance_to`
+        removes edges, and it drains expiries in increasing order, so an
+        alive pair's max alive expiry is the max of every expiry recorded
+        for it (its base entry plus its log rows), and a pair is dead
+        exactly when that max is ``<= t``.  Rows are sorted by (source,
+        target) like :meth:`CSRSnapshot.build`'s, so the merged base is
+        array-identical to a fresh build.
+        """
+        graph = self._graph
+        base = self._base
+        src = np.repeat(
+            np.arange(base.num_nodes, dtype=np.int64), np.diff(base.indptr)
+        )
+        dst = base.indices
+        exp = base.expiries
+        if self._arrivals:
+            log = np.array(self._arrivals, dtype=np.float64)
+            src = np.concatenate((src, log[:, 0].astype(np.int64)))
+            dst = np.concatenate((dst, log[:, 1].astype(np.int64)))
+            exp = np.concatenate((exp, log[:, 2]))
+        alive = exp >= graph.time + 1
+        src, dst, exp = src[alive], dst[alive], exp[alive]
+        order = np.lexsort((dst, src))
+        src, dst, exp = src[order], dst[order], exp[order]
+        if src.size:
+            # One run per (source, target) pair; keep the run's max expiry.
+            fresh = np.empty(src.size, dtype=bool)
+            fresh[0] = True
+            fresh[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+            starts = np.flatnonzero(fresh)
+            exp = np.maximum.reduceat(exp, starts)
+            src, dst = src[starts], dst[starts]
+        num_nodes = graph.num_interned
+        return CSRSnapshot(
+            num_nodes,
+            _row_indptr(src, num_nodes),
+            dst,
+            exp,
+            graph.version,
+            scalar_pair_limit=self.scalar_pair_limit,
+            backend=self.backend,
+        )
 
     def _effective_horizon(self, min_expiry: Optional[float]) -> float:
         """Clamp the query horizon to ``t + 1``.

@@ -4,7 +4,8 @@ The differential suite (``tests/property/test_kernel_unification.py``)
 pins the three engine adapters to each other; this module tests the
 kernel's own contracts directly: overlay-callback injection, the
 scalar/vector cutover, the unified out-of-range seed validation, the
-weighted bit-plane fold, and the transpose helper.
+weighted bit-plane fold, the per-plane bit counter, and the transpose
+helper.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.kernels import (
     dense_weight_sum,
     seed_range_error,
 )
+from repro.kernels.traversal import plane_popcounts
 
 
 def chain_arrays(num_nodes=5, expiry=10.0):
@@ -213,6 +215,33 @@ class TestWeightedFold:
         c = dense_weight_sum(weights, (0, 2, 3))
         assert a == b == c
         assert dense_weight_sum(weights, []) == 0.0
+
+
+class TestPlanePopcounts:
+    @staticmethod
+    def per_plane_loop(masks, planes):
+        """The one-``count_nonzero``-per-plane reference."""
+        return [
+            int(np.count_nonzero(masks & np.uint64(1 << plane)))
+            for plane in range(planes)
+        ]
+
+    @pytest.mark.parametrize("planes", [1, 7, 8, 9, 33, PLANE_WIDTH])
+    def test_matches_the_per_plane_loop(self, planes):
+        rng = np.random.default_rng(planes)
+        masks = rng.integers(0, 2**63, size=300, dtype=np.uint64)
+        masks[::5] |= np.uint64(1 << 63)
+        assert plane_popcounts(masks, planes) == self.per_plane_loop(masks, planes)
+
+    def test_bit_columns_do_not_depend_on_byte_order(self):
+        masks = np.array([1, 1 << 9, (1 << 63) | 1], dtype=np.uint64)
+        big_endian = masks.astype(">u8")
+        expected = [2] + [0] * 8 + [1] + [0] * 53 + [1]
+        assert plane_popcounts(masks, PLANE_WIDTH) == expected
+        assert plane_popcounts(big_endian, PLANE_WIDTH) == expected
+
+    def test_empty_masks_count_zero(self):
+        assert plane_popcounts(np.empty(0, dtype=np.uint64), 3) == [0, 0, 0]
 
 
 class TestTransposeAndCapacity:

@@ -12,7 +12,8 @@ interleaved probe points:
   filtered by the ``t + 1`` horizon clamp) is entry-identical to the
   graph's alive pair adjacency with its cached max expiries;
 * post-compaction: the compacted base arrays are array-identical to a
-  from-scratch build, forward and transpose;
+  from-scratch build, forward and transpose — on seeded replays and, as
+  a hypothesis property, on arbitrary streams;
 * the O(1) alive-node / alive-pair counters match full recomputation.
 
 Both the scalar and the vectorized traversal paths are exercised by
@@ -24,6 +25,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.influence.oracle import InfluenceOracle
 from repro.influence.reachability import ancestors, reachable_set
@@ -116,6 +119,28 @@ def test_incremental_engine_matches_reference(seed, force_vectorized, monkeypatc
         assert graph.num_pairs == sum(len(nbrs) for nbrs in graph._out.values())
 
 
+def assert_base_matches_fresh_build(engine, graph):
+    """The compacted base is array-identical to a from-scratch build,
+    forward and transpose, with overlay and tombstones reset."""
+    fresh = CSRSnapshot.build(graph)
+    assert engine.base.num_nodes == fresh.num_nodes
+    np.testing.assert_array_equal(engine.base.indptr, fresh.indptr)
+    np.testing.assert_array_equal(engine.base.indices, fresh.indices)
+    np.testing.assert_array_equal(engine.base.expiries, fresh.expiries)
+    assert engine.overlay_entries == 0 and engine.tombstones == 0
+    # Transpose of the compacted base == transpose of the fresh build:
+    # same slot count, per-target grouping, and (target-grouped) content.
+    tindptr, tindices, texpiries = engine._transpose_arrays()  # noqa: SLF001
+    forder = np.argsort(fresh.indices, kind="stable")
+    fsources = np.repeat(
+        np.arange(fresh.num_nodes, dtype=np.int64), np.diff(fresh.indptr)
+    )[forder]
+    np.testing.assert_array_equal(tindices, fsources)
+    np.testing.assert_array_equal(texpiries, fresh.expiries[forder])
+    fcounts = np.bincount(fresh.indices, minlength=fresh.num_nodes)
+    np.testing.assert_array_equal(np.diff(tindptr), fcounts)
+
+
 @pytest.mark.parametrize("seed", [5, 23])
 def test_compaction_is_array_identical_to_fresh_build(seed):
     rng = random.Random(seed)
@@ -126,24 +151,66 @@ def test_compaction_is_array_identical_to_fresh_build(seed):
         engine = graph.csr()
         # Force a compaction at the probe and compare against scratch.
         engine._compact()  # noqa: SLF001 - deliberate white-box forcing
-        fresh = CSRSnapshot.build(graph)
-        assert engine.base.num_nodes == fresh.num_nodes
-        np.testing.assert_array_equal(engine.base.indptr, fresh.indptr)
-        np.testing.assert_array_equal(engine.base.indices, fresh.indices)
-        np.testing.assert_array_equal(engine.base.expiries, fresh.expiries)
-        assert engine.overlay_entries == 0 and engine.tombstones == 0
-        # Transpose of the compacted base == transpose of the fresh build:
-        # same slot count, per-target grouping, and (target-grouped) content.
-        tindptr, tindices, texpiries = engine._transpose_arrays()  # noqa: SLF001
-        forder = np.argsort(fresh.indices, kind="stable")
-        fsources = np.repeat(
-            np.arange(fresh.num_nodes, dtype=np.int64), np.diff(fresh.indptr)
-        )[forder]
-        np.testing.assert_array_equal(tindices, fsources)
-        np.testing.assert_array_equal(texpiries, fresh.expiries[forder])
-        fcounts = np.bincount(fresh.indices, minlength=fresh.num_nodes)
-        np.testing.assert_array_equal(np.diff(tindptr), fcounts)
+        assert_base_matches_fresh_build(engine, graph)
     assert engine.compactions > compactions_seen
+
+
+#: One stream operation: an arrival ``u -> u + hop`` (mod the node pool;
+#: ``None`` lifetime = infinite), a clock advance, or a forced compaction.
+_STREAM_OPS = st.one_of(
+    st.tuples(
+        st.just("add"),
+        st.integers(0, 11),
+        st.integers(1, 11),
+        st.one_of(st.none(), st.integers(1, 6)),
+    ),
+    st.tuples(st.just("advance"), st.integers(1, 4)),
+    st.tuples(st.just("compact")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(_STREAM_OPS, max_size=70))
+def test_compaction_is_array_identical_to_fresh_build_on_any_stream(ops):
+    """Array-merge compaction (base arrays + arrival log) == fresh build.
+
+    Every example opens with one compaction window that holds each case
+    the merge must get right — parallel edges, a pair that dies and
+    re-arrives, a pair that dies for good, an infinite lifetime, and a
+    node interned after the base — then replays a random stream of
+    arrivals over a 12-node pool (so parallel edges and re-arrivals
+    recur), advances and forced compactions.
+    """
+    graph = TDNGraph()
+    graph.add_interaction(Interaction("a", "b", 0, 2))
+    graph.add_interaction(Interaction("a", "b", 0, 3))  # parallel edge
+    graph.add_interaction(Interaction("b", "c", 0, 1))
+    graph.add_interaction(Interaction("c", "a", 0, None))
+    engine = graph.csr()  # first base: a->b (3), b->c (1), c->a (inf)
+    graph.add_interaction(Interaction("a", "b", 0, 4))  # raises a->b's max
+    graph.advance_to(4)  # a->b and b->c die ...
+    graph.add_interaction(Interaction("a", "b", 4, 2))  # ... a->b re-arrives
+    graph.add_interaction(Interaction("a", "b", 4, 5))
+    graph.add_interaction(Interaction("a", "d", 4, None))  # d: new id
+    engine._compact()  # noqa: SLF001 - deliberate white-box forcing
+    assert_base_matches_fresh_build(engine, graph)
+    t = graph.time
+    for op in ops:
+        if op[0] == "add":
+            _, u, hop, lifetime = op
+            graph.add_interaction(
+                Interaction(f"n{u}", f"n{(u + hop) % 12}", t, lifetime)
+            )
+        elif op[0] == "advance":
+            t += op[1]
+            graph.advance_to(t)
+        else:
+            engine = graph.csr()
+            engine._compact()  # noqa: SLF001
+            assert_base_matches_fresh_build(engine, graph)
+    engine = graph.csr()
+    engine._compact()  # noqa: SLF001
+    assert_base_matches_fresh_build(engine, graph)
 
 
 def test_threshold_compaction_amortizes():

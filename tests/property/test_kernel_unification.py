@@ -194,6 +194,24 @@ def test_every_engine_rejects_bad_seeds_identically(
         lambda: plane.spread_counts([[bad_seed]], eff),
         lambda: plane.weighted_spread_sums([[bad_seed]], eff, weights),
     ]
+    # Multi-plane chunks: the batched seeding validates a whole chunk at
+    # once, yet must name the id a set-by-set scan meets first — here
+    # ``bad_seed`` in plane 1, although the chunk-wide minimum is -7.
+    middle = [[0], [1], [bad_seed], [2]]
+    two_bad = [[0], [1, bad_seed], [2], [3, -7]]
+    for chunk in (middle, two_bad):
+        calls += [
+            lambda c=chunk: delta.spread_counts(c),
+            lambda c=chunk: delta.weighted_spread_sums(c, None, weights),
+            lambda c=chunk: plane.spread_counts(c, eff),
+            lambda c=chunk: plane.weighted_spread_sums(c, eff, weights),
+        ]
+        for name in ("hop_discount", "time_decay"):
+            fold = resolve_fold(name)
+            calls += [
+                lambda c=chunk, f=fold: delta.fold_spread_sums(c, None, f),
+                lambda c=chunk, f=fold: plane.fold_spread_sums(c, eff, f),
+            ]
     for call in calls:
         with pytest.raises(IndexError) as excinfo:
             call()

@@ -15,8 +15,9 @@ assemble_trajectory = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(assemble_trajectory)
 
 
-def write_export(path, names_to_median, extra_info=None):
+def write_export(path, names_to_median, extra_info=None, machine_info=None):
     payload = {
+        "machine_info": machine_info or {},
         "benchmarks": [
             {
                 "name": name,
@@ -53,6 +54,38 @@ class TestAssemble:
         document = assemble_trajectory.assemble(list(tmp_path.glob("BENCH_*.json")))
         assert document["sources"] == ["pr1_micro", "pr2_micro", "pr10_micro"]
 
+    def test_flags_benchmarks_measured_on_mixed_machines(self, tmp_path):
+        box = {
+            "machine": "x86_64",
+            "python_version": "3.11.7",
+            "cpu": {"brand_raw": "Xeon", "count": 2},
+        }
+        bigger = {**box, "cpu": {"brand_raw": "Xeon", "count": 8}}
+        write_export(tmp_path / "BENCH_pr1.json", {"a": 1.0, "b": 1.0}, None, box)
+        write_export(tmp_path / "BENCH_pr2.json", {"a": 1.0}, None, box)
+        write_export(tmp_path / "BENCH_pr3.json", {"b": 1.0}, None, bigger)
+        document = assemble_trajectory.assemble(list(tmp_path.glob("BENCH_*.json")))
+        assert document["machines"]["pr1"] == {
+            "machine": "x86_64",
+            "python_version": "3.11.7",
+            "cpu.brand_raw": "Xeon",
+            "cpu.count": 2,
+        }
+        assert document["machines"]["pr3"]["cpu.count"] == 8
+        # "a" ran on one box twice; "b" spans the 2-core and 8-core boxes.
+        assert document["mixed_machines"] == ["b"]
+
+    def test_warns_about_mixed_machines(self, tmp_path, capsys):
+        inputs = []
+        for label, machine in (("pr1", "x86_64"), ("pr2", "arm64")):
+            path = tmp_path / f"BENCH_{label}.json"
+            write_export(path, {"a": 1.0}, None, {"machine": machine})
+            inputs.append(str(path))
+        output = str(tmp_path / "TRAJECTORY.json")
+        assert assemble_trajectory.main(inputs + ["--output", output]) == 0
+        err = capsys.readouterr().err
+        assert "warning: a: rows come from different machines" in err
+
     def test_rejects_non_benchmark_json(self, tmp_path):
         bogus = tmp_path / "BENCH_bogus.json"
         bogus.write_text(json.dumps({"totally": "unrelated"}))
@@ -70,6 +103,7 @@ class TestAssemble:
         document = assemble_trajectory.assemble(snapshots)
         assert len(document["sources"]) == len(snapshots)
         assert document["benchmarks"]
+        assert set(document["machines"]) == set(document["sources"])
 
 
 class TestCli:
