@@ -327,6 +327,7 @@ class TraversalKernel:
         "scalar_limit",
         "backend",
         "_visit",
+        "_slot",
         "_stamp",
         "_scalar",
     )
@@ -357,6 +358,9 @@ class TraversalKernel:
         # Epoch-stamped visited buffer: visit[i] == _stamp means "seen in
         # the current traversal"; bumping the stamp is an O(1) clear.
         self._visit = np.zeros(self.num_nodes, dtype=np.int64)
+        # Scratch for :meth:`_distinct`; every read follows a write in the
+        # same call, so its contents never need clearing or preserving.
+        self._slot = np.empty(self.num_nodes, dtype=np.int64)
         self._stamp = 0
         # Lazily materialized per-node adjacency lists for the scalar path.
         self._scalar: Optional[List[List[Tuple[int, float]]]] = None
@@ -365,12 +369,13 @@ class TraversalKernel:
     # Workspace maintenance
     # ------------------------------------------------------------------
     def ensure_capacity(self, num_nodes: int) -> None:
-        """Grow the id space (and visited buffer) to ``num_nodes``."""
+        """Grow the id space (and visited and dedup buffers) to ``num_nodes``."""
         if num_nodes <= self.num_nodes:
             return
         grown = np.zeros(num_nodes, dtype=np.int64)
         grown[: self._visit.shape[0]] = self._visit
         self._visit = grown
+        self._slot = np.empty(num_nodes, dtype=np.int64)
         self.num_nodes = num_nodes
 
     def _use_scalar(self) -> bool:
@@ -715,17 +720,30 @@ class TraversalKernel:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _distinct(self, ids: np.ndarray) -> np.ndarray:
+        """One copy of each id in ``ids``, in input order, without a sort.
+
+        Position ``i`` writes itself into ``_slot[ids[i]]``, and the
+        positions that read their own index back survive: exactly one
+        copy of every id does, whichever duplicate's write landed last.
+        ``ids`` must already lie in ``[0, num_nodes)``.
+        """
+        if ids.size < 2:
+            return ids
+        positions = np.arange(ids.size)
+        slot = self._slot
+        slot[ids] = positions
+        return ids[slot[ids] == positions]
+
     def _seed_frontier(
         self, seed_ids: Iterable[int]
     ) -> Optional[np.ndarray]:
         """Deduplicated, validated, stamped seed frontier (None = empty)."""
-        frontier = np.unique(np.asarray(list(seed_ids), dtype=np.int64))
-        if frontier.size == 0:
+        seeds = np.asarray(list(seed_ids), dtype=np.int64)
+        if seeds.size == 0:
             return None
-        if frontier[0] < 0:
-            raise seed_range_error(frontier[0], self.num_nodes)
-        if frontier[-1] >= self.num_nodes:
-            raise seed_range_error(frontier[-1], self.num_nodes)
+        _check_seed_range(seeds, self.num_nodes)
+        frontier = self._distinct(seeds)
         self._stamp += 1
         self._visit[frontier] = self._stamp
         return frontier
@@ -778,7 +796,7 @@ class TraversalKernel:
                         parts.append(np.asarray(extra, dtype=np.int64))
             if not parts:
                 return
-            frontier = np.unique(
+            frontier = self._distinct(
                 np.concatenate(parts) if len(parts) > 1 else parts[0]
             )
             visit[frontier] = stamp
@@ -819,7 +837,7 @@ class TraversalKernel:
         if seeds.size == 0:
             return masks, None
         np.bitwise_or.at(masks, seeds, np.repeat(_PLANE_BITS[: len(sets)], sizes))
-        return masks, np.unique(seeds)
+        return masks, self._distinct(seeds)
 
     def _masks_for(
         self, chunk: Sequence[Sequence[int]], eff: Optional[float]
@@ -945,7 +963,7 @@ class TraversalKernel:
                         )
             if not changed_parts:
                 break
-            frontier = np.unique(
+            frontier = self._distinct(
                 np.concatenate(changed_parts)
                 if len(changed_parts) > 1
                 else changed_parts[0]

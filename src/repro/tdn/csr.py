@@ -434,6 +434,7 @@ class DeltaCSR:
         "_tombstones",
         "_fwd",
         "_rev",
+        "_fraction_trigger",
         "compactions",
         "version",
     )
@@ -499,10 +500,13 @@ class DeltaCSR:
 
     @property
     def compact_trigger(self) -> int:
-        """Overlay entries plus tombstones past which :meth:`sync` compacts."""
-        return max(
-            self.COMPACT_MIN, int(self.COMPACT_FRACTION * self._base.num_pairs)
-        )
+        """Overlay entries plus tombstones past which :meth:`sync` compacts.
+
+        The base's share is computed once per base, in :meth:`_compact`.
+        ``COMPACT_MIN`` is read on every call, so overriding it on the
+        class reaches engines that already exist.
+        """
+        return max(self.COMPACT_MIN, self._fraction_trigger)
 
     # ------------------------------------------------------------------
     # Mutation hooks (called by TDNGraph)
@@ -514,17 +518,20 @@ class DeltaCSR:
         queries do no upkeep of their own.
         """
         top = uid if uid > vid else vid
-        if top >= self._ov_out.flags.shape[0]:
-            self._ov_out.grow(top + 1)
-            self._ov_in.grow(top + 1)
-        self._ov_out.add(uid, (vid, expiry))
-        self._ov_in.add(vid, (uid, expiry))
+        ov_out = self._ov_out
+        ov_in = self._ov_in
+        if top >= ov_out.flags.shape[0]:
+            ov_out.grow(top + 1)
+            ov_in.grow(top + 1)
+        ov_out.add(uid, (vid, expiry))
+        ov_in.add(vid, (uid, expiry))
         self._ov_entries += 1
         self._arrivals.append((uid, vid, expiry))
         for kernel in (self._fwd, self._rev):
             if kernel is not None:
                 kernel.entry_count += 1
-                kernel.ensure_capacity(self._graph.num_interned)
+                if top >= kernel.num_nodes:
+                    kernel.ensure_capacity(self._graph.num_interned)
 
     def record_pair_death(self) -> None:
         """Count a tombstone for a pair whose last alive edge expired."""
@@ -561,6 +568,7 @@ class DeltaCSR:
                 scalar_pair_limit=self.scalar_pair_limit,
                 backend=self.backend,
             )
+        self._fraction_trigger = int(self.COMPACT_FRACTION * self._base.num_pairs)
         self._tindptr = None
         self._tindices = None
         self._texpiries = None

@@ -208,6 +208,7 @@ class TDNGraph:
             raise ValueError(f"cannot rewind time from {self._time} to {t}")
         removed = 0
         heap = self._expiry_heap
+        remove_one_edge = self._remove_one_edge
         # Drop every due key from the scan overlay (sorted prefix *and*
         # pending appendix) *before* draining — the seed behavior, which
         # spliced the due prefix up front: a removal listener may legally
@@ -231,9 +232,10 @@ class TDNGraph:
             bucket = self._expiry_buckets.pop(step, None)
             if bucket is None:
                 continue
+            expiry = float(step)
             for u, v in bucket:
-                self._remove_one_edge(u, v, float(step))
-                removed += 1
+                remove_one_edge(u, v, expiry)
+            removed += len(bucket)
         # Keep the sorted overlay's dead prefix from accumulating; this is
         # a prefix splice (one memmove of the survivors), the same cost
         # profile the drain always had.
@@ -259,29 +261,40 @@ class TDNGraph:
         stream must be replayed in chronological order (advance the clock
         before adding a batch).
         """
-        if not interaction.alive_at(self._time):
+        expiry = interaction.expiry
+        if not interaction.time <= self._time < expiry:
             raise ValueError(
                 f"interaction {interaction} is not alive at current time {self._time}; "
                 "advance_to() the batch time before adding"
             )
         u, v = interaction.source, interaction.target
-        expiry = interaction.expiry
-        if u not in self._node_ids:
-            self._node_ids[u] = len(self._id_nodes)
+        node_ids = self._node_ids
+        uid = node_ids.get(u)
+        if uid is None:
+            uid = node_ids[u] = len(self._id_nodes)
             self._id_nodes.append(u)
-        if v not in self._node_ids:
-            self._node_ids[v] = len(self._id_nodes)
+        vid = node_ids.get(v)
+        if vid is None:
+            vid = node_ids[v] = len(self._id_nodes)
             self._id_nodes.append(v)
-        out_u = self._out.setdefault(u, {})
+        out = self._out
+        out_u = out.get(u)
+        if out_u is None:
+            out_u = out[u] = {}
         pair = out_u.get(v)
         if pair is None:
             # New alive pair: maintain the O(1) counters before inserting
             # (aliveness of u/v is read off the pre-insert adjacency).
-            u_alive = bool(out_u) or bool(self._in.get(u))
-            v_alive = bool(self._out.get(v)) or bool(self._in.get(v))
+            into = self._in
+            u_alive = bool(out_u) or bool(into.get(u))
+            v_alive = bool(out.get(v)) or bool(into.get(v))
             pair = _PairEdges()
             out_u[v] = pair
-            self._in.setdefault(v, {})[u] = pair
+            in_v = into.get(v)
+            if in_v is None:
+                into[v] = {u: pair}
+            else:
+                in_v[u] = pair
             self._alive_pairs += 1
             if not u_alive:
                 self._alive_nodes += 1
@@ -306,9 +319,13 @@ class TDNGraph:
                 bucket.append((u, v))
         self._num_edges += 1
         self.version += 1
-        self._log_dirty(self._node_ids[u])
+        log = self._dirty_log
+        log.append(uid)
+        if len(log) > self.DIRTY_LOG_MAX:
+            self._dirty_trimmed += len(log)
+            log.clear()
         if self._delta is not None:
-            self._delta.record_arrival(self._node_ids[u], self._node_ids[v], expiry)
+            self._delta.record_arrival(uid, vid, expiry)
 
     def add_batch(self, interactions: Iterable[Interaction]) -> int:
         """Insert several interactions; returns how many were added."""
@@ -319,24 +336,30 @@ class TDNGraph:
         return count
 
     def _remove_one_edge(self, u: Node, v: Node, expiry: float) -> None:
-        pair = self._out[u][v]
+        out = self._out
+        out_u = out[u]
+        pair = out_u[v]
         pair.remove(expiry)
         self._num_edges -= 1
         for callback in self._removal_listeners:
             callback(u, v, pair.count)
         if pair.count == 0:
-            del self._out[u][v]
-            del self._in[v][u]
-            if not self._out[u] and not self._in.get(u):
-                self._out.pop(u, None)
-                self._in.pop(u, None)
-            if not self._in.get(v) and not self._out.get(v):
-                self._in.pop(v, None)
-                self._out.pop(v, None)
+            # The pair stays listed while listeners run, so ``out_u`` and
+            # ``in_v`` are still the live adjacency dicts here.  A node
+            # with no entry left on either side is dropped from both maps
+            # and stops counting as alive (u != v: no self-loops).
+            into = self._in
+            in_v = into[v]
+            del out_u[v]
+            del in_v[u]
             self._alive_pairs -= 1
-            if not self._out.get(u) and not self._in.get(u):
+            if not out_u and not into.get(u):
+                del out[u]
+                into.pop(u, None)
                 self._alive_nodes -= 1
-            if not self._out.get(v) and not self._in.get(v):
+            if not in_v and not out.get(v):
+                del into[v]
+                out.pop(v, None)
                 self._alive_nodes -= 1
             self._log_dirty(self._node_ids[u])
             if self._delta is not None:

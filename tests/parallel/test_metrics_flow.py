@@ -13,6 +13,7 @@ process) proving the owner-side delta merge actually ran.
 import asyncio
 import os
 import random
+import time
 import warnings
 
 import pytest
@@ -60,8 +61,23 @@ def batches(count=10, width=12):
     return out
 
 
-def run_sharded_ingest(fault_spec=None, count=10):
-    """One sharded ingest run; returns the drained TopKAnswer."""
+#: Wall-clock bound on feeding extra batches until ``until()`` holds.  On
+#: a busy host worker 1 can drain every shard before worker 0 claims the
+#: task its fault fires on, and the supervisor restarts a dead worker
+#: only when a later request arrives, so a fixed stream may end first.
+UNTIL_DEADLINE_S = 20.0
+
+#: Cap on extra batches fed while waiting for ``until()``.
+UNTIL_MAX_BATCHES = 1000
+
+
+def run_sharded_ingest(fault_spec=None, count=10, until=None):
+    """One sharded ingest run; returns the drained TopKAnswer.
+
+    With ``until``, batches keep coming after the first ``count``, one
+    drained batch at a time, until ``until()`` holds or
+    :data:`UNTIL_DEADLINE_S` passes.
+    """
     fault_plan = (
         FaultPlan.parse(f"{fault_spec};seed={SEED}") if fault_spec else None
     )
@@ -82,9 +98,17 @@ def run_sharded_ingest(fault_spec=None, count=10):
             service = IngestService(tracker)
             await service.start()
             try:
-                for t, batch in batches(count=count):
+                extra = UNTIL_MAX_BATCHES if until is not None else 0
+                stream = batches(count=count + extra)
+                for t, batch in stream[:count]:
                     await service.submit(t, batch)
                 answer = await service.drain()
+                deadline = time.monotonic() + UNTIL_DEADLINE_S
+                for t, batch in stream[count:]:
+                    if until() or time.monotonic() >= deadline:
+                        break
+                    await service.submit(t, batch)
+                    answer = await service.drain()
             finally:
                 await service.close()
         finally:
@@ -98,8 +122,12 @@ def test_faulted_sharded_ingest_populates_every_instrumented_layer():
     registry = metrics_registry()
     registry.reset()
     enable_kernel_metrics(every=2)
+
+    def restarted():
+        return registry.counter_values()[metric_names.WORKER_RESTARTS_TOTAL] > 0
+
     try:
-        answer = run_sharded_ingest(fault_spec="kill=w0:2")
+        answer = run_sharded_ingest(fault_spec="kill=w0:2", until=restarted)
     finally:
         disable_kernel_metrics()
     assert answer.epoch > 0 and not answer.stale
