@@ -1,12 +1,11 @@
 """Same-box A/B driver for ``perfbench/run.py``: a base ref against HEAD.
 
-Checks the base ref out with ``git worktree`` (or uses ``--base-dir``, an
-existing checkout of it), then runs ``perfbench/run.py`` in interleaved
+Checks the base ref out with ``git worktree``, then runs ``perfbench/run.py`` in interleaved
 pairs: pair *i* runs both sides on the same seed, and even pairs run the
 base first, odd pairs HEAD first, so a host that drifts between a fast
 and a slow state lands on both sides alike.  Each side's output goes to
 its own log; ``perfbench/compare.py`` then prints medians and quartiles
-per metric, and this script prints, per end-to-end metric that
+per metric, and this script adds, per end-to-end metric that
 ``BENCHMARK.json`` declares, the pairs HEAD won and the median of the
 per-pair ratios (oriented so that above 1 is better).  Digests and
 ``oracle_calls`` of the two runs of a pair must match: a mismatch is
@@ -78,9 +77,8 @@ def pair_ratio(base: float, head: float, better: str) -> float:
 
 
 def summarize(runs: Sequence[Pair], declared: Sequence[Dict]) -> List[Dict]:
-    """Per declared metric: pairs won by HEAD (ties count for neither side),
-    the median per-pair ratio, each side's median, and the base's
-    interquartile distance."""
+    """Per declared metric: pairs won by HEAD (ties count for neither side)
+    and the median per-pair ratio."""
     rows = []
     for metric in declared:
         name, better = metric["name"], metric["better"]
@@ -92,21 +90,12 @@ def summarize(runs: Sequence[Pair], declared: Sequence[Dict]) -> List[Dict]:
         if not pairs:
             continue
         ratios = [pair_ratio(b, h, better) for b, h in pairs if b and h]
-        base_values = [b for b, _ in pairs]
-        if len(base_values) >= 2:
-            low, _, high = statistics.quantiles(base_values, n=4)
-            base_iqr = high - low
-        else:
-            base_iqr = 0.0
         rows.append(
             {
                 "name": name,
                 "wins": sum(1 for ratio in ratios if ratio > 1.0),
                 "pairs": len(pairs),
                 "median_ratio": statistics.median(ratios) if ratios else float("nan"),
-                "base_median": statistics.median(base_values),
-                "head_median": statistics.median(h for _, h in pairs),
-                "base_iqr": base_iqr,
             }
         )
     return rows
@@ -161,10 +150,8 @@ def remove_worktree(path: Path) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--base", help="git ref to check out as the base side")
-    source.add_argument(
-        "--base-dir", type=Path, help="existing checkout to use as the base side"
+    parser.add_argument(
+        "--base", required=True, help="git ref to check out as the base side"
     )
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
@@ -181,8 +168,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     logs = {side: args.out / f"{args.workload}-{side}.log" for side in (BASE, HEAD)}
     for log in logs.values():
         log.write_text("")
-    worktree = None if args.base_dir else add_worktree(args.base)
-    checkouts = {BASE: args.base_dir or worktree, HEAD: REPO_ROOT}
+    worktree = add_worktree(args.base)
+    checkouts = {BASE: worktree, HEAD: REPO_ROOT}
     runs = []
     try:
         for index, (seed, order) in enumerate(plan):
@@ -204,8 +191,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 flush=True,
             )
     finally:
-        if worktree is not None:
-            remove_worktree(worktree)
+        remove_worktree(worktree)
 
     subprocess.run(
         [sys.executable, "perfbench/compare.py", str(logs[BASE]), str(logs[HEAD])],
@@ -213,11 +199,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         check=False,
     )
     for row in summarize(runs, declared):
-        gap = abs(row["head_median"] - row["base_median"])
         print(
             f"{row['name']:<22} HEAD wins {row['wins']}/{row['pairs']}  "
-            f"median ratio {row['median_ratio']:.3f}  "
-            f"median gap {gap:.6g} vs base IQR {row['base_iqr']:.6g}"
+            f"median ratio {row['median_ratio']:.3f}"
         )
     bad = mismatches(runs)
     for index in bad:

@@ -434,7 +434,6 @@ class DeltaCSR:
         "_tombstones",
         "_fwd",
         "_rev",
-        "_fraction_trigger",
         "compactions",
         "version",
     )
@@ -500,13 +499,10 @@ class DeltaCSR:
 
     @property
     def compact_trigger(self) -> int:
-        """Overlay entries plus tombstones past which :meth:`sync` compacts.
-
-        The base's share is computed once per base, in :meth:`_compact`.
-        ``COMPACT_MIN`` is read on every call, so overriding it on the
-        class reaches engines that already exist.
-        """
-        return max(self.COMPACT_MIN, self._fraction_trigger)
+        """Overlay entries plus tombstones past which :meth:`sync` compacts."""
+        return max(
+            self.COMPACT_MIN, int(self.COMPACT_FRACTION * self._base.num_pairs)
+        )
 
     # ------------------------------------------------------------------
     # Mutation hooks (called by TDNGraph)
@@ -568,7 +564,6 @@ class DeltaCSR:
                 scalar_pair_limit=self.scalar_pair_limit,
                 backend=self.backend,
             )
-        self._fraction_trigger = int(self.COMPACT_FRACTION * self._base.num_pairs)
         self._tindptr = None
         self._tindices = None
         self._texpiries = None

@@ -261,13 +261,13 @@ class TDNGraph:
         stream must be replayed in chronological order (advance the clock
         before adding a batch).
         """
-        expiry = interaction.expiry
-        if not interaction.time <= self._time < expiry:
+        if not interaction.alive_at(self._time):
             raise ValueError(
                 f"interaction {interaction} is not alive at current time {self._time}; "
                 "advance_to() the batch time before adding"
             )
         u, v = interaction.source, interaction.target
+        expiry = interaction.expiry
         node_ids = self._node_ids
         uid = node_ids.get(u)
         if uid is None:
@@ -319,11 +319,7 @@ class TDNGraph:
                 bucket.append((u, v))
         self._num_edges += 1
         self.version += 1
-        log = self._dirty_log
-        log.append(uid)
-        if len(log) > self.DIRTY_LOG_MAX:
-            self._dirty_trimmed += len(log)
-            log.clear()
+        self._log_dirty(uid)
         if self._delta is not None:
             self._delta.record_arrival(uid, vid, expiry)
 

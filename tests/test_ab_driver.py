@@ -70,7 +70,7 @@ class TestParseAndSummarize:
         assert ab.pair_ratio(10.0, 12.0, "higher") == pytest.approx(1.2)
         assert ab.pair_ratio(2.0, 1.0, "lower") == pytest.approx(2.0)
 
-    def test_summary_counts_wins_ties_for_neither_and_base_spread(self):
+    def test_summary_counts_wins_with_ties_for_neither(self):
         declared = [
             {"name": "events_per_s", "better": "higher"},
             {"name": "oracle_calls", "better": "lower"},
@@ -88,8 +88,6 @@ class TestParseAndSummarize:
         speed = rows["events_per_s"]
         assert (speed["wins"], speed["pairs"]) == (3, 4)
         assert speed["median_ratio"] == pytest.approx((1.1 + 1.2) / 2)
-        assert speed["base_median"] == 100.0 and speed["head_median"] == 110.0
-        assert speed["base_iqr"] > 0
         assert rows["oracle_calls"]["wins"] == 0  # every pair tied
 
     def test_mismatched_digest_or_calls_are_reported_by_pair(self):
