@@ -8,7 +8,7 @@ sparse-timestamp clock advancement, the dict-vs-CSR oracle backends on a
 rebuild-per-version engine on an ingestion-heavy stream, the bit-plane
 batched singleton sweep versus sequential per-set BFS, the weighted
 bit-plane sweep versus per-set reachable-id weight folds, the
-sharded 4-worker ``spread_many`` versus the serial bit-plane engine,
+sharded 4-thread ``spread_many`` versus the serial bit-plane engine,
 and the generic fold route under ``count`` semantics versus the direct
 popcount path it must not tax.  Where numba is installed, two compiled-
 backend gates additionally pin the native scalar frontier walk and the
@@ -569,19 +569,18 @@ def test_count_fold_parity_vs_direct_counts(benchmark):
 
 
 def test_sharded_vs_serial_spread_many(benchmark):
-    """4-worker sharded ``spread_many`` must beat serial by >= 1.5x.
+    """4-thread sharded ``spread_many`` must beat serial by >= 1.5x.
 
     A 1920-singleton candidate sweep on the 50k-edge stream graph — the
-    shape of a production SIEVEADN batch — evaluated once through the
-    serial bit-plane engine and once through a 4-worker sharded executor
-    over the shared-memory CSR plane.  Values and oracle call counts must
-    be identical *always* (sharding is value-transparent); the 1.5x
-    wall-clock floor is asserted only where 4 hardware threads actually
-    exist (the CI runners have them — a 1-core container records the
-    numbers without gating), and the pool/plane warm-up runs outside the
-    timed region, matching the persistent steady state the executor is
-    built for (workers live across batches, the plane republishes per
-    epoch, not per query).
+    one batch shape measured to gain from sharding — evaluated once
+    through the serial bit-plane engine and once through a 4-thread
+    sharded executor, whose shards sweep per-thread kernel clones of the
+    same engine.  Values and oracle call counts must be identical
+    *always* (sharding is value-transparent); the 1.5x wall-clock floor
+    is asserted only where 4 hardware threads actually exist (the CI
+    runners have them — a smaller container records the numbers without
+    gating), and the warm-up that starts the threads and cuts the clones
+    runs outside the timed region.
     """
     from repro.parallel.executor import ShardedOracleExecutor
 
@@ -602,7 +601,7 @@ def test_sharded_vs_serial_spread_many(benchmark):
             oracle = InfluenceOracle(graph, max_cache_entries=0, parallel=executor)
             return oracle.spread_many(candidate_sets, horizon), oracle.calls
 
-        sharded()  # warm-up: spawn the pool, publish + attach the plane
+        sharded()  # warm-up: start the threads, cut the kernel clones
         pool_ran = executor.parallel_available
         (serial_values, serial_calls), serial_seconds = _best_of(3, serial)
         (shard_values, shard_calls), shard_seconds = _best_of(3, sharded)

@@ -8,8 +8,7 @@ the facade exposes the three knobs an operator needs:
 
 * ``metrics_registry()`` — the process-default
   :class:`~repro.obs.registry.MetricsRegistry`; everything the library
-  records lands here (worker processes keep private registries and merge
-  counter deltas back through the executor's result queue).
+  records lands here, the executor's shard threads included.
 * ``enable_kernel_metrics(every=N)`` — turn on the traversal kernel's
   *sampled* sweep hook: 1 in N sweeps is recorded and counter totals are
   rescaled by N, so the exported numbers stay unbiased while the hot

@@ -20,11 +20,11 @@ now?".  :class:`repro.parallel.IngestService` packages that loop:
 
 * **Sharded evaluation** — constructing the tracker with ``workers=N``
   puts a :class:`repro.parallel.ShardedOracleExecutor` behind its oracle:
-  each applied epoch republishes the graph's CSR arrays into shared
-  memory and the worker pool shards the spread sweeps across cores,
-  bit-identically to the serial engine.  On a small laptop demo the
-  spawn overhead outweighs the gain, so this script defaults to
-  ``workers=1``; pass ``--workers 4`` on a multi-core box.
+  each applied epoch cuts fresh per-thread kernel clones of the graph's
+  CSR engine and the executor's threads shard the spread sweeps,
+  bit-identically to the serial engine.  On the small batches of this
+  demo the thread hand-off outweighs the gain, so this script defaults
+  to ``workers=1``; pass ``--workers 2`` to see it run sharded.
 
 Run:
     python examples/serve_topk.py [--workers N] [--events 400]

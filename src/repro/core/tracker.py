@@ -92,9 +92,9 @@ class InfluenceTracker:
         seed: RNG seed (used by the ``"random"`` baseline).
         workers: evaluation worker count for the oracle's sharded
             parallel engine (1 = serial; ``N > 1`` shards batched spread
-            sweeps across N processes over the shared-memory CSR plane
-            with bit-identical results).  Call :meth:`close` when done to
-            release the pool.
+            sweeps across N threads, each sweeping its own kernel clone
+            of the graph's CSR engine, with bit-identical results).  Call
+            :meth:`close` when done to stop the threads.
         semantics: influence semantics the oracle evaluates under — a
             registered fold name (``"count"``, ``"hop_discount"``,
             ``"time_decay"``), a ``(name, params)`` pair, or a
@@ -215,7 +215,7 @@ class InfluenceTracker:
         return self.oracle.calls
 
     def close(self) -> None:
-        """Release the oracle's worker pool, if any (idempotent)."""
+        """Stop the oracle's shard threads, if any (idempotent)."""
         self.oracle.close()
 
     def health_report(self) -> Optional[dict]:

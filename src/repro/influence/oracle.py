@@ -86,16 +86,16 @@ Sharded parallel evaluation (``parallel``)
 ------------------------------------------
 ``parallel`` plugs a :class:`~repro.parallel.executor.
 ShardedOracleExecutor` under the CSR backend: batched miss evaluations
-and the dirty-cone ancestor sweep are partitioned across a persistent
-worker pool that maps the published shared-memory CSR plane, while every
-bit of accounting (cache protocol, call counting, FIFO order) stays in
-this layer — so the sharded oracle is bit-for-bit equivalent to the
-serial one, merely faster on multi-core hosts.  Pass a worker count (an
-executor is created and owned by this oracle; close it via
+and the dirty-cone ancestor sweep are partitioned across a thread pool
+whose threads sweep private kernel clones of the graph's CSR engine,
+while every bit of accounting (cache protocol, call counting, FIFO
+order) stays in this layer — so the sharded oracle is bit-for-bit
+equivalent to the serial one.  Pass a worker count (an executor is
+created and owned by this oracle; close it via
 :meth:`InfluenceOracle.close`) or share one executor instance across
-oracles.  The executor degrades to serial on its own (single worker,
-shared memory unavailable, small batches, worker death), so ``parallel``
-never changes results, only wall-clock.
+oracles.  The executor serves serially on its own (single worker, small
+batches, a failed shard), so ``parallel`` never changes results, only
+wall-clock.
 """
 
 from __future__ import annotations
@@ -244,9 +244,9 @@ def resolve_executor(parallel, backend: str):
     Returns ``(executor, owns_executor)``: ``None`` for serial operation,
     a fresh owned :class:`~repro.parallel.executor.ShardedOracleExecutor`
     for an integer worker count above 1, or the caller's shared executor
-    instance (not owned — the caller closes it).  Sharding requires the
-    flat-array plane, so the ``"dict"`` backend rejects it outright
-    rather than silently ignoring the request.
+    instance (not owned — the caller closes it).  Sharding sweeps clones
+    of the CSR engine's kernels, so the ``"dict"`` backend rejects it
+    outright rather than silently ignoring the request.
     """
     if parallel is None:
         return None, False
@@ -499,10 +499,11 @@ class InfluenceOracle:
             contract); ``"version"`` restores the historical wholesale
             clear on every ``graph.version`` bump.
         parallel: sharded evaluation over the CSR backend — ``None``
-            (serial, default), a worker count (the oracle creates and
-            owns a :class:`~repro.parallel.executor.ShardedOracleExecutor`;
-            release it with :meth:`close`), or an executor instance to
-            share across oracles.  Values, solutions and call counts are
+            (serial, default), a thread count (the oracle creates and
+            owns a :class:`~repro.parallel.executor.ShardedOracleExecutor`
+            that splits batched sweeps across that many threads; release
+            it with :meth:`close`), or an executor instance to share
+            across oracles.  Values, solutions and call counts are
             bit-identical to serial evaluation.
         semantics: the influence fold this oracle evaluates — a name
             from :data:`repro.kernels.FOLD_NAMES`, a ``(name, params)``
@@ -584,7 +585,7 @@ class InfluenceOracle:
         return self._executor.workers if self._executor is not None else 1
 
     def close(self) -> None:
-        """Release the worker pool if this oracle owns one (idempotent)."""
+        """Release the executor if this oracle owns one (idempotent)."""
         if self._owns_executor and self._executor is not None:
             self._executor.close()
 

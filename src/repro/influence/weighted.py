@@ -19,8 +19,6 @@ tracker with it and the algorithms never know the difference.
 
 from __future__ import annotations
 
-import secrets
-import weakref
 from typing import (
     Callable,
     Dict,
@@ -54,16 +52,6 @@ WeightSpec = Union[Dict[Node, float], Callable[[Node], float]]
 _CacheKey = Tuple[Optional[float], FrozenSet[Node]]
 
 
-def _release_published_weights(executor_ref, weights_key: str) -> None:
-    """GC/close hook: drop one oracle's weight segment from its executor."""
-    executor = executor_ref()
-    if executor is not None:
-        try:
-            executor.release_weights(weights_key)
-        except Exception:  # pragma: no cover - teardown is best effort
-            pass
-
-
 class WeightedInfluenceOracle:
     """Counted, cached evaluation of node-weighted reachability spread.
 
@@ -93,13 +81,12 @@ class WeightedInfluenceOracle:
         parallel: sharded evaluation over the CSR backend (``None``, a
             worker count, or a shared executor — the same contract as
             :class:`InfluenceOracle`).  With mapping/default weights the
-            dense weight array is published into shared memory alongside
-            the CSR plane and workers return 64-wide *weight sums* folded
-            in their bit-plane sweeps; a weight callable instead makes
-            workers return per-set reachable id sets so the callable
-            never crosses a process boundary.  Either way values stay
-            bit-identical to serial evaluation (the kernel's canonical
-            ascending-id summation order).
+            shard threads fold the dense weight array into 64-wide
+            *weight sums* in their bit-plane sweeps; a weight callable
+            instead makes them return per-set reachable id sets, and the
+            callable runs on the caller's thread only.  Either way values
+            stay bit-identical to serial evaluation (the kernel's
+            canonical ascending-id summation order).
 
     The interface matches :class:`InfluenceOracle` (``spread``,
     ``marginal_gain``, ``calls``), so it can be injected into any
@@ -145,10 +132,6 @@ class WeightedInfluenceOracle:
         self._weight_array = np.empty(0, dtype=np.float64)
         self._dense_weights = weights is None or not callable(weights)
         self._uniform_default = weights is None
-        # Stable per-oracle token for the executor's shared-memory weight
-        # publication (the dense array is append-only, so its length is
-        # its epoch — the executor republishes only when it grew).
-        self._weights_key = f"w{secrets.token_hex(4)}"
         if weights is None:
             self._weight_of: Callable[[Node], float] = lambda node: self._default
         elif callable(weights):
@@ -167,32 +150,6 @@ class WeightedInfluenceOracle:
             graph, max_cache_entries, memo_mode, cone_backend=backend
         )
         self._memo.executor = self._executor
-        self._weights_finalizer = None
-        self._arm_weights_finalizer()
-
-    def _arm_weights_finalizer(self) -> None:
-        """(Re-)register the weight-segment release hook.
-
-        Releases this oracle's published weight segment when the oracle
-        is closed or collected, so a shared long-lived executor never
-        accumulates one O(V) segment per short-lived oracle.  Re-armed
-        before every parallel publication because ``weakref.finalize`` is
-        one-shot: an oracle used again after :meth:`close` republishes,
-        and that republication must stay collectable too.  The finalizer
-        holds only a weak executor reference — it must neither keep the
-        pool alive nor resurrect this oracle.
-        """
-        if self._executor is None:
-            return
-        finalizer = self._weights_finalizer
-        if finalizer is not None and finalizer.alive:
-            return
-        self._weights_finalizer = weakref.finalize(
-            self,
-            _release_published_weights,
-            weakref.ref(self._executor),
-            self._weights_key,
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -211,13 +168,9 @@ class WeightedInfluenceOracle:
         return self._executor.workers if self._executor is not None else 1
 
     def close(self) -> None:
-        """Release the worker pool if this oracle owns one (idempotent),
-        and this oracle's published weight segment either way."""
-        if self._executor is not None:
-            if self._weights_finalizer is not None:
-                self._weights_finalizer()
-            if self._owns_executor:
-                self._executor.close()
+        """Release the executor if this oracle owns one (idempotent)."""
+        if self._owns_executor and self._executor is not None:
+            self._executor.close()
 
     def health_report(self) -> Optional[dict]:
         """The sharded executor's degradation/health snapshot (None = serial)."""
@@ -300,8 +253,7 @@ class WeightedInfluenceOracle:
         Summation runs in the canonical ascending-id order of
         :func:`repro.kernels.dense_weight_sum`, so the value is
         bit-identical no matter where the reached set came from — a
-        serial BFS, the weighted bit-plane kernel, or a sorted id list
-        shipped back from a sharded worker.
+        serial BFS, the weighted bit-plane kernel, or a shard thread.
         """
         if not reached:
             return 0.0
@@ -353,7 +305,7 @@ class WeightedInfluenceOracle:
         kernel: dense weights fold into the shared multi-source sweep (64
         weighted evaluations per physical traversal, serial or sharded),
         while weight callables keep the per-set reachable-id path so they
-        are only ever invoked in-process.
+        are only ever invoked on the caller's thread.
         """
         if self.backend == "dict":
             return [self.spread(nodes, min_expiry) for nodes in sets]
@@ -369,12 +321,12 @@ class WeightedInfluenceOracle:
 
         Dense weights (mapping / default) never materialize a reachable
         id set per miss any more: the engine — or, under ``parallel``,
-        the sharded worker pool over the published weight segment — folds
-        the dense weight array directly into the shared bit-plane sweep,
-        64 weighted evaluations per physical traversal.  Uniform weights
-        ride the plain counted sweep (``count * default_weight``), and a
-        weight *callable* keeps the per-set reachable-id path so it is
-        only ever invoked in-process, for actually reached nodes.
+        the executor's shard threads — folds the dense weight array
+        directly into the shared bit-plane sweep, 64 weighted evaluations
+        per physical traversal.  Uniform weights ride the plain counted
+        sweep (``count * default_weight``), and a weight *callable* keeps
+        the per-set reachable-id path so it is only ever invoked on the
+        caller's thread, for actually reached nodes.
         """
         values: List[float] = [0.0] * len(key_sets)
         id_sets: List[List[int]] = []
@@ -390,7 +342,7 @@ class WeightedInfluenceOracle:
         graph = self.graph
         executor = self._executor
         if not self._dense_weights:
-            # Callable weights stay in-process: workers return id sets.
+            # Callable weights stay on this thread: shards return id sets.
             if executor is not None:
                 reached_sets = executor.reachable_ids_many(
                     graph, id_sets, min_expiry
@@ -413,13 +365,8 @@ class WeightedInfluenceOracle:
         else:
             weights = self._weights_upto(graph.num_interned)
             if executor is not None:
-                self._arm_weights_finalizer()
                 sums = executor.weighted_spread_sums(
-                    graph,
-                    id_sets,
-                    min_expiry,
-                    weights=weights,
-                    weights_key=self._weights_key,
+                    graph, id_sets, min_expiry, weights=weights
                 )
             else:
                 sums = graph.csr().weighted_spread_sums(

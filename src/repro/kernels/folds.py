@@ -38,9 +38,8 @@ accumulator (:meth:`~Fold.batch`, delegating to the kernel sweep that
 shares one physical traversal across 64 seed sets), and an independent
 scalar reference (:meth:`~Fold.reference`, a plain fold over a
 ``node -> hop level`` mapping) that the differential suites pin the
-vectorized path against.  Folds are value objects: picklable as a
-``(name, params)`` spec so a worker process can rebuild one from a task
-message, and hashable via :meth:`~Fold.token` so memo tables can key
+vectorized path against.  Folds are value objects: serializable as a
+``(name, params)`` spec so a checkpoint can rebuild one, and hashable via :meth:`~Fold.token` so memo tables can key
 cache entries per semantics.
 """
 

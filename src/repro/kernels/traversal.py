@@ -4,10 +4,10 @@ Every influence quantity the paper needs — the spread ``|R(S)|``, the
 changed-node set via reverse reachability, and weighted spread for
 ROI-style workloads — reduces to the same time-decayed frontier sweep
 over expiry-annotated CSR arrays.  Before this module the repo carried
-three hand-synced copies of that sweep (``CSRSnapshot``, ``DeltaCSR``
-and the worker-side ``PlaneEngine``); :class:`TraversalKernel` is the
-single shared implementation they now all adapt over, so sharded and
-serial physics *cannot* drift.
+hand-synced copies of that sweep, one per engine; :class:`TraversalKernel`
+is the single shared implementation ``CSRSnapshot`` and ``DeltaCSR`` now
+adapt over, and the sharded executor's threads sweep clones of the same
+kernels, so sharded and serial physics *cannot* drift.
 
 A kernel instance is one *direction* of traversal, parameterized by
 
@@ -20,14 +20,13 @@ A kernel instance is one *direction* of traversal, parameterized by
   forking it,
 * the effective horizon ``eff`` passed per query (``None`` = no filter;
   engines that lazily tombstone resolve their ``t + 1`` clamp *before*
-  calling, which also makes worker-side sweeps pure functions of the
+  calling, which also makes sharded sweeps pure functions of the
   arrays), and
 * an optional **scalar/vector cutover**, an entry count resolved by
   the owning engine when it builds the kernel: at or below it the kernel
   walks plain Python adjacency lists (numpy dispatch overhead dominates
   on tiny graphs), above it the frontier expansion is vectorized.
-  ``None`` means always-vectorized (the worker plane's historical
-  behavior).  Both paths are result-identical; the cutover can only ever
+  ``None`` means always-vectorized.  Both paths are result-identical; the cutover can only ever
   cost time.
 
 Sweeps
@@ -228,10 +227,9 @@ def build_transpose(
 class DictOverlay:
     """Adjacency overlay injected into kernel sweeps.
 
-    One direction of a delta engine's arrival overlay (the serial
-    :class:`~repro.tdn.csr.DeltaCSR` and the worker-side
-    :class:`~repro.parallel.plane.PlaneEngine` each keep a forward and a
-    reverse one): a dict ``node id -> [(neighbor, expiry), ...]`` plus a
+    One direction of a delta engine's arrival overlay (the
+    :class:`~repro.tdn.csr.DeltaCSR` keeps a forward and a reverse one):
+    a dict ``node id -> [(neighbor, expiry), ...]`` plus a
     boolean flag array marking which ids have entries (so the vectorized
     sweep selects overlay nodes out of a frontier in one gather instead
     of one dict probe per node; the scalar walk probes ``entry_map``

@@ -1,102 +1,37 @@
 """RPL3xx — concurrency hazards.
 
 * **RPL301** — blocking calls inside ``async def`` bodies.  The ingest
-  service promises the event loop never stalls on worker progress, so
+  service promises the event loop never stalls on writer progress, so
   ``time.sleep``, synchronous file IO (bare ``open``), ``subprocess``
   calls, ``.acquire()`` without a timeout, and ``.shutdown()`` /
   ``.join()`` without ``wait=False``/timeout are all flagged when they
   appear lexically inside a coroutine (nested ``def``s are excluded —
   they run wherever they are called from).
-* **RPL302** — any request for a fork multiprocessing context
-  (``get_context("fork")`` / ``set_start_method("fork")``).  The worker
-  pool is spawn-only by design: forking a process that holds the shared
-  plane duplicates mapping refcounts and lock state.
-* **RPL303** — writes to array attributes declared immutable-after-
-  publish via the ``@published_plane`` marker
-  (``repro.parallel.markers``), outside the writer methods each marker
-  declares.  The registry is built from the *AST* of every linted file
-  first (two-phase), so the linter never imports the code it checks.
 * **RPL304** — broad exception swallowing inside ``repro/parallel/``.
   A bare ``except:`` or ``except Exception/BaseException:`` whose body
   neither re-raises, records a :class:`DegradationReason` (directly or
   via a ``degrade``/``note_incident`` call), nor *uses* the bound
-  exception value hides exactly the worker faults the supervised
-  recovery layer exists to surface.  Narrow exception types are never
+  exception value hides exactly the shard and writer faults the
+  degradation ladder exists to surface.  Narrow exception types are never
   flagged; deliberate best-effort teardown swallows carry a pragma.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import List, Optional
 
 from repro.lint.config import is_under
 from repro.lint.findings import Finding
-
-#: class name -> attr -> writer-method names, built by collect_registry.
-Registry = Dict[str, Dict[str, FrozenSet[str]]]
 
 _BLOCKING_MODULES = {"subprocess"}
 _SLEEP_MODULES = {"time"}
 
 
-def check(
-    tree: ast.Module, path: str, registry: Optional[Registry] = None
-) -> List[Finding]:
+def check(tree: ast.Module, path: str) -> List[Finding]:
     findings = _check_async_blocking(tree, path)
-    findings.extend(_check_fork_context(tree, path))
     findings.extend(_check_swallowed_exceptions(tree, path))
-    if registry:
-        findings.extend(_check_published_writes(tree, path, registry))
     return findings
-
-
-# ----------------------------------------------------------------------
-# Registry of @published_plane declarations (phase one)
-# ----------------------------------------------------------------------
-def collect_registry(tree: ast.Module) -> Registry:
-    """Extract ``@published_plane(...)`` declarations from one module."""
-    registry: Registry = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for decorator in node.decorator_list:
-            if not isinstance(decorator, ast.Call):
-                continue
-            func = decorator.func
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else None
-            )
-            if name != "published_plane":
-                continue
-            attrs = [
-                arg.value
-                for arg in decorator.args
-                if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
-            ]
-            writers = frozenset(["__init__"])
-            for keyword in decorator.keywords:
-                if keyword.arg == "writers":
-                    value = keyword.value
-                    if isinstance(value, (ast.Tuple, ast.List)):
-                        writers = frozenset(
-                            element.value
-                            for element in value.elts
-                            if isinstance(element, ast.Constant)
-                            and isinstance(element.value, str)
-                        )
-            table = registry.setdefault(node.name, {})
-            for attr in attrs:
-                table[attr] = writers
-    return registry
-
-
-def merge_registries(registries: List[Registry]) -> Registry:
-    merged: Registry = {}
-    for registry in registries:
-        for cls, table in registry.items():
-            merged.setdefault(cls, {}).update(table)
-    return merged
 
 
 # ----------------------------------------------------------------------
@@ -179,45 +114,10 @@ def _check_async_blocking(tree: ast.Module, path: str) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# RPL302: fork context
-# ----------------------------------------------------------------------
-def _check_fork_context(tree: ast.Module, path: str) -> List[Finding]:
-    findings: List[Finding] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None
-        )
-        if name not in ("get_context", "set_start_method"):
-            continue
-        for arg in list(node.args) + [
-            keyword.value for keyword in node.keywords
-        ]:
-            if (
-                isinstance(arg, ast.Constant)
-                and isinstance(arg.value, str)
-                and arg.value.startswith("fork")
-            ):
-                findings.append(
-                    Finding(
-                        path,
-                        node.lineno,
-                        "RPL302",
-                        f"{name}({arg.value!r}): the worker pool is "
-                        "spawn-only by design (forking duplicates shared-"
-                        "plane mappings and lock state)",
-                    )
-                )
-    return findings
-
-
-# ----------------------------------------------------------------------
 # RPL304: swallowed broad excepts in the parallel stack
 # ----------------------------------------------------------------------
-#: Path fragment the rule covers — the supervised-recovery stack, where a
-#: silent swallow hides exactly the faults the ladder exists to surface.
+#: Path fragment the rule covers — the parallel stack, where a silent
+#: swallow hides exactly the faults the ladder exists to surface.
 _SWALLOW_SCOPE = "repro/parallel/"
 _BROAD_EXCEPTIONS = {"Exception", "BaseException"}
 #: Call-name substrings that count as recording the fault.
@@ -319,77 +219,4 @@ def _check_swallowed_exceptions(tree: ast.Module, path: str) -> List[Finding]:
                 "carry a pragma explaining the deliberate swallow",
             )
         )
-    return findings
-
-
-# ----------------------------------------------------------------------
-# RPL303: writes to published planes
-# ----------------------------------------------------------------------
-def _write_target_attr(target: ast.expr) -> Optional[ast.Attribute]:
-    """The Attribute being written, for ``x.a = v`` or ``x.a[i] = v``."""
-    if isinstance(target, ast.Attribute):
-        return target
-    if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Attribute):
-        return target.value
-    return None
-
-
-def _assignment_targets(node: ast.AST) -> List[ast.expr]:
-    if isinstance(node, ast.Assign):
-        return list(node.targets)
-    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        return [node.target]
-    return []
-
-
-def _check_published_writes(
-    tree: ast.Module, path: str, registry: Registry
-) -> List[Finding]:
-    findings: List[Finding] = []
-    # Every attr published by any class, with the union of its writers —
-    # used for writes through arbitrary receivers (engine.indptr[...] = v).
-    attr_writers: Dict[str, Set[str]] = {}
-    for table in registry.values():
-        for attr, writers in table.items():
-            attr_writers.setdefault(attr, set()).update(writers)
-
-    def visit(node: ast.AST, cls: Optional[str], method: Optional[str]):
-        if isinstance(node, ast.ClassDef):
-            for child in node.body:
-                visit(child, node.name, None)
-            return
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for child in node.body:
-                visit(child, cls, node.name)
-            return
-        for target in _assignment_targets(node):
-            attribute = _write_target_attr(target)
-            if attribute is None:
-                continue
-            attr = attribute.attr
-            receiver = attribute.value
-            is_self = isinstance(receiver, ast.Name) and receiver.id == "self"
-            if is_self and cls in registry and attr in registry[cls]:
-                allowed = registry[cls][attr]
-            elif not is_self and attr in attr_writers:
-                allowed = attr_writers[attr]
-            else:
-                continue
-            if method not in allowed:
-                findings.append(
-                    Finding(
-                        path,
-                        node.lineno,
-                        "RPL303",
-                        f"write to published-plane attribute {attr!r} "
-                        f"outside its declared writers "
-                        f"({', '.join(sorted(allowed))}): planes are "
-                        "immutable after publish",
-                    )
-                )
-        for child in ast.iter_child_nodes(node):
-            visit(child, cls, method)
-
-    for node in tree.body:
-        visit(node, None, None)
     return findings

@@ -38,27 +38,12 @@ CODES = {
         "import of repro.kernels.native outside the "
         "repro/kernels/backend.py dispatch layer"
     ),
-    # -- RPL2xx: shared-memory lifecycle -------------------------------
-    "RPL201": (
-        "SharedMemory(create=True) with no unlink() reachable through an "
-        "owner teardown path (close()/__del__/finalizer) in the same scope"
-    ),
-    "RPL202": "SharedMemory attach with no paired close() in the same scope",
-    "RPL203": (
-        "raw shared-memory segment-name literal outside plane.py's "
-        "name-derivation helpers"
-    ),
     # -- RPL3xx: concurrency hazards -----------------------------------
     "RPL301": "blocking call inside an async def body",
-    "RPL302": "fork multiprocessing context (the pool is spawn-only by design)",
-    "RPL303": (
-        "write to an array attribute marked immutable-after-publish "
-        "(@published_plane) outside its declared writer methods"
-    ),
     "RPL304": (
         "broad except swallows the exception in repro/parallel/ "
         "(handler must re-raise, record a DegradationReason, or carry a "
-        "pragma — silent swallows hide worker faults)"
+        "pragma — silent swallows hide shard and writer faults)"
     ),
     # -- RPL4xx: determinism -------------------------------------------
     "RPL401": (

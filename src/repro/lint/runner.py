@@ -1,6 +1,6 @@
 """Driver: file discovery, two-phase checking, pragmas, baseline, CLI.
 
-``python -m repro.lint [paths]`` runs all four pass families over every
+``python -m repro.lint [paths]`` runs every pass family over each
 ``.py`` file under the given paths (default ``src``), applies inline
 pragmas and the committed baseline, and exits non-zero on any new
 finding, stale baseline entry, or unparseable file.
@@ -13,11 +13,10 @@ import ast
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.lint import concurrency, determinism, layers, nativejit, obs, shm
+from repro.lint import concurrency, determinism, layers, nativejit, obs
 from repro.lint.baseline import load_baseline, partition, write_baseline
-from repro.lint.concurrency import Registry
 from repro.lint.findings import CODES, Finding
 from repro.lint.pragmas import is_suppressed, suppressions
 
@@ -43,25 +42,15 @@ def _parse(source: str, path: str) -> Tuple[Optional[ast.Module], List[Finding]]
         ]
 
 
-def lint_source(
-    source: str, path: str, registry: Optional[Registry] = None
-) -> List[Finding]:
-    """All findings for one in-memory module, pragmas already applied.
-
-    ``registry`` is the merged ``@published_plane`` table; when linting a
-    single source in isolation (tests, tools) the file's own declarations
-    are collected automatically.
-    """
+def lint_source(source: str, path: str) -> List[Finding]:
+    """All findings for one in-memory module, pragmas already applied."""
     tree, errors = _parse(source, path)
     if tree is None:
         return errors
-    if registry is None:
-        registry = concurrency.collect_registry(tree)
     findings: List[Finding] = []
     findings.extend(layers.check(tree, path))
     findings.extend(nativejit.check(tree, path))
-    findings.extend(shm.check(tree, path))
-    findings.extend(concurrency.check(tree, path, registry))
+    findings.extend(concurrency.check(tree, path))
     findings.extend(determinism.check(tree, path))
     findings.extend(obs.check(tree, path))
     table = suppressions(source)
@@ -74,30 +63,11 @@ def lint_source(
 
 
 def lint_paths(paths: Sequence[str]) -> List[Finding]:
-    """Two-phase lint of every python file under ``paths``.
-
-    Phase one parses everything and collects the ``@published_plane``
-    registry across the whole set; phase two runs the passes with the
-    merged registry, so cross-file writes to published attributes are
-    caught.
-    """
-    files = _python_files(paths)
-    sources: Dict[str, str] = {}
-    trees: Dict[str, ast.Module] = {}
+    """Lint every python file under ``paths``."""
     findings: List[Finding] = []
-    registries = []
-    for path in files:
+    for path in _python_files(paths):
         source = Path(path).read_text(encoding="utf-8")
-        sources[path] = source
-        tree, errors = _parse(source, path)
-        if tree is None:
-            findings.extend(errors)
-            continue
-        trees[path] = tree
-        registries.append(concurrency.collect_registry(tree))
-    registry = concurrency.merge_registries(registries)
-    for path, tree in trees.items():
-        findings.extend(lint_source(sources[path], path, registry))
+        findings.extend(lint_source(source, path))
     return sorted(findings)
 
 

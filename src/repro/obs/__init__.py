@@ -4,7 +4,7 @@ Rank 0 in the layer DAG: this package imports nothing from repro beyond
 itself, so every other layer (kernels, influence, parallel, track, api)
 may instrument itself freely without creating cycles.  See the
 "Observability" section of ARCHITECTURE.md for the layer placement, the
-kernel sampling contract, and the worker-merge protocol.
+kernel sampling contract, and the catalog of series.
 """
 
 from repro.obs import names

@@ -39,14 +39,9 @@ EXECUTOR_DISPATCHES_TOTAL = "repro_executor_dispatches_total"
 EXECUTOR_SHARD_LATENCY_SECONDS = "repro_executor_shard_latency_seconds"
 EXECUTOR_SERIAL_FALLBACKS_TOTAL = "repro_executor_serial_fallbacks_total"
 
-# -- degradation ladder / supervisor ------------------------------------
+# -- degradation ladder ---------------------------------------------------
 DEGRADATION_TRANSITIONS_TOTAL = "repro_degradation_transitions_total"
 DEGRADATION_INCIDENTS_TOTAL = "repro_degradation_incidents_total"
-WORKER_RESTARTS_TOTAL = "repro_worker_restarts_total"
-TASK_QUARANTINES_TOTAL = "repro_task_quarantines_total"
-
-# -- worker processes (merged owner-side via the result queue) ----------
-WORKER_TASKS_TOTAL = "repro_worker_tasks_total"
 
 # -- ingest service -----------------------------------------------------
 INGEST_QUEUE_DEPTH = "repro_ingest_queue_depth"
@@ -132,17 +127,17 @@ CATALOG: Tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         EXECUTOR_DISPATCHES_TOTAL, "counter",
-        "sharded dispatch rounds issued to the worker pool",
+        "sharded dispatch rounds issued to the shard threads",
     ),
     MetricSpec(
         EXECUTOR_SHARD_LATENCY_SECONDS, "histogram",
-        "per-shard latency from enqueue to ok-result receipt",
+        "per-shard sweep latency on its thread (successful shards)",
         LATENCY_BUCKETS_SECONDS,
     ),
     MetricSpec(
         EXECUTOR_SERIAL_FALLBACKS_TOTAL, "counter",
-        "shards recomputed serially in the owner (quarantine, retry "
-        "exhaustion, deadline, pool loss)",
+        "shards recomputed serially on the caller's thread (the shard "
+        "raised or timed out)",
     ),
     MetricSpec(
         DEGRADATION_TRANSITIONS_TOTAL, "counter",
@@ -153,18 +148,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
         DEGRADATION_INCIDENTS_TOTAL, "counter",
         "faults recorded by the degradation ladder (absorbed or "
         "state-changing)",
-    ),
-    MetricSpec(
-        WORKER_RESTARTS_TOTAL, "counter",
-        "worker respawns charged against the supervisor restart budget",
-    ),
-    MetricSpec(
-        TASK_QUARANTINES_TOTAL, "counter",
-        "tasks quarantined after repeated worker deaths",
-    ),
-    MetricSpec(
-        WORKER_TASKS_TOTAL, "counter",
-        "tasks completed by pool workers (merged owner-side)",
     ),
     MetricSpec(
         INGEST_QUEUE_DEPTH, "gauge",
@@ -190,7 +173,7 @@ CATALOG: Tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         INGEST_REPUBLISH_SECONDS, "histogram",
-        "shared-memory plane republish time per committed epoch",
+        "sharded executor kernel-clone refresh time per committed epoch",
         LATENCY_BUCKETS_SECONDS,
     ),
     MetricSpec(

@@ -11,12 +11,12 @@ counters the chaos suite asserts on.  The lock is taken once per
 *recorded* sample, never inside kernel inner loops (the kernel's sampled
 hook is the only sanctioned instrumentation point there; see RPL501).
 
-Worker processes keep their own registry and ship counter *deltas*
-through the executor's result queue (:meth:`MetricsRegistry.
-drain_counter_deltas` worker-side, :meth:`MetricsRegistry.
-merge_counter_deltas` owner-side).  Only counters cross the pipe —
-histograms and gauges are process-local by design; merging bucket arrays
-would couple the wire format to the bucket ladder for little value.
+Counter *deltas* can be carried from one registry into another
+(:meth:`MetricsRegistry.drain_counter_deltas` on the source,
+:meth:`MetricsRegistry.merge_counter_deltas` on the target).  Only
+counters move — histograms and gauges stay local by design; merging
+bucket arrays would couple the payload to the bucket ladder for little
+value.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ class MetricsRegistry:
             ) from None
 
     # ------------------------------------------------------------------
-    # Snapshots and worker merging
+    # Snapshots and delta merging
     # ------------------------------------------------------------------
     def counter_values(self) -> Dict[str, float]:
         """Current counter values (all of them, zero or not), by name."""
@@ -213,11 +213,10 @@ class MetricsRegistry:
             return {name: c.value for name, c in sorted(self._counters.items())}
 
     def drain_counter_deltas(self) -> Dict[str, float]:
-        """Nonzero counter movement since the last drain (worker side).
+        """Nonzero counter movement since the last drain (source side).
 
-        The wire payload of the executor's worker-merge protocol: one
-        tiny name->delta dict per completed task, never per-event
-        messages.  Draining is cumulative — the internal high-water marks
+        One tiny name->delta dict per drain, never per-event messages.
+        Draining is cumulative — the internal high-water marks
         advance, so repeated drains never double-report.
         """
         deltas: Dict[str, float] = {}
@@ -231,10 +230,10 @@ class MetricsRegistry:
         return deltas
 
     def merge_counter_deltas(self, deltas: Dict[str, float]) -> None:
-        """Fold a worker's drained deltas into this registry (owner side).
+        """Fold another registry's drained deltas into this one.
 
-        Unknown names are ignored rather than raised: a worker built
-        from a newer catalog than its owner must not poison dispatch.
+        Unknown names are ignored rather than raised: a source built
+        from a newer catalog than this one must not poison the merge.
         """
         for name in sorted(deltas):
             counter = self._counters.get(name)
@@ -284,7 +283,7 @@ class MetricsRegistry:
 
 
 #: The process-default registry, created on first use.  Library
-#: instrumentation records here; workers build their own and merge.
+#: instrumentation records here.
 _DEFAULT: Optional[MetricsRegistry] = None
 
 

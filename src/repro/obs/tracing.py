@@ -8,8 +8,8 @@ and the event loop must not interleave into one tree), via a
 ``threading.local`` stack — no asyncio-task granularity, which the
 single-threaded event loop does not need.
 
-Spans are process-local and never cross the worker pipe; workers ship
-counter deltas only (see :mod:`repro.obs.registry`).
+Spans are process-local; only counter deltas move between registries
+(see :mod:`repro.obs.registry`).
 """
 
 from __future__ import annotations

@@ -1,31 +1,24 @@
 """Degradation state machine for the parallel serving stack.
 
-The sharded executor's original defense against faults was a one-way
-ladder: any failure flipped a ``degraded`` string and the executor ran
-serially forever, with one generic warning.  That is safe (results never
-differ from serial) but wasteful — a single worker crash permanently
-forfeits every core — and opaque: operators cannot ask *why* the
-executor is serial or whether it will come back.
+:class:`DegradationLadder` records where requests are served and why, as
+an explicit state machine:
 
-:class:`DegradationLadder` replaces the string with an explicit state
-machine:
-
-* **SHARDED** — the pool is healthy; requests are partitioned across it.
+* **SHARDED** — requests are partitioned across the executor's threads
+  (or, for the ingest service, the writer is healthy).
 * **DEGRADED** — requests are served serially for a *recoverable*
-  :class:`DegradationReason` (worker death, attach failure, publish
-  failure, …).  After the recorded backoff expires the owner may attempt
-  recovery (respawn dead workers, republish the plane) and transition
-  back to SHARDED.
-* **HALTED** — serial forever, for a *terminal* reason (shared memory
-  unavailable, restart budget exhausted, explicit close, single-worker
-  configuration).  No recovery is ever attempted.
+  :class:`DegradationReason`.  After the recorded backoff expires the
+  owner may attempt recovery and transition back to SHARDED.
+* **HALTED** — serial forever, for a *terminal* reason (explicit close,
+  single-worker configuration).  No recovery is ever attempted.
 
-Every transition is recorded (bounded history), surfaced through
-:meth:`DegradationLadder.report`, and announced with at most one warning
-per reason per ``warn_interval`` — repeated flapping on the same reason
-never floods the log, and each warning carries a recovery hint.  The
-ladder never touches results: degradation changes *where* a value is
-computed, never what it is.
+Faults absorbed without leaving SHARDED — a thread shard that raised and
+was recomputed serially, a writer thread that was restarted — are
+recorded as incidents.  Every transition and incident is recorded
+(bounded history), surfaced through :meth:`DegradationLadder.report`,
+and announced with at most one warning per reason per ``warn_interval``
+— repeated flapping on the same reason never floods the log, and each
+warning carries a recovery hint.  The ladder never touches results:
+degradation changes *where* a value is computed, never what it is.
 """
 
 from __future__ import annotations
@@ -60,25 +53,9 @@ class DegradationReason(enum.Enum):
 
     #: Configured with ``workers <= 1`` — serial by construction.
     SINGLE_WORKER = "single worker configuration"
-    #: POSIX shared memory is unusable on this host.
-    NO_SHM = "shared memory unavailable"
-    #: Plane / queue / process creation failed at pool startup.
-    POOL_START_FAILED = "pool startup failed"
-    #: A worker process died while tasks were in flight.
-    WORKER_DEATH = "worker process died"
-    #: A worker reported a task error (non-attach).
-    WORKER_ERROR = "worker reported an error"
-    #: A worker could not attach the published plane (skew / missing).
-    ATTACH_TIMEOUT = "plane attach failed or timed out"
-    #: A shard missed its per-task deadline twice (retry exhausted).
-    TASK_TIMEOUT = "shard deadline exceeded"
-    #: Publishing the CSR plane (or weights) into shared memory failed.
-    PUBLISH_FAILED = "plane publish failed"
-    #: The supervisor's worker restart budget ran out.
-    RESTART_BUDGET_EXHAUSTED = "worker restart budget exhausted"
     #: The ingest service's writer thread died.
     WRITER_DEATH = "ingest writer thread died"
-    #: A thread-mode shard raised; it was recomputed serially.
+    #: A thread shard raised or timed out; it was recomputed serially.
     THREAD_ERROR = "thread worker raised"
     #: Explicitly closed by the owner.
     CLOSED = "closed"
@@ -86,12 +63,7 @@ class DegradationReason(enum.Enum):
 
 #: Reasons that can never recover: once entered, the ladder is HALTED.
 TERMINAL_REASONS = frozenset(
-    {
-        DegradationReason.SINGLE_WORKER,
-        DegradationReason.NO_SHM,
-        DegradationReason.RESTART_BUDGET_EXHAUSTED,
-        DegradationReason.CLOSED,
-    }
+    {DegradationReason.SINGLE_WORKER, DegradationReason.CLOSED}
 )
 
 #: Reasons that describe configuration, not failure — no warning emitted.
@@ -101,34 +73,6 @@ _SILENT_REASONS = frozenset(
 
 #: Operator-facing hint appended to each reason's (single) warning.
 RECOVERY_HINTS: Dict[DegradationReason, str] = {
-    DegradationReason.NO_SHM: (
-        "serving serially permanently; mount /dev/shm or drop workers to 1"
-    ),
-    DegradationReason.POOL_START_FAILED: (
-        "will retry pool startup after backoff"
-    ),
-    DegradationReason.WORKER_DEATH: (
-        "dead workers are respawned within the restart budget; "
-        "sharded mode resumes automatically"
-    ),
-    DegradationReason.WORKER_ERROR: (
-        "the failing shard was recomputed serially; sharded mode resumes "
-        "after backoff"
-    ),
-    DegradationReason.ATTACH_TIMEOUT: (
-        "the shard was recomputed serially; attach is retried after backoff"
-    ),
-    DegradationReason.TASK_TIMEOUT: (
-        "the slow shard fell back to serial; raise task_timeout / "
-        "REPRO_TASK_TIMEOUT for legitimately long sweeps"
-    ),
-    DegradationReason.PUBLISH_FAILED: (
-        "serving serially until the next publish attempt succeeds"
-    ),
-    DegradationReason.RESTART_BUDGET_EXHAUSTED: (
-        "serving serially permanently; the pool crashed more than "
-        "restart_budget times"
-    ),
     DegradationReason.WRITER_DEATH: (
         "the writer is restarted and unapplied batches are replayed from "
         "the journal"
@@ -209,9 +153,9 @@ class DegradationLadder:
     def note_incident(self, reason: DegradationReason, detail: str = "") -> None:
         """Record a fault that did *not* change the serving state.
 
-        Used for faults absorbed without leaving SHARDED — e.g. a slow
-        shard that fell back to serial for that task only, or a worker
-        death whose respawn succeeded within the same request.  Counted
+        Used for faults absorbed without leaving SHARDED — e.g. a thread
+        shard that raised and was recomputed serially, or a writer thread
+        restarted within its budget.  Counted
         (and warned, rate-limited) but the state machine does not move.
         """
         self.incidents[reason.name] = self.incidents.get(reason.name, 0) + 1

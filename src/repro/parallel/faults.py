@@ -1,91 +1,64 @@
 """Seeded, deterministic fault injection for the parallel stack.
 
-Chaos testing a multi-process executor only works if the chaos is
-*replayable*: the same plan must kill the same worker on the same task
-every run, or a failing seed cannot be debugged.  This module provides
-that plan.  A :class:`FaultPlan` is parsed from a compact spec string —
-supplied either programmatically or via the ``REPRO_FAULTS`` environment
-variable — and describes exactly which fault fires where:
+Chaos testing only works if the chaos is *replayable*: the same plan
+must fail the same shard every run, or a failing seed cannot be
+debugged.  This module provides that plan.  A :class:`FaultPlan` is
+parsed from a compact spec string — supplied either programmatically or
+via the ``REPRO_FAULTS`` environment variable — and describes exactly
+which fault fires where:
 
-``kill=w0:2``
-    worker 0 dies (``os._exit``) while processing its 2nd task.
-``delay=w1:3:0.5``
-    worker 1 sleeps 0.5 s before answering its 3rd task.
-``drop=w0:1``
-    worker 0 silently discards its 1st task message (never replies).
-``attach=w1:1``
-    worker 1's 1st plane-attach attempt raises.
-``publish=2``
-    the owner's 2nd plane publish raises (before any segment exists).
+``shard=3``
+    the executor's 3rd thread shard raises :class:`FaultInjected`.
 ``writer=1``
     the ingest writer thread dies before applying batch seq 1.
 ``seed=7``
     plan identity for test parametrisation (recorded, not consumed).
 
-Entries are ``;``-separated; one entry may list several sites with
-``,`` (``kill=w0:1,w1:1``).  Task/attach ordinals are 1-based and count
-**per worker incarnation** — a respawned worker starts a fresh count, so
-a fault that should fire once must target an ordinal its replacement
-will not reach (the quarantine tests exploit the opposite: the same
-ordinal re-fires on the respawn, striking the task again).
+Entries are ``;``-separated; one entry may list several ordinals with
+``,`` (``shard=1,4``).  Ordinals are 1-based.  Shard ordinals count
+every shard the executor submits, in submission order, so a plan fails
+the same shards on every run.
 
 Production code pays one branch per hook site: every hook is a no-op
-``None``/``False``/``0.0`` when no plan is active.  Worker-side hooks
-travel to the spawn-context child as a picklable :class:`WorkerFaults`.
+when no plan is active.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional, Set
 
-__all__ = ["FAULTS_ENV", "FaultInjected", "FaultPlan", "WorkerFaults"]
+__all__ = ["FAULTS_ENV", "FaultInjected", "FaultPlan"]
 
 #: Environment variable holding a fault spec ("" / unset = no faults).
 FAULTS_ENV = "REPRO_FAULTS"
 
 
 class FaultInjected(RuntimeError):
-    """Raised at owner-side hook sites (publish, writer) when a fault fires."""
+    """Raised at a hook site (thread shard, ingest writer) when a fault fires."""
 
 
-def _parse_site(token: str, entry: str) -> Tuple[int, List[str]]:
-    """``w<idx>:<ordinal>[:extra]`` → (worker index, remaining fields)."""
-    fields = token.split(":")
-    head = fields[0]
-    if not head.startswith("w") or not head[1:].isdigit():
-        raise ValueError(f"bad fault site {token!r} in {entry!r}")
-    return int(head[1:]), fields[1:]
-
-
-def _ordinal(fields: List[str], token: str, entry: str) -> int:
-    if not fields or not fields[0].isdigit() or int(fields[0]) < 1:
-        raise ValueError(f"bad fault ordinal in {token!r} ({entry!r})")
-    return int(fields[0])
+def _ordinal(token: str, entry: str) -> int:
+    if not token.isdigit() or int(token) < 1:
+        raise ValueError(f"bad fault ordinal {token!r} in {entry!r}")
+    return int(token)
 
 
 class FaultPlan:
     """A deterministic schedule of injected faults.
 
-    Instances are mutated only through the owner-side ``next_*`` hooks
-    (attempt counters); the schedule itself is immutable after parsing,
-    so the same plan object can drive a scenario and then be inspected.
+    Instances are mutated only through the ``next_*`` hooks (attempt
+    counters); the schedule itself is immutable after parsing, so the
+    same plan object can drive a scenario and then be inspected.
     """
 
     def __init__(self) -> None:
-        self.kills: Dict[int, Set[int]] = {}
-        self.delays: Dict[int, Dict[int, float]] = {}
-        self.drops: Dict[int, Set[int]] = {}
-        self.attach_failures: Dict[int, Set[int]] = {}
-        self.publish_failures: Set[int] = set()
+        self.shard_failures: Set[int] = set()
         self.writer_kills: Set[int] = set()
         self.seed: Optional[int] = None
         self.spec: str = ""
-        self._publish_attempts = 0
+        self._shards_seen = 0
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
         """Parse a spec string (see module docstring for the grammar)."""
@@ -100,32 +73,10 @@ class FaultPlan:
             tokens = [t.strip() for t in rhs.split(",") if t.strip()]
             if name == "seed":
                 plan.seed = int(rhs)
-            elif name == "publish":
-                for token in tokens:
-                    plan.publish_failures.add(_ordinal([token], token, entry))
+            elif name == "shard":
+                plan.shard_failures.update(_ordinal(t, entry) for t in tokens)
             elif name == "writer":
-                for token in tokens:
-                    plan.writer_kills.add(_ordinal([token], token, entry))
-            elif name in ("kill", "drop", "attach"):
-                table = {
-                    "kill": plan.kills,
-                    "drop": plan.drops,
-                    "attach": plan.attach_failures,
-                }[name]
-                for token in tokens:
-                    worker, fields = _parse_site(token, entry)
-                    table.setdefault(worker, set()).add(
-                        _ordinal(fields, token, entry)
-                    )
-            elif name == "delay":
-                for token in tokens:
-                    worker, fields = _parse_site(token, entry)
-                    ordinal = _ordinal(fields, token, entry)
-                    if len(fields) < 2:
-                        raise ValueError(
-                            f"delay needs seconds: {token!r} ({entry!r})"
-                        )
-                    plan.delays.setdefault(worker, {})[ordinal] = float(fields[1])
+                plan.writer_kills.update(_ordinal(t, entry) for t in tokens)
             else:
                 raise ValueError(f"unknown fault kind {name!r} in {entry!r}")
         return plan
@@ -138,33 +89,10 @@ class FaultPlan:
             return None
         return cls.parse(spec)
 
-    # ------------------------------------------------------------------
-    # worker-side
-    # ------------------------------------------------------------------
-    def for_worker(self, worker_index: int) -> Optional["WorkerFaults"]:
-        """Picklable per-worker fault schedule (None when that worker is
-        untouched — the common case, keeping the hot loop branch-free)."""
-        kills = self.kills.get(worker_index, set())
-        delays = self.delays.get(worker_index, {})
-        drops = self.drops.get(worker_index, set())
-        attach = self.attach_failures.get(worker_index, set())
-        if not (kills or delays or drops or attach):
-            return None
-        return WorkerFaults(
-            kill_at=frozenset(kills),
-            delay_at=dict(delays),
-            drop_at=frozenset(drops),
-            attach_fail_at=frozenset(attach),
-        )
-
-    # ------------------------------------------------------------------
-    # owner-side hooks (counters live on the plan: one schedule, shared
-    # across pool restarts, so "fail the 2nd publish" means the 2nd ever)
-    # ------------------------------------------------------------------
-    def next_publish_fails(self) -> bool:
-        """Advance the publish-attempt counter; True when this one fails."""
-        self._publish_attempts += 1
-        return self._publish_attempts in self.publish_failures
+    def next_shard_fails(self) -> bool:
+        """Advance the shard counter; True when this shard must raise."""
+        self._shards_seen += 1
+        return self._shards_seen in self.shard_failures
 
     def writer_dies_at(self, seq: int) -> bool:
         """Whether the writer thread should die before applying ``seq``."""
@@ -172,46 +100,3 @@ class FaultPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultPlan({self.spec!r})"
-
-
-class WorkerFaults:
-    """Per-worker fault schedule shipped to the child process.
-
-    Counters are per *incarnation*: a fresh instance is handed to every
-    (re)spawned worker, so ordinals restart at 1 after a respawn.  All
-    state is plain builtins — the spawn context pickles it.
-    """
-
-    def __init__(
-        self,
-        *,
-        kill_at: "frozenset[int]" = frozenset(),
-        delay_at: Optional[Dict[int, float]] = None,
-        drop_at: "frozenset[int]" = frozenset(),
-        attach_fail_at: "frozenset[int]" = frozenset(),
-    ) -> None:
-        self.kill_at = kill_at
-        self.delay_at = delay_at or {}
-        self.drop_at = drop_at
-        self.attach_fail_at = attach_fail_at
-        self._tasks_seen = 0
-        self._attaches_seen = 0
-
-    def next_task(self) -> int:
-        """Advance and return the 1-based ordinal of the incoming task."""
-        self._tasks_seen += 1
-        return self._tasks_seen
-
-    def should_drop(self, ordinal: int) -> bool:
-        return ordinal in self.drop_at
-
-    def should_kill(self, ordinal: int) -> bool:
-        return ordinal in self.kill_at
-
-    def delay_for(self, ordinal: int) -> float:
-        return self.delay_at.get(ordinal, 0.0)
-
-    def next_attach_fails(self) -> bool:
-        """Advance the attach counter; True when this attach must raise."""
-        self._attaches_seen += 1
-        return self._attaches_seen in self.attach_fail_at

@@ -8,9 +8,9 @@ InfluenceTracker` into a small always-on service:
   instead of buffering unboundedly;
 * one consumer loop applies batches in order on a single worker thread
   (the TDN graph and trackers are single-writer structures), advances the
-  service **epoch** after each batch, and syncs the shared-memory
-  CSR plane when the tracker's oracle runs a sharded executor — so pool
-  workers always map the last *consistent* graph;
+  service **epoch** after each batch, and refreshes the sharded
+  executor's kernel clones when the tracker's oracle runs one — so shard
+  threads always sweep the last *consistent* graph;
 * ``await top_k()`` answers immediately from the last consistent epoch's
   solution — queries never block behind ingestion and never observe a
   half-applied batch.
@@ -19,15 +19,13 @@ Failure handling
 ----------------
 Batches are *journaled* with sequence numbers from the moment the
 consumer dequeues them until their epoch publishes (``_latest`` is
-assigned only after ``tracker.step`` and the plane sync complete).
+assigned only after ``tracker.step`` and the clone refresh complete).
 If the single writer thread dies (detected as :class:`WriterDeathError`
 or a broken thread pool), the service restarts the writer — within a
 bounded restart budget — and replays the journal's unapplied entries in
 order; because an entry leaves the journal only at its commit point,
 replay can never double-apply a batch, and ``top_k`` can never observe a
-half-applied epoch.  Republish failures are retried with backoff on the
-writer thread before the executor is left to its own degradation
-machinery.  While the service is degraded (poisoned consumer or writer
+half-applied epoch.  While the service is degraded (poisoned consumer or writer
 mid-recovery), ``top_k`` keeps answering from the last consistent epoch
 but says so: the answer carries ``stale=True`` and the number of
 unapplied batches in ``lag``.  :meth:`health` exposes the whole picture.
@@ -343,7 +341,7 @@ class IngestService:
         """Apply every journaled batch in order (writer thread only).
 
         Each entry commits atomically from the caller's point of view:
-        ``tracker.step`` + plane sync first, then ``_latest`` flips
+        ``tracker.step`` + clone refresh first, then ``_latest`` flips
         to the new epoch and the entry leaves the journal.  A fault (or
         death) before the commit point leaves the entry journaled for
         replay; there is no state in which an epoch is served before its
@@ -399,36 +397,20 @@ class IngestService:
         return True
 
     def _republish(self) -> None:
-        """Sync the CSR plane to the new epoch (sharded oracles only).
+        """Cut the sharded executor's kernel clones for the new epoch.
 
-        The sync is a log append of the epoch's arrivals, plus a base
-        publish when the epoch compacted the graph's engine.  Only once
-        the pool is actually running: eagerly spawning workers (or
-        publishing generations nobody maps) for a stream whose sweeps
-        all fall below the executor's dispatch floor would be wasted.
-        Dispatch re-syncs the plane anyway; this merely keeps a live
-        pool's plane warm so epoch-N query traffic never pays the
-        sync inside a query.  Publish failures are retried here with
-        backoff (we are on the writer thread — blocking is fine) before
-        the executor is left degraded; its own recovery machinery then
-        retries on later epochs.
+        Only once the executor's shard threads are running: a stream
+        whose sweeps all fall below the dispatch floor never needs
+        clones.  Dispatch cuts them anyway; this merely moves the cut
+        onto the writer thread, so epoch-N query traffic never pays it.
         """
         oracle = getattr(self._tracker, "oracle", None)
         executor = getattr(oracle, "executor", None)
         if executor is None or not executor.pool_running:
             return
         republish_started = time.monotonic()
-        delay = 0.05
-        for _ in range(3):
-            if executor.ensure_plane(self._tracker.graph):
-                self._republish_hist.observe(
-                    time.monotonic() - republish_started
-                )
-                return
-            time.sleep(delay)  # writer thread, not the event loop
-            delay *= 2
-        # Still failing: the executor has recorded PUBLISH_FAILED and
-        # serves serially until a later publish succeeds.
+        executor.ensure_plane(self._tracker.graph)
+        self._republish_hist.observe(time.monotonic() - republish_started)
 
     def _check_failure(self) -> None:
         if self._failure is not None:

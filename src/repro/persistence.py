@@ -16,8 +16,8 @@ JSON-able dictionaries:
 * BASICREDUCTION / HISTAPPROX serialize their horizon-keyed instances;
 * every algorithm payload carries its oracle's *configuration* (backend,
   memo mode, cache bound, sharded-executor worker count) — not the memo
-  contents, which are a pure cache, nor the worker pool, which is
-  runtime state re-created lazily — so a restored run keeps the same
+  contents, which are a pure cache, nor the executor's thread pool,
+  which is runtime state started lazily — so a restored run keeps the same
   evaluation engine, invalidation policy and parallelism.
 
 Restoring reconnects everything to a freshly rebuilt graph and a fresh
@@ -124,10 +124,10 @@ def _maybe_oracle_to_dict(oracle) -> Optional[Dict]:
 def oracle_to_dict(oracle: InfluenceOracle) -> Dict:
     """Serialize an oracle's configuration (never its memo contents).
 
-    ``workers`` records the sharded-executor worker count so a restored
-    run keeps its parallel evaluation setup; the pool itself is runtime
-    state and is re-created lazily on the first parallel-eligible batch
-    (a restore never spawns processes by itself).  ``semantics`` records
+    ``workers`` records the sharded-executor thread count so a restored
+    run keeps its parallel evaluation setup; the thread pool itself is
+    runtime state and is started lazily on the first batch large enough
+    to shard.  ``semantics`` records
     the oracle's fold as its ``(name, params)`` wire form so a restored
     run evaluates under the same influence semantics (and keys its memo
     table identically); unknown names fail loudly on restore.  The

@@ -54,11 +54,9 @@ routes through the shared :class:`repro.kernels.TraversalKernel`.
 :class:`DeltaCSR` adapts one kernel per direction, injecting its arrival
 overlay through the kernel's overlay protocol (:class:`repro.kernels.
 DictOverlay`) and resolving the ``t + 1`` horizon clamp before every
-call.  The worker-side :class:`repro.parallel.plane.PlaneEngine` adapts
-the *same* kernel over a published copy of this engine's base plus an
-overlay replayed from its arrival log (:attr:`DeltaCSR.arrival_log`),
-which is what makes the sharded executor's bit-for-bit guarantee
-structural rather than a hand-synced convention.
+call.  The sharded executor's threads sweep private clones of the
+*same* kernels (:meth:`DeltaCSR.kernel_clone`), which is what makes its
+bit-for-bit guarantee structural rather than a hand-synced convention.
 """
 
 from __future__ import annotations
@@ -379,8 +377,8 @@ class DeltaCSR:
     * :meth:`record_arrival` inserts one overlay entry per inserted edge —
       forward (``u -> (v, expiry)``) and reverse (``v -> (u, expiry)``), so
       the transpose never needs a per-version rebuild either — and
-      appends the edge to the flat :attr:`arrival_log` the shared-memory
-      plane ships to worker processes;
+      appends the edge to the flat :attr:`arrival_log` the next
+      compaction merges into the new base;
     * :meth:`record_pair_death` counts a tombstone when a pair's last alive
       edge expires.  The dead pair's base entry stays in place: its
       recorded expiry is ``<= t`` while every query horizon is clamped to
@@ -492,8 +490,8 @@ class DeltaCSR:
 
         Append-only between compactions and reset by them: base plus log
         replayed through :meth:`record_arrival`'s overlay inserts is this
-        engine's exact state, which is what the shared-memory plane ships
-        to worker processes instead of a fresh snapshot per version.
+        engine's exact state, which is why a compaction can merge the old
+        base arrays with the log instead of walking the graph.
         """
         return self._arrivals
 

@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=1,
                         help="oracle evaluation workers (N > 1 shards spread "
-                             "sweeps across N processes; identical results)")
+                             "sweeps across N threads; identical results)")
     parser.add_argument("--report-every", type=int, default=200,
                         help="print the solution every N steps")
     parser.add_argument("--checkpoint", default=None,

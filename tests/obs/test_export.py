@@ -25,7 +25,7 @@ from repro.obs.registry import MetricsRegistry
 def populated() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter(metric_names.ORACLE_MEMO_HITS_TOTAL).inc(42)
-    registry.counter(metric_names.WORKER_RESTARTS_TOTAL).inc(2)
+    registry.counter(metric_names.EXECUTOR_DISPATCHES_TOTAL).inc(2)
     registry.gauge(metric_names.INGEST_QUEUE_DEPTH).set(5)
     registry.gauge(metric_names.INGEST_EPOCH_LAG).set(1.5)
     latency = registry.histogram(metric_names.EXECUTOR_SHARD_LATENCY_SECONDS)
@@ -140,7 +140,7 @@ def test_summary_elides_untouched_series(populated):
     assert metric_names.ORACLE_MEMO_HITS_TOTAL in summary
     assert metric_names.EXECUTOR_SHARD_LATENCY_SECONDS in summary
     # Series that never moved do not clutter the end-of-run table.
-    assert metric_names.TASK_QUARANTINES_TOTAL not in summary
+    assert metric_names.EXECUTOR_SERIAL_FALLBACKS_TOTAL not in summary
 
 
 def test_summary_empty_registry():

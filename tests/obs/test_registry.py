@@ -42,13 +42,13 @@ def test_unknown_name_raises(registry):
 def test_wrong_kind_lookup_raises(registry):
     # A counter name is not visible through the gauge/histogram tables.
     with pytest.raises(KeyError):
-        registry.gauge(metric_names.WORKER_TASKS_TOTAL)
+        registry.gauge(metric_names.EXECUTOR_DISPATCHES_TOTAL)
     with pytest.raises(KeyError):
-        registry.histogram(metric_names.WORKER_TASKS_TOTAL)
+        registry.histogram(metric_names.EXECUTOR_DISPATCHES_TOTAL)
 
 
 def test_counter_monotone(registry):
-    counter = registry.counter(metric_names.WORKER_TASKS_TOTAL)
+    counter = registry.counter(metric_names.EXECUTOR_DISPATCHES_TOTAL)
     counter.inc()
     counter.inc(2.5)
     assert counter.value == 3.5
@@ -92,33 +92,33 @@ def test_quantile_edges():
 
 
 def test_drain_is_cumulative(registry):
-    counter = registry.counter(metric_names.WORKER_TASKS_TOTAL)
+    counter = registry.counter(metric_names.EXECUTOR_DISPATCHES_TOTAL)
     counter.inc(3)
     first = registry.drain_counter_deltas()
-    assert first == {metric_names.WORKER_TASKS_TOTAL: 3.0}
+    assert first == {metric_names.EXECUTOR_DISPATCHES_TOTAL: 3.0}
     # Nothing moved: the drain is empty, not a re-report.
     assert registry.drain_counter_deltas() == {}
     counter.inc(2)
     assert registry.drain_counter_deltas() == {
-        metric_names.WORKER_TASKS_TOTAL: 2.0
+        metric_names.EXECUTOR_DISPATCHES_TOTAL: 2.0
     }
 
 
 def test_drain_skips_untouched_counters(registry):
-    registry.counter(metric_names.WORKER_TASKS_TOTAL).inc()
+    registry.counter(metric_names.EXECUTOR_DISPATCHES_TOTAL).inc()
     deltas = registry.drain_counter_deltas()
-    assert set(deltas) == {metric_names.WORKER_TASKS_TOTAL}
+    assert set(deltas) == {metric_names.EXECUTOR_DISPATCHES_TOTAL}
 
 
 def test_merge_folds_deltas(registry):
     owner = MetricsRegistry()
     registry.counter(metric_names.KERNEL_SWEEPS_TOTAL).inc(10)
-    registry.counter(metric_names.WORKER_TASKS_TOTAL).inc(2)
+    registry.counter(metric_names.EXECUTOR_DISPATCHES_TOTAL).inc(2)
     owner.merge_counter_deltas(registry.drain_counter_deltas())
     owner.merge_counter_deltas({"repro_from_the_future_total": 5.0})
     values = owner.counter_values()
     assert values[metric_names.KERNEL_SWEEPS_TOTAL] == 10.0
-    assert values[metric_names.WORKER_TASKS_TOTAL] == 2.0
+    assert values[metric_names.EXECUTOR_DISPATCHES_TOTAL] == 2.0
     assert "repro_from_the_future_total" not in values
 
 
@@ -136,7 +136,7 @@ def test_drain_merge_round_trip_conserves_totals(registry):
 
 
 def test_reset(registry):
-    registry.counter(metric_names.WORKER_TASKS_TOTAL).inc(5)
+    registry.counter(metric_names.EXECUTOR_DISPATCHES_TOTAL).inc(5)
     registry.gauge(metric_names.INGEST_QUEUE_DEPTH).set(9)
     registry.histogram(metric_names.ORACLE_CONE_SIZE_NODES).observe(3)
     registry.drain_counter_deltas()
@@ -145,9 +145,9 @@ def test_reset(registry):
     hist = registry.histogram(metric_names.ORACLE_CONE_SIZE_NODES)
     assert hist.count == 0 and hist.sum == 0.0
     # The drain high-water marks reset too, so post-reset increments drain.
-    registry.counter(metric_names.WORKER_TASKS_TOTAL).inc()
+    registry.counter(metric_names.EXECUTOR_DISPATCHES_TOTAL).inc()
     assert registry.drain_counter_deltas() == {
-        metric_names.WORKER_TASKS_TOTAL: 1.0
+        metric_names.EXECUTOR_DISPATCHES_TOTAL: 1.0
     }
 
 
@@ -163,7 +163,7 @@ def test_default_registry_is_a_singleton():
 
 
 def test_concurrent_increments_are_not_lost(registry):
-    counter = registry.counter(metric_names.WORKER_TASKS_TOTAL)
+    counter = registry.counter(metric_names.EXECUTOR_DISPATCHES_TOTAL)
 
     def hammer() -> None:
         for _ in range(1_000):

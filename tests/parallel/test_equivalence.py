@@ -2,16 +2,15 @@
 
 For every tracker in the paper (SIEVEADN, BASICREDUCTION, HISTAPPROX) a
 seeded stream is replayed twice — once on a serial oracle, once with the
-sharded executor (``REPRO_TEST_WORKERS`` processes, default 2; the tier-1
-CI matrix runs this suite with ``workers=2`` on Linux) — and every
-per-step solution, spread value and cumulative oracle-call count must be
+sharded executor (``REPRO_TEST_WORKERS`` threads, default 2; the tier-1
+CI matrix runs this suite with ``workers=2``) — and every per-step
+solution, spread value and cumulative oracle-call count must be
 *bit-identical*.  ``min_batch=1`` forces even tiny batches through the
-pool, so the parallel path is exercised on every sweep, not just the
-large ones.
+shard threads, so the parallel path is exercised on every sweep, not
+just the large ones.
 
-One executor (one pool, one plane) is shared across the whole module via
-a fixture: the pool is the expensive part, and sharing it also pins the
-plane's graph/version tracking across many graphs.
+One executor is shared across the whole module via a fixture, which also
+pins its per-graph, per-version clone tracking across many graphs.
 """
 
 import os
@@ -25,17 +24,14 @@ from repro.core.hist_approx import HistApprox
 from repro.core.sieve_adn import SieveADN
 from repro.influence.oracle import InfluenceOracle
 from repro.influence.weighted import WeightedInfluenceOracle
+from repro.obs import names as metric_names
+from repro.obs.registry import metrics_registry
 from repro.parallel.executor import ShardedOracleExecutor
-from repro.parallel.plane import shared_memory_available
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 from repro.tdn.lifetimes import GeometricLifetime
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(), reason="POSIX shared memory unavailable"
-)
 
 
 @pytest.fixture(scope="module")
@@ -182,8 +178,7 @@ def test_weighted_spread_many_matches_spread_loop(spec, executor):
 
 def test_sharded_weighted_sums_are_worker_computed(executor):
     """The executor's weighted path returns the serial engine's exact
-    floats while the pool is demonstrably up (64-wide weight vectors
-    cross the pipe, not reachable-id sets)."""
+    floats from its shard threads, not from a serial fallback."""
     batches = stream_batches(seed=67)
     graph = TDNGraph()
     for t, batch in batches:
@@ -194,68 +189,14 @@ def test_sharded_weighted_sums_are_worker_computed(executor):
     weights = np.asarray([1.0 + (i % 6) * 0.25 for i in ids], dtype=np.float64)
     id_sets = [[i] for i in ids] + [ids[:4], []]
     serial_sums = graph.csr().weighted_spread_sums(id_sets, None, weights)
+    before = metrics_registry().counter_values()
     sharded_sums = executor.weighted_spread_sums(
-        graph, id_sets, None, weights=weights, weights_key="wtest"
+        graph, id_sets, None, weights=weights
     )
+    after = metrics_registry().counter_values()
     assert sharded_sums == serial_sums
     assert executor.degraded is None and executor.pool_running
-
-    # Releasing the key unlinks its segment, is idempotent, and the next
-    # weighted request simply republishes.
-    executor.release_weights("wtest")
-    executor.release_weights("wtest")
-    again = executor.weighted_spread_sums(
-        graph, id_sets, None, weights=weights, weights_key="wtest"
-    )
-    assert again == serial_sums
-    assert executor.degraded is None
-    executor.release_weights("wtest")
-
-
-def test_closed_weighted_oracle_releases_its_weight_segment(executor):
-    """A short-lived oracle must not leak its segment into a shared,
-    long-lived executor (close() and GC both release it)."""
-    batches = stream_batches(seed=71)
-    graph = TDNGraph()
-    for t, batch in batches:
-        graph.advance_to(t)
-        for interaction in batch:
-            graph.add_interaction(interaction)
-    nodes = sorted(graph.node_set(), key=repr)
-    weights = {n: float(2 + i % 3) for i, n in enumerate(nodes)}
-
-    oracle = WeightedInfluenceOracle(graph, weights, parallel=executor)
-    oracle.spread_many([(n,) for n in nodes])
-    key = oracle._weights_key  # noqa: SLF001 - registry probe
-    assert key in executor._weights  # noqa: SLF001
-    oracle.close()
-    assert key not in executor._weights  # noqa: SLF001
-    assert executor.degraded is None  # shared pool untouched by close()
-
-    import gc
-
-    oracle = WeightedInfluenceOracle(graph, weights, parallel=executor)
-    oracle.spread_many([(n,) for n in nodes])
-    key = oracle._weights_key  # noqa: SLF001
-    assert key in executor._weights  # noqa: SLF001
-    del oracle
-    gc.collect()
-    assert key not in executor._weights  # noqa: SLF001
-
-    # An oracle used again after close() republishes — and the re-armed
-    # release hook must still fire on collection.  max_cache_entries=0
-    # forces real evaluations, so the post-close batch must republish.
-    oracle = WeightedInfluenceOracle(
-        graph, weights, parallel=executor, max_cache_entries=0
-    )
-    oracle.spread_many([(n,) for n in nodes])
-    oracle.close()
-    key = oracle._weights_key  # noqa: SLF001
-    assert key not in executor._weights  # noqa: SLF001
-    reuse_values = oracle.spread_many([(n,) for n in nodes[:12]])
-    serial = WeightedInfluenceOracle(graph, weights)
-    assert reuse_values == serial.spread_many([(n,) for n in nodes[:12]])
-    assert key in executor._weights  # noqa: SLF001
-    del oracle
-    gc.collect()
-    assert key not in executor._weights  # noqa: SLF001
+    dispatches = metric_names.EXECUTOR_DISPATCHES_TOTAL
+    fallbacks = metric_names.EXECUTOR_SERIAL_FALLBACKS_TOTAL
+    assert after[dispatches] == before[dispatches] + 1
+    assert after[fallbacks] == before[fallbacks]

@@ -1,8 +1,7 @@
-"""Sharded executor: sharding math, pool lifecycle, fallback ladder."""
+"""Sharded executor: sharding math, clone lifecycle, serial fallback."""
 
 import os
 import random
-import warnings
 
 import pytest
 
@@ -12,7 +11,6 @@ from repro.parallel.executor import (
     merge_shard_counts,
     shard_slices,
 )
-from repro.parallel.plane import shared_memory_available
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
@@ -62,7 +60,7 @@ class TestSerialFallback:
         assert executor.spread_counts(graph, sets) == graph.csr().spread_counts(
             sets, None
         )
-        assert executor._procs == []
+        assert not executor.pool_running
         assert not executor.parallel_available
         executor.close()
 
@@ -72,18 +70,18 @@ class TestSerialFallback:
         sets = [[i] for i in range(graph.num_interned)]
         counts = executor.spread_counts(graph, sets)
         assert counts == graph.csr().spread_counts(sets, None)
-        assert executor._procs == []  # pool never started: batch below floor
+        assert not executor.pool_running  # batch below floor
         executor.close()
 
     def test_narrow_ancestor_sweeps_stay_serial(self):
-        """Reverse sweeps below the ancestor floor never start the pool."""
+        """Reverse sweeps below the batch floor never start the pool."""
         graph = build_graph()
-        executor = ShardedOracleExecutor(WORKERS, min_batch=1)
-        ids = list(range(min(graph.num_interned, executor.ancestor_min_batch - 1)))
+        executor = ShardedOracleExecutor(WORKERS, min_batch=16)
+        ids = list(range(min(graph.num_interned, executor.min_batch - 1)))
         assert executor.ancestor_ids(graph, ids) == graph.csr().ancestor_ids(
             ids, None
         )
-        assert executor._procs == []
+        assert not executor.pool_running
         executor.close()
 
     def test_closed_executor_serves_serially(self):
@@ -96,14 +94,11 @@ class TestSerialFallback:
         )
 
 
-@pytest.mark.skipif(
-    not shared_memory_available(), reason="POSIX shared memory unavailable"
-)
 class TestPoolQueries:
     def test_spread_reach_and_ancestors_match_serial(self):
         graph = build_graph()
         serial = graph.csr()
-        executor = ShardedOracleExecutor(WORKERS, min_batch=1, ancestor_min_batch=1)
+        executor = ShardedOracleExecutor(WORKERS, min_batch=1)
         try:
             ids = list(range(graph.num_interned))
             sets = [[i] for i in ids] + [ids[:3], ids[5:11]]
@@ -125,88 +120,39 @@ class TestPoolQueries:
         finally:
             executor.close()
 
-    def test_publishes_once_per_compaction(self):
-        """Arrivals between compactions only grow the plane's log; the
-        base is republished exactly when the engine compacts."""
+    def test_clones_are_cut_once_per_graph_version(self):
+        """Requests at one graph version share one set of kernel clones;
+        any mutation cuts a fresh set, and results track the graph."""
         graph = build_graph()
-        engine = graph.csr()
         executor = ShardedOracleExecutor(WORKERS, min_batch=1)
         try:
             sets = [[i] for i in range(graph.num_interned)]
-            first = executor.spread_counts(graph, sets)
-            assert first == graph.csr().spread_counts(sets, None)
-            plane = executor._plane
-            generation = plane.generation
-            # Same version: nothing to copy.
+            assert executor.spread_counts(graph, sets) == (
+                graph.csr().spread_counts(sets, None)
+            )
+            clones = executor.ensure_plane(graph)
+            cuts = executor.health_report()["plane_generation"]
+            assert len(clones) == WORKERS
             executor.spread_counts(graph, sets)
-            assert (plane.generation, plane.log_length) == (generation, 0)
+            assert executor.ensure_plane(graph) is clones
+            assert executor.health_report()["plane_generation"] == cuts
             graph.advance_to(graph.time + 1)
             graph.add_interaction(Interaction("n0", "n1", graph.time, 30))
-            second = executor.spread_counts(graph, sets)
-            assert second == graph.csr().spread_counts(sets, None)
-            assert plane.generation == generation
-            assert plane.log_length == len(engine.arrival_log) == 1
-            # Cross the compaction trigger: one new generation, empty log.
-            compactions = engine.compactions
-            rng = random.Random(5)
-            for _ in range(engine.compact_trigger + 1):
-                u, v = rng.sample(range(50), 2)
-                graph.add_interaction(
-                    Interaction(f"n{u}", f"n{v}", graph.time, rng.randint(3, 60))
-                )
-            third = executor.spread_counts(graph, sets)
-            assert third == graph.csr().spread_counts(sets, None)
-            assert engine.compactions == compactions + 1
-            assert plane.generation == generation + 1
-            assert plane.base is engine.base and plane.log_length == 0
+            assert executor.spread_counts(graph, sets) == (
+                graph.csr().spread_counts(sets, None)
+            )
+            assert executor.ensure_plane(graph) is not clones
+            assert executor.health_report()["plane_generation"] == cuts + 1
+            # Reverse sweeps keep their own clones over the transpose.
+            ids = list(range(graph.num_interned))
+            assert executor.ancestor_ids(graph, ids) == (
+                graph.csr().ancestor_ids(ids, None)
+            )
+            assert executor.health_report()["plane_generation"] == cuts + 2
         finally:
             executor.close()
 
-    def test_worker_death_is_supervised_and_recovers(self):
-        """Killing the whole pool no longer forfeits sharding forever:
-        the supervisor recycles the pool (fresh queues — a worker killed
-        inside Queue.get holds the reader lock), the interrupted request
-        still gets exact results, and later requests run sharded again.
-        Teardown afterwards must leak nothing."""
-        graph = build_graph()
-        executor = ShardedOracleExecutor(WORKERS, min_batch=1)
-        prefix = None
-        try:
-            sets = [[i] for i in range(graph.num_interned)]
-            expected = graph.csr().spread_counts(sets, None)
-            assert executor.spread_counts(graph, sets) == expected
-            prefix = executor._plane.prefix
-            first_procs = list(executor._procs)
-            for proc in first_procs:
-                proc.terminate()
-            for proc in first_procs:
-                proc.join(timeout=10)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                after = executor.spread_counts(graph, sets)
-            assert after == expected  # exact despite the mid-flight deaths
-            report = executor.health_report()
-            assert report["incidents"].get("WORKER_DEATH", 0) >= 1
-            assert report["pool"]["restarts_used"] >= 1
-            # The pool came back: sharded serving resumes (possibly after
-            # one recovery step) and the respawned workers answer.
-            assert executor.spread_counts(graph, sets) == expected
-            assert executor.parallel_available
-            assert executor.pool_running
-            assert all(proc.is_alive() for proc in executor._procs)
-        finally:
-            executor.close()
-        assert executor.degraded is not None  # closed is terminal
-        if prefix is not None:
-            from multiprocessing import shared_memory
 
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=f"{prefix}-hdr")
-
-
-@pytest.mark.skipif(
-    not shared_memory_available(), reason="POSIX shared memory unavailable"
-)
 class TestOracleIntegration:
     def test_shared_executor_across_oracles(self):
         graph = build_graph(seed=29)

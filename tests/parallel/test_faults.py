@@ -1,45 +1,43 @@
-"""Chaos suite: seeded fault plans against the supervised parallel stack.
+"""Chaos suite: seeded fault plans against the parallel stack.
 
-Every scenario drives real worker processes (or the real ingest writer)
+Every scenario drives the real shard threads (or the real ingest writer)
 through a deterministic :class:`~repro.parallel.faults.FaultPlan` and
 pins the robustness contract:
 
-* results are **bit-identical to serial** under every fault — recovery
-  changes *where* a value is computed, never what it is;
-* the executor **recovers to sharded mode** when the fault clears
-  (worker kills are respawned, publish failures retried);
+* results are **bit-identical to serial** under every fault — a failed
+  shard is recomputed serially, which changes *where* a value is
+  computed, never what it is;
+* **each injected shard failure records exactly one** ``THREAD_ERROR``
+  incident and one serial fallback, and the executor **stays sharded**;
 * the ingest service **never serves an unapplied epoch** — writer death
-  replays the journal exactly once and ``top_k`` flags staleness;
-* teardown after chaos **leaks no shared-memory segments**.
+  replays the journal exactly once and ``top_k`` flags staleness.
 
 The CI chaos job runs this module across a seed matrix via
-``REPRO_CHAOS_SEED``; the seed feeds the supervisor's backoff jitter and
-the synthetic streams, so a failing combination replays exactly.
+``REPRO_CHAOS_SEED``; the seed picks which shards fail and feeds the
+synthetic streams, so a failing combination replays exactly.
 """
 
 import asyncio
 import os
 import random
-import time
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.core.tracker import InfluenceTracker
 from repro.influence.oracle import InfluenceOracle
+from repro.kernels import resolve_fold
+from repro.obs import names as metric_names
+from repro.obs.registry import metrics_registry
 from repro.parallel.executor import ShardedOracleExecutor
 from repro.parallel.faults import FaultPlan
-from repro.parallel.plane import shared_memory_available
 from repro.parallel.service import IngestService
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 from repro.tdn.lifetimes import GeometricLifetime
 
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "3"))
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(), reason="POSIX shared memory unavailable"
-)
 
 
 def plan(spec: str) -> FaultPlan:
@@ -59,40 +57,14 @@ def build_graph(seed=None, num_nodes=40, num_events=160):
     return graph
 
 
-#: Wall-clock bound on waiting for a worker-0 fault to fire.  Shards go
-#: through one shared queue, so on a small host worker 1 can drain every
-#: shard of many requests in a row before worker 0 claims its first.
-FAULT_DEADLINE_S = 20.0
+def fallbacks() -> float:
+    return metrics_registry().counter_values()[
+        metric_names.EXECUTOR_SERIAL_FALLBACKS_TOTAL
+    ]
 
 
-def dispatch_until_fired(executor, graph, fired) -> bool:
-    """Send exact-checked requests until ``fired(health report)`` holds.
-
-    Returns False when :data:`FAULT_DEADLINE_S` passes first.  Payloads
-    rotate through the graph's ids; none repeats before the fault fires
-    unless the deadline allows more rounds than there are windows.
-    """
-    ids = list(range(graph.num_interned))
-    windows = max(1, len(ids) - 9)
-    deadline = time.monotonic() + FAULT_DEADLINE_S
-    round_no = 0
-    while time.monotonic() < deadline:
-        start = round_no % windows
-        sets = [[i] for i in ids[start : start + 10]]
-        assert executor.spread_counts(graph, sets) == (
-            graph.csr().spread_counts(sets, None)
-        )
-        if fired(executor.health_report()):
-            return True
-        round_no += 1
-    return False
-
-
-def assert_no_shm_leak(prefix):
-    from multiprocessing import shared_memory
-
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=f"{prefix}-hdr")
+def thread_errors(executor) -> int:
+    return executor.health_report()["incidents"].get("THREAD_ERROR", 0)
 
 
 @pytest.fixture(autouse=True)
@@ -102,217 +74,84 @@ def quiet_degradation_warnings():
         yield
 
 
+SWEEPS = [
+    "spread_counts",
+    "reachable_ids_many",
+    "weighted_spread_sums",
+    "fold_spread_sums",
+    "ancestor_ids",
+]
+
+
+def sweeps(graph):
+    """Every sharded entry point: name -> (executor call, serial call)."""
+    ids = list(range(graph.num_interned))
+    sets = [[i, (i + 5) % len(ids)] for i in ids]
+    weights = np.asarray([1.0 + (i % 5) * 0.5 for i in ids], dtype=np.float64)
+    fold = resolve_fold("hop_discount")
+    horizon = float(graph.time + 4)
+    engine = graph.csr()
+    return {
+        "spread_counts": (
+            lambda ex: ex.spread_counts(graph, sets, horizon),
+            lambda: engine.spread_counts(sets, horizon),
+        ),
+        "reachable_ids_many": (
+            lambda ex: ex.reachable_ids_many(graph, sets, horizon),
+            lambda: [engine.reachable_ids(s, horizon) for s in sets],
+        ),
+        "weighted_spread_sums": (
+            lambda ex: ex.weighted_spread_sums(graph, sets, horizon, weights=weights),
+            lambda: engine.weighted_spread_sums(sets, horizon, weights),
+        ),
+        "fold_spread_sums": (
+            lambda ex: ex.fold_spread_sums(graph, sets, horizon, fold=fold),
+            lambda: engine.fold_spread_sums(sets, horizon, fold),
+        ),
+        "ancestor_ids": (
+            lambda ex: ex.ancestor_ids(graph, ids, horizon),
+            lambda: engine.ancestor_ids(ids, horizon),
+        ),
+    }
+
+
 class TestExecutorChaos:
-    def test_worker_kill_mid_spread_recovers_and_stays_exact(self):
-        """Every incarnation of worker 0 dies on its first task; requests
-        keep answering exactly and the supervisor keeps restoring the
-        pool within budget."""
+    @pytest.mark.parametrize("name", SWEEPS)
+    def test_failed_shard_is_recomputed_serially(self, name):
+        """One failed shard per sweep kind: exact answer, one incident,
+        one serial fallback, and the executor stays sharded."""
         graph = build_graph()
+        sharded, serial = sweeps(graph)[name]
+        failing = random.Random(SEED).randint(1, 2)
         executor = ShardedOracleExecutor(
-            2, min_batch=1, fault_plan=plan("kill=w0:1")
-        )
-        prefix = None
-        try:
-            # Stops at the first death, so strikes cannot accumulate into
-            # a quarantine here (that scenario is below).
-            saw_death = dispatch_until_fired(
-                executor,
-                graph,
-                lambda report: report["incidents"].get("WORKER_DEATH", 0) >= 1,
-            )
-            assert saw_death, "fault plan never fired (worker 0 got no task)"
-            report = executor.health_report()
-            assert report["state"] == "sharded"  # absorbed, not degraded
-            assert report["pool"]["restarts_used"] >= 1
-            # w1 never dies; the fresh w0 incarnation may already have
-            # died again, so only the survivor floor is deterministic.
-            assert report["pool"]["alive"] >= 1
-            prefix = executor._plane.prefix
-        finally:
-            executor.close()
-        if prefix is not None:
-            assert_no_shm_leak(prefix)
-
-    def test_poisoned_task_is_quarantined_after_two_kills(self):
-        """A task that kills two worker incarnations runs serially,
-        is flagged in the health report, and never re-enters the pool."""
-        graph = build_graph(seed=SEED + 1)
-        executor = ShardedOracleExecutor(
-            2, min_batch=1, fault_plan=plan("kill=w0:1,w1:1")
-        )
-        prefix = None
-        try:
-            poison = [list(range(min(12, graph.num_interned)))]  # one shard
-            expected = graph.csr().spread_counts(poison, None)
-            assert executor.spread_counts(graph, poison) == expected
-            report = executor.health_report()
-            assert report["pool"]["quarantined_tasks"] == 1
-            assert report["incidents"].get("WORKER_DEATH", 0) >= 1
-            # The second death may still be inside the respawn backoff
-            # when the request completes, so only the first recycle is a
-            # deterministic charge.
-            restarts = report["pool"]["restarts_used"]
-            assert restarts >= 1
-            # Replaying the poisoned task is served from quarantine:
-            # exact, serial, and no further worker is sacrificed to it.
-            assert executor.spread_counts(graph, poison) == expected
-            assert (
-                executor.health_report()["pool"]["restarts_used"] == restarts
-            )
-            prefix = executor._plane.prefix
-        finally:
-            executor.close()
-        if prefix is not None:
-            assert_no_shm_leak(prefix)
-
-    def test_attach_failures_are_retried_transparently(self):
-        """Each worker's first plane attach raises; the shards are
-        retried and the request never diverges from serial."""
-        graph = build_graph(seed=SEED + 2)
-        executor = ShardedOracleExecutor(
-            2, min_batch=1, fault_plan=plan("attach=w0:1,w1:1")
+            2, min_batch=1, fault_plan=plan(f"shard={failing}")
         )
         try:
-            ids = list(range(graph.num_interned))
-            for round_no in range(3):
-                sets = [[i] for i in ids[round_no : round_no + 12]]
-                assert executor.spread_counts(graph, sets) == (
-                    graph.csr().spread_counts(sets, None)
-                )
-            assert executor.parallel_available
-        finally:
-            executor.close()
-
-    def test_delayed_shard_misses_deadline_then_serial_fallback(self):
-        """Both workers sleep through their first task's deadline twice;
-        the shards fall back to serial for that request only and the
-        pool serves the next request normally."""
-        graph = build_graph(seed=SEED + 3)
-        executor = ShardedOracleExecutor(
-            2,
-            min_batch=1,
-            task_timeout=0.15,
-            fault_plan=plan("delay=w0:1:0.8,w1:1:0.8"),
-        )
-        try:
-            ids = list(range(graph.num_interned))
-            sets = [[i] for i in ids[:10]]
-            assert executor.spread_counts(graph, sets) == (
-                graph.csr().spread_counts(sets, None)
-            )
-            report = executor.health_report()
-            assert report["state"] == "sharded"
-            assert report["incidents"].get("TASK_TIMEOUT", 0) >= 1
-            # Ordinal 1 is past on both workers: the pool answers again.
-            later = [[i] for i in ids[10:22]]
-            assert executor.spread_counts(graph, later) == (
-                graph.csr().spread_counts(later, None)
-            )
-        finally:
-            executor.close()
-
-    def test_dropped_task_is_retried(self):
-        """A silently-dropped task message (no ack, no reply) is caught
-        by its deadline and retried; results stay exact."""
-        graph = build_graph(seed=SEED + 4)
-        executor = ShardedOracleExecutor(
-            2, min_batch=1, task_timeout=0.2, fault_plan=plan("drop=w0:1")
-        )
-        try:
-            ids = list(range(graph.num_interned))
-            for round_no in range(3):
-                sets = [[i] for i in ids[round_no : round_no + 10]]
-                assert executor.spread_counts(graph, sets) == (
-                    graph.csr().spread_counts(sets, None)
-                )
-            assert executor.parallel_available
-        finally:
-            executor.close()
-
-    def test_publish_failure_degrades_then_recovers(self):
-        """A failed plane publish serves the request serially, leaves a
-        recoverable DEGRADED state, and the next eligible request
-        republishes and returns to SHARDED.  Log appends between
-        compactions are not publishes and never trip the fault."""
-        graph = build_graph(seed=SEED + 5)
-        executor = ShardedOracleExecutor(
-            2, min_batch=1, fault_plan=plan("publish=2")
-        )
-        prefix = None
-        try:
-            ids = list(range(graph.num_interned))
-            sets = [[i] for i in ids[:12]]
-            # Publish 1 succeeds: sharded.
-            assert executor.spread_counts(graph, sets) == (
-                graph.csr().spread_counts(sets, None)
-            )
+            before = fallbacks()
+            assert sharded(executor) == serial(), name
+            assert thread_errors(executor) == 1
+            assert fallbacks() == before + 1
             assert executor.health_report()["state"] == "sharded"
-            prefix = executor._plane.prefix
-            # One arrival is a log append, not a publish: still sharded.
-            graph.advance_to(graph.time + 1)
-            graph.add_interaction(Interaction("n0", "n1", graph.time, 40))
-            assert executor.spread_counts(graph, sets) == (
-                graph.csr().spread_counts(sets, None)
-            )
-            report = executor.health_report()
-            assert (report["state"], report["plane_generation"]) == ("sharded", 1)
-            # Cross the compaction trigger so the next request must
-            # republish the base; publish 2 is the injected failure.
-            rng = random.Random(SEED)
-            for _ in range(graph.csr().compact_trigger + 1):
-                u, v = rng.sample(range(40), 2)
-                graph.add_interaction(
-                    Interaction(f"n{u}", f"n{v}", graph.time, rng.randint(5, 60))
-                )
-            assert executor.spread_counts(graph, sets) == (
-                graph.csr().spread_counts(sets, None)
-            )
-            report = executor.health_report()
-            assert report["state"] == "degraded"
-            assert report["reason"] == "PUBLISH_FAILED"
-            # After the retry backoff, publish 3 succeeds: recovered.
-            time.sleep(0.06)
-            assert executor.spread_counts(graph, sets) == (
-                graph.csr().spread_counts(sets, None)
-            )
-            report = executor.health_report()
-            assert report["state"] == "sharded"
-            assert report["recoveries"] >= 1
-            assert report["incidents"].get("PUBLISH_FAILED", 0) >= 1
+            # The plan is spent: the next request shards cleanly.
+            assert sharded(executor) == serial(), name
+            assert thread_errors(executor) == 1
+            assert fallbacks() == before + 1
         finally:
             executor.close()
-        if prefix is not None:
-            assert_no_shm_leak(prefix)
 
-    def test_restart_budget_exhaustion_halts_permanently(self):
-        """When the budget cannot cover another death the executor halts:
-        terminal state, resources released, requests still exact."""
-        graph = build_graph(seed=SEED + 6)
-        prefix = f"rpx-halt{SEED}"  # fixed: the halt releases the plane
+    def test_every_shard_failing_still_answers_exactly(self):
+        """A request whose shards all fail is answered wholly serially."""
+        graph = build_graph()
+        sharded, serial = sweeps(graph)["spread_counts"]
         executor = ShardedOracleExecutor(
-            2,
-            min_batch=1,
-            restart_budget=0,
-            plane_prefix=prefix,
-            fault_plan=plan("kill=w0:1"),
+            3, min_batch=1, fault_plan=plan("shard=1,2,3")
         )
         try:
-            halted = dispatch_until_fired(
-                executor, graph, lambda report: report["state"] == "halted"
-            )
-            assert halted, "fault plan never fired (worker 0 got no task)"
-            report = executor.health_report()
-            assert report["state"] == "halted"
-            assert report["reason"] == "RESTART_BUDGET_EXHAUSTED"
-            # Halted is sticky and still serves exactly (serially).
-            sets = [[i] for i in range(10)]
-            assert executor.spread_counts(graph, sets) == (
-                graph.csr().spread_counts(sets, None)
-            )
+            assert sharded(executor) == serial()
+            assert thread_errors(executor) == 3
+            assert executor.health_report()["state"] == "sharded"
         finally:
             executor.close()
-        if prefix is not None:
-            assert_no_shm_leak(prefix)  # halt released the plane
 
 
 class TestTrackerChaos:
@@ -355,27 +194,29 @@ class TestTrackerChaos:
     )
     def test_trackers_bit_identical_under_env_fault_plan(self, name, monkeypatch):
         """All three trackers replay bit-identically to serial while the
-        ``REPRO_FAULTS`` plan kills, delays and fails attaches under
-        them (the acceptance bar of the robustness tentpole)."""
+        ``REPRO_FAULTS`` plan fails seeded shards under them; each
+        failure is one ``THREAD_ERROR`` incident and one serial
+        fallback, and the executor never leaves sharded mode."""
         batches = self.stream()
         serial_trace = self.replay(name, batches, lambda g: InfluenceOracle(g))
-        monkeypatch.setenv(
-            "REPRO_FAULTS",
-            f"kill=w0:5;delay=w1:3:0.05;attach=w0:1;seed={SEED}",
-        )
-        executor = ShardedOracleExecutor(2, min_batch=1, restart_budget=6)
-        prefix = None
+        ordinals = sorted(random.Random(SEED).sample(range(1, 41), 4))
+        spec = f"shard={','.join(map(str, ordinals))};seed={SEED}"
+        monkeypatch.setenv("REPRO_FAULTS", spec)
+        executor = ShardedOracleExecutor(2, min_batch=1)
+        before = fallbacks()
         try:
             chaos_trace = self.replay(
                 name, batches, lambda g: InfluenceOracle(g, parallel=executor)
             )
-            if executor._plane is not None:
-                prefix = executor._plane.prefix
+            report = executor.health_report()
+            shards_seen = executor._fault_plan._shards_seen
         finally:
             executor.close()
         assert chaos_trace == serial_trace
-        if prefix is not None:
-            assert_no_shm_leak(prefix)
+        assert shards_seen >= ordinals[-1], "stream ended before every fault"
+        assert report["incidents"] == {"THREAD_ERROR": len(ordinals)}
+        assert fallbacks() == before + len(ordinals)
+        assert report["state"] == "sharded"
 
 
 class TestIngestChaos:

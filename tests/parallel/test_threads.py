@@ -1,14 +1,13 @@
-"""Thread-mode executor: equivalence, mode resolution, fault fallback.
+"""Thread executor: equivalence, configuration surface, fault fallback.
 
-Thread mode is the degradation-ladder rung the native backend unlocks:
-shards run over per-thread kernel clones of the same in-process arrays,
-so there is no spawn, no shared-memory plane and no pickling.  The
-correctness bar is identical to process mode — bit-identical to serial
-on every surface — and must hold under the *python* backend too (forced
-``mode="threads"`` is slower there, never wrong), which is what lets
-this whole file run without numba.
+Shards run over per-thread kernel clones of the same in-process arrays,
+so there is no spawn, no copy of the graph and no pickling.  The
+correctness bar is bit-identical to serial on every surface, under the
+*python* backend as well as the native one, which is what lets this
+whole file run without numba.
 """
 
+import multiprocessing
 import random
 import warnings
 
@@ -17,7 +16,7 @@ import pytest
 
 from repro.kernels import resolve_fold
 from repro.parallel.degradation import DegradationReason
-from repro.parallel.executor import EXECUTOR_MODES, ShardedOracleExecutor
+from repro.parallel.executor import ShardedOracleExecutor
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
@@ -39,16 +38,16 @@ def build_graph(seed=17, num_nodes=60, num_events=400):
 
 @pytest.fixture
 def threaded():
-    executor = ShardedOracleExecutor(WORKERS, mode="threads")
+    executor = ShardedOracleExecutor(WORKERS)
     yield executor
     executor.close()
 
 
 class TestModeResolution:
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            ShardedOracleExecutor(2, mode="fibers")
-        assert EXECUTOR_MODES == ("processes", "threads", "auto")
+        # Threads are the only sharded mode; there is nothing to select.
+        with pytest.raises(TypeError):
+            ShardedOracleExecutor(2, mode="processes")
 
     def test_forced_threads_reported_in_health(self, threaded):
         graph = build_graph()
@@ -58,23 +57,15 @@ class TestModeResolution:
         assert report["mode"] == "threads"
         assert report["state"] == "sharded"
 
-    def test_auto_is_deferred_until_first_query(self):
-        executor = ShardedOracleExecutor(2, mode="auto")
-        assert executor.health_report()["mode"] == "auto"
-        graph = build_graph(num_events=60)
-        executor.spread_counts(graph, [[0]])
-        # Resolved now: threads iff the native backend actually probes in.
-        assert executor.health_report()["mode"] in ("processes", "threads")
-        executor.close()
-
     def test_threads_never_start_processes(self, threaded):
         graph = build_graph()
         sets = [[i] for i in range(graph.num_interned)]
         threaded.spread_counts(graph, sets)
-        assert threaded._procs == []
+        assert threaded.pool_running
+        assert multiprocessing.active_children() == []
 
     def test_single_worker_degrades_serially(self):
-        executor = ShardedOracleExecutor(1, mode="threads")
+        executor = ShardedOracleExecutor(1)
         graph = build_graph()
         sets = [[i] for i in range(graph.num_interned)]
         assert executor.spread_counts(graph, sets) == graph.csr().spread_counts(
@@ -114,7 +105,7 @@ class TestSerialEquivalence:
         )
         sets = [[i] for i in range(graph.num_interned)]
         assert threaded.weighted_spread_sums(
-            graph, sets, weights=weights, weights_key="w"
+            graph, sets, weights=weights
         ) == serial.weighted_spread_sums(sets, None, weights)
 
     @pytest.mark.parametrize("fold_name", ["count", "hop_discount", "time_decay"])
@@ -164,7 +155,7 @@ class TestFaultFallback:
             def spread_counts(self, *args, **kwargs):
                 raise RuntimeError("injected shard failure")
 
-        threaded._thread_kernels = lambda graph, reverse: [
+        threaded.ensure_plane = lambda graph, reverse=False: [
             BrokenKernel() for _ in range(WORKERS)
         ]
         with warnings.catch_warnings(record=True) as caught:
@@ -177,7 +168,7 @@ class TestFaultFallback:
         assert report["state"] == "sharded"
 
     def test_closed_executor_serves_serially(self):
-        executor = ShardedOracleExecutor(WORKERS, mode="threads")
+        executor = ShardedOracleExecutor(WORKERS)
         graph = build_graph()
         sets = [[i] for i in range(graph.num_interned)]
         expected = graph.csr().spread_counts(sets, None)

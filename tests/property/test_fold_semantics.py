@@ -3,8 +3,8 @@
 Hypothesis drives random time-decayed streams through every registered
 fold (``count``, ``weighted_sum``, ``hop_discount``, ``time_decay``) on
 every engine — the live :class:`~repro.tdn.csr.DeltaCSR` overlay, a
-from-scratch :class:`~repro.tdn.csr.CSRSnapshot`, the worker-side
-:class:`~repro.parallel.plane.PlaneEngine`, and the sharded executor —
+from-scratch :class:`~repro.tdn.csr.CSRSnapshot`, and the sharded
+executor's thread shards —
 and pins each against an *independent* dict-BFS reference that never
 touches the bit-plane machinery: a plain level-by-level walk over
 ``graph.out_neighbors`` folded per :meth:`~repro.kernels.folds.Fold.
@@ -17,7 +17,7 @@ share one canonical accumulation order (:func:`~repro.kernels.folds.
 hop_discount_sum`, :func:`~repro.kernels.dense_weight_sum`).
 ``time_decay``'s reference computes its per-node terms in pure Python
 ``math.exp``, so it pins the engines to within float-ulp tolerance —
-while the engines themselves (delta vs snapshot vs plane vs sharded)
+while the engines themselves (delta vs snapshot vs sharded)
 must still agree *bit for bit*, which is the production guarantee.
 
 Also pinned here: per-semantics memo isolation (two parameterizations
@@ -48,7 +48,7 @@ from repro.kernels.folds import (
     resolve_fold,
 )
 from repro.kernels.traversal import TraversalKernel, build_transpose
-from repro.parallel.plane import PlaneEngine
+from repro.parallel.executor import ShardedOracleExecutor
 from repro.persistence import oracle_from_dict, oracle_to_dict
 from repro.tdn.csr import SCALAR_LIMIT_ENV, CSRSnapshot, DeltaCSR
 from repro.tdn.graph import TDNGraph
@@ -168,7 +168,6 @@ def test_every_fold_agrees_on_every_engine_and_the_dict_reference(
     graph = build_stream_graph(seed, num_nodes, num_events)
     delta = graph.csr()
     snapshot = CSRSnapshot.build(graph)
-    plane = PlaneEngine(snapshot.indptr, snapshot.indices, snapshot.expiries)
     ids = list(range(graph.num_interned))
     if not ids:
         return
@@ -193,39 +192,48 @@ def test_every_fold_agrees_on_every_engine_and_the_dict_reference(
         [weights_by_node[graph.node_of_id(i)] for i in ids], dtype=np.float64
     )
 
-    for fold in all_folds():
-        kwargs = {"weights": weights} if fold.needs_weights else {}
-        via_delta = delta.fold_spread_sums(id_sets, horizon, fold, **kwargs)
-        via_snapshot = snapshot.fold_spread_sums(id_sets, eff, fold, **kwargs)
-        via_plane = plane.fold_spread_sums(id_sets, eff, fold, **kwargs)
-
-        # Production guarantee: the three engines are bit-identical.
-        assert via_delta == via_snapshot == via_plane
-
-        expected = [
-            reference_score(
-                graph,
-                fold,
-                [graph.node_of_id(i) for i in id_set],
-                eff,
-                weights_by_node,
+    shards = ShardedOracleExecutor(2, min_batch=1)
+    try:
+        for fold in all_folds():
+            kwargs = {"weights": weights} if fold.needs_weights else {}
+            via_delta = delta.fold_spread_sums(id_sets, horizon, fold, **kwargs)
+            via_snapshot = snapshot.fold_spread_sums(id_sets, eff, fold, **kwargs)
+            via_shards = (
+                shards.weighted_spread_sums(graph, id_sets, horizon, weights=weights)
+                if fold.needs_weights
+                else shards.fold_spread_sums(graph, id_sets, horizon, fold=fold)
             )
-            if id_set
-            else 0.0
-            for id_set in id_sets
-        ]
-        if isinstance(fold, TimeDecayFold):
-            # The reference derives its terms through math.exp; numpy's
-            # vectorized exp may differ in the last ulp, nothing more.
-            assert via_delta == pytest.approx(expected, rel=1e-12, abs=1e-12)
-        else:
-            assert via_delta == expected
 
-        if isinstance(fold, CountFold):
-            # count must be *byte*-identical to the pre-fold popcount path.
-            assert via_delta == [
-                float(c) for c in delta.spread_counts(id_sets, horizon)
+            # Production guarantee: the three engines are bit-identical.
+            assert via_delta == via_snapshot == via_shards
+
+            expected = [
+                reference_score(
+                    graph,
+                    fold,
+                    [graph.node_of_id(i) for i in id_set],
+                    eff,
+                    weights_by_node,
+                )
+                if id_set
+                else 0.0
+                for id_set in id_sets
             ]
+            if isinstance(fold, TimeDecayFold):
+                # The reference derives its terms through math.exp; numpy's
+                # vectorized exp may differ in the last ulp, nothing more.
+                assert via_delta == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            else:
+                assert via_delta == expected
+
+            if isinstance(fold, CountFold):
+                # count must be *byte*-identical to the pre-fold popcount path.
+                assert via_delta == [
+                    float(c) for c in delta.spread_counts(id_sets, horizon)
+                ]
+        assert shards.health_report()["incidents"] == {}
+    finally:
+        shards.close()
 
 
 @settings(max_examples=30, deadline=None)

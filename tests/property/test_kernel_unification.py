@@ -1,16 +1,16 @@
 """Differential property suite for the unified traversal kernel.
 
-Hypothesis drives random time-decayed streams through all three former
-traversal call paths — the live :class:`~repro.tdn.csr.DeltaCSR` engine
-(overlay + tombstones), a from-scratch :class:`~repro.tdn.csr.
-CSRSnapshot`, and the worker-side :class:`~repro.parallel.plane.
-PlaneEngine` over the same flat arrays — and asserts identical spreads,
+Hypothesis drives random time-decayed streams through every traversal
+call path — the live :class:`~repro.tdn.csr.DeltaCSR` engine (overlay +
+tombstones), a from-scratch :class:`~repro.tdn.csr.CSRSnapshot` over the
+same flat arrays, and the sharded executor's thread shards, which sweep
+kernel clones of the delta engine — and asserts identical spreads,
 reachable/ancestor sets and *bit-identical* weighted sums, against each
-other and against the reference dict BFS.  Since PR 5 all three are thin
-adapters over one :class:`repro.kernels.TraversalKernel`, so this suite
-is the tripwire that the adapters (overlay injection, horizon clamping,
-transpose wiring) stay faithful — the kernel physics itself can no
-longer drift between engines.
+other and against the reference dict BFS.  All of them are thin adapters
+over one :class:`repro.kernels.TraversalKernel`, so this suite is the
+tripwire that the adapters (overlay injection, horizon clamping,
+transpose wiring, shard splitting) stay faithful — the kernel physics
+itself can no longer drift between engines.
 
 Also pinned here: every engine rejects an out-of-range seed id with the
 *identical* ``IndexError`` message on every path (the kernel's unified
@@ -18,6 +18,7 @@ validation), and the scalar/vector cutover is exercised on both sides by
 drawing the per-engine override.
 """
 
+import contextlib
 import random
 
 import numpy as np
@@ -33,7 +34,7 @@ from repro.kernels import (
     resolve_fold,
     seed_range_error,
 )
-from repro.parallel.plane import PlaneEngine
+from repro.parallel.executor import ShardedOracleExecutor
 from repro.tdn.csr import CSRSnapshot, DeltaCSR
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
@@ -49,6 +50,16 @@ BACKENDS = [
         ),
     ),
 ]
+
+
+@contextlib.contextmanager
+def thread_shards():
+    """A two-thread executor that shards every request."""
+    executor = ShardedOracleExecutor(2, min_batch=1)
+    try:
+        yield executor
+    finally:
+        executor.close()
 
 
 def build_stream_graph(seed, num_nodes, num_events):
@@ -89,78 +100,81 @@ def test_all_engines_agree_on_every_sweep(
     snapshot = CSRSnapshot.build(
         graph, scalar_pair_limit=scalar_limit, backend=backend
     )
-    plane = PlaneEngine(
-        snapshot.indptr, snapshot.indices, snapshot.expiries, backend=backend
-    )
     ids = list(range(graph.num_interned))
     if not ids:
         return
 
-    t = graph.time
-    horizon = None if horizon_offset is None else float(t + horizon_offset)
-    # The delta engine clamps lazily-tombstoned entries away at t + 1; the
-    # snapshot and plane see only alive pairs, so the same clamp resolved
-    # caller-side makes all three answer the identical question.
-    eff = max(float(t + 1), horizon) if horizon is not None else float(t + 1)
+    with thread_shards() as shards:
+        t = graph.time
+        horizon = None if horizon_offset is None else float(t + horizon_offset)
+        # The delta engine clamps lazily-tombstoned entries away at t + 1; the
+        # snapshot sees only alive pairs, so the same clamp resolved
+        # caller-side makes both answer the identical question (the executor
+        # resolves it itself, like the delta engine).
+        eff = max(float(t + 1), horizon) if horizon is not None else float(t + 1)
 
-    seeds = data.draw(
-        st.lists(st.sampled_from(ids), min_size=1, max_size=5, unique=True)
-    )
-    seed_nodes = [graph.node_of_id(i) for i in seeds]
-
-    # Forward reachability: all three engines == the dict reference.
-    expected = {graph.node_id(n) for n in reachable_set(graph, seed_nodes, horizon)}
-    assert delta.reachable_ids(seeds, horizon) == expected
-    assert snapshot.reachable_ids(seeds, eff) == expected
-    assert plane.reachable_ids(seeds, eff) == expected
-    assert delta.reachable_count(seeds, horizon) == len(expected)
-    assert snapshot.reachable_count(seeds, eff) == len(expected)
-
-    # Reverse (ancestor) sweeps: delta's overlay-aware transpose == the
-    # plane's rebuilt transpose == the dict reference walk.
-    expected_up = {graph.node_id(n) for n in ancestors(graph, seed_nodes, horizon)}
-    assert delta.ancestor_ids(seeds, horizon) == expected_up
-    assert plane.ancestor_ids(seeds, eff) == expected_up
-
-    # Bit-plane spreads and weighted sums, batch shapes drawn freely.
-    id_sets = data.draw(
-        st.lists(
-            st.lists(st.sampled_from(ids), min_size=0, max_size=4),
-            min_size=1,
-            max_size=10,
+        seeds = data.draw(
+            st.lists(st.sampled_from(ids), min_size=1, max_size=5, unique=True)
         )
-    )
-    per_set = [delta.reachable_count(s, horizon) if s else 0 for s in id_sets]
-    assert delta.spread_counts(id_sets, horizon) == per_set
-    assert plane.spread_counts(id_sets, eff) == per_set
+        seed_nodes = [graph.node_of_id(i) for i in seeds]
 
-    weights = np.asarray(
-        [1.0 + (i % 7) * 0.5 for i in range(graph.num_interned)],
-        dtype=np.float64,
-    )
-    expected_sums = [
-        dense_weight_sum(weights, delta.reachable_ids(s, horizon)) if s else 0.0
-        for s in id_sets
-    ]
-    assert delta.weighted_spread_sums(id_sets, horizon, weights) == expected_sums
-    assert plane.weighted_spread_sums(id_sets, eff, weights) == expected_sums
+        # Forward reachability: every engine == the dict reference.
+        expected = {graph.node_id(n) for n in reachable_set(graph, seed_nodes, horizon)}
+        assert delta.reachable_ids(seeds, horizon) == expected
+        assert snapshot.reachable_ids(seeds, eff) == expected
+        assert shards.reachable_ids_many(graph, [seeds], horizon) == [expected]
+        assert delta.reachable_count(seeds, horizon) == len(expected)
+        assert snapshot.reachable_count(seeds, eff) == len(expected)
 
-    # All four fold semantics, bit-identical across engines: count and
-    # weighted_sum route through the mask sweep, hop_discount through the
-    # level histogram (the third jitted fixpoint), time_decay through
-    # derived node values — every backend path is covered.
-    for name in sorted(FOLD_NAMES):
-        fold = resolve_fold(name)
-        fold_weights = weights if fold.needs_weights else None
-        expected_fold = delta.fold_spread_sums(id_sets, horizon, fold, fold_weights)
+        # Reverse (ancestor) sweeps: delta's overlay-aware transpose == its
+        # sharded clones == the dict reference walk.
+        expected_up = {graph.node_id(n) for n in ancestors(graph, seed_nodes, horizon)}
+        assert delta.ancestor_ids(seeds, horizon) == expected_up
+        assert shards.ancestor_ids(graph, seeds, horizon) == expected_up
+
+        # Bit-plane spreads and weighted sums, batch shapes drawn freely.
+        id_sets = data.draw(
+            st.lists(
+                st.lists(st.sampled_from(ids), min_size=0, max_size=4),
+                min_size=1,
+                max_size=10,
+            )
+        )
+        per_set = [delta.reachable_count(s, horizon) if s else 0 for s in id_sets]
+        assert delta.spread_counts(id_sets, horizon) == per_set
+        assert shards.spread_counts(graph, id_sets, horizon) == per_set
+
+        weights = np.asarray(
+            [1.0 + (i % 7) * 0.5 for i in range(graph.num_interned)],
+            dtype=np.float64,
+        )
+        expected_sums = [
+            dense_weight_sum(weights, delta.reachable_ids(s, horizon)) if s else 0.0
+            for s in id_sets
+        ]
+        assert delta.weighted_spread_sums(id_sets, horizon, weights) == expected_sums
         assert (
-            snapshot.fold_spread_sums(id_sets, eff, fold, fold_weights)
-            == expected_fold
+            shards.weighted_spread_sums(graph, id_sets, horizon, weights=weights)
+            == expected_sums
         )
-        assert (
-            plane.fold_spread_sums(id_sets, eff, fold, fold_weights)
-            == expected_fold
-        )
+
+        # All four fold semantics, bit-identical across engines: count and
+        # weighted_sum route through the mask sweep, hop_discount through the
+        # level histogram (the third jitted fixpoint), time_decay through
+        # derived node values — every backend path is covered.
+        for name in sorted(FOLD_NAMES):
+            fold = resolve_fold(name)
+            fold_weights = weights if fold.needs_weights else None
+            expected_fold = delta.fold_spread_sums(id_sets, horizon, fold, fold_weights)
+            assert (
+                snapshot.fold_spread_sums(id_sets, eff, fold, fold_weights)
+                == expected_fold
+            )
+            if not fold.needs_weights:
+                assert (
+                    shards.fold_spread_sums(graph, id_sets, horizon, fold=fold)
+                    == expected_fold
+                )
 
 
 @pytest.mark.parametrize("bad_seed", [-3, 10_000])
@@ -176,7 +190,15 @@ def test_every_engine_rejects_bad_seeds_identically(
     graph = build_stream_graph(7, 12, 60)
     delta = graph.csr()
     snapshot = CSRSnapshot.build(graph)
-    plane = PlaneEngine(snapshot.indptr, snapshot.indices, snapshot.expiries)
+    # What each shard thread runs: a clone per direction, at the
+    # executor's resolved horizon.
+    forward, reverse = delta.kernel_clone(), delta.kernel_clone(reverse=True)
+
+    def node_values(fold):
+        if fold.derives_node_values:
+            return delta.fold_node_values(fold, None)
+        return None
+
     eff = float(graph.time + 1)
     weights = np.ones(graph.num_interned, dtype=np.float64)
     expected = str(seed_range_error(bad_seed, graph.num_interned))
@@ -189,10 +211,10 @@ def test_every_engine_rejects_bad_seeds_identically(
         lambda: delta.weighted_spread_sums([[bad_seed]], None, weights),
         lambda: snapshot.reachable_ids([bad_seed]),
         lambda: snapshot.reachable_count([bad_seed]),
-        lambda: plane.reachable_ids([bad_seed], eff),
-        lambda: plane.ancestor_ids([bad_seed], eff),
-        lambda: plane.spread_counts([[bad_seed]], eff),
-        lambda: plane.weighted_spread_sums([[bad_seed]], eff, weights),
+        lambda: forward.reachable_ids([bad_seed], eff),
+        lambda: reverse.reachable_ids([bad_seed], eff),
+        lambda: forward.spread_counts([[bad_seed]], eff),
+        lambda: forward.weighted_spread_sums([[bad_seed]], eff, weights),
     ]
     # Multi-plane chunks: the batched seeding validates a whole chunk at
     # once, yet must name the id a set-by-set scan meets first — here
@@ -203,14 +225,14 @@ def test_every_engine_rejects_bad_seeds_identically(
         calls += [
             lambda c=chunk: delta.spread_counts(c),
             lambda c=chunk: delta.weighted_spread_sums(c, None, weights),
-            lambda c=chunk: plane.spread_counts(c, eff),
-            lambda c=chunk: plane.weighted_spread_sums(c, eff, weights),
+            lambda c=chunk: forward.spread_counts(c, eff),
+            lambda c=chunk: forward.weighted_spread_sums(c, eff, weights),
         ]
         for name in ("hop_discount", "time_decay"):
             fold = resolve_fold(name)
             calls += [
                 lambda c=chunk, f=fold: delta.fold_spread_sums(c, None, f),
-                lambda c=chunk, f=fold: plane.fold_spread_sums(c, eff, f),
+                lambda c=chunk, f=fold: f.batch(forward, c, eff, node_values(f)),
             ]
     for call in calls:
         with pytest.raises(IndexError) as excinfo:

@@ -2,11 +2,12 @@
 
 The sharded executor's correctness rests on two algebraic facts — per-set
 spread counts are independent of how a batch is partitioned, and
-reachability distributes over seed union — plus the plane engine itself
-agreeing with the serial delta engine.  Hypothesis drives all three on
-random TDN streams, partition widths and horizons, using the in-process
-:class:`~repro.parallel.plane.PlaneEngine` (the identical code workers
-run) so the property fuzzes the physics without paying process spawns.
+reachability distributes over seed union — plus the kernel clone each
+shard thread sweeps agreeing with the serial delta engine.  Hypothesis
+drives all three on random TDN streams, partition widths and horizons,
+calling the clones directly (:meth:`~repro.tdn.csr.DeltaCSR.
+kernel_clone`, the identical code shard threads run) so the property
+fuzzes the physics without a thread pool.
 """
 
 import random
@@ -15,8 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.parallel.executor import merge_shard_counts, shard_slices
-from repro.parallel.plane import PlaneEngine
-from repro.tdn.csr import CSRSnapshot
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
@@ -35,9 +34,9 @@ def build_stream_graph(seed, num_nodes, num_events):
     return graph
 
 
-def plane_of(graph):
-    snapshot = CSRSnapshot.build(graph)
-    return PlaneEngine(snapshot.indptr, snapshot.indices, snapshot.expiries)
+def shard_kernel(graph, reverse=False):
+    """The kernel clone one shard thread sweeps (forward or transpose)."""
+    return graph.csr().kernel_clone(reverse)
 
 
 @settings(max_examples=40, deadline=None)
@@ -53,7 +52,7 @@ def test_shard_merged_spread_counts_equal_single_sweep(
     seed, num_nodes, num_events, num_shards, horizon_offset, data
 ):
     graph = build_stream_graph(seed, num_nodes, num_events)
-    engine = plane_of(graph)
+    engine = shard_kernel(graph)
     ids = list(range(graph.num_interned))
     if not ids:
         return
@@ -96,7 +95,7 @@ def test_shard_merged_ancestors_equal_single_sweep(
     seed, num_nodes, num_events, num_shards, data
 ):
     graph = build_stream_graph(seed, num_nodes, num_events)
-    engine = plane_of(graph)
+    engine = shard_kernel(graph, reverse=True)
     ids = list(range(graph.num_interned))
     if not ids:
         return
@@ -104,9 +103,9 @@ def test_shard_merged_ancestors_equal_single_sweep(
         st.lists(st.sampled_from(ids), min_size=1, max_size=8, unique=True)
     )
     eff = float(graph.time + 1)
-    single = engine.ancestor_ids(targets, eff)
+    single = engine.reachable_ids(targets, eff)
     assert single == graph.csr().ancestor_ids(targets, None)
     merged = set()
     for start, stop in shard_slices(len(targets), num_shards):
-        merged |= engine.ancestor_ids(targets[start:stop], eff)
+        merged |= engine.reachable_ids(targets[start:stop], eff)
     assert merged == single

@@ -136,3 +136,4 @@ class TestWorkersFlag:
         for field in ("oracle calls", "final value", "final influencers"):
             assert pick(sharded_out, field) == pick(serial_out, field)
         assert "evaluation workers: 2" in sharded_out
+        assert "parallel engine:    sharded" in sharded_out
