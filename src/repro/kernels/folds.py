@@ -39,8 +39,9 @@ shares one physical traversal across 64 seed sets), and an independent
 scalar reference (:meth:`~Fold.reference`, a plain fold over a
 ``node -> hop level`` mapping) that the differential suites pin the
 vectorized path against.  Folds are value objects: serializable as a
-``(name, params)`` spec so a checkpoint can rebuild one, and hashable via :meth:`~Fold.token` so memo tables can key
-cache entries per semantics.
+``(name, params)`` spec so a checkpoint can rebuild one, and hashable
+via :meth:`~Fold.token` so memo tables can key cache entries per
+semantics.
 """
 
 from __future__ import annotations

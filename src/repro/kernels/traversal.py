@@ -26,8 +26,8 @@ A kernel instance is one *direction* of traversal, parameterized by
   the owning engine when it builds the kernel: at or below it the kernel
   walks plain Python adjacency lists (numpy dispatch overhead dominates
   on tiny graphs), above it the frontier expansion is vectorized.
-  ``None`` means always-vectorized.  Both paths are result-identical; the cutover can only ever
-  cost time.
+  ``None`` means always-vectorized.  Both paths are result-identical;
+  the cutover can only ever cost time.
 
 Sweeps
 ------

@@ -3,11 +3,13 @@
 ``InfluenceTracker(workers=2)`` and ``python -m repro.track --workers 2``
 run in a fresh interpreter that afterwards reports what it started: its
 child processes (``multiprocessing.active_children()`` and every
-``/proc`` entry whose parent it is), whether a multiprocessing resource
-tracker is running, and whether ``multiprocessing`` was imported at all.
-Each run must also have actually sharded, so the check is not vacuous.
+``/proc`` entry whose parent it is) and whether a multiprocessing
+resource tracker is running.  Each run must also have actually sharded,
+so the check is not vacuous.  A static check pins that no library module
+imports ``multiprocessing`` at all.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parents[2] / "src")
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 PROBE = r"""
 import contextlib
@@ -84,14 +86,13 @@ print(json.dumps({
         tracker_module
         and getattr(tracker_module._resource_tracker, "_pid", None) is not None
     ),
-    "multiprocessing_imported": mp is not None,
 }))
 """
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
 def test_sharding_starts_no_process():
-    env = dict(os.environ, PYTHONPATH=SRC, REPRO_FAULTS="")
+    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_FAULTS="")
     result = subprocess.run(
         [sys.executable, "-c", PROBE],
         capture_output=True,
@@ -108,4 +109,19 @@ def test_sharding_starts_no_process():
     assert report["active_children"] == 0
     assert report["proc_children"] == []
     assert not report["resource_tracker"]
-    assert not report["multiprocessing_imported"]
+
+
+def test_no_library_module_imports_multiprocessing():
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "multiprocessing" for name in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []
