@@ -7,6 +7,11 @@
   ``.join()`` without ``wait=False``/timeout are all flagged when they
   appear lexically inside a coroutine (nested ``def``s are excluded —
   they run wherever they are called from).
+* **RPL302** — any request for a fork multiprocessing context
+  (``get_context("fork")`` / ``set_start_method("fork")``).  The package
+  starts no processes; a child forked from a process that runs shard or
+  writer threads inherits their held locks without the threads that
+  would release them.
 * **RPL304** — broad exception swallowing inside ``repro/parallel/``.
   A bare ``except:`` or ``except Exception/BaseException:`` whose body
   neither re-raises, records a :class:`DegradationReason` (directly or
@@ -30,6 +35,7 @@ _SLEEP_MODULES = {"time"}
 
 def check(tree: ast.Module, path: str) -> List[Finding]:
     findings = _check_async_blocking(tree, path)
+    findings.extend(_check_fork_context(tree, path))
     findings.extend(_check_swallowed_exceptions(tree, path))
     return findings
 
@@ -108,6 +114,41 @@ def _check_async_blocking(tree: ast.Module, path: str) -> List[Finding]:
                         f"{reason} inside async def {node.name}: "
                         "blocks the event loop; use "
                         "loop.run_in_executor or an async equivalent",
+                    )
+                )
+    return findings
+
+
+# ----------------------------------------------------------------------
+# RPL302: fork context
+# ----------------------------------------------------------------------
+def _check_fork_context(tree: ast.Module, path: str) -> List[Finding]:
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else (
+            func.attr if isinstance(func, ast.Attribute) else None
+        )
+        if name not in ("get_context", "set_start_method"):
+            continue
+        for arg in list(node.args) + [
+            keyword.value for keyword in node.keywords
+        ]:
+            if (
+                isinstance(arg, ast.Constant)
+                and isinstance(arg.value, str)
+                and arg.value.startswith("fork")
+            ):
+                findings.append(
+                    Finding(
+                        path,
+                        node.lineno,
+                        "RPL302",
+                        f"{name}({arg.value!r}): a forked child inherits "
+                        "the shard threads' held locks without the "
+                        "threads that would release them",
                     )
                 )
     return findings

@@ -64,6 +64,9 @@ TRAVERSAL_OWNERS = (TRAVERSAL_OWNER, NATIVE_KERNEL_OWNER)
 #: Names whose subscripted use inside one loop marks a traversal loop.
 TRAVERSAL_TRIPLE = ("indptr", "indices", "expiries")
 
+#: The one file allowed to derive shared-memory segment names.
+SEGMENT_NAME_OWNER = "repro/parallel/plane.py"
+
 #: The one file allowed to touch ``random`` / ``numpy.random`` directly.
 RNG_OWNER = "repro/utils/rng.py"
 

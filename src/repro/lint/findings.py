@@ -38,8 +38,22 @@ CODES = {
         "import of repro.kernels.native outside the "
         "repro/kernels/backend.py dispatch layer"
     ),
+    # -- RPL2xx: shared-memory lifecycle -------------------------------
+    "RPL201": (
+        "SharedMemory(create=True) with no unlink() reachable through an "
+        "owner teardown path (close()/__del__/finalizer) in the same scope"
+    ),
+    "RPL202": "SharedMemory attach with no paired close() in the same scope",
+    "RPL203": (
+        "raw shared-memory segment-name literal outside plane.py's "
+        "name-derivation helpers"
+    ),
     # -- RPL3xx: concurrency hazards -----------------------------------
     "RPL301": "blocking call inside an async def body",
+    "RPL302": (
+        "fork multiprocessing context (a forked child inherits the shard "
+        "threads' held locks without the threads)"
+    ),
     "RPL304": (
         "broad except swallows the exception in repro/parallel/ "
         "(handler must re-raise, record a DegradationReason, or carry a "

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from repro.lint import concurrency, determinism, layers, nativejit, obs
+from repro.lint import concurrency, determinism, layers, nativejit, obs, shm
 from repro.lint.baseline import load_baseline, partition, write_baseline
 from repro.lint.findings import CODES, Finding
 from repro.lint.pragmas import is_suppressed, suppressions
@@ -50,6 +50,7 @@ def lint_source(source: str, path: str) -> List[Finding]:
     findings: List[Finding] = []
     findings.extend(layers.check(tree, path))
     findings.extend(nativejit.check(tree, path))
+    findings.extend(shm.check(tree, path))
     findings.extend(concurrency.check(tree, path))
     findings.extend(determinism.check(tree, path))
     findings.extend(obs.check(tree, path))

@@ -1,11 +1,13 @@
 """RPL2xx — shared-memory segment lifecycle.
 
-The parallel plane's ownership discipline (ARCHITECTURE.md): the creator
-of a segment is its *sole unlink authority* and must actually reach an
-``unlink()`` through a teardown path; attachers only ever ``close()``
-their mappings; and nothing outside ``plane.py``'s name-derivation
-helpers may spell a segment name, so owner and workers can never drift
-on the naming scheme.
+The package shares no memory across processes today (the executor
+shards over threads), so these rules fire on nothing in ``src``; they
+hold any future shared-memory code to one ownership discipline: the
+creator of a segment is its *sole unlink authority* and must actually
+reach an ``unlink()`` through a teardown path; attachers only ever
+``close()`` their mappings; and nothing outside one name-deriving module
+(``repro/parallel/plane.py``) may spell a segment name, so owner and
+attachers can never drift on the naming scheme.
 
 * **RPL201** — a scope (class, or bare function) calling
   ``SharedMemory(create=True)`` must contain an ``.unlink()`` call, and a

@@ -1,16 +1,16 @@
-"""The delta-published plane: workers mirror the owner's engine exactly.
+"""Kernel clones over the delta engine: base plus the arrival log.
 
-The owner publishes its :class:`~repro.tdn.csr.DeltaCSR` base once per
-compaction and appends every arrival since to a shared-memory log; each
-worker replays the log into the same base + overlay shape before a task.
-These tests pin that contract bit-identical to the serial engine across
-compactions, id-space growth past the base, pairs re-arriving with a
-later expiry, log overflow, ancestor sweeps, weighted and derived folds,
-and a worker respawned mid-generation.
+Between compactions the graph's :class:`~repro.tdn.csr.DeltaCSR` is one
+compacted base plus every arrival since, kept in
+:attr:`~repro.tdn.csr.DeltaCSR.arrival_log` and replayed into overlays.
+The executor's shard threads sweep kernel clones that share that base
+and overlay.  These tests pin the clones bit-identical to the serial
+engine across compactions, id-space growth past the base, pairs
+re-arriving with a later expiry, ancestor sweeps, weighted and derived
+folds, and clones re-cut after a failed shard.
 """
 
 import random
-import time
 import warnings
 
 import numpy as np
@@ -27,16 +27,12 @@ from repro.kernels.folds import (
 from repro.obs import names as metric_names
 from repro.obs.registry import metrics_registry
 from repro.parallel.executor import ShardedOracleExecutor
-from repro.parallel.plane import PlaneEngine, shared_memory_available
+from repro.parallel.faults import FaultPlan
 from repro.tdn.csr import DeltaCSR
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
 FOLDS = (CountFold(), HopDiscountFold(alpha=0.55), TimeDecayFold(lam=0.08))
-
-requires_shm = pytest.mark.skipif(
-    not shared_memory_available(), reason="POSIX shared memory unavailable"
-)
 
 
 def grow_stream(graph, rng, t, width, pool):
@@ -72,12 +68,8 @@ def weights_for(graph):
     )
 
 
-def log_array(engine):
-    return np.asarray(engine.arrival_log, dtype=np.float64).reshape(-1, 3)
-
-
 # ----------------------------------------------------------------------
-# In-process: PlaneEngine replaying the log == DeltaCSR, step by step
+# In-process: fresh clones of base + log == DeltaCSR, step by step
 # ----------------------------------------------------------------------
 @settings(max_examples=25, deadline=None)
 @given(
@@ -95,69 +87,78 @@ def test_replayed_log_matches_delta_engine_at_every_step(
         graph = TDNGraph()
         engine = graph.csr()
         pool = [f"n{i}" for i in range(4)]
-        mirror = mirrored = None
         for t in range(steps):
             grow_stream(graph, rng, t, width, pool)
             engine = graph.csr()
-            if engine.base is not mirrored:
-                mirrored = engine.base
-                mirror = PlaneEngine(
-                    mirrored.indptr, mirrored.indices, mirrored.expiries
-                )
-            mirror.catch_up(
-                log_array(engine), len(engine.arrival_log), engine.num_nodes
-            )
+            forward = engine.kernel_clone()
+            reverse = engine.kernel_clone(reverse=True)
+            assert forward.indptr is engine.base.indptr
             horizon = None if horizon_offset is None else float(t + horizon_offset)
             eff = max(float(t + 1), horizon) if horizon is not None else float(t + 1)
             sets = query_sets(graph, rng)
-            assert mirror.spread_counts(sets, eff) == engine.spread_counts(
+            assert forward.spread_counts(sets, eff) == engine.spread_counts(
                 sets, horizon
             )
             for ids in sets[-3:]:
-                assert mirror.reachable_ids(ids, eff) == engine.reachable_ids(
+                assert forward.reachable_ids(ids, eff) == engine.reachable_ids(
                     ids, horizon
                 )
-                assert mirror.ancestor_ids(ids, eff) == engine.ancestor_ids(
+                assert reverse.reachable_ids(ids, eff) == engine.ancestor_ids(
                     ids, horizon
                 )
             weights = weights_for(graph)
-            assert mirror.weighted_spread_sums(
+            assert forward.weighted_spread_sums(
                 sets, eff, weights
             ) == engine.weighted_spread_sums(sets, horizon, weights)
             for fold in FOLDS + (WeightedSumFold(),):
+                if fold.needs_weights:
+                    values = weights
+                elif fold.derives_node_values:
+                    values = engine.fold_node_values(fold, horizon)
+                else:
+                    values = None
                 kwargs = {"weights": weights} if fold.needs_weights else {}
-                assert mirror.fold_spread_sums(
-                    sets, eff, fold, **kwargs
-                ) == engine.fold_spread_sums(sets, horizon, fold, **kwargs)
+                assert fold.batch(forward, sets, eff, values) == (
+                    engine.fold_spread_sums(sets, horizon, fold, **kwargs)
+                )
 
 
-def test_catch_up_applies_exactly_the_named_prefix():
-    """Rows past the task's length are ignored even when present."""
-    graph = TDNGraph()
-    engine = graph.csr()
-    for t, (u, v) in enumerate([("a", "b"), ("b", "c"), ("c", "d")]):
-        graph.advance_to(t)
-        graph.add_interaction(Interaction(u, v, t, 50))
-    base = engine.base
-    mirror = PlaneEngine(base.indptr, base.indices, base.expiries)
-    mirror.catch_up(log_array(engine), 2, graph.num_interned)
-    a, d = graph.node_id("a"), graph.node_id("d")
-    assert mirror.applied == 2
-    assert mirror.reachable_ids([a], 3.0) == {a, graph.node_id("b"), graph.node_id("c")}
-    # A shorter (stale) length never rolls the overlay back.
-    mirror.catch_up(log_array(engine), 1, graph.num_interned)
-    assert mirror.applied == 2
-    mirror.catch_up(log_array(engine), 3, graph.num_interned)
-    assert d in mirror.reachable_ids([a], 3.0)
-
-
-# ----------------------------------------------------------------------
-# Real worker processes over the shared-memory plane
-# ----------------------------------------------------------------------
 def counter(name):
     return metrics_registry().counter_values().get(name, 0.0)
 
 
+@pytest.fixture
+def executor():
+    executor = ShardedOracleExecutor(2, min_batch=1)
+    yield executor
+    executor.close()
+
+
+def test_catch_up_applies_exactly_the_named_prefix(executor):
+    """Every request answers for exactly the arrivals logged before it."""
+    graph = TDNGraph()
+    engine = graph.csr()
+    for t, (u, v) in enumerate([("a", "b"), ("b", "c")]):
+        graph.advance_to(t)
+        graph.add_interaction(Interaction(u, v, t, 50))
+    a = graph.node_id("a")
+    assert len(engine.arrival_log) == 2
+    reached = executor.reachable_ids_many(graph, [[a], [a]], 3.0)
+    assert reached == [{a, graph.node_id("b"), graph.node_id("c")}] * 2
+    generation = executor.health_report()["plane_generation"]
+    graph.advance_to(2)
+    graph.add_interaction(Interaction("c", "d", 2, 50))
+    assert len(engine.arrival_log) == 3
+    d = graph.node_id("d")  # an id past the clones cut before it arrived
+    reached = executor.reachable_ids_many(graph, [[a], [d]], 3.0)
+    assert reached == [graph.csr().reachable_ids([a], 3.0), {d}]
+    assert d in reached[0]
+    assert executor.health_report()["plane_generation"] == generation + 1
+
+
+# ----------------------------------------------------------------------
+# Shard threads over a live stream
+# ----------------------------------------------------------------------
 def assert_sharded_matches_serial(executor, graph, rng):
     """Every executor surface against the serial engine, bit for bit."""
     engine = graph.csr()
@@ -176,7 +177,7 @@ def assert_sharded_matches_serial(executor, graph, rng):
     )
     weights = weights_for(graph)
     assert executor.weighted_spread_sums(
-        graph, sets, horizon, weights=weights, weights_key="w"
+        graph, sets, horizon, weights=weights
     ) == engine.weighted_spread_sums(sets, horizon, weights)
     for fold in FOLDS:
         assert executor.fold_spread_sums(
@@ -184,104 +185,89 @@ def assert_sharded_matches_serial(executor, graph, rng):
         ) == engine.fold_spread_sums(sets, horizon, fold)
 
 
-@pytest.fixture
-def executor():
-    executor = ShardedOracleExecutor(2, min_batch=1, ancestor_min_batch=1)
-    yield executor
-    executor.close()
-
-
-@requires_shm
 def test_stream_across_compactions_is_bit_identical(executor, monkeypatch):
-    """Several compactions, each one publish; the log carries the rest."""
+    """Several compactions; between them the clones carry the log."""
     monkeypatch.setattr(DeltaCSR, "COMPACT_MIN", 24)
     rng = random.Random(7)
     graph = TDNGraph()
     engine = graph.csr()
     pool = [f"n{i}" for i in range(6)]
     fallbacks = counter(metric_names.EXECUTOR_SERIAL_FALLBACKS_TOTAL)
-    bases = []
-    appended = 0
+    logged = 0
     beyond_base = False
     for t in range(30):
         grow_stream(graph, rng, t, 5, pool)
         assert_sharded_matches_serial(executor, graph, rng)
-        if not bases or bases[-1] is not engine.base:
-            bases.append(engine.base)
-        appended = max(appended, executor._plane.log_length)
+        logged = max(logged, len(engine.arrival_log))
         beyond_base |= graph.num_interned > engine.base.num_nodes
-        # A new generation exactly when the engine compacted.
-        assert executor._plane.base is engine.base
-        assert executor.health_report()["plane_generation"] == len(bases)
+        # The clones sweep the engine's current base, never a copy.
+        for clone in executor.ensure_plane(graph):
+            assert clone.indptr is engine.base.indptr
     assert engine.compactions >= 4
-    assert appended > 0  # tasks did run against populated logs
+    assert logged > 0  # sweeps did run against populated logs
     assert beyond_base  # ... and against ids the base does not cover
     report = executor.health_report()
     assert report["state"] == "sharded" and not report["incidents"]
     assert counter(metric_names.EXECUTOR_SERIAL_FALLBACKS_TOTAL) == fallbacks
 
 
-@requires_shm
 def test_log_overflow_starts_a_new_generation(executor, monkeypatch):
-    """A batch larger than the log's free space re-mirrors the same base
-    into a fresh, larger generation instead of failing."""
+    """A log grown past the compaction trigger folds into a new base; the
+    next request cuts clones over that base, with an empty log."""
     rng = random.Random(11)
     graph = TDNGraph()
     engine = graph.csr()
     pool = [f"n{i}" for i in range(10)]
+    monkeypatch.setattr(DeltaCSR, "COMPACT_MIN", 10_000)  # hold the log
     grow_stream(graph, rng, 0, 4, pool)
-    monkeypatch.setattr(DeltaCSR, "COMPACT_MIN", 4)
     assert_sharded_matches_serial(executor, graph, rng)
-    plane = executor._plane
-    generation, capacity = plane.generation, plane._log.shape[0]
-    # Keep the engine from compacting, then outgrow the log.
-    monkeypatch.setattr(DeltaCSR, "COMPACT_MIN", 10_000)
     base = engine.base
+    old = executor.ensure_plane(graph)
     for t in range(1, 6):
-        grow_stream(graph, rng, t, capacity, pool)
-    assert len(engine.arrival_log) > capacity
+        grow_stream(graph, rng, t, 8, pool)
     assert_sharded_matches_serial(executor, graph, rng)
-    assert engine.base is base  # no compaction happened
-    assert plane.generation == generation + 1
-    assert plane.log_length == len(engine.arrival_log) <= plane._log.shape[0]
+    assert engine.base is base and len(engine.arrival_log) > 8
+    monkeypatch.setattr(DeltaCSR, "COMPACT_MIN", 8)
+    generation = executor.health_report()["plane_generation"]
+    grow_stream(graph, rng, 6, 8, pool)
+    assert_sharded_matches_serial(executor, graph, rng)
+    assert engine.base is not base and engine.arrival_log == []
+    assert executor.health_report()["plane_generation"] > generation
+    for clone in executor.ensure_plane(graph):
+        assert clone.indptr is engine.base.indptr
+    assert all(clone.indptr is base.indptr for clone in old)
     assert executor.health_report()["state"] == "sharded"
 
 
-@requires_shm
 def test_respawned_worker_replays_the_log_from_the_start(executor, monkeypatch):
-    """Workers killed mid-generation come back, replay the log from row
-    0 and answer exactly — no republish needed."""
+    """A failed shard drops the clones; the next request re-cuts them at
+    the same graph version, with the whole log, and answers exactly."""
+    monkeypatch.setattr(DeltaCSR, "COMPACT_MIN", 10_000)
     rng = random.Random(29)
     graph = TDNGraph()
-    graph.csr()
+    engine = graph.csr()
     pool = [f"n{i}" for i in range(8)]
     for t in range(3):
         grow_stream(graph, rng, t, 4, pool)
         assert_sharded_matches_serial(executor, graph, rng)
-    plane = executor._plane
-    generation = plane.generation
-    assert plane.log_length > 0
-    for proc in executor._procs:
-        proc.terminate()
-    for proc in executor._procs:
-        proc.join(timeout=10)
-    grow_stream(graph, rng, 3, 4, pool)
+    assert len(engine.arrival_log) > 0
+    # Fail the first shard of the next request.
+    monkeypatch.setattr(executor, "_fault_plan", FaultPlan.parse("shard=1"))
+    sets = query_sets(graph, rng)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        deadline = time.monotonic() + 20.0
-        while time.monotonic() < deadline:
-            assert_sharded_matches_serial(executor, graph, rng)
-            if executor.pool_running and executor.parallel_available:
-                break
-            time.sleep(0.05)
-    assert executor.health_report()["pool"]["restarts_used"] >= 1
-    # The respawned pool serves a whole request from the log, exactly.
+        assert executor.spread_counts(graph, sets) == engine.spread_counts(
+            sets, None
+        )
+    assert executor.health_report()["incidents"] == {"THREAD_ERROR": 1}
+    version = graph.version
+    generation = executor.health_report()["plane_generation"]
     dispatches = counter(metric_names.EXECUTOR_DISPATCHES_TOTAL)
     fallbacks = counter(metric_names.EXECUTOR_SERIAL_FALLBACKS_TOTAL)
-    sets = query_sets(graph, rng)
-    assert executor.spread_counts(graph, sets) == graph.csr().spread_counts(
-        sets, None
-    )
+    assert executor.spread_counts(graph, sets) == engine.spread_counts(sets, None)
+    assert graph.version == version
+    assert executor.health_report()["plane_generation"] == generation + 1
     assert counter(metric_names.EXECUTOR_DISPATCHES_TOTAL) == dispatches + 1
     assert counter(metric_names.EXECUTOR_SERIAL_FALLBACKS_TOTAL) == fallbacks
-    assert plane.generation == generation
+    assert_sharded_matches_serial(executor, graph, rng)
+    assert executor.health_report()["state"] == "sharded"

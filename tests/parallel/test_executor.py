@@ -1,7 +1,9 @@
-"""Sharded executor: sharding math, clone lifecycle, serial fallback."""
+"""Sharded executor: sharding math, clone lifecycle, serial fallback,
+shard failures."""
 
 import os
 import random
+import warnings
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.parallel.executor import (
     merge_shard_counts,
     shard_slices,
 )
+from repro.parallel.faults import FaultPlan
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
@@ -149,6 +152,36 @@ class TestPoolQueries:
                 graph.csr().ancestor_ids(ids, None)
             )
             assert executor.health_report()["plane_generation"] == cuts + 2
+        finally:
+            executor.close()
+
+    def test_worker_death_is_supervised_and_recovers(self):
+        """A shard that dies on its thread is recorded and answered
+        serially; the same pool threads serve the next request sharded."""
+        graph = build_graph()
+        executor = ShardedOracleExecutor(
+            WORKERS, min_batch=1, fault_plan=FaultPlan.parse("shard=1")
+        )
+        sets = [[i] for i in range(graph.num_interned)]
+        expected = graph.csr().spread_counts(sets, None)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert executor.spread_counts(graph, sets) == expected
+            report = executor.health_report()
+            assert report["state"] == "sharded"
+            assert report["incidents"] == {"THREAD_ERROR": 1}
+            assert "FaultInjected" in report["transitions"][-1]["detail"]
+            threads = set(executor._pool._threads)
+            assert threads and all(thread.is_alive() for thread in threads)
+            generation = report["plane_generation"]
+            assert executor.spread_counts(graph, sets) == expected
+            assert executor.pool_running
+            assert threads <= set(executor._pool._threads)  # none replaced
+            report = executor.health_report()
+            assert report["incidents"] == {"THREAD_ERROR": 1}
+            # The failed request's clones were dropped and cut afresh.
+            assert report["plane_generation"] == generation + 1
         finally:
             executor.close()
 

@@ -20,6 +20,8 @@ synthetic streams, so a failing combination replays exactly.
 import asyncio
 import os
 import random
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -150,6 +152,78 @@ class TestExecutorChaos:
             assert sharded(executor) == serial()
             assert thread_errors(executor) == 3
             assert executor.health_report()["state"] == "sharded"
+        finally:
+            executor.close()
+
+    def test_worker_kill_mid_spread_recovers_and_stays_exact(self):
+        """A shard killed partway through a growing stream of spread
+        requests: every answer stays exact, the fault costs one incident
+        and one fallback, and later requests shard cleanly."""
+        rng = random.Random(SEED)
+        graph = build_graph()
+        failing = rng.randint(5, 12)
+        executor = ShardedOracleExecutor(
+            2, min_batch=1, fault_plan=plan(f"shard={failing}")
+        )
+        before = fallbacks()
+        try:
+            for step in range(12):
+                graph.advance_to(graph.time + 1)
+                u, v = rng.sample(range(40), 2)
+                graph.add_interaction(Interaction(f"n{u}", f"n{v}", graph.time, 20))
+                sets = [[i] for i in range(graph.num_interned)]
+                assert executor.spread_counts(graph, sets) == (
+                    graph.csr().spread_counts(sets, None)
+                ), step
+            assert executor._fault_plan._shards_seen > failing
+            assert thread_errors(executor) == 1
+            assert fallbacks() == before + 1
+            assert executor.health_report()["state"] == "sharded"
+        finally:
+            executor.close()
+
+    def test_delayed_shard_misses_deadline_then_serial_fallback(self, monkeypatch):
+        """A shard slower than ``result_timeout`` is recomputed serially on
+        the caller's thread; its clones are never handed out again."""
+        graph = build_graph()
+        sharded, serial = sweeps(graph)["spread_counts"]
+        run_shard = ShardedOracleExecutor._run_shard
+        lock = threading.Lock()
+        late = []  # the delayed shard's kernel clone
+        finished = threading.Event()
+
+        def slow_first_shard(run, kernel, part, fail):
+            with lock:
+                first = not late
+                if first:
+                    late.append(kernel)
+            if not first:
+                return run_shard(run, kernel, part, fail)
+            time.sleep(2.5)
+            try:
+                return run_shard(run, kernel, part, fail)
+            finally:
+                finished.set()
+
+        monkeypatch.setattr(
+            ShardedOracleExecutor, "_run_shard", staticmethod(slow_first_shard)
+        )
+        executor = ShardedOracleExecutor(2, min_batch=1, result_timeout=1.0)
+        try:
+            before = fallbacks()
+            generation = executor.health_report()["plane_generation"]
+            assert sharded(executor) == serial()
+            report = executor.health_report()
+            assert report["incidents"] == {"THREAD_ERROR": 1}
+            assert "TimeoutError" in report["transitions"][-1]["detail"]
+            assert fallbacks() == before + 1
+            assert report["state"] == "sharded"
+            assert finished.wait(timeout=30.0)
+            # The late shard's clone is retired: the next request cuts anew.
+            assert sharded(executor) == serial()
+            assert executor.health_report()["plane_generation"] == generation + 2
+            assert late[0] not in executor.ensure_plane(graph)
+            assert fallbacks() == before + 1
         finally:
             executor.close()
 

@@ -132,3 +132,28 @@ def test_faulted_sharded_ingest_populates_every_instrumented_layer():
     republish = metric_names.INGEST_REPUBLISH_SECONDS
     assert sample(republish, f"{republish}_count") > 0
 
+
+
+def test_worker_deltas_merge_without_faults():
+    """Shard threads record into the caller's registry: a clean sharded
+    run counts its dispatches, every shard's latency and the kernel
+    sweeps, with no fallback and no fault recorded."""
+    registry = metrics_registry()
+    registry.reset()
+    enable_kernel_metrics(every=1)
+    try:
+        answer = run_sharded_ingest(count=6)
+    finally:
+        disable_kernel_metrics()
+    assert answer.epoch > 0 and not answer.stale
+    values = registry.counter_values()
+    dispatches = values[metric_names.EXECUTOR_DISPATCHES_TOTAL]
+    assert dispatches > 0
+    assert values[metric_names.KERNEL_SWEEPS_TOTAL] > 0
+    assert values[metric_names.EXECUTOR_SERIAL_FALLBACKS_TOTAL] == 0
+    # The only ladder record is the executor's close.
+    assert values[metric_names.DEGRADATION_INCIDENTS_TOTAL] == 1
+    families = parse_prometheus_text(registry.render_prometheus())
+    latency = metric_names.EXECUTOR_SHARD_LATENCY_SECONDS
+    shards = families[latency]["samples"][f"{latency}_count"]
+    assert dispatches <= shards <= 2 * dispatches  # one per shard, 2 threads

@@ -244,3 +244,36 @@ class TestTeardownSafety:
         for thread in threads:
             thread.join(timeout=10.0)
         assert not any(t.is_alive() for t in threads)
+
+    def test_finalizer_and_close_do_not_race(self):
+        """close() then collection: the pool's collection hook must find
+        nothing left to stop, and must neither raise nor warn."""
+        graph = tiny_graph()
+        executor = ShardedOracleExecutor(2, min_batch=1)
+        sets = [[i] for i in range(graph.num_interned)]
+        executor.spread_counts(graph, sets)
+        threads = list(executor._pool._threads)
+        executor.close()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del executor
+            gc.collect()
+        assert caught == []
+        assert threads and not any(t.is_alive() for t in threads)
+
+    def test_plane_double_close(self):
+        """Clones cut, then two closes: the clones are released once and
+        the closed executor never cuts clones again."""
+        graph = tiny_graph()
+        executor = ShardedOracleExecutor(2, min_batch=1)
+        assert len(executor.ensure_plane(graph)) == 2
+        generation = executor.health_report()["plane_generation"]
+        executor.close()
+        executor.close()
+        assert executor._clones == {}
+        sets = [[i] for i in range(graph.num_interned)]
+        assert executor.spread_counts(graph, sets) == (
+            graph.csr().spread_counts(sets, None)
+        )
+        assert executor.health_report()["plane_generation"] == generation
+        assert not executor.pool_running
