@@ -2,18 +2,16 @@
 
 Not paper artifacts — these watch the operations every algorithm's cost
 model bottoms out in: TDN ingestion/expiry, one oracle BFS, the changed-
-node reverse BFS, the SCC batch-spread engine versus a per-node BFS sweep,
-sparse-timestamp clock advancement, the dict-vs-CSR oracle backends on a
-50k-edge stream, the incremental delta-CSR engine versus the PR 1
-rebuild-per-version engine on an ingestion-heavy stream, the bit-plane
-batched singleton sweep versus sequential per-set BFS, the weighted
-bit-plane sweep versus per-set reachable-id weight folds, the
-sharded 4-thread ``spread_many`` versus the serial bit-plane engine,
-and the generic fold route under ``count`` semantics versus the direct
-popcount path it must not tax.  Where numba is installed, two compiled-
-backend gates additionally pin the native scalar frontier walk and the
-native bit-plane sweep at >= 3x their python twins on the same stream
-(they self-skip elsewhere, so the module needs no ``[native]`` extra).
+node reverse BFS, sparse-timestamp clock advancement, the dict-vs-CSR
+oracle backends on a 50k-edge stream, the bit-plane batched singleton
+sweep versus sequential per-set BFS, the weighted bit-plane sweep versus
+per-set reachable-id weight folds, the sharded 4-thread ``spread_many``
+versus the serial bit-plane engine, and the generic fold route under
+``count`` semantics versus the direct popcount path it must not tax.
+Where numba is installed, two compiled-backend gates additionally pin
+the native scalar frontier walk and the native bit-plane sweep at >= 3x
+their python twins on the same stream (they self-skip elsewhere, so the
+module needs no ``[native]`` extra).
 Kernel-bound comparisons additionally gate their speedup ratios against
 the checked-in PR 4 snapshot (:func:`assert_kernel_parity`), so the
 traversal-kernel unification can never silently erode a margin.
@@ -32,10 +30,8 @@ import pytest
 
 from repro.core.sieve_adn import SieveADN
 from repro.datasets.synthetic import retweet_stream
-from repro.influence.fast_spread import all_singleton_spreads
 from repro.influence.oracle import InfluenceOracle
 from repro.influence.changed import changed_nodes
-from repro.influence.weighted import WeightedInfluenceOracle
 from repro.kernels import dense_weight_sum, native_available
 from repro.tdn.csr import DeltaCSR
 from repro.tdn.graph import TDNGraph
@@ -136,23 +132,6 @@ def test_changed_nodes_reverse_bfs(benchmark):
 
     result = benchmark(lambda: changed_nodes(graph, batch, mode="ancestors"))
     assert result
-
-
-def test_fast_spread_vs_bfs_sweep(benchmark):
-    """SCC batch engine must beat one-BFS-per-node by a wide margin."""
-    graph = build_graph(build_events())
-
-    fast = benchmark(lambda: all_singleton_spreads(graph))
-
-    # Reference sweep, timed once outside the benchmark loop.
-    oracle = InfluenceOracle(graph)
-    started = time.perf_counter()
-    sweep = {node: oracle.spread([node]) for node in graph.node_set()}
-    sweep_seconds = time.perf_counter() - started
-    assert fast == sweep
-    # The batch engine's advantage is the point of its existence; at this
-    # size it is typically 5-50x. Record it for the JSON export.
-    benchmark.extra_info["bfs_sweep_seconds"] = round(sweep_seconds, 4)
 
 
 def test_sparse_clock_advance(benchmark):
@@ -262,153 +241,6 @@ def _best_of(runs, func):
     return result, best
 
 
-def test_ingestion_delta_vs_rebuild(benchmark):
-    """Incremental delta-CSR must deliver >= 3x ingestion-heavy throughput.
-
-    The scenario is the engine's worst case under the PR 1 design: a
-    50k-edge stream replayed in small batches with oracle evaluations
-    interleaved after *every* batch, so the rebuild-per-version engine
-    pays a full O(V + P) snapshot build per batch while the delta engine
-    appends O(batch) overlay entries and compacts only when the overlay
-    fraction crosses its threshold.  Results (spreads and oracle call
-    counts) must be identical; the 3x floor is the acceptance bar (the
-    observed margin is ~5x, and best-of-2 keeps a noisy runner from
-    flipping the assertion).
-    """
-    num_events, batch_size, probes = 50_000, 100, 3
-
-    def replay(csr_mode):
-        events = retweet_stream(3_000, num_events, seed=7)
-        policy = UniformLifetime(20_000, 60_000, seed=8)
-        graph = TDNGraph(csr_mode=csr_mode)
-        oracle = InfluenceOracle(graph, max_cache_entries=0)
-        checksum = 0
-        for i in range(0, len(events), batch_size):
-            chunk = [
-                e if e.lifetime is not None else policy.assign(e)
-                for e in events[i : i + batch_size]
-            ]
-            graph.advance_to(chunk[-1].time)
-            for event in chunk:
-                graph.add_interaction(event)
-            horizon = graph.time + 55_000
-            sets = [(event.source,) for event in chunk[:probes]]
-            checksum += sum(oracle.spread_many(sets, horizon))
-        return checksum, oracle.calls, graph.csr().compactions
-
-    (delta_sum, delta_calls, delta_compactions), delta_seconds = _best_of(
-        2, lambda: replay("delta")
-    )
-    (rebuild_sum, rebuild_calls, rebuild_compactions), rebuild_seconds = _best_of(
-        2, lambda: replay("rebuild")
-    )
-    # One recorded round so the timing lands in the JSON export.
-    benchmark.pedantic(lambda: replay("delta"), rounds=1, iterations=1)
-
-    assert delta_sum == rebuild_sum
-    assert delta_calls == rebuild_calls == probes * (num_events // batch_size)
-    assert delta_compactions < rebuild_compactions
-
-    speedup = rebuild_seconds / delta_seconds
-    benchmark.extra_info["delta_seconds"] = round(delta_seconds, 4)
-    benchmark.extra_info["rebuild_seconds"] = round(rebuild_seconds, 4)
-    benchmark.extra_info["delta_compactions"] = delta_compactions
-    benchmark.extra_info["rebuild_compactions"] = rebuild_compactions
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    print(
-        f"\ningestion-heavy replay ({num_events} edges, batch {batch_size}): "
-        f"rebuild {rebuild_seconds:.3f}s ({rebuild_compactions} builds), "
-        f"delta {delta_seconds:.3f}s ({delta_compactions} compactions) "
-        f"({speedup:.1f}x)"
-    )
-    assert speedup >= 3.0, f"delta-CSR speedup {speedup:.2f}x below the 3x floor"
-    assert_kernel_parity(benchmark, "test_ingestion_delta_vs_rebuild", speedup)
-
-
-def build_cascade_forest_events(num_events=50_000, num_trees=256, seed=13):
-    """A 50k-edge addition-only cascade forest (Twitter-thread style).
-
-    Each event attaches a fresh retweeter under a uniformly random existing
-    member of a random cascade tree, so forward cones (subtree spreads) are
-    large and multi-hop while *reverse* cones (the path back to the root)
-    stay short — the regime the delta-aware memo exploits: a batch touches
-    a handful of cascades and every other cascade's spreads provably keep
-    their cached values.
-    """
-    rng = random.Random(seed)
-    members = [[f"c{i}r"] for i in range(num_trees)]
-    events = []
-    for t in range(num_events):
-        tree_index = rng.randrange(num_trees)
-        tree = members[tree_index]
-        parent = tree[rng.randrange(len(tree))]
-        child = f"c{tree_index}n{t}"
-        events.append(Interaction(parent, child, t, None))
-        tree.append(child)
-    return events
-
-
-def test_memo_retention_delta_vs_wholesale_clear(benchmark):
-    """Delta-aware memoization must beat wholesale clearing by >= 2x.
-
-    The scenario is a monitoring workload on the 50k-edge cascade-forest
-    stream: after the bulk of the stream has been ingested, small batches
-    keep arriving (8 edges each) and after every batch a fixed watchlist of
-    192 cascade roots is re-evaluated through ``oracle.spread`` — the
-    pattern of a tracker's query path re-reading its sieve sets.  Under
-    ``memo_mode="version"`` every batch clears the memo table and all 192
-    spreads re-traverse; under ``memo_mode="delta"`` only roots whose
-    cascade the batch touched are evicted (the dirty-cone contract), so a
-    handful of re-evaluations per batch replaces the full sweep.  Values
-    must be identical; the 2x floor is deliberately far below the observed
-    margin so a noisy runner cannot flip it.
-    """
-    events = build_cascade_forest_events()
-    warmup, tail = events[:49_680], events[49_680:]
-    batch_size, pool_size = 8, 192
-
-    def replay(memo_mode):
-        graph = TDNGraph()
-        for event in warmup:
-            graph.advance_to(event.time)
-            graph.add_interaction(event)
-        oracle = InfluenceOracle(graph, memo_mode=memo_mode)
-        roots = [f"c{i}r" for i in range(pool_size)]
-        per_round_values = []
-        for i in range(0, len(tail), batch_size):
-            chunk = tail[i : i + batch_size]
-            graph.advance_to(chunk[-1].time)
-            for event in chunk:
-                graph.add_interaction(event)
-            per_round_values.append([oracle.spread([root]) for root in roots])
-        return per_round_values, oracle.calls
-
-    (delta_values, delta_calls), delta_seconds = _best_of(2, lambda: replay("delta"))
-    (version_values, version_calls), version_seconds = _best_of(
-        2, lambda: replay("version")
-    )
-    # One recorded round so the timing lands in the JSON export.
-    benchmark.pedantic(lambda: replay("delta"), rounds=1, iterations=1)
-
-    assert delta_values == version_values
-    assert delta_calls < version_calls
-
-    speedup = version_seconds / delta_seconds
-    benchmark.extra_info["delta_seconds"] = round(delta_seconds, 4)
-    benchmark.extra_info["version_seconds"] = round(version_seconds, 4)
-    benchmark.extra_info["delta_calls"] = delta_calls
-    benchmark.extra_info["version_calls"] = version_calls
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    rounds = len(tail) // batch_size
-    print(
-        f"\nwatchlist monitoring ({rounds} rounds x {pool_size} spreads): "
-        f"version-clear {version_seconds:.3f}s ({version_calls} calls), "
-        f"delta-retain {delta_seconds:.3f}s ({delta_calls} calls) "
-        f"({speedup:.1f}x)"
-    )
-    assert speedup >= 2.0, f"retained-memo speedup {speedup:.2f}x below the 2x floor"
-
-
 def test_bitplane_vs_sequential_singleton_sweep(benchmark):
     """Batched bit-plane ``spread_many`` must beat sequential spreads.
 
@@ -463,7 +295,7 @@ def test_weighted_bitplane_vs_per_set_reachable(benchmark):
     evaluated twice: the *per-set* side replicates the pre-kernel weighted
     path — one reachable-id set materialized per candidate, the dense
     weight array summed over it in-process — while the *batched* side is
-    ``WeightedInfluenceOracle.spread_many``, whose distinct misses now
+    a ``weighted_sum`` oracle's ``spread_many``, whose distinct misses
     fold the weight array inside the shared bit-plane sweep (64 weighted
     evaluations per physical traversal).  Values must be bit-identical
     (the kernel sums in canonical ascending-id order) and call counts
@@ -495,8 +327,11 @@ def test_weighted_bitplane_vs_per_set_reachable(benchmark):
         ]
 
     def batched():
-        oracle = WeightedInfluenceOracle(
-            graph, weights_map, max_cache_entries=0
+        oracle = InfluenceOracle(
+            graph,
+            semantics="weighted_sum",
+            weights=weights_map,
+            max_cache_entries=0,
         )
         return oracle.spread_many(candidate_sets, horizon), oracle.calls
 

@@ -27,14 +27,23 @@ from repro import (
     save_checkpoint,
 )
 
-# Direct weighted-oracle construction is the power-user path (the facade
-# spelling is open_tracker(semantics=Semantics.WEIGHTED_SUM, weights=...));
-# this example wires it into HistApprox by hand on purpose.
-# repro-lint: disable-next=RPL105
-from repro.influence.weighted import WeightedInfluenceOracle
-
 K = 5
 PREMIUM_WEIGHT = 20.0
+
+
+def roi_oracle(graph, premium):
+    """The ROI objective: a ``weighted_sum`` oracle, premium users 20x.
+
+    Direct oracle construction is the power-user path (the facade
+    spelling is ``open_tracker(semantics=Semantics.WEIGHTED_SUM,
+    weights=...)``); this example wires it into HistApprox by hand on
+    purpose.
+    """
+    return InfluenceOracle(
+        graph,
+        semantics="weighted_sum",
+        weights=lambda node: PREMIUM_WEIGHT if node in premium else 1.0,
+    )
 
 
 def main() -> None:
@@ -45,15 +54,7 @@ def main() -> None:
 
     graph_plain, graph_weighted = TDNGraph(), TDNGraph()
     plain = HistApprox(K, 0.2, graph_plain)
-    weighted = HistApprox(
-        K,
-        0.2,
-        graph_weighted,
-        WeightedInfluenceOracle(
-            graph_weighted,
-            lambda node: PREMIUM_WEIGHT if node in premium else 1.0,
-        ),
-    )
+    weighted = HistApprox(K, 0.2, graph_weighted, roi_oracle(graph_weighted, premium))
     plain_history, weighted_history = SolutionHistory(), SolutionHistory()
 
     checkpoint_path = Path(tempfile.gettempdir()) / "roi_tracker_checkpoint.json"
@@ -103,12 +104,7 @@ def main() -> None:
 
     restored_graph = graph_from_dict(graph_to_dict(graph_weighted))
     restored = algorithm_from_dict(
-        algorithm_to_dict(weighted),
-        restored_graph,
-        WeightedInfluenceOracle(
-            restored_graph,
-            lambda node: PREMIUM_WEIGHT if node in premium else 1.0,
-        ),
+        algorithm_to_dict(weighted), restored_graph, roi_oracle(restored_graph, premium)
     )
     print(
         f"\ncheckpoint round-trip: restored tracker answers "

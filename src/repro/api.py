@@ -40,7 +40,7 @@ from repro.errors import (
     ReproError,
     SemanticsError,
 )
-from repro.influence.weighted import WeightedInfluenceOracle
+from repro.influence.oracle import InfluenceOracle
 from repro.kernels import (
     Fold,
     disable_kernel_metrics,
@@ -118,9 +118,10 @@ def open_tracker(
             already carries parameters.
         weights: node weights (mapping or callable) for
             :data:`Semantics.WEIGHTED_SUM` — the one semantics whose
-            per-node state cannot ride in a fold parameter, so it is
-            served by a :class:`WeightedInfluenceOracle` injected into
-            the tracker.  Only valid with ``weighted_sum``.
+            per-node state cannot ride in a fold parameter, so the facade
+            builds the weighted :class:`~repro.influence.oracle.
+            InfluenceOracle` itself and injects it into the tracker.
+            Only valid with ``weighted_sum``.
         default_weight: weight for nodes missing from ``weights``.
         lifetime_policy, L, changed_mode, refine_head, seed, workers,
             graph: forwarded to :class:`InfluenceTracker` (see its docs).
@@ -138,34 +139,25 @@ def open_tracker(
                 f"got semantics={semantics!r}"
             )
         name = (name, dict(semantics_params))
-    if _is_weighted(name):
+    fold = resolve_fold(name) if name is not None else None
+    oracle = None
+    if fold is not None and fold.name == Semantics.WEIGHTED_SUM.value:
+        # The injected oracle owns semantics and workers from here on.
         if graph is None:
             graph = TDNGraph()
-        oracle = WeightedInfluenceOracle(
+        oracle = InfluenceOracle(
             graph,
-            weights,
+            semantics=fold,
+            weights=weights,
             default_weight=default_weight,
             parallel=workers if workers > 1 else None,
         )
-        return InfluenceTracker(
-            algorithm,
-            k=k,
-            epsilon=epsilon,
-            lifetime_policy=lifetime_policy,
-            L=L,
-            changed_mode=changed_mode,
-            refine_head=refine_head,
-            seed=seed,
-            graph=graph,
-            oracle=oracle,
-        )
-    if weights is not None:
+        name, workers = None, 1
+    elif weights is not None:
         raise ConfigError(
             "weights are only meaningful with semantics='weighted_sum'; "
             f"got semantics={semantics!r}"
         )
-    if name is not None:
-        resolve_fold(name)  # fail fast at the facade on unknown semantics
     return InfluenceTracker(
         algorithm,
         k=k,
@@ -178,16 +170,5 @@ def open_tracker(
         graph=graph,
         workers=workers,
         semantics=name,
-    )
-
-
-def _is_weighted(name) -> bool:
-    if isinstance(name, Fold):
-        return name.name == Semantics.WEIGHTED_SUM.value
-    if name == Semantics.WEIGHTED_SUM.value:
-        return True
-    return (
-        isinstance(name, tuple)
-        and len(name) == 2
-        and name[0] == Semantics.WEIGHTED_SUM.value
+        oracle=oracle,
     )

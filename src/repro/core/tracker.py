@@ -97,18 +97,19 @@ class InfluenceTracker:
             :meth:`close` when done to stop the threads.
         semantics: influence semantics the oracle evaluates under — a
             registered fold name (``"count"``, ``"hop_discount"``,
-            ``"time_decay"``), a ``(name, params)`` pair, or a
+            ``"time_decay"``; ``"weighted_sum"`` needs weights, so it
+            comes in through ``oracle``), a ``(name, params)`` pair, or a
             :class:`~repro.kernels.Fold` instance.  ``None`` (default)
             picks the algorithm's natural semantics: ``hop_discount`` for
             ``"decayed-centrality"``, ``time_decay`` for ``"trend"``,
             plain ``count`` for everything else.
         oracle: a prebuilt oracle to drive evaluations (must be bound to
             the ``graph`` argument, which then becomes mandatory).  This
-            is how weighted spread enters the facade: construct a
-            :class:`~repro.influence.weighted.WeightedInfluenceOracle` on
-            a shared graph and inject it; ``semantics``/``workers`` are
-            then the oracle's business and must be left at their
-            defaults.
+            is how weighted spread enters the facade: construct
+            ``InfluenceOracle(graph, semantics="weighted_sum",
+            weights=...)`` on a shared graph and inject it;
+            ``semantics``/``workers`` are then the oracle's business and
+            must be left at their defaults.
 
     Example:
         >>> from repro.tdn.lifetimes import GeometricLifetime

@@ -9,17 +9,12 @@ DIM) the paper compares against.
 
 from repro.influence.reachability import ancestors, reachable_set
 from repro.influence.oracle import (
-    MEMO_MODES,
     ORACLE_BACKENDS,
     InfluenceOracle,
     MemoTable,
-)
-from repro.influence.changed import changed_nodes
-from repro.influence.fast_spread import (
-    all_singleton_spreads,
-    strongly_connected_components,
     top_spreaders,
 )
+from repro.influence.changed import changed_nodes
 from repro.influence.probabilities import (
     WeightedGraphSnapshot,
     interactions_to_probability,
@@ -31,14 +26,11 @@ __all__ = [
     "ancestors",
     "InfluenceOracle",
     "MemoTable",
-    "MEMO_MODES",
     "ORACLE_BACKENDS",
     "changed_nodes",
     "interactions_to_probability",
     "WeightedGraphSnapshot",
     "simulate_ic",
     "estimate_spread_mc",
-    "all_singleton_spreads",
-    "strongly_connected_components",
     "top_spreaders",
 ]

@@ -26,17 +26,16 @@ Two interchangeable reachability engines sit behind the same API:
 * ``"dict"``: the reference pure-Python BFS over the graph's dict-of-dict
   adjacency (:func:`repro.influence.reachability.reachable_set`).
 
-Dirty-cone invalidation (``memo_mode``)
----------------------------------------
-The memo table survives graph version bumps.  Under the default
-``memo_mode="delta"`` the oracle reads, at each sync, the graph's
-dirty-source journal — the interned ids whose forward cone the structural
-changes since its last sync touched (arrival sources plus dead-pair
-sources; see :meth:`repro.tdn.graph.TDNGraph.dirty_source_ids_since`) —
-closes it under the engine's reverse-transpose sweep
-(:meth:`repro.tdn.csr.DeltaCSR.touched_cone_ids`), and evicts exactly the
-memo entries whose key-set intersects that closed dirty set.  The contract
-behind retaining the rest:
+Dirty-cone invalidation
+-----------------------
+The memo table survives graph version bumps.  At each sync the oracle
+reads the graph's dirty-source journal — the interned ids whose forward
+cone the structural changes since its last sync touched (arrival sources
+plus dead-pair sources; see :meth:`repro.tdn.graph.TDNGraph.
+dirty_source_ids_since`) — closes it under the engine's reverse-transpose
+sweep (:meth:`repro.tdn.csr.DeltaCSR.touched_cone_ids`), and evicts
+exactly the memo entries whose key-set intersects that closed dirty set.
+The contract behind retaining the rest:
 
 * an arrival ``u -> v`` can only change ``f_t(S)`` if some node of ``S``
   reaches ``u`` in the *post-batch* graph, so post-batch ancestors of
@@ -52,13 +51,30 @@ behind retaining the rest:
   surviving pair's max expiry still clears the new ``t + 1`` floor), and
   bump no version.
 
-Eviction preserves the table's FIFO insertion order, so cache-pressure
-eviction (oldest first) behaves identically in both modes, and a retained
-entry is always equal to a from-scratch evaluation (property-tested).
-``memo_mode="version"`` keeps the historical wholesale-clear-per-version
-behavior for equivalence testing and benchmarking.  Both memo modes
-produce identical spread values and solutions; ``"delta"`` simply spends
-fewer oracle calls when consecutive batches leave most cones untouched.
+Every shipped semantics scores a key by its reached set alone, so the
+same contract covers all of them.  Eviction preserves the table's FIFO
+insertion order, so cache-pressure eviction (oldest first) is unaffected
+by dirty deletes, and a retained entry is always equal to a from-scratch
+evaluation (property-tested; tracker replays also match an oracle that
+calls :meth:`InfluenceOracle.invalidate` before every batch).
+
+Semantics
+---------
+``semantics`` names a fold from :data:`repro.kernels.FOLD_NAMES`.  The
+default ``"count"`` is the paper's ``|R(S)|``.  Right after Definition 3
+the paper notes that *any* normalized, monotone, submodular spread works
+with the framework; ``"weighted_sum"`` is the canonical one,
+
+    f_t(S) = sum of w(v) over v reachable from S in G_t
+
+with non-negative node weights ``w`` given as a mapping or a callable
+(``weights``; nodes the mapping lacks weigh ``default_weight``).  Mapping
+and default weights fold a dense id-indexed weight array into the
+bit-plane sweep; a weight callable may be partial or stateful, so it is
+only ever invoked on the caller's thread, for reached nodes.  Values are
+summed in canonical ascending-id order, which keeps them bit-identical
+across single, batched and sharded evaluation.  ``"hop_discount"`` and
+``"time_decay"`` derive their node terms from the graph itself.
 
 Bit-plane batching
 ------------------
@@ -101,10 +117,12 @@ wall-clock.
 from __future__ import annotations
 
 from typing import (
+    Callable,
     FrozenSet,
     Hashable,
     Iterable,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -113,15 +131,18 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.errors import ConfigError, SemanticsError
 from repro.influence.reachability import ancestors, reachable_set
-from repro.kernels import Fold, resolve_fold
+from repro.kernels import dense_weight_sum, resolve_fold
 from repro.obs import names as metric_names
 from repro.obs.registry import metrics_registry
 from repro.tdn.graph import TDNGraph
 from repro.utils.counters import CallCounter
 
 Node = Hashable
+WeightSpec = Union[Mapping[Node, float], Callable[[Node], float]]
 
 # Instruments bound once at import (the registry pre-registers the whole
 # catalog, so these lookups cannot miss).  The oracle records into the
@@ -143,9 +164,6 @@ _CacheKey = Tuple[Optional[float], FrozenSet[Node]]
 #: Selectable reachability engines.
 ORACLE_BACKENDS = ("csr", "dict")
 
-#: Selectable memo invalidation policies.
-MEMO_MODES = ("delta", "version")
-
 #: In-batch placeholder for a cache slot whose value is still being
 #: evaluated by the shared bit-plane sweep.  Reserving the slot up front
 #: keeps FIFO insertion (and eviction) order identical to a sequential
@@ -158,9 +176,7 @@ def replay_batch_protocol(
 ):
     """The sequential-replay cache protocol behind batched ``spread_many``.
 
-    Shared by :class:`InfluenceOracle` and :class:`~repro.influence.
-    weighted.WeightedInfluenceOracle` so the two can never drift: walk
-    the batch in submission order taking hits, count one oracle call per
+    Walk the batch in submission order taking hits, count one oracle call per
     miss, reserve each miss's FIFO cache slot with ``_PENDING`` (so
     in-batch duplicates replay as the cache hits they would sequentially
     be), then evaluate the distinct misses together through one
@@ -287,9 +303,7 @@ class DirtyCone(NamedTuple):
 class MemoTable:
     """FIFO-bounded memo table with delta-aware dirty-cone invalidation.
 
-    One instance backs each oracle (shared by :class:`InfluenceOracle` and
-    :class:`~repro.influence.weighted.WeightedInfluenceOracle`, so the two
-    cache policies can never drift apart).  The table tracks, per key, the
+    One instance backs each oracle.  The table tracks, per key, the
     nodes the key mentions (an inverted index), which makes evicting every
     entry that intersects a dirty-node set proportional to the entries
     actually evicted rather than to the table size.
@@ -305,7 +319,6 @@ class MemoTable:
         "graph",
         "data",
         "max_entries",
-        "memo_mode",
         "cone_backend",
         "executor",
         "_index",
@@ -317,13 +330,8 @@ class MemoTable:
         self,
         graph: TDNGraph,
         max_entries: int,
-        memo_mode: str,
         cone_backend: str = "csr",
     ) -> None:
-        if memo_mode not in MEMO_MODES:
-            raise ConfigError(
-                f"memo_mode must be one of {MEMO_MODES}, got {memo_mode!r}"
-            )
         if max_entries < 0:
             raise ConfigError(f"max_entries must be >= 0, got {max_entries}")
         if cone_backend not in ORACLE_BACKENDS:
@@ -333,7 +341,6 @@ class MemoTable:
         self.graph = graph
         self.data: dict = {}
         self.max_entries = max_entries
-        self.memo_mode = memo_mode
         self.cone_backend = cone_backend
         self.executor = None  # optional ShardedOracleExecutor (csr cones)
         self._index: dict = {}  # node -> set of live keys mentioning it
@@ -422,21 +429,20 @@ class MemoTable:
     def sync(self, want_cone: bool = False) -> Optional[DirtyCone]:
         """Bring the table up to date with the graph.
 
-        Under ``memo_mode="delta"`` this reads the dirty-source journal
-        suffix since the last sync, closes it under the owning backend's
-        reverse ancestor sweep, and evicts only the intersecting entries;
-        the computed :class:`DirtyCone` is returned when ``want_cone`` is
-        set (or when entries were at stake), so one sweep can serve both
-        eviction and SIEVEADN's changed-node derivation.  Returns ``None``
-        when nothing was stale, when the journal had been trimmed past the
-        cursor (wholesale clear), or under ``memo_mode="version"`` (the
-        historical clear-per-version policy).
+        Reads the dirty-source journal suffix since the last sync, closes
+        it under the owning backend's reverse ancestor sweep, and evicts
+        only the intersecting entries; the computed :class:`DirtyCone` is
+        returned when ``want_cone`` is set (or when entries were at
+        stake), so one sweep can serve both eviction and SIEVEADN's
+        changed-node derivation.  Returns ``None`` when nothing was stale
+        or when the journal had been trimmed past the cursor (wholesale
+        clear).
         """
         graph = self.graph
         if graph.version == self._version:
             return None
         record = None
-        if self.memo_mode == "delta" and (self.data or want_cone):
+        if self.data or want_cone:
             seeds = graph.dirty_source_ids_since(self._cursor)
             if seeds is None:
                 self.clear()
@@ -447,8 +453,6 @@ class MemoTable:
                     node_of_id = graph.node_of_id
                     self.evict_nodes({node_of_id(i) for i in cone_ids})
                 record = DirtyCone(frozenset(seeds), cone_ids)
-        else:
-            self.clear()
         self._version = graph.version
         self._cursor = graph.dirty_cursor
         return record
@@ -490,14 +494,11 @@ class InfluenceOracle:
         max_cache_entries: bound on the memo table.  When the table is
             full the *oldest* entry is evicted to admit the new one
             (FIFO), so memoization keeps working through long query-heavy
-            phases instead of silently shutting off.
+            phases instead of silently shutting off.  Entries survive
+            graph version bumps unless a delta touched their reachable
+            cone (see the module docstring for the invalidation contract).
         backend: ``"csr"`` (compact flat-array engine, default) or
             ``"dict"`` (reference dict-of-dict BFS).
-        memo_mode: ``"delta"`` (default) retains memo entries across graph
-            versions, evicting only those whose reachable cone the changes
-            touched (see the module docstring for the invalidation
-            contract); ``"version"`` restores the historical wholesale
-            clear on every ``graph.version`` bump.
         parallel: sharded evaluation over the CSR backend — ``None``
             (serial, default), a thread count (the oracle creates and
             owns a :class:`~repro.parallel.executor.ShardedOracleExecutor`
@@ -509,13 +510,25 @@ class InfluenceOracle:
             from :data:`repro.kernels.FOLD_NAMES`, a ``(name, params)``
             spec, or a :class:`~repro.kernels.Fold` instance.  The
             default ``"count"`` keeps the paper's ``|R(S)|`` on its
-            historical byte-identical code path; ``"hop_discount"`` and
-            ``"time_decay"`` evaluate through the fold seam (CSR backend
-            only) with memo keys carrying the fold token, so two
-            semantics sharing one graph never share cache entries.
-            ``"weighted_sum"`` is rejected here — its per-node weights
-            live on :class:`~repro.influence.weighted.
-            WeightedInfluenceOracle`.
+            historical byte-identical code path; ``"weighted_sum"`` scores
+            reached nodes by ``weights`` (both backends);
+            ``"hop_discount"`` and ``"time_decay"`` evaluate through the
+            fold seam (CSR backend only).  Non-count memo keys carry the
+            fold token, so two semantics sharing one graph never share
+            cache entries.
+        weights: node weights for ``"weighted_sum"`` — a mapping node ->
+            weight or a callable.  Weights must be non-negative (a
+            negative weight breaks monotonicity and with it every
+            approximation guarantee).  ``None`` weighs every node
+            ``default_weight``.  Rejected with any other semantics.
+        default_weight: weight of nodes absent from the mapping (1.0
+            recovers the unweighted spread exactly).
+
+    Any tracker accepts a weighted oracle in place of the default one::
+
+        oracle = InfluenceOracle(graph, semantics="weighted_sum",
+                                 weights={"vip": 100.0})
+        tracker = HistApprox(k, eps, graph, oracle)
     """
 
     def __init__(
@@ -525,9 +538,10 @@ class InfluenceOracle:
         *,
         max_cache_entries: int = 200_000,
         backend: str = "csr",
-        memo_mode: str = "delta",
         parallel=None,
         semantics="count",
+        weights: Optional[WeightSpec] = None,
+        default_weight: float = 1.0,
     ) -> None:
         if backend not in ORACLE_BACKENDS:
             raise ConfigError(
@@ -536,13 +550,15 @@ class InfluenceOracle:
         if max_cache_entries < 0:
             raise ConfigError(f"max_cache_entries must be >= 0, got {max_cache_entries}")
         fold = resolve_fold(semantics)
-        if fold.name == "weighted_sum":
-            raise SemanticsError(
-                "semantics 'weighted_sum' carries per-node weights; "
-                "construct a WeightedInfluenceOracle (or use "
-                "repro.api.open_tracker with Semantics.WEIGHTED_SUM) instead"
+        weighted = fold.name == "weighted_sum"
+        if default_weight < 0:
+            raise ConfigError(f"default_weight must be >= 0, got {default_weight}")
+        if weights is not None and not weighted:
+            raise ConfigError(
+                "weights are only meaningful with semantics='weighted_sum'; "
+                f"got semantics={fold.name!r}"
             )
-        if fold.name != "count" and backend != "csr":
+        if fold.name not in ("count", "weighted_sum") and backend != "csr":
             raise SemanticsError(
                 f"semantics {fold.name!r} requires backend='csr', got {backend!r}"
             )
@@ -552,22 +568,47 @@ class InfluenceOracle:
         #: None on the count path (the pre-fold two-element memo keys and
         #: int values), the fold's hashable token otherwise.
         self._semantics_token = None if fold.name == "count" else fold.token()
+        #: Per-node weight lookup; None unless the fold is weighted_sum.
+        self._weight_of: Optional[Callable[[Node], float]] = None
+        if weighted:
+            self._init_weights(weights, default_weight)
         self.counter = counter if counter is not None else CallCounter("oracle")
         self._executor, self._owns_executor = resolve_executor(parallel, backend)
-        self._memo = MemoTable(
-            graph, max_cache_entries, memo_mode, cone_backend=backend
-        )
+        self._memo = MemoTable(graph, max_cache_entries, cone_backend=backend)
         self._memo.executor = self._executor
+
+    def _init_weights(
+        self, weights: Optional[WeightSpec], default_weight: float
+    ) -> None:
+        self._default = float(default_weight)
+        # Dense per-interned-id weight cache, extended lazily as new nodes
+        # appear (ids are append-only, so prefixes never go stale).  Only
+        # used for mapping/default weights, which are total and pure; a
+        # user *callable* is never pre-evaluated for nodes outside the
+        # reachable set (it may raise for them, be partial, or vary), so
+        # the csr path falls back to per-reached-node calls for it —
+        # exactly the dict backend's evaluation pattern.
+        self._weight_array = np.empty(0, dtype=np.float64)
+        self._dense_weights = weights is None or not callable(weights)
+        self._uniform_default = weights is None
+        if weights is None:
+            self._weight_of = lambda node: self._default
+        elif callable(weights):
+            self._weight_of = weights
+        else:
+            mapping = dict(weights)
+            for node, weight in mapping.items():
+                if weight < 0:
+                    raise ConfigError(
+                        f"weight for {node!r} is negative ({weight}); weighted "
+                        "spread requires non-negative weights to stay monotone"
+                    )
+            self._weight_of = lambda node: mapping.get(node, self._default)
 
     @property
     def semantics(self) -> str:
         """The registered name of this oracle's fold."""
         return self.fold.name
-
-    @property
-    def memo_mode(self) -> str:
-        """The active memo invalidation policy (``"delta"`` | ``"version"``)."""
-        return self._memo.memo_mode
 
     @property
     def max_cache_entries(self) -> int:
@@ -624,8 +665,7 @@ class InfluenceOracle:
         and its own changed-node derivation share a single ancestor sweep:
         when the returned cone's seeds coincide with the batch's sources,
         the closure *is* the changed-node set.  Returns ``None`` when the
-        table was already in sync, was cleared wholesale, or runs under
-        ``memo_mode="version"``.
+        table was already in sync or was cleared wholesale.
         """
         return self._memo.sync(want_cone=True)
 
@@ -638,22 +678,22 @@ class InfluenceOracle:
 
         Semantically identical to ``[self.spread(s, min_expiry) for s in
         sets]`` — same values, same cache behavior, same call counting in
-        the same order (under either memo mode; the table is synced once
-        before the batch replays the sequential protocol).  On the CSR
-        backend the cache protocol is replayed sequentially (hits,
-        per-miss counting, FIFO slot reservation) but the distinct misses
-        are then evaluated together through the engine's bit-plane
-        multi-source sweep — one shared traversal per 64 sets instead of
-        one BFS per set — which is what makes feeding a SIEVEADN candidate
-        sweep through the oracle cheap.
+        the same order (the table is synced once before the batch replays
+        the sequential protocol).  On the CSR backend the cache protocol
+        is replayed sequentially (hits, per-miss counting, FIFO slot
+        reservation) but the distinct misses are then evaluated together
+        through the engine's bit-plane multi-source sweep — one shared
+        traversal per 64 sets instead of one BFS per set — which is what
+        makes feeding a SIEVEADN candidate sweep through the oracle cheap.
         """
         self._memo.sync()
+        zero = 0 if self._semantics_token is None else 0.0
         if self.backend == "dict":
-            reference: List[int] = []
+            reference: List[Union[int, float]] = []
             for nodes in sets:
                 key_nodes = frozenset(nodes)
                 reference.append(
-                    self._spread_cached(key_nodes, min_expiry) if key_nodes else 0
+                    self._spread_cached(key_nodes, min_expiry) if key_nodes else zero
                 )
             return reference
         return replay_batch_protocol(
@@ -661,8 +701,8 @@ class InfluenceOracle:
             self.counter,
             sets,
             min_expiry,
-            self._evaluate_batch,
-            0 if self._semantics_token is None else 0.0,
+            self._evaluate_batch if self._weight_of is None else self._weighted_batch,
+            zero,
             semantics=self._semantics_token,
         )
 
@@ -671,7 +711,7 @@ class InfluenceOracle:
         base: Iterable[Node],
         candidate: Node,
         min_expiry: Optional[float] = None,
-    ) -> int:
+    ):
         """Return ``f_t(base + {candidate}) - f_t(base)``.
 
         The base spread is typically a cache hit (it is re-used across the
@@ -681,7 +721,7 @@ class InfluenceOracle:
         base_set = frozenset(base)
         with_candidate = base_set | {candidate}
         if len(with_candidate) == len(base_set):
-            return 0
+            return 0 if self._semantics_token is None else 0.0
         return self.spread(with_candidate, min_expiry) - self.spread(
             base_set, min_expiry
         )
@@ -706,14 +746,26 @@ class InfluenceOracle:
 
     def _evaluate(self, key_nodes: FrozenSet[Node], min_expiry: Optional[float]):
         if self.backend == "dict":
-            return len(reachable_set(self.graph, key_nodes, min_expiry))
+            reached = reachable_set(self.graph, key_nodes, min_expiry)
+            if self._weight_of is None:
+                return len(reached)
+            value = 0.0
+            for node in sorted(reached, key=self._node_order_key):
+                value += self._checked_weight(node)
+            return value
         ids, unknown = self.graph.intern_ids(key_nodes)
         if self._semantics_token is None:
             if not ids:
                 return unknown
             return self.graph.csr().reachable_count(ids, min_expiry) + unknown
+        if self._weight_of is not None:
+            value = self._seed_weight(key_nodes) if unknown else 0.0
+            if not ids:
+                return value
+            reached = self.graph.csr().reachable_ids(ids, min_expiry)
+            return value + self._weight_of_reached(reached)
         # Unknown (never-interned) seeds reach exactly themselves with no
-        # alive in-edge: every shipped fold scores such a node 1.0, added
+        # alive in-edge: every derived fold scores such a node 1.0, added
         # after the engine fold exactly as the count path adds them.
         if not ids:
             return float(unknown)
@@ -755,6 +807,123 @@ class InfluenceOracle:
         return values
 
     # ------------------------------------------------------------------
+    # weighted_sum
+    # ------------------------------------------------------------------
+    def _weighted_batch(
+        self, key_sets: Sequence[FrozenSet[Node]], min_expiry: Optional[float]
+    ) -> List[float]:
+        """Evaluate distinct weighted misses via the bit-plane kernel.
+
+        Dense weights (mapping / default) fold into the shared bit-plane
+        sweep — or, under ``parallel``, the executor's shard threads' — 64
+        weighted evaluations per physical traversal.  Uniform weights
+        ride the plain counted sweep (``count * default_weight``), and a
+        weight *callable* takes the per-set reachable-id path so it is
+        only ever invoked on the caller's thread, for reached nodes.
+        """
+        graph = self.graph
+        values: List[float] = [0.0] * len(key_sets)
+        id_sets: List[List[int]] = []
+        pending: List[int] = []
+        for j, key_nodes in enumerate(key_sets):
+            ids, unknown = graph.intern_ids(key_nodes)
+            if unknown:
+                values[j] = self._seed_weight(key_nodes)
+            if ids:
+                pending.append(j)
+                id_sets.append(ids)
+        if not id_sets:
+            return values
+        executor = self._executor
+        if not self._dense_weights:
+            if executor is not None:
+                reached_sets = executor.reachable_ids_many(graph, id_sets, min_expiry)
+            else:
+                engine = graph.csr()
+                reached_sets = [
+                    engine.reachable_ids(ids, min_expiry) for ids in id_sets
+                ]
+            for j, reached in zip(pending, reached_sets):
+                values[j] += self._weight_of_reached(reached)
+        elif self._uniform_default:
+            if executor is not None:
+                counts = executor.spread_counts(graph, id_sets, min_expiry)
+            else:
+                counts = graph.csr().spread_counts(id_sets, min_expiry)
+            for j, count in zip(pending, counts):
+                values[j] += self._default * count
+        else:
+            weights = self._weights_upto(graph.num_interned)
+            if executor is not None:
+                sums = executor.weighted_spread_sums(
+                    graph, id_sets, min_expiry, weights=weights
+                )
+            else:
+                sums = graph.csr().weighted_spread_sums(id_sets, min_expiry, weights)
+            for j, value in zip(pending, sums):
+                values[j] += value
+        return values
+
+    def _checked_weight(self, node: Node) -> float:
+        weight_of = self._weight_of
+        assert weight_of is not None  # only weighted_sum oracles fold weights
+        weight = weight_of(node)
+        if weight < 0:
+            raise ConfigError(f"weight callable returned negative value for {node!r}")
+        return weight
+
+    def _node_order_key(self, node: Node) -> Tuple[int, object]:
+        """Total order for folding float weights over node sets.
+
+        Interned nodes sort by id (ascending — the canonical summation
+        order of :func:`repro.kernels.dense_weight_sum`), never-interned
+        nodes after them by ``repr``.  Folding in this order keeps the
+        dict backend bit-identical across PYTHONHASHSEED values.
+        """
+        interned = self.graph.node_id(node)
+        if interned is None:
+            return (1, repr(node))
+        return (0, interned)
+
+    def _seed_weight(self, key_nodes: FrozenSet[Node]) -> float:
+        """Total weight of the never-interned seeds, in ``repr`` order.
+
+        A never-interned seed has no edges and reaches only itself, so it
+        contributes its own weight directly.
+        """
+        node_id = self.graph.node_id
+        value = 0.0
+        for node in sorted((n for n in key_nodes if node_id(n) is None), key=repr):
+            value += self._checked_weight(node)
+        return value
+
+    def _weight_of_reached(self, reached) -> float:
+        """Total weight of a reached id set, in ascending-id order."""
+        if not reached:
+            return 0.0
+        if self._uniform_default:
+            return self._default * len(reached)
+        if not self._dense_weights:
+            node_of_id = self.graph.node_of_id
+            return sum(
+                self._checked_weight(node_of_id(reached_id))
+                for reached_id in sorted(reached)
+            )
+        return dense_weight_sum(self._weights_upto(self.graph.num_interned), reached)
+
+    def _weights_upto(self, count: int) -> np.ndarray:
+        """The dense id-indexed weight array, extended to ``count`` entries."""
+        have = self._weight_array.shape[0]
+        if have < count:
+            node_of_id = self.graph.node_of_id
+            fresh = np.asarray(
+                [self._checked_weight(node_of_id(i)) for i in range(have, count)],
+                dtype=np.float64,
+            )
+            self._weight_array = np.concatenate([self._weight_array, fresh])
+        return self._weight_array
+
+    # ------------------------------------------------------------------
     @property
     def calls(self) -> int:
         """Total real evaluations so far."""
@@ -768,6 +937,29 @@ class InfluenceOracle:
         return (
             f"InfluenceOracle(backend={self.backend!r}, "
             f"semantics={self.semantics!r}, "
-            f"memo_mode={self.memo_mode!r}, "
             f"calls={self.counter.total}, cached={len(self._memo)})"
         )
+
+
+def top_spreaders(
+    graph: TDNGraph,
+    count: int,
+    min_expiry: Optional[float] = None,
+) -> List[Node]:
+    """The ``count`` alive nodes with the largest singleton spreads.
+
+    A one-shot popularity ranking (NOT a solution to the paper's set
+    problem — it ignores overlap between reach sets; use the trackers for
+    that), useful for analysis and as a cheap warm start.  Every singleton
+    is evaluated in one bit-plane ``spread_counts`` sweep, outside any
+    oracle's call accounting; ties break by ``repr``.
+    """
+    if count < 0:
+        raise ConfigError(f"count must be >= 0, got {count}")
+    nodes = list(graph.node_set())
+    if not nodes:
+        return []
+    ids, _ = graph.intern_ids(nodes)  # every alive node is interned
+    spreads = graph.csr().spread_counts([[i] for i in ids], min_expiry)
+    ranked = sorted(zip(nodes, spreads), key=lambda pair: (-pair[1], repr(pair[0])))
+    return [node for node, _ in ranked[:count]]

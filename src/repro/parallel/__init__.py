@@ -10,9 +10,9 @@ applies interaction batches with backpressure, journaled writer recovery
 and staleness-flagged top-k serving against the last consistent epoch
 (:mod:`repro.parallel.service`).
 
-Everything is wired in through ``InfluenceOracle(parallel=...)`` /
-``WeightedInfluenceOracle(parallel=...)`` — SieveADN, BasicReduction and
-HistApprox inherit the parallel substrate untouched, and the sharded
+Everything is wired in through ``InfluenceOracle(parallel=...)``, under
+every semantics — SieveADN, BasicReduction and HistApprox inherit the
+parallel substrate untouched, and the sharded
 engine is bit-for-bit equivalent to the serial one (same solutions, same
 spread values, same oracle-call counts; pinned by the equivalence suite
 and re-pinned under seeded shard failures by the chaos suite).

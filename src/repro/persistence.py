@@ -15,18 +15,19 @@ JSON-able dictionaries:
   sieve sets with their cached values) and horizon;
 * BASICREDUCTION / HISTAPPROX serialize their horizon-keyed instances;
 * every algorithm payload carries its oracle's *configuration* (backend,
-  memo mode, cache bound, sharded-executor worker count) — not the memo
+  cache bound, sharded-executor worker count, semantics) — not the memo
   contents, which are a pure cache, nor the executor's thread pool,
   which is runtime state started lazily — so a restored run keeps the same
-  evaluation engine, invalidation policy and parallelism.
+  evaluation engine, parallelism and influence arithmetic.  Node weights
+  are not configuration (they may be a callable): a ``weighted_sum``
+  checkpoint restores only with the weighted oracle injected.
 
 Restoring reconnects everything to a freshly rebuilt graph and a fresh
 oracle; resumed runs produce *identical solutions and spread values* to
 uninterrupted ones (verified in ``tests/test_persistence.py``).  Oracle
-*call counts* after a restore can exceed the uninterrupted run's under
-``memo_mode="delta"``: the memo table restarts cold (it is deliberately
-not serialized) and re-pays evaluations the warm table would have
-retained, until it re-warms.
+*call counts* after a restore can exceed the uninterrupted run's: the memo
+table restarts cold (it is deliberately not serialized) and re-pays
+evaluations the warm table would have retained, until it re-warms.
 
 Node labels must be JSON-compatible (strings, numbers); the loader refuses
 graphs whose serialized labels would not round-trip.  This applies to
@@ -56,6 +57,7 @@ from repro.core.hist_approx import HistApprox
 from repro.core.sieve_adn import SieveADN
 from repro.core.thresholds import SieveSet, ThresholdSet
 from repro.influence.oracle import InfluenceOracle
+from repro.kernels import resolve_fold
 from repro.tdn.graph import INFINITE_EXPIRY, TDNGraph
 from repro.tdn.interaction import Interaction
 
@@ -83,7 +85,6 @@ def graph_to_dict(graph: TDNGraph) -> Dict:
         "format_version": _FORMAT_VERSION,
         "type": "TDNGraph",
         "time": graph.time,
-        "csr_mode": graph._csr_mode,  # noqa: SLF001 - own module
         "interned": list(graph._id_nodes),  # noqa: SLF001 - own module
         "edges": edges,
     }
@@ -94,12 +95,11 @@ def graph_from_dict(payload: Dict) -> TDNGraph:
 
     The interning table is restored first so every node keeps its original
     dense id (checkpoints from before the table was serialized fall back
-    to replay-order interning).
+    to replay-order interning).  The CSR maintenance-mode field older
+    versions wrote is ignored: the engine has one maintenance policy.
     """
     _check_payload(payload, "TDNGraph")
-    graph = TDNGraph(
-        start_time=payload["time"], csr_mode=payload.get("csr_mode", "delta")
-    )
+    graph = TDNGraph(start_time=payload["time"])
     for node in payload.get("interned", ()):
         if node not in graph._node_ids:  # noqa: SLF001 - own module
             graph._node_ids[node] = len(graph._id_nodes)  # noqa: SLF001
@@ -133,11 +133,10 @@ def oracle_to_dict(oracle: InfluenceOracle) -> Dict:
     table identically); unknown names fail loudly on restore.  The
     default ``count`` fold is *omitted* so default-semantics checkpoints
     stay byte-identical to pre-fold ones (restore treats a missing key
-    as ``count``).
+    as ``count``).  Node weights are never written.
     """
     payload = {
         "backend": oracle.backend,
-        "memo_mode": oracle.memo_mode,
         "max_cache_entries": oracle.max_cache_entries,
         "workers": oracle.workers,
     }
@@ -150,25 +149,33 @@ def oracle_from_dict(payload: Optional[Dict], graph: TDNGraph) -> InfluenceOracl
     """Rebuild an oracle for a restored graph.
 
     Checkpoints from before the oracle configuration was serialized (or a
-    missing key) fall back to a *current-defaults* oracle: solutions and
-    spread values are unaffected by the memo policy, but post-restore
-    call accounting follows today's ``memo_mode="delta"`` rather than the
-    wholesale clear the original run used.  Checkpoints from before
-    semantics were serialized default to ``"count"`` (the only semantics
-    that existed then); a serialized name the registry does not know
-    raises :class:`~repro.errors.SemanticsError` rather than silently
-    resuming under different influence arithmetic.
+    missing key) fall back to a *current-defaults* oracle.  The memo-mode
+    field older versions wrote is ignored: solutions and spread values
+    never depended on it.  Checkpoints from before semantics were
+    serialized default to ``"count"`` (the only semantics that existed
+    then); a serialized name the registry does not know raises
+    :class:`~repro.errors.SemanticsError` rather than silently resuming
+    under different influence arithmetic.  A ``weighted_sum`` checkpoint
+    raises :class:`~repro.errors.PersistenceError`: its weights were
+    never written, so the caller must inject the weighted oracle.
     """
     if not payload:
         return InfluenceOracle(graph)
     workers = payload.get("workers", 1)
+    semantics = payload.get("semantics", "count")
+    if resolve_fold(semantics).needs_weights:
+        raise PersistenceError(
+            "checkpoint was taken with semantics 'weighted_sum', whose node "
+            "weights are not serialized; restore it with "
+            "algorithm_from_dict(..., oracle=InfluenceOracle(graph, "
+            "semantics='weighted_sum', weights=...))"
+        )
     return InfluenceOracle(
         graph,
         backend=payload.get("backend", "csr"),
-        memo_mode=payload.get("memo_mode", "delta"),
         max_cache_entries=payload.get("max_cache_entries", 200_000),
         parallel=workers if workers and workers > 1 else None,
-        semantics=payload.get("semantics", "count"),
+        semantics=semantics,
     )
 
 
@@ -306,7 +313,9 @@ def algorithm_from_dict(payload: Dict, graph: TDNGraph, oracle=None):
     """Rebuild an algorithm serialized by :func:`algorithm_to_dict`.
 
     When no ``oracle`` is supplied, one is rebuilt from the payload's
-    serialized oracle configuration (backend / memo mode / cache bound).
+    serialized oracle configuration (backend / cache bound / workers /
+    semantics).  A ``weighted_sum`` payload needs the weighted oracle
+    passed as ``oracle``.
     """
     if oracle is None:
         oracle = oracle_from_dict(payload.get("oracle"), graph)

@@ -39,9 +39,9 @@ clamp their horizon to ``max(min_expiry, t + 1)`` and stale entries filter
 themselves out.  When the overlay-plus-tombstone fraction crosses
 :attr:`DeltaCSR.COMPACT_FRACTION` of the base, the engine compacts into a
 fresh base — so a stream of B-edge batches pays amortized O(B), not
-O(V + P), per step.  After the first base, delta-mode compactions merge
-the old base's arrays with the arrival log in whole-array numpy passes
-instead of walking the graph.
+O(V + P), per step.  After the first base, compactions merge the old
+base's arrays with the arrival log in whole-array numpy passes instead of
+walking the graph.
 
 Traversals
 ----------
@@ -80,9 +80,6 @@ from repro.kernels import (
 from repro.utils.rng import make_np_rng
 
 __all__ = ["CSRSnapshot", "DeltaCSR", "calibrate_scalar_pair_limit"]
-
-#: Selectable maintenance policies for :class:`DeltaCSR`.
-CSR_MODES = ("delta", "rebuild")
 
 #: Environment override for the scalar/vector traversal cutover.
 SCALAR_LIMIT_ENV = "REPRO_SCALAR_PAIR_LIMIT"
@@ -389,10 +386,7 @@ class DeltaCSR:
     ``max(COMPACT_MIN, COMPACT_FRACTION * base pairs)`` — merging the
     base arrays with the arrival log (:meth:`_merged_base`), not walking
     the graph; between compactions every mutation is O(1) and every
-    query sees the exact current graph.  ``mode="rebuild"`` forces a
-    graph-walk compaction on every version change: the
-    rebuild-per-version cost model the incremental engine is benchmarked
-    against.
+    query sees the exact current graph.
 
     Every traversal is served by one shared :class:`~repro.kernels.
     TraversalKernel` per direction — base arrays (forward) or the lazily
@@ -418,7 +412,6 @@ class DeltaCSR:
 
     __slots__ = (
         "_graph",
-        "mode",
         "scalar_pair_limit",
         "backend",
         "_base",
@@ -439,14 +432,10 @@ class DeltaCSR:
     def __init__(
         self,
         graph,
-        mode: str = "delta",
         scalar_pair_limit: Optional[int] = None,
         backend: Optional[str] = None,
     ) -> None:
-        if mode not in CSR_MODES:
-            raise ValueError(f"mode must be one of {CSR_MODES}, got {mode!r}")
         self._graph = graph
-        self.mode = mode
         self.backend = resolve_backend(backend)
         self.scalar_pair_limit = resolve_scalar_pair_limit(
             scalar_pair_limit, self.backend
@@ -536,25 +525,20 @@ class DeltaCSR:
     # ------------------------------------------------------------------
     def sync(self) -> None:
         """Bring the engine up to date with the graph (maybe compact)."""
-        graph = self._graph
-        if self.mode == "rebuild":
-            if self.version != graph.version:
-                self._compact()
-            return
         if self._ov_entries + self._tombstones > self.compact_trigger:
             self._compact()
         else:
-            self.version = graph.version
+            self.version = self._graph.version
 
     def _compact(self) -> None:
         """Fold overlay and tombstones into a fresh immutable base.
 
-        The first base, and every base under ``mode="rebuild"``, walks the
-        graph (:meth:`CSRSnapshot.build`); later delta-mode bases are
-        merged from arrays this engine already holds (:meth:`_merged_base`).
+        The first base walks the graph (:meth:`CSRSnapshot.build`); later
+        bases are merged from arrays this engine already holds
+        (:meth:`_merged_base`).
         """
         graph = self._graph
-        if self.mode == "delta" and self.compactions:
+        if self.compactions:
             self._base = self._merged_base()
         else:
             self._base = CSRSnapshot.build(
@@ -704,7 +688,7 @@ class DeltaCSR:
     def reachable_ids(
         self, source_ids: Iterable[int], min_expiry: Optional[float] = None
     ) -> Set[int]:
-        """The reachable id set itself (weighted oracle, tests)."""
+        """The reachable id set itself (``weighted_sum`` oracles, tests)."""
         eff = self._effective_horizon(min_expiry)
         return self._kernel(False).reachable_ids(source_ids, eff)
 
@@ -812,7 +796,7 @@ class DeltaCSR:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"DeltaCSR(mode={self.mode!r}, nodes={self.num_nodes}, "
+            f"DeltaCSR(nodes={self.num_nodes}, "
             f"base_pairs={self._base.num_pairs}, overlay={self._ov_entries}, "
             f"tombstones={self._tombstones}, compactions={self.compactions})"
         )

@@ -32,7 +32,7 @@ Bookkeeping
   (:meth:`node_id`); ids are stable for the graph's lifetime and are what
   the CSR reachability engine (:mod:`repro.tdn.csr`) indexes by.
 * ``version`` increments on every structural change; the influence oracle
-  keys its memoization on it.
+  compares it to decide when to read the dirty-source journal.
 * a bounded *dirty-source journal* records, per structural change, the
   interned id whose forward cone the change touched — an arrival's source,
   or the source of a directed pair whose last alive edge expired.  Memo
@@ -47,7 +47,8 @@ Bookkeeping
 * :meth:`csr` owns the incrementally maintained :class:`~repro.tdn.csr.
   DeltaCSR` engine: every mutation feeds its overlay/tombstone deltas
   directly (O(1) per edge), so evaluation-heavy ingestion never pays a
-  per-version O(V + P) snapshot rebuild.
+  per-version O(V + P) snapshot rebuild; that threshold/merge compaction
+  is the engine's only maintenance policy.
 """
 
 from __future__ import annotations
@@ -104,10 +105,6 @@ class TDNGraph:
 
     Args:
         start_time: the initial clock value (default 0).
-        csr_mode: maintenance policy of the CSR reachability engine —
-            ``"delta"`` (default; incremental overlay + lazy compaction)
-            or ``"rebuild"`` (full snapshot rebuild per version, the PR 1
-            cost model, kept for benchmarking the incremental engine).
 
     Typical usage mirrors the paper's processing loop::
 
@@ -122,11 +119,7 @@ class TDNGraph:
     invalidate precisely.
     """
 
-    def __init__(self, start_time: int = 0, csr_mode: str = "delta") -> None:
-        from repro.tdn.csr import CSR_MODES
-
-        if csr_mode not in CSR_MODES:
-            raise ValueError(f"csr_mode must be one of {CSR_MODES}, got {csr_mode!r}")
+    def __init__(self, start_time: int = 0) -> None:
         self._time = start_time
         self._out: Dict[Node, Dict[Node, _PairEdges]] = {}
         self._in: Dict[Node, Dict[Node, _PairEdges]] = {}
@@ -159,7 +152,6 @@ class TDNGraph:
         self._alive_nodes = 0
         self._alive_pairs = 0
         self._removal_listeners: List = []
-        self._csr_mode = csr_mode
         self._delta = None  # DeltaCSR engine, created lazily by csr()
         # Dirty-source journal: interned ids of nodes whose forward cone a
         # structural change touched, in mutation order.  ``_dirty_trimmed``
@@ -475,14 +467,12 @@ class TDNGraph:
         (one O(V + P) base compaction); from then on every mutation feeds
         the engine's overlay/tombstone deltas in O(1) via the hooks in
         :meth:`add_interaction` / :meth:`_remove_one_edge`, and this
-        accessor merely checks the compaction threshold.  Under
-        ``csr_mode="rebuild"`` the engine instead compacts on every
-        version change (the PR 1 cost model, kept for benchmarking).
+        accessor merely checks the compaction threshold.
         """
         if self._delta is None:
             from repro.tdn.csr import DeltaCSR
 
-            self._delta = DeltaCSR(self, mode=self._csr_mode)
+            self._delta = DeltaCSR(self)
         else:
             self._delta.sync()
         return self._delta

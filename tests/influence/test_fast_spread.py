@@ -1,16 +1,10 @@
-"""Equivalence tests for the SCC-based batch spread engine."""
+"""``top_spreaders``: the one-shot singleton-spread ranking."""
 
 import random
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
 
-from repro.influence.fast_spread import (
-    all_singleton_spreads,
-    strongly_connected_components,
-    top_spreaders,
-)
+from repro.influence import top_spreaders
 from repro.influence.oracle import InfluenceOracle
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
@@ -26,87 +20,6 @@ def random_graph(rng, num_edges=14, max_lifetime=9):
             Interaction(NODES[u], NODES[v], 0, rng.randint(1, max_lifetime))
         )
     return graph
-
-
-class TestSCC:
-    def test_chain_components_singletons(self):
-        graph = TDNGraph()
-        graph.add_interaction(Interaction("a", "b", 0, 9))
-        graph.add_interaction(Interaction("b", "c", 0, 9))
-        components = strongly_connected_components(graph)
-        assert sorted(len(c) for c in components) == [1, 1, 1]
-
-    def test_cycle_collapses(self):
-        graph = TDNGraph()
-        graph.add_interaction(Interaction("a", "b", 0, 9))
-        graph.add_interaction(Interaction("b", "c", 0, 9))
-        graph.add_interaction(Interaction("c", "a", 0, 9))
-        components = strongly_connected_components(graph)
-        assert len(components) == 1
-        assert sorted(components[0]) == ["a", "b", "c"]
-
-    def test_reverse_topological_order(self):
-        """Each condensation edge points to an earlier-listed component."""
-        rng = random.Random(3)
-        for _ in range(20):
-            graph = random_graph(rng)
-            components = strongly_connected_components(graph)
-            position = {}
-            for i, members in enumerate(components):
-                for m in members:
-                    position[m] = i
-            for u, v in graph.alive_pairs():
-                if position[u] != position[v]:
-                    assert position[v] < position[u]
-
-    def test_empty_graph(self):
-        assert strongly_connected_components(TDNGraph()) == []
-
-    def test_deep_chain_no_recursion_limit(self):
-        """A 5000-node chain would blow Python's recursion limit if Tarjan
-        were recursive."""
-        graph = TDNGraph()
-        for i in range(5_000):
-            graph.add_interaction(Interaction(i, i + 1, 0, 9))
-        components = strongly_connected_components(graph)
-        assert len(components) == 5_001
-
-
-class TestAllSingletonSpreads:
-    def test_matches_oracle_on_random_graphs(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            graph = random_graph(rng)
-            oracle = InfluenceOracle(graph)
-            fast = all_singleton_spreads(graph)
-            assert set(fast) == graph.node_set()
-            for node in graph.node_set():
-                assert fast[node] == oracle.spread([node]), node
-
-    def test_respects_horizon(self):
-        graph = TDNGraph()
-        graph.add_interaction(Interaction("a", "b", 0, 2))
-        graph.add_interaction(Interaction("a", "c", 0, 9))
-        fast = all_singleton_spreads(graph, min_expiry=5)
-        assert fast["a"] == 2  # only a->c visible
-
-    def test_cycles_share_spread(self):
-        graph = TDNGraph()
-        graph.add_interaction(Interaction("a", "b", 0, 9))
-        graph.add_interaction(Interaction("b", "a", 0, 9))
-        graph.add_interaction(Interaction("b", "c", 0, 9))
-        fast = all_singleton_spreads(graph)
-        assert fast["a"] == fast["b"] == 3
-
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_property_equivalence(self, seed):
-        rng = random.Random(seed)
-        graph = random_graph(rng, num_edges=rng.randint(1, 20))
-        oracle = InfluenceOracle(graph)
-        fast = all_singleton_spreads(graph)
-        for node in graph.node_set():
-            assert fast[node] == oracle.spread([node])
 
 
 class TestTopSpreaders:
@@ -129,3 +42,14 @@ class TestTopSpreaders:
         graph.add_interaction(Interaction("a", "x", 0, 9))
         graph.add_interaction(Interaction("b", "y", 0, 9))
         assert top_spreaders(graph, 2) == ["a", "b"]
+
+    @pytest.mark.parametrize("horizon", [None, 5])
+    def test_matches_oracle_ranking_on_random_graphs(self, horizon):
+        for trial in range(20):
+            graph = random_graph(random.Random(trial))
+            oracle = InfluenceOracle(graph, backend="dict")
+            nodes = graph.node_set()
+            spreads = {n: oracle.spread([n], horizon) for n in nodes}
+            expected = sorted(nodes, key=lambda n: (-spreads[n], repr(n)))
+            assert top_spreaders(graph, len(nodes), horizon) == expected
+            assert top_spreaders(graph, 3, horizon) == expected[:3]

@@ -1,19 +1,18 @@
 """Delta-aware memo semantics: dirty-cone eviction, FIFO order, equivalence.
 
-The oracle's memo table now survives graph version bumps: under
-``memo_mode="delta"`` only entries whose key-set intersects the ancestor
-closure of the journaled dirty sources are evicted, while
-``memo_mode="version"`` reproduces the historical wholesale clear.  These
-tests pin the contract from three sides:
+The oracle's memo table survives graph version bumps: only entries whose
+key-set intersects the ancestor closure of the journaled dirty sources are
+evicted.  These tests pin the contract from three sides:
 
 * *retention*: entries whose reachable cone no delta touched stay hot
   across arrivals and expiries (no re-counted oracle call), on both
   backends and for the weighted oracle;
 * *soundness*: any entry retained across a batch equals a from-scratch
   evaluation (a hypothesis property over random add/advance streams);
-* *equivalence*: both memo modes produce identical solutions and spread
-  values on replayed tracker streams, with the delta mode never spending
-  more calls at default capacity, and FIFO capacity eviction order is
+* *equivalence*: the delta memo produces the solutions and spread values
+  of a from-scratch reference — an oracle whose memo is invalidated
+  before every batch — on replayed tracker streams, never spending more
+  calls at default capacity, and FIFO capacity eviction order is
   preserved by dirty-cone deletes.
 """
 
@@ -27,8 +26,7 @@ from repro.core.basic_reduction import BasicReduction
 from repro.core.hist_approx import HistApprox
 from repro.core.sieve_adn import SieveADN
 from repro.influence.changed import changed_nodes
-from repro.influence.oracle import MEMO_MODES, InfluenceOracle, MemoTable
-from repro.influence.weighted import WeightedInfluenceOracle
+from repro.influence.oracle import InfluenceOracle, MemoTable
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 from repro.tdn.stream import MemoryStream
@@ -42,20 +40,6 @@ def two_island_graph():
     graph.add_interaction(Interaction("b", "c", 0, 50))
     graph.add_interaction(Interaction("x", "y", 0, 50))
     return graph
-
-
-class TestMemoModeConfig:
-    def test_invalid_memo_mode_rejected(self):
-        with pytest.raises(ValueError, match="memo_mode"):
-            InfluenceOracle(TDNGraph(), memo_mode="eager")
-        with pytest.raises(ValueError, match="memo_mode"):
-            WeightedInfluenceOracle(TDNGraph(), memo_mode="eager")
-
-    def test_modes_exposed(self):
-        assert MEMO_MODES == ("delta", "version")
-        assert InfluenceOracle(TDNGraph()).memo_mode == "delta"
-        oracle = InfluenceOracle(TDNGraph(), memo_mode="version")
-        assert oracle.memo_mode == "version"
 
 
 class TestDeltaRetention:
@@ -130,19 +114,9 @@ class TestDeltaRetention:
         assert oracle.spread(["a"]) == 3
         assert graph._delta is None  # noqa: SLF001 - the pinned invariant
 
-    def test_version_mode_clears_wholesale(self):
-        graph = two_island_graph()
-        oracle = InfluenceOracle(graph, memo_mode="version")
-        assert oracle.spread(["a"]) == 3
-        assert oracle.spread(["x"]) == 2
-        graph.add_interaction(Interaction("x", "z", 0, 50))
-        assert oracle.spread(["a"]) == 3  # recomputed despite untouched cone
-        assert oracle.spread(["x"]) == 3
-        assert oracle.calls == 4
-
     def test_weighted_oracle_retains_untouched_cone(self):
         graph = two_island_graph()
-        oracle = WeightedInfluenceOracle(graph, {"c": 10.0})
+        oracle = InfluenceOracle(graph, semantics="weighted_sum", weights={"c": 10.0})
         assert oracle.spread(["a"]) == 12.0
         assert oracle.spread(["x"]) == 2.0
         graph.add_interaction(Interaction("x", "z", 0, 50))
@@ -229,12 +203,11 @@ class TestFifoOrderAcrossModes:
         oracle.spread(["b"])  # must be a real re-evaluation
         assert oracle.calls == calls + 2
 
-    @pytest.mark.parametrize("memo_mode", MEMO_MODES)
-    def test_fifo_order_identical_within_a_version(self, memo_mode):
+    def test_fifo_order_identical_within_a_version(self):
         graph = TDNGraph()
         for leaf in ("b", "c", "d", "e"):
             graph.add_interaction(Interaction("a", leaf, 0, 50))
-        oracle = InfluenceOracle(graph, max_cache_entries=2, memo_mode=memo_mode)
+        oracle = InfluenceOracle(graph, max_cache_entries=2)
         for seed in ("b", "c", "d"):  # d's insert evicts b
             oracle.spread([seed])
         calls = oracle.calls
@@ -248,7 +221,7 @@ class TestFifoOrderAcrossModes:
 class TestMemoTable:
     def test_evict_nodes_returns_eviction_count(self):
         graph = two_island_graph()
-        table = MemoTable(graph, 10, "delta")
+        table = MemoTable(graph, 10)
         table.put((None, frozenset(["a"])), 3)
         table.put((None, frozenset(["a", "x"])), 4)
         table.put((None, frozenset(["x"])), 2)
@@ -258,13 +231,13 @@ class TestMemoTable:
 
     def test_zero_capacity_stores_nothing(self):
         graph = two_island_graph()
-        table = MemoTable(graph, 0, "delta")
+        table = MemoTable(graph, 0)
         table.put((None, frozenset(["a"])), 3)
         assert len(table) == 0
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError, match="max_entries"):
-            MemoTable(TDNGraph(), -1, "delta")
+            MemoTable(TDNGraph(), -1)
 
 
 def seeded_events(seed, steps=16, num_nodes=8):
@@ -288,22 +261,25 @@ def make_tracker(name, graph, oracle):
     raise AssertionError(name)
 
 
-def replay(tracker_name, events, memo_mode, backend="csr"):
+def replay(tracker_name, events, from_scratch=False, backend="csr"):
+    """Replay ``events``; ``from_scratch`` invalidates the memo per batch."""
     graph = TDNGraph()
     counter = CallCounter()
-    oracle = InfluenceOracle(graph, counter, backend=backend, memo_mode=memo_mode)
+    oracle = InfluenceOracle(graph, counter, backend=backend)
     tracker = make_tracker(tracker_name, graph, oracle)
     solutions = []
     for t, batch in MemoryStream(events, fill_gaps=True):
         graph.advance_to(t)
         graph.add_batch(batch)
+        if from_scratch:
+            oracle.invalidate()
         tracker.on_batch(t, batch)
         solutions.append(tracker.query())
     return solutions, counter.total
 
 
 class TestModeEquivalence:
-    """The memo mode changes call counts only — never a value or solution."""
+    """Delta retention changes call counts only — never a value or solution."""
 
     @pytest.mark.parametrize(
         "tracker_name", ["sieve_adn", "basic_reduction", "hist_approx"]
@@ -314,19 +290,21 @@ class TestModeEquivalence:
             e if e.lifetime is not None else Interaction(e.source, e.target, e.time, 6)
             for e in seeded_events(seed)
         ]
-        delta_solutions, delta_calls = replay(tracker_name, events, "delta")
-        version_solutions, version_calls = replay(tracker_name, events, "version")
-        assert delta_solutions == version_solutions
+        delta_solutions, delta_calls = replay(tracker_name, events)
+        scratch_solutions, scratch_calls = replay(
+            tracker_name, events, from_scratch=True
+        )
+        assert delta_solutions == scratch_solutions
         # At default capacity the delta cache is a superset of the
-        # version-mode cache at every step, so it can only save calls.
-        assert delta_calls <= version_calls
-        assert version_calls > 0
+        # from-scratch cache at every step, so it can only save calls.
+        assert delta_calls <= scratch_calls
+        assert scratch_calls > 0
 
     @pytest.mark.parametrize("seed", [13, 41])
     def test_backends_agree_under_delta_mode(self, seed):
         events = seeded_events(seed)
-        csr_solutions, csr_calls = replay("sieve_adn", events, "delta", "csr")
-        dict_solutions, dict_calls = replay("sieve_adn", events, "delta", "dict")
+        csr_solutions, csr_calls = replay("sieve_adn", events, backend="csr")
+        dict_solutions, dict_calls = replay("sieve_adn", events, backend="dict")
         assert csr_solutions == dict_solutions
         assert csr_calls == dict_calls
 
@@ -335,10 +313,12 @@ class TestModeEquivalence:
         events = []
         for t in range(10):
             events.append(Interaction(f"s{t}", f"t{t}", t, 50))
-        delta_solutions, delta_calls = replay("sieve_adn", events, "delta")
-        version_solutions, version_calls = replay("sieve_adn", events, "version")
-        assert delta_solutions == version_solutions
-        assert delta_calls < version_calls
+        delta_solutions, delta_calls = replay("sieve_adn", events)
+        scratch_solutions, scratch_calls = replay(
+            "sieve_adn", events, from_scratch=True
+        )
+        assert delta_solutions == scratch_solutions
+        assert delta_calls < scratch_calls
 
 
 class TestSharedSweep:

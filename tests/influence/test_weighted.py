@@ -7,12 +7,17 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.hist_approx import HistApprox
+from repro.errors import ConfigError
 from repro.influence.oracle import InfluenceOracle
-from repro.influence.weighted import WeightedInfluenceOracle
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
 NODES = [f"n{i}" for i in range(6)]
+
+
+def weighted_oracle(graph, weights=None, **kwargs):
+    """An oracle scoring reached nodes by ``weights`` (``weighted_sum``)."""
+    return InfluenceOracle(graph, semantics="weighted_sum", weights=weights, **kwargs)
 
 
 def star_graph():
@@ -25,42 +30,42 @@ def star_graph():
 class TestBasics:
     def test_unit_weights_match_unweighted_oracle(self):
         graph = star_graph()
-        weighted = WeightedInfluenceOracle(graph)
+        weighted = weighted_oracle(graph)
         plain = InfluenceOracle(graph)
         for seeds in (["hub"], ["leaf0"], ["hub", "leaf1"]):
             assert weighted.spread(seeds) == plain.spread(seeds)
 
     def test_mapping_weights(self):
         graph = star_graph()
-        oracle = WeightedInfluenceOracle(graph, {"leaf0": 10.0}, default_weight=1.0)
+        oracle = weighted_oracle(graph, {"leaf0": 10.0}, default_weight=1.0)
         # hub reaches hub(1) + leaf0(10) + leaf1(1) + leaf2(1) = 13.
         assert oracle.spread(["hub"]) == 13.0
 
     def test_callable_weights(self):
         graph = star_graph()
-        oracle = WeightedInfluenceOracle(
+        oracle = weighted_oracle(
             graph, lambda n: 5.0 if str(n).startswith("leaf") else 0.0
         )
         assert oracle.spread(["hub"]) == 15.0
 
     def test_zero_weight_excludes_value(self):
         graph = star_graph()
-        oracle = WeightedInfluenceOracle(graph, {"hub": 0.0})
+        oracle = weighted_oracle(graph, {"hub": 0.0})
         assert oracle.spread(["hub"]) == 3.0
 
     def test_empty_set_normalized(self):
-        oracle = WeightedInfluenceOracle(star_graph())
+        oracle = weighted_oracle(star_graph())
         assert oracle.spread([]) == 0.0
         assert oracle.calls == 0
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            WeightedInfluenceOracle(star_graph(), {"hub": -1.0})
+            weighted_oracle(star_graph(), {"hub": -1.0})
         with pytest.raises(ValueError):
-            WeightedInfluenceOracle(star_graph(), default_weight=-2.0)
+            weighted_oracle(star_graph(), default_weight=-2.0)
 
     def test_caching_and_counting(self):
-        oracle = WeightedInfluenceOracle(star_graph(), {"leaf0": 2.0})
+        oracle = weighted_oracle(star_graph(), {"leaf0": 2.0})
         oracle.spread(["hub"])
         oracle.spread(["hub"])
         assert oracle.calls == 1
@@ -68,7 +73,7 @@ class TestBasics:
     def test_marginal_gain(self):
         graph = star_graph()
         graph.add_interaction(Interaction("solo", "other", 0, 9))
-        oracle = WeightedInfluenceOracle(graph, {"other": 7.0})
+        oracle = weighted_oracle(graph, {"other": 7.0})
         assert oracle.marginal_gain(["hub"], "solo") == 8.0
         assert oracle.marginal_gain(["hub"], "hub") == 0.0
 
@@ -76,7 +81,7 @@ class TestBasics:
 class TestBackends:
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
-            WeightedInfluenceOracle(star_graph(), backend="sparse")
+            weighted_oracle(star_graph(), backend="sparse")
 
     def test_csr_and_dict_backends_agree_on_random_streams(self):
         rng = random.Random(31)
@@ -84,8 +89,8 @@ class TestBackends:
         graph.csr()  # live engine: spreads run on base + overlay
         t = 0
         weights = {f"n{i}": rng.uniform(0.0, 9.0) for i in range(12)}
-        csr = WeightedInfluenceOracle(graph, weights, backend="csr")
-        ref = WeightedInfluenceOracle(graph, weights, backend="dict")
+        csr = weighted_oracle(graph, weights, backend="csr")
+        ref = weighted_oracle(graph, weights, backend="dict")
         for _ in range(100):
             if rng.random() < 0.2:
                 t += rng.randint(1, 3)
@@ -101,14 +106,19 @@ class TestBackends:
 
     def test_csr_path_handles_uninterned_seeds(self):
         graph = star_graph()
-        oracle = WeightedInfluenceOracle(graph, {"ghost": 4.0}, backend="csr")
+        oracle = weighted_oracle(graph, {"ghost": 4.0}, backend="csr")
         # "ghost" was never interned: it reaches only itself.
         assert oracle.spread(["ghost"]) == 4.0
         assert oracle.spread(["ghost", "hub"]) == 8.0  # 4 + hub's 4 unit reach
 
+    def test_weights_require_weighted_sum(self):
+        for semantics in ("count", "hop_discount"):
+            with pytest.raises(ConfigError, match="only meaningful"):
+                InfluenceOracle(star_graph(), semantics=semantics, weights={"hub": 2.0})
+
     def test_csr_path_rejects_negative_callable_weight(self):
         graph = star_graph()
-        oracle = WeightedInfluenceOracle(
+        oracle = weighted_oracle(
             graph, lambda n: -1.0 if n == "leaf2" else 1.0, backend="csr"
         )
         with pytest.raises(ValueError, match="negative"):
@@ -131,7 +141,7 @@ class TestSubmodularityProperties:
             u, v = rng.sample(range(len(NODES)), 2)
             graph.add_interaction(Interaction(NODES[u], NODES[v], 0, rng.randint(1, 9)))
         weights = {node: rng.uniform(0.0, 5.0) for node in NODES}
-        oracle = WeightedInfluenceOracle(graph, weights)
+        oracle = weighted_oracle(graph, weights)
         large = small | extra
         # Monotone.
         assert oracle.spread(large | {candidate}) >= oracle.spread(large) - 1e-12
@@ -146,7 +156,7 @@ class TestTrackersWithWeightedObjective:
         """With a huge weight on one target, the tracker must prefer the
         otherwise-minor influencer that reaches it."""
         graph = TDNGraph()
-        oracle = WeightedInfluenceOracle(graph, {"vip": 100.0})
+        oracle = weighted_oracle(graph, {"vip": 100.0})
         hist = HistApprox(1, 0.2, graph, oracle)
         batch = [Interaction("popular", f"x{i}", 0, 9) for i in range(5)]
         batch.append(Interaction("minor", "vip", 0, 9))
@@ -164,7 +174,7 @@ class TestTrackersWithWeightedObjective:
                 events.append(Interaction(NODES[u], NODES[v], t, rng.randint(1, 6)))
         graph_a, graph_b = TDNGraph(), TDNGraph()
         plain = HistApprox(2, 0.2, graph_a)
-        weighted = HistApprox(2, 0.2, graph_b, WeightedInfluenceOracle(graph_b))
+        weighted = HistApprox(2, 0.2, graph_b, weighted_oracle(graph_b))
         by_time = {}
         for e in events:
             by_time.setdefault(e.time, []).append(e)

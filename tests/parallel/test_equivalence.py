@@ -23,7 +23,6 @@ from repro.core.basic_reduction import BasicReduction
 from repro.core.hist_approx import HistApprox
 from repro.core.sieve_adn import SieveADN
 from repro.influence.oracle import InfluenceOracle
-from repro.influence.weighted import WeightedInfluenceOracle
 from repro.obs import names as metric_names
 from repro.obs.registry import metrics_registry
 from repro.parallel.executor import ShardedOracleExecutor
@@ -64,7 +63,8 @@ def make_algorithm(name, graph, oracle):
     raise ValueError(name)
 
 
-def replay(name, batches, oracle_factory):
+def replay(name, batches, oracle_factory, from_scratch=False):
+    """Per-step trace; ``from_scratch`` invalidates the memo per batch."""
     graph = TDNGraph()
     oracle = oracle_factory(graph)
     algorithm = make_algorithm(name, graph, oracle)
@@ -73,6 +73,8 @@ def replay(name, batches, oracle_factory):
         graph.advance_to(t)
         for interaction in batch:
             graph.add_interaction(interaction)
+        if from_scratch:
+            oracle.invalidate()
         algorithm.on_batch(t, batch)
         solution = algorithm.query()
         trace.append((tuple(solution.nodes), solution.value, oracle.calls))
@@ -91,28 +93,33 @@ def test_tracker_bit_identical_under_sharding(name, executor):
 
 @pytest.mark.parametrize("name", ["sieve-adn", "basic-reduction", "hist-approx"])
 def test_tracker_bit_identical_under_version_memo(name, executor):
-    """The historical wholesale-clear memo policy shards identically too."""
+    """A memo invalidated before every batch shards identically too."""
     batches = stream_batches(seed=19)
     serial_trace = replay(
-        name, batches, lambda g: InfluenceOracle(g, memo_mode="version")
+        name, batches, lambda g: InfluenceOracle(g), from_scratch=True
     )
     sharded_trace = replay(
         name,
         batches,
-        lambda g: InfluenceOracle(g, memo_mode="version", parallel=executor),
+        lambda g: InfluenceOracle(g, parallel=executor),
+        from_scratch=True,
     )
     assert sharded_trace == serial_trace
 
 
 WEIGHT_SPECS = {
-    # Dense mapping -> the weighted bit-plane path: workers fold the
-    # published shared-memory weight array and return 64-wide weight sums.
+    # Dense mapping -> the weighted bit-plane path: shard threads fold the
+    # oracle's dense weight array and return 64-wide weight sums.
     "mapping": lambda: {f"n{i}": float(1 + (i % 5)) for i in range(36)},
     # No mapping -> uniform weights ride the counted bit-plane sweep.
     "uniform": lambda: None,
-    # A callable must stay in-process: workers return reachable id sets.
+    # A callable stays on the caller's thread: shards return reachable id sets.
     "callable": lambda: (lambda node: float(1 + (int(str(node)[1:]) % 4))),
 }
+
+
+def weighted_oracle(graph, weights, **kwargs):
+    return InfluenceOracle(graph, semantics="weighted_sum", weights=weights, **kwargs)
 
 
 @pytest.mark.parametrize("spec", sorted(WEIGHT_SPECS))
@@ -134,10 +141,8 @@ def test_weighted_oracle_bit_identical_under_sharding(spec, executor):
         return trace
 
     weights = WEIGHT_SPECS[spec]()
-    serial_trace = run(lambda g: WeightedInfluenceOracle(g, weights))
-    sharded_trace = run(
-        lambda g: WeightedInfluenceOracle(g, weights, parallel=executor)
-    )
+    serial_trace = run(lambda g: weighted_oracle(g, weights))
+    sharded_trace = run(lambda g: weighted_oracle(g, weights, parallel=executor))
     assert sharded_trace == serial_trace
     # The parity must come from the pool actually answering, not from a
     # silent serial fallback.
@@ -164,7 +169,7 @@ def test_weighted_spread_many_matches_spread_loop(spec, executor):
     assert len(sets) > 64
 
     def make(**kwargs):
-        return WeightedInfluenceOracle(graph, WEIGHT_SPECS[spec](), **kwargs)
+        return weighted_oracle(graph, WEIGHT_SPECS[spec](), **kwargs)
 
     loop = make()
     loop_values = [loop.spread(s) for s in sets]

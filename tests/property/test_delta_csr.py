@@ -227,24 +227,6 @@ def test_threshold_compaction_amortizes():
     assert engine.compactions < 20
 
 
-def test_rebuild_mode_reproduces_pr1_cost_model():
-    graph = TDNGraph(csr_mode="rebuild")
-    graph.add_interaction(Interaction("a", "b", 0, 9))
-    engine = graph.csr()
-    builds = engine.compactions
-    graph.add_interaction(Interaction("b", "c", 0, 9))
-    graph.csr()
-    graph.csr()  # same version: no extra rebuild
-    assert engine.compactions == builds + 1
-    a = graph.node_id("a")
-    assert engine.reachable_count([a]) == 3
-
-
-def test_invalid_csr_mode_rejected():
-    with pytest.raises(ValueError, match="csr_mode"):
-        TDNGraph(csr_mode="bogus")
-
-
 def test_spread_many_bitplane_matches_sequential_calls_and_values():
     """Oracle batch evaluation: same values, same call counts, all backends."""
     rng = random.Random(11)

@@ -3,7 +3,7 @@
 ``repro.api`` (re-exported from the bare ``repro`` package) is the one
 surface covered by the compatibility promise, so these tests pin its
 routing: algorithm + semantics names resolve to correctly configured
-trackers, the weighted path injects a :class:`WeightedInfluenceOracle`,
+trackers, the weighted path injects a ``weighted_sum`` oracle,
 inconsistent combinations fail fast with the facade's own exception
 types, and the exception hierarchy keeps its dual stdlib parentage so
 pre-hierarchy ``except ValueError`` callers never break.
@@ -72,15 +72,14 @@ class TestOpenTracker:
 
 class TestWeightedPath:
     def test_weighted_sum_injects_a_weighted_oracle(self):
-        from repro.influence.weighted import WeightedInfluenceOracle
-
         tracker = open_tracker(
             "hist-approx",
             k=2,
             semantics=Semantics.WEIGHTED_SUM,
             weights={"vip": 10.0},
         )
-        assert isinstance(tracker.oracle, WeightedInfluenceOracle)
+        assert isinstance(tracker.oracle, repro.InfluenceOracle)
+        assert tracker.oracle.semantics == "weighted_sum"
         solution = tracker.step(0, [("a", "vip"), ("b", "c")])
         # Reaching the weighted node dominates the plain pair.
         assert "a" in solution.nodes

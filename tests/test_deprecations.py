@@ -1,16 +1,18 @@
 """Retired spellings: the two legacy forms the facade superseded are gone.
 
 * positional oracle configuration —
-  ``InfluenceOracle(graph, counter, 1000, "csr", "delta")`` — is rejected;
+  ``InfluenceOracle(graph, counter, 1000, "csr")`` — is rejected;
   configuration is keyword-only;
-* ``WeightedInfluenceOracle`` is no longer served from the bare ``repro``
-  package; the facade spelling is ``open_tracker(semantics=Semantics.
-  WEIGHTED_SUM, weights=...)`` and the class lives in
-  :mod:`repro.influence.weighted`.
+* the weighted twin oracle class is gone, from the bare ``repro`` package
+  and from :mod:`repro.influence` alike; the facade spelling is
+  ``open_tracker(semantics=Semantics.WEIGHTED_SUM, weights=...)`` and the
+  power-user one ``InfluenceOracle(graph, semantics="weighted_sum",
+  weights=...)``.
 
 The supported spellings must not warn.
 """
 
+import importlib
 import warnings
 
 import pytest
@@ -31,32 +33,32 @@ class TestPositionalOracleConfig:
     def test_positional_config_is_rejected(self):
         graph = TDNGraph()
         with pytest.raises(TypeError):
-            InfluenceOracle(graph, None, 1000, "csr", "version")
+            InfluenceOracle(graph, None, 1000, "csr")
         with pytest.raises(TypeError):
             InfluenceOracle(graph, None, 500)
 
     def test_keyword_spelling_never_warns(self):
         oracle, caught = collect(
             lambda: InfluenceOracle(
-                TDNGraph(), max_cache_entries=1000, memo_mode="version"
+                TDNGraph(), max_cache_entries=1000, semantics="weighted_sum"
             )
         )
         assert caught == []
         assert oracle.max_cache_entries == 1000
-        assert oracle.memo_mode == "version"
+        assert oracle.semantics == "weighted_sum"
 
     def test_too_many_positionals_rejected(self):
         with pytest.raises(TypeError):
-            InfluenceOracle(TDNGraph(), None, 1000, "csr", "delta", "extra")
+            InfluenceOracle(TDNGraph(), None, 1000, "csr", "extra")
 
 
 class TestRootWeightedOracleImport:
     def test_bare_package_attribute_is_retired(self):
-        from repro.influence.weighted import WeightedInfluenceOracle
-
         with pytest.raises(AttributeError):
             repro.WeightedInfluenceOracle  # noqa: B018
-        assert WeightedInfluenceOracle.__module__ == "repro.influence.weighted"
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.influence.weighted")
+        assert not hasattr(repro.influence, "WeightedInfluenceOracle")
 
     def test_dropped_from_the_advertised_namespace(self):
         assert "WeightedInfluenceOracle" not in repro.__all__

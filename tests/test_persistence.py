@@ -12,6 +12,7 @@ import pytest
 from repro.core.basic_reduction import BasicReduction
 from repro.core.hist_approx import HistApprox
 from repro.core.sieve_adn import SieveADN
+from repro.errors import PersistenceError
 from repro.influence.oracle import InfluenceOracle
 from repro.persistence import (
     algorithm_from_dict,
@@ -143,25 +144,29 @@ class TestResumeEquivalence:
 
 class TestOracleConfigRoundTrip:
     def test_memo_mode_and_backend_survive_restore(self):
+        """A payload written before the CSR and memo modes were retired
+        still loads: both fields are ignored, the rest of the oracle
+        configuration survives, and the restored answer is unchanged."""
         graph = TDNGraph()
         batch = [Interaction("a", "b", 0, 9)]
         graph.add_batch(batch)
-        oracle = InfluenceOracle(
-            graph, backend="dict", memo_mode="version", max_cache_entries=17
-        )
+        oracle = InfluenceOracle(graph, backend="dict", max_cache_entries=17)
         sieve = SieveADN(2, 0.2, graph, oracle)
         sieve.on_batch(0, batch)
         payload = algorithm_to_dict(sieve)
         assert payload["oracle"] == {
             "backend": "dict",
-            "memo_mode": "version",
             "max_cache_entries": 17,
             "workers": 1,
         }
-        restored_graph = graph_from_dict(graph_to_dict(graph))
+        graph_payload = graph_to_dict(graph)
+        assert "csr_mode" not in graph_payload
+        # The same checkpoint as the previous format wrote it.
+        graph_payload["csr_mode"] = "rebuild"
+        payload["oracle"]["memo_mode"] = "version"
+        restored_graph = graph_from_dict(graph_payload)
         restored = algorithm_from_dict(payload, restored_graph)
         assert restored.oracle.backend == "dict"
-        assert restored.oracle.memo_mode == "version"
         assert restored.oracle.max_cache_entries == 17
         assert restored.query() == sieve.query()
 
@@ -176,22 +181,70 @@ class TestOracleConfigRoundTrip:
         del payload["oracle"]
         restored = algorithm_from_dict(payload, graph_from_dict(graph_to_dict(graph)))
         assert restored.oracle.backend == "csr"
-        assert restored.oracle.memo_mode == "delta"
+        assert restored.oracle.max_cache_entries == 200_000
+        assert restored.oracle.semantics == "count"
 
     def test_shared_oracle_config_on_composite_algorithms(self):
         graph = TDNGraph()
-        oracle = InfluenceOracle(graph, memo_mode="version")
+        oracle = InfluenceOracle(graph, max_cache_entries=17)
         hist = HistApprox(2, 0.2, graph, oracle)
         batch = [Interaction("a", "b", 0, 3)]
         graph.add_batch(batch)
         hist.on_batch(0, batch)
         payload = algorithm_to_dict(hist)
         restored = algorithm_from_dict(payload, graph_from_dict(graph_to_dict(graph)))
-        assert restored.oracle.memo_mode == "version"
+        assert restored.oracle.max_cache_entries == 17
         # Instances share the one restored oracle.
         assert all(
             inst.oracle is restored.oracle for inst in restored._instances.values()
         )
+
+
+class TestWeightedCheckpoint:
+    """Node weights are never serialized, so a ``weighted_sum`` checkpoint
+    must not resume as a plain count oracle."""
+
+    WEIGHTS = {"a": 100.0, "b": 5.0}
+
+    def weighted_run(self):
+        rng = random.Random(5)
+        graph = TDNGraph()
+        oracle = InfluenceOracle(graph, semantics="weighted_sum", weights=self.WEIGHTS)
+        hist = HistApprox(2, 0.1, graph, oracle)
+        for t in range(19):
+            batch = [
+                Interaction(*rng.sample("abcdef", 2), t, rng.randint(2, 8))
+                for _ in range(2)
+            ]
+            graph.advance_to(t)
+            graph.add_batch(batch)
+            hist.on_batch(t, batch)
+        return graph, hist
+
+    def test_load_without_an_injected_oracle_is_refused(self, tmp_path):
+        graph, hist = self.weighted_run()
+        path = tmp_path / "weighted.json"
+        save_checkpoint(path, graph, hist)
+        payload = algorithm_to_dict(hist)
+        assert payload["oracle"]["semantics"] == ["weighted_sum", {}]
+        with pytest.raises(
+            PersistenceError, match=r"algorithm_from_dict\(\.\.\., oracle="
+        ):
+            load_checkpoint(path)
+
+    def test_injected_weighted_oracle_matches_the_live_run(self):
+        graph, hist = self.weighted_run()
+        live = hist.query()
+        assert live.value > len(graph.node_set())  # the weights count
+        restored_graph = graph_from_dict(graph_to_dict(graph))
+        restored = algorithm_from_dict(
+            algorithm_to_dict(hist),
+            restored_graph,
+            oracle=InfluenceOracle(
+                restored_graph, semantics="weighted_sum", weights=self.WEIGHTS
+            ),
+        )
+        assert restored.query() == live
 
 
 class TestErrorHandling:
