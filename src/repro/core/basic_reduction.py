@@ -14,6 +14,13 @@ This implementation keys instances by their absolute *horizon* ``h = t + i``
 or above ``h``" on the one shared graph.  The instance deque is therefore in
 one-to-one correspondence with Alg. 2's array, without any renaming.
 
+Instance ``h`` is fed the batch edges with expiry at or above ``h``, so
+the instances differ only in their horizon.  Their changed-node sets come
+from one reverse sweep per batch: each source is labelled with its latest
+batch expiry, each ancestor with the widest horizon at which it reaches
+such a source (:func:`~repro.influence.changed.changed_node_labels`), and
+each instance takes the candidates labelled at or above its horizon.
+
 Cost note (paper Theorem 5 and remarks): edges with large lifetimes fan out
 to many instances; the per-batch work is ``O(L b gamma log(k) / eps)`` in
 the worst case.  This is the bottleneck HISTAPPROX removes.
@@ -26,10 +33,16 @@ from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.core.sieve_adn import SieveADN
 from repro.core.tracker import Solution
+from repro.influence.changed import (
+    candidates_at,
+    changed_node_labels,
+    check_changed_mode,
+    latest_expiry_by_source,
+)
 from repro.influence.oracle import InfluenceOracle
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_fraction, check_positive_int
 
 
 class BasicReduction:
@@ -59,10 +72,10 @@ class BasicReduction:
     ) -> None:
         self.k = check_positive_int(k, "k")
         self.L = check_positive_int(L, "L")
-        self.epsilon = epsilon
+        self.epsilon = check_fraction(epsilon, "epsilon")
         self.graph = graph
         self.oracle = oracle if oracle is not None else InfluenceOracle(graph)
-        self.changed_mode = changed_mode
+        self.changed_mode = check_changed_mode(changed_mode)
         # Deque of (horizon, instance), ascending horizon; contiguous range
         # [t + 1, t + L] after _ensure_instances(t).
         self._instances: Deque[Tuple[int, SieveADN]] = deque()
@@ -93,13 +106,15 @@ class BasicReduction:
 
     # ------------------------------------------------------------------
     def on_batch(self, t: int, batch: Sequence[Interaction]) -> None:
-        """Route the batch to every instance whose horizon it reaches.
+        """Feed every instance whose horizon some batch edge reaches.
 
-        Edges are sorted by decreasing expiry once; walking the instances
-        from the largest horizon down, each instance receives the prefix of
-        edges whose expiry clears its horizon — instance ``i`` sees exactly
-        the union of lifetime groups ``l >= i`` in a single call, as Alg. 2
-        prescribes.
+        Instance ``h`` processes the batch edges with expiry at or above
+        ``h`` — the union of lifetime groups ``l >= h - t`` in a single
+        call, as Alg. 2 prescribes.  One reverse sweep labels each source
+        with its latest batch expiry and each candidate with the widest
+        horizon it reaches (:func:`~repro.influence.changed.
+        changed_node_labels`), and each instance receives the candidates
+        labelled at or above its horizon, largest horizon first.
         """
         self._last_time = t
         self._ensure_instances(t)
@@ -112,14 +127,17 @@ class BasicReduction:
                     f"got {interaction.lifetime!r} — use a truncated lifetime "
                     "policy or HistApprox (which allows unbounded lifetimes)"
                 )
-        ordered = sorted(batch, key=lambda e: -e.expiry)
-        prefix_end = 0
+        seeds = latest_expiry_by_source((e.source, e.expiry) for e in batch)
+        labelled = changed_node_labels(
+            self.graph,
+            seeds,
+            self.changed_mode,
+            backend=getattr(self.oracle, "backend", "dict"),
+        )
+        reach = max(seeds.values())
         for horizon, instance in reversed(self._instances):
-            while prefix_end < len(ordered) and ordered[prefix_end].expiry >= horizon:
-                prefix_end += 1
-            if prefix_end == 0:
-                continue
-            instance.on_batch(t, ordered[:prefix_end])
+            if horizon <= reach:
+                instance.on_candidates(t, candidates_at(labelled, horizon))
 
     # ------------------------------------------------------------------
     def query(self) -> Solution:

@@ -15,7 +15,13 @@ horizon ``h = t + l`` (DESIGN.md Section 2), so:
 * an instance terminates when ``t`` reaches its horizon (line 5);
 * "feed the new instance the edges of ``G_t`` with lifetime in ``[l, l*)``"
   (line 15) is a range scan of the shared graph's expiry buckets over
-  ``[t + l, t + l*)``;
+  ``[t + l, t + l*)``: the scanned edges' sources, labelled by their
+  expiry, seed one changed-node sweep and the instance takes the
+  candidates at its horizon (no ``Interaction`` rows are built);
+* line 17's "feed the group to every instance at or below its horizon"
+  is one widest-path changed-node sweep per group
+  (:func:`~repro.influence.changed.changed_node_labels`) whose labels
+  give every fed instance its own ``V_t-bar``;
 * unbounded maximum lifetime ``L`` — the headline capability HISTAPPROX adds
   over BASICREDUCTION — is natural: an infinite-lifetime edge simply owns
   the ``math.inf`` horizon.
@@ -30,10 +36,17 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence
 
 from repro.core.sieve_adn import SieveADN
 from repro.core.tracker import Solution
+from repro.influence.changed import (
+    Labelled,
+    candidates_at,
+    changed_node_labels,
+    check_changed_mode,
+    latest_expiry_by_source,
+)
 from repro.influence.oracle import InfluenceOracle
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
@@ -41,6 +54,7 @@ from repro.tdn.stream import group_by_lifetime
 from repro.utils.validation import check_fraction, check_positive_int
 
 Horizon = float  # int horizons plus math.inf for infinite lifetimes
+Node = Hashable
 
 
 class HistApprox:
@@ -74,7 +88,7 @@ class HistApprox:
         self.epsilon = check_fraction(epsilon, "epsilon")
         self.graph = graph
         self.oracle = oracle if oracle is not None else InfluenceOracle(graph)
-        self.changed_mode = changed_mode
+        self.changed_mode = check_changed_mode(changed_mode)
         self.refine_head = refine_head
         self._horizons: List[Horizon] = []  # sorted ascending; mirrors x_t
         self._instances: Dict[Horizon, SieveADN] = {}
@@ -107,11 +121,38 @@ class HistApprox:
         if horizon not in self._instances:
             self._create_instance(t, horizon)
         # Line 17: feed the group to every instance at or below its horizon.
+        # Every group edge expires at ``horizon``, so one sweep labels each
+        # candidate with the widest horizon whose instance it reaches.
+        labelled = self._labels({edge.source: horizon for edge in edges})
         position = bisect.bisect_right(self._horizons, horizon)
         for existing in self._horizons[:position]:
-            self._instances[existing].on_batch(t, edges)
+            self._instances[existing].on_candidates(
+                t, candidates_at(labelled, existing)
+            )
         # Line 18.
         self._reduce_redundancy()
+
+    def _labels(self, seeds: Dict[Node, float]) -> Labelled:
+        """The shared changed-node sweep, on the oracle's engine family."""
+        return changed_node_labels(
+            self.graph,
+            seeds,
+            self.changed_mode,
+            backend=getattr(self.oracle, "backend", "dict"),
+        )
+
+    def _fill(self, t: int, instance: SieveADN, lo: Horizon, hi: Horizon) -> None:
+        """Feed ``instance`` the alive edges with expiry in ``[lo, hi)``.
+
+        Line 15's back-fill: the edges are seeds labelled by their expiry
+        (all at or above ``lo``, the instance's horizon), so the sweep
+        reads them straight off the graph's expiry buckets.
+        """
+        seeds = latest_expiry_by_source(
+            (u, expiry) for u, _, expiry in self.graph.edges_with_expiry_in(lo, hi)
+        )
+        if seeds:
+            instance.on_candidates(t, candidates_at(self._labels(seeds), lo))
 
     def _create_instance(self, t: int, horizon: Horizon) -> None:
         """Lines 9-16: instantiate the missing index ``l = horizon - t``.
@@ -135,12 +176,7 @@ class HistApprox:
         else:
             successor = self._horizons[position]
             instance = self._instances[successor].copy(min_expiry=horizon)
-            fill = [
-                Interaction(u, v, t, int(expiry) - t)
-                for u, v, expiry in self.graph.edges_with_expiry_in(horizon, successor)
-            ]
-            if fill:
-                instance.on_batch(t, fill)
+            self._fill(t, instance, horizon, successor)
         bisect.insort(self._horizons, horizon)
         self._instances[horizon] = instance
 
@@ -208,12 +244,7 @@ class HistApprox:
         head = self._instances[head_horizon]
         if self.refine_head and head_horizon > t + 1:
             refined = head.copy(min_expiry=t + 1)
-            fill = [
-                Interaction(u, v, t, int(expiry) - t)
-                for u, v, expiry in self.graph.edges_with_expiry_in(t + 1, head_horizon)
-            ]
-            if fill:
-                refined.on_batch(t, fill)
+            self._fill(t, refined, t + 1, head_horizon)
             head = refined
         solution = head.query()
         return Solution(

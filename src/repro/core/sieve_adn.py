@@ -25,7 +25,11 @@ from typing import Hashable, Iterable, List, Optional, Sequence
 
 from repro.core.thresholds import ThresholdSet
 from repro.core.tracker import Solution
-from repro.influence.changed import changed_nodes, nodes_in_id_order
+from repro.influence.changed import (
+    changed_nodes,
+    check_changed_mode,
+    nodes_in_id_order,
+)
 from repro.influence.oracle import InfluenceOracle
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
@@ -64,7 +68,7 @@ class SieveADN:
         self.graph = graph
         self.oracle = oracle if oracle is not None else InfluenceOracle(graph)
         self.min_expiry = min_expiry
-        self.changed_mode = changed_mode
+        self.changed_mode = check_changed_mode(changed_mode)
         self.thresholds = ThresholdSet(k, epsilon)
         self.k = self.thresholds.k
         self.epsilon = self.thresholds.epsilon
@@ -103,6 +107,21 @@ class SieveADN:
                 self.changed_mode,
                 backend=getattr(self.oracle, "backend", "dict"),
             )
+        self.process_candidates(candidates)
+
+    def on_candidates(self, t: int, candidates: Sequence[Node]) -> None:
+        """Process a batch whose ``V_t-bar`` the caller already derived.
+
+        BASICREDUCTION and HISTAPPROX derive every instance's candidates
+        from one shared sweep (:func:`repro.influence.changed.
+        changed_node_labels`), so an instance they feed skips
+        :meth:`on_batch`'s own sweep: it only takes the time, syncs the
+        oracle's memo with the graph and runs the sieve.
+        """
+        self._last_time = t
+        sync = getattr(self.oracle, "sync_dirty", None)
+        if sync is not None:
+            sync()
         self.process_candidates(candidates)
 
     def _candidates_from_cone(self, batch, cone) -> Optional[List[Node]]:
@@ -160,19 +179,31 @@ class SieveADN:
         # stop there without spending oracle calls.  This pruning is what
         # keeps the per-batch call count at the paper's reported scale.
         # The grid cannot change below this point, so items() is read once.
+        # Adding a node to one sieve never changes another sieve's key, so a
+        # node's (S, S + node) pairs for every sieve it may join are known
+        # up front and go to the oracle as one batch, whose replay protocol
+        # keeps the accounting of one call per pair.
         k = self.k
         grid = self.thresholds.items()
         for node in candidates:
             upper_bound = singleton_values[node]
+            offers = []
+            pairs = []
             for threshold, sieve in grid:
                 if threshold > upper_bound:
                     break
                 key = sieve.key
                 if len(key) >= k or node in key:
                     continue
-                base, with_node = oracle.spread_many(
-                    (key, key | {node}), min_expiry
-                )
+                offers.append((threshold, sieve))
+                pairs.append(key)
+                pairs.append(key | {node})
+            if not offers:
+                continue
+            values = oracle.spread_many(pairs, min_expiry)
+            for index, (threshold, sieve) in enumerate(offers):
+                base = values[2 * index]
+                with_node = values[2 * index + 1]
                 sieve.cached_value = float(base)
                 if with_node - base >= threshold:
                     sieve.add(node)

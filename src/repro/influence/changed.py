@@ -20,23 +20,39 @@ Two modes are provided:
 
 Two interchangeable sweep engines compute the ancestors (``backend``):
 
-* ``"csr"``: the transpose of the graph's delta-CSR engine — an
-  array-visited reverse BFS over the lazily built base transpose plus the
-  reverse arrival overlay (:meth:`repro.tdn.csr.DeltaCSR.ancestor_ids`).
-  This is the engine SIEVEADN uses when its oracle runs on the CSR
-  backend, eliminating the per-object dict walk from Alg. 1's hot line.
-* ``"dict"``: the reference pure-Python reverse BFS over the graph's
-  dict-of-dict in-adjacency (:func:`repro.influence.reachability.ancestors`).
+* ``"csr"``: the transpose of the graph's delta-CSR engine — the reverse
+  sweep over the lazily built base transpose plus the reverse arrival
+  overlay (:mod:`repro.tdn.csr`).  This is the engine SIEVEADN uses when
+  its oracle runs on the CSR backend.
+* ``"dict"``: the reference pure-Python reverse walk over the graph's
+  dict-of-dict in-adjacency (:mod:`repro.influence.reachability`).
 
-Both produce the identical node set; the returned order is deterministic
-either way (sorted by interned id — see :func:`changed_nodes`).
+Every horizon at once
+---------------------
+BASICREDUCTION and HISTAPPROX feed one batch (or a part of it) to many
+SIEVEADN instances that differ only in their horizon ``h``.  Instance
+``h`` sees the batch edges with expiry ``>= h`` and the alive pairs with
+expiry ``>= h``, so an ancestor ``a`` is one of its candidates exactly
+when some path from ``a`` to a source ``s`` has every pair expiry ``>= h``
+and ``s`` has a batch edge with expiry ``>= h``.  Label every source with
+its latest batch expiry and every ancestor with its widest-path
+("bottleneck") value — the largest such ``h`` — and the candidates at
+``h`` are the nodes labelled ``>= h``.  :func:`changed_node_labels` runs
+that one reverse sweep per batch and :func:`candidates_at` cuts each
+instance's list out of it, equal, node for node and in order, to a
+:func:`changed_nodes` call per instance.
+
+Either way the returned order is deterministic: sorted by interned id,
+with never-interned nodes last by ``repr``.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional, Set
+import math
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.influence.reachability import ancestors
+from repro.errors import ConfigError
+from repro.influence.reachability import ancestor_bottlenecks, ancestors
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
@@ -44,6 +60,25 @@ Node = Hashable
 
 CHANGED_NODE_MODES = ("ancestors", "sources")
 CHANGED_NODE_BACKENDS = ("dict", "csr")
+
+#: Nodes paired with their widest-path labels, in canonical order.
+Labelled = List[Tuple[Node, float]]
+
+
+def check_changed_mode(mode: str) -> str:
+    """Return ``mode`` if it names a changed-node mode, else raise."""
+    if mode not in CHANGED_NODE_MODES:
+        raise ConfigError(
+            f"changed_mode must be one of {CHANGED_NODE_MODES}, got {mode!r}"
+        )
+    return mode
+
+
+def _check_backend(backend: str) -> None:
+    if backend not in CHANGED_NODE_BACKENDS:
+        raise ConfigError(
+            f"backend must be one of {CHANGED_NODE_BACKENDS}, got {backend!r}"
+        )
 
 
 def changed_nodes(
@@ -73,12 +108,8 @@ def changed_nodes(
         regardless of set iteration order and the common path never pays
         the per-node ``repr`` allocation.
     """
-    if mode not in CHANGED_NODE_MODES:
-        raise ValueError(f"mode must be one of {CHANGED_NODE_MODES}, got {mode!r}")
-    if backend not in CHANGED_NODE_BACKENDS:
-        raise ValueError(
-            f"backend must be one of {CHANGED_NODE_BACKENDS}, got {backend!r}"
-        )
+    check_changed_mode(mode)
+    _check_backend(backend)
     sources: Set[Node] = {interaction.source for interaction in batch}
     if not sources:
         return []
@@ -88,6 +119,11 @@ def changed_nodes(
         result = sources
     else:
         result = ancestors(graph, sources, min_expiry)
+    return sorted(result, key=_order_key(graph))
+
+
+def _order_key(graph: TDNGraph):
+    """Sort key of the canonical order: interned id, then ``repr``."""
     node_id = graph.node_id
 
     def order_key(node: Node):
@@ -96,7 +132,7 @@ def changed_nodes(
             return (1, repr(node))
         return (0, interned)
 
-    return sorted(result, key=order_key)
+    return order_key
 
 
 def nodes_in_id_order(graph: TDNGraph, ids: Iterable[int]) -> List[Node]:
@@ -139,4 +175,84 @@ def _csr_ancestors_ordered(
         ancestor_ids = graph.csr().ancestor_ids(ids, min_expiry)
         ordered.extend(nodes_in_id_order(graph, ancestor_ids))
     ordered.extend(sorted(extra, key=repr))
+    return ordered
+
+
+def latest_expiry_by_source(
+    edges: Iterable[Tuple[Node, float]],
+) -> Dict[Node, float]:
+    """Each source's latest expiry over ``(source, expiry)`` pairs.
+
+    These are the seed labels of :func:`changed_node_labels`: a source
+    belongs to the batch part an instance at horizon ``h`` is fed exactly
+    when one of its edges expires at or after ``h``.
+    """
+    seeds: Dict[Node, float] = {}
+    for source, expiry in edges:
+        if expiry > seeds.get(source, -math.inf):
+            seeds[source] = expiry
+    return seeds
+
+
+def changed_node_labels(
+    graph: TDNGraph,
+    seeds: Mapping[Node, float],
+    mode: str = "ancestors",
+    backend: str = "dict",
+) -> Labelled:
+    """Every horizon's ``V_t-bar`` from one reverse sweep.
+
+    ``seeds`` maps each batch source to its latest batch expiry (see
+    :func:`latest_expiry_by_source`; the batch is already inserted).  In
+    ``"ancestors"`` mode every ancestor is labelled with the largest
+    horizon at which it reaches a seed labelled at least as high
+    (:func:`~repro.influence.reachability.ancestor_bottlenecks` or its
+    CSR twin); ``"sources"`` mode labels the seeds alone.  For every
+    horizon ``h >= t + 1``, ``candidates_at(result, h)`` equals
+    ``changed_nodes(graph, <batch edges with expiry >= h>, h, mode,
+    backend)``, order included.
+
+    Returns ``(node, label)`` pairs in the canonical changed-node order.
+    """
+    check_changed_mode(mode)
+    _check_backend(backend)
+    if not seeds:
+        return []
+    if mode == "ancestors" and backend == "csr":
+        return _csr_labels_ordered(graph, seeds)
+    labels = dict(seeds) if mode == "sources" else ancestor_bottlenecks(graph, seeds)
+    ordered = sorted(labels, key=_order_key(graph))
+    return [(node, labels[node]) for node in ordered]
+
+
+def candidates_at(labelled: Labelled, horizon: float) -> List[Node]:
+    """The nodes of :func:`changed_node_labels` output labelled ``>= horizon``."""
+    return [node for node, label in labelled if label >= horizon]
+
+
+def _csr_labels_ordered(graph: TDNGraph, seeds: Mapping[Node, float]) -> Labelled:
+    """The bottleneck sweep on the delta-CSR transpose, in output order.
+
+    As in :func:`_csr_ancestors_ordered`, the sweep works in id space and
+    uninterned seeds (which reach only themselves) sort last by ``repr``.
+    """
+    seed_labels: Dict[int, float] = {}
+    extra: Labelled = []
+    node_id = graph.node_id
+    # Order-safe: both accumulators are fully re-sorted below (numeric id
+    # order / repr), so seed order cannot leak into the output.
+    # repro-lint: disable-next=RPL401
+    for source, label in seeds.items():
+        source_id = node_id(source)
+        if source_id is None:
+            extra.append((source, label))
+        else:
+            seed_labels[source_id] = label
+    ordered: Labelled = []
+    if seed_labels:
+        labels = graph.csr().ancestor_bottlenecks(seed_labels)
+        node_of_id = graph.node_of_id
+        ordered = [(node_of_id(i), labels[i]) for i in sorted(labels)]
+    extra.sort(key=lambda pair: repr(pair[0]))
+    ordered.extend(extra)
     return ordered

@@ -749,10 +749,11 @@ class InfluenceOracle:
             reached = reachable_set(self.graph, key_nodes, min_expiry)
             if self._weight_of is None:
                 return len(reached)
-            value = 0.0
-            for node in sorted(reached, key=self._node_order_key):
-                value += self._checked_weight(node)
-            return value
+            # Same fold as the csr path below: never-interned seeds first,
+            # then the reached ids through one summation.
+            reached_ids, unknown = self.graph.intern_ids(reached)
+            value = self._seed_weight(key_nodes) if unknown else 0.0
+            return value + self._weight_of_reached(reached_ids)
         ids, unknown = self.graph.intern_ids(key_nodes)
         if self._semantics_token is None:
             if not ids:
@@ -775,9 +776,27 @@ class InfluenceOracle:
     def _evaluate_batch(
         self, key_sets: Sequence[FrozenSet[Node]], min_expiry: Optional[float]
     ) -> List:
-        """Evaluate distinct cache misses via the shared bit-plane sweep."""
+        """Evaluate distinct cache misses via the shared bit-plane sweep.
+
+        Serial count misses below the scalar cutover skip the batch
+        plumbing: engine, kernel and clamped horizon are resolved once,
+        and each set goes from its nodes' ids straight to the scalar walk
+        (the per-set loop the bit-plane entry point runs on that path).
+        """
         graph = self.graph
         fold_token = self._semantics_token
+        engine = None  # the serial count path's engine, resolved once
+        if fold_token is None and self._executor is None:
+            engine = graph.csr()
+            scalar = engine.scalar_reach(min_expiry)
+            if scalar is not None:
+                walk, eff = scalar
+                intern_ids = graph.intern_ids
+                counts: List = []
+                for key_nodes in key_sets:
+                    ids, unknown = intern_ids(key_nodes)
+                    counts.append(len(walk(ids, eff)) + unknown if ids else unknown)
+                return counts
         values: List = [0] * len(key_sets)
         id_sets: List[List[int]] = []
         unknowns: List[int] = []
@@ -791,11 +810,10 @@ class InfluenceOracle:
             else:
                 values[j] = unknown if fold_token is None else float(unknown)
         if id_sets:
-            if fold_token is None:
-                if self._executor is not None:
-                    counts = self._executor.spread_counts(graph, id_sets, min_expiry)
-                else:
-                    counts = graph.csr().spread_counts(id_sets, min_expiry)
+            if engine is not None:
+                counts = engine.spread_counts(id_sets, min_expiry)
+            elif fold_token is None:
+                counts = self._executor.spread_counts(graph, id_sets, min_expiry)
             elif self._executor is not None:
                 counts = self._executor.fold_spread_sums(
                     graph, id_sets, min_expiry, fold=self.fold
@@ -871,19 +889,6 @@ class InfluenceOracle:
         if weight < 0:
             raise ConfigError(f"weight callable returned negative value for {node!r}")
         return weight
-
-    def _node_order_key(self, node: Node) -> Tuple[int, object]:
-        """Total order for folding float weights over node sets.
-
-        Interned nodes sort by id (ascending — the canonical summation
-        order of :func:`repro.kernels.dense_weight_sum`), never-interned
-        nodes after them by ``repr``.  Folding in this order keeps the
-        dict backend bit-identical across PYTHONHASHSEED values.
-        """
-        interned = self.graph.node_id(node)
-        if interned is None:
-            return (1, repr(node))
-        return (0, interned)
 
     def _seed_weight(self, key_nodes: FrozenSet[Node]) -> float:
         """Total weight of the never-interned seeds, in ``repr`` order.

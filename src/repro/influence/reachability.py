@@ -1,7 +1,7 @@
 """Horizon-filtered reachability on a :class:`~repro.tdn.graph.TDNGraph`.
 
 The influence spread of Definition 3 is plain directed reachability.  The
-two breadth-first traversals here are the *reference* engine: the oracle's
+traversals here are the *reference* engine: the oracle's
 default ``backend="csr"`` answers forward reachability from the delta-CSR
 engine (:mod:`repro.tdn.csr`) instead, and :func:`ancestors` has a
 transpose-backed counterpart there
@@ -11,12 +11,16 @@ cross-backend equivalence suite.  All traversals accept a ``min_expiry``
 horizon: only edges with expiry at or above the horizon are traversed,
 which is how a single shared graph serves SIEVEADN instances with
 different lifetime horizons (DESIGN.md Section 2).
+:func:`ancestor_bottlenecks` answers every horizon at once: it labels
+each ancestor with the widest horizon at which it still reaches a seed
+(its CSR twin is :meth:`~repro.tdn.csr.DeltaCSR.ancestor_bottlenecks`).
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from typing import Hashable, Iterable, Optional, Set
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.tdn.graph import TDNGraph
 
@@ -81,3 +85,39 @@ def ancestors(
                 visited.add(prev)
                 queue.append(prev)
     return visited
+
+
+def ancestor_bottlenecks(
+    graph: TDNGraph, seeds: Mapping[Node, float]
+) -> Dict[Node, float]:
+    """Label every ancestor of ``seeds`` with its widest-path bottleneck.
+
+    ``seeds`` maps each target to its own label.  An ancestor ``a`` gets
+    the largest ``min(seeds[s], smallest pair expiry on the path)`` over
+    all paths from ``a`` to a seed ``s``: the largest horizon at which
+    ``a`` reaches a seed whose label clears it.  So for every horizon
+    ``h``, ``{a : label >= h}`` is :func:`ancestors` of ``{s : seeds[s]
+    >= h}`` at ``h`` — one walk serves every horizon.  Labels settle in
+    descending order (Dijkstra on the max-min semiring), each node once.
+    This is the reference twin of
+    :meth:`repro.tdn.csr.DeltaCSR.ancestor_bottlenecks`.
+    """
+    labels: Dict[Node, float] = dict(seeds)
+    # The running index breaks label ties without comparing nodes.
+    heap: List[Tuple[float, int, Node]] = [
+        (-label, index, node) for index, (node, label) in enumerate(labels.items())
+    ]
+    heapq.heapify(heap)
+    pushed = len(heap)
+    while heap:
+        negative, _, node = heapq.heappop(heap)
+        label = -negative
+        if label < labels[node]:
+            continue  # superseded by a wider path
+        for prev, expiry in graph.in_pairs(node):
+            width = expiry if expiry < label else label
+            if prev not in labels or width > labels[prev]:
+                labels[prev] = width
+                heapq.heappush(heap, (-width, pushed, prev))
+                pushed += 1
+    return labels

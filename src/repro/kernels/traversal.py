@@ -53,6 +53,7 @@ or which traversal path — rejected their input.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from itertools import chain
 from typing import (
@@ -61,6 +62,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -534,6 +536,68 @@ class TraversalKernel:
         if sampler is not None:
             sampler.record("reach_scalar", 1, len(visited))
         return visited
+
+    def bottleneck_scalar(
+        self, seed_labels: Mapping[int, float], floor: float
+    ) -> Dict[int, float]:
+        """Widest-path labels of every id reachable from labelled seeds.
+
+        Each reached id gets the largest ``min(seed label, smallest pair
+        expiry on the path)`` over all paths from a seed, skipping entries
+        below ``floor``; a label-descending (Dijkstra-style) walk settles
+        each id once.  So the ids reachable at any horizon ``h >= floor``
+        from the seeds whose label clears ``h`` are exactly the ids whose
+        label clears ``h``.  Walks the plain-list view plus the overlay,
+        whatever the cutover.
+        """
+        adjacency = self._scalar_view()
+        overlay_entries = self._overlay_lookup()
+        base_nodes = len(adjacency)
+        num_nodes = self.num_nodes
+        labels: Dict[int, float] = {}
+        heap: List[Tuple[float, int]] = []
+        # Order-safe: (-label, id) totally orders the heap, so the walk and
+        # its labels do not depend on seed order.
+        # repro-lint: disable-next=RPL401
+        for node_id, label in seed_labels.items():
+            if node_id < 0 or node_id >= num_nodes:
+                raise seed_range_error(node_id, num_nodes)
+            labels[node_id] = label
+            heap.append((-label, node_id))
+        heapq.heapify(heap)
+        unseen = floor - 1.0
+        get = labels.get
+        push = heapq.heappush
+        pop = heapq.heappop
+        # Both adjacency sources list the latest expiry first, so each
+        # scan ends at the first entry below the floor.
+        while heap:
+            negative, node_id = pop(heap)
+            label = -negative
+            if label < labels[node_id]:
+                continue  # superseded by a wider path
+            if node_id < base_nodes:
+                for successor, expiry in adjacency[node_id]:
+                    if expiry < floor:
+                        break
+                    width = expiry if expiry < label else label
+                    if width > get(successor, unseen):
+                        labels[successor] = width
+                        push(heap, (-width, successor))
+            if overlay_entries is not None:
+                entries = overlay_entries(node_id)
+                if entries:
+                    for successor, expiry in entries:
+                        if expiry < floor:
+                            break
+                        width = expiry if expiry < label else label
+                        if width > get(successor, unseen):
+                            labels[successor] = width
+                            push(heap, (-width, successor))
+        sampler = _SWEEP_SAMPLER
+        if sampler is not None:
+            sampler.record("bottleneck", 1, len(labels))
+        return labels
 
     def reach_native(
         self, seed_ids: Iterable[int], eff: Optional[float]

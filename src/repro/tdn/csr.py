@@ -63,7 +63,17 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -703,6 +713,39 @@ class DeltaCSR:
         """
         eff = self._effective_horizon(min_expiry)
         return self._kernel(True).reachable_ids(target_ids, eff)
+
+    def ancestor_bottlenecks(
+        self, seed_labels: Mapping[int, float]
+    ) -> Dict[int, float]:
+        """Widest-path labels of every ancestor of labelled seed ids.
+
+        An ancestor's label is the largest horizon at which it reaches a
+        seed whose own label clears that horizon, so ``{a : label >= h}``
+        equals :meth:`ancestor_ids` of those seeds at ``h`` for every
+        ``h >= t + 1``.  One walk on the transpose plus the reverse
+        overlay serves every horizon.  Base entries left stale by a
+        refreshed pair carry an older expiry than the overlay's, and
+        entries of dead pairs sit below the ``t + 1`` floor, so neither
+        can widen a label.
+        """
+        floor = float(self._graph.time + 1)
+        return self._kernel(True).bottleneck_scalar(seed_labels, floor)
+
+    def scalar_reach(
+        self, min_expiry: Optional[float] = None
+    ) -> Optional[Tuple[Callable[[Iterable[int], float], Set[int]], float]]:
+        """``(walk, eff)`` for forward walks at ``min_expiry``, or ``None``.
+
+        ``None`` above the scalar cutover.  Below it, ``walk(ids, eff)``
+        is the kernel's scalar walk and ``eff`` the clamped horizon, so a
+        caller with many small seed sets resolves both once and then
+        calls ``len(walk(ids, eff))`` per set: what :meth:`spread_counts`
+        computes per set on that path.
+        """
+        kernel = self._kernel(False)
+        if not kernel._use_scalar():
+            return None
+        return kernel.reach_scalar, self._effective_horizon(min_expiry)
 
     def touched_cone_ids(self, seed_ids: Iterable[int]) -> Set[int]:
         """Ids whose forward cone a batch of deltas touched (seeds closed).

@@ -510,6 +510,13 @@ class TDNGraph:
                 if pair.max_expiry >= min_expiry:
                     yield u
 
+    def in_pairs(self, node: Node) -> Iterator[Tuple[Node, float]]:
+        """Iterate ``(predecessor, max alive expiry)`` for ``node``'s in-pairs."""
+        nbrs = self._in.get(node)
+        if nbrs:
+            for u, pair in nbrs.items():
+                yield u, pair.max_expiry
+
     def out_degree(self, node: Node) -> int:
         """Number of distinct alive successors of ``node``."""
         return len(self._out.get(node, ()))

@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from repro.core.sieve_adn import SieveADN
+from repro.errors import ConfigError
 from repro.influence.oracle import InfluenceOracle
 from repro.submodular.functions import SpreadFunction
 from repro.submodular.greedy import brute_force_optimum
@@ -145,6 +148,21 @@ class TestCachedValueReadout:
 
 
 class TestProcessCandidates:
+    def test_unknown_changed_mode_rejected(self):
+        with pytest.raises(ConfigError, match="changed_mode"):
+            SieveADN(k=1, epsilon=0.2, graph=TDNGraph(), changed_mode="bogus")
+
+    def test_on_candidates_syncs_and_feeds(self):
+        graph = TDNGraph()
+        sieve = SieveADN(k=1, epsilon=0.2, graph=graph, min_expiry=5)
+        assert sieve.oracle.spread(["a"], 5) == 1
+        graph.add_interaction(Interaction("a", "b", 0, 9))
+        sieve.on_candidates(3, ["a"])
+        solution = sieve.query()
+        assert solution.nodes == ("a",)
+        assert solution.value == 2.0  # the stale memo entry was evicted
+        assert solution.time == 3
+
     def test_direct_candidate_feed(self):
         graph = TDNGraph()
         graph.add_interaction(Interaction("a", "b", 0, 9))
@@ -157,3 +175,64 @@ class TestProcessCandidates:
         sieve = SieveADN(k=1, epsilon=0.2, graph=graph)
         sieve.process_candidates([])
         assert sieve.query().value == 0.0
+
+
+class PerPairSieveADN(SieveADN):
+    """SIEVEADN spending one ``spread_many`` call per (S, S + node) pair."""
+
+    def process_candidates(self, candidates):
+        candidates = list(candidates)
+        if not candidates:
+            return
+        oracle = self.oracle
+        singletons = oracle.spread_many([(n,) for n in candidates], self.min_expiry)
+        upper = {}
+        for node, value in zip(candidates, singletons):
+            upper[node] = value
+            self.thresholds.update_delta(value)
+        for node in candidates:
+            for threshold, sieve in self.thresholds.items():
+                if threshold > upper[node]:
+                    break
+                key = sieve.key
+                if len(key) >= self.k or node in key:
+                    continue
+                base, with_node = oracle.spread_many(
+                    (key, key | {node}), self.min_expiry
+                )
+                sieve.cached_value = float(base)
+                if with_node - base >= threshold:
+                    sieve.add(node)
+                    sieve.cached_value = float(with_node)
+
+
+class TestBatchedPairs:
+    """One oracle batch per candidate keeps the per-pair accounting."""
+
+    @pytest.mark.parametrize("backend", ["csr", "dict"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_pair_calls(self, backend, seed):
+        min_expiry = None if seed % 2 else 4
+        runs = []
+        for cls in (SieveADN, PerPairSieveADN):
+            graph = TDNGraph()
+            # A tiny memo makes FIFO capacity evictions happen mid-batch.
+            oracle = InfluenceOracle(graph, backend=backend, max_cache_entries=9)
+            sieve = cls(
+                k=3, epsilon=0.1, graph=graph, oracle=oracle, min_expiry=min_expiry
+            )
+            events = random.Random(seed)
+            trace = []
+            for t in range(25):
+                batch = []
+                for _ in range(events.randint(1, 4)):
+                    u, v = events.sample(range(10), 2)
+                    batch.append(Interaction(u, v, t, events.randint(1, 9)))
+                feed(graph, sieve, t, batch)
+                solution = sieve.query()
+                trace.append(
+                    (solution.nodes, solution.value, sieve.query_value_cached())
+                )
+            memo_order = list(oracle._memo.data)  # noqa: SLF001 - FIFO order
+            runs.append((trace, oracle.calls, memo_order))
+        assert runs[0] == runs[1]
