@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for design choices of this reproduction.
 
 Not figures from the paper — these quantify (1) the head-refinement remark
 of Section IV, (2) the changed-node derivation mode, (3) the interchange

@@ -437,7 +437,7 @@ def test_sharded_vs_serial_spread_many(benchmark):
             return oracle.spread_many(candidate_sets, horizon), oracle.calls
 
         sharded()  # warm-up: start the threads, cut the kernel clones
-        pool_ran = executor.parallel_available
+        pool_ran = executor.pool_running
         (serial_values, serial_calls), serial_seconds = _best_of(3, serial)
         (shard_values, shard_calls), shard_seconds = _best_of(3, sharded)
         benchmark.pedantic(sharded, rounds=1, iterations=1)

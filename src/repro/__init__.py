@@ -20,9 +20,8 @@ here): :func:`open_tracker`, the :class:`Semantics` enum, and the
 
     trending = open_tracker("trend", k=5)           # time-decay semantics
 
-See DESIGN.md for the system inventory, ARCHITECTURE.md for the public
-API vs internal layers table, and EXPERIMENTS.md for the paper-versus-
-measured record of every table and figure.
+See ARCHITECTURE.md for the layer stack and the public API vs internal
+layers table.
 """
 
 from repro.analysis import SolutionHistory

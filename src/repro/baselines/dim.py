@@ -16,8 +16,7 @@ strictly more expensive, but the sampled distribution is exact — quality
 behaviour (the paper's Fig. 13 instability on fast-churning workloads comes
 from estimation variance of the shared pool, which is preserved) and the
 relative throughput ordering (faster than re-indexing IMM/TIM+, slower than
-HISTAPPROX, Fig. 14) both survive.  The substitution is recorded in
-DESIGN.md.
+HISTAPPROX, Fig. 14) both survive.
 """
 
 from __future__ import annotations

@@ -9,10 +9,11 @@ edges and its output is a ``(1/2 - eps)``-approximate solution on ``G_t``
 shift left, and a fresh instance joins at the tail.
 
 This implementation keys instances by their absolute *horizon* ``h = t + i``
-(see DESIGN.md Section 2): shifting becomes a no-op, termination is
-``h <= t``, and the instance's evaluation subgraph is "edges with expiry at
-or above ``h``" on the one shared graph.  The instance deque is therefore in
-one-to-one correspondence with Alg. 2's array, without any renaming.
+(see "Horizon filtering" in :mod:`repro.tdn.graph`): shifting becomes a
+no-op, termination is ``h <= t``, and the instance's evaluation subgraph
+is "edges with expiry at or above ``h``" on the one shared graph.  The
+instance deque is therefore in one-to-one correspondence with Alg. 2's
+array, without any renaming.
 
 Instance ``h`` is fed the batch edges with expiry at or above ``h``, so
 the instances differ only in their horizon.  Their changed-node sets come

@@ -9,7 +9,8 @@ property (Theorem 6) then bounds the loss: the head of the histogram is a
 number of live instances drops from ``L`` to ``O(log(k)/eps)`` (Theorem 8).
 
 As everywhere in this reproduction, instances are keyed by their absolute
-horizon ``h = t + l`` (DESIGN.md Section 2), so:
+horizon ``h = t + l`` (see "Horizon filtering" in :mod:`repro.tdn.graph`),
+so:
 
 * Alg. 3's index shift (line 7) is a no-op;
 * an instance terminates when ``t`` reaches its horizon (line 5);

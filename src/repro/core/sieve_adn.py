@@ -16,7 +16,7 @@ make the correctness proof non-trivial but are handled naturally here:
 The instance evaluates all spreads at its ``min_expiry`` horizon, so the
 same class serves standalone ADN tracking (``min_expiry=None``) and life as
 a building block inside BASICREDUCTION / HISTAPPROX (horizon ``t + i``; see
-DESIGN.md Section 2).
+"Horizon filtering" in :mod:`repro.tdn.graph`).
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Table I of the paper summarizes the evaluation datasets.  The registry
 pairs each with (a) the paper's reported node/interaction counts — used by
 the Table I reproduction — and (b) a scaled-down synthetic generator
-configuration whose stream exercises the same behaviour (see DESIGN.md
-Section 4 for the substitution argument).  Scale is controlled at call time
-through ``num_events``; generator shape parameters live here.
+configuration whose stream exercises the same behaviour (the
+substitution argument is in :mod:`repro.datasets`' docstring).  Scale is
+controlled at call time through ``num_events``; generator shape
+parameters live here.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Ablation experiments beyond the paper's figures.
 
-These quantify the design choices DESIGN.md calls out:
+These quantify design choices of this reproduction:
 
 * ``head_refinement`` — HISTAPPROX with vs without the (1/2 - eps) head
   refinement the paper sketches in its Section IV remark: quality gained

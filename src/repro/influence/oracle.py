@@ -146,8 +146,7 @@ WeightSpec = Union[Mapping[Node, float], Callable[[Node], float]]
 
 # Instruments bound once at import (the registry pre-registers the whole
 # catalog, so these lookups cannot miss).  The oracle records into the
-# process registry; worker processes run their own oracle instances over
-# their own registries and ship counter deltas owner-side.
+# process registry.
 _MEMO_HITS = metrics_registry().counter(metric_names.ORACLE_MEMO_HITS_TOTAL)
 _MEMO_MISSES = metrics_registry().counter(metric_names.ORACLE_MEMO_MISSES_TOTAL)
 _MEMO_EVICTIONS = metrics_registry().counter(
@@ -635,7 +634,7 @@ class InfluenceOracle:
 
         ``None`` for a serial oracle; otherwise the executor's
         :meth:`~repro.parallel.executor.ShardedOracleExecutor.
-        health_report` (state, reason, restart budget, incidents, …).
+        health_report` (state, reason, incidents, transitions, …).
         """
         if self._executor is None:
             return None

@@ -10,7 +10,8 @@ both compact paths are pinned to agree with the functions here by the
 cross-backend equivalence suite.  All traversals accept a ``min_expiry``
 horizon: only edges with expiry at or above the horizon are traversed,
 which is how a single shared graph serves SIEVEADN instances with
-different lifetime horizons (DESIGN.md Section 2).
+different lifetime horizons (see "Horizon filtering" in
+:mod:`repro.tdn.graph`).
 :func:`ancestor_bottlenecks` answers every horizon at once: it labels
 each ancestor with the widest horizon at which it still reaches a seed
 (its CSR twin is :meth:`~repro.tdn.csr.DeltaCSR.ancestor_bottlenecks`).

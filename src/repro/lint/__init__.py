@@ -2,15 +2,14 @@
 
 A custom static analyzer (``python -m repro.lint [paths]``) built on
 :mod:`ast` that machine-checks the contracts ARCHITECTURE.md only *states*:
-the layer DAG, single-kernel traversal ownership, shared-memory segment
-lifecycle, concurrency hazards in the parallel stack, the determinism
-rules behind the bit-identical-to-serial guarantee, and metric naming.
+the layer DAG, single-kernel traversal ownership, concurrency hazards in
+the parallel stack, the determinism rules behind the
+bit-identical-to-serial guarantee, and metric naming.
 
 Pass families, each emitting coded findings:
 
 * ``RPL1xx`` — layer contracts (:mod:`repro.lint.layers`,
   :mod:`repro.lint.nativejit`)
-* ``RPL2xx`` — shared-memory lifecycle (:mod:`repro.lint.shm`)
 * ``RPL3xx`` — concurrency hazards (:mod:`repro.lint.concurrency`)
 * ``RPL4xx`` — determinism (:mod:`repro.lint.determinism`)
 * ``RPL5xx`` — observability (:mod:`repro.lint.obs`)

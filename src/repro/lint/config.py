@@ -1,7 +1,7 @@
 """The declared architecture contract the passes check against.
 
 This module is *data*: the layer DAG of ``src/repro``, the ownership
-files for traversal loops / segment names / randomness, and the scopes
+files for traversal loops and randomness, and the scopes
 the determinism pass covers.  ARCHITECTURE.md documents the same DAG in
 prose; changing the architecture means changing both, deliberately, in
 one review.
@@ -63,9 +63,6 @@ TRAVERSAL_OWNERS = (TRAVERSAL_OWNER, NATIVE_KERNEL_OWNER)
 
 #: Names whose subscripted use inside one loop marks a traversal loop.
 TRAVERSAL_TRIPLE = ("indptr", "indices", "expiries")
-
-#: The one file allowed to derive shared-memory segment names.
-SEGMENT_NAME_OWNER = "repro/parallel/plane.py"
 
 #: The one file allowed to touch ``random`` / ``numpy.random`` directly.
 RNG_OWNER = "repro/utils/rng.py"

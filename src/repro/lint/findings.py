@@ -1,9 +1,10 @@
 """Finding records and the error-code registry.
 
 Every pass emits :class:`Finding` instances.  The code table below is the
-single source of truth — ARCHITECTURE.md's "Enforced invariants" section
-mirrors it, the fixture test suite asserts every code both fires and
-suppresses, and ``python -m repro.lint --list-codes`` prints it.
+single source of truth — ARCHITECTURE.md's "Error codes" table mirrors it
+(a test pins the two equal), the fixture test suite asserts every code
+both fires and suppresses, and ``python -m repro.lint --list-codes``
+prints it.
 """
 
 from __future__ import annotations
@@ -38,22 +39,8 @@ CODES = {
         "import of repro.kernels.native outside the "
         "repro/kernels/backend.py dispatch layer"
     ),
-    # -- RPL2xx: shared-memory lifecycle -------------------------------
-    "RPL201": (
-        "SharedMemory(create=True) with no unlink() reachable through an "
-        "owner teardown path (close()/__del__/finalizer) in the same scope"
-    ),
-    "RPL202": "SharedMemory attach with no paired close() in the same scope",
-    "RPL203": (
-        "raw shared-memory segment-name literal outside plane.py's "
-        "name-derivation helpers"
-    ),
     # -- RPL3xx: concurrency hazards -----------------------------------
     "RPL301": "blocking call inside an async def body",
-    "RPL302": (
-        "fork multiprocessing context (a forked child inherits the shard "
-        "threads' held locks without the threads)"
-    ),
     "RPL304": (
         "broad except swallows the exception in repro/parallel/ "
         "(handler must re-raise, record a DegradationReason, or carry a "

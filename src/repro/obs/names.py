@@ -141,8 +141,7 @@ CATALOG: Tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         DEGRADATION_TRANSITIONS_TOTAL, "counter",
-        "degradation-ladder history records (incidents, state moves, "
-        "recoveries)",
+        "degradation-ladder history records (incidents and state moves)",
     ),
     MetricSpec(
         DEGRADATION_INCIDENTS_TOTAL, "counter",

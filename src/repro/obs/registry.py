@@ -10,13 +10,6 @@ dispatch path, and a lost increment would quietly corrupt the very
 counters the chaos suite asserts on.  The lock is taken once per
 *recorded* sample, never inside kernel inner loops (the kernel's sampled
 hook is the only sanctioned instrumentation point there; see RPL501).
-
-Counter *deltas* can be carried from one registry into another
-(:meth:`MetricsRegistry.drain_counter_deltas` on the source,
-:meth:`MetricsRegistry.merge_counter_deltas` on the target).  Only
-counters move — histograms and gauges stay local by design; merging
-bucket arrays would couple the payload to the bucket ladder for little
-value.
 """
 
 from __future__ import annotations
@@ -155,7 +148,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._drained: Dict[str, float] = {}
         for spec in catalog:
             self.register(spec)
 
@@ -205,40 +197,12 @@ class MetricsRegistry:
             ) from None
 
     # ------------------------------------------------------------------
-    # Snapshots and delta merging
+    # Snapshots
     # ------------------------------------------------------------------
     def counter_values(self) -> Dict[str, float]:
         """Current counter values (all of them, zero or not), by name."""
         with self._lock:
             return {name: c.value for name, c in sorted(self._counters.items())}
-
-    def drain_counter_deltas(self) -> Dict[str, float]:
-        """Nonzero counter movement since the last drain (source side).
-
-        One tiny name->delta dict per drain, never per-event messages.
-        Draining is cumulative — the internal high-water marks
-        advance, so repeated drains never double-report.
-        """
-        deltas: Dict[str, float] = {}
-        with self._lock:
-            for name in sorted(self._counters):
-                value = self._counters[name].value
-                moved = value - self._drained.get(name, 0.0)
-                if moved:
-                    deltas[name] = moved
-                    self._drained[name] = value
-        return deltas
-
-    def merge_counter_deltas(self, deltas: Dict[str, float]) -> None:
-        """Fold another registry's drained deltas into this one.
-
-        Unknown names are ignored rather than raised: a source built
-        from a newer catalog than this one must not poison the merge.
-        """
-        for name in sorted(deltas):
-            counter = self._counters.get(name)
-            if counter is not None:
-                counter.inc(deltas[name])
 
     def reset(self) -> None:
         """Zero every instrument (tests; never called by the library)."""
@@ -251,7 +215,6 @@ class MetricsRegistry:
                 histogram.counts = [0] * (len(histogram.buckets) + 1)
                 histogram.sum = 0.0
                 histogram.count = 0
-            self._drained.clear()
 
     # ------------------------------------------------------------------
     # Export (delegates to repro.obs.export; imported lazily to keep the

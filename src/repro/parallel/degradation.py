@@ -5,11 +5,11 @@ an explicit state machine:
 
 * **SHARDED** — requests are partitioned across the executor's threads
   (or, for the ingest service, the writer is healthy).
-* **DEGRADED** — requests are served serially for a *recoverable*
-  :class:`DegradationReason`.  After the recorded backoff expires the
-  owner may attempt recovery and transition back to SHARDED.
+* **DEGRADED** — the owner failed for a non-terminal
+  :class:`DegradationReason` (the ingest service's writer exhausted its
+  restart budget).  There is no way back to SHARDED.
 * **HALTED** — serial forever, for a *terminal* reason (explicit close,
-  single-worker configuration).  No recovery is ever attempted.
+  single-worker configuration).
 
 Faults absorbed without leaving SHARDED — a thread shard that raised and
 was recomputed serially, a writer thread that was restarted — are
@@ -17,7 +17,7 @@ recorded as incidents.  Every transition and incident is recorded
 (bounded history), surfaced through :meth:`DegradationLadder.report`,
 and announced with at most one warning per reason per ``warn_interval``
 — repeated flapping on the same reason never floods the log, and each
-warning carries a recovery hint.  The ladder never touches results:
+warning carries an operator hint.  The ladder never touches results:
 degradation changes *where* a value is computed, never what it is.
 """
 
@@ -61,7 +61,7 @@ class DegradationReason(enum.Enum):
     CLOSED = "closed"
 
 
-#: Reasons that can never recover: once entered, the ladder is HALTED.
+#: Terminal reasons: once entered, the ladder is HALTED for good.
 TERMINAL_REASONS = frozenset(
     {DegradationReason.SINGLE_WORKER, DegradationReason.CLOSED}
 )
@@ -93,14 +93,13 @@ class DegradationState(enum.Enum):
 
 
 class DegradationLadder:
-    """Tracks degradation state, transitions, backoff and warnings.
+    """Tracks degradation state, transitions and warnings.
 
     One instance backs each :class:`~repro.parallel.executor.
-    ShardedOracleExecutor` (and the :class:`~repro.parallel.service.
-    IngestService` reuses the reason enum for its writer).  The ladder is
-    bookkeeping only — owners decide *when* to degrade or recover; the
-    ladder records it, rate-limits the operator warnings, and answers
-    ``can_attempt_recovery`` from the stored backoff deadline.
+    ShardedOracleExecutor` and each :class:`~repro.parallel.service.
+    IngestService` (whose writer is its only subject).  The ladder is
+    bookkeeping only — owners decide *when* to degrade; the ladder
+    records it and rate-limits the operator warnings.
 
     Args:
         warn_interval: minimum seconds between two warnings for the
@@ -124,10 +123,8 @@ class DegradationLadder:
         self.state = DegradationState.SHARDED
         self.reason: Optional[DegradationReason] = None
         self.detail: str = ""
-        self.retry_at: float = 0.0
         self.transitions: List[Dict[str, object]] = []
         self.incidents: Dict[str, int] = {}
-        self.recoveries = 0
         self._warned_at: Dict[DegradationReason, float] = {}
 
     # ------------------------------------------------------------------
@@ -138,16 +135,8 @@ class DegradationLadder:
 
     @property
     def halted(self) -> bool:
-        """Whether degradation is permanent (no recovery will be tried)."""
+        """Whether the ladder stopped for a terminal reason."""
         return self.state is DegradationState.HALTED
-
-    def can_attempt_recovery(self, now: Optional[float] = None) -> bool:
-        """Whether a recovery attempt is due (DEGRADED and backoff over)."""
-        if self.state is not DegradationState.DEGRADED:
-            return False
-        if now is None:
-            now = self._clock()
-        return now >= self.retry_at
 
     # ------------------------------------------------------------------
     def note_incident(self, reason: DegradationReason, detail: str = "") -> None:
@@ -163,18 +152,11 @@ class DegradationLadder:
         self._record("incident", reason, detail)
         self._warn(reason, detail)
 
-    def degrade(
-        self,
-        reason: DegradationReason,
-        detail: str = "",
-        *,
-        retry_delay: float = 0.0,
-    ) -> None:
+    def degrade(self, reason: DegradationReason, detail: str = "") -> None:
         """Enter DEGRADED (or HALTED for terminal reasons).
 
-        ``retry_delay`` seconds must elapse before
-        :meth:`can_attempt_recovery` answers True.  Degrading an already
-        HALTED ladder is a no-op — terminal states are sticky.
+        Degrading an already HALTED ladder is a no-op — terminal states
+        are sticky.
         """
         if self.halted:
             return
@@ -186,35 +168,21 @@ class DegradationLadder:
         )
         self.reason = reason
         self.detail = detail
-        self.retry_at = self._clock() + max(0.0, retry_delay)
         self._record(self.state.value, reason, detail)
         self._warn(reason, detail)
 
-    def recover(self, detail: str = "") -> None:
-        """Return to SHARDED (no-op when HALTED — terminal is terminal)."""
-        if self.halted or self.state is DegradationState.SHARDED:
-            return
-        self.state = DegradationState.SHARDED
-        self.reason = None
-        self.detail = ""
-        self.retry_at = 0.0
-        self.recoveries += 1
-        self._record("recovered", None, detail)
-
     # ------------------------------------------------------------------
-    def _record(
-        self, event: str, reason: Optional[DegradationReason], detail: str
-    ) -> None:
+    def _record(self, event: str, reason: DegradationReason, detail: str) -> None:
         # Transition-record schema (stable; consumers rely on these keys,
         # see the health_report docs in ARCHITECTURE.md):
-        #   event  -- "incident" | "degraded" | "halted" | "recovered"
-        #   reason -- DegradationReason.name, or "" for recoveries
+        #   event  -- "incident" | "degraded" | "halted"
+        #   reason -- DegradationReason.name
         #   detail -- free-text context
         #   at     -- the ladder's (injectable, monotonic) clock reading
         self.transitions.append(
             {
                 "event": event,
-                "reason": reason.name if reason else "",
+                "reason": reason.name,
                 "detail": detail,
                 "at": self._clock(),
             }
@@ -254,7 +222,6 @@ class DegradationLadder:
             "state": self.state.value,
             "reason": self.reason.name if self.reason else None,
             "detail": self.detail,
-            "recoveries": self.recoveries,
             "incidents": dict(sorted(self.incidents.items())),
             "transitions": [dict(record) for record in self.transitions],
         }

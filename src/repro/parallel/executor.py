@@ -64,6 +64,7 @@ if TYPE_CHECKING:
     from repro.kernels import TraversalKernel
     from repro.tdn.graph import TDNGraph
 
+from repro.errors import ConfigError
 from repro.kernels import Fold, resolve_fold
 from repro.obs import names as metric_names
 from repro.obs.registry import metrics_registry
@@ -92,6 +93,19 @@ _SHARD_LATENCY = metrics_registry().histogram(
 _SERIAL_FALLBACKS = metrics_registry().counter(
     metric_names.EXECUTOR_SERIAL_FALLBACKS_TOTAL
 )
+
+
+def _env_timeout() -> float:
+    """:data:`RESULT_TIMEOUT`, or its ``REPRO_RESULT_TIMEOUT`` override."""
+    raw = os.environ.get("REPRO_RESULT_TIMEOUT")
+    if raw is None:
+        return RESULT_TIMEOUT
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(
+            f"REPRO_RESULT_TIMEOUT must be a number of seconds, got {raw!r}"
+        ) from None
 
 
 def shard_slices(num_items: int, num_shards: int) -> List[Tuple[int, int]]:
@@ -159,13 +173,11 @@ class ShardedOracleExecutor:
         self._ladder = DegradationLadder()
         self._pool: Optional[ThreadPoolExecutor] = None
         if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
+            raise ConfigError(f"workers must be >= 0, got {workers}")
         self.workers = workers
         self.min_batch = max(1, min_batch)
         if result_timeout is None:
-            result_timeout = float(
-                os.environ.get("REPRO_RESULT_TIMEOUT", RESULT_TIMEOUT)
-            )
+            result_timeout = _env_timeout()
         self.result_timeout = max(1.0, result_timeout)
         self._fault_plan = (
             fault_plan if fault_plan is not None else FaultPlan.from_env()
@@ -194,11 +206,6 @@ class ShardedOracleExecutor:
         return f"{text}: {detail}" if detail else text
 
     @property
-    def parallel_available(self) -> bool:
-        """Whether requests can currently be sharded."""
-        return self.workers > 1 and self._ladder.healthy
-
-    @property
     def pool_running(self) -> bool:
         """Whether the shard threads have been started and may serve."""
         return self._pool is not None and self._ladder.healthy
@@ -206,8 +213,8 @@ class ShardedOracleExecutor:
     def health_report(self) -> Dict[str, object]:
         """Inspectable snapshot of the executor's state.
 
-        Keys: ``state`` / ``reason`` / ``detail`` / ``recoveries`` /
-        ``incidents`` / ``transitions`` (from the ladder), ``workers``,
+        Keys: ``state`` / ``reason`` / ``detail`` / ``incidents`` /
+        ``transitions`` (from the ladder), ``workers``,
         ``mode`` (always ``"threads"``) and ``plane_generation`` (how
         many times :meth:`ensure_plane` cut fresh kernel clones: once
         per graph version and sweep direction that was sharded).

@@ -28,6 +28,8 @@ from __future__ import annotations
 import os
 from typing import Optional, Set
 
+from repro.errors import ConfigError
+
 __all__ = ["FAULTS_ENV", "FaultInjected", "FaultPlan"]
 
 #: Environment variable holding a fault spec ("" / unset = no faults).
@@ -40,7 +42,7 @@ class FaultInjected(RuntimeError):
 
 def _ordinal(token: str, entry: str) -> int:
     if not token.isdigit() or int(token) < 1:
-        raise ValueError(f"bad fault ordinal {token!r} in {entry!r}")
+        raise ConfigError(f"bad fault ordinal {token!r} in {entry!r}")
     return int(token)
 
 
@@ -61,7 +63,10 @@ class FaultPlan:
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
-        """Parse a spec string (see module docstring for the grammar)."""
+        """Parse a spec string (see module docstring for the grammar).
+
+        A malformed spec raises :class:`~repro.errors.ConfigError`.
+        """
         plan = cls()
         plan.spec = spec
         for entry in spec.split(";"):
@@ -72,13 +77,18 @@ class FaultPlan:
             name = name.strip()
             tokens = [t.strip() for t in rhs.split(",") if t.strip()]
             if name == "seed":
-                plan.seed = int(rhs)
+                try:
+                    plan.seed = int(rhs)
+                except ValueError:
+                    raise ConfigError(
+                        f"bad fault seed {rhs.strip()!r} in {entry!r}"
+                    ) from None
             elif name == "shard":
                 plan.shard_failures.update(_ordinal(t, entry) for t in tokens)
             elif name == "writer":
                 plan.writer_kills.update(_ordinal(t, entry) for t in tokens)
             else:
-                raise ValueError(f"unknown fault kind {name!r} in {entry!r}")
+                raise ConfigError(f"unknown fault kind {name!r} in {entry!r}")
         return plan
 
     @classmethod
@@ -87,7 +97,10 @@ class FaultPlan:
         spec = os.environ.get(FAULTS_ENV, "").strip()
         if not spec:
             return None
-        return cls.parse(spec)
+        try:
+            return cls.parse(spec)
+        except ConfigError as exc:
+            raise ConfigError(f"{FAULTS_ENV}: {exc}") from None
 
     def next_shard_fails(self) -> bool:
         """Advance the shard counter; True when this shard must raise."""

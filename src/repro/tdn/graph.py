@@ -8,7 +8,7 @@ when their last alive edge expires, exactly as the paper specifies.
 
 Horizon filtering
 -----------------
-The reproduction's key implementation device (DESIGN.md Section 2) is that a
+The reproduction's key implementation device is that a
 SIEVEADN instance indexed ``i`` at time ``t`` — which, per BASICREDUCTION's
 construction, has processed exactly the edges still alive at ``t + i - 1`` —
 can be identified by the absolute *horizon* ``h = t + i``.  The edges that

@@ -187,8 +187,7 @@ def main(argv: Optional[list] = None) -> int:
             incidents = health.get("incidents") or {}
             if incidents:
                 counts = ", ".join(f"{k}={v}" for k, v in incidents.items())
-                print(f"  recovered faults:   {counts} "
-                      f"({health['recoveries']} recoveries)")
+                print(f"  recovered faults:   {counts}")
     print(f"  elapsed:            {elapsed:.1f}s "
           f"({len(interactions) / max(elapsed, 1e-9):.0f} events/s)")
     print(f"  oracle calls:       {tracker.oracle_calls}")

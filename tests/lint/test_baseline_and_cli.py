@@ -105,6 +105,22 @@ def test_cli_list_codes(capsys):
         assert code in out
 
 
+def test_architecture_error_code_table_matches_registry():
+    """ARCHITECTURE.md's "Error codes" table lists exactly ``CODES``.
+
+    Both ways: a retired rule may not linger in the table, and a new
+    rule may not ship undocumented.
+    """
+    text = (REPO_ROOT / "ARCHITECTURE.md").read_text(encoding="utf-8")
+    section = text.split("### Error codes", 1)[1].split("\n#", 1)[0]
+    documented = {
+        line.split("|")[1].strip()
+        for line in section.splitlines()
+        if line.startswith("| RPL")
+    }
+    assert documented == set(CODES)
+
+
 # ----------------------------------------------------------------------
 # No drift: the committed baseline matches a fresh run over src/
 # ----------------------------------------------------------------------

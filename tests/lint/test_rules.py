@@ -325,120 +325,6 @@ def test_rpl106_clean_jitted_function_passes():
 
 
 # ----------------------------------------------------------------------
-# RPL2xx — shared-memory lifecycle
-# ----------------------------------------------------------------------
-def test_rpl201_create_without_unlink():
-    assert_fires(
-        """
-        from multiprocessing.shared_memory import SharedMemory
-
-
-        class Owner:
-            def __init__(self):
-                self.seg = SharedMemory(create=True, size=64)
-
-            def close(self):
-                self.seg.close()
-        """,
-        "src/repro/parallel/fixture.py",
-        "RPL201",
-    )
-
-
-def test_rpl201_owner_with_unlink_passes():
-    assert not _lint(
-        """
-        from multiprocessing.shared_memory import SharedMemory
-
-
-        class Owner:
-            def __init__(self):
-                self.seg = SharedMemory(create=True, size=64)
-
-            def close(self):
-                self.seg.close()
-                self.seg.unlink()
-        """,
-        "src/repro/parallel/fixture.py",
-    )
-
-
-def test_rpl201_inline_probe_passes():
-    assert not _lint(
-        """
-        from multiprocessing.shared_memory import SharedMemory
-
-
-        def probe():
-            seg = SharedMemory(create=True, size=16)
-            seg.close()
-            seg.unlink()
-            return True
-        """,
-        "src/repro/parallel/fixture.py",
-    )
-
-
-def test_rpl202_attach_without_close():
-    assert_fires(
-        """
-        from multiprocessing.shared_memory import SharedMemory
-
-
-        class Attacher:
-            def __init__(self, name):
-                self.seg = SharedMemory(name=name)
-        """,
-        "src/repro/parallel/fixture.py",
-        "RPL202",
-    )
-
-
-def test_rpl203_segment_name_literal():
-    assert_fires(
-        'NAME = "plane-hdr"\n',
-        "src/repro/parallel/fixture.py",
-        "RPL203",
-    )
-
-
-def test_rpl203_arrival_log_suffix():
-    assert_fires(
-        'NAME = "plane-g3-lg"\n',
-        "src/repro/parallel/fixture.py",
-        "RPL203",
-    )
-
-
-def test_rpl203_fstring_stem():
-    assert_fires(
-        """
-        def name_for(prefix, seq):
-            return f"{prefix}-w{seq}"
-        """,
-        "src/repro/parallel/fixture.py",
-        "RPL203",
-    )
-
-
-def test_rpl203_exempt_in_plane():
-    assert not _lint(
-        """
-        def name_for(prefix, seq):
-            return f"{prefix}-w{seq}"
-        """,
-        "src/repro/parallel/plane.py",
-    )
-
-
-def test_rpl203_docstrings_skipped():
-    assert not _lint(
-        '"""Segments are named {prefix}-hdr and {prefix}-g1-ip."""\n',
-        "src/repro/parallel/fixture.py",
-    )
-
-
-# ----------------------------------------------------------------------
 # RPL3xx — concurrency hazards
 # ----------------------------------------------------------------------
 def test_rpl301_time_sleep_in_async():
@@ -500,33 +386,6 @@ def test_rpl301_nested_def_not_flagged():
                 time.sleep(1.0)
 
             return helper
-        """,
-        "src/repro/parallel/fixture.py",
-    )
-
-
-def test_rpl302_fork_context():
-    assert_fires(
-        """
-        import multiprocessing
-
-
-        def make_pool():
-            return multiprocessing.get_context("fork")
-        """,
-        "src/repro/parallel/fixture.py",
-        "RPL302",
-    )
-
-
-def test_rpl302_spawn_passes():
-    assert not _lint(
-        """
-        import multiprocessing
-
-
-        def make_pool():
-            return multiprocessing.get_context("spawn")
         """,
         "src/repro/parallel/fixture.py",
     )

@@ -1,10 +1,4 @@
-"""MetricsRegistry behavior: catalog lookups, drains, merges, resets.
-
-The registry is the backbone of the worker-merge protocol, so the drain
-semantics (cumulative high-water marks, nonzero-only payloads) and the
-merge semantics (unknown names ignored) are pinned here exactly as the
-executor relies on them.
-"""
+"""MetricsRegistry behavior: catalog lookups, instruments, resets."""
 
 from __future__ import annotations
 
@@ -91,64 +85,15 @@ def test_quantile_edges():
         hist.quantile(1.5)
 
 
-def test_drain_is_cumulative(registry):
-    counter = registry.counter(metric_names.EXECUTOR_DISPATCHES_TOTAL)
-    counter.inc(3)
-    first = registry.drain_counter_deltas()
-    assert first == {metric_names.EXECUTOR_DISPATCHES_TOTAL: 3.0}
-    # Nothing moved: the drain is empty, not a re-report.
-    assert registry.drain_counter_deltas() == {}
-    counter.inc(2)
-    assert registry.drain_counter_deltas() == {
-        metric_names.EXECUTOR_DISPATCHES_TOTAL: 2.0
-    }
-
-
-def test_drain_skips_untouched_counters(registry):
-    registry.counter(metric_names.EXECUTOR_DISPATCHES_TOTAL).inc()
-    deltas = registry.drain_counter_deltas()
-    assert set(deltas) == {metric_names.EXECUTOR_DISPATCHES_TOTAL}
-
-
-def test_merge_folds_deltas(registry):
-    owner = MetricsRegistry()
-    registry.counter(metric_names.KERNEL_SWEEPS_TOTAL).inc(10)
-    registry.counter(metric_names.EXECUTOR_DISPATCHES_TOTAL).inc(2)
-    owner.merge_counter_deltas(registry.drain_counter_deltas())
-    owner.merge_counter_deltas({"repro_from_the_future_total": 5.0})
-    values = owner.counter_values()
-    assert values[metric_names.KERNEL_SWEEPS_TOTAL] == 10.0
-    assert values[metric_names.EXECUTOR_DISPATCHES_TOTAL] == 2.0
-    assert "repro_from_the_future_total" not in values
-
-
-def test_drain_merge_round_trip_conserves_totals(registry):
-    owner = MetricsRegistry()
-    counter = registry.counter(metric_names.ORACLE_MEMO_HITS_TOTAL)
-    for chunk in (1, 4, 7):
-        counter.inc(chunk)
-        owner.merge_counter_deltas(registry.drain_counter_deltas())
-    assert (
-        owner.counter_values()[metric_names.ORACLE_MEMO_HITS_TOTAL]
-        == counter.value
-        == 12.0
-    )
-
-
 def test_reset(registry):
     registry.counter(metric_names.EXECUTOR_DISPATCHES_TOTAL).inc(5)
     registry.gauge(metric_names.INGEST_QUEUE_DEPTH).set(9)
     registry.histogram(metric_names.ORACLE_CONE_SIZE_NODES).observe(3)
-    registry.drain_counter_deltas()
     registry.reset()
     assert all(v == 0.0 for v in registry.counter_values().values())
+    assert registry.gauge(metric_names.INGEST_QUEUE_DEPTH).value == 0.0
     hist = registry.histogram(metric_names.ORACLE_CONE_SIZE_NODES)
     assert hist.count == 0 and hist.sum == 0.0
-    # The drain high-water marks reset too, so post-reset increments drain.
-    registry.counter(metric_names.EXECUTOR_DISPATCHES_TOTAL).inc()
-    assert registry.drain_counter_deltas() == {
-        metric_names.EXECUTOR_DISPATCHES_TOTAL: 1.0
-    }
 
 
 def test_register_unknown_kind_raises(registry):

@@ -64,7 +64,7 @@ class TestSerialFallback:
             sets, None
         )
         assert not executor.pool_running
-        assert not executor.parallel_available
+        assert executor.health_report()["state"] == "halted"
         executor.close()
 
     def test_small_batches_stay_serial(self):

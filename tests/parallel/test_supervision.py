@@ -3,7 +3,7 @@
 The chaos suite (:mod:`tests.parallel.test_faults`) exercises these
 components through real shard threads; this module pins their contracts
 in isolation — injected clocks instead of sleeps — so every edge
-(backoff windows, warning dedupe, fault-plan grammar, teardown
+(warning dedupe, fault-plan grammar, teardown
 idempotency) is deterministic.
 """
 
@@ -13,6 +13,7 @@ import warnings
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.parallel.degradation import (
     TERMINAL_REASONS,
     DegradationLadder,
@@ -48,24 +49,22 @@ class TestDegradationLadder:
         ladder, _ = self.make()
         assert ladder.state is DegradationState.SHARDED
         assert ladder.healthy and not ladder.halted
-        assert not ladder.can_attempt_recovery()
+        assert ladder.report()["transitions"] == []
 
-    def test_recoverable_degrade_then_recover(self):
-        ladder, clock = self.make()
+    def test_non_terminal_degrade_is_degraded_not_halted(self):
+        ladder, _ = self.make()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            ladder.degrade(
-                DegradationReason.WRITER_DEATH, "budget spent", retry_delay=5.0
-            )
+            ladder.degrade(DegradationReason.WRITER_DEATH, "budget spent")
         assert ladder.state is DegradationState.DEGRADED
         assert not ladder.healthy and not ladder.halted
-        assert not ladder.can_attempt_recovery()  # backoff pending
-        clock.now += 5.0
-        assert ladder.can_attempt_recovery()
-        ladder.recover("writer restarted")
-        assert ladder.healthy
-        assert ladder.reason is None and ladder.detail == ""
-        assert ladder.recoveries == 1
+        report = ladder.report()
+        assert report["reason"] == "WRITER_DEATH"
+        assert report["detail"] == "budget spent"
+        assert [r["event"] for r in report["transitions"]] == ["degraded"]
+        # A terminal reason still halts a degraded ladder.
+        ladder.degrade(DegradationReason.CLOSED)
+        assert ladder.halted
 
     @pytest.mark.parametrize("reason", sorted(TERMINAL_REASONS, key=lambda r: r.name))
     def test_terminal_reasons_halt_and_stick(self, reason):
@@ -74,13 +73,11 @@ class TestDegradationLadder:
             warnings.simplefilter("ignore", RuntimeWarning)
             ladder.degrade(reason)
             assert ladder.halted
-            # Sticky: later degrades and recovers are no-ops.
+            # Sticky: later degrades are no-ops, however late.
+            clock.now += 1e9
             ladder.degrade(DegradationReason.WRITER_DEATH, "too late")
-        assert ladder.reason is reason
-        ladder.recover()
         assert ladder.halted
-        clock.now += 1e9
-        assert not ladder.can_attempt_recovery()
+        assert ladder.reason is reason
 
     def test_note_incident_counts_without_moving_state(self):
         ladder, _ = self.make()
@@ -173,6 +170,11 @@ class TestFaultPlan:
         plan = FaultPlan.from_env()
         assert plan is not None and plan.shard_failures == {2}
 
+    def test_malformed_env_spec_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "shard=abc")
+        with pytest.raises(ConfigError, match="REPRO_FAULTS"):
+            FaultPlan.from_env()
+
     def test_shard_counter_fires_exactly_at_its_ordinal(self):
         plan = FaultPlan.parse("shard=2")
         assert [plan.next_shard_fails() for _ in range(4)] == [
@@ -212,6 +214,15 @@ class TestTeardownSafety:
     def test_init_validation_leaves_a_closeable_instance(self):
         with pytest.raises(ValueError):
             ShardedOracleExecutor(-1)
+
+    def test_malformed_result_timeout_env_is_a_config_error(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULT_TIMEOUT", "abc")
+        with pytest.raises(ConfigError, match="REPRO_RESULT_TIMEOUT"):
+            ShardedOracleExecutor(2)
+        monkeypatch.setenv("REPRO_RESULT_TIMEOUT", "90")
+        executor = ShardedOracleExecutor(2)
+        assert executor.result_timeout == 90.0
+        executor.close()
 
     def test_double_close_with_live_pool(self):
         graph = tiny_graph()

@@ -137,3 +137,17 @@ class TestWorkersFlag:
             assert pick(sharded_out, field) == pick(serial_out, field)
         assert "evaluation workers: 2" in sharded_out
         assert "parallel engine:    sharded" in sharded_out
+
+    def test_failed_shard_prints_incident_counts(self, capsys, monkeypatch):
+        """A shard failure is reported as an incident; the run stays sharded."""
+        monkeypatch.setenv("REPRO_FAULTS", "shard=1")
+        with pytest.warns(RuntimeWarning, match="THREAD_ERROR"):
+            code = main([
+                "--dataset", "gowalla", "--events", "600", "--batch-size", "50",
+                "--workers", "2", "--seed", "1", "--quiet",
+            ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "parallel engine:    sharded" in out
+        assert "  recovered faults:   THREAD_ERROR=1\n" in out
+        assert "recoveries" not in out
