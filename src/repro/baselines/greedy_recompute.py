@@ -7,6 +7,13 @@ best solution quality of all compared methods — a ``(1 - 1/e)``
 approximation — at a per-query cost of at least one oracle call per alive
 node (the initial singleton pass), which is exactly why the streaming
 algorithms beat it on efficiency in Figs. 10, 11 and 14.
+
+"From scratch" covers the oracle's memo too: every query starts by
+invalidating it, so no evaluation is served from an entry an earlier
+query left behind, and each query costs what it would on a fresh
+oracle.  That holds for an oracle passed in (as
+:class:`~repro.core.tracker.InfluenceTracker` does) as well as for the
+one built here.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ class GreedyRecompute:
 
     def query(self) -> Solution:
         """Lazy greedy over every alive node, from scratch."""
+        self.oracle.invalidate()
         candidates = sorted(self.graph.node_set(), key=repr)
         if not candidates:
             return Solution.empty(self._last_time)

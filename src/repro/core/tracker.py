@@ -195,8 +195,7 @@ class InfluenceTracker:
                 i if i.lifetime is not None else self.lifetime_policy.assign(i)
                 for i in batch
             ]
-        for interaction in batch:
-            self.graph.add_interaction(interaction)
+        self.graph.add_batch(batch)
         self.algorithm.on_batch(t, batch)
         self._last_time = t
         return self.algorithm.query()

@@ -99,8 +99,7 @@ def run_tracking(
                 i if i.lifetime is not None else lifetime_policy.assign(i)
                 for i in batch
             ]
-        for interaction in batch:
-            shared_graph.add_interaction(interaction)
+        shared_graph.add_batch(batch)
         events_seen += len(batch)
         is_query_point = (index % query_interval == 0) or (index == len(batches) - 1)
         for name, instance in instances.items():

@@ -35,7 +35,8 @@ from repro.kernels.instrument import (
 )
 from repro.kernels.traversal import (
     PLANE_WIDTH,
-    DictOverlay,
+    ArrivalLog,
+    LogOverlay,
     SweepSampler,
     TraversalKernel,
     build_transpose,
@@ -49,10 +50,11 @@ __all__ = [
     "BACKENDS",
     "FOLD_NAMES",
     "PLANE_WIDTH",
+    "ArrivalLog",
     "CountFold",
-    "DictOverlay",
     "Fold",
     "HopDiscountFold",
+    "LogOverlay",
     "SweepSampler",
     "TimeDecayFold",
     "TraversalKernel",

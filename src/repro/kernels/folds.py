@@ -46,7 +46,6 @@ semantics.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
@@ -94,7 +93,7 @@ def max_in_expiries(
     expiries: np.ndarray,
     num_nodes: int,
     eff: Optional[float],
-    in_overlay: Optional[Dict[int, List[Tuple[int, float]]]] = None,
+    arrivals: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Per-node max expiry over alive in-edges of a forward CSR.
 
@@ -102,26 +101,21 @@ def max_in_expiries(
     ``j`` is an edge into node ``indices[j]`` expiring at
     ``expiries[j]``.  Entries below the horizon are dead and ignored.
     Nodes with no alive in-edge get ``-inf`` (the monoid identity of
-    ``max``).  ``in_overlay`` (a reverse arrival overlay, ``node id ->
-    [(source, expiry), ...]``) is layered on top: ``max`` is associative,
-    so a stale base plus the overlay maxima lands on exactly the value a
-    fresh snapshot of the current graph would derive.
+    ``max``).  ``arrivals`` (the ``(targets, expiries)`` columns of an
+    arrival log) are folded in the same way: ``max`` is associative, so a
+    stale base plus the arrival maxima lands on exactly the value a fresh
+    snapshot of the current graph would derive.
     """
     out = np.full(num_nodes, -np.inf, dtype=np.float64)
-    if indices.shape[0]:
-        if eff is None:
-            alive_idx, alive_exp = indices, expiries
-        else:
-            keep = expiries >= eff
-            alive_idx, alive_exp = indices[keep], expiries[keep]
-        if alive_idx.shape[0]:
-            np.maximum.at(out, alive_idx, alive_exp)
-    if in_overlay:
-        floor = -math.inf if eff is None else eff
-        for node_id, entries in in_overlay.items():
-            for _, expiry in entries:
-                if expiry >= floor and expiry > out[node_id]:
-                    out[node_id] = expiry
+    columns = [(indices, expiries)]
+    if arrivals is not None:
+        columns.append(arrivals)
+    for targets, target_expiries in columns:
+        if eff is not None:
+            keep = target_expiries >= eff
+            targets, target_expiries = targets[keep], target_expiries[keep]
+        if targets.shape[0]:
+            np.maximum.at(out, targets, target_expiries)
     return out
 
 

@@ -14,10 +14,14 @@ A kernel instance is one *direction* of traversal, parameterized by
 * an ``(indptr, indices, expiries)`` CSR triple (base arrays may cover
   fewer nodes than the live id space — ids past the base simply have an
   empty base adjacency),
-* an optional **overlay** injection (:class:`DictOverlay`, or any object
-  with the same two-method protocol), through which :class:`~repro.tdn.
-  csr.DeltaCSR` plugs its O(1) arrival overlay into the loop without
-  forking it,
+* an optional **overlay**: the rows of an :class:`ArrivalLog` read in
+  the kernel's direction (:class:`LogOverlay`, or any object with the
+  same three-member protocol), through which :class:`~repro.tdn.csr.
+  DeltaCSR` adds its arrivals since the base to every sweep without
+  forking it.  Vectorized and bit-plane sweeps select the rows whose
+  head is in the frontier and whose expiry clears the horizon, and
+  push them through the same gather as base slots; scalar walks merge
+  the rows into the kernel's per-node lists,
 * the effective horizon ``eff`` passed per query (``None`` = no filter;
   engines that lazily tombstone resolve their ``t + 1`` clamp *before*
   calling, which also makes sharded sweeps pure functions of the
@@ -57,7 +61,6 @@ import heapq
 import math
 from itertools import chain
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -81,7 +84,8 @@ from repro.kernels.backend import (
 
 __all__ = [
     "PLANE_WIDTH",
-    "DictOverlay",
+    "ArrivalLog",
+    "LogOverlay",
     "SweepSampler",
     "TraversalKernel",
     "build_transpose",
@@ -107,6 +111,9 @@ _BYTE_BITS = np.unpackbits(
 
 #: Bin offsets giving each of a uint64's eight bytes its own histogram.
 _BYTE_OFFSETS = np.arange(8, dtype=np.int64) * 256
+
+#: The empty id array a sweep round without base slots returns.
+_NO_IDS = np.empty(0, dtype=np.int64)
 
 
 class SweepSampler(Protocol):
@@ -226,65 +233,127 @@ def build_transpose(
     return tindptr, tindices, texpiries
 
 
-class DictOverlay:
-    """Adjacency overlay injected into kernel sweeps.
+class ArrivalLog:
+    """Append-only ``(uid, vid, expiry)`` arrival columns.
 
-    One direction of a delta engine's arrival overlay (the
-    :class:`~repro.tdn.csr.DeltaCSR` keeps a forward and a reverse one):
-    a dict ``node id -> [(neighbor, expiry), ...]`` plus a
-    boolean flag array marking which ids have entries (so the vectorized
-    sweep selects overlay nodes out of a frontier in one gather instead
-    of one dict probe per node; the scalar walk probes ``entry_map``
-    directly).  Engines mutate it in place through :meth:`add` and
-    :meth:`grow`, so kernels holding it never go stale.  Any object with
-    the same two query methods plugs into a kernel:
+    The delta engine's one record of the edges that arrived since its
+    base was compacted (:class:`~repro.tdn.csr.DeltaCSR` keeps one per
+    base): three parallel Python lists, extended once per ingested batch
+    (:meth:`extend`) and never edited in place.  Sweeps read two views
+    derived from them on demand:
 
-    * ``select(frontier)`` — the subset of a frontier id array that has
-      overlay entries;
-    * ``entries(node_id)`` — that node's ``(neighbor, expiry)`` list in
-      descending expiry order, or ``None``/empty when it has none.  The
-      order lets the scalar walk stop at the first entry below the
-      query horizon; no sweep's result depends on it.
+    * numpy column arrays (:meth:`columns`), brought up to date only when
+      a vectorized or bit-plane sweep runs after the log grew (only the
+      rows appended since then are converted);
+    * per kernel, per-node ``(successor, expiry)`` lists, latest expiry
+      first: the base adjacency with the log's rows merged in row by row
+      when a scalar walk runs (:meth:`TraversalKernel._scalar_view`).
+
+    A workload that only sweeps vectorized never merges rows into lists,
+    and one that only walks scalar never builds the arrays.  A kernel
+    reads the log through a :class:`LogOverlay`: the forward
+    overlay reads the columns as ``uid -> vid``, the reverse one reads
+    the same columns swapped.
     """
 
-    __slots__ = ("entry_map", "flags")
+    __slots__ = ("uids", "vids", "expiries", "_arrays", "_converted")
 
-    def __init__(
-        self, entry_map: Dict[int, List[Tuple[int, float]]], flags: np.ndarray
+    def __init__(self) -> None:
+        self.uids: List[int] = []
+        self.vids: List[int] = []
+        self.expiries: List[float] = []
+        # Capacity buffers behind :meth:`columns`; rows ``[0, _converted)``
+        # hold the converted prefix of the lists.
+        self._arrays = (
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+        )
+        self._converted = 0
+
+    def __len__(self) -> int:
+        return len(self.uids)
+
+    def extend(
+        self, uids: List[int], vids: List[int], expiries: List[float]
     ) -> None:
-        self.entry_map = entry_map
-        self.flags = flags
+        """Append one batch of arrivals (three equal-length columns)."""
+        self.uids.extend(uids)
+        self.vids.extend(vids)
+        self.expiries.extend(expiries)
 
-    @classmethod
-    def empty(cls, capacity: int) -> "DictOverlay":
-        """An overlay with no entries whose flags cover ``capacity`` ids."""
-        return cls({}, np.zeros(capacity, dtype=bool))
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(uids, vids, expiries)`` as int64/int64/float64 arrays.
 
-    def add(self, node_id: int, entry: Tuple[int, float]) -> None:
-        """Add ``entry`` to ``node_id``'s list, keeping latest expiry first.
-
-        ``node_id`` must be below the flags' capacity (see :meth:`grow`).
+        Converts only the rows appended since the last call, into buffers
+        that grow by doubling.  Returned arrays are prefixes of those
+        buffers: later appends write past their end, so an array handed
+        out earlier keeps describing the log as it was then.
         """
-        entries = self.entry_map.get(node_id)
-        if entries is None:
-            self.entry_map[node_id] = [entry]
-        else:
-            bisect.insort(entries, entry, key=_expiry_desc)
-        self.flags[node_id] = True
+        rows = len(self.uids)
+        done = self._converted
+        uids, vids, expiries = self._arrays
+        if rows != done:
+            if rows > uids.shape[0]:
+                capacity = max(rows, 2 * uids.shape[0], 64)
+                grown = []
+                for buffer in (uids, vids, expiries):
+                    fresh = np.empty(capacity, dtype=buffer.dtype)
+                    fresh[:done] = buffer[:done]
+                    grown.append(fresh)
+                uids, vids, expiries = grown
+                self._arrays = (uids, vids, expiries)
+            uids[done:rows] = self.uids[done:rows]
+            vids[done:rows] = self.vids[done:rows]
+            expiries[done:rows] = self.expiries[done:rows]
+            self._converted = rows
+        return uids[:rows], vids[:rows], expiries[:rows]
 
-    def grow(self, capacity: int) -> None:
-        """Cover at least ``capacity`` ids (amortized doubling)."""
-        flags = self.flags
-        if capacity > flags.shape[0]:
-            grown = np.zeros(max(capacity, 2 * flags.shape[0]), dtype=bool)
-            grown[: flags.shape[0]] = flags
-            self.flags = grown
 
-    def select(self, frontier: np.ndarray) -> np.ndarray:
-        return frontier[self.flags[frontier]]
+class LogOverlay:
+    """One direction's reading of an :class:`ArrivalLog`, as a kernel sweeps it.
 
-    def entries(self, node_id: int) -> Optional[List[Tuple[int, float]]]:
-        return self.entry_map.get(node_id)
+    This is the kernel's overlay protocol; any object with the same three
+    members plugs into a :class:`TraversalKernel`:
+
+    * ``size`` -- the number of rows (``0`` = nothing to add to the base).
+      Rows are only ever appended, so an unchanged size means unchanged
+      rows;
+    * ``rows()`` -- ``(heads, tails, expiries)`` arrays, one entry per
+      row, for an edge ``head -> tail`` in the sweep's direction (what the
+      vectorized and bit-plane sweeps read);
+    * ``since(start)`` -- ``(head, tail, expiry)`` tuples of the rows from
+      ``start`` on, in order (what the scalar walks merge into their
+      per-node lists).
+
+    ``reverse=False`` reads the log as ``uid -> vid``; ``reverse=True``
+    reads it as ``vid -> uid`` (the transpose).
+    """
+
+    __slots__ = ("log", "reverse", "_heads", "_tails")
+
+    def __init__(self, log: ArrivalLog, reverse: bool = False) -> None:
+        self.log = log
+        self.reverse = reverse
+        # The log's lists are extended in place, never replaced.
+        self._heads, self._tails = (
+            (log.vids, log.uids) if reverse else (log.uids, log.vids)
+        )
+
+    @property
+    def size(self) -> int:
+        return len(self._heads)
+
+    def rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        uids, vids, expiries = self.log.columns()
+        if self.reverse:
+            return vids, uids, expiries
+        return uids, vids, expiries
+
+    def since(self, start: int) -> Iterator[Tuple[int, int, float]]:
+        return zip(
+            self._heads[start:], self._tails[start:], self.log.expiries[start:]
+        )
 
 
 class TraversalKernel:
@@ -300,7 +369,8 @@ class TraversalKernel:
             may be smaller than ``num_nodes`` — ids past the base have an
             empty base adjacency (the delta engine's overlay serves them).
         num_nodes: the live id space (defaults to the base node count).
-        overlay: optional overlay injection (see :class:`DictOverlay`).
+        overlay: optional arrival rows added to the base (see
+            :class:`LogOverlay` for the protocol).
         entry_count: adjacency entries the cutover weighs (base pairs
             plus overlay entries); engines keep it current from their
             mutation hooks.
@@ -311,9 +381,9 @@ class TraversalKernel:
         backend: ``"python"`` | ``"native"`` | ``"auto"`` | ``None``
             (= honor ``REPRO_KERNEL_BACKEND``, else auto-probe).  The
             native (numba) fixpoints serve only overlay-free sweeps;
-            queries through a populated overlay, a duck-typed overlay,
-            or the scalar cutover stay on the interpreted reference
-            paths regardless of backend — results are bit-identical
+            queries through a populated overlay or the scalar cutover
+            stay on the interpreted reference paths regardless of
+            backend — results are bit-identical
             either way.
     """
 
@@ -328,8 +398,13 @@ class TraversalKernel:
         "backend",
         "_visit",
         "_slot",
+        "_mark",
         "_stamp",
+        "_mark_stamp",
+        "_live_key",
+        "_live_rows",
         "_scalar",
+        "_merged",
     )
 
     def __init__(
@@ -339,7 +414,7 @@ class TraversalKernel:
         expiries: np.ndarray,
         *,
         num_nodes: Optional[int] = None,
-        overlay: Optional[DictOverlay] = None,
+        overlay: Optional[LogOverlay] = None,
         entry_count: Optional[int] = None,
         scalar_limit: Optional[int] = None,
         backend: Optional[str] = None,
@@ -362,20 +437,42 @@ class TraversalKernel:
         # same call, so its contents never need clearing or preserving.
         self._slot = np.empty(self.num_nodes, dtype=np.int64)
         self._stamp = 0
-        # Lazily materialized per-node adjacency lists for the scalar path.
+        # Round-stamped frontier membership for overlay row selection:
+        # mark[i] == _mark_stamp means "i is in the current frontier".
+        self._mark = np.zeros(self.num_nodes, dtype=np.int64)
+        self._mark_stamp = 0
+        # :meth:`_log_rows`' last answer and its ``(log size, eff)`` key:
+        # a tracker's sweeps within one step share both.
+        self._live_key: Optional[Tuple[int, Optional[float]]] = None
+        self._live_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # Lazily materialized per-node adjacency lists for the scalar path,
+        # and how many overlay rows have been merged into them.
         self._scalar: Optional[List[List[Tuple[int, float]]]] = None
+        self._merged = 0
 
     # ------------------------------------------------------------------
     # Workspace maintenance
     # ------------------------------------------------------------------
     def ensure_capacity(self, num_nodes: int) -> None:
-        """Grow the id space (and visited and dedup buffers) to ``num_nodes``."""
+        """Grow the id space to ``num_nodes``.
+
+        The visited, dedup and mark buffers grow by doubling, so a stream
+        that interns one node per step does not copy them every step;
+        :attr:`num_nodes` itself stays exact, since seed validation reads
+        it.
+        """
         if num_nodes <= self.num_nodes:
             return
-        grown = np.zeros(num_nodes, dtype=np.int64)
-        grown[: self._visit.shape[0]] = self._visit
-        self._visit = grown
-        self._slot = np.empty(num_nodes, dtype=np.int64)
+        capacity = self._visit.shape[0]
+        if num_nodes > capacity:
+            capacity = max(num_nodes, 2 * capacity)
+            visit = np.zeros(capacity, dtype=np.int64)
+            visit[: self._visit.shape[0]] = self._visit
+            mark = np.zeros(capacity, dtype=np.int64)
+            mark[: self._mark.shape[0]] = self._mark
+            self._visit = visit
+            self._mark = mark
+            self._slot = np.empty(capacity, dtype=np.int64)
         self.num_nodes = num_nodes
 
     def _use_scalar(self) -> bool:
@@ -386,18 +483,14 @@ class TraversalKernel:
 
         Per-call, because the overlay fills and drains between queries:
         the native sweeps know nothing of overlays, so any *populated*
-        overlay (or a duck-typed one whose emptiness we cannot see)
-        routes to the interpreted paths.  An empty :class:`DictOverlay`
-        — the delta engine right after a compaction — is equivalent to
-        no overlay at all.
+        overlay routes to the interpreted paths.  An empty one — the
+        delta engine right after a compaction — is equivalent to no
+        overlay at all.
         """
         if self.backend != "native":
             return False
         overlay = self.overlay
-        if overlay is None:
-            return True
-        entry_map = getattr(overlay, "entry_map", None)
-        return entry_map is not None and len(entry_map) == 0
+        return overlay is None or overlay.size == 0
 
     def clone(self) -> "TraversalKernel":
         """A same-arrays twin with a private visited workspace.
@@ -419,31 +512,46 @@ class TraversalKernel:
         )
 
     def _scalar_view(self) -> List[List[Tuple[int, float]]]:
-        """Per base node, its ``(successor, expiry)`` pairs, latest expiry
-        first, so a walk stops at the first pair below its horizon."""
-        if self._scalar is None:
+        """Per node, its ``(successor, expiry)`` pairs, latest expiry first,
+        so a walk stops at the first pair below its horizon.
+
+        Built from the base arrays on first use; overlay rows appended
+        since the last call are then merged into their head's list (the
+        list grows to cover ids past the base), so a walk probes one list
+        per node.  Each kernel, clones included, owns its view.
+        """
+        view = self._scalar
+        if view is None:
             bounds = self.indptr.tolist()
             pairs = list(zip(self.indices.tolist(), self.expiries.tolist()))
-            self._scalar = [
+            view = self._scalar = [
                 sorted(pairs[bounds[node_id] : bounds[node_id + 1]], key=_expiry_desc)
                 for node_id in range(len(bounds) - 1)
             ]
-        return self._scalar
-
-    def _overlay_lookup(self) -> Optional[Callable[[int], Optional[list]]]:
-        """The scalar walk's per-node overlay probe (``None`` = nothing to probe).
-
-        A :class:`DictOverlay` is probed through its dict directly; an
-        empty one (the delta engine right after a compaction) needs no
-        probe at all.  Duck-typed overlays keep their ``entries`` method.
-        """
         overlay = self.overlay
-        if overlay is None:
-            return None
-        if type(overlay) is DictOverlay:
-            entry_map = overlay.entry_map
-            return entry_map.get if entry_map else None
-        return overlay.entries
+        if overlay is not None:
+            size = overlay.size
+            if size != self._merged:
+                for head, tail, expiry in overlay.since(self._merged):
+                    if head >= len(view):
+                        view.extend([] for _ in range(head + 1 - len(view)))
+                    bisect.insort(view[head], (tail, expiry), key=_expiry_desc)
+                self._merged = size
+        return view
+
+    def prepare_overlay(self) -> None:
+        """Build the shared overlay arrays this kernel's sweeps read, now.
+
+        The arrays are built lazily, by the first vectorized or bit-plane
+        sweep after the log grew, and clones share them.  A caller about
+        to hand clones of this kernel to threads calls this first, on its
+        own thread, so no two clones ever build them at once.  Clones
+        share this kernel's cutover, so on the scalar path there is
+        nothing to build: each kernel merges rows into a view of its own
+        (:meth:`_scalar_view`).
+        """
+        if self.overlay is not None and not self._use_scalar():
+            self.overlay.rows()
 
     # ------------------------------------------------------------------
     # Single/multi-source reachability
@@ -496,8 +604,7 @@ class TraversalKernel:
         """Plain-Python traversal (small-graph path; forced by tests and
         the calibration probe)."""
         adjacency = self._scalar_view()
-        overlay_entries = self._overlay_lookup()
-        base_nodes = len(adjacency)
+        listed = len(adjacency)
         num_nodes = self.num_nodes
         if eff is None:
             eff = -math.inf  # every expiry clears it
@@ -512,26 +619,17 @@ class TraversalKernel:
             if node_id not in visited:
                 visit(node_id)
                 push(node_id)
-        # Both adjacency sources list the latest expiry first, so each
-        # scan ends at the first entry below the horizon.
+        # Lists hold the latest expiry first, so each scan ends at the
+        # first entry below the horizon.
         while stack:
             node_id = pop()
-            if node_id < base_nodes:
+            if node_id < listed:
                 for successor, expiry in adjacency[node_id]:
                     if expiry < eff:
                         break
                     if successor not in visited:
                         visit(successor)
                         push(successor)
-            if overlay_entries is not None:
-                entries = overlay_entries(node_id)
-                if entries:
-                    for successor, expiry in entries:
-                        if expiry < eff:
-                            break
-                        if successor not in visited:
-                            visit(successor)
-                            push(successor)
         sampler = _SWEEP_SAMPLER
         if sampler is not None:
             sampler.record("reach_scalar", 1, len(visited))
@@ -551,8 +649,7 @@ class TraversalKernel:
         whatever the cutover.
         """
         adjacency = self._scalar_view()
-        overlay_entries = self._overlay_lookup()
-        base_nodes = len(adjacency)
+        listed = len(adjacency)
         num_nodes = self.num_nodes
         labels: Dict[int, float] = {}
         heap: List[Tuple[float, int]] = []
@@ -569,14 +666,14 @@ class TraversalKernel:
         get = labels.get
         push = heapq.heappush
         pop = heapq.heappop
-        # Both adjacency sources list the latest expiry first, so each
-        # scan ends at the first entry below the floor.
+        # Lists hold the latest expiry first, so each scan ends at the
+        # first entry below the floor.
         while heap:
             negative, node_id = pop(heap)
             label = -negative
             if label < labels[node_id]:
                 continue  # superseded by a wider path
-            if node_id < base_nodes:
+            if node_id < listed:
                 for successor, expiry in adjacency[node_id]:
                     if expiry < floor:
                         break
@@ -584,16 +681,6 @@ class TraversalKernel:
                     if width > get(successor, unseen):
                         labels[successor] = width
                         push(heap, (-width, successor))
-            if overlay_entries is not None:
-                entries = overlay_entries(node_id)
-                if entries:
-                    for successor, expiry in entries:
-                        if expiry < floor:
-                            break
-                        width = expiry if expiry < label else label
-                        if width > get(successor, unseen):
-                            labels[successor] = width
-                            push(heap, (-width, successor))
         sampler = _SWEEP_SAMPLER
         if sampler is not None:
             sampler.record("bottleneck", 1, len(labels))
@@ -742,8 +829,7 @@ class TraversalKernel:
         """Level-synchronous plain-Python BFS (the scalar-cutover twin of
         :meth:`_plane_level_counts` for a single seed set)."""
         adjacency = self._scalar_view()
-        overlay_entries = self._overlay_lookup()
-        base_nodes = len(adjacency)
+        listed = len(adjacency)
         num_nodes = self.num_nodes
         if eff is None:
             eff = -math.inf
@@ -760,22 +846,13 @@ class TraversalKernel:
             counts.append(len(frontier))
             successors: List[int] = []
             for node_id in frontier:
-                if node_id < base_nodes:
+                if node_id < listed:
                     for successor, expiry in adjacency[node_id]:
                         if expiry < eff:
                             break
                         if successor not in visited:
                             visited.add(successor)
                             successors.append(successor)
-                if overlay_entries is not None:
-                    entries = overlay_entries(node_id)
-                    if entries:
-                        for successor, expiry in entries:
-                            if expiry < eff:
-                                break
-                            if successor not in visited:
-                                visited.add(successor)
-                                successors.append(successor)
             frontier = successors
         return counts
 
@@ -810,57 +887,106 @@ class TraversalKernel:
         self._visit[frontier] = self._stamp
         return frontier
 
+    def _log_rows(
+        self, eff: Optional[float]
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The overlay rows a sweep at ``eff`` may traverse, as
+        ``(heads, tails)`` (``None`` = no such row).  Filtered once per
+        sweep (and reused while the log and ``eff`` stay the same); each
+        round then selects the rows its frontier heads."""
+        overlay = self.overlay
+        if overlay is None:
+            return None
+        key = (overlay.size, eff)
+        if key == self._live_key:
+            return self._live_rows
+        live: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        if key[0]:
+            heads, tails, expiries = overlay.rows()
+            if eff is not None:
+                keep = expiries >= eff
+                heads = heads[keep]
+                tails = tails[keep]
+            if heads.size:
+                live = (heads, tails)
+        self._live_key = key
+        self._live_rows = live
+        return live
+
+    def _headed_by(self, frontier: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """Boolean selector of the ``heads`` that lie in ``frontier``."""
+        self._mark_stamp += 1
+        stamp = self._mark_stamp
+        mark = self._mark
+        mark[frontier] = stamp
+        return mark[heads] == stamp
+
+    def _base_slots(
+        self, frontier: np.ndarray, eff: Optional[float], with_sources: bool
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """``(sources, slots)`` of the base entries out of ``frontier``
+        whose expiry clears ``eff`` (``sources`` is ``None`` unless
+        ``with_sources``)."""
+        indptr = self.indptr
+        base_nodes = indptr.shape[0] - 1
+        if base_nodes < self.num_nodes:
+            frontier = frontier[frontier < base_nodes]
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        total = int(counts.sum())
+        if not total:
+            return _NO_IDS, _NO_IDS
+        # Gather the concatenated adjacency slices of the frontier:
+        # block i spans starts[i] .. starts[i] + counts[i].
+        ends = np.cumsum(counts)
+        slots = np.repeat(starts - ends + counts, counts)
+        slots += np.arange(total)
+        sources = np.repeat(frontier, counts) if with_sources else None
+        if eff is not None:
+            keep = self.expiries[slots] >= eff
+            slots = slots[keep]
+            if sources is not None:
+                sources = sources[keep]
+        return sources, slots
+
+    def _round_edges(
+        self,
+        frontier: np.ndarray,
+        eff: Optional[float],
+        log_rows: Optional[Tuple[np.ndarray, np.ndarray]],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every traversable edge out of ``frontier``: ``(sources, targets)``,
+        base slots first, then the overlay rows the frontier heads."""
+        sources, slots = self._base_slots(frontier, eff, True)
+        assert sources is not None
+        targets = self.indices[slots]
+        if log_rows is not None:
+            heads, tails = log_rows
+            selected = self._headed_by(frontier, heads)
+            sources = np.concatenate((sources, heads[selected]))
+            targets = np.concatenate((targets, tails[selected]))
+        return sources, targets
+
     def _frontiers(
         self, frontier: np.ndarray, eff: Optional[float]
     ) -> Iterator[np.ndarray]:
         """Yield successive stamped BFS frontiers over base plus overlay."""
-        indptr = self.indptr
-        indices = self.indices
-        expiries = self.expiries
-        overlay = self.overlay
-        base_nodes = indptr.shape[0] - 1
         visit = self._visit
         stamp = self._stamp
+        indices = self.indices
+        log_rows = self._log_rows(eff)
         while frontier.size:
-            parts = []
-            in_base = (
-                frontier[frontier < base_nodes]
-                if base_nodes < self.num_nodes
-                else frontier
-            )
-            if in_base.size:
-                starts = indptr[in_base]
-                counts = indptr[in_base + 1] - starts
-                total = int(counts.sum())
-                if total:
-                    # Gather the concatenated adjacency slices of the
-                    # frontier: block i spans starts[i] .. starts[i]+counts[i].
-                    ends = np.cumsum(counts)
-                    slots = np.repeat(starts - ends + counts, counts)
-                    slots += np.arange(total)
-                    if eff is not None:
-                        slots = slots[expiries[slots] >= eff]
-                    neighbors = indices[slots]
-                    neighbors = neighbors[visit[neighbors] != stamp]
-                    if neighbors.size:
-                        parts.append(neighbors)
-            if overlay is not None:
-                overlay_nodes = overlay.select(frontier)
-                if overlay_nodes.size:
-                    extra = []
-                    for node_id in overlay_nodes.tolist():
-                        for successor, expiry in overlay.entries(node_id):
-                            if (eff is None or expiry >= eff) and visit[
-                                successor
-                            ] != stamp:
-                                extra.append(successor)
-                    if extra:
-                        parts.append(np.asarray(extra, dtype=np.int64))
-            if not parts:
+            _, slots = self._base_slots(frontier, eff, False)
+            targets = indices[slots]
+            if log_rows is not None:
+                heads, tails = log_rows
+                extra = tails[self._headed_by(frontier, heads)]
+                if extra.size:
+                    targets = np.concatenate((targets, extra))
+            targets = targets[visit[targets] != stamp]
+            if not targets.size:
                 return
-            frontier = self._distinct(
-                np.concatenate(parts) if len(parts) > 1 else parts[0]
-            )
+            frontier = self._distinct(targets)
             visit[frontier] = stamp
             yield frontier
 
@@ -967,69 +1093,18 @@ class TraversalKernel:
         masks, frontier = self._seed_planes(chunk)
         if frontier is None:
             return None
-        num_nodes = self.num_nodes
-        indptr = self.indptr
-        indices = self.indices
-        expiries = self.expiries
-        overlay = self.overlay
-        base_nodes = indptr.shape[0] - 1
+        log_rows = self._log_rows(eff)
         while frontier.size:
-            changed_parts = []
-            in_base = (
-                frontier[frontier < base_nodes]
-                if base_nodes < num_nodes
-                else frontier
-            )
-            if in_base.size:
-                starts = indptr[in_base]
-                counts = indptr[in_base + 1] - starts
-                nonzero = counts > 0
-                in_base = in_base[nonzero]
-                starts = starts[nonzero]
-                counts = counts[nonzero]
-                total = int(counts.sum())
-                if total:
-                    ends = np.cumsum(counts)
-                    slots = np.repeat(starts - ends + counts, counts)
-                    slots += np.arange(total)
-                    sources = np.repeat(in_base, counts)
-                    if eff is not None:
-                        keep = expiries[slots] >= eff
-                        slots = slots[keep]
-                        sources = sources[keep]
-                    if slots.size:
-                        targets = indices[slots]
-                        contrib = masks[sources]
-                        before = masks[targets]
-                        np.bitwise_or.at(masks, targets, contrib)
-                        changed = targets[masks[targets] != before]
-                        if changed.size:
-                            changed_parts.append(changed)
-            if overlay is not None:
-                overlay_nodes = overlay.select(frontier)
-                if overlay_nodes.size:
-                    extra = []
-                    for node_id in overlay_nodes.tolist():
-                        node_mask = int(masks[node_id])
-                        for successor, expiry in overlay.entries(node_id):
-                            if eff is not None and expiry < eff:
-                                continue
-                            old = int(masks[successor])
-                            new = old | node_mask
-                            if new != old:
-                                masks[successor] = new
-                                extra.append(successor)
-                    if extra:
-                        changed_parts.append(
-                            np.asarray(extra, dtype=np.int64)
-                        )
-            if not changed_parts:
+            sources, targets = self._round_edges(frontier, eff, log_rows)
+            if not targets.size:
                 break
-            frontier = self._distinct(
-                np.concatenate(changed_parts)
-                if len(changed_parts) > 1
-                else changed_parts[0]
-            )
+            contrib = masks[sources]
+            before = masks[targets]
+            np.bitwise_or.at(masks, targets, contrib)
+            changed = targets[masks[targets] != before]
+            if not changed.size:
+                break
+            frontier = self._distinct(changed)
         return masks
 
     def _plane_level_counts(
@@ -1041,101 +1116,39 @@ class TraversalKernel:
         addition: after each round's or-update the newly-set bits
         (``after & ~before``) are counted per plane, because a bit that
         flips in round ``r`` marks a node first reached at hop level
-        ``r``.  Kept separate from :meth:`_plane_masks` so the count and
-        weighted sweeps stay byte-identical to their pre-fold selves.
+        ``r``.  That holds because every source pushes the mask it held
+        at the start of the round (all ``contrib`` masks are gathered
+        before the update), so a bit moves exactly one hop per round.
+        Kept separate from :meth:`_plane_masks` so the count and weighted
+        sweeps stay byte-identical to their pre-fold selves.
         """
         masks, frontier = self._seed_planes(chunk)
         counts = _seed_level_counts(masks, frontier, len(chunk))
         if frontier is None:
             return counts
-        num_nodes = self.num_nodes
-        indptr = self.indptr
-        indices = self.indices
-        expiries = self.expiries
-        overlay = self.overlay
-        base_nodes = indptr.shape[0] - 1
+        log_rows = self._log_rows(eff)
         while frontier.size:
-            changed_parts = []
-            gained_parts = []
-            extra_gained: List[int] = []
-            # Overlay sources push the masks they held at the start of the
-            # round: a bit set this round (by the base update below or an
-            # earlier overlay write) may move one more hop only next round.
-            overlay_sources: List[Tuple[int, int]] = []
-            if overlay is not None:
-                overlay_nodes = overlay.select(frontier)
-                if overlay_nodes.size:
-                    overlay_sources = list(
-                        zip(overlay_nodes.tolist(), masks[overlay_nodes].tolist())
-                    )
-            in_base = (
-                frontier[frontier < base_nodes]
-                if base_nodes < num_nodes
-                else frontier
-            )
-            if in_base.size:
-                starts = indptr[in_base]
-                plane_counts = indptr[in_base + 1] - starts
-                nonzero = plane_counts > 0
-                in_base = in_base[nonzero]
-                starts = starts[nonzero]
-                plane_counts = plane_counts[nonzero]
-                total = int(plane_counts.sum())
-                if total:
-                    ends = np.cumsum(plane_counts)
-                    slots = np.repeat(starts - ends + plane_counts, plane_counts)
-                    slots += np.arange(total)
-                    sources = np.repeat(in_base, plane_counts)
-                    if eff is not None:
-                        keep = expiries[slots] >= eff
-                        slots = slots[keep]
-                        sources = sources[keep]
-                    if slots.size:
-                        targets = indices[slots]
-                        contrib = masks[sources]
-                        before = masks[targets]
-                        np.bitwise_or.at(masks, targets, contrib)
-                        gained = masks[targets] & ~before
-                        hit = gained != np.uint64(0)
-                        changed = targets[hit]
-                        if changed.size:
-                            # Duplicate targets carry identical before/
-                            # after gathers, so any one representative's
-                            # gained mask is the round's full flip set.
-                            uniq, first = np.unique(
-                                changed, return_index=True
-                            )
-                            changed_parts.append(uniq)
-                            gained_parts.append(gained[hit][first])
-            if overlay is not None and overlay_sources:
-                extra = []
-                for node_id, node_mask in overlay_sources:
-                    for successor, expiry in overlay.entries(node_id):
-                        if eff is not None and expiry < eff:
-                            continue
-                        old = int(masks[successor])
-                        new = old | node_mask
-                        if new != old:
-                            masks[successor] = new
-                            extra.append(successor)
-                            extra_gained.append(new & ~old)
-                if extra:
-                    changed_parts.append(np.asarray(extra, dtype=np.int64))
-            if not changed_parts:
+            sources, targets = self._round_edges(frontier, eff, log_rows)
+            if not targets.size:
                 break
-            if extra_gained:
-                gained_parts.append(np.asarray(extra_gained, dtype=np.uint64))
-            flips = plane_popcounts(np.concatenate(gained_parts), len(chunk))
+            contrib = masks[sources]
+            before = masks[targets]
+            np.bitwise_or.at(masks, targets, contrib)
+            gained = masks[targets] & ~before
+            hit = gained != np.uint64(0)
+            changed = targets[hit]
+            if not changed.size:
+                break
+            # Duplicate targets carry identical before/after gathers, so
+            # any one representative's gained mask is the round's full
+            # flip set for that node.
+            frontier, first = np.unique(changed, return_index=True)
+            flips = plane_popcounts(gained[hit][first], len(chunk))
             for plane, flipped in enumerate(flips):
                 if flipped:
                     counts[plane].append(flipped)
                 elif counts[plane]:
                     counts[plane].append(0)
-            frontier = np.unique(
-                np.concatenate(changed_parts)
-                if len(changed_parts) > 1
-                else changed_parts[0]
-            )
         for plane_counts_list in counts:
             while plane_counts_list and plane_counts_list[-1] == 0:
                 plane_counts_list.pop()
@@ -1145,5 +1158,5 @@ class TraversalKernel:
         return (
             f"TraversalKernel(nodes={self.num_nodes}, "
             f"entries={self.entry_count}, "
-            f"overlay={self.overlay is not None})"
+            f"overlay={0 if self.overlay is None else self.overlay.size})"
         )

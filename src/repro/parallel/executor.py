@@ -6,9 +6,9 @@ per-set reachable-id evaluations (weight callables), and the
 ``ancestor_ids`` / ``touched_cone_ids`` reverse sweeps behind memo
 eviction — across a ``ThreadPoolExecutor``.  Every shard sweeps its own
 clone of the graph's current kernel (:meth:`ShardedOracleExecutor.
-ensure_plane`): the clones share the engine's CSR arrays, overlay and
-resolved backend but own their visited buffers, so there is no spawn, no
-copy of the graph and no pickling.  Shards overlap on separate cores
+ensure_plane`): the clones share the engine's CSR arrays, arrival log
+and resolved backend but own their visited buffers, so there is no
+spawn, no copy of the graph and no pickling.  Shards overlap on separate cores
 where the kernel releases the GIL (the jitted native loops, numpy's
 array kernels).
 
@@ -248,11 +248,14 @@ class ShardedOracleExecutor:
 
         ``graph.csr()`` runs first, so the engine has compacted if it is
         due.  The clones share the engine's (query-immutable) CSR
-        arrays, overlay and resolved backend but own their visited
-        buffers, so concurrent sweeps cannot trample each other.  They
-        are cached per direction until the graph or its version changes.
-        For reverse sweeps the transpose is built once by the engine and
-        shared by every clone.
+        arrays, arrival log and resolved backend but own their visited
+        buffers, so concurrent sweeps cannot trample each other.  The
+        log's shared column arrays are built here, on the caller's thread
+        (:meth:`~repro.tdn.csr.DeltaCSR.kernel_clone`), so shard threads
+        never build them concurrently.  Clones are cached per
+        direction until the graph or its version changes.  For reverse
+        sweeps the transpose is built once by the engine and shared by
+        every clone.
         """
         engine = graph.csr()
         cached = self._clones.get(reverse)

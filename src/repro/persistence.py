@@ -105,9 +105,12 @@ def graph_from_dict(payload: Dict) -> TDNGraph:
             graph._node_ids[node] = len(graph._id_nodes)  # noqa: SLF001
             graph._id_nodes.append(node)  # noqa: SLF001
     t = payload["time"]
-    for u, v, expiry in payload["edges"]:
-        lifetime = None if expiry is None else int(expiry) - t
-        graph.add_interaction(Interaction(u, v, t, lifetime))
+    graph.add_batch(
+        [
+            Interaction(u, v, t, None if expiry is None else int(expiry) - t)
+            for u, v, expiry in payload["edges"]
+        ]
+    )
     return graph
 
 

@@ -25,23 +25,28 @@ actually serves queries from (:meth:`TDNGraph.csr`).  Instead of rebuilding
 a snapshot on every graph version (O(V + P) per batch), it keeps
 
 * an immutable :class:`CSRSnapshot` **base**,
-* a per-node **overlay** of post-base arrivals (forward and reverse, so
-  the transpose stays incremental too; each node's entries are kept
-  latest expiry first), and
+* one append-only **arrival log** (:class:`~repro.kernels.ArrivalLog`):
+  the ``(uid, vid, expiry)`` columns of every edge that arrived since the
+  base, extended once per ingested batch, and
 * a lazy **tombstone count** for expiries.
 
-Arrivals insert one ``(neighbor, expiry)`` entry into a per-node list
-that holds only the arrivals since the last compaction; expiries cost
-O(1) because a dead pair's base entry is *stale-but-harmless*: an expired
-edge has ``expiry <= t``, while every live query horizon is at least
-``t + 1`` (an alive edge always satisfies ``expiry >= t + 1``), so queries
-clamp their horizon to ``max(min_expiry, t + 1)`` and stale entries filter
-themselves out.  When the overlay-plus-tombstone fraction crosses
-:attr:`DeltaCSR.COMPACT_FRACTION` of the base, the engine compacts into a
-fresh base — so a stream of B-edge batches pays amortized O(B), not
-O(V + P), per step.  After the first base, compactions merge the old
-base's arrays with the arrival log in whole-array numpy passes instead of
-walking the graph.
+The log is the engine's single source of truth for arrivals.  Sweeps
+read it through two views, both built lazily: numpy column arrays for
+the vectorized and bit-plane sweeps, and, for the scalar walks, each
+kernel's per-node latest-expiry-first lists with the log's rows merged
+in.  The forward direction reads the
+columns as ``uid -> vid`` and the reverse direction reads them swapped,
+so the transpose stays incremental without a log of its own.  Expiries
+cost O(1) because a dead pair's base entry is *stale-but-harmless*: an
+expired edge has ``expiry <= t``, while every live query horizon is at
+least ``t + 1`` (an alive edge always satisfies ``expiry >= t + 1``), so
+queries clamp their horizon to ``max(min_expiry, t + 1)`` and stale
+entries filter themselves out.  When the log-plus-tombstone fraction
+crosses :attr:`DeltaCSR.COMPACT_FRACTION` of the base, the engine compacts
+into a fresh base — so a stream of B-edge batches pays amortized O(B),
+not O(V + P), per step.  After the first base, compactions merge the old
+base's arrays with the log's columns in whole-array numpy passes instead
+of walking the graph.
 
 Traversals
 ----------
@@ -51,12 +56,12 @@ every sweep — forward reachability, the transpose-backed reverse
 ``spread_counts``, and the weighted bit-plane ``weighted_spread_sums`` —
 routes through the shared :class:`repro.kernels.TraversalKernel`.
 :class:`CSRSnapshot` adapts one forward kernel over its arrays;
-:class:`DeltaCSR` adapts one kernel per direction, injecting its arrival
-overlay through the kernel's overlay protocol (:class:`repro.kernels.
-DictOverlay`) and resolving the ``t + 1`` horizon clamp before every
-call.  The sharded executor's threads sweep private clones of the
-*same* kernels (:meth:`DeltaCSR.kernel_clone`), which is what makes its
-bit-for-bit guarantee structural rather than a hand-synced convention.
+:class:`DeltaCSR` adapts one kernel per direction, handing it the arrival
+log read in that direction (:class:`repro.kernels.LogOverlay`) and
+resolving the ``t + 1`` horizon clamp before every call.  The sharded
+executor's threads sweep private clones of the *same* kernels
+(:meth:`DeltaCSR.kernel_clone`), which is what makes its bit-for-bit
+guarantee structural rather than a hand-synced convention.
 """
 
 from __future__ import annotations
@@ -79,8 +84,9 @@ import numpy as np
 
 from repro.kernels import (
     PLANE_WIDTH,
-    DictOverlay,
+    ArrivalLog,
     Fold,
+    LogOverlay,
     TraversalKernel,
     build_transpose,
     max_in_expiries,
@@ -381,35 +387,34 @@ class DeltaCSR:
     Owned by the graph (:meth:`TDNGraph.csr` creates it lazily and keeps it
     for the graph's lifetime); the graph's mutation hooks feed it directly:
 
-    * :meth:`record_arrival` inserts one overlay entry per inserted edge —
-      forward (``u -> (v, expiry)``) and reverse (``v -> (u, expiry)``), so
-      the transpose never needs a per-version rebuild either — and
-      appends the edge to the flat :attr:`arrival_log` the next
-      compaction merges into the new base;
+    * :meth:`record_arrivals` extends the :attr:`arrival_log` columns
+      once per ingested batch.  Both directions read that one log, so
+      neither the forward nor the reverse side keeps per-edge state, and
+      the next compaction merges the log into the new base;
     * :meth:`record_pair_death` counts a tombstone when a pair's last alive
       edge expires.  The dead pair's base entry stays in place: its
       recorded expiry is ``<= t`` while every query horizon is clamped to
       ``>= t + 1``, so it can never be traversed again.
 
-    :meth:`sync` (called from :meth:`TDNGraph.csr`) compacts overlay and
+    :meth:`sync` (called from :meth:`TDNGraph.csr`) compacts log and
     tombstones into a fresh base once their combined count crosses
     ``max(COMPACT_MIN, COMPACT_FRACTION * base pairs)`` — merging the
-    base arrays with the arrival log (:meth:`_merged_base`), not walking
-    the graph; between compactions every mutation is O(1) and every
-    query sees the exact current graph.
+    base arrays with the log's columns (:meth:`_merged_base`), not
+    walking the graph; between compactions every mutation is O(1) per
+    edge and every query sees the exact current graph.
 
     Every traversal is served by one shared :class:`~repro.kernels.
     TraversalKernel` per direction — base arrays (forward) or the lazily
-    built base transpose (reverse), with the matching arrival overlay
-    injected through the kernel's overlay protocol.  The engine's only
-    jobs are maintenance (overlay, tombstones, compaction, and keeping
-    the live kernels' entry count and id space current from the mutation
+    built base transpose (reverse), each with the log read in its
+    direction (:class:`~repro.kernels.LogOverlay`).  The engine's only
+    jobs are maintenance (log, tombstones, compaction, and keeping the
+    live kernels' entry count and id space current from the mutation
     hooks) and resolving the ``t + 1`` horizon clamp before each kernel
     call.  The scalar/vector cutover is resolved once, in the
     constructor, and every kernel the engine builds reuses that int.
     """
 
-    #: Compact when overlay entries + tombstones exceed this fraction of
+    #: Compact when log rows + tombstones exceed this fraction of
     #: the base pair count ...
     COMPACT_FRACTION = 0.25
     #: ... but never before this many deltas have accumulated (tiny bases
@@ -428,10 +433,7 @@ class DeltaCSR:
         "_tindptr",
         "_tindices",
         "_texpiries",
-        "_ov_out",
-        "_ov_in",
-        "_ov_entries",
-        "_arrivals",
+        "_log",
         "_tombstones",
         "_fwd",
         "_rev",
@@ -465,13 +467,13 @@ class DeltaCSR:
 
     @property
     def num_entries(self) -> int:
-        """Base pair entries plus overlay entries (stale ones included)."""
-        return self._base.num_pairs + self._ov_entries
+        """Base pair entries plus log rows (stale ones included)."""
+        return self._base.num_pairs + len(self._log)
 
     @property
     def overlay_entries(self) -> int:
-        """Overlay arrivals accumulated since the last compaction."""
-        return self._ov_entries
+        """Arrivals logged since the last compaction."""
+        return len(self._log)
 
     @property
     def tombstones(self) -> int:
@@ -484,19 +486,19 @@ class DeltaCSR:
         return self._base
 
     @property
-    def arrival_log(self) -> List[Tuple[int, int, float]]:
+    def arrival_log(self) -> ArrivalLog:
         """Every ``(uid, vid, expiry)`` arrival since the base, in order.
 
-        Append-only between compactions and reset by them: base plus log
-        replayed through :meth:`record_arrival`'s overlay inserts is this
-        engine's exact state, which is why a compaction can merge the old
-        base arrays with the log instead of walking the graph.
+        Append-only between compactions and replaced by them: base plus
+        log is this engine's exact state, which is why a compaction can
+        merge the old base arrays with the log instead of walking the
+        graph.
         """
-        return self._arrivals
+        return self._log
 
     @property
     def compact_trigger(self) -> int:
-        """Overlay entries plus tombstones past which :meth:`sync` compacts."""
+        """Log rows plus tombstones past which :meth:`sync` compacts."""
         return max(
             self.COMPACT_MIN, int(self.COMPACT_FRACTION * self._base.num_pairs)
         )
@@ -504,27 +506,23 @@ class DeltaCSR:
     # ------------------------------------------------------------------
     # Mutation hooks (called by TDNGraph)
     # ------------------------------------------------------------------
-    def record_arrival(self, uid: int, vid: int, expiry: float) -> None:
-        """Add one arrived edge to the forward and reverse overlays.
+    def record_arrivals(
+        self, uids: List[int], vids: List[int], expiries: List[float]
+    ) -> None:
+        """Log one ingested batch of arrived edges (equal-length columns).
 
         Also keeps the live kernels' entry count and id space current, so
-        queries do no upkeep of their own.
+        queries do no upkeep of their own.  Every id in the batch is
+        already interned, so the graph's id space bounds them all.
         """
-        top = uid if uid > vid else vid
-        ov_out = self._ov_out
-        ov_in = self._ov_in
-        if top >= ov_out.flags.shape[0]:
-            ov_out.grow(top + 1)
-            ov_in.grow(top + 1)
-        ov_out.add(uid, (vid, expiry))
-        ov_in.add(vid, (uid, expiry))
-        self._ov_entries += 1
-        self._arrivals.append((uid, vid, expiry))
+        self._log.extend(uids, vids, expiries)
+        count = len(uids)
+        num_nodes = self._graph.num_interned
         for kernel in (self._fwd, self._rev):
             if kernel is not None:
-                kernel.entry_count += 1
-                if top >= kernel.num_nodes:
-                    kernel.ensure_capacity(self._graph.num_interned)
+                kernel.entry_count += count
+                if num_nodes > kernel.num_nodes:
+                    kernel.ensure_capacity(num_nodes)
 
     def record_pair_death(self) -> None:
         """Count a tombstone for a pair whose last alive edge expired."""
@@ -535,13 +533,13 @@ class DeltaCSR:
     # ------------------------------------------------------------------
     def sync(self) -> None:
         """Bring the engine up to date with the graph (maybe compact)."""
-        if self._ov_entries + self._tombstones > self.compact_trigger:
+        if len(self._log.uids) + self._tombstones > self.compact_trigger:
             self._compact()
         else:
             self.version = self._graph.version
 
     def _compact(self) -> None:
-        """Fold overlay and tombstones into a fresh immutable base.
+        """Fold log and tombstones into a fresh immutable base.
 
         The first base walks the graph (:meth:`CSRSnapshot.build`); later
         bases are merged from arrays this engine already holds
@@ -559,13 +557,7 @@ class DeltaCSR:
         self._tindptr = None
         self._tindices = None
         self._texpiries = None
-        capacity = graph.num_interned
-        if self._fwd is not None:
-            capacity = max(capacity, self._fwd.num_nodes)
-        self._ov_out = DictOverlay.empty(capacity)
-        self._ov_in = DictOverlay.empty(capacity)
-        self._ov_entries = 0
-        self._arrivals = []
+        self._log = ArrivalLog()
         self._tombstones = 0
         self._fwd = None
         self._rev = None
@@ -573,7 +565,7 @@ class DeltaCSR:
         self.version = graph.version
 
     def _merged_base(self) -> CSRSnapshot:
-        """The next base, merged from the current base and the arrival log.
+        """The next base, merged from the current base and the log's columns.
 
         Exact without walking the graph: only :meth:`TDNGraph.advance_to`
         removes edges, and it drains expiries in increasing order, so an
@@ -590,11 +582,11 @@ class DeltaCSR:
         )
         dst = base.indices
         exp = base.expiries
-        if self._arrivals:
-            log = np.array(self._arrivals, dtype=np.float64)
-            src = np.concatenate((src, log[:, 0].astype(np.int64)))
-            dst = np.concatenate((dst, log[:, 1].astype(np.int64)))
-            exp = np.concatenate((exp, log[:, 2]))
+        if len(self._log):
+            uids, vids, expiries = self._log.columns()
+            src = np.concatenate((src, uids))
+            dst = np.concatenate((dst, vids))
+            exp = np.concatenate((exp, expiries))
         alive = exp >= graph.time + 1
         src, dst, exp = src[alive], dst[alive], exp[alive]
         order = np.lexsort((dst, src))
@@ -623,7 +615,7 @@ class DeltaCSR:
 
         Every alive edge satisfies ``expiry >= t + 1`` (an edge alive at
         ``t`` is removed at ``expiry > t``), so the clamp never hides a
-        traversable pair; it *does* hide every stale base/overlay entry,
+        traversable pair; it *does* hide every stale base entry or log row,
         whose recorded expiry is ``<= t``.  This is what makes expiries
         O(1): lazy deletion with the horizon test as the filter.
         """
@@ -635,8 +627,8 @@ class DeltaCSR:
     def _kernel(self, reverse: bool) -> TraversalKernel:
         """The direction's shared kernel (built on first use per base).
 
-        :meth:`record_arrival` keeps a live kernel's entry count and id
-        space current (the overlays it holds are updated in place), and
+        :meth:`record_arrivals` keeps a live kernel's entry count and id
+        space current (the log its overlay reads grows in place), and
         compaction drops the kernels, so a kernel served here always
         describes the engine's current state.
         """
@@ -645,17 +637,15 @@ class DeltaCSR:
             return kernel
         if reverse:
             indptr, indices, expiries = self._transpose_arrays()
-            overlay = self._ov_in
         else:
             base = self._base
             indptr, indices, expiries = base.indptr, base.indices, base.expiries
-            overlay = self._ov_out
         kernel = TraversalKernel(
             indptr,
             indices,
             expiries,
             num_nodes=self.num_nodes,
-            overlay=overlay,
+            overlay=LogOverlay(self._log, reverse),
             entry_count=self.num_entries,
             scalar_limit=self.scalar_pair_limit,
             backend=self.backend,
@@ -670,14 +660,19 @@ class DeltaCSR:
         """A private-workspace clone of a direction's current kernel.
 
         Built for the thread-mode executor: clones share this engine's
-        (query-immutable) arrays and overlay but own their visited
-        buffers, so concurrent sweeps cannot trample each other.  Callers
-        must treat a clone as stale once the graph version moves.
+        (query-immutable) arrays and log but own their visited buffers,
+        so concurrent sweeps cannot trample each other.  On the
+        vectorized path the log's shared column arrays are built here, on
+        the caller's thread (:meth:`~repro.kernels.TraversalKernel.
+        prepare_overlay`), so no two clones build them at once.  Callers must treat a clone as
+        stale once the graph version moves.
         """
-        return self._kernel(reverse).clone()
+        kernel = self._kernel(reverse)
+        kernel.prepare_overlay()
+        return kernel.clone()
 
     def _transpose_arrays(self):
-        """Lazily build the transpose of the base (overlay stays separate)."""
+        """Lazily build the transpose of the base (the log stays separate)."""
         if self._tindptr is None:
             base = self._base
             self._tindptr, self._tindices, self._texpiries = build_transpose(
@@ -708,8 +703,8 @@ class DeltaCSR:
         """All ids that can reach ``target_ids`` (transpose-backed).
 
         This is the engine behind ``changed_nodes``: the reverse BFS runs
-        on the lazily built transpose of the base plus the reverse overlay,
-        through the same shared kernel as the forward sweep.
+        on the lazily built transpose of the base plus the log read
+        swapped, through the same shared kernel as the forward sweep.
         """
         eff = self._effective_horizon(min_expiry)
         return self._kernel(True).reachable_ids(target_ids, eff)
@@ -722,9 +717,9 @@ class DeltaCSR:
         An ancestor's label is the largest horizon at which it reaches a
         seed whose own label clears that horizon, so ``{a : label >= h}``
         equals :meth:`ancestor_ids` of those seeds at ``h`` for every
-        ``h >= t + 1``.  One walk on the transpose plus the reverse
-        overlay serves every horizon.  Base entries left stale by a
-        refreshed pair carry an older expiry than the overlay's, and
+        ``h >= t + 1``.  One walk on the transpose plus the log read
+        swapped serves every horizon.  Base entries left stale by a
+        refreshed pair carry an older expiry than the log's, and
         entries of dead pairs sit below the ``t + 1`` floor, so neither
         can widen a label.
         """
@@ -751,7 +746,7 @@ class DeltaCSR:
         """Ids whose forward cone a batch of deltas touched (seeds closed).
 
         ``seed_ids`` are the dirty sources journaled by the graph since a
-        consumer's last sync: the sources of overlay arrivals plus the
+        consumer's last sync: the sources of logged arrivals plus the
         sources of tombstoned pairs.  Inserting or expiring an edge
         ``u -> v`` can only change the reachable set of nodes that can
         reach ``u`` *now*, so closing the seeds under the reverse-transpose
@@ -800,19 +795,20 @@ class DeltaCSR:
     def fold_node_values(
         self, fold: Fold, min_expiry: Optional[float] = None
     ) -> np.ndarray:
-        """Dense node values for a derived fold, overlay included.
+        """Dense node values for a derived fold, arrivals included.
 
         The base arrays may carry stale entries for updated pairs, but
-        every refresh also lives in the reverse overlay and ``max`` is
-        associative — so layering the overlay maxima over the stale base
+        every refresh also lives in the arrival log and ``max`` is
+        associative — so layering the log's maxima over the stale base
         lands on exactly the values a fresh :class:`CSRSnapshot` of the
         current graph would derive, which is what keeps delta-served and
         snapshot-served (and therefore sharded) fold scores bit-identical.
         """
         eff = self._effective_horizon(min_expiry)
         base = self._base
+        _, vids, expiries = self._log.columns()
         max_in = max_in_expiries(
-            base.indices, base.expiries, self.num_nodes, eff, self._ov_in.entry_map
+            base.indices, base.expiries, self.num_nodes, eff, (vids, expiries)
         )
         return fold.values_from_max_in(max_in, eff)
 
@@ -827,8 +823,8 @@ class DeltaCSR:
 
         The delta twin of :meth:`CSRSnapshot.fold_spread_sums`: the
         ``t + 1`` horizon clamp is resolved here, derived node values
-        fold the arrival overlay in, and the sweep itself runs through
-        the shared kernel with the overlay injected as usual.
+        fold the arrival log in, and the sweep itself runs through the
+        shared kernel with the log read as usual.
         """
         fold = resolve_fold(fold)
         eff = self._effective_horizon(min_expiry)
@@ -840,6 +836,6 @@ class DeltaCSR:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DeltaCSR(nodes={self.num_nodes}, "
-            f"base_pairs={self._base.num_pairs}, overlay={self._ov_entries}, "
+            f"base_pairs={self._base.num_pairs}, logged={len(self._log)}, "
             f"tombstones={self._tombstones}, compactions={self.compactions})"
         )

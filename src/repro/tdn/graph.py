@@ -31,8 +31,10 @@ Bookkeeping
 * every node ever seen is *interned* to a dense integer id
   (:meth:`node_id`); ids are stable for the graph's lifetime and are what
   the CSR reachability engine (:mod:`repro.tdn.csr`) indexes by.
-* ``version`` increments on every structural change; the influence oracle
-  compares it to decide when to read the dirty-source journal.
+* ``version`` increments once per arrived edge (a batch of ``n`` moves it
+  by ``n``) and once per clock advance that expired anything; the
+  influence oracle compares it to decide when to read the dirty-source
+  journal.
 * a bounded *dirty-source journal* records, per structural change, the
   interned id whose forward cone the change touched — an arrival's source,
   or the source of a directed pair whose last alive edge expired.  Memo
@@ -41,21 +43,41 @@ Bookkeeping
   entries whose key intersects the ancestor closure of those ids, instead
   of dropping their whole table on every version bump.
 * alive-node and alive-pair counters are maintained inline by
-  :meth:`add_interaction` / :meth:`_remove_one_edge`, so :attr:`num_nodes`
-  and :attr:`num_pairs` are O(1) property reads instead of full adjacency
+  :meth:`add_batch` and :meth:`advance_to`, so :attr:`num_nodes` and
+  :attr:`num_pairs` are O(1) property reads instead of full adjacency
   scans.
 * :meth:`csr` owns the incrementally maintained :class:`~repro.tdn.csr.
-  DeltaCSR` engine: every mutation feeds its overlay/tombstone deltas
-  directly (O(1) per edge), so evaluation-heavy ingestion never pays a
-  per-version O(V + P) snapshot rebuild; that threshold/merge compaction
-  is the engine's only maintenance policy.
+  DeltaCSR` engine: every mutation feeds it directly — each ingested batch
+  extends its arrival log in one call, each pair death counts one
+  tombstone — so evaluation-heavy ingestion never pays a per-version
+  O(V + P) snapshot rebuild; that threshold/merge compaction is the
+  engine's only maintenance policy.
+
+Ingest
+------
+The paper's model delivers interactions one batch per time step, so the
+batch is the unit of ingest: :meth:`add_batch` is the only ingest path,
+and :meth:`add_interaction` is a batch of one.  A batch is checked for
+aliveness as a whole before anything is mutated, then applied in one
+pass; its end state (adjacency, counters, expiry buckets, journal,
+``version`` and the engine's log) is the state the same edges added one
+at a time would leave.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.tdn.interaction import Interaction
 
@@ -111,8 +133,7 @@ class TDNGraph:
         graph = TDNGraph()
         for t, batch in stream:
             graph.advance_to(t)         # expire outdated edges
-            for interaction in batch:   # add the new arrivals
-                graph.add_interaction(interaction)
+            graph.add_batch(batch)      # add the new arrivals
             ...                         # query / update algorithms
 
     All mutating operations bump :attr:`version` so downstream caches can
@@ -194,13 +215,14 @@ class TDNGraph:
         Cost is O(expired edges + expired keys x log #buckets), independent
         of the width of the gap ``t - time``: the min-heap yields exactly
         the due bucket keys in order, so sparse (e.g. unix-second)
-        timestamp jumps are as cheap as dense single-step ticks.
+        timestamp jumps are as cheap as dense single-step ticks.  Each due
+        bucket is dropped in one loop; removal listeners fire per edge
+        inside it, with the pair's remaining multiplicity.
         """
         if t < self._time:
             raise ValueError(f"cannot rewind time from {self._time} to {t}")
         removed = 0
         heap = self._expiry_heap
-        remove_one_edge = self._remove_one_edge
         # Drop every due key from the scan overlay (sorted prefix *and*
         # pending appendix) *before* draining — the seed behavior, which
         # spliced the due prefix up front: a removal listener may legally
@@ -214,6 +236,9 @@ class TDNGraph:
                 pending = self._expiry_pending
                 pending[:] = [step for step in pending if step > t]
                 self._expiry_pending_min = min(pending, default=float("inf"))
+        out = self._out
+        into = self._in
+        listeners = self._removal_listeners
         while heap and heap[0] <= t:
             step = heapq.heappop(heap)
             # pop with a default: the heap is lazily deduped, and a removal
@@ -226,7 +251,34 @@ class TDNGraph:
                 continue
             expiry = float(step)
             for u, v in bucket:
-                remove_one_edge(u, v, expiry)
+                out_u = out[u]
+                pair = out_u[v]
+                pair.remove(expiry)
+                self._num_edges -= 1
+                for callback in listeners:
+                    callback(u, v, pair.count)
+                if pair.count:
+                    continue
+                # The pair stays listed while listeners run, so ``out_u``
+                # and ``in_v`` are still the live adjacency dicts here.  A
+                # node with no entry left on either side is dropped from
+                # both maps and stops counting as alive (u != v: no
+                # self-loops).
+                in_v = into[v]
+                del out_u[v]
+                del in_v[u]
+                self._alive_pairs -= 1
+                if not out_u and not into.get(u):
+                    del out[u]
+                    into.pop(u, None)
+                    self._alive_nodes -= 1
+                if not in_v and not out.get(v):
+                    del into[v]
+                    out.pop(v, None)
+                    self._alive_nodes -= 1
+                self._journal((self._node_ids[u],))
+                if self._delta is not None:
+                    self._delta.record_pair_death()
             removed += len(bucket)
         # Keep the sorted overlay's dead prefix from accumulating; this is
         # a prefix splice (one memmove of the survivors), the same cost
@@ -247,129 +299,128 @@ class TDNGraph:
     # Mutation
     # ------------------------------------------------------------------
     def add_interaction(self, interaction: Interaction) -> None:
-        """Insert one interaction as a (possibly parallel) directed edge.
-
-        The interaction must be alive at the current time; in particular the
-        stream must be replayed in chronological order (advance the clock
-        before adding a batch).
-        """
-        if not interaction.alive_at(self._time):
-            raise ValueError(
-                f"interaction {interaction} is not alive at current time {self._time}; "
-                "advance_to() the batch time before adding"
-            )
-        u, v = interaction.source, interaction.target
-        expiry = interaction.expiry
-        node_ids = self._node_ids
-        uid = node_ids.get(u)
-        if uid is None:
-            uid = node_ids[u] = len(self._id_nodes)
-            self._id_nodes.append(u)
-        vid = node_ids.get(v)
-        if vid is None:
-            vid = node_ids[v] = len(self._id_nodes)
-            self._id_nodes.append(v)
-        out = self._out
-        out_u = out.get(u)
-        if out_u is None:
-            out_u = out[u] = {}
-        pair = out_u.get(v)
-        if pair is None:
-            # New alive pair: maintain the O(1) counters before inserting
-            # (aliveness of u/v is read off the pre-insert adjacency).
-            into = self._in
-            u_alive = bool(out_u) or bool(into.get(u))
-            v_alive = bool(out.get(v)) or bool(into.get(v))
-            pair = _PairEdges()
-            out_u[v] = pair
-            in_v = into.get(v)
-            if in_v is None:
-                into[v] = {u: pair}
-            else:
-                in_v[u] = pair
-            self._alive_pairs += 1
-            if not u_alive:
-                self._alive_nodes += 1
-            if not v_alive:
-                self._alive_nodes += 1
-        pair.add(expiry)
-        if expiry != INFINITE_EXPIRY:
-            step = int(expiry)
-            bucket = self._expiry_buckets.get(step)
-            if bucket is None:
-                self._expiry_buckets[step] = [(u, v)]
-                heapq.heappush(self._expiry_heap, step)
-                pending = self._expiry_pending
-                pending.append(step)
-                if step < self._expiry_pending_min:
-                    self._expiry_pending_min = step
-                if len(pending) > 1024 and len(pending) * 4 > len(
-                    self._expiry_sorted
-                ):
-                    self._merge_expiry_overlay()
-            else:
-                bucket.append((u, v))
-        self._num_edges += 1
-        self.version += 1
-        self._log_dirty(uid)
-        if self._delta is not None:
-            self._delta.record_arrival(uid, vid, expiry)
+        """Insert one interaction: :meth:`add_batch` of a single edge."""
+        self.add_batch((interaction,))
 
     def add_batch(self, interactions: Iterable[Interaction]) -> int:
-        """Insert several interactions; returns how many were added."""
-        count = 0
-        for interaction in interactions:
-            self.add_interaction(interaction)
-            count += 1
-        return count
+        """Insert a batch of interactions as (possibly parallel) directed
+        edges; returns how many were added.
 
-    def _remove_one_edge(self, u: Node, v: Node, expiry: float) -> None:
+        This is the graph's one ingest path.  Every interaction must be
+        alive at the current time (the stream is replayed in chronological
+        order: advance the clock before adding a batch); if one is not,
+        ``ValueError`` is raised before anything is mutated.  Then, in one
+        pass, ids are interned and the adjacency, pair counters and expiry
+        buckets are updated per edge; the dirty-source journal is extended
+        once (per-edge order, same trim points); :attr:`version` moves by
+        the batch size, the value per-edge bumps would reach; and the CSR
+        engine logs the whole batch in one call.
+        """
+        if not isinstance(interactions, (list, tuple)):
+            interactions = list(interactions)
+        now = self._time
+        expiries = [interaction.expiry for interaction in interactions]
+        for interaction, expiry in zip(interactions, expiries):
+            # Interaction.alive_at(now), with the expiry read once.
+            if not interaction.time <= now < expiry:
+                raise ValueError(
+                    f"interaction {interaction} is not alive at current time {now}; "
+                    "advance_to() the batch time before adding"
+                )
+        count = len(interactions)
+        if not count:
+            return 0
+        node_ids = self._node_ids
+        id_nodes = self._id_nodes
         out = self._out
-        out_u = out[u]
-        pair = out_u[v]
-        pair.remove(expiry)
-        self._num_edges -= 1
-        for callback in self._removal_listeners:
-            callback(u, v, pair.count)
-        if pair.count == 0:
-            # The pair stays listed while listeners run, so ``out_u`` and
-            # ``in_v`` are still the live adjacency dicts here.  A node
-            # with no entry left on either side is dropped from both maps
-            # and stops counting as alive (u != v: no self-loops).
-            into = self._in
-            in_v = into[v]
-            del out_u[v]
-            del in_v[u]
-            self._alive_pairs -= 1
-            if not out_u and not into.get(u):
-                del out[u]
-                into.pop(u, None)
-                self._alive_nodes -= 1
-            if not in_v and not out.get(v):
-                del into[v]
-                out.pop(v, None)
-                self._alive_nodes -= 1
-            self._log_dirty(self._node_ids[u])
-            if self._delta is not None:
-                self._delta.record_pair_death()
+        into = self._in
+        buckets = self._expiry_buckets
+        uids: List[int] = []
+        vids: List[int] = []
+        for interaction, expiry in zip(interactions, expiries):
+            u = interaction.source
+            v = interaction.target
+            uid = node_ids.get(u)
+            if uid is None:
+                uid = node_ids[u] = len(id_nodes)
+                id_nodes.append(u)
+            vid = node_ids.get(v)
+            if vid is None:
+                vid = node_ids[v] = len(id_nodes)
+                id_nodes.append(v)
+            out_u = out.get(u)
+            if out_u is None:
+                out_u = out[u] = {}
+            pair = out_u.get(v)
+            if pair is None:
+                # New alive pair: maintain the O(1) counters before
+                # inserting (aliveness of u/v is read off the pre-insert
+                # adjacency).
+                u_alive = bool(out_u) or bool(into.get(u))
+                v_alive = bool(out.get(v)) or bool(into.get(v))
+                pair = _PairEdges()
+                out_u[v] = pair
+                in_v = into.get(v)
+                if in_v is None:
+                    into[v] = {u: pair}
+                else:
+                    in_v[u] = pair
+                self._alive_pairs += 1
+                if not u_alive:
+                    self._alive_nodes += 1
+                if not v_alive:
+                    self._alive_nodes += 1
+            pair.add(expiry)
+            if expiry != INFINITE_EXPIRY:
+                step = int(expiry)
+                bucket = buckets.get(step)
+                if bucket is None:
+                    buckets[step] = [(u, v)]
+                    heapq.heappush(self._expiry_heap, step)
+                    pending = self._expiry_pending
+                    pending.append(step)
+                    if step < self._expiry_pending_min:
+                        self._expiry_pending_min = step
+                    if len(pending) > 1024 and len(pending) * 4 > len(
+                        self._expiry_sorted
+                    ):
+                        self._merge_expiry_overlay()
+                else:
+                    bucket.append((u, v))
+            uids.append(uid)
+            vids.append(vid)
+        self._num_edges += count
+        self.version += count
+        self._journal(uids)
+        if self._delta is not None:
+            self._delta.record_arrivals(uids, vids, expiries)
+        return count
 
     # ------------------------------------------------------------------
     # Dirty-source journal
     # ------------------------------------------------------------------
-    def _log_dirty(self, uid: int) -> None:
-        """Record that ``uid``'s forward cone was touched by a mutation.
+    def _journal(self, uids: Sequence[int]) -> None:
+        """Record, in order, ids whose forward cone a mutation touched.
 
-        Called once per arrival (the new edge's source) and once per pair
+        One entry per arrival (the new edge's source) and one per pair
         death (the dead pair's source).  Non-final parallel-edge removals
         are *not* logged: expiries drain in increasing order, so removing
         one of several parallel edges can never lower the pair's maximum
         alive expiry, and no cached spread at a live horizon can change.
+
+        The journal is dropped wholesale each time it would exceed
+        :attr:`DIRTY_LOG_MAX` entries.  Extending by a batch keeps the
+        trim points of appending one id at a time: after ``T`` appends
+        the retained suffix is the last ``T mod (DIRTY_LOG_MAX + 1)``.
         """
         log = self._dirty_log
-        log.append(uid)
-        if len(log) > self.DIRTY_LOG_MAX:
-            self._dirty_trimmed += len(log)
-            log.clear()
+        log.extend(uids)
+        cap = self.DIRTY_LOG_MAX + 1
+        if len(log) >= cap:
+            kept = len(log) % cap
+            dropped = len(log) - kept
+            self._dirty_trimmed += dropped
+            del log[:dropped]
 
     @property
     def dirty_cursor(self) -> int:
@@ -465,9 +516,9 @@ class TDNGraph:
 
         The first call builds the :class:`~repro.tdn.csr.DeltaCSR` engine
         (one O(V + P) base compaction); from then on every mutation feeds
-        the engine's overlay/tombstone deltas in O(1) via the hooks in
-        :meth:`add_interaction` / :meth:`_remove_one_edge`, and this
-        accessor merely checks the compaction threshold.
+        the engine's log and tombstone count via the hooks in
+        :meth:`add_batch` / :meth:`advance_to`, and this accessor merely
+        checks the compaction threshold.
         """
         if self._delta is None:
             from repro.tdn.csr import DeltaCSR
@@ -600,7 +651,7 @@ class TDNGraph:
         Drained keys (all ``<= time``) are pruned while merging, so the
         overlay holds exactly the live bucket keys afterwards.  Cost is
         O(live + pending log pending); the proportional merge trigger in
-        :meth:`add_interaction` amortizes this to O(log K) per new key.
+        :meth:`add_batch` amortizes this to O(log K) per new key.
         """
         time = self._time
         buckets = self._expiry_buckets

@@ -40,6 +40,22 @@ from repro.tdn.stream import BatchedStream
 CHECKPOINTABLE = ("hist-approx", "basic-reduction", "sieve-adn")
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an int >= 1 (else a usage error, exit status 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def fraction(text: str) -> float:
+    """argparse type: a float strictly between 0 and 1."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.track",
@@ -54,31 +70,31 @@ def build_parser() -> argparse.ArgumentParser:
         choices=dataset_names(),
         help="replay a named synthetic dataset instead of a file",
     )
-    parser.add_argument("--events", type=int, default=2_000,
+    parser.add_argument("--events", type=positive_int, default=2_000,
                         help="events to generate (--dataset) or cap (--input)")
-    parser.add_argument("--batch-size", type=int, default=1,
+    parser.add_argument("--batch-size", type=positive_int, default=1,
                         help="interactions per time step")
     parser.add_argument("--algorithm", default="hist-approx",
                         choices=["hist-approx", "basic-reduction", "sieve-adn",
                                  "greedy", "random"])
-    parser.add_argument("--k", type=int, default=10, help="budget")
-    parser.add_argument("--epsilon", type=float, default=0.2)
+    parser.add_argument("--k", type=positive_int, default=10, help="budget")
+    parser.add_argument("--epsilon", type=fraction, default=0.2)
     parser.add_argument("--lifetime", default="geometric",
                         choices=["geometric", "constant", "infinite"],
                         help="lifetime policy family")
-    parser.add_argument("--lifetime-p", type=float, default=0.01,
+    parser.add_argument("--lifetime-p", type=fraction, default=0.01,
                         help="geometric forgetting probability")
-    parser.add_argument("--max-lifetime", type=int, default=1_000,
+    parser.add_argument("--max-lifetime", type=positive_int, default=1_000,
                         help="lifetime cap L (also the constant window W)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=positive_int, default=1,
                         help="oracle evaluation workers (N > 1 shards spread "
                              "sweeps across N threads; identical results)")
-    parser.add_argument("--report-every", type=int, default=200,
+    parser.add_argument("--report-every", type=positive_int, default=200,
                         help="print the solution every N steps")
     parser.add_argument("--checkpoint", default=None,
                         help="JSON checkpoint path (written periodically)")
-    parser.add_argument("--checkpoint-every", type=int, default=1_000)
+    parser.add_argument("--checkpoint-every", type=positive_int, default=1_000)
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-step reports; print only the summary")
     parser.add_argument("--metrics", action="store_true",
@@ -87,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--metrics-json", default=None, metavar="PATH",
                         help="write the full metrics registry as JSON to "
                              "PATH (implies --metrics)")
-    parser.add_argument("--metrics-every", type=int, default=16,
+    parser.add_argument("--metrics-every", type=positive_int, default=16,
                         help="sample 1 in N kernel sweeps (counter totals "
                              "are rescaled; lower = finer, slower)")
     return parser
@@ -125,7 +141,7 @@ def main(argv: Optional[list] = None) -> int:
         # below api in the layer DAG (see repro.lint.config.LAYERS).
         from repro.kernels.instrument import enable_kernel_metrics
 
-        enable_kernel_metrics(every=max(1, args.metrics_every))
+        enable_kernel_metrics(every=args.metrics_every)
     stream = BatchedStream(interactions, batch_size=args.batch_size)
     tracker = InfluenceTracker(
         args.algorithm,

@@ -79,6 +79,34 @@ class TestGreedyRecompute:
         greedy.on_batch(1, [])
         assert greedy.query().nodes == ("c",)
 
+    def test_every_query_pays_a_fresh_oracle_cost(self):
+        """Calls per query are at least one per alive node and equal to a
+        fresh oracle's, for the oracle built here and the tracker's."""
+        from repro.core.tracker import InfluenceTracker
+        from repro.influence.oracle import InfluenceOracle
+
+        batches = [
+            [("hub", f"leaf{i}", 9) for i in range(5)] + [("solo", "other", 9)],
+            [("leaf0", "deep", 9), ("solo", "x", 9)],
+            [],
+            [("hub", "y", 2)],
+        ]
+        tracker = InfluenceTracker("greedy", k=2)
+        standalone = GreedyRecompute(2, tracker.graph)
+        for t, batch in enumerate(batches):
+            tracker.graph.advance_to(t)
+            tracker.graph.add_batch(
+                [Interaction(u, v, t, lifetime) for u, v, lifetime in batch]
+            )
+            fresh = InfluenceOracle(tracker.graph)
+            GreedyRecompute(2, tracker.graph, oracle=fresh).query()
+            for algorithm in (tracker.algorithm, standalone):
+                before = algorithm.oracle.calls
+                algorithm.query()
+                spent = algorithm.oracle.calls - before
+                assert spent >= tracker.graph.num_nodes
+                assert spent == fresh.calls
+
     def test_matches_quality_reference(self):
         """Greedy on reachability achieves (1 - 1/e) OPT; on this small
         instance it is exactly optimal."""

@@ -2,7 +2,7 @@
 
 The differential suite (``tests/property/test_kernel_unification.py``)
 pins the three engine adapters to each other; this module tests the
-kernel's own contracts directly: overlay-callback injection, the
+kernel's own contracts directly: arrival-log overlay injection, the
 scalar/vector cutover, the unified out-of-range seed validation, the
 weighted bit-plane fold, the per-plane bit counter, and the transpose
 helper.
@@ -13,7 +13,8 @@ import pytest
 
 from repro.kernels import (
     PLANE_WIDTH,
-    DictOverlay,
+    ArrivalLog,
+    LogOverlay,
     TraversalKernel,
     build_transpose,
     dense_weight_sum,
@@ -30,18 +31,24 @@ def chain_arrays(num_nodes=5, expiry=10.0):
     return indptr, indices, expiries
 
 
+def log_overlay(rows, reverse=False):
+    """A :class:`LogOverlay` over an arrival log holding ``rows``."""
+    log = ArrivalLog()
+    log.extend(
+        [u for u, _, _ in rows], [v for _, v, _ in rows], [e for _, _, e in rows]
+    )
+    return LogOverlay(log, reverse)
+
+
 class TestOverlayInjection:
     def test_dict_overlay_extends_base_reach(self):
         indptr, indices, expiries = chain_arrays(4)
-        flags = np.zeros(6, dtype=bool)
-        entries = {3: [(4, 9.0)], 4: [(5, 9.0)]}
-        flags[3] = flags[4] = True
         kernel = TraversalKernel(
             indptr,
             indices,
             expiries,
             num_nodes=6,  # ids 4 and 5 exist only through the overlay
-            overlay=DictOverlay(entries, flags),
+            overlay=log_overlay([(3, 4, 9.0), (4, 5, 9.0)]),
         )
         assert kernel.reachable_ids([0], None) == {0, 1, 2, 3, 4, 5}
         assert kernel.reachable_count([0], None) == 6
@@ -49,36 +56,37 @@ class TestOverlayInjection:
 
     def test_overlay_entries_respect_horizon(self):
         indptr, indices, expiries = chain_arrays(3)
-        flags = np.zeros(4, dtype=bool)
-        flags[2] = True
         kernel = TraversalKernel(
             indptr,
             indices,
             expiries,
             num_nodes=4,
-            overlay=DictOverlay({2: [(3, 5.0)]}, flags),
+            overlay=log_overlay([(2, 3, 5.0)]),
         )
         assert 3 in kernel.reachable_ids([0], 5.0)
         assert 3 not in kernel.reachable_ids([0], 5.5)
         assert kernel.spread_counts([[0]], 5.5) == [3]
 
     def test_custom_overlay_object_plugs_in(self):
-        """Anything with select/entries works — the injection is a protocol,
-        not a class check."""
+        """Anything with size/rows/since works — the injection is the log
+        protocol, not a class check."""
 
         class EveryNodeLoopsTo(object):
-            def __init__(self, target):
+            def __init__(self, target, num_nodes):
                 self.target = target
+                self.size = num_nodes
 
-            def select(self, frontier):
-                return frontier
+            def rows(self):
+                heads = np.arange(self.size, dtype=np.int64)
+                tails = np.full(self.size, self.target, dtype=np.int64)
+                return heads, tails, np.full(self.size, np.inf)
 
-            def entries(self, node_id):
-                return [(self.target, np.inf)]
+            def since(self, start):
+                return [(node, self.target, np.inf) for node in range(start, self.size)]
 
         indptr, indices, expiries = chain_arrays(3)
         kernel = TraversalKernel(
-            indptr, indices, expiries, overlay=EveryNodeLoopsTo(0)
+            indptr, indices, expiries, overlay=EveryNodeLoopsTo(0, 3)
         )
         # Every node reaches back to 0, so 2 reaches {2, 0, 1}.
         assert kernel.reachable_ids([2], None) == {0, 1, 2}
@@ -88,14 +96,12 @@ class TestOverlayInjection:
 
     def test_overlay_serves_ids_past_the_base_arrays(self):
         indptr, indices, expiries = chain_arrays(3)
-        flags = np.zeros(5, dtype=bool)
-        flags[4] = True
         kernel = TraversalKernel(
             indptr,
             indices,
             expiries,
             num_nodes=5,
-            overlay=DictOverlay({4: [(0, 9.0)]}, flags),
+            overlay=log_overlay([(4, 0, 9.0)]),
         )
         # Seed 4 has no base adjacency slice at all; only the overlay
         # knows it, and the sweep must not index past the base arrays.

@@ -2,9 +2,9 @@
 
 Between compactions the graph's :class:`~repro.tdn.csr.DeltaCSR` is one
 compacted base plus every arrival since, kept in
-:attr:`~repro.tdn.csr.DeltaCSR.arrival_log` and replayed into overlays.
-The executor's shard threads sweep kernel clones that share that base
-and overlay.  These tests pin the clones bit-identical to the serial
+:attr:`~repro.tdn.csr.DeltaCSR.arrival_log`, which both sweep directions
+read.  The executor's shard threads sweep kernel clones that share that
+base and log.  These tests pin the clones bit-identical to the serial
 engine across compactions, id-space growth past the base, pairs
 re-arriving with a later expiry, ancestor sweeps, weighted and derived
 folds, and clones re-cut after a failed shard.
@@ -231,7 +231,7 @@ def test_log_overflow_starts_a_new_generation(executor, monkeypatch):
     generation = executor.health_report()["plane_generation"]
     grow_stream(graph, rng, 6, 8, pool)
     assert_sharded_matches_serial(executor, graph, rng)
-    assert engine.base is not base and engine.arrival_log == []
+    assert engine.base is not base and len(engine.arrival_log) == 0
     assert executor.health_report()["plane_generation"] > generation
     for clone in executor.ensure_plane(graph):
         assert clone.indptr is engine.base.indptr

@@ -64,12 +64,12 @@ def effective_adjacency(engine, graph):
                 key = (uid, int(base.indices[slot]))
                 if expiry > best.get(key, -math.inf):
                     best[key] = expiry
-    for uid, entries in engine._ov_out.entry_map.items():  # noqa: SLF001 - test probe
-        for vid, expiry in entries:
-            if expiry >= floor:
-                key = (uid, vid)
-                if expiry > best.get(key, -math.inf):
-                    best[key] = expiry
+    log = engine.arrival_log
+    for uid, vid, expiry in zip(log.uids, log.vids, log.expiries):
+        if expiry >= floor:
+            key = (uid, vid)
+            if expiry > best.get(key, -math.inf):
+                best[key] = expiry
     return best
 
 

@@ -26,7 +26,12 @@ from hypothesis import strategies as st
 
 from repro.influence.reachability import ancestors
 from repro.kernels import dense_weight_sum, seed_range_error
-from repro.kernels.traversal import DictOverlay, TraversalKernel, build_transpose
+from repro.kernels.traversal import (
+    ArrivalLog,
+    LogOverlay,
+    TraversalKernel,
+    build_transpose,
+)
 from repro.tdn.csr import SCALAR_LIMIT_ENV
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
@@ -78,17 +83,18 @@ def build_kernel(num_nodes, base_nodes, base, overlay, reverse=False):
     np.cumsum(np.bincount(sources, minlength=base_nodes), out=indptr[1:])
     if reverse:
         indptr, indices, expiries = build_transpose(indptr, indices, expiries)
-    extra = DictOverlay.empty(num_nodes)
-    for u, v, expiry in overlay:
-        if reverse:
-            u, v = v, u
-        extra.add(u, (v, expiry))
+    log = ArrivalLog()
+    log.extend(
+        [u for u, _, _ in overlay],
+        [v for _, v, _ in overlay],
+        [e for _, _, e in overlay],
+    )
     return TraversalKernel(
         indptr,
         indices,
         expiries,
         num_nodes=num_nodes,
-        overlay=extra,
+        overlay=LogOverlay(log, reverse),
         scalar_limit=None,
         backend="python",
     )

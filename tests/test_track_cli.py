@@ -115,6 +115,36 @@ class TestCheckpointing:
         assert not checkpoint.exists()
 
 
+#: One out-of-range value per numeric flag, and the usage error it gets.
+BAD_NUMBERS = [
+    ("--events", "0", "must be >= 1, got 0"),
+    ("--k", "0", "must be >= 1, got 0"),
+    ("--batch-size", "0", "must be >= 1, got 0"),
+    ("--max-lifetime", "-3", "must be >= 1, got -3"),
+    ("--epsilon", "1.5", "must be in (0, 1), got 1.5"),
+    ("--lifetime-p", "0", "must be in (0, 1), got 0.0"),
+    ("--workers", "0", "must be >= 1, got 0"),
+    ("--report-every", "0", "must be >= 1, got 0"),
+    ("--checkpoint-every", "-1", "must be >= 1, got -1"),
+    ("--metrics-every", "0", "must be >= 1, got 0"),
+]
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "flag, value, message", BAD_NUMBERS, ids=[flag for flag, *_ in BAD_NUMBERS]
+    )
+    def test_out_of_range_value_is_a_usage_error(
+        self, flag, value, message, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--dataset", "gowalla", "--quiet", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}: {message}" in err
+
+
 class TestWorkersFlag:
     def test_workers_default_is_serial(self):
         args = build_parser().parse_args(["--dataset", "gowalla"])
