@@ -149,6 +149,17 @@ def test_sparse_clock_advance(benchmark):
     assert (removed, alive) == (1, 2)
 
 
+def lifetimed_50k_events(num_events=50_000, num_users=3_000, seed=7):
+    """The 50k-edge synthetic stream, one event per step, with uniform
+    20k-60k lifetimes: ~27k distinct expiry keys are live at its end."""
+    events = retweet_stream(num_users, num_events, seed=seed)
+    policy = UniformLifetime(20_000, 60_000, seed=seed + 1)
+    return [
+        event if event.lifetime is not None else policy.assign(event)
+        for event in events
+    ]
+
+
 def build_50k_stream(num_events=50_000, num_users=3_000, seed=7):
     """The 50k-edge synthetic stream the backend comparison runs on.
 
@@ -156,11 +167,8 @@ def build_50k_stream(num_events=50_000, num_users=3_000, seed=7):
     replay, so the evaluation graph is a genuinely large multi-hop network
     (~35k alive directed pairs) rather than a decayed remnant.
     """
-    events = retweet_stream(num_users, num_events, seed=seed)
-    policy = UniformLifetime(20_000, 60_000, seed=seed + 1)
     graph = TDNGraph()
-    for event in events:
-        event = event if event.lifetime is not None else policy.assign(event)
+    for event in lifetimed_50k_events(num_events, num_users, seed):
         graph.advance_to(event.time)
         graph.add_interaction(event)
     return graph
@@ -624,4 +632,51 @@ def test_native_bitplane_sweep_vs_python(benchmark):
     )
     assert speedup >= 3.0, (
         f"native bit-plane speedup {speedup:.2f}x below the 3x floor"
+    )
+
+
+def recount(graph):
+    """``(edges, pairs, nodes, bucketed edges)`` recounted from scratch."""
+    counts = [count for _, _, count in graph.alive_pairs_with_counts()]
+    bucketed = sum(len(bucket) for bucket in graph._expiry_buckets.values())
+    return sum(counts), len(counts), len(graph.node_set()), bucketed
+
+
+def test_ingest_and_expire_50k_stream(benchmark):
+    """Ingest, then expire, the 50k stream with 20k-60k lifetimes.
+
+    The expiry bucket dict is the graph's only expiry index.  Ingest
+    keeps ~27k keys live while the per-step advances drain the due ones;
+    one jump past the last expiry then drains the rest.  Best of 3, the
+    recounts off the clock; after each phase the O(1) counters must
+    equal a recount of the adjacency and the buckets.
+    """
+    events = lifetimed_50k_events()
+    end = int(max(event.expiry for event in events))
+
+    def replay():
+        started = time.perf_counter()
+        graph = TDNGraph()
+        for event in events:
+            graph.advance_to(event.time)
+            graph.add_interaction(event)
+        ingest_seconds = time.perf_counter() - started
+        live_keys = len(graph._expiry_buckets)
+        ingested = (graph.num_edges, graph.num_pairs, graph.num_nodes, graph.num_edges)
+        assert recount(graph) == ingested
+        started = time.perf_counter()
+        graph.advance_to(end)
+        seconds = ingest_seconds + time.perf_counter() - started
+        assert recount(graph) == (0, 0, 0, 0)
+        assert (graph.num_edges, graph.num_pairs, graph.num_nodes) == (0, 0, 0)
+        return seconds, live_keys, ingested
+
+    best, live_keys, ingested = min(replay() for _ in range(3))
+    benchmark.pedantic(replay, rounds=1, iterations=1)
+    assert live_keys > 20_000
+    benchmark.extra_info["live_keys"] = live_keys
+    benchmark.extra_info["seconds"] = round(best, 4)
+    print(
+        f"\ningest + expire of {len(events)} edges ({live_keys} live expiry "
+        f"keys, {ingested[1]} alive pairs after ingest): {best:.3f}s"
     )

@@ -17,6 +17,12 @@ behaviour (the paper's Fig. 13 instability on fast-churning workloads comes
 from estimation variance of the shared pool, which is preserved) and the
 relative throughput ordering (faster than re-indexing IMM/TIM+, slower than
 HISTAPPROX, Fig. 14) both survive.
+
+Cost per query: incremental.  The sketch pool is maintained between
+queries (:meth:`DIMIndex.on_batch` and the removal listener), and a query
+only runs greedy max-coverage over it.  Its oracle cost is the one call
+that reports the chosen seeds' true spread, a memo hit when no delta
+since the last query touched that set's cone.
 """
 
 from __future__ import annotations

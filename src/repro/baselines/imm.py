@@ -12,6 +12,12 @@ throughput (Fig. 14).
 This reproduction keeps IMM's two-phase structure and formulas but caps the
 sample count (``max_rr_sets``) so that pure-Python runs stay tractable; the
 cap is recorded on the instance so experiments can report when it bound.
+
+Cost per query: from scratch.  Every query snapshots the graph and
+samples a new RR-set index; nothing but the RNG carries over.  Its oracle
+cost is the one call that reports the chosen seeds' true spread, a memo
+hit when the graph has not touched that set's cone since it was last
+scored.
 """
 
 from __future__ import annotations

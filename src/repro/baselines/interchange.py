@@ -9,6 +9,13 @@ criticism — which the ablation bench `bench_ablation_interchange`
 quantifies — is that on *highly* dynamic networks the previous solution
 stops being a useful warm start and the method degrades toward full
 recomputation.
+
+Cost per query: incremental.  A query warm-starts from the previous
+solution, and its evaluations go through the oracle's memo, which keeps
+every entry no delta since has touched (the memo is never invalidated
+here).  A query on an unchanged graph costs no oracle call; after a
+batch, only the sets whose reachable cone the batch touched are
+evaluated again.
 """
 
 from __future__ import annotations

@@ -3,7 +3,12 @@
 The paper uses Random as the quality floor in Fig. 8 — any method worth its
 salt must clearly beat it.  The pick is redrawn at every query ("we randomly
 pick a set of k nodes from G_t at each time t"), and the reported value is
-the true influence spread of the drawn set, which costs one oracle call.
+the true influence spread of the drawn set.
+
+Cost per query: from scratch.  Every query redraws its set; no state
+carries over but the RNG.  Its oracle cost is the one call that scores
+the drawn set, a memo hit when the same set was already scored and no
+delta since has touched its cone.
 """
 
 from __future__ import annotations

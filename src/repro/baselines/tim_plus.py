@@ -11,6 +11,12 @@ with IMM (Fig. 14).
 The reproduction keeps the two-phase structure, the ``kappa(R) = 1 - (1 -
 w(R)/m)^k`` width statistic, and the geometric search schedule, with a
 sample cap for pure-Python tractability.
+
+Cost per query: from scratch, as for IMM.  Every query snapshots the
+graph, re-estimates ``KPT`` and samples a new RR-set index.  Its oracle
+cost is the one call that reports the chosen seeds' true spread, a memo
+hit when the graph has not touched that set's cone since it was last
+scored.
 """
 
 from __future__ import annotations

@@ -85,16 +85,19 @@ class SieveADN:
         self._last_time = t
         # One dirty sync per batch, before the horizon filter: the oracle's
         # delta-aware memo table must observe every structural change (even
-        # edges this instance's horizon hides), and doing it here lets the
-        # eviction sweep double as the changed-node sweep below.
+        # edges this instance's horizon hides).  Handing it the batch's
+        # source ids lets the eviction sweep close them too, as the
+        # changed-node set, on a second plane of the same sweep.
+        source_ids = self._reusable_source_ids(batch)
         sync = getattr(self.oracle, "sync_dirty", None)
-        cone = sync() if sync is not None else None
+        cone = sync(source_ids) if sync is not None else None
         if self.min_expiry is not None:
             batch = [e for e in batch if e.expiry >= self.min_expiry]
         if not batch:
             return
-        candidates = self._candidates_from_cone(batch, cone)
-        if candidates is None:
+        if cone is not None and cone.source_cone_ids is not None:
+            candidates = nodes_in_id_order(self.graph, cone.source_cone_ids)
+        else:
             # The changed-node sweep runs on the same engine family as the
             # oracle: array-visited transpose sweep for "csr", reference
             # dict walk for "dict" (identical sets and ordering either
@@ -124,30 +127,26 @@ class SieveADN:
             sync()
         self.process_candidates(candidates)
 
-    def _candidates_from_cone(self, batch, cone) -> Optional[List[Node]]:
-        """Reuse the oracle's dirty-cone closure as ``V_t-bar`` when exact.
+    def _reusable_source_ids(self, batch) -> Optional[List[int]]:
+        """The batch's source ids, when their closure is ``V_t-bar``.
 
-        The memo sync already closed the journaled dirty sources under the
-        reverse ancestor sweep at the widest live horizon.  That closure
-        *is* ``changed_nodes(graph, batch)`` precisely when this instance
-        sees every alive edge (``min_expiry is None``), wants the ancestor
-        superset, and the journaled seeds are exactly this batch's sources
-        (no interleaved expiry or foreign arrival widened the cone) — then
-        one sweep has served both eviction and candidate derivation.
-        Returns ``None`` when the closure is not reusable and the regular
-        :func:`changed_nodes` sweep must run.
+        The memo sync closes these ids under the reverse ancestor sweep
+        at the widest live horizon, ``t + 1``.  That closure *is*
+        ``changed_nodes(graph, batch)`` precisely when this instance sees
+        every alive edge (``min_expiry is None``) and wants the ancestor
+        superset.  ``None`` otherwise, and when a source was never
+        interned (the regular :func:`changed_nodes` sweep then runs).
         """
         if (
-            cone is None
+            not batch
             or self.min_expiry is not None
             or self.changed_mode != "ancestors"
         ):
             return None
-        node_id = self.graph.node_id
-        source_ids = {node_id(interaction.source) for interaction in batch}
-        if None in source_ids or source_ids != set(cone.seed_ids):
-            return None
-        return nodes_in_id_order(self.graph, cone.cone_ids)
+        source_ids, unknown = self.graph.intern_ids(
+            {interaction.source for interaction in batch}
+        )
+        return None if unknown else sorted(source_ids)
 
     def process_candidates(self, candidates: Iterable[Node]) -> None:
         """Feed the node stream directly (Alg. 1 lines 4-11).

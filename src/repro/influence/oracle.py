@@ -285,18 +285,21 @@ def resolve_executor(parallel, backend: str):
 
 
 class DirtyCone(NamedTuple):
-    """One delta sync's dirty set: journaled seeds and their closure.
+    """One delta sync's dirty closure, and the batch's when it rode along.
 
-    ``seed_ids`` are the raw dirty sources read off the graph journal;
-    ``cone_ids`` is their closure under the reverse-transpose ancestor
-    sweep — the ids whose forward cone the deltas touched.  SIEVEADN
-    reuses the closure as its changed-node set when the seeds coincide
-    with the batch it is processing, so eviction and candidate derivation
-    share one sweep per batch.
+    ``cone_ids`` closes the dirty sources journaled since the last sync
+    under the reverse-transpose ancestor sweep: the ids whose forward cone
+    the deltas touched.  ``source_cone_ids`` closes the batch source ids
+    the caller passed, from the same sweep, at the same ``t + 1``
+    horizon: exactly ``changed_nodes(graph, batch)`` for an instance that
+    sees every alive edge, so SIEVEADN takes it as ``V_t-bar``.  It is
+    ``None`` when no source ids were passed, and when the closure would
+    have cost a sweep of its own (the ``"dict"`` cone backend, an
+    attached executor).
     """
 
-    seed_ids: FrozenSet[int]
     cone_ids: Set[int]
+    source_cone_ids: Optional[Set[int]] = None
 
 
 class MemoTable:
@@ -425,17 +428,22 @@ class MemoTable:
         self._version = self.graph.version
         self._cursor = self.graph.dirty_cursor
 
-    def sync(self, want_cone: bool = False) -> Optional[DirtyCone]:
+    def sync(
+        self,
+        want_cone: bool = False,
+        source_ids: Optional[Sequence[int]] = None,
+    ) -> Optional[DirtyCone]:
         """Bring the table up to date with the graph.
 
         Reads the dirty-source journal suffix since the last sync, closes
         it under the owning backend's reverse ancestor sweep, and evicts
         only the intersecting entries; the computed :class:`DirtyCone` is
         returned when ``want_cone`` is set (or when entries were at
-        stake), so one sweep can serve both eviction and SIEVEADN's
-        changed-node derivation.  Returns ``None`` when nothing was stale
-        or when the journal had been trimmed past the cursor (wholesale
-        clear).
+        stake).  ``source_ids`` (interned batch sources) are closed in the
+        same sweep on the serial CSR path, so one sweep serves both
+        eviction and SIEVEADN's changed-node derivation.  Returns ``None``
+        when nothing was stale or when the journal had been trimmed past
+        the cursor (wholesale clear).
         """
         graph = self.graph
         if graph.version == self._version:
@@ -446,39 +454,50 @@ class MemoTable:
             if seeds is None:
                 self.clear()
             else:
-                cone_ids = self._closed_cone(seeds) if seeds else set()
+                record = self._closed_cone(seeds, source_ids)
+                cone_ids = record.cone_ids
                 _CONE_SIZE.observe(len(cone_ids))
                 if self.data and cone_ids:
                     node_of_id = graph.node_of_id
                     self.evict_nodes({node_of_id(i) for i in cone_ids})
-                record = DirtyCone(frozenset(seeds), cone_ids)
         self._version = graph.version
         self._cursor = graph.dirty_cursor
         return record
 
-    def _closed_cone(self, seed_ids: Set[int]) -> Set[int]:
+    def _closed_cone(
+        self, seed_ids: Set[int], source_ids: Optional[Sequence[int]]
+    ) -> DirtyCone:
         """Ancestor closure of the dirty seeds, on the owning backend.
 
-        A ``"csr"`` oracle rides the engine's transpose sweep; a
-        ``"dict"`` oracle keeps its pure-dict profile by closing through
-        the reference :func:`~repro.influence.reachability.ancestors`
-        walk instead of forcing a CSR engine build just for eviction.
-        Both sweeps produce the identical set (pinned by the equivalence
-        suites), so memo semantics — and with them call counts — stay
-        backend independent either way.
+        A ``"csr"`` oracle rides the engine's transpose sweep, with the
+        batch's ``source_ids`` on a second plane of the same bit-plane
+        sweep; a ``"dict"`` oracle keeps its pure-dict profile by closing
+        through the reference :func:`~repro.influence.reachability.
+        ancestors` walk instead of forcing a CSR engine build just for
+        eviction.  Both sweeps produce the identical set (pinned by the
+        equivalence suites), so memo semantics — and with them call
+        counts — stay backend independent either way.
         """
         graph = self.graph
+        if not seed_ids and source_ids is None:
+            return DirtyCone(set())
         if self.cone_backend == "dict":
             node_of_id = graph.node_of_id
             # sorted(): seed_ids arrives as a set; id order fixes the walk.
             seed_nodes = [node_of_id(i) for i in sorted(seed_ids)]
             node_id = graph.node_id
-            return {node_id(n) for n in ancestors(graph, seed_nodes, None)}
+            return DirtyCone({node_id(n) for n in ancestors(graph, seed_nodes, None)})
         if self.executor is not None:
             # Shard-merged reverse sweep; identical closure (reachability
             # distributes over seed union), serial fallback inside.
-            return self.executor.touched_cone_ids(graph, seed_ids)
-        return graph.csr().touched_cone_ids(seed_ids)
+            return DirtyCone(self.executor.touched_cone_ids(graph, seed_ids))
+        engine = graph.csr()
+        if source_ids is None:
+            return DirtyCone(engine.touched_cone_ids(seed_ids))
+        source_cone, cone_ids = engine.ancestor_closures(
+            [source_ids, sorted(seed_ids)]
+        )
+        return DirtyCone(cone_ids, source_cone)
 
 
 class InfluenceOracle:
@@ -657,16 +676,19 @@ class InfluenceOracle:
         self._memo.sync()
         return self._spread_cached(key_nodes, min_expiry)
 
-    def sync_dirty(self) -> Optional[DirtyCone]:
+    def sync_dirty(
+        self, source_ids: Optional[Sequence[int]] = None
+    ) -> Optional[DirtyCone]:
         """Sync the memo table now; returns the dirty cone when one ran.
 
-        SIEVEADN calls this at the top of each batch so that memo eviction
-        and its own changed-node derivation share a single ancestor sweep:
-        when the returned cone's seeds coincide with the batch's sources,
-        the closure *is* the changed-node set.  Returns ``None`` when the
-        table was already in sync or was cleared wholesale.
+        SIEVEADN calls this at the top of each batch with the batch's
+        interned source ids, so that memo eviction and its own
+        changed-node derivation share a single ancestor sweep: the
+        returned cone's ``source_cone_ids``, when set, *is* the
+        changed-node set.  Returns ``None`` when the table was already in
+        sync or was cleared wholesale.
         """
-        return self._memo.sync(want_cone=True)
+        return self._memo.sync(want_cone=True, source_ids=source_ids)
 
     def spread_many(
         self,

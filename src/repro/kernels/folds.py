@@ -362,12 +362,14 @@ class TimeDecayFold(Fold):
         self, max_in: np.ndarray, eff: Optional[float]
     ) -> np.ndarray:
         base = 0.0 if eff is None else float(eff)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             values = 1.0 - np.exp(-self.lam * (max_in - base))
-        # max_in == -inf (no alive in-edge) falls through the exp as
-        # 1 - inf; such nodes are reachable only as seeds, and a node's
-        # own presence never expires — weight exactly 1.
-        values[np.isneginf(max_in)] = 1.0
+        # An infinite max_in weighs exactly 1.  At -inf (no alive in-edge)
+        # the node is reachable only as a seed, and its own presence
+        # never expires; at +inf (an infinite-lifetime in-edge) its
+        # remaining life never runs out, even at an infinite horizon,
+        # where inf - inf would otherwise make the weight NaN.
+        values[np.isinf(max_in)] = 1.0
         return values
 
     def batch(

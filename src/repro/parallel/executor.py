@@ -489,7 +489,7 @@ class ShardedOracleExecutor:
         return merged
 
     def touched_cone_ids(self, graph: "TDNGraph", seed_ids: Iterable[int]) -> Set[int]:
-        """Dirty-cone closure (memo eviction / SIEVEADN candidate reuse)."""
+        """Dirty-cone closure for memo eviction (shard-merged)."""
         return self.ancestor_ids(graph, seed_ids, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

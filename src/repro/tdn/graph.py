@@ -21,13 +21,13 @@ Bookkeeping
 -----------
 * ``_out[u][v]`` and ``_in[v][u]`` share one :class:`_PairEdges` record per
   directed pair, holding the multiset of expiries and a cached maximum.
-* ``_expiry_buckets[x]`` lists the pairs with an edge expiring at time ``x``;
-  the bucket keys are tracked twice, cheaply: a lazily-deduped *min-heap*
-  feeds :meth:`advance_to`'s drain (O(expired log K), never O(Δt) over a
-  sparse timestamp gap and never an O(K) list shift per insert), while a
-  *sorted overlay* — a sorted snapshot plus an unsorted pending appendix,
-  merged amortized-O(1) per key — lets :meth:`edges_with_expiry_in`
-  bisect a range instead of re-sorting.
+* ``_expiry_buckets[x]`` lists the pairs with an edge expiring at time
+  ``x``; it is the only expiry index.  :meth:`advance_to` and
+  :meth:`edges_with_expiry_in` find a range's live keys by probing
+  each integer of the range when it is no wider than the number of
+  keys ``K``, and by scanning the keys otherwise, so a range costs
+  O(min(span, K)) plus sorting the keys found: a sparse timestamp
+  jump is one pass over the keys, never O(Δt).
 * every node ever seen is *interned* to a dense integer id
   (:meth:`node_id`); ids are stable for the graph's lifetime and are what
   the CSR reachability engine (:mod:`repro.tdn.csr`) indexes by.
@@ -48,10 +48,10 @@ Bookkeeping
   scans.
 * :meth:`csr` owns the incrementally maintained :class:`~repro.tdn.csr.
   DeltaCSR` engine: every mutation feeds it directly — each ingested batch
-  extends its arrival log in one call, each pair death counts one
-  tombstone — so evaluation-heavy ingestion never pays a per-version
-  O(V + P) snapshot rebuild; that threshold/merge compaction is the
-  engine's only maintenance policy.
+  extends its arrival log in one call, each expiry drain counts its pair
+  deaths as tombstones in one call — so evaluation-heavy ingestion never
+  pays a per-version O(V + P) snapshot rebuild; that threshold/merge
+  compaction is the engine's only maintenance policy.
 
 Ingest
 ------
@@ -66,8 +66,7 @@ at a time would leave.
 
 from __future__ import annotations
 
-import bisect
-import heapq
+import math
 from typing import (
     Dict,
     Hashable,
@@ -93,33 +92,17 @@ class _PairEdges:
     Tracks total multiplicity (parallel interactions are allowed and
     meaningful: the IC baselines convert the count into a diffusion
     probability) and caches the maximum alive expiry so that horizon-filtered
-    traversal costs O(1) per neighbor.
+    traversal costs O(1) per neighbor.  :meth:`TDNGraph.add_batch` and
+    :meth:`TDNGraph.advance_to` update the record inline.
     """
 
     __slots__ = ("expiries", "count", "max_expiry")
 
-    def __init__(self) -> None:
-        self.expiries: Dict[float, int] = {}
-        self.count = 0
-        self.max_expiry: float = 0.0
-
-    def add(self, expiry: float) -> None:
-        self.expiries[expiry] = self.expiries.get(expiry, 0) + 1
-        self.count += 1
-        if expiry > self.max_expiry:
-            self.max_expiry = expiry
-
-    def remove(self, expiry: float) -> None:
-        remaining = self.expiries.get(expiry)
-        if not remaining:
-            raise KeyError(f"no edge with expiry {expiry} to remove")
-        if remaining == 1:
-            del self.expiries[expiry]
-        else:
-            self.expiries[expiry] = remaining - 1
-        self.count -= 1
-        if expiry == self.max_expiry and expiry not in self.expiries:
-            self.max_expiry = max(self.expiries) if self.expiries else 0.0
+    def __init__(self, expiry: float) -> None:
+        """A pair holding one edge, expiring at ``expiry``."""
+        self.expiries: Dict[float, int] = {expiry: 1}
+        self.count = 1
+        self.max_expiry: float = expiry
 
 
 class TDNGraph:
@@ -145,28 +128,6 @@ class TDNGraph:
         self._out: Dict[Node, Dict[Node, _PairEdges]] = {}
         self._in: Dict[Node, Dict[Node, _PairEdges]] = {}
         self._expiry_buckets: Dict[int, List[Tuple[Node, Node]]] = {}
-        # Bucket keys, tracked two ways so no operation ever pays an O(K)
-        # mid-list shift (the old bisect.insort hazard for million-scale
-        # lifetime spreads):
-        #  * _expiry_heap — min-heap of pending keys driving the drain.
-        #    Pushes are O(log K); a popped key whose bucket is already
-        #    gone is simply skipped (lazy dedup).
-        #  * _expiry_sorted + _expiry_pending — the sorted overlay behind
-        #    edges_with_expiry_in: new keys append to the unsorted
-        #    appendix in O(1) and are merged into the sorted snapshot
-        #    lazily (on scan, or when the appendix outgrows the
-        #    proportional threshold), so merges amortize to O(log K) per
-        #    key.  Drained keys are <= time and every scan clamps its
-        #    lower bound to time + 1, so stale overlay entries can never
-        #    be yielded; they are pruned at merge time.
-        self._expiry_heap: List[int] = []
-        self._expiry_sorted: List[int] = []
-        self._expiry_pending: List[int] = []
-        # Running minimum of the pending appendix (inf when empty): lets
-        # a drain skip the appendix rewrite entirely unless some pending
-        # key is actually due, keeping advance_to independent of the
-        # appendix size on the common no-due-pending path.
-        self._expiry_pending_min: float = float("inf")
         self._node_ids: Dict[Node, int] = {}
         self._id_nodes: List[Node] = []
         self._num_edges = 0
@@ -212,84 +173,88 @@ class TDNGraph:
         Returns the number of edge instances removed.  Advancing backwards is
         an error: the TDN model is forward-only.
 
-        Cost is O(expired edges + expired keys x log #buckets), independent
-        of the width of the gap ``t - time``: the min-heap yields exactly
-        the due bucket keys in order, so sparse (e.g. unix-second)
-        timestamp jumps are as cheap as dense single-step ticks.  Each due
-        bucket is dropped in one loop; removal listeners fire per edge
-        inside it, with the pair's remaining multiplicity.
+        Cost is O(expired edges) plus one :meth:`_expiry_keys_in` over
+        ``(time, t]``, O(min(t - time, K)) for ``K`` live bucket keys: a
+        dense single-step tick probes one key, and a sparse (e.g.
+        unix-second) jump scans the keys once.  Every due bucket is popped
+        before the drain, so a removal listener's range scan never sees
+        one; listeners fire per edge, with the pair's remaining
+        multiplicity.  The dead pairs' sources are journaled and their
+        tombstones counted once per drain (and before each callback when
+        listeners are registered, so the journal keeps per-edge order).
+        The drain repeats only if a listener re-created a due bucket.
         """
         if t < self._time:
             raise ValueError(f"cannot rewind time from {self._time} to {t}")
-        removed = 0
-        heap = self._expiry_heap
-        # Drop every due key from the scan overlay (sorted prefix *and*
-        # pending appendix) *before* draining — the seed behavior, which
-        # spliced the due prefix up front: a removal listener may legally
-        # call edges_with_expiry_in mid-drain, and must never iterate
-        # keys whose buckets this very drain is popping.
-        if heap and heap[0] <= t:
-            sorted_keys = self._expiry_sorted
-            if sorted_keys and sorted_keys[0] <= t:
-                del sorted_keys[: bisect.bisect_right(sorted_keys, t)]
-            if self._expiry_pending_min <= t:
-                pending = self._expiry_pending
-                pending[:] = [step for step in pending if step > t]
-                self._expiry_pending_min = min(pending, default=float("inf"))
+        if t == self._time + 1:  # a tick: its one key, probed inline
+            due = [t] if t in self._expiry_buckets else None
+        else:
+            due = self._expiry_keys_in(self._time + 1, t + 1)
+        if not due:
+            self._time = t
+            return 0
         out = self._out
         into = self._in
+        buckets = self._expiry_buckets
+        node_ids = self._node_ids
         listeners = self._removal_listeners
-        while heap and heap[0] <= t:
-            step = heapq.heappop(heap)
-            # pop with a default: the heap is lazily deduped, and a removal
-            # listener may legally mutate the graph mid-drain, re-bucketing
-            # keys under us; a vanished bucket is simply skipped, and a
-            # re-created due bucket re-pushes its key, so the loop drains
-            # it before finishing.
-            bucket = self._expiry_buckets.pop(step, None)
-            if bucket is None:
-                continue
-            expiry = float(step)
-            for u, v in bucket:
-                out_u = out[u]
-                pair = out_u[v]
-                pair.remove(expiry)
-                self._num_edges -= 1
-                for callback in listeners:
-                    callback(u, v, pair.count)
-                if pair.count:
-                    continue
-                # The pair stays listed while listeners run, so ``out_u``
-                # and ``in_v`` are still the live adjacency dicts here.  A
-                # node with no entry left on either side is dropped from
-                # both maps and stops counting as alive (u != v: no
-                # self-loops).
-                in_v = into[v]
-                del out_u[v]
-                del in_v[u]
-                self._alive_pairs -= 1
-                if not out_u and not into.get(u):
-                    del out[u]
-                    into.pop(u, None)
-                    self._alive_nodes -= 1
-                if not in_v and not out.get(v):
-                    del into[v]
-                    out.pop(v, None)
-                    self._alive_nodes -= 1
-                self._journal((self._node_ids[u],))
-                if self._delta is not None:
-                    self._delta.record_pair_death()
-            removed += len(bucket)
-        # Keep the sorted overlay's dead prefix from accumulating; this is
-        # a prefix splice (one memmove of the survivors), the same cost
-        # profile the drain always had.
-        sorted_keys = self._expiry_sorted
-        if sorted_keys and sorted_keys[0] <= t:
-            del sorted_keys[: bisect.bisect_right(sorted_keys, t)]
+        dead: List[int] = []
+        removed = 0
+        while due:
+            drained = [(step, buckets.pop(step)) for step in due]
+            for expiry, bucket in drained:
+                removed += len(bucket)
+                self._num_edges -= len(bucket)
+                for u, v in bucket:
+                    out_u = out[u]
+                    pair = out_u[v]
+                    expiries = pair.expiries
+                    remaining = expiries[expiry]
+                    if remaining == 1:
+                        del expiries[expiry]
+                        if expiry == pair.max_expiry:
+                            pair.max_expiry = max(expiries) if expiries else 0.0
+                    else:
+                        expiries[expiry] = remaining - 1
+                    pair.count -= 1
+                    if listeners:
+                        self._record_deaths(dead)
+                        for callback in listeners:
+                            callback(u, v, pair.count)
+                    if pair.count:
+                        continue
+                    # The pair stays listed while listeners run, so
+                    # ``out_u`` and ``in_v`` are still the live adjacency
+                    # dicts here.  A node with no entry left on either side
+                    # is dropped from both maps and stops counting as alive
+                    # (u != v: no self-loops).
+                    in_v = into[v]
+                    del out_u[v]
+                    del in_v[u]
+                    self._alive_pairs -= 1
+                    if not out_u and not into.get(u):
+                        del out[u]
+                        into.pop(u, None)
+                        self._alive_nodes -= 1
+                    if not in_v and not out.get(v):
+                        del into[v]
+                        out.pop(v, None)
+                        self._alive_nodes -= 1
+                    dead.append(node_ids[u])
+            due = self._expiry_keys_in(self._time + 1, t + 1) if listeners else None
+        self._record_deaths(dead)
         self._time = t
-        if removed:
-            self.version += 1
+        self.version += 1
         return removed
+
+    def _record_deaths(self, dead: List[int]) -> None:
+        """Journal the dead pairs' sources and count their tombstones;
+        empties ``dead``."""
+        if dead:
+            self._journal(dead)
+            if self._delta is not None:
+                self._delta.record_pair_deaths(len(dead))
+            dead.clear()
 
     def tick(self) -> int:
         """Advance the clock by one step; returns the number of expiries."""
@@ -337,6 +302,7 @@ class TDNGraph:
         buckets = self._expiry_buckets
         uids: List[int] = []
         vids: List[int] = []
+        new_pairs = new_nodes = 0
         for interaction, expiry in zip(interactions, expiries):
             u = interaction.source
             v = interaction.target
@@ -356,39 +322,34 @@ class TDNGraph:
                 # New alive pair: maintain the O(1) counters before
                 # inserting (aliveness of u/v is read off the pre-insert
                 # adjacency).
-                u_alive = bool(out_u) or bool(into.get(u))
-                v_alive = bool(out.get(v)) or bool(into.get(v))
-                pair = _PairEdges()
-                out_u[v] = pair
+                new_pairs += 1
+                if not out_u and not into.get(u):
+                    new_nodes += 1
                 in_v = into.get(v)
+                if not in_v and not out.get(v):
+                    new_nodes += 1
+                pair = out_u[v] = _PairEdges(expiry)
                 if in_v is None:
                     into[v] = {u: pair}
                 else:
                     in_v[u] = pair
-                self._alive_pairs += 1
-                if not u_alive:
-                    self._alive_nodes += 1
-                if not v_alive:
-                    self._alive_nodes += 1
-            pair.add(expiry)
+            else:
+                pair_expiries = pair.expiries
+                pair_expiries[expiry] = pair_expiries.get(expiry, 0) + 1
+                pair.count += 1
+                if expiry > pair.max_expiry:
+                    pair.max_expiry = expiry
             if expiry != INFINITE_EXPIRY:
                 step = int(expiry)
                 bucket = buckets.get(step)
                 if bucket is None:
                     buckets[step] = [(u, v)]
-                    heapq.heappush(self._expiry_heap, step)
-                    pending = self._expiry_pending
-                    pending.append(step)
-                    if step < self._expiry_pending_min:
-                        self._expiry_pending_min = step
-                    if len(pending) > 1024 and len(pending) * 4 > len(
-                        self._expiry_sorted
-                    ):
-                        self._merge_expiry_overlay()
                 else:
                     bucket.append((u, v))
             uids.append(uid)
             vids.append(vid)
+        self._alive_pairs += new_pairs
+        self._alive_nodes += new_nodes
         self._num_edges += count
         self.version += count
         self._journal(uids)
@@ -618,53 +579,40 @@ class TDNGraph:
         successor: the copy must additionally process the alive edges whose
         remaining lifetime lies in ``[l, l*)``, i.e. expiry in
         ``[t + l, t + l*)``.  Entries are per edge instance (a pair appears
-        once per parallel edge in range).  Expired buckets below the current
-        clock are skipped.  ``hi`` may be ``math.inf`` (successor instance
-        with an infinite horizon); infinite-expiry edges themselves are never
-        yielded because ``hi`` is exclusive.
+        once per parallel edge in range), in increasing expiry.  Expired
+        buckets below the current clock are skipped.  ``hi`` may be
+        ``math.inf`` (successor instance with an infinite horizon);
+        infinite-expiry edges themselves are never yielded because ``hi``
+        is exclusive.
 
-        The scan bisects the sorted key overlay for the range endpoints
-        (merging any pending appendix first), so its cost is proportional
-        to the number of distinct expiry times in range plus the matching
-        edges — never the width of a sparse range, and never an
-        O(B log B) re-sort of all buckets.
+        The keys come from :meth:`_expiry_keys_in`, so the cost is
+        O(min(hi - lo, K)) for ``K`` live bucket keys, plus the matching
+        edges: never the width of a sparse range.
         """
-        lo = max(lo, self._time + 1)
-        if self._expiry_pending:
-            self._merge_expiry_overlay()
-        keys = self._expiry_sorted
-        start = bisect.bisect_left(keys, lo)
-        stop = bisect.bisect_left(keys, hi)
-        for step in keys[start:stop]:
-            # get() with a default: mid-drain callers (removal listeners)
-            # may observe a key whose bucket was popped an instant ago
-            # while the clock still reads the pre-drain time.
-            bucket = self._expiry_buckets.get(step)
+        buckets = self._expiry_buckets
+        for step in self._expiry_keys_in(max(lo, self._time + 1), hi):
+            # get() with a default: the caller may mutate the graph between
+            # yields and drain a bucket this scan has not reached yet.
+            bucket = buckets.get(step)
             if bucket is None:
                 continue
             for u, v in bucket:
                 yield (u, v, step)
 
-    def _merge_expiry_overlay(self) -> None:
-        """Fold the pending appendix into the sorted key overlay.
+    def _expiry_keys_in(self, lo: float, hi: float) -> List[int]:
+        """The live bucket keys in ``[lo, hi)``, in ascending order.
 
-        Drained keys (all ``<= time``) are pruned while merging, so the
-        overlay holds exactly the live bucket keys afterwards.  Cost is
-        O(live + pending log pending); the proportional merge trigger in
-        :meth:`add_batch` amortizes this to O(log K) per new key.
+        Keys are integers, so a range no wider than the number of keys is
+        probed integer by integer; a wider one (a sparse clock jump, an
+        infinite ``hi``) scans the keys and sorts the matches.  Either way
+        the cost is O(min(span, K)) for ``K`` live keys, plus that sort.
         """
-        time = self._time
         buckets = self._expiry_buckets
-        fresh = sorted(step for step in set(self._expiry_pending) if step in buckets)
-        self._expiry_pending.clear()
-        self._expiry_pending_min = float("inf")
-        stale = self._expiry_sorted
-        if stale and stale[0] <= time:
-            del stale[: bisect.bisect_right(stale, time)]
-        if not stale:
-            self._expiry_sorted = fresh
-        elif fresh:
-            self._expiry_sorted = list(heapq.merge(stale, fresh))
+        if hi - lo <= len(buckets):
+            return [
+                step for step in range(math.ceil(lo), math.ceil(hi)) if step in buckets
+            ]
+        return sorted(step for step in buckets if lo <= step < hi)
 
     def alive_interactions(self) -> List[Interaction]:
         """Materialize the alive edge instances as :class:`Interaction` rows.

@@ -4,6 +4,7 @@ import random
 
 from repro.baselines.interchange import InterchangeGreedy
 from repro.baselines.sliding_window import SlidingWindowSSO
+from repro.influence.oracle import InfluenceOracle
 from repro.submodular.functions import CoverageFunction
 from repro.submodular.greedy import brute_force_optimum
 from repro.tdn.graph import TDNGraph
@@ -82,6 +83,31 @@ class TestInterchangeGreedy:
         graph.add_batch(batch)
         algo.on_batch(1, batch)
         assert algo.query().nodes == ("new",)
+
+    def test_queries_are_costed_incrementally(self):
+        """The memo is kept across queries: a repeat query on an unchanged
+        graph costs no call, and after a batch in one island only the
+        sets that reach it are evaluated again."""
+        graph = TDNGraph()
+        for i in range(4):
+            graph.add_interaction(Interaction("hub", f"x{i}", 0, 9))
+        graph.add_interaction(Interaction("p", "q", 0, 9))
+        graph.add_interaction(Interaction("r", "s", 0, 9))
+        oracle = InfluenceOracle(graph)
+        algo = InterchangeGreedy(1, graph, oracle)
+        spent = []
+        for query in range(3):
+            if query == 2:
+                batch = [Interaction("p", "z", 0, 9)]
+                graph.add_batch(batch)
+                algo.on_batch(0, batch)
+            before = oracle.calls
+            assert algo.query().nodes == ("hub",)
+            spent.append(oracle.calls - before)
+        fresh = InfluenceOracle(graph)
+        InterchangeGreedy(1, graph, fresh).query()
+        assert spent[0] > 0 and spent[1] == 0
+        assert 0 < spent[2] < fresh.calls
 
     def test_dead_members_repaired(self):
         graph = TDNGraph()

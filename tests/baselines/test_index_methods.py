@@ -5,8 +5,24 @@ import pytest
 from repro.baselines.dim import DIMIndex
 from repro.baselines.imm import IMM, log_binomial
 from repro.baselines.tim_plus import TIMPlus
+from repro.influence.oracle import InfluenceOracle
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
+
+
+def calls_per_query(algorithm, oracle, graph, queries=3):
+    """Oracle calls each of ``queries`` queries spends; before the last one
+    an edge lands in the hub's cone (the first two see one graph)."""
+    spent = []
+    for query in range(queries):
+        if query == queries - 1:
+            batch = [Interaction("leaf0", "deep", graph.time, 9)]
+            graph.add_batch(batch)
+            algorithm.on_batch(graph.time, batch)
+        before = oracle.calls
+        assert algorithm.query().nodes == ("hub",)
+        spent.append(oracle.calls - before)
+    return spent
 
 
 def hub_graph(repeats=30):
@@ -41,6 +57,14 @@ class TestStaticIndexMethods:
         assert solution.nodes == ("hub",)
         assert solution.value == 6.0  # true reachability value reported
 
+    def test_query_is_rebuilt_but_scored_through_the_memo(self, cls):
+        """From scratch: each query re-samples its index.  Its oracle cost
+        is one scoring call, a memo hit while the seeds' cone is unchanged."""
+        graph = hub_graph()
+        oracle = InfluenceOracle(graph)
+        algo = cls(1, graph, oracle, seed=1, max_rr_sets=2_000)
+        assert calls_per_query(algo, oracle, graph) == [1, 0, 1]
+
     def test_empty_graph(self, cls):
         algo = cls(2, TDNGraph(), seed=1)
         assert algo.query().value == 0.0
@@ -74,6 +98,18 @@ class TestDIMIndex:
         graph.add_batch(batch)
         dim.on_batch(0, batch)
         assert dim.query().nodes == ("hub",)
+
+    def test_query_costs_one_scoring_call(self):
+        """Incremental: the pool is kept between queries, and a query's
+        oracle cost is one scoring call, a memo hit while the seeds' cone
+        is unchanged."""
+        graph = TDNGraph()
+        oracle = InfluenceOracle(graph)
+        dim = DIMIndex(1, graph, oracle, seed=1, beta=8.0, max_sketches=500)
+        batch = hub_graph().alive_interactions()
+        graph.add_batch(batch)
+        dim.on_batch(0, batch)
+        assert calls_per_query(dim, oracle, graph) == [1, 0, 1]
 
     def test_index_tracks_expiry(self):
         # A generous beta keeps the pool large enough that estimation noise

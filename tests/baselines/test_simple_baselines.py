@@ -2,6 +2,7 @@
 
 from repro.baselines.greedy_recompute import GreedyRecompute
 from repro.baselines.random_baseline import RandomBaseline
+from repro.influence.oracle import InfluenceOracle
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
@@ -41,6 +42,22 @@ class TestRandomBaseline:
         random_algo = RandomBaseline(2, graph, seed=7)
         draws = {random_algo.query().nodes for _ in range(10)}
         assert len(draws) > 1
+
+    def test_query_costs_at_most_one_scoring_call(self):
+        """From scratch: every query redraws.  Its oracle cost is one
+        scoring call, a memo hit when the same set was scored and nothing
+        since touched its cone (k = every alive node redraws one set)."""
+        graph = populated_graph()
+        oracle = InfluenceOracle(graph)
+        baseline = RandomBaseline(graph.num_nodes, graph, oracle, seed=3)
+        spent = []
+        for query in range(3):
+            if query == 2:
+                graph.add_interaction(Interaction("leaf0", "deep", 0, 9))
+            before = oracle.calls
+            baseline.query()
+            spent.append(oracle.calls - before)
+        assert spent == [1, 0, 1]
 
     def test_value_is_true_spread(self):
         graph = populated_graph()

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import sieve_adn as sieve_adn_module
 from repro.core.basic_reduction import BasicReduction
 from repro.core.hist_approx import HistApprox
 from repro.core.sieve_adn import SieveADN
@@ -350,6 +351,46 @@ class TestSharedSweep:
                     assert seen[-1] == expected
         finally:
             SieveADN.process_candidates = original
+
+    def test_standalone_sieve_shares_one_sweep_while_pairs_die(self, monkeypatch):
+        """Pairs die in every batch, so the journal's dirty seeds are never
+        just the batch's sources; the csr run still takes every ``V_t-bar``
+        from the memo sync's sweep and never calls ``changed_nodes``, and
+        matches the dict run (which does) in solutions, values and calls."""
+        rng = random.Random(5)
+        events = []
+        for t in range(40):
+            for _ in range(6):
+                u, v = rng.sample(range(12), 2)
+                events.append(Interaction(f"n{u}", f"n{v}", t, rng.randint(1, 3)))
+        sweeps = []
+        real_changed_nodes = sieve_adn_module.changed_nodes
+
+        def counted(*args, **kwargs):
+            sweeps.append(kwargs["backend"])
+            return real_changed_nodes(*args, **kwargs)
+
+        monkeypatch.setattr(sieve_adn_module, "changed_nodes", counted)
+        runs = {}
+        for backend in ("csr", "dict"):
+            graph = TDNGraph()
+            counter = CallCounter()
+            oracle = InfluenceOracle(graph, counter, backend=backend)
+            sieve = SieveADN(3, 0.2, graph, oracle)
+            solutions = []
+            for t, batch in MemoryStream(events, fill_gaps=True):
+                pairs = graph.num_pairs
+                graph.advance_to(t)
+                if t:
+                    assert graph.num_pairs < pairs  # some pair died
+                graph.add_batch(batch)
+                sieve.on_batch(t, batch)
+                solutions.append(sieve.query())
+            runs[backend] = (solutions, counter.total)
+        assert runs["csr"] == runs["dict"]
+        assert runs["csr"][1] > 0
+        assert "csr" not in sweeps
+        assert sweeps.count("dict") == 40
 
 
 @settings(max_examples=40, deadline=None)

@@ -80,9 +80,7 @@ def graph_state(graph):
             step: list(bucket)
             for step, bucket in graph._expiry_buckets.items()  # noqa: SLF001
         },
-        "heap": list(graph._expiry_heap),  # noqa: SLF001
-        "sorted": list(graph._expiry_sorted),  # noqa: SLF001
-        "pending": list(graph._expiry_pending),  # noqa: SLF001
+        "keys": list(graph._expiry_buckets),  # noqa: SLF001 - insertion order
         "journal": list(graph._dirty_log),  # noqa: SLF001
         "cursor": graph.dirty_cursor,
     }

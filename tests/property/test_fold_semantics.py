@@ -30,6 +30,7 @@ import json
 import math
 import os
 import random
+import warnings
 from collections import deque
 
 import numpy as np
@@ -489,3 +490,17 @@ def test_fold_registry_is_closed_and_stable():
         # spec round-trips through its own wire form, lists included
         # (JSON turns tuples into lists).
         assert resolve_fold(list(fold.spec())) == fold
+
+
+def test_time_decay_infinite_in_expiry_at_infinite_horizon_weighs_one():
+    """An infinite-lifetime in-edge queried at an infinite horizon leaves
+    ``inf`` of lifetime: its head weighs exactly 1, never NaN."""
+    graph = TDNGraph()
+    graph.add_interaction(Interaction("a", "b", 0, None))
+    oracle = InfluenceOracle(graph, semantics="time_decay")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = oracle.spread(["a"], min_expiry=math.inf)
+    assert math.isfinite(value)
+    assert value == 2.0
+

@@ -188,12 +188,20 @@ def test_delta_engine_cones_match_the_dict_reference(events, data):
     seeds = data.draw(
         st.lists(st.integers(0, graph.num_interned - 1), min_size=1, max_size=12)
     )
-    expected = {
-        graph.node_id(node)
-        for node in ancestors(graph, [graph.node_of_id(i) for i in seeds])
-    }
+
+    def closure(ids):
+        nodes = [graph.node_of_id(i) for i in ids]
+        return {graph.node_id(node) for node in ancestors(graph, nodes)}
+
+    expected = closure(seeds)
     assert engine.ancestor_ids(seeds) == expected
     assert engine.touched_cone_ids(seeds) == expected
+    # One bit-plane sweep, one plane per set (an empty set included).
+    assert engine.ancestor_closures([seeds[:1], seeds, []]) == [
+        closure(seeds[:1]),
+        expected,
+        set(),
+    ]
 
 
 @settings(max_examples=60, deadline=None)

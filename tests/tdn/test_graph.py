@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
@@ -406,7 +408,8 @@ class TestO1Inventories:
 
 
 class TestExpiryKeyStructures:
-    """The heap drain + sorted overlay behind expiries and range scans."""
+    """The expiry bucket dict, the only index behind expiries and range
+    scans."""
 
     def test_heap_drains_in_order_across_sparse_gaps(self):
         graph = TDNGraph()
@@ -416,7 +419,7 @@ class TestExpiryKeyStructures:
         assert graph.advance_to(20) == 3  # lifetimes 3, 4 and 17
         assert graph.advance_to(100_000) == 2  # lifetimes 900 and 50_000
         assert graph.num_edges == 0
-        assert graph._expiry_heap == []
+        assert graph._expiry_buckets == {}
 
     def test_overlay_merge_prunes_drained_keys(self):
         graph = TDNGraph()
@@ -424,32 +427,32 @@ class TestExpiryKeyStructures:
             graph.add_interaction(Interaction("a", f"b{lifetime}", 0, lifetime))
         assert [e for _, _, e in graph.edges_with_expiry_in(0, 100)] == [2, 5, 9]
         graph.advance_to(5)
-        # New key lands in the pending appendix; the next scan merges it
-        # and never re-yields the drained keys.
+        # The drain popped the due keys; the new key joins the dict and
+        # the next scan never re-yields the drained ones.
         graph.add_interaction(Interaction("a", "c", 5, 2))
         rows = [e for _, _, e in graph.edges_with_expiry_in(0, 100)]
         assert rows == [7, 9]
-        assert graph._expiry_pending == []
-        assert graph._expiry_sorted == [7, 9]
+        assert sorted(graph._expiry_buckets) == [7, 9]
 
     def test_range_scan_after_pure_advance(self):
         graph = TDNGraph()
         graph.add_interaction(Interaction("a", "b", 0, 4))
         graph.add_interaction(Interaction("b", "c", 0, 8))
         graph.advance_to(4)
-        # No insert since the drain: the sorted overlay was prefix-pruned
-        # in advance_to and the scan sees only the surviving key.
+        # No insert since the drain: advance_to popped the due bucket and
+        # the scan sees only the surviving key.
         assert [e for _, _, e in graph.edges_with_expiry_in(0, 100)] == [8]
 
     def test_duplicate_expiry_keys_are_single_heap_entries(self):
         graph = TDNGraph()
         for target in "bcd":
             graph.add_interaction(Interaction("a", target, 0, 6))
-        assert len(graph._expiry_heap) == 1  # one bucket, one key
+        assert list(graph._expiry_buckets) == [6]  # one bucket, one key
         assert graph.advance_to(6) == 3
 
     def test_mass_out_of_order_inserts_match_reference(self, rng):
-        """Fuzz: heap+overlay bookkeeping equals a from-scratch recompute."""
+        """Fuzz: range scans over the bucket dict equal a brute-force
+        filter of it."""
         graph = TDNGraph()
         t = 0
         for step in range(300):
@@ -474,10 +477,9 @@ class TestExpiryKeyStructures:
                     (e, u2, v2) for u2, v2, e in graph.edges_with_expiry_in(lo, hi)
                 )
                 assert got == expected
-        # Full drain leaves every structure empty of finite keys.
+        # Full drain leaves the index empty of finite keys.
         graph.advance_to(t + 1_000)
-        assert graph._expiry_heap == []
-        assert [k for k in graph._expiry_sorted if k <= graph.time] == []
+        assert graph._expiry_buckets == {}
 
     def test_removal_listener_may_scan_ranges_mid_drain(self):
         """The seed guarantee: listeners can call edges_with_expiry_in
@@ -499,3 +501,107 @@ class TestExpiryKeyStructures:
         for rows in seen:
             assert all(e > 10 for e in rows)
         assert [e for _, _, e in graph.edges_with_expiry_in(0, 100)] == [50]
+
+    def test_listener_adding_a_due_edge_mid_drain(self):
+        """An edge a listener adds with an already-due expiry re-creates a
+        drained bucket: the drain loops, and the edge is gone on return.
+        Counters, buckets, journal and tombstones equal a reference that
+        ticks one step at a time, so drains edge by edge."""
+
+        def build():
+            graph = TDNGraph()
+            graph.add_batch(
+                [
+                    Interaction("a", "b", 0, 3),
+                    Interaction("c", "d", 0, 5),
+                    Interaction("c", "e", 0, 5),
+                    Interaction("b", "f", 0, 40),
+                ]
+            )
+            graph.csr()  # count tombstones too
+            added = []
+
+            def listener(u, v, remaining):
+                if (u, v) == ("c", "d") and not added:
+                    # Alive at the pre-drain clock, due at the target.
+                    added.append(Interaction("x", "y", graph.time, 5 - graph.time))
+                    graph.add_batch(added)
+
+            graph.add_removal_listener(listener)
+            return graph, added
+
+        def state(graph):
+            return (
+                graph.num_edges,
+                graph.num_pairs,
+                graph.num_nodes,
+                {key: list(bucket) for key, bucket in graph._expiry_buckets.items()},
+                list(graph._dirty_log),
+                graph._delta.tombstones,
+            )
+
+        jumped, added = build()
+        assert jumped.advance_to(10) == 4
+        assert added and jumped.has_node("x") is False
+        assert jumped.interaction_count("x", "y") == 0
+        ticked, _ = build()
+        while ticked.time < 10:
+            ticked.tick()
+        assert state(jumped) == state(ticked)
+        assert state(jumped)[:3] == (1, 1, 2)
+
+
+#: One ingest step for the range-scan property: the clock gap before it
+#: (sparse: mostly small, sometimes huge) and its ``(u, v, lifetime)`` rows.
+SCAN_STEPS = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 3), st.integers(1_000, 10**9)),
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.integers(0, 5),
+                st.one_of(st.none(), st.integers(1, 8), st.integers(1, 10**10)),
+            ),
+            max_size=6,
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+#: Range bounds relative to the clock: near the dense short-lived keys
+#: (so the probe path runs, at fractional ends), or far past them.
+NEAR, FAR = st.floats(-2.0, 12.0), st.floats(-2.0, 2e10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    steps=SCAN_STEPS,
+    lo_offset=st.one_of(NEAR, FAR),
+    span=st.one_of(st.just(math.inf), NEAR, FAR),
+)
+# Keys 3, 4 and 5 probed over [3.5, 5.5): both ends fractional.
+@example(steps=[(0, [(0, 1, 3), (1, 2, 4), (2, 3, 5)])], lo_offset=3.5, span=2.0)
+def test_edges_with_expiry_in_matches_brute_force(steps, lo_offset, span):
+    """Range scans over the bucket dict equal a filter of every edge ever
+    added, at float bounds, an infinite ``hi`` and across sparse jumps."""
+    graph = TDNGraph()
+    added = []
+    t = 0
+    for gap, rows in steps:
+        t += gap
+        graph.advance_to(t)
+        batch = [Interaction(u, v, t, lifetime) for u, v, lifetime in rows if u != v]
+        graph.add_batch(batch)
+        added.extend(batch)
+        lo = t + lo_offset
+        hi = lo + span
+        expected = sorted(
+            (e.expiry, e.source, e.target)
+            for e in added
+            if e.expiry > t and e.expiry != math.inf and lo <= e.expiry < hi
+        )
+        got = [(expiry, u, v) for u, v, expiry in graph.edges_with_expiry_in(lo, hi)]
+        assert [row[0] for row in got] == sorted(row[0] for row in got)
+        assert sorted(got) == expected
+
