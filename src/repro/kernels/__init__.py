@@ -3,9 +3,9 @@
 One implementation of the time-decayed frontier sweep — forward level
 expansion, the 64-wide uint64 bit-plane multi-source sweep (counted,
 weighted, and level-histogrammed), and the transpose helper behind
-reverse (ancestor) sweeps — that :class:`~repro.tdn.csr.CSRSnapshot`
-and :class:`~repro.tdn.csr.DeltaCSR` adapt over and the sharded
-executor's threads sweep clones of.  See :mod:`repro.kernels.
+reverse (ancestor) sweeps — that :class:`~repro.tdn.csr.DeltaCSR`, the
+one CSR query engine, adapts over and the sharded executor's threads
+sweep clones of.  See :mod:`repro.kernels.
 traversal` for the physics and :mod:`repro.kernels.folds` for the
 pluggable accumulation semantics layered on top of it.
 """

@@ -5,9 +5,9 @@ changed-node set via reverse reachability, and weighted spread for
 ROI-style workloads — reduces to the same time-decayed frontier sweep
 over expiry-annotated CSR arrays.  Before this module the repo carried
 hand-synced copies of that sweep, one per engine; :class:`TraversalKernel`
-is the single shared implementation ``CSRSnapshot`` and ``DeltaCSR`` now
-adapt over, and the sharded executor's threads sweep clones of the same
-kernels, so sharded and serial physics *cannot* drift.
+is the single shared implementation: ``DeltaCSR``, the one query
+engine, adapts over it, and the sharded executor's threads sweep clones
+of the same kernels, so sharded and serial physics *cannot* drift.
 
 A kernel instance is one *direction* of traversal, parameterized by
 
@@ -214,14 +214,20 @@ def dense_weight_sum(weights: np.ndarray, reached: Iterable[int]) -> float:
 def build_transpose(
     indptr: np.ndarray, indices: np.ndarray, expiries: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The reverse CSR triple of a forward one (stable per-target order)."""
+    """The reverse CSR triple of a forward one, rows sorted by source.
+
+    One argsort of the combined ``target * n + source`` key orders the
+    slots by (target, source).  For rows of unique (source, target) pairs
+    — every engine base — that is the stable per-target order of the
+    forward slots, at a fraction of a stable sort's cost.
+    """
     num_nodes = int(indptr.shape[0]) - 1
     if indices.shape[0]:
-        order = np.argsort(indices, kind="stable")
         counts = np.bincount(indices, minlength=num_nodes)
         sources = np.repeat(
             np.arange(num_nodes, dtype=np.int64), np.diff(indptr)
         )
+        order = np.argsort(indices * num_nodes + sources)
         tindices = sources[order]
         texpiries = expiries[order]
     else:
@@ -601,8 +607,7 @@ class TraversalKernel:
     def reach_scalar(
         self, seed_ids: Iterable[int], eff: Optional[float]
     ) -> Set[int]:
-        """Plain-Python traversal (small-graph path; forced by tests and
-        the calibration probe)."""
+        """Plain-Python traversal: the path at or below the cutover."""
         adjacency = self._scalar_view()
         listed = len(adjacency)
         num_nodes = self.num_nodes
@@ -707,7 +712,7 @@ class TraversalKernel:
     def reach_vector(
         self, seed_ids: Iterable[int], eff: Optional[float]
     ) -> Set[int]:
-        """Vectorized frontier traversal (forced by the calibration probe)."""
+        """Vectorized frontier traversal: the path above the cutover."""
         frontier = self._seed_frontier(seed_ids)
         if frontier is None:
             return set()

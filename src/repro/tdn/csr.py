@@ -1,9 +1,9 @@
-"""Compact CSR engines for a :class:`~repro.tdn.graph.TDNGraph`.
+"""The compact CSR engine for a :class:`~repro.tdn.graph.TDNGraph`.
 
 The influence oracle's cost model bottoms out in directed reachability, and
 the reference implementation walks the graph's dict-of-dict adjacency one
-Python object at a time.  This module holds the compact engines behind the
-oracle's ``backend="csr"`` mode.
+Python object at a time.  This module holds the compact engine behind the
+oracle's ``backend="csr"`` mode and the flat arrays it queries.
 
 Two layers
 ----------
@@ -14,15 +14,17 @@ flattened into three numpy arrays —
 * ``indices``: successor ids, rows sorted by (source, target) id,
 * ``expiries``: the per-pair *maximum* alive expiry,
 
-indexed by the graph's dense interned node ids.  Horizon filtering stays
-O(1) per neighbor exactly as in the dict substrate (compare a pair's max
-expiry against ``min_expiry``), but the BFS frontier expansion becomes a
+indexed by the graph's dense interned node ids.  It holds arrays only;
+:class:`DeltaCSR` queries them.  Horizon filtering stays O(1) per
+neighbor exactly as in the dict substrate (compare a pair's max expiry
+against ``min_expiry``), but the BFS frontier expansion becomes a
 handful of vectorized gathers per level instead of per-edge Python dict
 probes.
 
-:class:`DeltaCSR` is the *incrementally maintained* engine the graph
-actually serves queries from (:meth:`TDNGraph.csr`).  Instead of rebuilding
-a snapshot on every graph version (O(V + P) per batch), it keeps
+:class:`DeltaCSR` is the one query engine, the *incrementally maintained*
+engine the graph serves queries from (:meth:`TDNGraph.csr`).  Instead of
+rebuilding a snapshot on every graph version (O(V + P) per batch), it
+keeps
 
 * an immutable :class:`CSRSnapshot` **base**,
 * one append-only **arrival log** (:class:`~repro.kernels.ArrivalLog`):
@@ -46,28 +48,34 @@ crosses :attr:`DeltaCSR.COMPACT_FRACTION` of the base, the engine compacts
 into a fresh base — so a stream of B-edge batches pays amortized O(B),
 not O(V + P), per step.  After the first base, compactions merge the old
 base's arrays with the log's columns in whole-array numpy passes instead
-of walking the graph.
+of walking the graph.  A ``DeltaCSR`` built fresh on a graph has an
+empty log and a base from :meth:`CSRSnapshot.build`: that is the
+from-scratch comparator the tests query.
 
 Traversals
 ----------
-Neither engine carries a frontier or bit-plane loop of its own any more:
-every sweep — forward reachability, the transpose-backed reverse
-(ancestor) sweep behind ``changed_nodes``, the 64-wide bit-plane
-``spread_counts``, and the weighted bit-plane ``weighted_spread_sums`` —
-routes through the shared :class:`repro.kernels.TraversalKernel`.
-:class:`CSRSnapshot` adapts one forward kernel over its arrays;
-:class:`DeltaCSR` adapts one kernel per direction, handing it the arrival
-log read in that direction (:class:`repro.kernels.LogOverlay`) and
-resolving the ``t + 1`` horizon clamp before every call.  The sharded
-executor's threads sweep private clones of the *same* kernels
+The engine carries no frontier or bit-plane loop of its own: every
+sweep — forward reachability, the transpose-backed reverse (ancestor)
+sweep behind ``changed_nodes``, the 64-wide bit-plane ``spread_counts``,
+and the weighted bit-plane ``weighted_spread_sums`` — routes through the
+shared :class:`repro.kernels.TraversalKernel`.  :class:`DeltaCSR` adapts
+one kernel per direction, handing it the arrival log read in that
+direction (:class:`repro.kernels.LogOverlay`) and resolving the
+``t + 1`` horizon clamp before every call.  The sharded executor's
+threads sweep private clones of the *same* kernels
 (:meth:`DeltaCSR.kernel_clone`), which is what makes its bit-for-bit
 guarantee structural rather than a hand-synced convention.
+
+Each engine resolves its kernel backend and its scalar/vector cutover
+once, in its constructor (:func:`resolve_scalar_pair_limit`).  The
+cutover is fixed: :data:`DEFAULT_SCALAR_PAIR_LIMIT` unless a constructor
+argument or ``REPRO_SCALAR_PAIR_LIMIT`` sets it, and 0 under the native
+backend.  Both paths are result-identical, so it only ever moves time.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from typing import (
     Callable,
     Dict,
@@ -82,6 +90,7 @@ from typing import (
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.kernels import (
     PLANE_WIDTH,
     ArrivalLog,
@@ -93,84 +102,16 @@ from repro.kernels import (
     resolve_backend,
     resolve_fold,
 )
-from repro.utils.rng import make_np_rng
 
-__all__ = ["CSRSnapshot", "DeltaCSR", "calibrate_scalar_pair_limit"]
+__all__ = ["CSRSnapshot", "DeltaCSR", "resolve_scalar_pair_limit"]
 
 #: Environment override for the scalar/vector traversal cutover.
 SCALAR_LIMIT_ENV = "REPRO_SCALAR_PAIR_LIMIT"
 
-#: Fallback cutover when calibration is unavailable or implausible —
-#: the historical fixed constant, measured on commodity x86.
+#: The python backend's scalar/vector cutover, in alive pairs.  Fixed,
+#: so no timing ever picks a run's path; ARCHITECTURE.md records the
+#: measured crossover (``benchmarks/cutover_crossover.py``).
 DEFAULT_SCALAR_PAIR_LIMIT = 2048
-
-#: Calibration probe sizes (alive pairs) and clamp bounds.
-_PROBE_SIZES = (256, 1024, 4096, 16384)
-_LIMIT_BOUNDS = (128, 65536)
-
-#: Process-wide cache of the measured cutover (calibrate once, reuse).
-_calibrated_limit: Optional[int] = None
-
-
-def _probe_arrays(num_pairs: int) -> tuple:
-    """Deterministic synthetic CSR arrays for the calibration probe.
-
-    A random-ish sparse digraph (mean out-degree 4) whose BFS runs a
-    handful of levels — the same shape the oracle's spread sweeps see —
-    built directly in array form so the probe never touches a graph.
-    """
-    num_nodes = max(num_pairs // 4, 8)
-    rng = make_np_rng(12345)
-    targets = rng.integers(0, num_nodes, size=num_pairs)
-    counts = np.bincount(
-        rng.integers(0, num_nodes, size=num_pairs), minlength=num_nodes
-    )
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    expiries = np.full(num_pairs, np.inf, dtype=np.float64)
-    return num_nodes, indptr, targets.astype(np.int64), expiries
-
-
-def calibrate_scalar_pair_limit(force: bool = False) -> int:
-    """Measure where vectorized traversal starts beating the scalar loop.
-
-    Runs once per process (cached; ``force=True`` re-measures): for
-    increasing probe sizes, a full-reach sweep is timed on both of the
-    kernel's paths over identical arrays, and the cutover is placed at
-    the midpoint below the first size the vector path wins.  The result
-    is clamped to a plausible band and falls back to the historical 2048
-    constant if the probe misbehaves — both paths are result-identical,
-    so a miscalibrated cutover can only ever cost time, never change a
-    value.
-    """
-    global _calibrated_limit
-    if _calibrated_limit is not None and not force:
-        return _calibrated_limit
-
-    def best_of(runs, func):
-        best = float("inf")
-        for _ in range(runs):
-            started = time.perf_counter()
-            func()
-            best = min(best, time.perf_counter() - started)
-        return best
-
-    limit = _LIMIT_BOUNDS[1]
-    try:
-        for num_pairs in _PROBE_SIZES:
-            num_nodes, indptr, indices, expiries = _probe_arrays(num_pairs)
-            probe = TraversalKernel(indptr, indices, expiries)
-            seeds = list(range(min(4, num_nodes)))
-            scalar_s = best_of(3, lambda: probe.reach_scalar(seeds, None))
-            vector_s = best_of(3, lambda: probe.reach_vector(seeds, None))
-            if vector_s <= scalar_s:
-                limit = max(num_pairs // 2, _PROBE_SIZES[0] // 2)
-                break
-    except Exception:  # pragma: no cover - probe must never break queries
-        limit = DEFAULT_SCALAR_PAIR_LIMIT
-    lo, hi = _LIMIT_BOUNDS
-    _calibrated_limit = min(max(limit, lo), hi)
-    return _calibrated_limit
 
 
 def resolve_scalar_pair_limit(
@@ -183,25 +124,29 @@ def resolve_scalar_pair_limit(
     descending precedence:
 
     1. a per-engine constructor ``override``;
-    2. the ``REPRO_SCALAR_PAIR_LIMIT`` environment variable;
-    3. per resolved kernel ``backend``: under ``"native"`` the cutover is
-       pinned to 0 (always vectorized — the calibration probe measures
-       interpreted loops against numpy dispatch, a crossover the compiled
-       fixpoints don't have, and the scalar path would *leave* the jit);
-       under ``"python"`` the measured per-process calibration
-       (:func:`calibrate_scalar_pair_limit`) applies.
+    2. the ``REPRO_SCALAR_PAIR_LIMIT`` environment variable, a
+       non-negative integer (anything else raises :class:`ConfigError`);
+    3. per resolved kernel ``backend``: 0 under ``"native"`` (always
+       vectorized — the compiled fixpoints have no interpreter overhead
+       to amortize, and the scalar path would *leave* the jit), else
+       :data:`DEFAULT_SCALAR_PAIR_LIMIT`.
     """
     if override is not None:
         return override
-    env = os.environ.get(SCALAR_LIMIT_ENV)
-    if env is not None:
+    raw = os.environ.get(SCALAR_LIMIT_ENV)
+    if raw is not None:
         try:
-            return max(0, int(env))
+            limit: Optional[int] = int(raw)
         except ValueError:
-            pass
+            limit = None
+        if limit is None or limit < 0:
+            raise ConfigError(
+                f"{SCALAR_LIMIT_ENV} must be a non-negative integer, got {raw!r}"
+            )
+        return limit
     if backend == "native":
         return 0
-    return calibrate_scalar_pair_limit()
+    return DEFAULT_SCALAR_PAIR_LIMIT
 
 
 def _row_indptr(src: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -217,10 +162,9 @@ class CSRSnapshot:
     Build with :meth:`build`.  All arrays are indexed by the graph's
     interned node ids, including ids whose node has no alive edges (their
     adjacency slice is simply empty), so id-keyed callers never need to
-    translate between id spaces across versions.  In production the
-    snapshot is the *base layer* of :class:`DeltaCSR`; standalone use
-    (tests, offline analysis) queries it directly, as a thin adapter over
-    one forward :class:`~repro.kernels.TraversalKernel`.
+    translate between id spaces across versions.  The snapshot is the
+    *base layer* of :class:`DeltaCSR`, which owns every query; a fresh
+    ``DeltaCSR(graph)`` queries a just-built snapshot with an empty log.
     """
 
     __slots__ = (
@@ -230,9 +174,6 @@ class CSRSnapshot:
         "indices",
         "expiries",
         "version",
-        "scalar_pair_limit",
-        "backend",
-        "_kernel",
     )
 
     def __init__(
@@ -242,8 +183,6 @@ class CSRSnapshot:
         indices: np.ndarray,
         expiries: np.ndarray,
         version: int,
-        scalar_pair_limit: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.num_nodes = num_nodes
         self.num_pairs = int(indices.shape[0])
@@ -251,36 +190,10 @@ class CSRSnapshot:
         self.indices = indices
         self.expiries = expiries
         self.version = version
-        # The backend is resolved before the cutover because the cutover
-        # depends on it: the calibrated scalar/vector crossover measured
-        # for the python loops is wrong for jitted loops, so "native" pins
-        # the kernel to the vectorized entry.
-        self.backend = resolve_backend(backend)
-        #: Below or at this many alive pairs, traversal walks plain Python
-        #: adjacency lists (per-level numpy dispatch dominates on tiny
-        #: graphs); above it the frontier expansion is vectorized.
-        #: Resolved once, here (:func:`resolve_scalar_pair_limit`).
-        self.scalar_pair_limit = resolve_scalar_pair_limit(
-            scalar_pair_limit, self.backend
-        )
-        self._kernel = TraversalKernel(
-            indptr,
-            indices,
-            expiries,
-            num_nodes=num_nodes,
-            entry_count=self.num_pairs,
-            scalar_limit=self.scalar_pair_limit,
-            backend=self.backend,
-        )
 
     # ------------------------------------------------------------------
     @classmethod
-    def build(
-        cls,
-        graph,
-        scalar_pair_limit: Optional[int] = None,
-        backend: Optional[str] = None,
-    ) -> "CSRSnapshot":
+    def build(cls, graph) -> "CSRSnapshot":
         """Flatten ``graph``'s alive pair adjacency into CSR arrays.
 
         Cost is O(V + P log P) for P alive pairs: one ``lexsort`` orders
@@ -288,10 +201,7 @@ class CSRSnapshot:
         :class:`DeltaCSR`'s array-merge compaction also produces, so both
         build paths agree array for array.  The per-pair max expiry is
         read off the graph's cached :class:`_PairEdges` maxima, so no
-        multiset is ever re-scanned.  The scalar/vector cutover is
-        resolved at construction — i.e. the calibration probe, if it has
-        not run yet in this process, runs at snapshot build, never inside
-        a query.
+        multiset is ever re-scanned.
         """
         num_nodes = graph.num_interned
         node_ids = graph._node_ids
@@ -316,63 +226,7 @@ class CSRSnapshot:
             dst[order],
             np.asarray(expiries, dtype=np.float64)[order],
             graph.version,
-            scalar_pair_limit=scalar_pair_limit,
-            backend=backend,
         )
-
-    # ------------------------------------------------------------------
-    def reachable_count(
-        self, source_ids: Iterable[int], min_expiry: Optional[float] = None
-    ) -> int:
-        """Number of distinct nodes reachable from ``source_ids``.
-
-        Sources count themselves (reachability via the empty path), exactly
-        matching :func:`repro.influence.reachability.reachable_set`.  With
-        ``min_expiry`` only pairs whose max expiry clears the horizon are
-        traversed.
-        """
-        return self._kernel.reachable_count(source_ids, min_expiry)
-
-    def reachable_ids(
-        self, source_ids: Iterable[int], min_expiry: Optional[float] = None
-    ) -> Set[int]:
-        """The reachable id set itself (tests and offline analysis)."""
-        return self._kernel.reachable_ids(source_ids, min_expiry)
-
-    def fold_node_values(
-        self, fold: Fold, min_expiry: Optional[float] = None
-    ) -> np.ndarray:
-        """Dense node values a derived fold scores reached nodes with.
-
-        For :class:`~repro.kernels.folds.TimeDecayFold` this is the
-        per-node max alive in-expiry squashed through the decay curve;
-        derived fresh per ``(arrays, horizon)`` so the values always
-        describe the adjacency the sweep itself traverses.
-        """
-        max_in = max_in_expiries(
-            self.indices, self.expiries, self.num_nodes, min_expiry
-        )
-        return fold.values_from_max_in(max_in, min_expiry)
-
-    def fold_spread_sums(
-        self,
-        id_sets: Sequence[Sequence[int]],
-        min_expiry: Optional[float],
-        fold: Fold,
-        weights: Optional[np.ndarray] = None,
-    ) -> List[float]:
-        """Per-set scores under an arbitrary registered fold semantics.
-
-        ``count`` routes through the byte-identical popcount path,
-        ``weighted_sum`` expects caller-supplied ``weights``, and derived
-        folds (``time_decay``) compute their node values from this
-        snapshot's own arrays — see :mod:`repro.kernels.folds`.
-        """
-        fold = resolve_fold(fold)
-        node_values = weights
-        if fold.derives_node_values:
-            node_values = self.fold_node_values(fold, min_expiry)
-        return fold.batch(self._kernel, id_sets, min_expiry, node_values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -449,6 +303,7 @@ class DeltaCSR:
         backend: Optional[str] = None,
     ) -> None:
         self._graph = graph
+        # The backend resolves first: the cutover depends on it.
         self.backend = resolve_backend(backend)
         self.scalar_pair_limit = resolve_scalar_pair_limit(
             scalar_pair_limit, self.backend
@@ -550,11 +405,7 @@ class DeltaCSR:
         if self.compactions:
             self._base = self._merged_base()
         else:
-            self._base = CSRSnapshot.build(
-                graph,
-                scalar_pair_limit=self.scalar_pair_limit,
-                backend=self.backend,
-            )
+            self._base = CSRSnapshot.build(graph)
         self._tindptr = None
         self._tindices = None
         self._texpiries = None
@@ -610,8 +461,6 @@ class DeltaCSR:
             dst,
             exp,
             graph.version,
-            scalar_pair_limit=self.scalar_pair_limit,
-            backend=self.backend,
         )
 
     def _effective_horizon(self, min_expiry: Optional[float]) -> float:
@@ -816,9 +665,9 @@ class DeltaCSR:
         The base arrays may carry stale entries for updated pairs, but
         every refresh also lives in the arrival log and ``max`` is
         associative — so layering the log's maxima over the stale base
-        lands on exactly the values a fresh :class:`CSRSnapshot` of the
-        current graph would derive, which is what keeps delta-served and
-        snapshot-served (and therefore sharded) fold scores bit-identical.
+        lands on exactly the values an engine freshly built on the
+        current graph would derive, which is what keeps fold scores
+        bit-identical across compactions and sharded sweeps.
         """
         eff = self._effective_horizon(min_expiry)
         base = self._base
@@ -837,10 +686,12 @@ class DeltaCSR:
     ) -> List[float]:
         """Per-set scores under an arbitrary registered fold semantics.
 
-        The delta twin of :meth:`CSRSnapshot.fold_spread_sums`: the
-        ``t + 1`` horizon clamp is resolved here, derived node values
-        fold the arrival log in, and the sweep itself runs through the
-        shared kernel with the log read as usual.
+        ``count`` routes through the byte-identical popcount path and
+        ``weighted_sum`` expects caller-supplied ``weights`` (see
+        :mod:`repro.kernels.folds`).  The ``t + 1`` horizon clamp is
+        resolved here, derived node values (``time_decay``) fold the
+        arrival log in, and the sweep itself runs through the shared
+        kernel with the log read as usual.
         """
         fold = resolve_fold(fold)
         eff = self._effective_horizon(min_expiry)

@@ -21,7 +21,7 @@ from repro.kernels import (
 )
 from repro.obs import names as metric_names
 from repro.obs.registry import metrics_registry
-from repro.tdn.csr import CSRSnapshot, DeltaCSR
+from repro.tdn.csr import DeltaCSR
 from tests.property.test_kernel_unification import build_stream_graph
 
 
@@ -115,15 +115,15 @@ def test_degraded_engines_serve_identical_results(monkeypatch):
     reference = graph.csr()
     with pytest.warns(RuntimeWarning):
         degraded_delta = DeltaCSR(graph, backend="native")
-    degraded_snapshot = CSRSnapshot.build(graph, backend="native")
+    degraded_fresh = DeltaCSR(graph, backend="native")
     ids = list(range(graph.num_interned))
     id_sets = [ids[i : i + 3] for i in range(0, len(ids), 3)]
     assert degraded_delta.backend == "python"
-    assert degraded_snapshot.backend == "python"
+    assert degraded_fresh.backend == "python"
     assert degraded_delta.spread_counts(id_sets) == reference.spread_counts(
         id_sets
     )
-    assert degraded_snapshot.reachable_ids(ids[:4]) == reference.reachable_ids(
+    assert degraded_fresh.reachable_ids(ids[:4]) == reference.reachable_ids(
         ids[:4]
     )
 

@@ -10,6 +10,8 @@ helper.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kernels import (
     PLANE_WIDTH,
@@ -271,6 +273,46 @@ class TestTransposeAndCapacity:
             for slot in range(tindptr[v], tindptr[v + 1]):
                 backward.add((int(tindices[slot]), v, float(texpiries[slot])))
         assert forward == backward
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        num_nodes=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_build_transpose_matches_stable_target_sort(self, num_nodes, data):
+        """On unique (source, target) rows, the combined-key sort gives
+        the arrays a stable argsort of the targets gives."""
+        pairs = sorted(
+            data.draw(
+                st.sets(
+                    st.tuples(
+                        st.integers(0, num_nodes - 1), st.integers(0, num_nodes - 1)
+                    ),
+                    max_size=120,
+                )
+            )
+        )
+        sources = np.asarray([u for u, _ in pairs], dtype=np.int64)
+        indices = np.asarray([v for _, v in pairs], dtype=np.int64)
+        expiries = np.asarray(
+            data.draw(
+                st.lists(
+                    st.floats(1.0, 50.0), min_size=len(pairs), max_size=len(pairs)
+                )
+            ),
+            dtype=np.float64,
+        )
+        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=num_nodes), out=indptr[1:])
+
+        tindptr, tindices, texpiries = build_transpose(indptr, indices, expiries)
+
+        order = np.argsort(indices, kind="stable")
+        counts = np.bincount(indices, minlength=num_nodes)
+        np.testing.assert_array_equal(tindptr[1:], np.cumsum(counts))
+        assert tindptr[0] == 0
+        np.testing.assert_array_equal(tindices, sources[order])
+        np.testing.assert_array_equal(texpiries, expiries[order])
 
     def test_build_transpose_empty(self):
         tindptr, tindices, texpiries = build_transpose(

@@ -33,7 +33,7 @@ from repro.influence.reachability import (
     reachable_set,
 )
 from repro.kernels import TimeDecayFold, dense_weight_sum
-from repro.tdn.csr import SCALAR_LIMIT_ENV, CSRSnapshot, DeltaCSR
+from repro.tdn.csr import SCALAR_LIMIT_ENV, DeltaCSR
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
@@ -219,6 +219,7 @@ def test_sweeps_over_a_live_log_match_the_dict_reference(
         [1.0 + (i % 7) * 0.25 for i in range(graph.num_interned)], dtype=np.float64
     )
     forward = engine.kernel_clone(False)
+    fresh = DeltaCSR(graph)  # empty log: the from-scratch comparator
     fold = TimeDecayFold(lam=0.25)
     for horizon in (None, floor, floor + 1, floor + 3, floor + 6, math.inf):
         eff = floor if horizon is None else max(horizon, floor)
@@ -238,7 +239,7 @@ def test_sweeps_over_a_live_log_match_the_dict_reference(
         if eff != math.inf:  # the decay curve needs a finite horizon
             np.testing.assert_array_equal(
                 engine.fold_node_values(fold, horizon),
-                CSRSnapshot.build(graph).fold_node_values(fold, eff),
+                fresh.fold_node_values(fold, horizon),
             )
         for ids in id_sets:
             assert engine.ancestor_ids(ids, horizon) == ids_of(

@@ -3,8 +3,8 @@
 Hypothesis drives random time-decayed streams through every registered
 fold (``count``, ``weighted_sum``, ``hop_discount``, ``time_decay``) on
 every engine — the live :class:`~repro.tdn.csr.DeltaCSR` overlay, a
-from-scratch :class:`~repro.tdn.csr.CSRSnapshot`, and the sharded
-executor's thread shards —
+fresh ``DeltaCSR`` built on the same graph (empty log, from-scratch
+base), and the sharded executor's thread shards —
 and pins each against an *independent* dict-BFS reference that never
 touches the bit-plane machinery: a plain level-by-level walk over
 ``graph.out_neighbors`` folded per :meth:`~repro.kernels.folds.Fold.
@@ -17,7 +17,7 @@ share one canonical accumulation order (:func:`~repro.kernels.folds.
 hop_discount_sum`, :func:`~repro.kernels.dense_weight_sum`).
 ``time_decay``'s reference computes its per-node terms in pure Python
 ``math.exp``, so it pins the engines to within float-ulp tolerance —
-while the engines themselves (delta vs snapshot vs sharded)
+while the engines themselves (live vs fresh vs sharded)
 must still agree *bit for bit*, which is the production guarantee.
 
 Also pinned here: per-semantics memo isolation (two parameterizations
@@ -51,7 +51,7 @@ from repro.kernels.folds import (
 from repro.kernels.traversal import TraversalKernel, build_transpose
 from repro.parallel.executor import ShardedOracleExecutor
 from repro.persistence import oracle_from_dict, oracle_to_dict
-from repro.tdn.csr import SCALAR_LIMIT_ENV, CSRSnapshot, DeltaCSR
+from repro.tdn.csr import SCALAR_LIMIT_ENV, DeltaCSR
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
@@ -168,7 +168,7 @@ def test_every_fold_agrees_on_every_engine_and_the_dict_reference(
 ):
     graph = build_stream_graph(seed, num_nodes, num_events)
     delta = graph.csr()
-    snapshot = CSRSnapshot.build(graph)
+    fresh = DeltaCSR(graph)
     ids = list(range(graph.num_interned))
     if not ids:
         return
@@ -198,7 +198,7 @@ def test_every_fold_agrees_on_every_engine_and_the_dict_reference(
         for fold in all_folds():
             kwargs = {"weights": weights} if fold.needs_weights else {}
             via_delta = delta.fold_spread_sums(id_sets, horizon, fold, **kwargs)
-            via_snapshot = snapshot.fold_spread_sums(id_sets, eff, fold, **kwargs)
+            via_fresh = fresh.fold_spread_sums(id_sets, horizon, fold, **kwargs)
             via_shards = (
                 shards.weighted_spread_sums(graph, id_sets, horizon, weights=weights)
                 if fold.needs_weights
@@ -206,7 +206,7 @@ def test_every_fold_agrees_on_every_engine_and_the_dict_reference(
             )
 
             # Production guarantee: the three engines are bit-identical.
-            assert via_delta == via_snapshot == via_shards
+            assert via_delta == via_fresh == via_shards
 
             expected = [
                 reference_score(
@@ -263,7 +263,8 @@ def test_populated_overlay_on_the_vector_path_matches_snapshot_and_reference(
     delta = graph.csr()  # default trigger again: no compaction here
     assert delta.scalar_pair_limit == 0
     assume(delta.overlay_entries > 0)
-    snapshot = CSRSnapshot.build(graph)
+    fresh = DeltaCSR(graph)  # empty log: queries its base alone
+    snapshot = fresh.base
     ids = list(range(graph.num_interned))
     t = graph.time
     horizon = None if horizon_offset is None else float(t + horizon_offset)
@@ -288,7 +289,7 @@ def test_populated_overlay_on_the_vector_path_matches_snapshot_and_reference(
         for fold in all_folds():
             node_values = weights if fold.needs_weights else None
             if fold.derives_node_values:
-                node_values = snapshot.fold_node_values(fold, eff)
+                node_values = fresh.fold_node_values(fold, horizon)
                 assert np.array_equal(
                     delta.fold_node_values(fold, horizon), node_values
                 )

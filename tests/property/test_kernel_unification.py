@@ -2,9 +2,10 @@
 
 Hypothesis drives random time-decayed streams through every traversal
 call path — the live :class:`~repro.tdn.csr.DeltaCSR` engine (overlay +
-tombstones), a from-scratch :class:`~repro.tdn.csr.CSRSnapshot` over the
-same flat arrays, and the sharded executor's thread shards, which sweep
-kernel clones of the delta engine — and asserts identical spreads,
+tombstones), a fresh ``DeltaCSR`` built on the same graph (empty log,
+base from :meth:`~repro.tdn.csr.CSRSnapshot.build`), and the sharded
+executor's thread shards, which sweep kernel clones of the live engine
+— and asserts identical spreads,
 reachable/ancestor sets and *bit-identical* weighted sums, against each
 other and against the reference dict BFS.  All of them are thin adapters
 over one :class:`repro.kernels.TraversalKernel`, so this suite is the
@@ -35,7 +36,7 @@ from repro.kernels import (
     seed_range_error,
 )
 from repro.parallel.executor import ShardedOracleExecutor
-from repro.tdn.csr import CSRSnapshot, DeltaCSR
+from repro.tdn.csr import DeltaCSR
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
@@ -97,9 +98,7 @@ def test_all_engines_agree_on_every_sweep(
         delta = DeltaCSR(
             graph, scalar_pair_limit=scalar_limit, backend=backend
         )
-    snapshot = CSRSnapshot.build(
-        graph, scalar_pair_limit=scalar_limit, backend=backend
-    )
+    fresh = DeltaCSR(graph, scalar_pair_limit=scalar_limit, backend=backend)
     ids = list(range(graph.num_interned))
     if not ids:
         return
@@ -107,11 +106,6 @@ def test_all_engines_agree_on_every_sweep(
     with thread_shards() as shards:
         t = graph.time
         horizon = None if horizon_offset is None else float(t + horizon_offset)
-        # The delta engine clamps lazily-tombstoned entries away at t + 1; the
-        # snapshot sees only alive pairs, so the same clamp resolved
-        # caller-side makes both answer the identical question (the executor
-        # resolves it itself, like the delta engine).
-        eff = max(float(t + 1), horizon) if horizon is not None else float(t + 1)
 
         seeds = data.draw(
             st.lists(st.sampled_from(ids), min_size=1, max_size=5, unique=True)
@@ -121,10 +115,10 @@ def test_all_engines_agree_on_every_sweep(
         # Forward reachability: every engine == the dict reference.
         expected = {graph.node_id(n) for n in reachable_set(graph, seed_nodes, horizon)}
         assert delta.reachable_ids(seeds, horizon) == expected
-        assert snapshot.reachable_ids(seeds, eff) == expected
+        assert fresh.reachable_ids(seeds, horizon) == expected
         assert shards.reachable_ids_many(graph, [seeds], horizon) == [expected]
         assert delta.reachable_count(seeds, horizon) == len(expected)
-        assert snapshot.reachable_count(seeds, eff) == len(expected)
+        assert fresh.reachable_count(seeds, horizon) == len(expected)
 
         # Reverse (ancestor) sweeps: delta's overlay-aware transpose == its
         # sharded clones == the dict reference walk.
@@ -167,7 +161,7 @@ def test_all_engines_agree_on_every_sweep(
             fold_weights = weights if fold.needs_weights else None
             expected_fold = delta.fold_spread_sums(id_sets, horizon, fold, fold_weights)
             assert (
-                snapshot.fold_spread_sums(id_sets, eff, fold, fold_weights)
+                fresh.fold_spread_sums(id_sets, horizon, fold, fold_weights)
                 == expected_fold
             )
             if not fold.needs_weights:
@@ -189,7 +183,7 @@ def test_every_engine_rejects_bad_seeds_identically(
         monkeypatch.setenv("REPRO_SCALAR_PAIR_LIMIT", "0")
     graph = build_stream_graph(7, 12, 60)
     delta = graph.csr()
-    snapshot = CSRSnapshot.build(graph)
+    fresh = DeltaCSR(graph)
     # What each shard thread runs: a clone per direction, at the
     # executor's resolved horizon.
     forward, reverse = delta.kernel_clone(), delta.kernel_clone(reverse=True)
@@ -209,8 +203,8 @@ def test_every_engine_rejects_bad_seeds_identically(
         lambda: delta.ancestor_ids([bad_seed]),
         lambda: delta.spread_counts([[0], [bad_seed]]),
         lambda: delta.weighted_spread_sums([[bad_seed]], None, weights),
-        lambda: snapshot.reachable_ids([bad_seed]),
-        lambda: snapshot.reachable_count([bad_seed]),
+        lambda: fresh.reachable_ids([bad_seed]),
+        lambda: fresh.reachable_count([bad_seed]),
         lambda: forward.reachable_ids([bad_seed], eff),
         lambda: reverse.reachable_ids([bad_seed], eff),
         lambda: forward.spread_counts([[bad_seed]], eff),

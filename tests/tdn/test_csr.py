@@ -1,4 +1,4 @@
-"""Unit and fuzz tests for the CSR reachability snapshot.
+"""Unit and fuzz tests for the CSR reachability engine.
 
 The CSR engine must agree bit-for-bit with the reference dict-of-dict BFS
 on every graph shape and horizon — both on its vectorized frontier path
@@ -12,7 +12,8 @@ import random
 import pytest
 
 from repro.influence.reachability import reachable_set
-from repro.tdn.csr import CSRSnapshot
+from repro.errors import ConfigError
+from repro.tdn.csr import CSRSnapshot, DeltaCSR
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
@@ -32,10 +33,11 @@ def random_graph(rng, num_nodes=30, num_events=150, infinite_fraction=0.15):
 
 class TestBuild:
     def test_empty_graph(self):
-        snapshot = CSRSnapshot.build(TDNGraph())
+        graph = TDNGraph()
+        snapshot = CSRSnapshot.build(graph)
         assert snapshot.num_nodes == 0
         assert snapshot.num_pairs == 0
-        assert snapshot.reachable_count([]) == 0
+        assert DeltaCSR(graph).reachable_count([]) == 0
 
     def test_arrays_cover_all_alive_pairs(self):
         graph = TDNGraph()
@@ -62,7 +64,7 @@ class TestBuild:
         snapshot = CSRSnapshot.build(graph)
         assert snapshot.num_nodes == 3  # interned ids persist
         assert snapshot.num_pairs == 1
-        assert snapshot.reachable_count([graph.node_id("a")]) == 1
+        assert DeltaCSR(graph).reachable_count([graph.node_id("a")]) == 1
 
 
 class TestGraphCaching:
@@ -86,20 +88,20 @@ class TestGraphCaching:
         graph = TDNGraph()
         graph.add_interaction(Interaction("a", "b", 0, 5))
         graph.add_interaction(Interaction("c", "d", 0, 5))
-        snapshot = graph.csr()
+        engine = graph.csr()
         a, c = graph.node_id("a"), graph.node_id("c")
-        assert snapshot.reachable_count([a]) == 2
-        assert snapshot.reachable_count([c]) == 2
-        assert snapshot.reachable_count([a, c]) == 4
+        assert engine.reachable_count([a]) == 2
+        assert engine.reachable_count([c]) == 2
+        assert engine.reachable_count([a, c]) == 4
 
     def test_out_of_range_ids_rejected(self):
         graph = TDNGraph()
         graph.add_interaction(Interaction("a", "b", 0, 5))
-        snapshot = graph.csr()
+        engine = graph.csr()
         with pytest.raises(IndexError):
-            snapshot.reachable_count([99])
+            engine.reachable_count([99])
         with pytest.raises(IndexError):
-            snapshot.reachable_ids([-1])
+            engine.reachable_ids([-1])
 
 
 class TestEquivalenceFuzz:
@@ -110,7 +112,7 @@ class TestEquivalenceFuzz:
         rng = random.Random(42 + force_vectorized)
         for _ in range(25):
             graph = random_graph(rng)
-            snapshot = graph.csr()
+            engine = graph.csr()
             t = graph.time
             horizons = [None, t + 1, t + rng.randint(1, 30), math.inf]
             nodes = sorted(graph.node_set(), key=repr)
@@ -123,10 +125,10 @@ class TestEquivalenceFuzz:
                 ids = [graph.node_id(s) for s in seeds]
                 got = {
                     graph.node_of_id(i)
-                    for i in snapshot.reachable_ids(ids, horizon)
+                    for i in engine.reachable_ids(ids, horizon)
                 }
                 assert got == expected, (seeds, horizon)
-                assert snapshot.reachable_count(ids, horizon) == len(expected)
+                assert engine.reachable_count(ids, horizon) == len(expected)
 
     def test_scalar_and_vector_paths_agree(self, monkeypatch):
         rng = random.Random(7)
@@ -134,13 +136,14 @@ class TestEquivalenceFuzz:
         ids = list(range(graph.num_interned))
         scalar = graph.csr().reachable_ids(ids[:3], graph.time + 2)
         monkeypatch.setenv("REPRO_SCALAR_PAIR_LIMIT", "0")
-        fresh = CSRSnapshot.build(graph)
+        fresh = DeltaCSR(graph)
+        assert fresh.scalar_pair_limit == 0
         vector = fresh.reachable_ids(ids[:3], graph.time + 2)
         assert scalar == vector
 
 
 class TestAdaptiveScalarCutover:
-    """Resolution precedence and calibration of the scalar/vector cutover."""
+    """Resolution precedence of the fixed scalar/vector cutover."""
 
     def test_constructor_override_beats_env(self, monkeypatch):
         from repro.tdn import csr as csr_mod
@@ -149,22 +152,45 @@ class TestAdaptiveScalarCutover:
         assert csr_mod.resolve_scalar_pair_limit(override=123) == 123
 
     def test_env_override_beats_calibration(self, monkeypatch):
+        """The env var beats the default; a bad value fails the engine."""
         from repro.tdn import csr as csr_mod
 
         monkeypatch.setenv(csr_mod.SCALAR_LIMIT_ENV, "4321")
         assert csr_mod.resolve_scalar_pair_limit() == 4321
-        monkeypatch.setenv(csr_mod.SCALAR_LIMIT_ENV, "not-a-number")
-        limit = csr_mod.resolve_scalar_pair_limit()  # falls through, clamped
-        lo, hi = csr_mod._LIMIT_BOUNDS
-        assert lo <= limit <= hi
+        graph = random_graph(random.Random(2), num_nodes=8, num_events=20)
+        for bad in ("not-a-number", "-5", "2.5", ""):
+            monkeypatch.setenv(csr_mod.SCALAR_LIMIT_ENV, bad)
+            with pytest.raises(ConfigError) as excinfo:
+                DeltaCSR(graph)
+            assert csr_mod.SCALAR_LIMIT_ENV in str(excinfo.value)
+            assert repr(bad) in str(excinfo.value)
 
-    def test_calibration_is_cached_and_clamped(self):
+    def test_default_cutover_is_fixed(self, monkeypatch):
+        """Unset env: the python backend's cutover is the module default."""
         from repro.tdn import csr as csr_mod
 
-        first = csr_mod.calibrate_scalar_pair_limit(force=True)
-        lo, hi = csr_mod._LIMIT_BOUNDS
-        assert lo <= first <= hi
-        assert csr_mod.calibrate_scalar_pair_limit() == first  # cached
+        monkeypatch.delenv(csr_mod.SCALAR_LIMIT_ENV, raising=False)
+        graph = random_graph(random.Random(4), num_nodes=8, num_events=20)
+        engine = DeltaCSR(graph, backend="python")
+        assert engine.scalar_pair_limit == csr_mod.DEFAULT_SCALAR_PAIR_LIMIT
+
+    def test_native_backend_pins_cutover_to_zero(self, monkeypatch):
+        """The native backend always vectorizes; a degraded engine runs
+        the python kernels and keeps their default."""
+        import warnings
+
+        from repro.kernels import backend as backend_mod
+        from repro.tdn import csr as csr_mod
+
+        monkeypatch.delenv(csr_mod.SCALAR_LIMIT_ENV, raising=False)
+        assert csr_mod.resolve_scalar_pair_limit(None, "native") == 0
+        monkeypatch.setattr(backend_mod, "native_available", lambda: False)
+        graph = random_graph(random.Random(6), num_nodes=8, num_events=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            degraded = DeltaCSR(graph, backend="native")
+        assert degraded.backend == "python"
+        assert degraded.scalar_pair_limit == csr_mod.DEFAULT_SCALAR_PAIR_LIMIT
 
     def test_engine_override_pins_both_paths(self, rng=None):
         """A per-engine override steers the cutover."""
@@ -209,7 +235,6 @@ class TestAdaptiveScalarCutover:
         engine._compact()  # noqa: SLF001 - a rebuild keeps the engine's cutover
         assert graph.csr() is engine
         assert engine.scalar_pair_limit == 0
-        assert engine.base.scalar_pair_limit == 0
         engine.reachable_ids(ids[:3], None)
         engine.ancestor_ids(ids[:3], None)
         engine.spread_counts([[i] for i in ids[:5]], None)
