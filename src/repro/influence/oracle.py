@@ -26,6 +26,18 @@ Two interchangeable reachability engines sit behind the same API:
 * ``"dict"``: the reference pure-Python BFS over the graph's dict-of-dict
   adjacency (:func:`repro.influence.reachability.reachable_set`).
 
+Every cache miss, from either entry point and either backend, goes to
+one evaluator, :meth:`InfluenceOracle._evaluate_batch`, the only place a
+sweep is chosen.  ``"dict"`` walks each set with ``reachable_set``.  A
+serial csr count batch below the scalar cutover sends each set straight
+to the kernel's scalar walk.  Otherwise the sets are interned once,
+never-interned seeds add their own term, a lone set walks on the
+caller's thread (``reachable_count``, ``reachable_ids``), and two or
+more go to one sweep on ``graph.csr()`` or the executor method of the
+same name: ``spread_counts`` (count, uniform weights), the mapping's
+``weighted_spread_sums``, a callable's ``reachable_ids_many`` or
+``fold_spread_sums`` (derived folds, lone sets too).
+
 Dirty-cone invalidation
 -----------------------
 The memo table survives graph version bumps.  At each sync the oracle
@@ -68,26 +80,31 @@ with the framework; ``"weighted_sum"`` is the canonical one,
     f_t(S) = sum of w(v) over v reachable from S in G_t
 
 with non-negative node weights ``w`` given as a mapping or a callable
-(``weights``; nodes the mapping lacks weigh ``default_weight``).  Mapping
-and default weights fold a dense id-indexed weight array into the
-bit-plane sweep; a weight callable may be partial or stateful, so it is
-only ever invoked on the caller's thread, for reached nodes.  Values are
-summed in canonical ascending-id order, which keeps them bit-identical
-across single, batched and sharded evaluation.  ``"hop_discount"`` and
+(``weights``; nodes the mapping lacks weigh ``default_weight``).  A
+weight callable may be partial or stateful, so it is only ever invoked
+on the caller's thread, for reached nodes.  Values are summed in
+canonical ascending-id order, which keeps them bit-identical across
+single, batched and sharded evaluation.  ``"hop_discount"`` and
 ``"time_decay"`` derive their node terms from the graph itself.
 
 Bit-plane batching
 ------------------
-On the CSR backend, :meth:`InfluenceOracle.spread_many` does not issue one
-traversal per set.  It first replays the *sequential* cache protocol —
-walking the batch in order, taking hits, counting one oracle call per miss,
-and reserving each miss's FIFO cache slot — and then evaluates all distinct
-misses through :meth:`DeltaCSR.spread_counts`, which packs up to 64 seed
-sets into uint64 visited-mask planes and propagates them to fixpoint in a
-single shared multi-source sweep.  The *accounting* is therefore exactly
-what ``[self.spread(s) for s in sets]`` would produce — same values, same
-call counts, same cache evictions in the same order — while the *physics*
-costs one multi-BFS per 64 sets.
+:meth:`InfluenceOracle.spread_many` replays the *sequential* cache
+protocol (:func:`replay_batch_protocol`: hits taken in order, one call
+counted per miss, each miss's FIFO slot reserved) and then evaluates all
+distinct misses in one evaluator call, where the csr sweeps pack up to
+64 seed sets into uint64 visited-mask planes of one shared traversal.
+The accounting is exactly that of ``[self.spread(s) for s in sets]``;
+the physics costs one multi-source sweep per 64 sets.
+
+:meth:`InfluenceOracle.spread` keeps its own protocol and sends only its
+miss to the evaluator: replaying its batch of one through
+:func:`replay_batch_protocol` cut Greedy (``python -m repro.track
+--dataset twitter-higgs --events 1500 --algorithm greedy``) from a
+median 507 to 385 events/s.  A lone set walks because a one-plane sweep
+pays for a whole-graph mask: on ``gowalla`` engines of 2.8k-9.4k alive
+pairs a lone count costs 24-45 us walked, 43-98 us swept, and Greedy
+past the cutover ran at 179 events/s walked, 112 swept (2-core Xeon).
 
 Both backends return identical values and spend identical oracle calls —
 the cross-backend equivalence suite pins this on seeded streams — so the
@@ -106,17 +123,17 @@ and the dirty-cone ancestor sweep are partitioned across a thread pool
 whose threads sweep private kernel clones of the graph's CSR engine,
 while every bit of accounting (cache protocol, call counting, FIFO
 order) stays in this layer — so the sharded oracle is bit-for-bit
-equivalent to the serial one.  Pass a worker count (an executor is
-created and owned by this oracle; close it via
-:meth:`InfluenceOracle.close`) or share one executor instance across
-oracles.  The executor serves serially on its own (single worker, small
-batches, a failed shard), so ``parallel`` never changes results, only
-wall-clock.
+equivalent to the serial one.  Pass a worker count (the oracle owns the
+executor; :meth:`InfluenceOracle.close` releases it) or share one
+executor instance across oracles; anything else is a ``ConfigError``.
+The executor serves serially on its own (single worker, small batches,
+a failed shard), so ``parallel`` never changes results, only wall-clock.
 """
 
 from __future__ import annotations
 
 from typing import (
+    Any,
     Callable,
     FrozenSet,
     Hashable,
@@ -259,14 +276,26 @@ def resolve_executor(parallel, backend: str):
     Returns ``(executor, owns_executor)``: ``None`` for serial operation,
     a fresh owned :class:`~repro.parallel.executor.ShardedOracleExecutor`
     for an integer worker count above 1, or the caller's shared executor
-    instance (not owned — the caller closes it).  Sharding sweeps clones
-    of the CSR engine's kernels, so the ``"dict"`` backend rejects it
-    outright rather than silently ignoring the request.
+    instance (not owned — the caller closes it).  Anything else (a bool,
+    a float, a string) is a :class:`ConfigError` here, before any call
+    is counted.  Sharding sweeps clones of the CSR engine's kernels, so
+    the ``"dict"`` backend rejects it outright rather than silently
+    ignoring the request.
     """
     if parallel is None:
         return None, False
-    if isinstance(parallel, bool):
-        raise TypeError("parallel must be None, an int worker count, or an executor")
+    # Deliberate injection seam: the import stays lazy so an oracle built
+    # without ``parallel`` never touches repro.parallel.
+    # repro-lint: disable-next=RPL102
+    from repro.parallel.executor import ShardedOracleExecutor
+
+    if isinstance(parallel, bool) or not isinstance(
+        parallel, (int, ShardedOracleExecutor)
+    ):
+        raise ConfigError(
+            "parallel must be None, an int worker count, or a "
+            f"ShardedOracleExecutor, got {parallel!r}"
+        )
     if backend != "csr":
         raise ConfigError(
             f"parallel evaluation requires backend='csr', got {backend!r}"
@@ -274,12 +303,6 @@ def resolve_executor(parallel, backend: str):
     if isinstance(parallel, int):
         if parallel <= 1:
             return None, False
-        # Deliberate injection seam: the oracle layer constructs its own
-        # sharded executor only when asked for one by worker count; the
-        # import stays lazy so serial use never touches repro.parallel.
-        # repro-lint: disable-next=RPL102
-        from repro.parallel.executor import ShardedOracleExecutor
-
         return ShardedOracleExecutor(parallel), True
     return parallel, False
 
@@ -355,10 +378,6 @@ class MemoTable:
     # ------------------------------------------------------------------
     # Entry maintenance
     # ------------------------------------------------------------------
-    def get(self, key: _CacheKey):
-        """The cached value (``None`` when absent; may be ``_PENDING``)."""
-        return self.data.get(key)
-
     def put(self, key: _CacheKey, value) -> None:
         """Insert under FIFO capacity; overwriting never reorders."""
         data = self.data
@@ -522,18 +541,17 @@ class InfluenceOracle:
             owns a :class:`~repro.parallel.executor.ShardedOracleExecutor`
             that splits batched sweeps across that many threads; release
             it with :meth:`close`), or an executor instance to share
-            across oracles.  Values, solutions and call counts are
-            bit-identical to serial evaluation.
+            across oracles; anything else raises ``ConfigError``.
+            Values, solutions and call counts are bit-identical to
+            serial evaluation.
         semantics: the influence fold this oracle evaluates — a name
             from :data:`repro.kernels.FOLD_NAMES`, a ``(name, params)``
             spec, or a :class:`~repro.kernels.Fold` instance.  The
-            default ``"count"`` keeps the paper's ``|R(S)|`` on its
-            historical byte-identical code path; ``"weighted_sum"`` scores
-            reached nodes by ``weights`` (both backends);
-            ``"hop_discount"`` and ``"time_decay"`` evaluate through the
-            fold seam (CSR backend only).  Non-count memo keys carry the
-            fold token, so two semantics sharing one graph never share
-            cache entries.
+            default ``"count"`` is the paper's ``|R(S)|``;
+            ``"weighted_sum"`` scores reached nodes by ``weights`` (both
+            backends); ``"hop_discount"`` and ``"time_decay"`` need the
+            CSR backend.  Non-count memo keys carry the fold token, so
+            two semantics sharing one graph never share cache entries.
         weights: node weights for ``"weighted_sum"`` — a mapping node ->
             weight or a callable.  Weights must be non-negative (a
             negative weight breaks monotonicity and with it every
@@ -599,13 +617,10 @@ class InfluenceOracle:
         self, weights: Optional[WeightSpec], default_weight: float
     ) -> None:
         self._default = float(default_weight)
-        # Dense per-interned-id weight cache, extended lazily as new nodes
-        # appear (ids are append-only, so prefixes never go stale).  Only
-        # used for mapping/default weights, which are total and pure; a
-        # user *callable* is never pre-evaluated for nodes outside the
-        # reachable set (it may raise for them, be partial, or vary), so
-        # the csr path falls back to per-reached-node calls for it —
-        # exactly the dict backend's evaluation pattern.
+        # Dense per-interned-id weight cache, extended lazily (ids are
+        # append-only, so prefixes never go stale).  Mapping and default
+        # weights only: a callable may be partial, raise or vary, so it is
+        # only ever called for reached nodes.
         self._weight_array = np.empty(0, dtype=np.float64)
         self._dense_weights = weights is None or not callable(weights)
         self._uniform_default = weights is None
@@ -668,13 +683,28 @@ class InfluenceOracle:
         other semantics score the same reached set through their fold and
         return a float.  ``f_t(empty set) = 0`` (the function is
         normalized).  The horizon ``min_expiry`` restricts traversal to
-        edges expiring at or after it.
+        edges expiring at or after it.  Only the miss goes to
+        :meth:`_evaluate_batch` (see "Bit-plane batching" for why).
         """
         key_nodes = frozenset(nodes)
+        token = self._semantics_token
         if not key_nodes:
-            return 0 if self._semantics_token is None else 0.0
+            return 0 if token is None else 0.0
         self._memo.sync()
-        return self._spread_cached(key_nodes, min_expiry)
+        key = (
+            (min_expiry, key_nodes)
+            if token is None
+            else (min_expiry, key_nodes, token)
+        )
+        hit = self._memo.data.get(key)
+        if hit is not None and hit is not _PENDING:
+            _MEMO_HITS.inc()
+            return hit
+        self.counter.increment()
+        _MEMO_MISSES.inc()
+        value = self._evaluate_batch([key_nodes], min_expiry)[0]
+        self._memo.put(key, value)
+        return value
 
     def sync_dirty(
         self, source_ids: Optional[Sequence[int]] = None
@@ -700,30 +730,17 @@ class InfluenceOracle:
         Semantically identical to ``[self.spread(s, min_expiry) for s in
         sets]`` — same values, same cache behavior, same call counting in
         the same order (the table is synced once before the batch replays
-        the sequential protocol).  On the CSR backend the cache protocol
-        is replayed sequentially (hits, per-miss counting, FIFO slot
-        reservation) but the distinct misses are then evaluated together
-        through the engine's bit-plane multi-source sweep — one shared
-        traversal per 64 sets instead of one BFS per set — which is what
-        makes feeding a SIEVEADN candidate sweep through the oracle cheap.
+        the sequential protocol) — but the distinct misses are evaluated
+        together, one shared bit-plane traversal per 64 sets on csr.
         """
         self._memo.sync()
-        zero = 0 if self._semantics_token is None else 0.0
-        if self.backend == "dict":
-            reference: List[Union[int, float]] = []
-            for nodes in sets:
-                key_nodes = frozenset(nodes)
-                reference.append(
-                    self._spread_cached(key_nodes, min_expiry) if key_nodes else zero
-                )
-            return reference
         return replay_batch_protocol(
             self._memo,
             self.counter,
             sets,
             min_expiry,
-            self._evaluate_batch if self._weight_of is None else self._weighted_batch,
-            zero,
+            self._evaluate_batch,
+            0 if self._semantics_token is None else 0.0,
             semantics=self._semantics_token,
         )
 
@@ -748,67 +765,30 @@ class InfluenceOracle:
         )
 
     # ------------------------------------------------------------------
-    def _spread_cached(self, key_nodes: FrozenSet[Node], min_expiry: Optional[float]):
-        token = self._semantics_token
-        key = (
-            (min_expiry, key_nodes)
-            if token is None
-            else (min_expiry, key_nodes, token)
-        )
-        hit = self._memo.data.get(key)
-        if hit is not None and hit is not _PENDING:
-            _MEMO_HITS.inc()
-            return hit
-        self.counter.increment()
-        _MEMO_MISSES.inc()
-        value = self._evaluate(key_nodes, min_expiry)
-        self._memo.put(key, value)
-        return value
-
-    def _evaluate(self, key_nodes: FrozenSet[Node], min_expiry: Optional[float]):
-        if self.backend == "dict":
-            reached = reachable_set(self.graph, key_nodes, min_expiry)
-            if self._weight_of is None:
-                return len(reached)
-            # Same fold as the csr path below: never-interned seeds first,
-            # then the reached ids through one summation.
-            reached_ids, unknown = self.graph.intern_ids(reached)
-            value = self._seed_weight(key_nodes) if unknown else 0.0
-            return value + self._weight_of_reached(reached_ids)
-        ids, unknown = self.graph.intern_ids(key_nodes)
-        if self._semantics_token is None:
-            if not ids:
-                return unknown
-            return self.graph.csr().reachable_count(ids, min_expiry) + unknown
-        if self._weight_of is not None:
-            value = self._seed_weight(key_nodes) if unknown else 0.0
-            if not ids:
-                return value
-            reached = self.graph.csr().reachable_ids(ids, min_expiry)
-            return value + self._weight_of_reached(reached)
-        # Unknown (never-interned) seeds reach exactly themselves with no
-        # alive in-edge: every derived fold scores such a node 1.0, added
-        # after the engine fold exactly as the count path adds them.
-        if not ids:
-            return float(unknown)
-        sums = self.graph.csr().fold_spread_sums([ids], min_expiry, self.fold)
-        return sums[0] + unknown
-
     def _evaluate_batch(
         self, key_sets: Sequence[FrozenSet[Node]], min_expiry: Optional[float]
     ) -> List:
-        """Evaluate distinct cache misses via the shared bit-plane sweep.
-
-        Serial count misses below the scalar cutover skip the batch
-        plumbing: engine, kernel and clamped horizon are resolved once,
-        and each set goes from its nodes' ids straight to the scalar walk
-        (the per-set loop the bit-plane entry point runs on that path).
+        """Evaluate distinct cache misses: the one place a miss picks its
+        sweep (see "Backends" in the module docstring).  A never-interned
+        seed has no edges and reaches only itself, so it adds its own term.
         """
         graph = self.graph
-        fold_token = self._semantics_token
-        engine = None  # the serial count path's engine, resolved once
-        if fold_token is None and self._executor is None:
-            engine = graph.csr()
+        counting = self._semantics_token is None
+        weighted = self._weight_of is not None
+        if self.backend == "dict":
+            values: List = []
+            for key_nodes in key_sets:
+                reached = reachable_set(graph, key_nodes, min_expiry)
+                if not weighted:
+                    values.append(len(reached))
+                    continue
+                reached_ids, unknown = graph.intern_ids(reached)
+                seed = self._seed_weight(key_nodes) if unknown else 0.0
+                values.append(seed + self._weight_of_reached(reached_ids))
+            return values
+        executor = self._executor
+        engine = graph.csr()
+        if counting and executor is None:
             scalar = engine.scalar_reach(min_expiry)
             if scalar is not None:
                 walk, eff = scalar
@@ -818,91 +798,51 @@ class InfluenceOracle:
                     ids, unknown = intern_ids(key_nodes)
                     counts.append(len(walk(ids, eff)) + unknown if ids else unknown)
                 return counts
-        values: List = [0] * len(key_sets)
-        id_sets: List[List[int]] = []
-        unknowns: List[int] = []
-        pending: List[int] = []
-        for j, key_nodes in enumerate(key_sets):
-            ids, unknown = graph.intern_ids(key_nodes)
-            if ids:
-                pending.append(j)
-                id_sets.append(ids)
-                unknowns.append(unknown)
-            else:
-                values[j] = unknown if fold_token is None else float(unknown)
-        if id_sets:
-            if engine is not None:
-                counts = engine.spread_counts(id_sets, min_expiry)
-            elif fold_token is None:
-                counts = self._executor.spread_counts(graph, id_sets, min_expiry)
-            elif self._executor is not None:
-                counts = self._executor.fold_spread_sums(
-                    graph, id_sets, min_expiry, fold=self.fold
-                )
-            else:
-                counts = graph.csr().fold_spread_sums(id_sets, min_expiry, self.fold)
-            for j, count, unknown in zip(pending, counts, unknowns):
-                values[j] = count + unknown
-        return values
-
-    # ------------------------------------------------------------------
-    # weighted_sum
-    # ------------------------------------------------------------------
-    def _weighted_batch(
-        self, key_sets: Sequence[FrozenSet[Node]], min_expiry: Optional[float]
-    ) -> List[float]:
-        """Evaluate distinct weighted misses via the bit-plane kernel.
-
-        Dense weights (mapping / default) fold into the shared bit-plane
-        sweep — or, under ``parallel``, the executor's shard threads' — 64
-        weighted evaluations per physical traversal.  Uniform weights
-        ride the plain counted sweep (``count * default_weight``), and a
-        weight *callable* takes the per-set reachable-id path so it is
-        only ever invoked on the caller's thread, for reached nodes.
-        """
-        graph = self.graph
-        values: List[float] = [0.0] * len(key_sets)
+        values = []
         id_sets: List[List[int]] = []
         pending: List[int] = []
         for j, key_nodes in enumerate(key_sets):
             ids, unknown = graph.intern_ids(key_nodes)
-            if unknown:
-                values[j] = self._seed_weight(key_nodes)
+            if weighted:
+                values.append(self._seed_weight(key_nodes) if unknown else 0.0)
+            else:
+                values.append(unknown if counting else float(unknown))
             if ids:
                 pending.append(j)
                 id_sets.append(ids)
         if not id_sets:
             return values
-        executor = self._executor
-        if not self._dense_weights:
-            if executor is not None:
-                reached_sets = executor.reachable_ids_many(graph, id_sets, min_expiry)
-            else:
-                engine = graph.csr()
-                reached_sets = [
-                    engine.reachable_ids(ids, min_expiry) for ids in id_sets
-                ]
-            for j, reached in zip(pending, reached_sets):
-                values[j] += self._weight_of_reached(reached)
+        lone = id_sets[0] if len(id_sets) == 1 else None
+        sweeps: Any = engine
+        args: tuple = (id_sets, min_expiry)
+        if executor is not None and lone is None:
+            sweeps, args = executor, (graph, *args)  # same names, plus graph
+        if not (counting or weighted):
+            terms = sweeps.fold_spread_sums(*args, fold=self.fold)
+        elif lone is not None:  # one walk beats a one-plane sweep
+            terms = [
+                engine.reachable_count(lone, min_expiry)
+                if counting
+                else self._weight_of_reached(engine.reachable_ids(lone, min_expiry))
+            ]
+        elif counting:
+            terms = sweeps.spread_counts(*args)
         elif self._uniform_default:
-            if executor is not None:
-                counts = executor.spread_counts(graph, id_sets, min_expiry)
-            else:
-                counts = graph.csr().spread_counts(id_sets, min_expiry)
-            for j, count in zip(pending, counts):
-                values[j] += self._default * count
-        else:
+            terms = [self._default * n for n in sweeps.spread_counts(*args)]
+        elif self._dense_weights:
             weights = self._weights_upto(graph.num_interned)
-            if executor is not None:
-                sums = executor.weighted_spread_sums(
-                    graph, id_sets, min_expiry, weights=weights
-                )
-            else:
-                sums = graph.csr().weighted_spread_sums(id_sets, min_expiry, weights)
-            for j, value in zip(pending, sums):
-                values[j] += value
+            terms = sweeps.weighted_spread_sums(*args, weights=weights)
+        else:
+            # A weight callable is only ever invoked on the caller's thread.
+            reached_sets = sweeps.reachable_ids_many(*args)
+            terms = [self._weight_of_reached(reached) for reached in reached_sets]
+        for j, term in zip(pending, terms):
+            values[j] += term
         return values
 
+    # ------------------------------------------------------------------
+    # weighted_sum
+    # ------------------------------------------------------------------
     def _checked_weight(self, node: Node) -> float:
         weight_of = self._weight_of
         assert weight_of is not None  # only weighted_sum oracles fold weights

@@ -4,10 +4,10 @@ PR 5 unified the *physics* of influence evaluation — the time-decayed
 frontier sweep — into one :class:`~repro.kernels.traversal.
 TraversalKernel`.  This module unifies the *accumulation*: what a seed
 set scores once the sweep knows which nodes it reaches (and at which hop
-depth).  Every semantics is a :class:`Fold` — a commutative-monoid fold
-``finalize(combine(identity, term(v)) for v in R(S))`` over the reached
-set — registered under a stable name that engines, oracles, the sharded
-worker protocol and persistence all speak:
+depth).  Every semantics is a :class:`Fold` — the sum of a non-negative
+per-node term ``term(v)`` over the reached set ``R(S)`` — registered
+under a stable name that engines, oracles, the sharded executor and
+persistence all speak:
 
 ``count``
     ``term(v) = 1``: today's spread ``|R(S)|``.  Routed through the
@@ -32,10 +32,9 @@ worker protocol and persistence all speak:
     exactly ``1``, as does an infinite-lifetime edge (``exp(-inf) == 0``
     — no special case).  A pure weighted coverage, hence submodular.
 
-Each fold declares the monoid (:meth:`Fold.identity` /
-:meth:`~Fold.combine` / :meth:`~Fold.finalize`), a vectorized bit-plane
-accumulator (:meth:`~Fold.batch`, delegating to the kernel sweep that
-shares one physical traversal across 64 seed sets), and an independent
+Each fold declares a vectorized bit-plane accumulator
+(:meth:`~Fold.batch`, delegating to the kernel sweep that shares one
+physical traversal across 64 seed sets) and an independent
 scalar reference (:meth:`~Fold.reference`, a plain fold over a
 ``node -> hop level`` mapping) that the differential suites pin the
 vectorized path against.  Folds are value objects: serializable as a
@@ -123,11 +122,10 @@ class Fold:
     """One influence semantics over the shared traversal kernel.
 
     Subclasses pin ``name``, validate their parameters, and implement
-    the vectorized :meth:`batch` and the scalar :meth:`reference`.  The
-    monoid itself is the same for every shipped fold — sum of
-    non-negative per-node terms with identity ``0.0`` — which is what
-    keeps each one monotone submodular and therefore safe under every
-    tracker in :mod:`repro.core`.
+    the vectorized :meth:`batch` and the scalar :meth:`reference`.
+    Every shipped fold sums non-negative per-node terms (the empty set
+    scores ``0.0``), which is what keeps each one monotone submodular and
+    therefore safe under every tracker in :mod:`repro.core`.
     """
 
     name: str = ""
@@ -136,21 +134,6 @@ class Fold:
         self.params: Dict[str, float] = {
             key: float(value) for key, value in params.items()
         }
-
-    # ------------------------------------------------------------------
-    # Monoid contract
-    # ------------------------------------------------------------------
-    def identity(self) -> float:
-        """The score of the empty reached set."""
-        return 0.0
-
-    def combine(self, acc: float, term: float) -> float:
-        """Fold one node term into the accumulator."""
-        return acc + term
-
-    def finalize(self, acc: float) -> float:
-        """Map the final accumulator to the reported score."""
-        return acc
 
     # ------------------------------------------------------------------
     # Wiring contract

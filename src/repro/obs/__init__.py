@@ -1,4 +1,4 @@
-"""repro.obs — zero-dependency metrics and tracing for the whole stack.
+"""repro.obs — zero-dependency metrics for the whole stack.
 
 Rank 0 in the layer DAG: this package imports nothing from repro beyond
 itself, so every other layer (kernels, influence, parallel, track, api)
@@ -24,7 +24,6 @@ from repro.obs.registry import (
     metrics_registry,
 )
 from repro.obs.sampling import KernelSampler
-from repro.obs.tracing import Span, current_span
 
 __all__ = [
     "CATALOG",
@@ -35,8 +34,6 @@ __all__ = [
     "KernelSampler",
     "MetricSpec",
     "MetricsRegistry",
-    "Span",
-    "current_span",
     "metrics_registry",
     "names",
     "parse_prometheus_text",

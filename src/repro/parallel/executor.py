@@ -271,14 +271,6 @@ class ShardedOracleExecutor:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    @staticmethod
-    def _effective_horizon(graph: "TDNGraph", min_expiry: Optional[float]) -> float:
-        """The serial engine's ``t + 1`` clamp, resolved once per request."""
-        floor = float(graph.time + 1)
-        if min_expiry is None or min_expiry < floor:
-            return floor
-        return min_expiry
-
     def _ready(self, batch_size: int) -> bool:
         """Whether this request should be sharded (starts the pool)."""
         if batch_size < self.min_batch or not self._ladder.healthy:
@@ -376,7 +368,7 @@ class ShardedOracleExecutor:
             return []
         if not self._ready(len(id_sets)):
             return graph.csr().spread_counts(id_sets, min_expiry)
-        eff = self._effective_horizon(graph, min_expiry)
+        eff = graph.csr().effective_horizon(min_expiry)
         return self._sharded_list(
             graph,
             id_sets,
@@ -394,14 +386,13 @@ class ShardedOracleExecutor:
         if not id_sets:
             return []
         if not self._ready(len(id_sets)):
-            engine = graph.csr()
-            return [engine.reachable_ids(ids, min_expiry) for ids in id_sets]
-        eff = self._effective_horizon(graph, min_expiry)
+            return graph.csr().reachable_ids_many(id_sets, min_expiry)
+        eff = graph.csr().effective_horizon(min_expiry)
         return self._sharded_list(
             graph,
             id_sets,
             lambda kernel, part: [kernel.reachable_ids(ids, eff) for ids in part],
-            lambda part: [graph.csr().reachable_ids(ids, min_expiry) for ids in part],
+            lambda part: graph.csr().reachable_ids_many(part, min_expiry),
         )
 
     def weighted_spread_sums(
@@ -423,7 +414,7 @@ class ShardedOracleExecutor:
             return []
         if not self._ready(len(id_sets)):
             return graph.csr().weighted_spread_sums(id_sets, min_expiry, weights)
-        eff = self._effective_horizon(graph, min_expiry)
+        eff = graph.csr().effective_horizon(min_expiry)
         return self._sharded_list(
             graph,
             id_sets,
@@ -451,7 +442,7 @@ class ShardedOracleExecutor:
             return []
         if not self._ready(len(id_sets)):
             return graph.csr().fold_spread_sums(id_sets, min_expiry, fold)
-        eff = self._effective_horizon(graph, min_expiry)
+        eff = graph.csr().effective_horizon(min_expiry)
         node_values = (
             graph.csr().fold_node_values(fold, min_expiry)
             if fold.derives_node_values
@@ -476,7 +467,7 @@ class ShardedOracleExecutor:
             return set()
         if not self._ready(len(targets)):
             return graph.csr().ancestor_ids(targets, min_expiry)
-        eff = self._effective_horizon(graph, min_expiry)
+        eff = graph.csr().effective_horizon(min_expiry)
         merged: Set[int] = set()
         for shard_ids in self._sharded(
             graph,

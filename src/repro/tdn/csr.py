@@ -463,14 +463,15 @@ class DeltaCSR:
             graph.version,
         )
 
-    def _effective_horizon(self, min_expiry: Optional[float]) -> float:
+    def effective_horizon(self, min_expiry: Optional[float]) -> float:
         """Clamp the query horizon to ``t + 1``.
 
         Every alive edge satisfies ``expiry >= t + 1`` (an edge alive at
         ``t`` is removed at ``expiry > t``), so the clamp never hides a
         traversable pair; it *does* hide every stale base entry or log row,
         whose recorded expiry is ``<= t``.  This is what makes expiries
-        O(1): lazy deletion with the horizon test as the filter.
+        O(1): lazy deletion with the horizon test as the filter.  The
+        sharded executor resolves its shards' horizon here too.
         """
         floor = float(self._graph.time + 1)
         if min_expiry is None or min_expiry < floor:
@@ -540,15 +541,25 @@ class DeltaCSR:
         self, source_ids: Iterable[int], min_expiry: Optional[float] = None
     ) -> int:
         """Number of distinct nodes reachable from ``source_ids``."""
-        eff = self._effective_horizon(min_expiry)
+        eff = self.effective_horizon(min_expiry)
         return self._kernel(False).reachable_count(source_ids, eff)
 
     def reachable_ids(
         self, source_ids: Iterable[int], min_expiry: Optional[float] = None
     ) -> Set[int]:
         """The reachable id set itself (``weighted_sum`` oracles, tests)."""
-        eff = self._effective_horizon(min_expiry)
+        eff = self.effective_horizon(min_expiry)
         return self._kernel(False).reachable_ids(source_ids, eff)
+
+    def reachable_ids_many(
+        self,
+        id_sets: Sequence[Sequence[int]],
+        min_expiry: Optional[float] = None,
+    ) -> List[Set[int]]:
+        """Per-set :meth:`reachable_ids`, one walk per set (weight callables)."""
+        eff = self.effective_horizon(min_expiry)
+        kernel = self._kernel(False)
+        return [kernel.reachable_ids(ids, eff) for ids in id_sets]
 
     def ancestor_ids(
         self, target_ids: Iterable[int], min_expiry: Optional[float] = None
@@ -559,7 +570,7 @@ class DeltaCSR:
         on the lazily built transpose of the base plus the log read
         swapped, through the same shared kernel as the forward sweep.
         """
-        eff = self._effective_horizon(min_expiry)
+        eff = self.effective_horizon(min_expiry)
         return self._kernel(True).reachable_ids(target_ids, eff)
 
     def ancestor_closures(self, id_sets: Sequence[Sequence[int]]) -> List[Set[int]]:
@@ -571,7 +582,7 @@ class DeltaCSR:
         batch's sources and a memo's dirty seeds together costs one
         traversal of the transpose instead of two.
         """
-        eff = self._effective_horizon(None)
+        eff = self.effective_horizon(None)
         return self._kernel(True).reachable_id_sets(id_sets, eff)
 
     def ancestor_bottlenecks(
@@ -588,8 +599,9 @@ class DeltaCSR:
         entries of dead pairs sit below the ``t + 1`` floor, so neither
         can widen a label.
         """
-        floor = float(self._graph.time + 1)
-        return self._kernel(True).bottleneck_scalar(seed_labels, floor)
+        return self._kernel(True).bottleneck_scalar(
+            seed_labels, self.effective_horizon(None)
+        )
 
     def scalar_reach(
         self, min_expiry: Optional[float] = None
@@ -605,7 +617,7 @@ class DeltaCSR:
         kernel = self._kernel(False)
         if not kernel._use_scalar():
             return None
-        return kernel.reach_scalar, self._effective_horizon(min_expiry)
+        return kernel.reach_scalar, self.effective_horizon(min_expiry)
 
     def touched_cone_ids(self, seed_ids: Iterable[int]) -> Set[int]:
         """Ids whose forward cone a batch of deltas touched (seeds closed).
@@ -636,7 +648,7 @@ class DeltaCSR:
         all planes to fixpoint in one multi-source sweep.  Callers own the
         per-set *accounting*; this method only shares the physics.
         """
-        eff = self._effective_horizon(min_expiry)
+        eff = self.effective_horizon(min_expiry)
         return self._kernel(False).spread_counts(id_sets, eff)
 
     def weighted_spread_sums(
@@ -654,7 +666,7 @@ class DeltaCSR:
         each physical traversal.  ``weights`` is a dense id-indexed
         float64 array covering at least :attr:`num_nodes` entries.
         """
-        eff = self._effective_horizon(min_expiry)
+        eff = self.effective_horizon(min_expiry)
         return self._kernel(False).weighted_spread_sums(id_sets, eff, weights)
 
     def fold_node_values(
@@ -669,7 +681,7 @@ class DeltaCSR:
         current graph would derive, which is what keeps fold scores
         bit-identical across compactions and sharded sweeps.
         """
-        eff = self._effective_horizon(min_expiry)
+        eff = self.effective_horizon(min_expiry)
         base = self._base
         _, vids, expiries = self._log.columns()
         max_in = max_in_expiries(
@@ -694,7 +706,7 @@ class DeltaCSR:
         kernel with the log read as usual.
         """
         fold = resolve_fold(fold)
-        eff = self._effective_horizon(min_expiry)
+        eff = self.effective_horizon(min_expiry)
         node_values = weights
         if fold.derives_node_values:
             node_values = self.fold_node_values(fold, min_expiry)

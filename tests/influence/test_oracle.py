@@ -1,6 +1,13 @@
 """Unit tests for the counted, cached influence oracle."""
 
+import pytest
+
+from repro import open_tracker
+from repro.errors import ConfigError
 from repro.influence.oracle import InfluenceOracle
+from repro.obs import names as metric_names
+from repro.obs.registry import metrics_registry
+from repro.parallel import ShardedOracleExecutor
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
@@ -110,8 +117,6 @@ class TestMarginalGain:
 
 class TestBackends:
     def test_invalid_backend_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError, match="backend"):
             InfluenceOracle(star_graph(), backend="sparse")
 
@@ -131,6 +136,53 @@ class TestBackends:
             assert oracle.spread(["ghost"]) == 1
             assert oracle.spread(["ghost", "phantom"]) == 2
             assert oracle.spread(["hub", "ghost"]) == 6
+
+
+class TestParallelArgument:
+    @pytest.mark.parametrize("parallel", [True, 1.5, "2", object()])
+    def test_malformed_parallel_rejected_at_construction(self, parallel):
+        # Before any call is counted, not as an AttributeError at the
+        # first batch.
+        with pytest.raises(ConfigError, match="parallel must be"):
+            InfluenceOracle(star_graph(), parallel=parallel)
+
+    @pytest.mark.parametrize("semantics", [None, "weighted_sum"])
+    def test_facade_rejects_fractional_workers(self, semantics):
+        with pytest.raises(ConfigError, match="parallel must be"):
+            open_tracker(workers=1.5, semantics=semantics)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"semantics": "hop_discount"},
+            {"semantics": "weighted_sum"},
+            {"semantics": "weighted_sum", "weights": {"hub": 2.0}},
+            {"semantics": "weighted_sum", "weights": lambda node: 0.5},
+        ],
+        ids=["count", "hop_discount", "uniform", "mapping", "callable"],
+    )
+    def test_lone_miss_never_dispatches(self, options):
+        # A one-set miss runs on the caller's thread even when the
+        # executor would shard a batch of one; two misses are sharded.
+        def dispatches():
+            return metrics_registry().counter_values()[
+                metric_names.EXECUTOR_DISPATCHES_TOTAL
+            ]
+
+        serial = InfluenceOracle(star_graph(), **options)
+        executor = ShardedOracleExecutor(2, min_batch=1)
+        try:
+            oracle = InfluenceOracle(star_graph(), parallel=executor, **options)
+            before = dispatches()
+            assert oracle.spread(["hub"]) == serial.spread(["hub"])
+            assert oracle.spread_many([["leaf0"]]) == serial.spread_many([["leaf0"]])
+            assert dispatches() == before
+            sets = [["leaf1"], ["leaf2"]]
+            assert oracle.spread_many(sets) == serial.spread_many(sets)
+            assert dispatches() == before + 1
+        finally:
+            executor.close()
 
 
 class TestSpreadMany:
