@@ -32,7 +32,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional, Union
 
-from repro.core.tracker import InfluenceTracker, Solution
+from repro.core.tracker import InfluenceTracker, Solution, check_workers
 from repro.errors import (
     ConfigError,
     DegradedExecutionError,
@@ -129,8 +129,9 @@ def open_tracker(
     Raises:
         SemanticsError: unknown semantics name or invalid parameters.
         ConfigError: inconsistent argument combinations (e.g. ``weights``
-            without ``weighted_sum``).
+            without ``weighted_sum``), or ``workers`` not an int >= 1.
     """
+    check_workers(workers)
     name = semantics.value if isinstance(semantics, Semantics) else semantics
     if semantics_params is not None:
         if not isinstance(name, str):

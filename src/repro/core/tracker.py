@@ -48,6 +48,13 @@ class Solution:
         return Solution(nodes=(), value=0.0, time=time)
 
 
+def check_workers(workers) -> int:
+    """Require an evaluation worker count: an int >= 1, not a bool."""
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"workers must be an int >= 1, got {workers!r}")
+    return workers
+
+
 class TrackingAlgorithm(Protocol):
     """Protocol implemented by every tracker and baseline.
 
@@ -91,10 +98,12 @@ class InfluenceTracker:
         refine_head: enable HISTAPPROX's (1/2 - eps) head refinement.
         seed: RNG seed (used by the ``"random"`` baseline).
         workers: evaluation worker count for the oracle's sharded
-            parallel engine (1 = serial; ``N > 1`` shards batched spread
-            sweeps across N threads, each sweeping its own kernel clone
-            of the graph's CSR engine, with bit-identical results).  Call
-            :meth:`close` when done to stop the threads.
+            parallel engine (1 = serial; ``N > 1`` deals batched spread
+            sweeps, in whole 64-set planes, to up to N threads, each
+            sweeping its own kernel clone of the graph's CSR engine, with
+            bit-identical results).  Anything but an int >= 1 is a
+            ``ConfigError``.  Call :meth:`close` when done to stop the
+            threads.
         semantics: influence semantics the oracle evaluates under — a
             registered fold name (``"count"``, ``"hop_discount"``,
             ``"time_decay"``; ``"weighted_sum"`` needs weights, so it
@@ -137,6 +146,7 @@ class InfluenceTracker:
         semantics=None,
         oracle=None,
     ) -> None:
+        check_workers(workers)
         self.graph = graph if graph is not None else TDNGraph()
         if oracle is not None:
             if getattr(oracle, "graph", None) is not self.graph:

@@ -119,13 +119,15 @@ Sharded parallel evaluation (``parallel``)
 ------------------------------------------
 ``parallel`` plugs a :class:`~repro.parallel.executor.
 ShardedOracleExecutor` under the CSR backend: batched miss evaluations
-and the dirty-cone ancestor sweep are partitioned across a thread pool
-whose threads sweep private kernel clones of the graph's CSR engine,
-while every bit of accounting (cache protocol, call counting, FIFO
-order) stays in this layer — so the sharded oracle is bit-for-bit
-equivalent to the serial one.  Pass a worker count (the oracle owns the
-executor; :meth:`InfluenceOracle.close` releases it) or share one
-executor instance across oracles; anything else is a ``ConfigError``.
+are partitioned, in whole 64-set planes, across a thread pool whose
+threads sweep private kernel clones of the graph's CSR engine, while
+every bit of accounting (cache protocol, call counting, FIFO order)
+stays in this layer, so the sharded oracle is bit-for-bit equivalent
+to the serial one.  The dirty-cone closure never shards: it is the same
+two-plane sweep on the caller's thread as on the serial path.  Pass a
+worker count (the oracle owns the executor; :meth:`InfluenceOracle.
+close` releases it) or share one executor instance across oracles;
+anything else is a ``ConfigError``.
 The executor serves serially on its own (single worker, small batches,
 a failed shard), so ``parallel`` never changes results, only wall-clock.
 """
@@ -316,9 +318,9 @@ class DirtyCone(NamedTuple):
     the caller passed, from the same sweep, at the same ``t + 1``
     horizon: exactly ``changed_nodes(graph, batch)`` for an instance that
     sees every alive edge, so SIEVEADN takes it as ``V_t-bar``.  It is
-    ``None`` when no source ids were passed, and when the closure would
-    have cost a sweep of its own (the ``"dict"`` cone backend, an
-    attached executor).
+    ``None`` when no source ids were passed, and on the ``"dict"`` cone
+    backend, where the closure would cost a walk of its own.  A sharded
+    oracle closes both on the caller's thread like a serial one.
     """
 
     cone_ids: Set[int]
@@ -345,7 +347,6 @@ class MemoTable:
         "data",
         "max_entries",
         "cone_backend",
-        "executor",
         "_index",
         "_version",
         "_cursor",
@@ -367,7 +368,6 @@ class MemoTable:
         self.data: dict = {}
         self.max_entries = max_entries
         self.cone_backend = cone_backend
-        self.executor = None  # optional ShardedOracleExecutor (csr cones)
         self._index: dict = {}  # node -> set of live keys mentioning it
         self._version = graph.version
         self._cursor = graph.dirty_cursor
@@ -459,10 +459,10 @@ class MemoTable:
         only the intersecting entries; the computed :class:`DirtyCone` is
         returned when ``want_cone`` is set (or when entries were at
         stake).  ``source_ids`` (interned batch sources) are closed in the
-        same sweep on the serial CSR path, so one sweep serves both
-        eviction and SIEVEADN's changed-node derivation.  Returns ``None``
-        when nothing was stale or when the journal had been trimmed past
-        the cursor (wholesale clear).
+        same sweep on the CSR backend, sharded or not, so one sweep serves
+        both eviction and SIEVEADN's changed-node derivation.  Returns
+        ``None`` when nothing was stale or when the journal had been
+        trimmed past the cursor (wholesale clear).
         """
         graph = self.graph
         if graph.version == self._version:
@@ -506,10 +506,6 @@ class MemoTable:
             seed_nodes = [node_of_id(i) for i in sorted(seed_ids)]
             node_id = graph.node_id
             return DirtyCone({node_id(n) for n in ancestors(graph, seed_nodes, None)})
-        if self.executor is not None:
-            # Shard-merged reverse sweep; identical closure (reachability
-            # distributes over seed union), serial fallback inside.
-            return DirtyCone(self.executor.touched_cone_ids(graph, seed_ids))
         engine = graph.csr()
         if source_ids is None:
             return DirtyCone(engine.touched_cone_ids(seed_ids))
@@ -611,7 +607,6 @@ class InfluenceOracle:
         self.counter = counter if counter is not None else CallCounter("oracle")
         self._executor, self._owns_executor = resolve_executor(parallel, backend)
         self._memo = MemoTable(graph, max_cache_entries, cone_backend=backend)
-        self._memo.executor = self._executor
 
     def _init_weights(
         self, weights: Optional[WeightSpec], default_weight: float

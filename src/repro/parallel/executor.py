@@ -1,16 +1,27 @@
 """Sharded oracle executor: batched sweeps split across a thread pool.
 
 :class:`ShardedOracleExecutor` partitions the oracle's batched sweeps —
-``spread_many`` bit-plane batches, the weighted and fold bit-plane sums,
-per-set reachable-id evaluations (weight callables), and the
-``ancestor_ids`` / ``touched_cone_ids`` reverse sweeps behind memo
-eviction — across a ``ThreadPoolExecutor``.  Every shard sweeps its own
-clone of the graph's current kernel (:meth:`ShardedOracleExecutor.
-ensure_plane`): the clones share the engine's CSR arrays, arrival log
-and resolved backend but own their visited buffers, so there is no
-spawn, no copy of the graph and no pickling.  Shards overlap on separate cores
-where the kernel releases the GIL (the jitted native loops, numpy's
-array kernels).
+``spread_many`` bit-plane batches, the weighted and fold bit-plane sums
+and per-set reachable-id evaluations (weight callables) — across a
+``ThreadPoolExecutor``.  Every shard sweeps its own clone of the graph's
+current kernel (:meth:`ShardedOracleExecutor.ensure_plane`): the clones
+share the engine's CSR arrays, arrival log and resolved backend but own
+their visited buffers, so there is no spawn, no copy of the graph and no
+pickling.  Shards overlap on separate cores where the kernel releases
+the GIL (the jitted native loops, numpy's array kernels).
+
+A shard never adds a physical sweep.  One bit-plane sweep carries up to
+:data:`~repro.kernels.PLANE_WIDTH` (64) sets, so every request is cut at
+multiples of 64 (:func:`shard_slices`): ``n`` sets become
+``min(workers, ceil(n / 64))`` shards of whole 64-set chunks, and a
+request of 64 sets or fewer is one shard, swept once, as the serial
+engine does.  Ancestor closures are never split either: the memo's
+dirty-cone closure runs in the engine's single two-plane
+:meth:`~repro.tdn.csr.DeltaCSR.ancestor_closures` sweep on the caller's
+thread, whatever the worker count.  :meth:`ShardedOracleExecutor.
+ancestor_ids` and :meth:`ShardedOracleExecutor.touched_cone_ids` remain
+as direct entry points (their seed lists are cut by the same rule); no
+oracle path calls them.
 
 Correctness contract
 --------------------
@@ -65,7 +76,7 @@ if TYPE_CHECKING:
     from repro.tdn.graph import TDNGraph
 
 from repro.errors import ConfigError
-from repro.kernels import Fold, resolve_fold
+from repro.kernels import PLANE_WIDTH, Fold, resolve_fold
 from repro.obs import names as metric_names
 from repro.obs.registry import metrics_registry
 from repro.parallel.degradation import DegradationLadder, DegradationReason
@@ -109,20 +120,25 @@ def _env_timeout() -> float:
 
 
 def shard_slices(num_items: int, num_shards: int) -> List[Tuple[int, int]]:
-    """Contiguous, balanced ``[start, stop)`` slices covering ``num_items``.
+    """Contiguous ``[start, stop)`` slices of whole :data:`PLANE_WIDTH` chunks.
 
-    Pure so the hypothesis shard-merge property can drive it directly:
-    the slices are disjoint, ordered, cover every item exactly once, and
-    sizes differ by at most one.  Empty slices are dropped.
+    A sweep packs up to :data:`PLANE_WIDTH` sets into one physical
+    traversal, so a slice boundary anywhere but a chunk edge would add a
+    sweep.  The ``ceil(num_items / PLANE_WIDTH)`` chunks are dealt to
+    ``min(num_shards, chunks)`` slices whose chunk counts differ by at
+    most one; only the last slice may end in a partial chunk.  Pure so
+    the hypothesis shard-merge property can drive it directly.
     """
     if num_items <= 0 or num_shards <= 0:
         return []
-    num_shards = min(num_shards, num_items)
-    base, extra = divmod(num_items, num_shards)
+    chunks = -(-num_items // PLANE_WIDTH)
+    num_shards = min(num_shards, chunks)
+    base, extra = divmod(chunks, num_shards)
     slices = []
     start = 0
     for shard in range(num_shards):
-        stop = start + base + (1 if shard < extra else 0)
+        width = (base + (1 if shard < extra else 0)) * PLANE_WIDTH
+        stop = min(num_items, start + width)
         slices.append((start, stop))
         start = stop
     return slices
@@ -461,7 +477,12 @@ class ShardedOracleExecutor:
         target_ids: Iterable[int],
         min_expiry: Optional[float] = None,
     ) -> Set[int]:
-        """Shard-merged reverse sweep: ancestors distribute over seed union."""
+        """Shard-merged reverse sweep: ancestors distribute over seed union.
+
+        No oracle path calls this: the memo closes its dirty cone in the
+        engine's own single sweep (:meth:`~repro.tdn.csr.DeltaCSR.
+        ancestor_closures`).
+        """
         targets = sorted(set(target_ids))
         if not targets:
             return set()
@@ -480,7 +501,7 @@ class ShardedOracleExecutor:
         return merged
 
     def touched_cone_ids(self, graph: "TDNGraph", seed_ids: Iterable[int]) -> Set[int]:
-        """Dirty-cone closure for memo eviction (shard-merged)."""
+        """:meth:`ancestor_ids` at the widest live horizon (shard-merged)."""
         return self.ancestor_ids(graph, seed_ids, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -88,8 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="lifetime cap L (also the constant window W)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=positive_int, default=1,
-                        help="oracle evaluation workers (N > 1 shards spread "
-                             "sweeps across N threads; identical results)")
+                        help="oracle evaluation workers (N > 1 deals spread "
+                             "sweeps to up to N threads in whole 64-set "
+                             "planes, so a sweep of 64 sets or fewer is one "
+                             "shard; memo closures stay on the main thread; "
+                             "identical results)")
     parser.add_argument("--report-every", type=positive_int, default=200,
                         help="print the solution every N steps")
     parser.add_argument("--checkpoint", default=None,

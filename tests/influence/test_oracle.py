@@ -148,7 +148,8 @@ class TestParallelArgument:
 
     @pytest.mark.parametrize("semantics", [None, "weighted_sum"])
     def test_facade_rejects_fractional_workers(self, semantics):
-        with pytest.raises(ConfigError, match="parallel must be"):
+        # The facade names the argument its caller passed.
+        with pytest.raises(ConfigError, match="workers must be .* got 1.5"):
             open_tracker(workers=1.5, semantics=semantics)
 
     @pytest.mark.parametrize(

@@ -205,3 +205,41 @@ def test_sharded_weighted_sums_are_worker_computed(executor):
     fallbacks = metric_names.EXECUTOR_SERIAL_FALLBACKS_TOTAL
     assert after[dispatches] == before[dispatches] + 1
     assert after[fallbacks] == before[fallbacks]
+
+
+def test_sieve_adn_closes_cones_on_the_callers_thread(monkeypatch):
+    """A workers=2 SieveADN replay on gowalla in batches of 50 takes
+    V_t-bar from the memo's one closure sweep: it never runs the
+    changed-node sweep or a shard-merged cone, and it matches the serial
+    tracker's solutions and oracle calls while the pool shards."""
+    from repro.core import sieve_adn
+    from repro.core.tracker import InfluenceTracker
+    from repro.datasets.registry import make_interactions
+
+    interactions = make_interactions("gowalla", 40 * 50, seed=5)
+    policy = GeometricLifetime(0.01, 1000, seed=6)
+    flat = [(i.source, i.target, policy.draw(i)) for i in interactions]
+    batches = [flat[start : start + 50] for start in range(0, len(flat), 50)]
+
+    def run(workers):
+        tracker = InfluenceTracker("sieve-adn", k=10, epsilon=0.2, workers=workers)
+        try:
+            trace = []
+            for t, batch in enumerate(batches):
+                solution = tracker.step(t, batch)
+                trace.append((solution.nodes, solution.value))
+            return trace, tracker.oracle.calls
+        finally:
+            tracker.close()
+
+    serial = run(1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dirty cone must come from one closure sweep")
+
+    monkeypatch.setattr(sieve_adn, "changed_nodes", forbidden)
+    monkeypatch.setattr(ShardedOracleExecutor, "touched_cone_ids", forbidden)
+    dispatches = metric_names.EXECUTOR_DISPATCHES_TOTAL
+    before = metrics_registry().counter_values()[dispatches]
+    assert run(2) == serial
+    assert metrics_registry().counter_values()[dispatches] > before

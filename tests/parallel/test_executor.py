@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from repro.influence.oracle import InfluenceOracle
+from repro.kernels import PLANE_WIDTH
 from repro.parallel.executor import (
     ShardedOracleExecutor,
     merge_shard_counts,
@@ -35,15 +36,24 @@ def build_graph(seed=17, num_nodes=50, num_events=260):
 
 class TestShardingMath:
     def test_slices_partition_exactly(self):
-        for n in (0, 1, 2, 7, 64, 100):
+        """Slices cover the items in order; every boundary but the last is
+        a multiple of 64; there are min(workers, ceil(n / 64)) slices,
+        whose chunk counts differ by at most one."""
+        for n in (0, 1, 2, 7, 63, 64, 65, 100, 128, 129, 130, 200, 640, 1000):
             for shards in (1, 2, 3, 5, 16):
                 slices = shard_slices(n, shards)
                 covered = [i for start, stop in slices for i in range(start, stop)]
                 assert covered == list(range(n))
                 assert all(stop > start for start, stop in slices)
+                chunks = -(-n // PLANE_WIDTH)
+                assert len(slices) == min(shards, chunks)
+                assert all(stop % PLANE_WIDTH == 0 for _, stop in slices[:-1])
                 if slices:
-                    sizes = [stop - start for start, stop in slices]
-                    assert max(sizes) - min(sizes) <= 1
+                    counts = [
+                        -(-(stop - start) // PLANE_WIDTH) for start, stop in slices
+                    ]
+                    assert max(counts) - min(counts) <= 1
+                    assert sum(counts) == chunks
 
     def test_merge_restores_submission_order(self):
         slices = shard_slices(7, 3)
@@ -120,6 +130,33 @@ class TestPoolQueries:
             assert executor.touched_cone_ids(graph, ids[:9]) == (
                 serial.touched_cone_ids(ids[:9])
             )
+        finally:
+            executor.close()
+
+    def test_requests_shard_on_whole_planes(self, monkeypatch):
+        """Under two workers a 24-set request is one shard (one sweep, as
+        serial) and a 130-set request two; both match serial exactly."""
+        graph = build_graph()
+        run_shard = ShardedOracleExecutor._run_shard
+        parts = []
+
+        def counting(run, kernel, part, fail):
+            parts.append(len(part))
+            return run_shard(run, kernel, part, fail)
+
+        monkeypatch.setattr(
+            ShardedOracleExecutor, "_run_shard", staticmethod(counting)
+        )
+        executor = ShardedOracleExecutor(2)
+        try:
+            ids = list(range(graph.num_interned))
+            sets = [[ids[i % len(ids)], ids[(3 * i) % len(ids)]] for i in range(130)]
+            for size, shards in ((24, [24]), (130, [128, 2])):
+                del parts[:]
+                assert executor.spread_counts(graph, sets[:size]) == (
+                    graph.csr().spread_counts(sets[:size], None)
+                )
+                assert parts == shards
         finally:
             executor.close()
 

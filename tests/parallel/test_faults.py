@@ -29,7 +29,7 @@ import pytest
 
 from repro.core.tracker import InfluenceTracker
 from repro.influence.oracle import InfluenceOracle
-from repro.kernels import resolve_fold
+from repro.kernels import PLANE_WIDTH, resolve_fold
 from repro.obs import names as metric_names
 from repro.obs.registry import metrics_registry
 from repro.parallel.executor import ShardedOracleExecutor
@@ -41,12 +41,16 @@ from repro.tdn.lifetimes import GeometricLifetime
 
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "3"))
 
+#: Sets per executor request: past 64 x 3 workers, so every shard ordinal
+#: a test names is a real shard (requests are cut on 64-set planes).
+WIDE = 3 * PLANE_WIDTH + 1
+
 
 def plan(spec: str) -> FaultPlan:
     return FaultPlan.parse(f"{spec};seed={SEED}")
 
 
-def build_graph(seed=None, num_nodes=40, num_events=160):
+def build_graph(seed=None, num_nodes=160, num_events=640):
     rng = random.Random(SEED if seed is None else seed)
     graph = TDNGraph()
     t = 0
@@ -63,6 +67,11 @@ def fallbacks() -> float:
     return metrics_registry().counter_values()[
         metric_names.EXECUTOR_SERIAL_FALLBACKS_TOTAL
     ]
+
+
+def widen(items):
+    """``items`` repeated in order up to :data:`WIDE` entries."""
+    return [items[i % len(items)] for i in range(WIDE)]
 
 
 def thread_errors(executor) -> int:
@@ -86,9 +95,13 @@ SWEEPS = [
 
 
 def sweeps(graph):
-    """Every sharded entry point: name -> (executor call, serial call)."""
+    """Every sharded entry point: name -> (executor call, serial call).
+
+    Set requests are :func:`widen`-ed past three shards; the ancestor
+    request names every interned id, more than two 64-id planes."""
     ids = list(range(graph.num_interned))
-    sets = [[i, (i + 5) % len(ids)] for i in ids]
+    assert len(ids) > 2 * PLANE_WIDTH
+    sets = widen([[i, (i + 5) % len(ids)] for i in ids])
     weights = np.asarray([1.0 + (i % 5) * 0.5 for i in ids], dtype=np.float64)
     fold = resolve_fold("hop_discount")
     horizon = float(graph.time + 4)
@@ -171,7 +184,7 @@ class TestExecutorChaos:
                 graph.advance_to(graph.time + 1)
                 u, v = rng.sample(range(40), 2)
                 graph.add_interaction(Interaction(f"n{u}", f"n{v}", graph.time, 20))
-                sets = [[i] for i in range(graph.num_interned)]
+                sets = widen([[i] for i in range(graph.num_interned)])
                 assert executor.spread_counts(graph, sets) == (
                     graph.csr().spread_counts(sets, None)
                 ), step

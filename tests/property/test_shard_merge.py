@@ -4,7 +4,8 @@ The sharded executor's correctness rests on two algebraic facts — per-set
 spread counts are independent of how a batch is partitioned, and
 reachability distributes over seed union — plus the kernel clone each
 shard thread sweeps agreeing with the serial delta engine.  Hypothesis
-drives all three on random TDN streams, partition widths and horizons,
+drives all three on random TDN streams, partition widths and horizons
+(batches long enough to cross 64-set plane boundaries),
 calling the clones directly (:meth:`~repro.tdn.csr.DeltaCSR.
 kernel_clone`, the identical code shard threads run) so the property
 fuzzes the physics without a thread pool.
@@ -60,7 +61,7 @@ def test_shard_merged_spread_counts_equal_single_sweep(
         st.lists(
             st.lists(st.sampled_from(ids), min_size=1, max_size=4),
             min_size=1,
-            max_size=12,
+            max_size=3 * 64 + 8,
         )
     )
     eff = float(graph.time + 1)
@@ -105,7 +106,9 @@ def test_shard_merged_ancestors_equal_single_sweep(
     eff = float(graph.time + 1)
     single = engine.reachable_ids(targets, eff)
     assert single == graph.csr().ancestor_ids(targets, None)
+    # Any partition of the seeds merges to the single sweep (a memo
+    # closure never shards, but the executor's ancestor_ids still may).
     merged = set()
-    for start, stop in shard_slices(len(targets), num_shards):
-        merged |= engine.reachable_ids(targets[start:stop], eff)
+    for shard in range(num_shards):
+        merged |= engine.reachable_ids(targets[shard::num_shards], eff)
     assert merged == single

@@ -69,6 +69,23 @@ class TestOpenTracker:
         with pytest.raises(ConfigError, match="unknown algorithm"):
             open_tracker("simulated-annealing")
 
+    @pytest.mark.parametrize("workers", ["2", 0, -3, True, 1.5])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            open_tracker,
+            InfluenceTracker,
+            lambda *args, **kwargs: open_tracker(
+                *args, semantics=Semantics.WEIGHTED_SUM, **kwargs
+            ),
+        ],
+        ids=["open_tracker", "InfluenceTracker", "open_tracker-weighted"],
+    )
+    def test_workers_must_be_an_int_of_at_least_one(self, entry, workers):
+        with pytest.raises(ConfigError, match="workers") as caught:
+            entry("sieve-adn", workers=workers)
+        assert repr(workers) in str(caught.value)
+
 
 class TestWeightedPath:
     def test_weighted_sum_injects_a_weighted_oracle(self):
