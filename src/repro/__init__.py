@@ -56,6 +56,7 @@ from repro.errors import (
     PersistenceError,
     ReproError,
     SemanticsError,
+    UnsupportedCheckpointError,
 )
 from repro.influence import InfluenceOracle, top_spreaders
 from repro.persistence import load_checkpoint, save_checkpoint
@@ -93,6 +94,7 @@ __all__ = [
     "SemanticsError",
     "DegradedExecutionError",
     "PersistenceError",
+    "UnsupportedCheckpointError",
     "TDNGraph",
     "Interaction",
     "MemoryStream",

@@ -162,10 +162,12 @@ class SieveADN:
         # sweep is issued as one batched oracle call group so the CSR
         # backend amortizes a single snapshot build across the whole
         # candidate batch (call counts are identical to per-node spreads).
+        # The sieve keys ride in its idle planes: they are the pairs'
+        # bases below and the query's sets, at this horizon.
         oracle = self.oracle
         min_expiry = self.min_expiry
         singletons = oracle.spread_many(
-            [(node,) for node in candidates], min_expiry
+            [(node,) for node in candidates], min_expiry, prefetch=self._sieve_keys
         )
         singleton_values = {}
         for node, singleton in zip(candidates, singletons):
@@ -207,6 +209,10 @@ class SieveADN:
                 if with_node - base >= threshold:
                     sieve.add(node)
                     sieve.cached_value = float(with_node)
+
+    def _sieve_keys(self):
+        """The non-empty sieve keys (lazily: only a sweep with idle planes asks)."""
+        return (sieve.key for sieve in self.thresholds.sets() if sieve.nodes)
 
     # ------------------------------------------------------------------
     def query(self) -> Solution:

@@ -21,6 +21,7 @@ __all__ = [
     "PersistenceError",
     "ReproError",
     "SemanticsError",
+    "UnsupportedCheckpointError",
 ]
 
 
@@ -44,6 +45,16 @@ class SemanticsError(ConfigError):
 
 class PersistenceError(ReproError, ValueError):
     """A checkpoint payload is malformed, unsupported, or inconsistent."""
+
+
+class UnsupportedCheckpointError(ReproError, TypeError):
+    """A checkpoint was asked to save an algorithm it cannot serialize.
+
+    A ``TypeError`` like the bare one ``save_checkpoint`` raised before:
+    the algorithm's *type* is outside what persistence supports
+    (SieveADN, BasicReduction, HistApprox).  Raised before any file is
+    written.
+    """
 
 
 class DegradedExecutionError(ReproError, RuntimeError):

@@ -63,12 +63,19 @@ The contract behind retaining the rest:
   surviving pair's max expiry still clears the new ``t + 1`` floor), and
   bump no version.
 
-Every shipped semantics scores a key by its reached set alone, so the
-same contract covers all of them.  Eviction preserves the table's FIFO
-insertion order, so cache-pressure eviction (oldest first) is unaffected
-by dirty deletes, and a retained entry is always equal to a from-scratch
-evaluation (property-tested; tracker replays also match an oracle that
-calls :meth:`InfluenceOracle.invalidate` before every batch).
+``count``, ``weighted_sum`` and ``hop_discount`` score a key by its
+reached set (and its hop levels) alone, so the same contract covers
+them.  ``time_decay`` does not: its node terms read each reached node's
+freshest in-edge against ``t + 1``, so an arrival *into* a reached node,
+or a bare clock tick, moves a value that no dirty source's cone covers.
+Its table is clock-bound and holds entries for one graph version and
+time only (:attr:`MemoTable.clock_bound`).
+
+Eviction preserves the table's FIFO insertion order, so cache-pressure
+eviction (oldest first) is unaffected by dirty deletes, and a retained
+entry is always equal to a from-scratch evaluation (property-tested;
+tracker replays also match an oracle that calls
+:meth:`InfluenceOracle.invalidate` before every batch).
 
 Semantics
 ---------
@@ -96,6 +103,25 @@ distinct misses in one evaluator call, where the csr sweeps pack up to
 64 seed sets into uint64 visited-mask planes of one shared traversal.
 The accounting is exactly that of ``[self.spread(s) for s in sets]``;
 the physics costs one multi-source sweep per 64 sets.
+
+A caller that knows which sets it will ask for next at the same horizon
+passes them as ``prefetch`` (a zero-argument builder; SIEVEADN passes
+its non-empty sieve keys with the singleton sweep, so the pairs' bases
+and the query come out of that sweep).  The rule: prefetched sets only
+fill idle planes of a sweep that runs anyway, and never add a walk, a
+64-set chunk or an executor dispatch.  So the builder is called only
+on the bit-plane path (never on the scalar path, the ``"dict"``
+backend, a weight callable's path or a lone-set walk), and a request
+whose misses fill their last chunk prefetches nothing.  A prefetched
+value is counted only on a protocol miss: it is neither counted nor
+memoized when swept, and a later miss that asks for it counts one call
+and is served without a sweep.  It lives for one graph version and
+time; a version bump, a clock tick, :meth:`InfluenceOracle.invalidate`
+or an evaluator exception drops it.  Values, calls and memo FIFO order
+therefore stay those of the same requests without ``prefetch``
+(property-tested).  ``repro_oracle_prefetched_sets_total`` and
+``repro_oracle_prefetch_served_total`` show what rode and what was
+used.
 
 :meth:`InfluenceOracle.spread` keeps its own protocol and sends only its
 miss to the evaluator: replaying its batch of one through
@@ -154,7 +180,7 @@ import numpy as np
 
 from repro.errors import ConfigError, SemanticsError
 from repro.influence.reachability import ancestors, reachable_set
-from repro.kernels import dense_weight_sum, resolve_fold
+from repro.kernels import PLANE_WIDTH, dense_weight_sum, resolve_fold
 from repro.obs import names as metric_names
 from repro.obs.registry import metrics_registry
 from repro.tdn.graph import TDNGraph
@@ -172,6 +198,14 @@ _MEMO_EVICTIONS = metrics_registry().counter(
     metric_names.ORACLE_MEMO_EVICTIONS_TOTAL
 )
 _CONE_SIZE = metrics_registry().histogram(metric_names.ORACLE_CONE_SIZE_NODES)
+_PREFETCHED = metrics_registry().counter(metric_names.ORACLE_PREFETCHED_SETS_TOTAL)
+_PREFETCH_SERVED = metrics_registry().counter(
+    metric_names.ORACLE_PREFETCH_SERVED_TOTAL
+)
+
+#: Builds, on demand, the sets a caller will ask for later at the same
+#: horizon (see "Bit-plane batching" in the module docstring).
+Prefetch = Callable[[], Iterable[Iterable[Node]]]
 
 #: Count-semantics cache key.  Non-count semantics append the fold's
 #: hashable token as a third element, so two semantics over one graph can
@@ -190,7 +224,7 @@ _PENDING = object()
 
 
 def replay_batch_protocol(
-    memo, counter, sets, min_expiry, evaluate, zero, semantics=None
+    memo, counter, sets, min_expiry, evaluate, zero, semantics=None, prefetch=None
 ):
     """The sequential-replay cache protocol behind batched ``spread_many``.
 
@@ -213,7 +247,8 @@ def replay_batch_protocol(
     ``semantics`` is an optional hashable token appended to every cache
     key (``None`` keeps the historical two-element key), so oracles
     evaluating different fold semantics over one shared graph keep fully
-    disjoint memo populations.
+    disjoint memo populations.  A ``prefetch`` builder is handed to
+    ``evaluate`` as its third argument.
     """
     frozen_sets = [frozenset(nodes) for nodes in sets]
     probe = memo.data.get
@@ -259,7 +294,11 @@ def replay_batch_protocol(
     counter.increment(misses)
     _MEMO_MISSES.inc(misses)
     try:
-        values = evaluate([key[1] for key in miss_keys], min_expiry)
+        key_sets = [key[1] for key in miss_keys]
+        if prefetch is None:
+            values = evaluate(key_sets, min_expiry)
+        else:
+            values = evaluate(key_sets, min_expiry, prefetch)
     except BaseException:
         for key in miss_keys:
             if memo.data.get(key) is _PENDING:
@@ -347,9 +386,11 @@ class MemoTable:
         "data",
         "max_entries",
         "cone_backend",
+        "clock_bound",
         "_index",
         "_version",
         "_cursor",
+        "_time",
     )
 
     def __init__(
@@ -357,6 +398,7 @@ class MemoTable:
         graph: TDNGraph,
         max_entries: int,
         cone_backend: str = "csr",
+        clock_bound: bool = False,
     ) -> None:
         if max_entries < 0:
             raise ConfigError(f"max_entries must be >= 0, got {max_entries}")
@@ -368,9 +410,13 @@ class MemoTable:
         self.data: dict = {}
         self.max_entries = max_entries
         self.cone_backend = cone_backend
+        #: Values depend on the clock and on in-edges (derived node
+        #: values): entries then live for one graph version and time.
+        self.clock_bound = clock_bound
         self._index: dict = {}  # node -> set of live keys mentioning it
         self._version = graph.version
         self._cursor = graph.dirty_cursor
+        self._time = graph.time
 
     def __len__(self) -> int:
         return len(self.data)
@@ -446,6 +492,7 @@ class MemoTable:
         self.clear()
         self._version = self.graph.version
         self._cursor = self.graph.dirty_cursor
+        self._time = self.graph.time
 
     def sync(
         self,
@@ -461,10 +508,17 @@ class MemoTable:
         stake).  ``source_ids`` (interned batch sources) are closed in the
         same sweep on the CSR backend, sharded or not, so one sweep serves
         both eviction and SIEVEADN's changed-node derivation.  Returns
-        ``None`` when nothing was stale or when the journal had been
-        trimmed past the cursor (wholesale clear).
+        ``None`` when nothing was stale or when the table was cleared
+        wholesale: the journal had been trimmed past the cursor, or a
+        clock-bound table saw the version or the time move.
         """
         graph = self.graph
+        if self.clock_bound and (graph.version, graph.time) != (
+            self._version,
+            self._time,
+        ):
+            self.reset()
+            return None
         if graph.version == self._version:
             return None
         record = None
@@ -606,7 +660,16 @@ class InfluenceOracle:
             self._init_weights(weights, default_weight)
         self.counter = counter if counter is not None else CallCounter("oracle")
         self._executor, self._owns_executor = resolve_executor(parallel, backend)
-        self._memo = MemoTable(graph, max_cache_entries, cone_backend=backend)
+        self._memo = MemoTable(
+            graph,
+            max_cache_entries,
+            cone_backend=backend,
+            clock_bound=fold.derives_node_values,
+        )
+        #: Prefetched values by memo key, all taken at the graph version
+        #: and time in ``_prefetch_stamp``; never counted, never memoized.
+        self._prefetched: dict = {}
+        self._prefetch_stamp = (graph.version, graph.time)
 
     def _init_weights(
         self, weights: Optional[WeightSpec], default_weight: float
@@ -719,6 +782,7 @@ class InfluenceOracle:
         self,
         sets: Sequence[Iterable[Node]],
         min_expiry: Optional[float] = None,
+        prefetch: Optional[Prefetch] = None,
     ) -> List[Union[int, float]]:
         """Evaluate ``f_t`` for a whole batch of sets at one horizon.
 
@@ -727,6 +791,12 @@ class InfluenceOracle:
         the same order (the table is synced once before the batch replays
         the sequential protocol) — but the distinct misses are evaluated
         together, one shared bit-plane traversal per 64 sets on csr.
+
+        ``prefetch`` is a zero-argument callable returning sets the
+        caller will ask for later at this horizon.  It is called only
+        when the misses' sweep has idle planes, and what it returns rides
+        in them without changing any value or count (see "Bit-plane
+        batching" in the module docstring).
         """
         self._memo.sync()
         return replay_batch_protocol(
@@ -737,6 +807,7 @@ class InfluenceOracle:
             self._evaluate_batch,
             0 if self._semantics_token is None else 0.0,
             semantics=self._semantics_token,
+            prefetch=prefetch,
         )
 
     def marginal_gain(
@@ -761,11 +832,59 @@ class InfluenceOracle:
 
     # ------------------------------------------------------------------
     def _evaluate_batch(
-        self, key_sets: Sequence[FrozenSet[Node]], min_expiry: Optional[float]
+        self,
+        key_sets: Sequence[FrozenSet[Node]],
+        min_expiry: Optional[float],
+        prefetch: Optional[Prefetch] = None,
     ) -> List:
         """Evaluate distinct cache misses: the one place a miss picks its
-        sweep (see "Backends" in the module docstring).  A never-interned
-        seed has no edges and reaches only itself, so it adds its own term.
+        sweep (see "Backends" in the module docstring).  A miss that was
+        prefetched at this graph version and time is served from the
+        prefetch store; the rest go to :meth:`_evaluate_misses`.  An exception
+        drops every prefetched value.
+        """
+        stash = self._prefetched
+        try:
+            graph = self.graph
+            if stash and self._prefetch_stamp != (graph.version, graph.time):
+                stash.clear()
+            if not stash:
+                return self._evaluate_misses(key_sets, min_expiry, prefetch)
+            values = [
+                stash.pop(self._memo_key(min_expiry, key_nodes), _PENDING)
+                for key_nodes in key_sets
+            ]
+            rest = [
+                key_nodes
+                for key_nodes, value in zip(key_sets, values)
+                if value is _PENDING
+            ]
+            if len(rest) < len(key_sets):
+                _PREFETCH_SERVED.inc(len(key_sets) - len(rest))
+            if rest:
+                fresh = iter(self._evaluate_misses(rest, min_expiry, prefetch))
+                values = [
+                    next(fresh) if value is _PENDING else value for value in values
+                ]
+            return values
+        except BaseException:
+            stash.clear()
+            raise
+
+    def _memo_key(self, min_expiry: Optional[float], key_nodes: FrozenSet[Node]):
+        token = self._semantics_token
+        if token is None:
+            return (min_expiry, key_nodes)
+        return (min_expiry, key_nodes, token)
+
+    def _evaluate_misses(
+        self,
+        key_sets: Sequence[FrozenSet[Node]],
+        min_expiry: Optional[float],
+        prefetch: Optional[Prefetch],
+    ) -> List:
+        """Evaluate ``key_sets`` on the backend; a never-interned seed has
+        no edges and reaches only itself, so it adds its own term.
         """
         graph = self.graph
         counting = self._semantics_token is None
@@ -808,6 +927,15 @@ class InfluenceOracle:
         if not id_sets:
             return values
         lone = id_sets[0] if len(id_sets) == 1 else None
+        riders: List[Tuple[Any, List[int]]] = []
+        if (
+            prefetch is not None
+            and lone is None
+            and (not weighted or self._dense_weights)
+            and engine.scalar_reach(min_expiry) is None  # no per-set walks
+        ):
+            riders = self._riders(prefetch, key_sets, len(id_sets), min_expiry)
+            id_sets.extend(ids for _, ids in riders)
         sweeps: Any = engine
         args: tuple = (id_sets, min_expiry)
         if executor is not None and lone is None:
@@ -833,7 +961,59 @@ class InfluenceOracle:
             terms = [self._weight_of_reached(reached) for reached in reached_sets]
         for j, term in zip(pending, terms):
             values[j] += term
+        if riders:
+            self._stash(riders, terms[len(pending) :], 0 if counting else 0.0)
         return values
+
+    def _riders(
+        self,
+        prefetch: Prefetch,
+        key_sets: Sequence[FrozenSet[Node]],
+        swept: int,
+        min_expiry: Optional[float],
+    ) -> List[Tuple[Any, List[int]]]:
+        """``(memo key, ids)`` of the prefetch sets that fit the sweep's
+        idle planes: never a new 64-set chunk, and under an executor
+        never a request it would otherwise have served serially.  Sets
+        already in the memo, the store or this batch ride nowhere.
+        """
+        room = -swept % PLANE_WIDTH
+        executor = self._executor
+        if executor is not None and swept < executor.min_batch:
+            room = min(room, executor.min_batch - 1 - swept)
+        if room <= 0:
+            return []
+        probe = self._memo.data.get
+        stash = self._prefetched
+        taken = set(key_sets)
+        intern_ids = self.graph.intern_ids
+        riders: List[Tuple[Any, List[int]]] = []
+        for nodes in prefetch():
+            key_nodes = frozenset(nodes)
+            if not key_nodes or key_nodes in taken:
+                continue
+            key = self._memo_key(min_expiry, key_nodes)
+            if key in stash or probe(key) is not None:
+                continue
+            ids, unknown = intern_ids(key_nodes)
+            if unknown:  # left to its own miss, like any never-interned seed
+                continue
+            taken.add(key_nodes)
+            riders.append((key, ids))
+            if len(riders) == room:
+                break
+        return riders
+
+    def _stash(self, riders, terms, zero) -> None:
+        """Keep the riders' values for the current graph version and time."""
+        stash = self._prefetched
+        stamp = (self.graph.version, self.graph.time)
+        if self._prefetch_stamp != stamp:
+            stash.clear()
+            self._prefetch_stamp = stamp
+        for (key, _), term in zip(riders, terms):
+            stash[key] = zero + term
+        _PREFETCHED.inc(len(riders))
 
     # ------------------------------------------------------------------
     # weighted_sum
@@ -891,8 +1071,10 @@ class InfluenceOracle:
         return self.counter.total
 
     def invalidate(self) -> None:
-        """Drop the memo table (tests use this to force recomputation)."""
+        """Drop the memo table and every prefetched value (tests use this
+        to force recomputation)."""
         self._memo.reset()
+        self._prefetched.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

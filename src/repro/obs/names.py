@@ -33,6 +33,8 @@ ORACLE_MEMO_HITS_TOTAL = "repro_oracle_memo_hits_total"
 ORACLE_MEMO_MISSES_TOTAL = "repro_oracle_memo_misses_total"
 ORACLE_MEMO_EVICTIONS_TOTAL = "repro_oracle_memo_evictions_total"
 ORACLE_CONE_SIZE_NODES = "repro_oracle_cone_size_nodes"
+ORACLE_PREFETCHED_SETS_TOTAL = "repro_oracle_prefetched_sets_total"
+ORACLE_PREFETCH_SERVED_TOTAL = "repro_oracle_prefetch_served_total"
 
 # -- sharded executor ---------------------------------------------------
 EXECUTOR_DISPATCHES_TOTAL = "repro_executor_dispatches_total"
@@ -124,6 +126,16 @@ CATALOG: Tuple[MetricSpec, ...] = (
         ORACLE_CONE_SIZE_NODES, "histogram",
         "closed dirty-cone size per delta memo sync",
         SIZE_BUCKETS_NODES,
+    ),
+    MetricSpec(
+        ORACLE_PREFETCHED_SETS_TOTAL, "counter",
+        "caller-announced sets evaluated in idle planes of a sweep that "
+        "already ran (uncounted until a later miss asks for them)",
+    ),
+    MetricSpec(
+        ORACLE_PREFETCH_SERVED_TOTAL, "counter",
+        "oracle misses answered from prefetched values without a sweep "
+        "(prefetched minus served is the waste)",
     ),
     MetricSpec(
         EXECUTOR_DISPATCHES_TOTAL, "counter",

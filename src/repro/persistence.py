@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.core.basic_reduction import BasicReduction
-from repro.errors import PersistenceError
+from repro.errors import PersistenceError, UnsupportedCheckpointError
 from repro.core.hist_approx import HistApprox
 from repro.core.sieve_adn import SieveADN
 from repro.core.thresholds import SieveSet, ThresholdSet
@@ -306,9 +306,10 @@ def algorithm_to_dict(algorithm) -> Dict:
                 for horizon in algorithm._horizons  # noqa: SLF001
             ],
         }
-    raise TypeError(
-        f"cannot serialize {type(algorithm).__name__}; supported: "
-        "SieveADN, BasicReduction, HistApprox"
+    label = getattr(algorithm, "label", "") or type(algorithm).__name__
+    raise UnsupportedCheckpointError(
+        f"cannot serialize {type(algorithm).__name__} (the {label} algorithm); "
+        "supported: SieveADN, BasicReduction, HistApprox"
     )
 
 

@@ -236,3 +236,56 @@ class TestBatchedPairs:
             memo_order = list(oracle._memo.data)  # noqa: SLF001 - FIFO order
             runs.append((trace, oracle.calls, memo_order))
         assert runs[0] == runs[1]
+
+
+class UnannouncedOracle(InfluenceOracle):
+    """An oracle that ignores ``prefetch``: the reference for riding."""
+
+    def spread_many(self, sets, min_expiry=None, prefetch=None):
+        return super().spread_many(sets, min_expiry)
+
+
+class TestSieveKeysRide:
+    """The sieve keys ride in the singleton sweep's idle planes."""
+
+    def test_query_needs_no_sweep_and_nothing_else_moves(self, monkeypatch):
+        import os
+        from unittest import mock
+
+        from repro.datasets.registry import make_interactions
+        from repro.tdn.csr import DeltaCSR
+
+        phase = {"query": False}
+        query_sweeps = []
+        spread_counts = DeltaCSR.spread_counts
+
+        def counting_sweep(self, id_sets, min_expiry=None):
+            if phase["query"]:
+                query_sweeps[-1] += 1
+            return spread_counts(self, id_sets, min_expiry)
+
+        monkeypatch.setattr(DeltaCSR, "spread_counts", counting_sweep)
+        events = make_interactions("gowalla", 60 * 40, seed=1)
+        runs = []
+        for oracle_cls in (InfluenceOracle, UnannouncedOracle):
+            graph = TDNGraph()
+            with mock.patch.dict(os.environ, {"REPRO_SCALAR_PAIR_LIMIT": "0"}):
+                graph.csr()  # the bit-plane sweeps, at any graph size
+            oracle = oracle_cls(graph)
+            sieve = SieveADN(k=5, epsilon=0.2, graph=graph, oracle=oracle)
+            query_sweeps.append(0)
+            trace = []
+            for t in range(60):
+                batch = [
+                    Interaction(e.source, e.target, t, 15)
+                    for e in events[40 * t : 40 * (t + 1)]
+                ]
+                feed(graph, sieve, t, batch)
+                phase["query"] = True
+                solution = sieve.query()
+                phase["query"] = False
+                trace.append((solution.nodes, solution.value))
+            memo = list(oracle._memo.data.items())  # noqa: SLF001 - FIFO order
+            runs.append((trace, oracle.calls, memo))
+        assert runs[0] == runs[1]
+        assert query_sweeps[0] == 0 < query_sweeps[1]

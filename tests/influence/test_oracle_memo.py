@@ -136,6 +136,43 @@ class TestDeltaRetention:
         assert oracle.calls == 3  # only the x entry re-evaluated
 
 
+class TestClockBoundMemo:
+    """``time_decay`` terms read in-edges and the clock: no dirty cone
+    covers them, so its memo holds one graph version and time."""
+
+    def fresh(self, graph, nodes):
+        oracle = InfluenceOracle(graph, semantics="time_decay", max_cache_entries=0)
+        return oracle.spread(nodes)
+
+    def test_arrival_into_a_seed_refreshes_its_value(self):
+        graph = TDNGraph()
+        oracle = InfluenceOracle(graph, semantics="time_decay")
+        assert oracle.spread(["a"]) == 1.0  # no in-edge yet
+        graph.add_interaction(Interaction("b", "a", 0, 1))  # dirty source: b
+        assert oracle.spread(["a"]) == self.fresh(graph, ["a"]) == 0.0
+        assert oracle.calls == 2
+
+    def test_clock_tick_refreshes_values(self):
+        graph = TDNGraph()
+        graph.add_interaction(Interaction("b", "a", 0, 5))
+        oracle = InfluenceOracle(graph, semantics="time_decay")
+        before = oracle.spread(["b"])
+        version = graph.version
+        graph.advance_to(1)  # expires nothing, bumps no version
+        assert graph.version == version
+        after = oracle.spread(["b"])
+        assert after == self.fresh(graph, ["b"]) < before
+        assert oracle.calls == 2
+
+    def test_count_memo_survives_a_clock_tick(self):
+        graph = two_island_graph()
+        oracle = InfluenceOracle(graph)
+        oracle.spread(["a"])
+        graph.advance_to(1)
+        oracle.spread(["a"])
+        assert oracle.calls == 1
+
+
 class TestDirtyJournal:
     def test_cursor_monotone_and_suffix_read(self):
         graph = TDNGraph()

@@ -122,6 +122,7 @@ class TestErrorHierarchy:
             SemanticsError,
             PersistenceError,
             DegradedExecutionError,
+            repro.UnsupportedCheckpointError,
         ):
             assert issubclass(exc, ReproError)
 
@@ -132,6 +133,7 @@ class TestErrorHierarchy:
         assert issubclass(SemanticsError, ConfigError)
         assert issubclass(PersistenceError, ValueError)
         assert issubclass(DegradedExecutionError, RuntimeError)
+        assert issubclass(repro.UnsupportedCheckpointError, TypeError)
 
     def test_facade_raises_are_catchable_as_repro_error(self):
         with pytest.raises(ReproError):

@@ -12,7 +12,8 @@ import pytest
 from repro.core.basic_reduction import BasicReduction
 from repro.core.hist_approx import HistApprox
 from repro.core.sieve_adn import SieveADN
-from repro.errors import PersistenceError
+from repro.api import open_tracker
+from repro.errors import PersistenceError, ReproError, UnsupportedCheckpointError
 from repro.influence.oracle import InfluenceOracle
 from repro.persistence import (
     algorithm_from_dict,
@@ -287,6 +288,36 @@ class TestErrorHandling:
 
         with pytest.raises(TypeError, match="cannot serialize"):
             algorithm_to_dict(RandomBaseline(2, TDNGraph()))
+
+    @pytest.mark.parametrize(
+        "name, label",
+        [
+            ("greedy", "Greedy"),
+            ("trend", "Trend"),
+            ("decayed-centrality", "DecayedCentrality"),
+        ],
+    )
+    def test_unsupported_tracker_raises_before_any_write(
+        self, tmp_path, monkeypatch, name, label
+    ):
+        tracker = open_tracker(name, k=2)
+
+        def no_open(*args, **kwargs):
+            raise AssertionError("save_checkpoint opened a file")
+
+        monkeypatch.setattr("repro.persistence.open", no_open, raising=False)
+        try:
+            with pytest.raises(
+                UnsupportedCheckpointError, match=f"the {label} algorithm"
+            ) as raised:
+                save_checkpoint(
+                    tmp_path / "checkpoint.json", tracker.graph, tracker.algorithm
+                )
+        finally:
+            tracker.close()
+        assert isinstance(raised.value, TypeError)
+        assert isinstance(raised.value, ReproError)
+        assert list(tmp_path.iterdir()) == []
 
 
 SHARDED_FACTORIES = {
