@@ -8,7 +8,7 @@ dashboards and ranking services keep asking "who are the top-k right
 now?".  :class:`repro.parallel.IngestService` packages that loop:
 
 * **Ingestion with backpressure** — producers ``await submit(t, batch)``;
-  the service applies batches in order on a single writer thread and the
+  the service applies batches in order on a single apply thread and the
   bounded queue slows producers down instead of buffering unboundedly
   when ingestion falls behind.
 
@@ -16,7 +16,10 @@ now?".  :class:`repro.parallel.IngestService` packages that loop:
   its *epoch* and atomically swaps in that epoch's solution.  Queries
   (``await top_k()``) are answered from the last consistent epoch in
   microseconds; they never block behind ingestion and never observe a
-  half-applied batch.
+  half-applied batch.  If a batch raises, the service stops applying:
+  ``submit`` / ``drain`` / ``close`` raise that failure, and ``top_k``
+  keeps answering the last consistent epoch flagged ``stale`` with the
+  unapplied batch count in ``lag``.
 
 * **Sharded evaluation** — constructing the tracker with ``workers=N``
   puts a :class:`repro.parallel.ShardedOracleExecutor` behind its oracle:

@@ -722,11 +722,11 @@ class InfluenceOracle:
             self._executor.close()
 
     def health_report(self) -> Optional[dict]:
-        """The sharded executor's degradation/health snapshot.
+        """The sharded executor's health snapshot.
 
         ``None`` for a serial oracle; otherwise the executor's
         :meth:`~repro.parallel.executor.ShardedOracleExecutor.
-        health_report` (state, reason, incidents, transitions, …).
+        health_report` (state, reason, incidents, …).
         """
         if self._executor is None:
             return None

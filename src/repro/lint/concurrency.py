@@ -9,11 +9,11 @@
   they run wherever they are called from).
 * **RPL304** — broad exception swallowing inside ``repro/parallel/``.
   A bare ``except:`` or ``except Exception/BaseException:`` whose body
-  neither re-raises, records a :class:`DegradationReason` (directly or
-  via a ``degrade``/``note_incident`` call), nor *uses* the bound
-  exception value hides exactly the shard and writer faults the
-  degradation ladder exists to surface.  Narrow exception types are never
-  flagged; deliberate best-effort teardown swallows carry a pragma.
+  neither re-raises, records the fault through a ``note_incident``-named
+  call, nor *uses* the bound exception value hides exactly the shard and
+  ingest faults the executor's health report and the service's recorded
+  failure exist to surface.  Narrow exception types are never flagged;
+  deliberate best-effort teardown swallows carry a pragma.
 """
 
 from __future__ import annotations
@@ -117,11 +117,11 @@ def _check_async_blocking(tree: ast.Module, path: str) -> List[Finding]:
 # RPL304: swallowed broad excepts in the parallel stack
 # ----------------------------------------------------------------------
 #: Path fragment the rule covers — the parallel stack, where a silent
-#: swallow hides exactly the faults the ladder exists to surface.
+#: swallow hides exactly the faults the health report exists to surface.
 _SWALLOW_SCOPE = "repro/parallel/"
 _BROAD_EXCEPTIONS = {"Exception", "BaseException"}
-#: Call-name substrings that count as recording the fault.
-_RECORDING_CALLS = ("degrade", "note_incident")
+#: Call-name substring that counts as recording the fault.
+_RECORDING_CALL = "note_incident"
 
 
 def _exception_names(expr: Optional[ast.expr]) -> List[Optional[str]]:
@@ -162,11 +162,10 @@ def _call_name(call: ast.Call) -> Optional[str]:
 def _handler_recovers(handler: ast.ExceptHandler) -> bool:
     """Whether the handler's own body re-raises or records the fault.
 
-    Counts: any ``raise``, any reference to ``DegradationReason``, any
-    call whose name mentions ``degrade``/``note_incident``, or a read of
-    the bound exception variable (``as exc`` that is then *used* — e.g.
-    stashed on ``self._failure`` or logged — is surfacing, not
-    swallowing).  Nested ``def``s are excluded: code in them runs later,
+    Counts: any ``raise``, any call whose name mentions
+    ``note_incident``, or a read of the bound exception variable (``as
+    exc`` that is then *used* — e.g. stashed on ``self._failure`` or
+    logged — is surfacing, not swallowing).  Nested ``def``s are excluded: code in them runs later,
     from somewhere else, and does not handle *this* exception.
     """
     bound = handler.name
@@ -177,22 +176,16 @@ def _handler_recovers(handler: ast.ExceptHandler) -> bool:
             continue
         if isinstance(node, ast.Raise):
             return True
-        if isinstance(node, ast.Name):
-            if node.id == "DegradationReason":
-                return True
-            if (
-                bound is not None
-                and node.id == bound
-                and isinstance(node.ctx, ast.Load)
-            ):
-                return True
-        if isinstance(node, ast.Attribute) and node.attr == "DegradationReason":
+        if (
+            isinstance(node, ast.Name)
+            and bound is not None
+            and node.id == bound
+            and isinstance(node.ctx, ast.Load)
+        ):
             return True
         if isinstance(node, ast.Call):
             name = _call_name(node)
-            if name is not None and any(
-                marker in name for marker in _RECORDING_CALLS
-            ):
+            if name is not None and _RECORDING_CALL in name:
                 return True
         stack.extend(ast.iter_child_nodes(node))
     return False
@@ -214,9 +207,9 @@ def _check_swallowed_exceptions(tree: ast.Module, path: str) -> List[Finding]:
                 node.lineno,
                 "RPL304",
                 f"{broad} swallows the exception in the parallel stack; "
-                "re-raise, record a DegradationReason "
-                "(degrade()/note_incident()), use the bound exception, or "
-                "carry a pragma explaining the deliberate swallow",
+                "re-raise, record it (note_incident()), use the bound "
+                "exception, or carry a pragma explaining the deliberate "
+                "swallow",
             )
         )
     return findings

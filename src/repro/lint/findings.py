@@ -43,8 +43,9 @@ CODES = {
     "RPL301": "blocking call inside an async def body",
     "RPL304": (
         "broad except swallows the exception in repro/parallel/ "
-        "(handler must re-raise, record a DegradationReason, or carry a "
-        "pragma — silent swallows hide shard and writer faults)"
+        "(handler must re-raise, record the fault via note_incident(), "
+        "use the bound exception, or carry a pragma — silent swallows "
+        "hide shard and ingest faults)"
     ),
     # -- RPL4xx: determinism -------------------------------------------
     "RPL401": (

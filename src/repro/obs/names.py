@@ -41,7 +41,7 @@ EXECUTOR_DISPATCHES_TOTAL = "repro_executor_dispatches_total"
 EXECUTOR_SHARD_LATENCY_SECONDS = "repro_executor_shard_latency_seconds"
 EXECUTOR_SERIAL_FALLBACKS_TOTAL = "repro_executor_serial_fallbacks_total"
 
-# -- degradation ladder ---------------------------------------------------
+# -- executor health -------------------------------------------------------
 DEGRADATION_TRANSITIONS_TOTAL = "repro_degradation_transitions_total"
 DEGRADATION_INCIDENTS_TOTAL = "repro_degradation_incidents_total"
 
@@ -153,12 +153,13 @@ CATALOG: Tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         DEGRADATION_TRANSITIONS_TOTAL, "counter",
-        "degradation-ladder history records (incidents and state moves)",
+        "executor health records (absorbed shard failures and the "
+        "move to halted at close)",
     ),
     MetricSpec(
         DEGRADATION_INCIDENTS_TOTAL, "counter",
-        "faults recorded by the degradation ladder (absorbed or "
-        "state-changing)",
+        "executor faults recorded (absorbed shard failures and the "
+        "close)",
     ),
     MetricSpec(
         INGEST_QUEUE_DEPTH, "gauge",
@@ -170,11 +171,11 @@ CATALOG: Tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         INGEST_EPOCH_LAG, "gauge",
-        "accepted-but-uncommitted batches (queued + journaled)",
+        "accepted-but-uncommitted batches (queued + applying)",
     ),
     MetricSpec(
         INGEST_EPOCH_LAG_BATCHES, "histogram",
-        "epoch lag observed as each batch is journaled",
+        "epoch lag observed as each batch is dequeued",
         LAG_BUCKETS_BATCHES,
     ),
     MetricSpec(

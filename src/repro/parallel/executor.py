@@ -43,17 +43,18 @@ seeded shard failures.
 Lifecycle
 ---------
 The thread pool starts on the first request large enough to shard and
-is shut down by :meth:`ShardedOracleExecutor.close`.  A ``workers <= 1``
-executor is serial by construction (``HALTED`` with reason
-``SINGLE_WORKER``); a closed one keeps answering serially.  The
-inspectable state lives in a :class:`~repro.parallel.degradation.
-DegradationLadder` (:meth:`ShardedOracleExecutor.health_report`).
+is shut down by :meth:`ShardedOracleExecutor.close`.  A single-worker
+executor is serial by construction (state ``halted``, reason
+``SINGLE_WORKER``); a closed one keeps answering serially (reason
+``CLOSED``).  Neither ever shards again.  Absorbed shard failures are
+counted, and the first one in any :data:`WARN_INTERVAL` seconds raises a
+``RuntimeWarning`` (:meth:`ShardedOracleExecutor.health_report`).
 """
 
 from __future__ import annotations
 
-import os
 import time
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import (
@@ -75,11 +76,10 @@ if TYPE_CHECKING:
     from repro.kernels import TraversalKernel
     from repro.tdn.graph import TDNGraph
 
-from repro.errors import ConfigError
+from repro.core.tracker import check_workers
 from repro.kernels import PLANE_WIDTH, Fold, resolve_fold
 from repro.obs import names as metric_names
 from repro.obs.registry import metrics_registry
-from repro.parallel.degradation import DegradationLadder, DegradationReason
 from repro.parallel.faults import FaultInjected, FaultPlan
 
 __all__ = [
@@ -93,9 +93,10 @@ __all__ = [
 DEFAULT_MIN_BATCH = 8
 
 #: Default seconds to wait for one shard before recomputing it serially.
-#: Override via constructor or ``REPRO_RESULT_TIMEOUT`` for graphs whose
-#: single-shard sweeps legitimately run longer than this.
 RESULT_TIMEOUT = 60.0
+
+#: Least seconds between two shard-failure warnings from one executor.
+WARN_INTERVAL = 300.0
 
 _DISPATCHES = metrics_registry().counter(metric_names.EXECUTOR_DISPATCHES_TOTAL)
 _SHARD_LATENCY = metrics_registry().histogram(
@@ -104,19 +105,12 @@ _SHARD_LATENCY = metrics_registry().histogram(
 _SERIAL_FALLBACKS = metrics_registry().counter(
     metric_names.EXECUTOR_SERIAL_FALLBACKS_TOTAL
 )
-
-
-def _env_timeout() -> float:
-    """:data:`RESULT_TIMEOUT`, or its ``REPRO_RESULT_TIMEOUT`` override."""
-    raw = os.environ.get("REPRO_RESULT_TIMEOUT")
-    if raw is None:
-        return RESULT_TIMEOUT
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_RESULT_TIMEOUT must be a number of seconds, got {raw!r}"
-        ) from None
+# Bumped once per shard fallback and once at close, so the registry and
+# health_report() count the same events.
+_TRANSITIONS = metrics_registry().counter(
+    metric_names.DEGRADATION_TRANSITIONS_TOTAL
+)
+_INCIDENTS = metrics_registry().counter(metric_names.DEGRADATION_INCIDENTS_TOTAL)
 
 
 def shard_slices(num_items: int, num_shards: int) -> List[Tuple[int, int]]:
@@ -164,14 +158,14 @@ class ShardedOracleExecutor:
     """Partition batched oracle sweeps across a thread pool.
 
     Args:
-        workers: thread count.  ``<= 1`` means serial (no pool; the
-            executor is then a thin pass-through to the graph's own
+        workers: thread count, an int >= 1.  ``1`` means serial (no pool;
+            the executor is then a thin pass-through to the graph's own
             engine).
         min_batch: smallest batch (or reverse-sweep seed set) that is
             sharded; smaller requests are served serially (values are
             identical either way).
         result_timeout: seconds to wait for one shard before recomputing
-            it serially.
+            it serially (default :data:`RESULT_TIMEOUT`).
         fault_plan: injected fault schedule (chaos tests); defaults to
             :meth:`FaultPlan.from_env` (``REPRO_FAULTS``), i.e. no faults.
     """
@@ -181,19 +175,14 @@ class ShardedOracleExecutor:
         workers: int,
         *,
         min_batch: int = DEFAULT_MIN_BATCH,
-        result_timeout: Optional[float] = None,
+        result_timeout: float = RESULT_TIMEOUT,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        # The ladder and pool slot exist before any validation so close()
-        # is safe even on a half-constructed instance.
-        self._ladder = DegradationLadder()
+        # The pool slot exists before any validation so close() is safe
+        # even on a half-constructed instance.
         self._pool: Optional[ThreadPoolExecutor] = None
-        if workers < 0:
-            raise ConfigError(f"workers must be >= 0, got {workers}")
-        self.workers = workers
+        self.workers = check_workers(workers)
         self.min_batch = max(1, min_batch)
-        if result_timeout is None:
-            result_timeout = _env_timeout()
         self.result_timeout = max(1.0, result_timeout)
         self._fault_plan = (
             fault_plan if fault_plan is not None else FaultPlan.from_env()
@@ -205,54 +194,84 @@ class ShardedOracleExecutor:
             bool, Tuple[weakref.ref, int, List["TraversalKernel"]]
         ] = {}
         self._clone_cuts = 0
-        if workers <= 1:
-            self._ladder.degrade(DegradationReason.SINGLE_WORKER)
+        # Open with more than one worker; cleared for good by close().
+        self._sharding = workers > 1
+        self._thread_errors = 0
+        self._warned_at: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Health surface
     # ------------------------------------------------------------------
     @property
     def degraded(self) -> Optional[str]:
-        """One-line view: None while sharded, else the reason."""
-        if self._ladder.healthy:
+        """None while sharded, else why requests are served serially."""
+        if self._sharding:
             return None
-        reason = self._ladder.reason
-        text = reason.value if reason is not None else "degraded"
-        detail = self._ladder.detail
-        return f"{text}: {detail}" if detail else text
+        return "SINGLE_WORKER" if self.workers == 1 else "CLOSED"
 
     @property
     def pool_running(self) -> bool:
         """Whether the shard threads have been started and may serve."""
-        return self._pool is not None and self._ladder.healthy
+        return self._pool is not None
 
     def health_report(self) -> Dict[str, object]:
         """Inspectable snapshot of the executor's state.
 
-        Keys: ``state`` / ``reason`` / ``detail`` / ``incidents`` /
-        ``transitions`` (from the ladder), ``workers``,
-        ``mode`` (always ``"threads"``) and ``plane_generation`` (how
-        many times :meth:`ensure_plane` cut fresh kernel clones: once
-        per graph version and sweep direction that was sharded).
+        Keys: ``state`` (``"sharded"`` while open with more than one
+        worker, else ``"halted"``), ``reason`` (None, ``"SINGLE_WORKER"``
+        or ``"CLOSED"``), ``incidents`` (``{"THREAD_ERROR": n}`` once a
+        shard has failed, else ``{}``), ``workers``, ``mode`` (always
+        ``"threads"``) and ``plane_generation`` (how many times
+        :meth:`ensure_plane` cut fresh kernel clones: once per graph
+        version and sweep direction that was sharded).
         """
-        report = self._ladder.report()
-        report["workers"] = self.workers
-        report["mode"] = "threads"
-        report["plane_generation"] = self._clone_cuts
-        return report
+        return {
+            "state": "sharded" if self._sharding else "halted",
+            "reason": self.degraded,
+            "incidents": (
+                {"THREAD_ERROR": self._thread_errors} if self._thread_errors else {}
+            ),
+            "workers": self.workers,
+            "mode": "threads",
+            "plane_generation": self._clone_cuts,
+        }
 
     def close(self) -> None:
         """Stop the shard threads (idempotent); later requests run serially.
 
         Safe to call twice and on an instance whose ``__init__`` failed.
         """
-        if not hasattr(self, "_ladder"):  # __init__ died before any state
+        if not hasattr(self, "_sharding"):  # __init__ died before any state
             return
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
         self._clones = {}
-        self._ladder.degrade(DegradationReason.CLOSED)
+        if self._sharding:
+            self._sharding = False
+            _INCIDENTS.inc()
+            _TRANSITIONS.inc()
+
+    def _note_incident(self, exc: Exception) -> None:
+        """Count a shard failure that was absorbed by a serial recompute.
+
+        The executor stays sharded.  The first failure in any
+        :data:`WARN_INTERVAL` seconds warns; later ones are only counted.
+        """
+        self._thread_errors += 1
+        _INCIDENTS.inc()
+        _TRANSITIONS.inc()
+        now = time.monotonic()
+        if self._warned_at is not None and now - self._warned_at < WARN_INTERVAL:
+            return
+        self._warned_at = now
+        warnings.warn(
+            f"parallel stack degraded [THREAD_ERROR]: thread worker raised "
+            f"({type(exc).__name__}: {exc}); the failing shard was recomputed "
+            "serially; thread dispatch continues for later requests",
+            RuntimeWarning,
+            stacklevel=4,
+        )
 
     # ------------------------------------------------------------------
     # Kernel clones
@@ -289,7 +308,7 @@ class ShardedOracleExecutor:
     # ------------------------------------------------------------------
     def _ready(self, batch_size: int) -> bool:
         """Whether this request should be sharded (starts the pool)."""
-        if batch_size < self.min_batch or not self._ladder.healthy:
+        if batch_size < self.min_batch or not self._sharding:
             return False
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
@@ -349,10 +368,7 @@ class ShardedOracleExecutor:
                 # no clone of this version is handed out again.
                 self._clones = {}
                 _SERIAL_FALLBACKS.inc()
-                self._ladder.note_incident(
-                    DegradationReason.THREAD_ERROR,
-                    f"{type(exc).__name__}: {exc}",
-                )
+                self._note_incident(exc)
                 value = serial(part)
             results.append(value)
         return results

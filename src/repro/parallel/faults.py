@@ -1,4 +1,4 @@
-"""Seeded, deterministic fault injection for the parallel stack.
+"""Seeded, deterministic fault injection for the sharded executor.
 
 Chaos testing only works if the chaos is *replayable*: the same plan
 must fail the same shard every run, or a failing seed cannot be
@@ -9,8 +9,6 @@ which fault fires where:
 
 ``shard=3``
     the executor's 3rd thread shard raises :class:`FaultInjected`.
-``writer=1``
-    the ingest writer thread dies before applying batch seq 1.
 ``seed=7``
     plan identity for test parametrisation (recorded, not consumed).
 
@@ -19,8 +17,8 @@ Entries are ``;``-separated; one entry may list several ordinals with
 every shard the executor submits, in submission order, so a plan fails
 the same shards on every run.
 
-Production code pays one branch per hook site: every hook is a no-op
-when no plan is active.
+Production code pays one branch per shard submission: the hook is a
+no-op when no plan is active.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ FAULTS_ENV = "REPRO_FAULTS"
 
 
 class FaultInjected(RuntimeError):
-    """Raised at a hook site (thread shard, ingest writer) when a fault fires."""
+    """Raised on a thread shard when the plan fails it."""
 
 
 def _ordinal(token: str, entry: str) -> int:
@@ -49,14 +47,13 @@ def _ordinal(token: str, entry: str) -> int:
 class FaultPlan:
     """A deterministic schedule of injected faults.
 
-    Instances are mutated only through the ``next_*`` hooks (attempt
-    counters); the schedule itself is immutable after parsing, so the
+    Instances are mutated only through :meth:`next_shard_fails` (the
+    shard counter); the schedule itself is immutable after parsing, so the
     same plan object can drive a scenario and then be inspected.
     """
 
     def __init__(self) -> None:
         self.shard_failures: Set[int] = set()
-        self.writer_kills: Set[int] = set()
         self.seed: Optional[int] = None
         self.spec: str = ""
         self._shards_seen = 0
@@ -85,8 +82,6 @@ class FaultPlan:
                     ) from None
             elif name == "shard":
                 plan.shard_failures.update(_ordinal(t, entry) for t in tokens)
-            elif name == "writer":
-                plan.writer_kills.update(_ordinal(t, entry) for t in tokens)
             else:
                 raise ConfigError(f"unknown fault kind {name!r} in {entry!r}")
         return plan
@@ -106,10 +101,6 @@ class FaultPlan:
         """Advance the shard counter; True when this shard must raise."""
         self._shards_seen += 1
         return self._shards_seen in self.shard_failures
-
-    def writer_dies_at(self, seq: int) -> bool:
-        """Whether the writer thread should die before applying ``seq``."""
-        return seq in self.writer_kills
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultPlan({self.spec!r})"

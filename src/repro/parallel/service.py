@@ -17,18 +17,13 @@ InfluenceTracker` into a small always-on service:
 
 Failure handling
 ----------------
-Batches are *journaled* with sequence numbers from the moment the
-consumer dequeues them until their epoch publishes (``_latest`` is
-assigned only after ``tracker.step`` and the clone refresh complete).
-If the single writer thread dies (detected as :class:`WriterDeathError`
-or a broken thread pool), the service restarts the writer — within a
-bounded restart budget — and replays the journal's unapplied entries in
-order; because an entry leaves the journal only at its commit point,
-replay can never double-apply a batch, and ``top_k`` can never observe a
-half-applied epoch.  While the service is degraded (poisoned consumer or writer
-mid-recovery), ``top_k`` keeps answering from the last consistent epoch
-but says so: the answer carries ``stale=True`` and the number of
-unapplied batches in ``lag``.  :meth:`health` exposes the whole picture.
+An exception from ``tracker.step`` (or the clone refresh) *poisons* the
+service: the batch's epoch is never published (``_latest`` is assigned
+only after both complete), the backlog is discarded, and ``submit`` /
+``drain`` / ``close`` raise the recorded failure.  ``top_k`` keeps
+answering from the last consistent epoch but says so: the answer
+carries ``stale=True`` and the number of unapplied batches (queued plus
+the one that failed) in ``lag``.
 
 The apply thread is the only writer; the event loop only moves immutable
 :class:`TopKAnswer` records, so any number of concurrent producers and
@@ -39,38 +34,23 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
-from typing import Any, Deque, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigError, DegradedExecutionError
 from repro.obs import names as metric_names
 from repro.obs.registry import MetricsRegistry, metrics_registry
-from repro.parallel.degradation import DegradationLadder, DegradationReason
-from repro.parallel.faults import FaultPlan
 
-__all__ = ["IngestService", "TopKAnswer", "WriterDeathError"]
+__all__ = ["IngestService", "TopKAnswer"]
 
 _STOP = object()
-
-#: Default writer-thread restarts allowed before the service poisons.
-WRITER_RESTART_BUDGET = 3
-
-
-class WriterDeathError(RuntimeError):
-    """The apply (writer) thread died before committing a batch.
-
-    Raised *before* ``tracker.step`` mutates anything — by the fault
-    harness, or by wrappers detecting an unusable writer — so the batch
-    is still journaled, untouched, and safe to replay on a fresh writer.
-    """
 
 
 class TopKAnswer(NamedTuple):
     """One consistent query answer: the epoch it refers to and its solution.
 
     ``stale`` / ``lag`` are staleness metadata stamped at *query* time:
-    a degraded service keeps serving the last consistent epoch but marks
+    a poisoned service keeps serving the last consistent epoch but marks
     it stale and reports how many accepted batches it has not applied.
     Answers published at commit time always carry the defaults.
     """
@@ -93,10 +73,6 @@ class IngestService:
             driver — do not call ``step`` elsewhere while it runs.
         max_pending: bound of the ingest queue; :meth:`submit` awaits
             (backpressure) while the queue is full.
-        writer_restart_budget: writer-thread restarts allowed before the
-            service gives up and poisons (surfaced to every caller).
-        fault_plan: injected fault schedule (chaos tests); defaults to
-            :meth:`FaultPlan.from_env` (``REPRO_FAULTS``), i.e. no faults.
         metrics: the :class:`~repro.obs.registry.MetricsRegistry` the
             service records into — queue depth, epoch, epoch lag,
             batch-apply and republish timings.  Defaults to the process
@@ -118,8 +94,6 @@ class IngestService:
         tracker: Any,
         *,
         max_pending: int = 64,
-        writer_restart_budget: int = WRITER_RESTART_BUDGET,
-        fault_plan: Optional[FaultPlan] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_pending <= 0:
@@ -152,17 +126,9 @@ class IngestService:
         self._failure: Optional[BaseException] = None
         self._closed = False
         self.batches_applied = 0
-        self._ladder = DegradationLadder()
-        self._fault_plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
-        self._writer_faults_fired: "set[int]" = set()
-        self._writer_restart_budget = max(0, writer_restart_budget)
-        self._writer_restarts = 0
-        # Sequence-numbered journal of dequeued-but-uncommitted batches.
-        # An entry is appended when the consumer picks the batch up and
-        # popped only once its epoch publishes, so writer recovery can
-        # replay exactly the unapplied work — never more, never less.
-        self._seq = 0
-        self._journal: Deque[Tuple[int, int, Sequence[Tuple]]] = deque()
+        # True from dequeue until the batch's epoch publishes; a batch
+        # that poisoned the service stays counted as unapplied.
+        self._applying = False
 
     # ------------------------------------------------------------------
     @property
@@ -181,38 +147,8 @@ class IngestService:
 
     @property
     def _unapplied(self) -> int:
-        """Batches accepted but not yet committed (queued + journaled)."""
-        return self.pending + len(self._journal)
-
-    def health(self) -> Dict[str, object]:
-        """Inspectable service health (mirrors ``executor.health_report``).
-
-        Keys: ``running`` / ``closed`` / ``epoch`` / ``pending`` /
-        ``journal_depth``, ``writer_restarts`` + ``writer_restart_budget``,
-        ``failure`` (repr of the poisoning exception, or None), the
-        service ladder's ``state`` / ``incidents``, and ``executor``
-        (the sharded executor's full health report, when one is wired).
-        """
-        ladder = self._ladder.report()
-        oracle = getattr(self._tracker, "oracle", None)
-        executor = getattr(oracle, "executor", None)
-        return {
-            "running": self.running,
-            "closed": self._closed,
-            "epoch": self.epoch,
-            "pending": self.pending,
-            "journal_depth": len(self._journal),
-            "writer_restarts": self._writer_restarts,
-            "writer_restart_budget": self._writer_restart_budget,
-            "failure": repr(self._failure) if self._failure is not None else None,
-            "state": ladder["state"],
-            "incidents": ladder["incidents"],
-            "executor": (
-                executor.health_report()
-                if executor is not None and hasattr(executor, "health_report")
-                else None
-            ),
-        }
+        """Batches accepted but not yet committed (queued + applying)."""
+        return self.pending + self._applying
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -243,12 +179,11 @@ class IngestService:
     async def top_k(self) -> TopKAnswer:
         """The last consistent epoch's solution (never blocks on ingestion).
 
-        Degradation never silently serves stale data: when the consumer
-        is poisoned or the writer is mid-recovery, the answer is still
-        the last *fully applied* epoch, but flagged ``stale=True`` with
-        the count of unapplied batches in ``lag``.
+        A poisoned service never silently serves stale data: the answer
+        is still the last *fully applied* epoch, but flagged
+        ``stale=True`` with the count of unapplied batches in ``lag``.
         """
-        if self._failure is not None or not self._ladder.healthy:
+        if self._failure is not None:
             return self._latest._replace(stale=True, lag=self._unapplied)
         return self._latest
 
@@ -303,98 +238,51 @@ class IngestService:
                     # up — both then observe the failure via
                     # _check_failure instead of hanging forever.
                     continue
-                self._seq += 1
-                self._journal.append((self._seq, t, batch))
-                # Lag is observed per journaled batch (always >= 1 here),
+                self._applying = True
+                # Lag is observed per dequeued batch (always >= 1 here),
                 # so the histogram's _count series reflects accepted
                 # batches even after a drain zeroes the gauge.
                 self._queue_depth.set(self.pending)
                 lag = self._unapplied
                 self._lag_gauge.set(lag)
                 self._lag_hist.observe(lag)
-                while self._journal and self._failure is None:
-                    try:
-                        await loop.run_in_executor(
-                            self._apply_thread, self._apply_journal
-                        )
-                    except asyncio.CancelledError:
-                        # Event-loop shutdown cancelling this task is not
-                        # an ingest failure — propagate so the loop can
-                        # finish.
-                        raise
-                    except (WriterDeathError, BrokenExecutor) as exc:
-                        # The writer died before committing: restart it
-                        # and loop to replay the journal — the dead
-                        # attempt never reached the commit point, so the
-                        # batch is applied exactly once.
-                        if not self._restart_writer(exc):
-                            break
-                    except BaseException as exc:
-                        # Surface the failure to every subsequent caller
-                        # instead of dying silently inside the task.
-                        self._failure = exc
-                        break
+                try:
+                    await loop.run_in_executor(
+                        self._apply_thread, self._apply, t, batch
+                    )
+                except asyncio.CancelledError:
+                    # Event-loop shutdown cancelling this task is not an
+                    # ingest failure — propagate so the loop can finish.
+                    raise
+                except BaseException as exc:
+                    # Surface the failure to every subsequent caller
+                    # instead of dying silently inside the task.
+                    self._failure = exc
             finally:
                 self._queue.task_done()
 
-    def _apply_journal(self) -> None:
-        """Apply every journaled batch in order (writer thread only).
+    def _apply(self, t: int, batch: List[Tuple]) -> None:
+        """Apply one batch and publish its epoch (apply thread only).
 
-        Each entry commits atomically from the caller's point of view:
-        ``tracker.step`` + clone refresh first, then ``_latest`` flips
-        to the new epoch and the entry leaves the journal.  A fault (or
-        death) before the commit point leaves the entry journaled for
-        replay; there is no state in which an epoch is served before its
-        batch fully applied.
+        ``tracker.step`` + clone refresh run first; only then does
+        ``_latest`` flip to the new epoch, so no epoch is ever served
+        before its batch fully applied.
         """
-        while self._journal:
-            seq, t, batch = self._journal[0]
-            if (
-                self._fault_plan is not None
-                and self._fault_plan.writer_dies_at(seq)
-                and seq not in self._writer_faults_fired
-            ):
-                self._writer_faults_fired.add(seq)
-                raise WriterDeathError(
-                    f"injected fault: writer died before applying batch {seq}"
-                )
-            apply_started = time.monotonic()
-            solution = self._tracker.step(t, batch)
-            self._republish()
-            self._latest = TopKAnswer(
-                epoch=self._latest.epoch + 1,
-                time=solution.time,
-                nodes=tuple(solution.nodes),
-                value=float(solution.value),
-            )
-            self.batches_applied += 1
-            self._journal.popleft()
-            self._apply_hist.observe(time.monotonic() - apply_started)
-            self._batches_counter.inc()
-            self._epoch_gauge.set(self._latest.epoch)
-            self._lag_gauge.set(self._unapplied)
-
-    def _restart_writer(self, exc: BaseException) -> bool:
-        """Replace the dead writer thread; False when the budget is gone."""
-        self._writer_restarts += 1
-        if self._writer_restarts > self._writer_restart_budget:
-            self._failure = exc
-            self._ladder.degrade(
-                DegradationReason.WRITER_DEATH,
-                f"writer restart budget ({self._writer_restart_budget}) exhausted",
-            )
-            return False
-        self._ladder.note_incident(
-            DegradationReason.WRITER_DEATH,
-            f"restarting writer (attempt {self._writer_restarts}), "
-            f"replaying {len(self._journal)} journaled batch(es)",
+        apply_started = time.monotonic()
+        solution = self._tracker.step(t, batch)
+        self._republish()
+        self._latest = TopKAnswer(
+            epoch=self._latest.epoch + 1,
+            time=solution.time,
+            nodes=tuple(solution.nodes),
+            value=float(solution.value),
         )
-        dead = self._apply_thread
-        self._apply_thread = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-ingest"
-        )
-        dead.shutdown(wait=False)
-        return True
+        self.batches_applied += 1
+        self._applying = False
+        self._apply_hist.observe(time.monotonic() - apply_started)
+        self._batches_counter.inc()
+        self._epoch_gauge.set(self._latest.epoch)
+        self._lag_gauge.set(self._unapplied)
 
     def _republish(self) -> None:
         """Cut the sharded executor's kernel clones for the new epoch.
@@ -402,7 +290,7 @@ class IngestService:
         Only once the executor's shard threads are running: a stream
         whose sweeps all fall below the dispatch floor never needs
         clones.  Dispatch cuts them anyway; this merely moves the cut
-        onto the writer thread, so epoch-N query traffic never pays it.
+        onto the apply thread, so epoch-N query traffic never pays it.
         """
         oracle = getattr(self._tracker, "oracle", None)
         executor = getattr(oracle, "executor", None)

@@ -177,7 +177,7 @@ def main(argv: Optional[list] = None) -> int:
         if args.checkpoint:
             save_checkpoint(args.checkpoint, tracker.graph, tracker.algorithm)
     finally:
-        # Snapshot parallel health before close() transitions it to CLOSED.
+        # Snapshot parallel health before close() halts the executor.
         health = tracker.health_report()
         tracker.close()
 

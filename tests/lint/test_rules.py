@@ -436,6 +436,19 @@ def test_rpl304_reraise_passes():
 def test_rpl304_degradation_record_passes():
     assert not _lint(
         """
+        def record_on_failure(executor, queue):
+            try:
+                queue.close()
+            except Exception:
+                executor._note_incident(RuntimeError("queue close failed"))
+        """,
+        "src/repro/parallel/fixture.py",
+    )
+
+
+def test_rpl304_other_recording_names_fire():
+    assert_fires(
+        """
         def degrade_on_failure(ladder, reason, queue):
             try:
                 queue.close()
@@ -443,6 +456,7 @@ def test_rpl304_degradation_record_passes():
                 ladder.degrade(reason, "queue close failed")
         """,
         "src/repro/parallel/fixture.py",
+        "RPL304",
     )
 
 

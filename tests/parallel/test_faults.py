@@ -1,23 +1,20 @@
 """Chaos suite: seeded fault plans against the parallel stack.
 
-Every scenario drives the real shard threads (or the real ingest writer)
-through a deterministic :class:`~repro.parallel.faults.FaultPlan` and
-pins the robustness contract:
+Every scenario drives the real shard threads through a deterministic
+:class:`~repro.parallel.faults.FaultPlan` and pins the robustness
+contract:
 
 * results are **bit-identical to serial** under every fault — a failed
   shard is recomputed serially, which changes *where* a value is
   computed, never what it is;
 * **each injected shard failure records exactly one** ``THREAD_ERROR``
-  incident and one serial fallback, and the executor **stays sharded**;
-* the ingest service **never serves an unapplied epoch** — writer death
-  replays the journal exactly once and ``top_k`` flags staleness.
+  incident and one serial fallback, and the executor **stays sharded**.
 
 The CI chaos job runs this module across a seed matrix via
 ``REPRO_CHAOS_SEED``; the seed picks which shards fail and feeds the
 synthetic streams, so a failing combination replays exactly.
 """
 
-import asyncio
 import os
 import random
 import threading
@@ -27,14 +24,12 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.tracker import InfluenceTracker
 from repro.influence.oracle import InfluenceOracle
 from repro.kernels import PLANE_WIDTH, resolve_fold
 from repro.obs import names as metric_names
 from repro.obs.registry import metrics_registry
 from repro.parallel.executor import ShardedOracleExecutor
 from repro.parallel.faults import FaultPlan
-from repro.parallel.service import IngestService
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 from repro.tdn.lifetimes import GeometricLifetime
@@ -225,10 +220,12 @@ class TestExecutorChaos:
         try:
             before = fallbacks()
             generation = executor.health_report()["plane_generation"]
-            assert sharded(executor) == serial()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert sharded(executor) == serial()
             report = executor.health_report()
             assert report["incidents"] == {"THREAD_ERROR": 1}
-            assert "TimeoutError" in report["transitions"][-1]["detail"]
+            assert any("TimeoutError" in str(w.message) for w in caught)
             assert fallbacks() == before + 1
             assert report["state"] == "sharded"
             assert finished.wait(timeout=30.0)
@@ -304,85 +301,3 @@ class TestTrackerChaos:
         assert report["incidents"] == {"THREAD_ERROR": len(ordinals)}
         assert fallbacks() == before + len(ordinals)
         assert report["state"] == "sharded"
-
-
-class TestIngestChaos:
-    def make_tracker(self, **kwargs):
-        return InfluenceTracker(
-            "sieve-adn",
-            k=3,
-            epsilon=0.3,
-            lifetime_policy=GeometricLifetime(0.05, 60, seed=SEED),
-            **kwargs,
-        )
-
-    def batches(self, count=6):
-        rng = random.Random(SEED + 9)
-        return [
-            (
-                t,
-                [
-                    (f"u{rng.randrange(6)}", f"v{rng.randrange(9)}", None),
-                    (f"v{rng.randrange(9)}", f"w{rng.randrange(4)}", None),
-                ],
-            )
-            for t in range(count)
-        ]
-
-    def test_writer_death_replays_journal_exactly_once(self):
-        """The writer dies before applying batch 2; the restarted writer
-        replays the journal and the final state matches direct stepping
-        — no batch lost, none double-applied."""
-        batches = self.batches()
-
-        async def run():
-            tracker = self.make_tracker()
-            service = IngestService(tracker, fault_plan=plan("writer=2"))
-            await service.start()
-            for t, batch in batches:
-                await service.submit(t, batch)
-            answer = await service.drain()
-            health = service.health()
-            await service.close()
-            return answer, health
-
-        answer, health = asyncio.run(run())
-        reference = self.make_tracker()
-        for t, batch in batches:
-            solution = reference.step(t, batch)
-        assert answer.epoch == len(batches)
-        assert answer.nodes == tuple(solution.nodes)
-        assert answer.value == float(solution.value)
-        assert not answer.stale and answer.lag == 0
-        assert health["writer_restarts"] == 1
-        assert health["incidents"].get("WRITER_DEATH", 0) >= 1
-        assert health["journal_depth"] == 0
-
-    def test_writer_budget_exhaustion_serves_stale_topk(self):
-        """With no restart budget the first writer death poisons the
-        service — but ``top_k`` still answers from the last consistent
-        epoch, flagged stale with the unapplied count."""
-
-        async def run():
-            tracker = self.make_tracker()
-            service = IngestService(
-                tracker,
-                writer_restart_budget=0,
-                fault_plan=plan("writer=1"),
-            )
-            await service.start()
-            await service.submit(0, [("a", "b", None)])
-            with pytest.raises(RuntimeError, match="ingest consumer failed"):
-                await service.drain()
-            answer = await service.top_k()
-            health = service.health()
-            with pytest.raises(RuntimeError):
-                await service.close()
-            return answer, health
-
-        answer, health = asyncio.run(run())
-        assert answer.epoch == 0  # the unapplied epoch was never served
-        assert answer.stale and answer.lag == 1
-        assert health["state"] == "degraded"
-        assert health["journal_depth"] == 1  # still journaled, never applied
-        assert health["failure"] is not None

@@ -5,7 +5,7 @@ and then asserts the process-default registry's Prometheus exposition
 carries non-zero series for every instrumented layer: sampled kernel
 sweeps (including those run on shard threads), oracle memo hits and
 misses, the executor's dispatch counter, shard-latency histogram and
-serial fallbacks, degradation records, epoch lag, batch-apply latency
+serial fallbacks, executor health records, epoch lag, batch-apply latency
 and the per-epoch kernel-clone refresh.
 """
 
@@ -117,7 +117,7 @@ def test_faulted_sharded_ingest_populates_every_instrumented_layer():
     latency = metric_names.EXECUTOR_SHARD_LATENCY_SECONDS
     assert sample(latency, f"{latency}_count") > 0
     # The two injected shard failures (closing the executor records a
-    # third ladder entry): degradation records and serial fallbacks.
+    # third health record): health records and serial fallbacks.
     assert sample(metric_names.DEGRADATION_TRANSITIONS_TOTAL) == 3
     assert sample(metric_names.DEGRADATION_INCIDENTS_TOTAL) == 3
     assert sample(metric_names.EXECUTOR_SERIAL_FALLBACKS_TOTAL) == 2
@@ -151,7 +151,7 @@ def test_worker_deltas_merge_without_faults():
     assert dispatches > 0
     assert values[metric_names.KERNEL_SWEEPS_TOTAL] > 0
     assert values[metric_names.EXECUTOR_SERIAL_FALLBACKS_TOTAL] == 0
-    # The only ladder record is the executor's close.
+    # The only health record is the executor's close.
     assert values[metric_names.DEGRADATION_INCIDENTS_TOTAL] == 1
     families = parse_prometheus_text(registry.render_prometheus())
     latency = metric_names.EXECUTOR_SHARD_LATENCY_SECONDS

@@ -105,6 +105,12 @@ class TestIngestService:
                 await service.submit(t, [("x", f"y{t}", None)])
             with pytest.raises(RuntimeError, match="ingest consumer failed"):
                 await service.drain()
+            # top_k still answers from the last applied epoch, flagged
+            # stale; the failed batch is the one unapplied (the backlog
+            # behind it was discarded).
+            answer = await service.top_k()
+            assert answer.epoch == 1
+            assert answer.stale is True and answer.lag == 1
             with pytest.raises(RuntimeError):
                 await service.submit(9, [("e", "f", None)])
             assert service.batches_applied == 1  # nothing after the poison

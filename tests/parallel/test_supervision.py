@@ -1,10 +1,10 @@
-"""Unit tests for the degradation ladder, fault plans and executor teardown.
+"""Unit tests for executor health, fault plans and executor teardown.
 
 The chaos suite (:mod:`tests.parallel.test_faults`) exercises these
 components through real shard threads; this module pins their contracts
-in isolation — injected clocks instead of sleeps — so every edge
-(warning dedupe, fault-plan grammar, teardown
-idempotency) is deterministic.
+in isolation — a patched clock instead of sleeps — so every edge
+(warning dedupe, fault-plan grammar, teardown idempotency) is
+deterministic.
 """
 
 import gc
@@ -14,116 +14,104 @@ import warnings
 import pytest
 
 from repro.errors import ConfigError
-from repro.parallel.degradation import (
-    TERMINAL_REASONS,
-    DegradationLadder,
-    DegradationReason,
-    DegradationState,
-)
-from repro.parallel.executor import ShardedOracleExecutor
+from repro.obs import names as metric_names
+from repro.obs.registry import metrics_registry
+from repro.parallel import executor as executor_module
+from repro.parallel.executor import WARN_INTERVAL, ShardedOracleExecutor
 from repro.parallel.faults import FaultPlan
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
 
-class Clock:
-    """Injectable monotonic clock."""
-
-    def __init__(self) -> None:
-        self.now = 100.0
-
-    def __call__(self) -> float:
-        return self.now
+def health_counters():
+    values = metrics_registry().counter_values()
+    return (
+        values[metric_names.DEGRADATION_INCIDENTS_TOTAL],
+        values[metric_names.DEGRADATION_TRANSITIONS_TOTAL],
+    )
 
 
 # ----------------------------------------------------------------------
-# DegradationLadder
+# Executor health
 # ----------------------------------------------------------------------
-class TestDegradationLadder:
-    def make(self, **kwargs):
-        clock = Clock()
-        kwargs.setdefault("clock", clock)
-        return DegradationLadder(**kwargs), clock
+class TestExecutorHealth:
+    def test_starts_sharded_without_incidents(self):
+        executor = ShardedOracleExecutor(2)
+        report = executor.health_report()
+        assert report == {
+            "state": "sharded",
+            "reason": None,
+            "incidents": {},
+            "workers": 2,
+            "mode": "threads",
+            "plane_generation": 0,
+        }
+        assert executor.degraded is None
+        executor.close()
 
-    def test_starts_sharded_and_healthy(self):
-        ladder, _ = self.make()
-        assert ladder.state is DegradationState.SHARDED
-        assert ladder.healthy and not ladder.halted
-        assert ladder.report()["transitions"] == []
-
-    def test_non_terminal_degrade_is_degraded_not_halted(self):
-        ladder, _ = self.make()
+    def test_incidents_are_counted_without_leaving_sharded(self):
+        executor = ShardedOracleExecutor(2)
+        before = health_counters()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            ladder.degrade(DegradationReason.WRITER_DEATH, "budget spent")
-        assert ladder.state is DegradationState.DEGRADED
-        assert not ladder.healthy and not ladder.halted
-        report = ladder.report()
-        assert report["reason"] == "WRITER_DEATH"
-        assert report["detail"] == "budget spent"
-        assert [r["event"] for r in report["transitions"]] == ["degraded"]
-        # A terminal reason still halts a degraded ladder.
-        ladder.degrade(DegradationReason.CLOSED)
-        assert ladder.halted
-
-    @pytest.mark.parametrize("reason", sorted(TERMINAL_REASONS, key=lambda r: r.name))
-    def test_terminal_reasons_halt_and_stick(self, reason):
-        ladder, clock = self.make()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            ladder.degrade(reason)
-            assert ladder.halted
-            # Sticky: later degrades are no-ops, however late.
-            clock.now += 1e9
-            ladder.degrade(DegradationReason.WRITER_DEATH, "too late")
-        assert ladder.halted
-        assert ladder.reason is reason
-
-    def test_note_incident_counts_without_moving_state(self):
-        ladder, _ = self.make()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            ladder.note_incident(DegradationReason.THREAD_ERROR, "shard 1")
-            ladder.note_incident(DegradationReason.THREAD_ERROR)
-        assert ladder.healthy  # incidents are absorbed faults
-        report = ladder.report()
+            executor._note_incident(RuntimeError("shard 1"))
+            executor._note_incident(RuntimeError("shard 2"))
+        report = executor.health_report()
         assert report["incidents"] == {"THREAD_ERROR": 2}
-        assert report["state"] == "sharded"
+        assert report["state"] == "sharded" and report["reason"] is None
+        assert health_counters() == (before[0] + 2, before[1] + 2)
+        executor.close()
 
-    def test_warnings_are_deduped_per_reason_per_interval(self):
-        ladder, clock = self.make(warn_interval=300.0)
+    @pytest.mark.parametrize(
+        "workers, reason", [(1, "SINGLE_WORKER"), (2, "CLOSED")]
+    )
+    def test_halting_is_terminal(self, workers, reason):
+        """Close halts for good and is counted once, at the first close of
+        a sharded executor; a single-worker executor was never sharded and
+        keeps its reason."""
+        executor = ShardedOracleExecutor(workers, min_batch=1)
+        before = health_counters()
+        executor.close()
+        executor.close()
+        report = executor.health_report()
+        assert report["state"] == "halted"
+        assert report["reason"] == executor.degraded == reason
+        moved = 1 if workers > 1 else 0
+        assert health_counters() == (before[0] + moved, before[1] + moved)
+        graph = tiny_graph()
+        sets = [[i] for i in range(graph.num_interned)]
+        assert executor.spread_counts(graph, sets) == (
+            graph.csr().spread_counts(sets, None)
+        )
+        assert not executor.pool_running
+
+    def test_one_warning_per_interval(self, monkeypatch):
+        now = [100.0]
+        monkeypatch.setattr(executor_module.time, "monotonic", lambda: now[0])
+        executor = ShardedOracleExecutor(2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ladder.note_incident(DegradationReason.THREAD_ERROR, "shard 1 raised")
-            ladder.note_incident(DegradationReason.THREAD_ERROR, "shard 2 raised")
-            # A different reason warns independently.
-            ladder.note_incident(DegradationReason.WRITER_DEATH)
-            clock.now += 299.0
-            ladder.note_incident(DegradationReason.THREAD_ERROR)
-            clock.now += 1.0  # interval elapsed: warn again
-            ladder.note_incident(DegradationReason.THREAD_ERROR)
+            executor._note_incident(RuntimeError("shard 1 raised"))
+            executor._note_incident(RuntimeError("shard 2 raised"))
+            now[0] += WARN_INTERVAL - 1.0
+            executor._note_incident(RuntimeError("shard 3 raised"))
+            now[0] += 1.0  # interval elapsed: warn again
+            executor._note_incident(RuntimeError("shard 4 raised"))
         texts = [str(w.message) for w in caught]
-        assert len(texts) == 3
-        assert sum("THREAD_ERROR" in t for t in texts) == 2
-        assert sum("WRITER_DEATH" in t for t in texts) == 1
-        # Warnings carry the reason, the detail and a recovery hint.
-        assert "shard 1 raised" in texts[0]
+        assert len(texts) == 2
+        assert all("THREAD_ERROR" in text for text in texts)
+        # Warnings carry the failure and what was done about it.
+        assert "shard 1 raised" in texts[0] and "shard 4 raised" in texts[1]
         assert "recomputed serially" in texts[0]
+        assert executor.health_report()["incidents"] == {"THREAD_ERROR": 4}
+        executor.close()
 
-    def test_silent_reasons_never_warn(self):
-        ladder, _ = self.make()
+    def test_halting_never_warns(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ladder.degrade(DegradationReason.SINGLE_WORKER)
+            ShardedOracleExecutor(1).close()
+            ShardedOracleExecutor(2).close()
         assert caught == []
-
-    def test_transition_history_is_bounded(self):
-        ladder, _ = self.make(history_limit=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for _ in range(10):
-                ladder.note_incident(DegradationReason.THREAD_ERROR)
-        assert len(ladder.report()["transitions"]) == 4
 
 
 # ----------------------------------------------------------------------
@@ -131,9 +119,8 @@ class TestDegradationLadder:
 # ----------------------------------------------------------------------
 class TestFaultPlan:
     def test_full_spec_roundtrip(self):
-        plan = FaultPlan.parse("shard=2,5;writer=1,4;seed=7")
+        plan = FaultPlan.parse("shard=2,5;seed=7")
         assert plan.shard_failures == {2, 5}
-        assert plan.writer_kills == {1, 4}
         assert plan.seed == 7
 
     def test_empty_and_whitespace_entries_are_ignored(self):
@@ -154,11 +141,13 @@ class TestFaultPlan:
             "frobnicate=w0:1",  # unknown kind
             "shard=0",  # ordinals are 1-based
             "shard=abc",
+            # The ingest writer has no fault hook.
+            "writer=1",
             "writer=-1",
         ],
     )
     def test_bad_specs_raise(self, spec):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FaultPlan.parse(spec)
 
     def test_from_env(self, monkeypatch):
@@ -215,14 +204,10 @@ class TestTeardownSafety:
         with pytest.raises(ValueError):
             ShardedOracleExecutor(-1)
 
-    def test_malformed_result_timeout_env_is_a_config_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULT_TIMEOUT", "abc")
-        with pytest.raises(ConfigError, match="REPRO_RESULT_TIMEOUT"):
-            ShardedOracleExecutor(2)
-        monkeypatch.setenv("REPRO_RESULT_TIMEOUT", "90")
-        executor = ShardedOracleExecutor(2)
-        assert executor.result_timeout == 90.0
-        executor.close()
+    @pytest.mark.parametrize("workers", ["2", 2.5, True, None, 0, -1])
+    def test_workers_must_be_an_int_of_at_least_one(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            ShardedOracleExecutor(workers)
 
     def test_double_close_with_live_pool(self):
         graph = tiny_graph()
