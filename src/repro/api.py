@@ -32,13 +32,14 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional, Union
 
-from repro.core.tracker import InfluenceTracker, Solution, check_workers
+from repro.core.tracker import InfluenceTracker, Solution
 from repro.errors import (
     ConfigError,
     DegradedExecutionError,
     PersistenceError,
     ReproError,
     SemanticsError,
+    check_workers,
 )
 from repro.influence.oracle import InfluenceOracle
 from repro.kernels import (

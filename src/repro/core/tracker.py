@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, List, Optional, Protocol, Tuple, Union
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_workers
 from repro.influence.oracle import InfluenceOracle
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
@@ -46,13 +46,6 @@ class Solution:
     def empty(time: int = 0) -> "Solution":
         """The empty solution (value 0)."""
         return Solution(nodes=(), value=0.0, time=time)
-
-
-def check_workers(workers) -> int:
-    """Require an evaluation worker count: an int >= 1, not a bool."""
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ConfigError(f"workers must be an int >= 1, got {workers!r}")
-    return workers
 
 
 class TrackingAlgorithm(Protocol):

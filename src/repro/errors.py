@@ -22,6 +22,7 @@ __all__ = [
     "ReproError",
     "SemanticsError",
     "UnsupportedCheckpointError",
+    "check_workers",
 ]
 
 
@@ -31,6 +32,20 @@ class ReproError(Exception):
 
 class ConfigError(ReproError, ValueError):
     """A constructor or setting received a value outside its contract."""
+
+
+def check_workers(workers) -> int:
+    """Require an evaluation worker count: an int >= 1, not a bool.
+
+    The one check behind every entry point that takes a worker count
+    (the facade, the tracker, the oracle's ``parallel`` int and the
+    sharded executor), so they reject the same values with the same
+    message.  It lives here because each of those layers may import
+    this module.
+    """
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"workers must be an int >= 1, got {workers!r}")
+    return workers
 
 
 class SemanticsError(ConfigError):

@@ -63,6 +63,13 @@ The contract behind retaining the rest:
   surviving pair's max expiry still clears the new ``t + 1`` floor), and
   bump no version.
 
+A dirty seed with no alive in-pair closes to itself: every reverse entry
+a sweep can traverse at a live horizon is an alive pair's, so such a
+node has no ancestor.  The engine sweeps only from the seeds that have
+one and adds the others back, and runs no sweep when none has; on a
+check-in stream, whose places never receive an interaction, that is
+every seed.
+
 ``count``, ``weighted_sum`` and ``hop_discount`` score a key by its
 reached set (and its hop levels) alone, so the same contract covers
 them.  ``time_decay`` does not: its node terms read each reached node's
@@ -178,7 +185,7 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import ConfigError, SemanticsError
+from repro.errors import ConfigError, SemanticsError, check_workers
 from repro.influence.reachability import ancestors, reachable_set
 from repro.kernels import PLANE_WIDTH, dense_weight_sum, resolve_fold
 from repro.obs import names as metric_names
@@ -314,14 +321,14 @@ def replay_batch_protocol(
 def resolve_executor(parallel, backend: str):
     """Normalize an oracle's ``parallel`` argument.
 
-    Returns ``(executor, owns_executor)``: ``None`` for serial operation,
-    a fresh owned :class:`~repro.parallel.executor.ShardedOracleExecutor`
-    for an integer worker count above 1, or the caller's shared executor
-    instance (not owned — the caller closes it).  Anything else (a bool,
-    a float, a string) is a :class:`ConfigError` here, before any call
-    is counted.  Sharding sweeps clones of the CSR engine's kernels, so
-    the ``"dict"`` backend rejects it outright rather than silently
-    ignoring the request.
+    Returns ``(executor, owns_executor)``: ``None`` for serial operation
+    (``None`` or 1), a fresh owned :class:`~repro.parallel.executor.
+    ShardedOracleExecutor` for an integer worker count above 1, or the
+    caller's shared executor instance (not owned — the caller closes
+    it).  Anything else (a bool, a float, a string, an int below 1) is a
+    :class:`ConfigError` here, before any call is counted.  Sharding
+    sweeps clones of the CSR engine's kernels, so the ``"dict"`` backend
+    rejects it outright rather than silently ignoring the request.
     """
     if parallel is None:
         return None, False
@@ -342,7 +349,7 @@ def resolve_executor(parallel, backend: str):
             f"parallel evaluation requires backend='csr', got {backend!r}"
         )
     if isinstance(parallel, int):
-        if parallel <= 1:
+        if check_workers(parallel) == 1:
             return None, False
         return ShardedOracleExecutor(parallel), True
     return parallel, False

@@ -76,7 +76,7 @@ if TYPE_CHECKING:
     from repro.kernels import TraversalKernel
     from repro.tdn.graph import TDNGraph
 
-from repro.core.tracker import check_workers
+from repro.errors import check_workers
 from repro.kernels import PLANE_WIDTH, Fold, resolve_fold
 from repro.obs import names as metric_names
 from repro.obs.registry import metrics_registry

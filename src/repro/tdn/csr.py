@@ -80,6 +80,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -569,9 +570,19 @@ class DeltaCSR:
         This is the engine behind ``changed_nodes``: the reverse BFS runs
         on the lazily built transpose of the base plus the log read
         swapped, through the same shared kernel as the forward sweep.
+        Only targets with an alive in-pair seed it.  The others have no
+        ancestor at any live horizon, because every reverse entry a sweep
+        can traverse at ``t + 1`` or later is an alive pair's, so they
+        join the closure as themselves.  With no such target there is no
+        sweep, and no transpose is built.
         """
-        eff = self.effective_horizon(min_expiry)
-        return self._kernel(True).reachable_ids(target_ids, eff)
+        swept, lone = self._graph.split_by_in_pairs(target_ids)
+        closure: Set[int] = set()
+        if swept:
+            eff = self.effective_horizon(min_expiry)
+            closure = self._kernel(True).reachable_ids(swept, eff)
+        closure.update(lone)
+        return closure
 
     def ancestor_closures(self, id_sets: Sequence[Sequence[int]]) -> List[Set[int]]:
         """:meth:`ancestor_ids` of each id set at the widest live horizon,
@@ -580,10 +591,24 @@ class DeltaCSR:
         The sets ride the planes of one bit-plane sweep on the reverse
         kernel (one walk per set below the scalar cutover), so closing a
         batch's sources and a memo's dirty seeds together costs one
-        traversal of the transpose instead of two.
+        traversal of the transpose instead of two.  As in
+        :meth:`ancestor_ids`, only seeds with an alive in-pair start the
+        sweep and the rest join their set's closure as themselves; a set
+        left with no such seed takes no plane, and when no set has one
+        the sweep does not run.
         """
-        eff = self.effective_horizon(None)
-        return self._kernel(True).reachable_id_sets(id_sets, eff)
+        splits = [self._graph.split_by_in_pairs(ids) for ids in id_sets]
+        swept = [seeds for seeds, _ in splits if seeds]
+        swept_closures: Iterator[Set[int]] = iter(())
+        if swept:
+            eff = self.effective_horizon(None)
+            swept_closures = iter(self._kernel(True).reachable_id_sets(swept, eff))
+        closures: List[Set[int]] = []
+        for seeds, lone in splits:
+            closure = next(swept_closures) if seeds else set()
+            closure.update(lone)
+            closures.append(closure)
+        return closures
 
     def ancestor_bottlenecks(
         self, seed_labels: Mapping[int, float]
@@ -597,11 +622,23 @@ class DeltaCSR:
         swapped serves every horizon.  Base entries left stale by a
         refreshed pair carry an older expiry than the log's, and
         entries of dead pairs sit below the ``t + 1`` floor, so neither
-        can widen a label.
+        can widen a label.  Only seeds with an alive in-pair start the
+        walk: the others pass no label on, so each keeps the larger of
+        its own label and the one the walk gave it (if another seed's
+        walk reached it); with no such seed the walk does not run.
         """
-        return self._kernel(True).bottleneck_scalar(
-            seed_labels, self.effective_horizon(None)
-        )
+        swept, lone = self._graph.split_by_in_pairs(seed_labels)
+        labels: Dict[int, float] = {}
+        if swept:
+            labels = self._kernel(True).bottleneck_scalar(
+                {node_id: seed_labels[node_id] for node_id in swept},
+                self.effective_horizon(None),
+            )
+        for node_id in lone:
+            label = seed_labels[node_id]
+            if node_id not in labels or label > labels[node_id]:
+                labels[node_id] = label
+        return labels
 
     def scalar_reach(
         self, min_expiry: Optional[float] = None
@@ -630,7 +667,10 @@ class DeltaCSR:
         :meth:`ancestor_ids` sweep (at the widest live horizon, ``t + 1``)
         yields a superset of every node whose spread may have changed —
         the delta-aware oracle memo evicts exactly the entries whose key
-        intersects this set and provably keeps everything else.
+        intersects this set and provably keeps everything else.  A seed
+        with no alive in-pair (a check-in stream's place, which never
+        receives an interaction) closes to itself without a sweep, so a
+        cone whose seeds are all such costs no traversal.
         """
         return self.ancestor_ids(seed_ids, None)
 

@@ -522,6 +522,32 @@ class TDNGraph:
                 if pair.max_expiry >= min_expiry:
                     yield u
 
+    def split_by_in_pairs(
+        self, node_ids: Iterable[int]
+    ) -> Tuple[List[int], List[int]]:
+        """``(edged, lone)``: ``node_ids`` in input order, split into the
+        ids that may have an alive in-pair and those known to have none.
+
+        O(1) per id: ``_in`` lists exactly the alive in-pairs, and an
+        emptied entry is falsy.  A node without an alive in-pair has no
+        ancestor at any live horizon, which is what lets the CSR engine's
+        reverse sweeps skip it as a seed.  An id outside ``[0,
+        num_interned)`` names no node, so it goes to ``edged``, where the
+        sweep's range check rejects it (probing it here would read a
+        negative id from the end of the id list).
+        """
+        into = self._in
+        id_nodes = self._id_nodes
+        interned = len(id_nodes)
+        edged: List[int] = []
+        lone: List[int] = []
+        for node_id in node_ids:
+            if 0 <= node_id < interned and not into.get(id_nodes[node_id]):
+                lone.append(node_id)
+            else:
+                edged.append(node_id)
+        return edged, lone
+
     def in_pairs(self, node: Node) -> Iterator[Tuple[Node, float]]:
         """Iterate ``(predecessor, max alive expiry)`` for ``node``'s in-pairs."""
         nbrs = self._in.get(node)

@@ -146,6 +146,15 @@ class TestParallelArgument:
         with pytest.raises(ConfigError, match="parallel must be"):
             InfluenceOracle(star_graph(), parallel=parallel)
 
+    @pytest.mark.parametrize("parallel", [0, -3])
+    def test_worker_count_below_one_rejected(self, parallel):
+        # The same check and message as the facade, the tracker and the
+        # executor; 1 stays serial (test_executor.py pins that).
+        with pytest.raises(
+            ConfigError, match=f"workers must be an int >= 1, got {parallel}$"
+        ):
+            InfluenceOracle(star_graph(), parallel=parallel)
+
     @pytest.mark.parametrize("semantics", [None, "weighted_sum"])
     def test_facade_rejects_fractional_workers(self, semantics):
         # The facade names the argument its caller passed.

@@ -5,8 +5,14 @@ tracker, on every stream, it must produce the *identical* per-step
 ``Solution`` sequence and spend the *identical* number of oracle calls as
 the reference dict-of-dict BFS.  This suite replays seeded synthetic
 streams through SIEVEADN, BASICREDUCTION and HISTAPPROX under both
-backends — across finite, infinite and mixed lifetime regimes — and
-compares the full trajectories.
+backends — across finite, infinite and mixed lifetime regimes, and a
+check-in regime — and compares the full trajectories.
+
+The check-in regime draws sources and targets from disjoint pools, as
+in the paper's location-based streams, so almost every seed of a
+reverse sweep (batch sources, dirty sources) has no alive in-edge and
+closes to itself without a sweep; a few target -> source edges give
+some sources an in-edge that later expires.
 
 The small-graph scalar path and the vectorized frontier path of the CSR
 engine are both exercised: the scalar cutover is dropped to zero for one
@@ -36,11 +42,19 @@ MAX_LIFETIME = 6
 
 
 def seeded_events(seed, regime, num_nodes=9, steps=18):
-    """A seeded synthetic stream in one of three lifetime regimes."""
+    """A seeded synthetic stream in one of four regimes."""
     rng = random.Random(seed)
     events = []
     for t in range(steps):
         for _ in range(rng.randint(1, 3)):
+            if regime == "checkin":
+                place = f"p{rng.randrange(4)}"
+                user = f"u{rng.randrange(num_nodes - 4)}"
+                if rng.random() < 0.15:
+                    place, user = user, place  # a user -> place edge
+                lifetime = rng.randint(1, MAX_LIFETIME)
+                events.append(Interaction(place, user, t, lifetime))
+                continue
             u, v = rng.sample(range(num_nodes), 2)
             if regime == "finite":
                 lifetime = rng.randint(1, MAX_LIFETIME)
@@ -92,9 +106,9 @@ def replay(tracker_name, events, backend):
 
 REGIMES_BY_TRACKER = {
     # BasicReduction requires finite lifetimes <= L by contract.
-    "sieve_adn": ("finite", "infinite", "mixed"),
-    "basic_reduction": ("finite",),
-    "hist_approx": ("finite", "infinite", "mixed"),
+    "sieve_adn": ("finite", "infinite", "mixed", "checkin"),
+    "basic_reduction": ("finite", "checkin"),
+    "hist_approx": ("finite", "infinite", "mixed", "checkin"),
 }
 
 CASES = [
@@ -116,12 +130,16 @@ def test_identical_solutions_and_call_counts(tracker_name, regime, seed):
 
 
 def test_vectorized_path_equivalence(monkeypatch):
-    """Force the vector BFS (no scalar cutover) and re-check one of each."""
+    """Force the vector BFS (no scalar cutover) and re-check one of each,
+    and each tracker in the check-in regime."""
     monkeypatch.setenv("REPRO_SCALAR_PAIR_LIMIT", "0")
     for tracker_name, regime in (
         ("sieve_adn", "mixed"),
         ("basic_reduction", "finite"),
         ("hist_approx", "mixed"),
+        ("sieve_adn", "checkin"),
+        ("basic_reduction", "checkin"),
+        ("hist_approx", "checkin"),
     ):
         events = seeded_events(53, regime)
         dict_solutions, dict_calls = replay(tracker_name, events, "dict")
