@@ -3,13 +3,11 @@
 Builds ``gowalla`` graphs in steady state at several alive-pair counts
 (batches of 50 interactions per step, geometric lifetimes with
 ``p = 50 / pairs``) and, on each, times two fresh engines forced onto
-one path each (``DeltaCSR(graph, scalar_pair_limit=...)``) over three
+one path each (``DeltaCSR(graph, scalar_pair_limit=...)``) over two
 query shapes:
 
 * ``single``: one singleton seed set per call (``reachable_count``);
-* ``batch24``: 24 sets of 5 nodes per call (``spread_counts``);
-* ``closure``: two 30-seed planes per call (``ancestor_closures``), the
-  memo sync's shape.
+* ``batch24``: 24 sets of 5 nodes per call (``spread_counts``).
 
 Prints one row per size with microseconds per set, best of ``--repeats``.
 Both paths return identical values (checked here), so the table says
@@ -64,24 +62,19 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args()
-    print(
-        "pairs    single s/v (us/set)   batch24 s/b (us/set)   "
-        "closure s/b (us/plane)"
-    )
+    print("pairs    single s/v (us/set)   batch24 s/b (us/set)")
     for target in args.pairs:
         graph = steady_graph(target, args.seed)
         rng = random.Random(args.seed)
         alive = sorted(graph.node_id(node) for node in graph.node_set())
         singles = [[rng.choice(alive)] for _ in range(24)]
         sets = [rng.sample(alive, 5) for _ in range(24)]
-        planes = [rng.sample(alive, 30), rng.sample(alive, 30)]
         scalar = DeltaCSR(graph, scalar_pair_limit=10**9, backend="python")
         vector = DeltaCSR(graph, scalar_pair_limit=0, backend="python")
         row = [f"{graph.num_pairs:6d}"]
         for shape, run, per in (
             ("single", lambda e: [e.reachable_count(s) for s in singles], 24),
             ("batch24", lambda e: e.spread_counts(sets), 24),
-            ("closure", lambda e: e.ancestor_closures(planes), 2),
         ):
             assert run(scalar) == run(vector), shape
             row.append(

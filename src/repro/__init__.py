@@ -52,6 +52,7 @@ from repro.core import (
 )
 from repro.errors import (
     ConfigError,
+    ConfigTypeError,
     DegradedExecutionError,
     PersistenceError,
     ReproError,
@@ -91,6 +92,7 @@ __all__ = [
     "load_checkpoint",
     "ReproError",
     "ConfigError",
+    "ConfigTypeError",
     "SemanticsError",
     "DegradedExecutionError",
     "PersistenceError",

@@ -30,13 +30,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.tracker import Solution
+from repro.errors import check_positive, check_positive_int
 from repro.influence.oracle import InfluenceOracle
 from repro.influence.probabilities import interactions_to_probability
 from repro.submodular.functions import CoverageFunction
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.validation import check_positive, check_positive_int
 
 
 class DIMIndex:

@@ -21,12 +21,12 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.tracker import Solution
+from repro.errors import check_positive_int
 from repro.influence.oracle import InfluenceOracle
 from repro.submodular.functions import SpreadFunction
 from repro.submodular.greedy import lazy_greedy_max
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
-from repro.utils.validation import check_positive_int
 
 
 class GreedyRecompute:

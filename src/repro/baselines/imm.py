@@ -27,12 +27,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.baselines.rr_sets import RRCollection
 from repro.core.tracker import Solution
+from repro.errors import check_fraction, check_positive_int
 from repro.influence.oracle import InfluenceOracle
 from repro.influence.probabilities import WeightedGraphSnapshot
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.validation import check_fraction, check_positive_int
 
 
 def log_binomial(n: int, k: int) -> float:

@@ -23,10 +23,10 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.tracker import Solution
+from repro.errors import check_fraction, check_positive_int
 from repro.influence.oracle import InfluenceOracle
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
-from repro.utils.validation import check_fraction, check_positive_int
 
 
 class InterchangeGreedy:

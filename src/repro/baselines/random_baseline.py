@@ -16,11 +16,11 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.tracker import Solution
+from repro.errors import check_positive_int
 from repro.influence.oracle import InfluenceOracle
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.validation import check_positive_int
 
 
 class RandomBaseline:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set, Tuple
 
+from repro.errors import check_positive_int
 from repro.influence.probabilities import WeightedGraphSnapshot
 from repro.submodular.functions import CoverageFunction
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.validation import check_positive_int
 
 
 def sample_rr_set(

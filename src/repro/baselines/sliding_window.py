@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Hashable, List, Tuple
 
 from repro.core.sieve_streaming import SieveStreaming
-from repro.utils.validation import check_fraction, check_positive_int
+from repro.errors import check_fraction, check_positive_int
 
 Node = Hashable
 

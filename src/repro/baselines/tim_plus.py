@@ -27,12 +27,12 @@ from typing import List, Optional, Sequence
 from repro.baselines.imm import log_binomial
 from repro.baselines.rr_sets import RRCollection, sample_rr_set
 from repro.core.tracker import Solution
+from repro.errors import check_fraction, check_positive_int
 from repro.influence.oracle import InfluenceOracle
 from repro.influence.probabilities import WeightedGraphSnapshot
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.validation import check_fraction, check_positive_int
 
 
 class TIMPlus:

@@ -34,6 +34,7 @@ from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.core.sieve_adn import SieveADN
 from repro.core.tracker import Solution
+from repro.errors import check_fraction, check_positive_int
 from repro.influence.changed import (
     candidates_at,
     changed_node_labels,
@@ -43,7 +44,6 @@ from repro.influence.changed import (
 from repro.influence.oracle import InfluenceOracle
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
-from repro.utils.validation import check_fraction, check_positive_int
 
 
 class BasicReduction:

@@ -41,6 +41,7 @@ from typing import Dict, Hashable, List, Optional, Sequence
 
 from repro.core.sieve_adn import SieveADN
 from repro.core.tracker import Solution
+from repro.errors import check_fraction, check_positive_int
 from repro.influence.changed import (
     Labelled,
     candidates_at,
@@ -52,7 +53,6 @@ from repro.influence.oracle import InfluenceOracle
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 from repro.tdn.stream import group_by_lifetime
-from repro.utils.validation import check_fraction, check_positive_int
 
 Horizon = float  # int horizons plus math.inf for infinite lifetimes
 Node = Hashable

@@ -1,11 +1,14 @@
 """SIEVEADN: influential-node tracking on addition-only networks (Alg. 1).
 
 SIEVEADN adapts SieveStreaming to the node stream induced by arriving edges:
-for each batch it computes the changed-node set ``V_t-bar``, lazily updates
-the threshold grid with the largest singleton spread, and offers every
-changed node to every sieve set whose threshold its *current* marginal gain
-clears.  Two differences from classic SieveStreaming (paper Section III-A)
-make the correctness proof non-trivial but are handled naturally here:
+for each batch it computes the changed-node set ``V_t-bar``
+(:func:`repro.influence.changed.changed_nodes`, on the oracle's engine
+family), lazily updates the threshold grid with the largest singleton
+spread, and offers every changed node to every sieve set whose threshold
+its *current* marginal gain clears.  The oracle's memo sync at the top of
+each batch only evicts; it derives no candidates.  Two differences from
+classic SieveStreaming (paper Section III-A) make the correctness proof
+non-trivial but are handled naturally here:
 
 * the same node may appear many times in the node stream — sieve sets refuse
   duplicates and a rejected node can be accepted later, when its marginal
@@ -25,11 +28,7 @@ from typing import Hashable, Iterable, List, Optional, Sequence
 
 from repro.core.thresholds import ThresholdSet
 from repro.core.tracker import Solution
-from repro.influence.changed import (
-    changed_nodes,
-    check_changed_mode,
-    nodes_in_id_order,
-)
+from repro.influence.changed import changed_nodes, check_changed_mode
 from repro.influence.oracle import InfluenceOracle
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
@@ -85,31 +84,25 @@ class SieveADN:
         self._last_time = t
         # One dirty sync per batch, before the horizon filter: the oracle's
         # delta-aware memo table must observe every structural change (even
-        # edges this instance's horizon hides).  Handing it the batch's
-        # source ids lets the eviction sweep close them too, as the
-        # changed-node set, on a second plane of the same sweep.
-        source_ids = self._reusable_source_ids(batch)
+        # edges this instance's horizon hides).
         sync = getattr(self.oracle, "sync_dirty", None)
-        cone = sync(source_ids) if sync is not None else None
+        if sync is not None:
+            sync()
         if self.min_expiry is not None:
             batch = [e for e in batch if e.expiry >= self.min_expiry]
         if not batch:
             return
-        if cone is not None and cone.source_cone_ids is not None:
-            candidates = nodes_in_id_order(self.graph, cone.source_cone_ids)
-        else:
-            # The changed-node sweep runs on the same engine family as the
-            # oracle: array-visited transpose sweep for "csr", reference
-            # dict walk for "dict" (identical sets and ordering either
-            # way).  Duck-typed oracles without a backend attribute get
-            # the dict walk.
-            candidates = changed_nodes(
-                self.graph,
-                batch,
-                self.min_expiry,
-                self.changed_mode,
-                backend=getattr(self.oracle, "backend", "dict"),
-            )
+        # The changed-node sweep runs on the same engine family as the
+        # oracle: array-visited transpose sweep for "csr", reference dict
+        # walk for "dict" (identical sets and ordering either way).
+        # Duck-typed oracles without a backend attribute get the dict walk.
+        candidates = changed_nodes(
+            self.graph,
+            batch,
+            self.min_expiry,
+            self.changed_mode,
+            backend=getattr(self.oracle, "backend", "dict"),
+        )
         self.process_candidates(candidates)
 
     def on_candidates(self, t: int, candidates: Sequence[Node]) -> None:
@@ -126,27 +119,6 @@ class SieveADN:
         if sync is not None:
             sync()
         self.process_candidates(candidates)
-
-    def _reusable_source_ids(self, batch) -> Optional[List[int]]:
-        """The batch's source ids, when their closure is ``V_t-bar``.
-
-        The memo sync closes these ids under the reverse ancestor sweep
-        at the widest live horizon, ``t + 1``.  That closure *is*
-        ``changed_nodes(graph, batch)`` precisely when this instance sees
-        every alive edge (``min_expiry is None``) and wants the ancestor
-        superset.  ``None`` otherwise, and when a source was never
-        interned (the regular :func:`changed_nodes` sweep then runs).
-        """
-        if (
-            not batch
-            or self.min_expiry is not None
-            or self.changed_mode != "ancestors"
-        ):
-            return None
-        source_ids, unknown = self.graph.intern_ids(
-            {interaction.source for interaction in batch}
-        )
-        return None if unknown else sorted(source_ids)
 
     def process_candidates(self, candidates: Iterable[Node]) -> None:
         """Feed the node stream directly (Alg. 1 lines 4-11).

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Dict, FrozenSet, Hashable, Iterator, List, Tuple
 
-from repro.utils.validation import check_fraction, check_positive_int
+from repro.errors import check_fraction, check_positive_int
 
 Node = Hashable
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
+from repro.errors import check_positive_int
 from repro.tdn.interaction import Interaction
-from repro.utils.validation import check_positive_int
 
 Node = Hashable
 AdoptionEvent = Tuple[Node, Hashable, int]  # (user, item, time)

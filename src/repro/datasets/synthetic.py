@@ -26,9 +26,9 @@ from __future__ import annotations
 import itertools
 from typing import List, Sequence
 
+from repro.errors import check_fraction, check_positive, check_positive_int
 from repro.tdn.interaction import Interaction
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.validation import check_fraction, check_positive, check_positive_int
 
 
 def _zipf_weights(count: int, exponent: float) -> List[float]:

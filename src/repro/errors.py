@@ -7,21 +7,28 @@ caller asked for — derives from :class:`ReproError`, so ``except
 ReproError`` catches everything this package can throw at an API seam.
 
 Each subclass additionally inherits the builtin exception the same
-boundary raised historically (``ValueError`` for validation,
-``RuntimeError`` for execution state), so pre-existing callers — and the
-tests that pin exact message text — keep working unchanged.  New code
-should catch the specific subclass.
+boundary raised historically (``ValueError`` for an out-of-range value,
+``TypeError`` for a wrong type, ``RuntimeError`` for execution state), so
+pre-existing callers — and the tests that pin exact message text — keep
+working unchanged.  New code should catch the specific subclass.
 """
 
 from __future__ import annotations
 
+from numbers import Real
+
 __all__ = [
     "ConfigError",
+    "ConfigTypeError",
     "DegradedExecutionError",
     "PersistenceError",
     "ReproError",
     "SemanticsError",
     "UnsupportedCheckpointError",
+    "check_fraction",
+    "check_non_negative",
+    "check_positive",
+    "check_positive_int",
     "check_workers",
 ]
 
@@ -32,6 +39,10 @@ class ReproError(Exception):
 
 class ConfigError(ReproError, ValueError):
     """A constructor or setting received a value outside its contract."""
+
+
+class ConfigTypeError(ReproError, TypeError):
+    """A constructor or setting received a value of the wrong type."""
 
 
 def check_workers(workers) -> int:
@@ -46,6 +57,58 @@ def check_workers(workers) -> int:
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ConfigError(f"workers must be an int >= 1, got {workers!r}")
     return workers
+
+
+# The numeric checks every public constructor runs on its parameters (a
+# budget ``k``, an epsilon in ``(0, 1)``, ...), so misconfiguration fails
+# fast with a uniform message.  They live here, next to check_workers,
+# because every layer that validates may import this module.
+
+
+def check_positive_int(value: int, name: str) -> int:
+    """Require ``value`` to be an integer >= 1 and return it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigTypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _check_real(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigTypeError(f"{name} must be a number, got {type(value).__name__}")
+
+
+def check_positive(value: float, name: str) -> float:
+    """Require ``value`` to be a real number > 0 and return it as float."""
+    _check_real(value, name)
+    if value <= 0:
+        raise ConfigError(f"{name} must be > 0, got {value}")
+    return float(value)
+
+
+def check_non_negative(value: float, name: str) -> float:
+    """Require ``value`` to be a real number >= 0 and return it as float."""
+    _check_real(value, name)
+    if value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {value}")
+    return float(value)
+
+
+def check_fraction(value: float, name: str, *, inclusive: bool = False) -> float:
+    """Require ``value`` to lie in ``(0, 1)`` (or ``[0, 1]``) and return it.
+
+    The open interval is the default because the paper's epsilon parameters
+    are meaningless at exactly 0 or 1.
+    """
+    _check_real(value, name)
+    value = float(value)
+    if inclusive:
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{name} must be in [0, 1], got {value}")
+    elif not 0.0 < value < 1.0:
+        raise ConfigError(f"{name} must be in (0, 1), got {value}")
+    return value
 
 
 class SemanticsError(ConfigError):

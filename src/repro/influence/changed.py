@@ -27,6 +27,11 @@ Two interchangeable sweep engines compute the ancestors (``backend``):
 * ``"dict"``: the reference pure-Python reverse walk over the graph's
   dict-of-dict in-adjacency (:mod:`repro.influence.reachability`).
 
+A standalone SIEVEADN calls :func:`changed_nodes` once per non-empty
+batch, on its oracle's backend; this is the only place its ``V_t-bar``
+comes from (the oracle's memo sync closes its own dirty cone, for
+eviction only).
+
 Every horizon at once
 ---------------------
 BASICREDUCTION and HISTAPPROX feed one batch (or a part of it) to many
@@ -135,19 +140,6 @@ def _order_key(graph: TDNGraph):
     return order_key
 
 
-def nodes_in_id_order(graph: TDNGraph, ids: Iterable[int]) -> List[Node]:
-    """Materialize interned ids as nodes, sorted by id (canonical order).
-
-    This is the deterministic changed-node ordering: interned id equals
-    first-appearance order, so the output is stable across runs regardless
-    of set iteration order.  Shared by the CSR sweep below and by
-    SIEVEADN's reuse of the oracle's dirty-cone closure, so the two paths
-    can never order candidates differently.
-    """
-    node_of_id = graph.node_of_id
-    return [node_of_id(i) for i in sorted(ids)]
-
-
 def _csr_ancestors_ordered(
     graph: TDNGraph, sources: Set[Node], min_expiry: Optional[float]
 ) -> List[Node]:
@@ -172,8 +164,9 @@ def _csr_ancestors_ordered(
             ids.append(source_id)
     ordered: List[Node] = []
     if ids:
+        node_of_id = graph.node_of_id
         ancestor_ids = graph.csr().ancestor_ids(ids, min_expiry)
-        ordered.extend(nodes_in_id_order(graph, ancestor_ids))
+        ordered = [node_of_id(i) for i in sorted(ancestor_ids)]
     ordered.extend(sorted(extra, key=repr))
     return ordered
 

@@ -45,8 +45,10 @@ reads the graph's dirty-source journal — the interned ids whose forward
 cone the structural changes since its last sync touched (arrival sources
 plus dead-pair sources; see :meth:`repro.tdn.graph.TDNGraph.
 dirty_source_ids_since`) — closes it under the engine's reverse-transpose
-sweep (:meth:`repro.tdn.csr.DeltaCSR.touched_cone_ids`), and evicts
-exactly the memo entries whose key-set intersects that closed dirty set.
+sweep (:meth:`repro.tdn.csr.DeltaCSR.ancestor_ids` at the widest live
+horizon, ``t + 1``), and evicts exactly the memo entries whose key-set
+intersects that closed dirty set.  The sync only evicts: SIEVEADN takes
+its changed-node set from its own sweep (:mod:`repro.influence.changed`).
 The contract behind retaining the rest:
 
 * an arrival ``u -> v`` can only change ``f_t(S)`` if some node of ``S``
@@ -157,7 +159,7 @@ threads sweep private kernel clones of the graph's CSR engine, while
 every bit of accounting (cache protocol, call counting, FIFO order)
 stays in this layer, so the sharded oracle is bit-for-bit equivalent
 to the serial one.  The dirty-cone closure never shards: it is the same
-two-plane sweep on the caller's thread as on the serial path.  Pass a
+reverse sweep on the caller's thread as on the serial path.  Pass a
 worker count (the oracle owns the executor; :meth:`InfluenceOracle.
 close` releases it) or share one executor instance across oracles;
 anything else is a ``ConfigError``.
@@ -175,7 +177,6 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -355,24 +356,6 @@ def resolve_executor(parallel, backend: str):
     return parallel, False
 
 
-class DirtyCone(NamedTuple):
-    """One delta sync's dirty closure, and the batch's when it rode along.
-
-    ``cone_ids`` closes the dirty sources journaled since the last sync
-    under the reverse-transpose ancestor sweep: the ids whose forward cone
-    the deltas touched.  ``source_cone_ids`` closes the batch source ids
-    the caller passed, from the same sweep, at the same ``t + 1``
-    horizon: exactly ``changed_nodes(graph, batch)`` for an instance that
-    sees every alive edge, so SIEVEADN takes it as ``V_t-bar``.  It is
-    ``None`` when no source ids were passed, and on the ``"dict"`` cone
-    backend, where the closure would cost a walk of its own.  A sharded
-    oracle closes both on the caller's thread like a serial one.
-    """
-
-    cone_ids: Set[int]
-    source_cone_ids: Optional[Set[int]] = None
-
-
 class MemoTable:
     """FIFO-bounded memo table with delta-aware dirty-cone invalidation.
 
@@ -501,23 +484,15 @@ class MemoTable:
         self._cursor = self.graph.dirty_cursor
         self._time = self.graph.time
 
-    def sync(
-        self,
-        want_cone: bool = False,
-        source_ids: Optional[Sequence[int]] = None,
-    ) -> Optional[DirtyCone]:
+    def sync(self) -> None:
         """Bring the table up to date with the graph.
 
         Reads the dirty-source journal suffix since the last sync, closes
         it under the owning backend's reverse ancestor sweep, and evicts
-        only the intersecting entries; the computed :class:`DirtyCone` is
-        returned when ``want_cone`` is set (or when entries were at
-        stake).  ``source_ids`` (interned batch sources) are closed in the
-        same sweep on the CSR backend, sharded or not, so one sweep serves
-        both eviction and SIEVEADN's changed-node derivation.  Returns
-        ``None`` when nothing was stale or when the table was cleared
-        wholesale: the journal had been trimmed past the cursor, or a
-        clock-bound table saw the version or the time move.
+        only the intersecting entries.  An empty table skips the sweep.
+        The table is cleared wholesale instead when the journal had been
+        trimmed past the cursor, or when a clock-bound table saw the
+        version or the time move.
         """
         graph = self.graph
         if self.clock_bound and (graph.version, graph.time) != (
@@ -525,55 +500,43 @@ class MemoTable:
             self._time,
         ):
             self.reset()
-            return None
+            return
         if graph.version == self._version:
-            return None
-        record = None
-        if self.data or want_cone:
+            return
+        if self.data:
             seeds = graph.dirty_source_ids_since(self._cursor)
             if seeds is None:
                 self.clear()
             else:
-                record = self._closed_cone(seeds, source_ids)
-                cone_ids = record.cone_ids
+                cone_ids = self._closed_cone(seeds)
                 _CONE_SIZE.observe(len(cone_ids))
-                if self.data and cone_ids:
+                if cone_ids:
                     node_of_id = graph.node_of_id
                     self.evict_nodes({node_of_id(i) for i in cone_ids})
         self._version = graph.version
         self._cursor = graph.dirty_cursor
-        return record
 
-    def _closed_cone(
-        self, seed_ids: Set[int], source_ids: Optional[Sequence[int]]
-    ) -> DirtyCone:
+    def _closed_cone(self, seed_ids: Set[int]) -> Set[int]:
         """Ancestor closure of the dirty seeds, on the owning backend.
 
-        A ``"csr"`` oracle rides the engine's transpose sweep, with the
-        batch's ``source_ids`` on a second plane of the same bit-plane
-        sweep; a ``"dict"`` oracle keeps its pure-dict profile by closing
-        through the reference :func:`~repro.influence.reachability.
-        ancestors` walk instead of forcing a CSR engine build just for
-        eviction.  Both sweeps produce the identical set (pinned by the
-        equivalence suites), so memo semantics — and with them call
-        counts — stay backend independent either way.
+        A ``"csr"`` oracle rides the engine's transpose sweep; a
+        ``"dict"`` oracle keeps its pure-dict profile by closing through
+        the reference :func:`~repro.influence.reachability.ancestors`
+        walk instead of forcing a CSR engine build just for eviction.
+        Both sweeps produce the identical set (pinned by the equivalence
+        suites), so memo semantics — and with them call counts — stay
+        backend independent either way.
         """
         graph = self.graph
-        if not seed_ids and source_ids is None:
-            return DirtyCone(set())
+        if not seed_ids:
+            return set()
         if self.cone_backend == "dict":
             node_of_id = graph.node_of_id
             # sorted(): seed_ids arrives as a set; id order fixes the walk.
             seed_nodes = [node_of_id(i) for i in sorted(seed_ids)]
             node_id = graph.node_id
-            return DirtyCone({node_id(n) for n in ancestors(graph, seed_nodes, None)})
-        engine = graph.csr()
-        if source_ids is None:
-            return DirtyCone(engine.touched_cone_ids(seed_ids))
-        source_cone, cone_ids = engine.ancestor_closures(
-            [source_ids, sorted(seed_ids)]
-        )
-        return DirtyCone(cone_ids, source_cone)
+            return {node_id(n) for n in ancestors(graph, seed_nodes, None)}
+        return graph.csr().ancestor_ids(seed_ids, None)
 
 
 class InfluenceOracle:
@@ -771,19 +734,14 @@ class InfluenceOracle:
         self._memo.put(key, value)
         return value
 
-    def sync_dirty(
-        self, source_ids: Optional[Sequence[int]] = None
-    ) -> Optional[DirtyCone]:
-        """Sync the memo table now; returns the dirty cone when one ran.
+    def sync_dirty(self) -> None:
+        """Sync the memo table with the graph now (evictions only).
 
-        SIEVEADN calls this at the top of each batch with the batch's
-        interned source ids, so that memo eviction and its own
-        changed-node derivation share a single ancestor sweep: the
-        returned cone's ``source_cone_ids``, when set, *is* the
-        changed-node set.  Returns ``None`` when the table was already in
-        sync or was cleared wholesale.
+        SIEVEADN calls this at the top of each batch, so the table reads
+        the dirty journal every batch, also when the instance's horizon
+        hides the whole batch and no spread follows.
         """
-        return self._memo.sync(want_cone=True, source_ids=source_ids)
+        self._memo.sync()
 
     def spread_many(
         self,

@@ -753,35 +753,6 @@ class TraversalKernel:
             )
         return results
 
-    def reachable_id_sets(
-        self, id_sets: Sequence[Sequence[int]], eff: Optional[float]
-    ) -> List[Set[int]]:
-        """Per-set reachable ids for a whole batch of seed sets.
-
-        Semantically ``[self.reachable_ids(s, eff) for s in id_sets]``;
-        up to :data:`PLANE_WIDTH` sets share each bit-plane sweep, and
-        each set's ids are read off its plane.  Below the scalar cutover
-        every set gets a walk of its own.
-        """
-        if self._use_scalar():
-            return [self.reach_scalar(ids, eff) for ids in id_sets]
-        results: List[Set[int]] = []
-        for start in range(0, len(id_sets), PLANE_WIDTH):
-            chunk = id_sets[start : start + PLANE_WIDTH]
-            masks = self._masks_for(chunk, eff)
-            if masks is None:
-                results.extend(set() for _ in chunk)
-                continue
-            reached = np.flatnonzero(masks)
-            bits = masks[reached]
-            sampler = _SWEEP_SAMPLER
-            if sampler is not None:
-                sampler.record("closures", len(chunk), int(reached.size))
-            for plane in range(len(chunk)):
-                on_plane = (bits & _PLANE_BITS[plane]) != np.uint64(0)
-                results.append(set(reached[on_plane].tolist()))
-        return results
-
     def weighted_spread_sums(
         self,
         id_sets: Sequence[Sequence[int]],

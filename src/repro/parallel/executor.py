@@ -15,13 +15,13 @@ A shard never adds a physical sweep.  One bit-plane sweep carries up to
 multiples of 64 (:func:`shard_slices`): ``n`` sets become
 ``min(workers, ceil(n / 64))`` shards of whole 64-set chunks, and a
 request of 64 sets or fewer is one shard, swept once, as the serial
-engine does.  Ancestor closures are never split either: the memo's
-dirty-cone closure runs in the engine's single two-plane
-:meth:`~repro.tdn.csr.DeltaCSR.ancestor_closures` sweep on the caller's
-thread, whatever the worker count.  :meth:`ShardedOracleExecutor.
-ancestor_ids` and :meth:`ShardedOracleExecutor.touched_cone_ids` remain
-as direct entry points (their seed lists are cut by the same rule); no
-oracle path calls them.
+engine does.  Reverse (ancestor) sweeps are never sent here: the memo's
+dirty cone and SIEVEADN's changed-node set each run the engine's own
+:meth:`~repro.tdn.csr.DeltaCSR.ancestor_ids` on the caller's thread,
+whatever the worker count.  :meth:`ShardedOracleExecutor.ancestor_ids`
+and :meth:`ShardedOracleExecutor.touched_cone_ids` remain as direct
+entry points (their seed lists are cut by the same rule); no library
+path calls them.
 
 Correctness contract
 --------------------
@@ -495,9 +495,9 @@ class ShardedOracleExecutor:
     ) -> Set[int]:
         """Shard-merged reverse sweep: ancestors distribute over seed union.
 
-        No oracle path calls this: the memo closes its dirty cone in the
-        engine's own single sweep (:meth:`~repro.tdn.csr.DeltaCSR.
-        ancestor_closures`).
+        No library path calls this: the memo's dirty cone and the
+        changed-node sweep run the engine's own :meth:`~repro.tdn.csr.
+        DeltaCSR.ancestor_ids`.
         """
         targets = sorted(set(target_ids))
         if not targets:

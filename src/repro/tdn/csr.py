@@ -80,7 +80,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -567,9 +566,11 @@ class DeltaCSR:
     ) -> Set[int]:
         """All ids that can reach ``target_ids`` (transpose-backed).
 
-        This is the engine behind ``changed_nodes``: the reverse BFS runs
-        on the lazily built transpose of the base plus the log read
-        swapped, through the same shared kernel as the forward sweep.
+        This is the engine behind ``changed_nodes`` and, at
+        ``min_expiry=None`` (the widest live horizon, ``t + 1``), behind
+        the oracle memo's dirty cone: the reverse BFS runs on the lazily
+        built transpose of the base plus the log read swapped, through
+        the same shared kernel as the forward sweep.
         Only targets with an alive in-pair seed it.  The others have no
         ancestor at any live horizon, because every reverse entry a sweep
         can traverse at ``t + 1`` or later is an alive pair's, so they
@@ -583,32 +584,6 @@ class DeltaCSR:
             closure = self._kernel(True).reachable_ids(swept, eff)
         closure.update(lone)
         return closure
-
-    def ancestor_closures(self, id_sets: Sequence[Sequence[int]]) -> List[Set[int]]:
-        """:meth:`ancestor_ids` of each id set at the widest live horizon,
-        ``t + 1``, from one reverse sweep.
-
-        The sets ride the planes of one bit-plane sweep on the reverse
-        kernel (one walk per set below the scalar cutover), so closing a
-        batch's sources and a memo's dirty seeds together costs one
-        traversal of the transpose instead of two.  As in
-        :meth:`ancestor_ids`, only seeds with an alive in-pair start the
-        sweep and the rest join their set's closure as themselves; a set
-        left with no such seed takes no plane, and when no set has one
-        the sweep does not run.
-        """
-        splits = [self._graph.split_by_in_pairs(ids) for ids in id_sets]
-        swept = [seeds for seeds, _ in splits if seeds]
-        swept_closures: Iterator[Set[int]] = iter(())
-        if swept:
-            eff = self.effective_horizon(None)
-            swept_closures = iter(self._kernel(True).reachable_id_sets(swept, eff))
-        closures: List[Set[int]] = []
-        for seeds, lone in splits:
-            closure = next(swept_closures) if seeds else set()
-            closure.update(lone)
-            closures.append(closure)
-        return closures
 
     def ancestor_bottlenecks(
         self, seed_labels: Mapping[int, float]
@@ -655,24 +630,6 @@ class DeltaCSR:
         if not kernel._use_scalar():
             return None
         return kernel.reach_scalar, self.effective_horizon(min_expiry)
-
-    def touched_cone_ids(self, seed_ids: Iterable[int]) -> Set[int]:
-        """Ids whose forward cone a batch of deltas touched (seeds closed).
-
-        ``seed_ids`` are the dirty sources journaled by the graph since a
-        consumer's last sync: the sources of logged arrivals plus the
-        sources of tombstoned pairs.  Inserting or expiring an edge
-        ``u -> v`` can only change the reachable set of nodes that can
-        reach ``u`` *now*, so closing the seeds under the reverse-transpose
-        :meth:`ancestor_ids` sweep (at the widest live horizon, ``t + 1``)
-        yields a superset of every node whose spread may have changed —
-        the delta-aware oracle memo evicts exactly the entries whose key
-        intersects this set and provably keeps everything else.  A seed
-        with no alive in-pair (a check-in stream's place, which never
-        receives an interaction) closes to itself without a sweep, so a
-        cone whose seeds are all such costs no traversal.
-        """
-        return self.ancestor_ids(seed_ids, None)
 
     def spread_counts(
         self,

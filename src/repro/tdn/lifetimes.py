@@ -23,9 +23,9 @@ import math
 from abc import ABC, abstractmethod
 from typing import Callable, Optional
 
+from repro.errors import check_fraction, check_positive, check_positive_int
 from repro.tdn.interaction import Interaction
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.validation import check_fraction, check_positive, check_positive_int
 
 
 class LifetimePolicy(ABC):

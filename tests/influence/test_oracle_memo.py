@@ -28,6 +28,7 @@ from repro.core.hist_approx import HistApprox
 from repro.core.sieve_adn import SieveADN
 from repro.influence.changed import changed_nodes
 from repro.influence.oracle import InfluenceOracle, MemoTable
+from repro.parallel.executor import ShardedOracleExecutor
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 from repro.tdn.stream import MemoryStream
@@ -212,10 +213,17 @@ class TestDirtyJournal:
         assert oracle.calls == 2  # cleared wholesale, recomputed correctly
 
     def test_touched_cone_ids_closes_seeds_under_ancestors(self):
+        """The memo's dirty cone is the engine's ``ancestor_ids`` at the
+        widest live horizon; the executor's ``touched_cone_ids`` agrees."""
         graph = two_island_graph()
-        engine = graph.csr()
-        cone = engine.touched_cone_ids([graph.node_id("c")])
-        assert cone == {graph.node_id("a"), graph.node_id("b"), graph.node_id("c")}
+        seeds = [graph.node_id("c")]
+        want = {graph.node_id("a"), graph.node_id("b"), graph.node_id("c")}
+        assert graph.csr().ancestor_ids(seeds, None) == want
+        executor = ShardedOracleExecutor(1)
+        try:
+            assert executor.touched_cone_ids(graph, seeds) == want
+        finally:
+            executor.close()
 
 
 class TestFifoOrderAcrossModes:
@@ -361,7 +369,7 @@ class TestModeEquivalence:
 
 class TestSharedSweep:
     def test_cone_candidates_match_changed_nodes(self):
-        """SIEVEADN's reused dirty cone equals the changed_nodes sweep."""
+        """SIEVEADN's candidates equal a csr ``changed_nodes`` sweep."""
         events = seeded_events(7)
         graph = TDNGraph()
         sieve = SieveADN(2, 0.2, graph)
@@ -389,11 +397,12 @@ class TestSharedSweep:
         finally:
             SieveADN.process_candidates = original
 
-    def test_standalone_sieve_shares_one_sweep_while_pairs_die(self, monkeypatch):
+    def test_csr_sieve_sweeps_changed_nodes_as_pairs_die(self, monkeypatch):
         """Pairs die in every batch, so the journal's dirty seeds are never
-        just the batch's sources; the csr run still takes every ``V_t-bar``
-        from the memo sync's sweep and never calls ``changed_nodes``, and
-        matches the dict run (which does) in solutions, values and calls."""
+        just the batch's sources; each backend derives every ``V_t-bar``
+        with one ``changed_nodes`` call per non-empty batch on its own
+        engine, and the csr run matches the dict run in solutions, values
+        and calls."""
         rng = random.Random(5)
         events = []
         for t in range(40):
@@ -426,8 +435,7 @@ class TestSharedSweep:
             runs[backend] = (solutions, counter.total)
         assert runs["csr"] == runs["dict"]
         assert runs["csr"][1] > 0
-        assert "csr" not in sweeps
-        assert sweeps.count("dict") == 40
+        assert sweeps == ["csr"] * 40 + ["dict"] * 40
 
 
 @settings(max_examples=40, deadline=None)

@@ -208,9 +208,10 @@ def test_sharded_weighted_sums_are_worker_computed(executor):
 
 
 def test_sieve_adn_closes_cones_on_the_callers_thread(monkeypatch):
-    """A workers=2 SieveADN replay on gowalla in batches of 50 takes
-    V_t-bar from the memo's one closure sweep: it never runs the
-    changed-node sweep or a shard-merged cone, and it matches the serial
+    """A workers=2 SieveADN replay on gowalla in batches of 50 derives
+    V_t-bar with one csr ``changed_nodes`` call per batch and closes the
+    memo's dirty cone with the engine's own sweep: the executor's reverse
+    entry points are never called, and the replay matches the serial
     tracker's solutions and oracle calls while the pool shards."""
     from repro.core import sieve_adn
     from repro.core.tracker import InfluenceTracker
@@ -234,12 +235,28 @@ def test_sieve_adn_closes_cones_on_the_callers_thread(monkeypatch):
 
     serial = run(1)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the dirty cone must come from one closure sweep")
+    sweeps = []
+    real_changed_nodes = sieve_adn.changed_nodes
 
-    monkeypatch.setattr(sieve_adn, "changed_nodes", forbidden)
+    def counted(*args, **kwargs):
+        sweeps.append(kwargs["backend"])
+        return real_changed_nodes(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reverse sweeps stay on the caller's thread")
+
+    real_ensure_plane = ShardedOracleExecutor.ensure_plane
+
+    def forward_only(self, graph, reverse=False):
+        assert not reverse, "reverse sweeps stay on the caller's thread"
+        return real_ensure_plane(self, graph, reverse)
+
+    monkeypatch.setattr(sieve_adn, "changed_nodes", counted)
+    monkeypatch.setattr(ShardedOracleExecutor, "ancestor_ids", forbidden)
     monkeypatch.setattr(ShardedOracleExecutor, "touched_cone_ids", forbidden)
+    monkeypatch.setattr(ShardedOracleExecutor, "ensure_plane", forward_only)
     dispatches = metric_names.EXECUTOR_DISPATCHES_TOTAL
     before = metrics_registry().counter_values()[dispatches]
     assert run(2) == serial
+    assert sweeps == ["csr"] * len(batches)
     assert metrics_registry().counter_values()[dispatches] > before

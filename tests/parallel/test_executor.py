@@ -128,7 +128,7 @@ class TestPoolQueries:
                 ids[:9], None
             )
             assert executor.touched_cone_ids(graph, ids[:9]) == (
-                serial.touched_cone_ids(ids[:9])
+                serial.ancestor_ids(ids[:9], None)
             )
         finally:
             executor.close()

@@ -124,8 +124,8 @@ class TestSerialEquivalence:
         assert threaded.ancestor_ids(graph, targets) == serial.ancestor_ids(
             targets, None
         )
-        assert threaded.touched_cone_ids(graph, targets) == serial.touched_cone_ids(
-            targets
+        assert threaded.touched_cone_ids(graph, targets) == serial.ancestor_ids(
+            targets, None
         )
 
     def test_mutation_invalidates_clone_cache(self, threaded):

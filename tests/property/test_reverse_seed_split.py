@@ -1,8 +1,8 @@
 """Differential suite for the reverse sweeps' seed split.
 
 A node with no alive in-pair has no ancestor at any live horizon, so the
-delta-CSR engine's reverse entry points (``ancestor_closures``,
-``ancestor_ids`` with ``touched_cone_ids`` through it, and
+delta-CSR engine's reverse entry points (``ancestor_ids``, also at the
+widest live horizon as the memo's dirty cone, and
 ``ancestor_bottlenecks``) start their kernel sweep only at seeds that
 have one, and add the others back as themselves.  On random streams
 whose seeds mix both kinds, on the scalar and the vectorized path, this
@@ -53,7 +53,7 @@ FIXTURES = [
     ("sink", "n1", None),
 ]
 
-SWEEPS = ("reachable_ids", "reachable_id_sets", "bottleneck_scalar")
+SWEEPS = ("reachable_ids", "bottleneck_scalar")
 
 
 class SweepCounter:
@@ -123,12 +123,6 @@ def test_reverse_entry_points_match_dict_references(scalar_limit, stream, data):
             ]
             plane = st.one_of(st.lists(ids, max_size=4), st.sampled_from(fixed))
             planes = data.draw(st.lists(plane, min_size=1, max_size=3))
-            for sets in (planes, [fixed[0]], fixed[1:]):
-                sweeps.take()
-                got = engine.ancestor_closures(sets)
-                assert got == [closure_ref(graph, s, None) for s in sets], sets
-                flat = [i for s in sets for i in s]
-                assert (sweeps.take() > 0) == edged(graph, flat), sets
             horizon = data.draw(
                 st.one_of(
                     st.none(),
@@ -141,8 +135,6 @@ def test_reverse_entry_points_match_dict_references(scalar_limit, stream, data):
                 sweeps.take()
                 assert engine.ancestor_ids(seeds, horizon) == want, (seeds, horizon)
                 assert (sweeps.take() > 0) == edged(graph, seeds)
-                if horizon is None:
-                    assert engine.touched_cone_ids(set(seeds)) == want
                 labels = {
                     i: data.draw(
                         st.one_of(
@@ -174,9 +166,7 @@ def test_out_of_range_seed_names_the_same_id(scalar_limit, bad):
     calls = [
         lambda: engine.ancestor_ids([lone, bad]),
         lambda: engine.ancestor_ids([lone, bad], 4.0),
-        lambda: engine.touched_cone_ids([lone, bad]),
-        lambda: engine.ancestor_closures([[lone], [lone, bad]]),
-        lambda: engine.ancestor_closures([[bad]]),
+        lambda: engine.ancestor_ids([bad]),
         lambda: engine.ancestor_bottlenecks({lone: 3.0, bad: 4.0}),
     ]
     for call in calls:

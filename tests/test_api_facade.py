@@ -86,6 +86,19 @@ class TestOpenTracker:
             entry("sieve-adn", workers=workers)
         assert repr(workers) in str(caught.value)
 
+    def test_numeric_checks_raise_repro_errors(self):
+        """Out of range is a ConfigError; a wrong type is a ReproError
+        that is still a TypeError."""
+        from repro.datasets.registry import make_interactions
+
+        with pytest.raises(ConfigError, match="^k must be >= 1, got 0$"):
+            open_tracker(k=0)
+        with pytest.raises(ReproError, match="^k must be an int, got str$") as caught:
+            open_tracker(k="3")
+        assert isinstance(caught.value, TypeError)
+        with pytest.raises(ConfigError, match="^num_events must be >= 1, got 0$"):
+            make_interactions("gowalla", 0)
+
 
 class TestWeightedPath:
     def test_weighted_sum_injects_a_weighted_oracle(self):
@@ -123,6 +136,7 @@ class TestErrorHierarchy:
             PersistenceError,
             DegradedExecutionError,
             repro.UnsupportedCheckpointError,
+            repro.ConfigTypeError,
         ):
             assert issubclass(exc, ReproError)
 
@@ -134,6 +148,7 @@ class TestErrorHierarchy:
         assert issubclass(PersistenceError, ValueError)
         assert issubclass(DegradedExecutionError, RuntimeError)
         assert issubclass(repro.UnsupportedCheckpointError, TypeError)
+        assert issubclass(repro.ConfigTypeError, TypeError)
 
     def test_facade_raises_are_catchable_as_repro_error(self):
         with pytest.raises(ReproError):

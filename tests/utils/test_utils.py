@@ -4,14 +4,16 @@ import random
 
 import pytest
 
-from repro.utils.counters import CallCounter
-from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.validation import (
+from repro.errors import (
+    ConfigError,
+    ConfigTypeError,
     check_fraction,
     check_non_negative,
     check_positive,
     check_positive_int,
 )
+from repro.utils.counters import CallCounter
+from repro.utils.rng import make_rng, spawn_rngs
 
 
 class TestCallCounter:
@@ -59,34 +61,41 @@ class TestRng:
 
 
 class TestValidation:
+    """Out-of-range values raise ConfigError (a ValueError), wrong types
+    ConfigTypeError (a TypeError); both are ReproErrors."""
+
     def test_check_positive_int(self):
         assert check_positive_int(3, "x") == 3
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             check_positive_int(0, "x")
-        with pytest.raises(TypeError):
+        with pytest.raises(ConfigTypeError):
             check_positive_int(2.5, "x")
-        with pytest.raises(TypeError):
+        with pytest.raises(ConfigTypeError):
             check_positive_int(True, "x")
 
     def test_check_positive(self):
         assert check_positive(0.5, "x") == 0.5
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             check_positive(0, "x")
-        with pytest.raises(TypeError):
+        with pytest.raises(ConfigTypeError):
             check_positive("1", "x")
 
     def test_check_non_negative(self):
         assert check_non_negative(0, "x") == 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             check_non_negative(-0.1, "x")
+        with pytest.raises(ConfigTypeError):
+            check_non_negative(None, "x")
 
     def test_check_fraction(self):
         assert check_fraction(0.5, "x") == 0.5
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             check_fraction(0.0, "x")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             check_fraction(1.0, "x")
         assert check_fraction(0.0, "x", inclusive=True) == 0.0
         assert check_fraction(1.0, "x", inclusive=True) == 1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             check_fraction(1.1, "x", inclusive=True)
+        with pytest.raises(ConfigTypeError):
+            check_fraction(False, "x")
