@@ -26,17 +26,21 @@ Two interchangeable reachability engines sit behind the same API:
 * ``"dict"``: the reference pure-Python BFS over the graph's dict-of-dict
   adjacency (:func:`repro.influence.reachability.reachable_set`).
 
-Every cache miss, from either entry point and either backend, goes to
-one evaluator, :meth:`InfluenceOracle._evaluate_batch`, the only place a
-sweep is chosen.  ``"dict"`` walks each set with ``reachable_set``.  A
-serial csr count batch below the scalar cutover sends each set straight
-to the kernel's scalar walk.  Otherwise the sets are interned once,
-never-interned seeds add their own term, a lone set walks on the
-caller's thread (``reachable_count``, ``reachable_ids``), and two or
-more go to one sweep on ``graph.csr()`` or the executor method of the
-same name: ``spread_counts`` (count, uniform weights), the mapping's
-``weighted_spread_sums``, a callable's ``reachable_ids_many`` or
-``fold_spread_sums`` (derived folds, lone sets too).
+A cache miss is evaluated one of two ways, chosen once per request by
+:meth:`InfluenceOracle._per_set_evaluator`.  A serial csr ``count``
+oracle below the scalar cutover (``DeltaCSR.scalar_reach`` is not
+``None``) walks each miss alone where the cache protocol finds it:
+intern, ``reach_scalar``, insert.  There a batch shares no sweep, so
+nothing is gathered; this is the paper's per-edge setting.  Every other
+miss goes to :meth:`InfluenceOracle._evaluate_batch`, the one place a
+sweep is chosen.  ``"dict"`` walks each set with ``reachable_set``.  On
+csr the sets are interned once, never-interned seeds add their own term,
+a lone set walks on the caller's thread (``reachable_count``,
+``reachable_ids``), and two or more go to one sweep on ``graph.csr()``
+or the executor method of the same name: ``spread_counts`` (count,
+uniform weights), the mapping's ``weighted_spread_sums``, a callable's
+``reachable_ids_many`` or ``fold_spread_sums`` (derived folds, lone
+sets too).
 
 Dirty-cone invalidation
 -----------------------
@@ -107,11 +111,12 @@ Bit-plane batching
 ------------------
 :meth:`InfluenceOracle.spread_many` replays the *sequential* cache
 protocol (:func:`replay_batch_protocol`: hits taken in order, one call
-counted per miss, each miss's FIFO slot reserved) and then evaluates all
-distinct misses in one evaluator call, where the csr sweeps pack up to
-64 seed sets into uint64 visited-mask planes of one shared traversal.
-The accounting is exactly that of ``[self.spread(s) for s in sets]``;
-the physics costs one multi-source sweep per 64 sets.
+counted per miss).  Where misses share a sweep, each miss's FIFO slot is
+reserved and all distinct misses are evaluated in one evaluator call,
+where the csr sweeps pack up to 64 seed sets into uint64 visited-mask
+planes of one shared traversal.  A serial ``count`` oracle below the
+scalar cutover walks and inserts each miss where the protocol finds it.
+The accounting is exactly that of ``[self.spread(s) for s in sets]``.
 
 A caller that knows which sets it will ask for next at the same horizon
 passes them as ``prefetch`` (a zero-argument builder; SIEVEADN passes
@@ -132,14 +137,14 @@ therefore stay those of the same requests without ``prefetch``
 ``repro_oracle_prefetch_served_total`` show what rode and what was
 used.
 
-:meth:`InfluenceOracle.spread` keeps its own protocol and sends only its
-miss to the evaluator: replaying its batch of one through
-:func:`replay_batch_protocol` cut Greedy (``python -m repro.track
---dataset twitter-higgs --events 1500 --algorithm greedy``) from a
-median 507 to 385 events/s.  A lone set walks because a one-plane sweep
-pays for a whole-graph mask: on ``gowalla`` engines of 2.8k-9.4k alive
-pairs a lone count costs 24-45 us walked, 43-98 us swept, and Greedy
-past the cutover ran at 179 events/s walked, 112 swept (2-core Xeon).
+:meth:`InfluenceOracle.spread` keeps its own protocol (one probe, one
+count, one insert), since a batch of one has no duplicates or shared
+sweep to replay, and evaluates its miss the same way: the per-set walk
+below the cutover, otherwise :meth:`InfluenceOracle._evaluate_batch`.
+There a lone set walks because a one-plane sweep pays for a whole-graph
+mask: on ``gowalla`` engines of 2.8k-9.4k alive pairs a lone count costs
+24-45 us walked, 43-98 us swept, and Greedy past the cutover ran at 179
+events/s walked, 112 swept (2-core Xeon).
 
 Both backends return identical values and spend identical oracle calls —
 the cross-backend equivalence suite pins this on seeded streams — so the
@@ -232,25 +237,36 @@ _PENDING = object()
 
 
 def replay_batch_protocol(
-    memo, counter, sets, min_expiry, evaluate, zero, semantics=None, prefetch=None
+    memo,
+    counter,
+    sets,
+    min_expiry,
+    evaluate,
+    zero,
+    semantics=None,
+    prefetch=None,
+    evaluate_one=None,
 ):
     """The sequential-replay cache protocol behind batched ``spread_many``.
 
-    Walk the batch in submission order taking hits, count one oracle call per
-    miss, reserve each miss's FIFO cache slot with ``_PENDING`` (so
-    in-batch duplicates replay as the cache hits they would sequentially
-    be), then evaluate the distinct misses together through one
-    ``evaluate`` call and fulfill the reservations.  Values, call counts
-    and eviction order are exactly those of ``[spread(s) for s in sets]``.
+    Walk the batch in submission order taking hits and count one oracle
+    call per miss.  Given a per-set evaluator ``evaluate_one``, a miss is
+    evaluated and inserted where the walk finds it, so a later in-batch
+    duplicate is a plain hit.  Otherwise each miss's FIFO slot is reserved
+    with ``_PENDING`` (so in-batch duplicates replay as the hits they would
+    sequentially be), the distinct misses go to one ``evaluate`` call, and
+    the reservations are fulfilled.  Either way values, call counts and
+    eviction order are exactly those of ``[spread(s) for s in sets]``.
 
     The walk is flat: a set costs one key build and one probe of the
     memo's dict, and the call counter and the hit/miss registry counters
-    are bumped once per batch, before ``evaluate`` runs.
+    are bumped once per batch, after the walk, also when ``evaluate_one``
+    raises (counting the miss that raised, as ``spread`` would).
 
     Every set is frozen *before* the first cache mutation: a bad input
     (unhashable member, exhausted iterator) must raise while the memo
-    still holds no ``_PENDING`` reservation to leak, and reservations are
-    likewise rolled back when ``evaluate`` itself raises.
+    still holds nothing of the batch, and reservations are rolled back
+    when ``evaluate`` itself raises.
 
     ``semantics`` is an optional hashable token appended to every cache
     key (``None`` keeps the historical two-element key), so oracles
@@ -261,46 +277,53 @@ def replay_batch_protocol(
     frozen_sets = [frozenset(nodes) for nodes in sets]
     probe = memo.data.get
     results: list = [zero] * len(frozen_sets)
-    miss_keys: list = []  # distinct misses, first-miss order
+    miss_keys: list = []  # distinct reserved misses, first-miss order
     slot_of: dict = {}  # miss key -> its index in miss_keys
     placements: list = []  # (result index, miss slot)
     hits = 0
     misses = 0
-    for i, key_nodes in enumerate(frozen_sets):
-        if not key_nodes:
-            continue
-        key = (
-            (min_expiry, key_nodes)
-            if semantics is None
-            else (min_expiry, key_nodes, semantics)
-        )
-        hit = probe(key)
-        if hit is None:
-            misses += 1
-            slot = slot_of.get(key)
-            if slot is None:
-                slot = slot_of[key] = len(miss_keys)
-                miss_keys.append(key)
-            # Reserve the FIFO slot exactly where a sequential evaluation
-            # would have inserted the computed value (a re-counted miss —
-            # its reservation evicted mid-batch — re-inserts, as it would
-            # sequentially).
-            memo.put(key, _PENDING)
-            placements.append((i, slot))
-        elif hit is _PENDING:
-            # Duplicate of an in-batch miss: a sequential run would hit
-            # the (by then populated) cache entry — no call counted.
-            placements.append((i, slot_of[key]))
-            hits += 1
-        else:
-            results[i] = hit
-            hits += 1
-    if hits:
-        _MEMO_HITS.inc(hits)
-    if not misses:
+    try:
+        for i, key_nodes in enumerate(frozen_sets):
+            if not key_nodes:
+                continue
+            key = (
+                (min_expiry, key_nodes)
+                if semantics is None
+                else (min_expiry, key_nodes, semantics)
+            )
+            hit = probe(key)
+            if hit is None:
+                misses += 1
+                if evaluate_one is not None:
+                    results[i] = value = evaluate_one(key_nodes)
+                    memo.put(key, value)
+                    continue
+                slot = slot_of.get(key)
+                if slot is None:
+                    slot = slot_of[key] = len(miss_keys)
+                    miss_keys.append(key)
+                # Reserve the FIFO slot exactly where a sequential
+                # evaluation would have inserted the computed value (a
+                # re-counted miss — its reservation evicted mid-batch —
+                # re-inserts, as it would sequentially).
+                memo.put(key, _PENDING)
+                placements.append((i, slot))
+            elif hit is _PENDING:
+                # Duplicate of an in-batch miss: a sequential run would hit
+                # the (by then populated) cache entry — no call counted.
+                placements.append((i, slot_of[key]))
+                hits += 1
+            else:
+                results[i] = hit
+                hits += 1
+    finally:
+        if hits:
+            _MEMO_HITS.inc(hits)
+        if misses:
+            counter.increment(misses)
+            _MEMO_MISSES.inc(misses)
+    if not miss_keys:
         return results
-    counter.increment(misses)
-    _MEMO_MISSES.inc(misses)
     try:
         key_sets = [key[1] for key in miss_keys]
         if prefetch is None:
@@ -711,8 +734,8 @@ class InfluenceOracle:
         other semantics score the same reached set through their fold and
         return a float.  ``f_t(empty set) = 0`` (the function is
         normalized).  The horizon ``min_expiry`` restricts traversal to
-        edges expiring at or after it.  Only the miss goes to
-        :meth:`_evaluate_batch` (see "Bit-plane batching" for why).
+        edges expiring at or after it.  A miss is evaluated as a
+        ``spread_many`` miss would be (see "Backends").
         """
         key_nodes = frozenset(nodes)
         token = self._semantics_token
@@ -730,7 +753,11 @@ class InfluenceOracle:
             return hit
         self.counter.increment()
         _MEMO_MISSES.inc()
-        value = self._evaluate_batch([key_nodes], min_expiry)[0]
+        walk = self._per_set_evaluator(min_expiry)
+        if walk is not None:
+            value = walk(key_nodes)
+        else:
+            value = self._evaluate_batch([key_nodes], min_expiry)[0]
         self._memo.put(key, value)
         return value
 
@@ -754,8 +781,9 @@ class InfluenceOracle:
         Semantically identical to ``[self.spread(s, min_expiry) for s in
         sets]`` — same values, same cache behavior, same call counting in
         the same order (the table is synced once before the batch replays
-        the sequential protocol) — but the distinct misses are evaluated
-        together, one shared bit-plane traversal per 64 sets on csr.
+        the sequential protocol).  Misses share one bit-plane traversal
+        per 64 sets on csr, or are walked one by one below the scalar
+        cutover (see "Backends" in the module docstring).
 
         ``prefetch`` is a zero-argument callable returning sets the
         caller will ask for later at this horizon.  It is called only
@@ -773,6 +801,7 @@ class InfluenceOracle:
             0 if self._semantics_token is None else 0.0,
             semantics=self._semantics_token,
             prefetch=prefetch,
+            evaluate_one=self._per_set_evaluator(min_expiry),
         )
 
     def marginal_gain(
@@ -802,11 +831,11 @@ class InfluenceOracle:
         min_expiry: Optional[float],
         prefetch: Optional[Prefetch] = None,
     ) -> List:
-        """Evaluate distinct cache misses: the one place a miss picks its
-        sweep (see "Backends" in the module docstring).  A miss that was
-        prefetched at this graph version and time is served from the
-        prefetch store; the rest go to :meth:`_evaluate_misses`.  An exception
-        drops every prefetched value.
+        """Evaluate distinct cache misses that are not walked one by one:
+        the one place a miss picks its sweep (see "Backends" in the module
+        docstring).  A miss that was prefetched at this graph version and
+        time is served from the prefetch store; the rest go to
+        :meth:`_evaluate_misses`.  An exception drops every prefetched value.
         """
         stash = self._prefetched
         try:
@@ -835,6 +864,29 @@ class InfluenceOracle:
         except BaseException:
             stash.clear()
             raise
+
+    def _per_set_evaluator(
+        self, min_expiry: Optional[float]
+    ) -> Optional[Callable[[FrozenSet[Node]], int]]:
+        """The walk that evaluates a miss where the protocol finds it, or
+        ``None`` to leave misses to :meth:`_evaluate_batch` (see "Backends"
+        in the module docstring).  Resolved per request, never kept.
+        """
+        if self._semantics_token is not None or self._executor is not None:
+            return None
+        if self.backend != "csr":
+            return None
+        scalar = self.graph.csr().scalar_reach(min_expiry)
+        if scalar is None:
+            return None
+        walk, eff = scalar
+        intern_ids = self.graph.intern_ids
+
+        def count(key_nodes: FrozenSet[Node]) -> int:
+            ids, unknown = intern_ids(key_nodes)
+            return len(walk(ids, eff)) + unknown if ids else unknown
+
+        return count
 
     def _memo_key(self, min_expiry: Optional[float], key_nodes: FrozenSet[Node]):
         token = self._semantics_token
@@ -867,16 +919,6 @@ class InfluenceOracle:
             return values
         executor = self._executor
         engine = graph.csr()
-        if counting and executor is None:
-            scalar = engine.scalar_reach(min_expiry)
-            if scalar is not None:
-                walk, eff = scalar
-                intern_ids = graph.intern_ids
-                counts: List = []
-                for key_nodes in key_sets:
-                    ids, unknown = intern_ids(key_nodes)
-                    counts.append(len(walk(ids, eff)) + unknown if ids else unknown)
-                return counts
         values = []
         id_sets: List[List[int]] = []
         pending: List[int] = []

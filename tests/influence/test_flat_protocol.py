@@ -2,11 +2,14 @@
 
 ``spread_many`` walks a batch once, probing the memo's dict directly and
 bumping the call counter and the hit/miss registry counters once per
-batch, then evaluates every distinct miss in one engine call.  Its
-contract is that none of this is observable: against a twin oracle that
-runs ``[spread(s) for s in sets]`` over an identical graph, every value,
-the oracle call count, the memo's FIFO key order and the
-``repro_oracle_memo_{hits,misses}`` deltas must agree after every batch.
+batch.  A serial csr ``count`` oracle below the scalar cutover evaluates
+each miss where the walk finds it, with no ``_evaluate_batch`` call; every
+other leaf reserves the misses' slots and evaluates the distinct misses
+in one ``_evaluate_batch`` call.  The contract is that none of this is
+observable: against a twin oracle that runs ``[spread(s) for s in sets]``
+over an identical graph, every value, the oracle call count, the memo's
+FIFO key order and the ``repro_oracle_memo_{hits,misses}`` deltas must
+agree after every batch, also after a walk that raises mid-batch.
 
 Tiny memo capacities (1–3 entries) make reservations evict each other
 mid-batch; batches carry duplicates, empty sets and never-interned
@@ -15,9 +18,11 @@ runs too.  Both protocols share one miss evaluator, so the oracle
 configurations below cover each of its leaves: all four semantics, the
 three weight forms (uniform default, mapping, callable), and the dict
 backend's reference walk.  A csr engine built with a zero scalar cutover
-puts the count leaf on ``spread_counts`` instead of the scalar shortcut,
-and a lone miss (every sequential ``spread``, and a batch with one
-distinct miss) on the per-set walk instead of a one-plane sweep.  A
+puts the count leaf on ``spread_counts`` instead of the scalar walk, and
+a lone miss (every sequential ``spread``, and a batch with one distinct
+miss) on the per-set walk instead of a one-plane sweep; a cutover of 3
+pairs, with compaction after 2 log rows or tombstones, moves one replay
+across it both ways as pairs arrive and expire.  A
 drawn executor with a one-set floor shards every csr batch of two or
 more misses; a lone miss stays on the caller's thread.
 Since both protocols share that evaluator, the sequential values are
@@ -28,13 +33,15 @@ import os
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.influence.oracle import InfluenceOracle
+from repro.influence.oracle import _PENDING, InfluenceOracle
+from repro.kernels.traversal import TraversalKernel
 from repro.obs import names as metric_names
 from repro.obs.registry import metrics_registry
 from repro.parallel import ShardedOracleExecutor
+from repro.tdn.csr import DeltaCSR
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 from tests.property.test_fold_semantics import bfs_levels, reference_decay_terms
@@ -118,18 +125,43 @@ def apply(graph, source, target, lifetime, advance):
 @given(
     capacity=st.integers(1, 3),
     config=st.sampled_from(ORACLE_CONFIGS),
-    vectorized=st.booleans(),
+    scalar_limit=st.sampled_from([None, "0", "3"]),
     sharded=st.booleans(),
     script=rounds,
 )
 def test_spread_many_matches_sequential_spread(
-    capacity, config, vectorized, sharded, script
+    capacity, config, scalar_limit, sharded, script
 ):
+    replay_config(capacity, config, scalar_limit, sharded, script)
+
+
+#: Four pairs arrive one by one, then all expire: a 3-pair cutover is
+#: crossed to the sweep and back.
+CROSSING_SCRIPT = [
+    ([("a", "b", 1, 0), ("b", "c", 1, 0), ("c", "d", 1, 0)], [["a"], ["b"]], None),
+    ([("d", "e", 1, 0)], [["a"], ["b", "d"], ["a"]], None),
+    ([("a", "a", None, 2)], [["a"], ["c"], ["ghost", "a"]], None),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    capacity=st.integers(1, 3),
+    scalar_limit=st.sampled_from([None, "3"]),
+    script=rounds,
+)
+@example(capacity=2, scalar_limit="3", script=CROSSING_SCRIPT)
+def test_scalar_count_leaf_evaluates_misses_in_place(capacity, scalar_limit, script):
+    """The serial csr count leaf alone, so that every example drives it."""
+    replay_config(capacity, ORACLE_CONFIGS[0], scalar_limit, False, script)
+
+
+def replay_config(capacity, config, scalar_limit, sharded, script):
     backend, semantics, options = config
     batched_graph, sequential_graph = TDNGraph(), TDNGraph()
-    if vectorized and backend == "csr":
+    if scalar_limit is not None and backend == "csr":
         # The engine reads its cutover once, when the first csr() builds it.
-        with mock.patch.dict(os.environ, {"REPRO_SCALAR_PAIR_LIMIT": "0"}):
+        with mock.patch.dict(os.environ, {"REPRO_SCALAR_PAIR_LIMIT": scalar_limit}):
             batched_graph.csr()
             sequential_graph.csr()
     executor = (
@@ -148,8 +180,12 @@ def test_spread_many_matches_sequential_spread(
         )
         for graph in (batched_graph, sequential_graph)
     )
+    # Past 2 log rows plus tombstones the engine compacts, so expired pairs
+    # leave its entry count and a 3-pair cutover is crossed both ways.
+    compact_min = 2 if scalar_limit == "3" else DeltaCSR.COMPACT_MIN
     try:
-        replay(batched, sequential, semantics, options, script)
+        with mock.patch.object(DeltaCSR, "COMPACT_MIN", compact_min):
+            replay(batched, sequential, semantics, options, script)
     finally:
         if executor is not None:
             executor.close()
@@ -165,6 +201,9 @@ def replay(batched, sequential, semantics, options, script):
         return evaluate(key_sets, min_expiry)
 
     batched._evaluate_batch = count_evaluations  # noqa: SLF001
+    serial_count = (
+        batched.backend == "csr" and semantics == "count" and batched.executor is None
+    )
     for mutation_list, sets, horizon_offset in script:
         for mutation in mutation_list:
             apply(batched_graph, *mutation)
@@ -192,8 +231,12 @@ def replay(batched, sequential, semantics, options, script):
         assert tuple(m - b for m, b in zip(middle, before)) == tuple(
             a - m for a, m in zip(after, middle)
         )
-        # All distinct misses of a batch go to one engine call.
-        assert len(evaluations) <= 1
+        if serial_count and batched_graph.csr().scalar_reach(horizon) is not None:
+            # Below the cutover each miss walks where the protocol finds it.
+            assert evaluations == []
+        else:
+            # All distinct misses of a batch go to one engine call.
+            assert len(evaluations) <= 1
         # spread() syncs lazily (an all-empty batch never reaches the
         # memo), so bring both tables to the graph before comparing.
         batched._memo.sync()  # noqa: SLF001
@@ -201,3 +244,73 @@ def replay(batched, sequential, semantics, options, script):
         assert list(batched._memo.data.items()) == list(  # noqa: SLF001
             sequential._memo.data.items()  # noqa: SLF001
         )
+
+
+class WalkFault(Exception):
+    pass
+
+
+def fault_on_walk(n):
+    """``reach_scalar`` that raises on its ``n``-th call (1-based)."""
+    reach_scalar = TraversalKernel.reach_scalar
+    walks = []
+
+    def walk(kernel, seed_ids, eff):
+        walks.append(1)
+        if len(walks) == n:
+            raise WalkFault(n)
+        return reach_scalar(kernel, seed_ids, eff)
+
+    return mock.patch.object(TraversalKernel, "reach_scalar", walk)
+
+
+#: A hit, in-batch duplicates, an empty set and a never-interned seed
+#: (which walks nothing): 4 walks at capacities 3 and up, more below.
+FAULT_BATCH = [
+    {"a"}, {"b"}, {"c", "d"}, {"b"}, set(), {"ghost"}, {"e"}, {"a", "e"}, {"c", "d"}
+]
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 200])
+@pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
+def test_walk_that_raises_mid_batch_leaves_the_sequential_state(capacity, fail_at):
+    """A raising scalar walk leaves what a raising sequential ``spread`` does.
+
+    The calls counted, the memo's items in FIFO order and the hit/miss
+    registry deltas match the twin's, the memo holds no reservation, and
+    the same batch then returns the twin's values.
+    """
+    batched, sequential = (
+        InfluenceOracle(TDNGraph(), max_cache_entries=capacity) for _ in range(2)
+    )
+    for oracle in (batched, sequential):
+        graph = oracle.graph
+        for source, target in (("a", "b"), ("b", "c"), ("d", "e")):
+            graph.add_interaction(Interaction(source, target, graph.time, None))
+        assert graph.csr().scalar_reach(None) is not None  # the scalar leaf
+        oracle.spread({"a"})  # primes one hit
+
+    def run_sequential():
+        return [sequential.spread(nodes) for nodes in FAULT_BATCH]
+
+    before = memo_counters()
+    with fault_on_walk(fail_at), pytest.raises(WalkFault):
+        batched.spread_many(FAULT_BATCH)
+    middle = memo_counters()
+    with fault_on_walk(fail_at), pytest.raises(WalkFault):
+        run_sequential()
+    after = memo_counters()
+
+    assert batched.calls == sequential.calls
+    assert tuple(m - b for m, b in zip(middle, before)) == tuple(
+        a - m for a, m in zip(after, middle)
+    )
+    batched_items = list(batched._memo.data.items())  # noqa: SLF001
+    assert batched_items == list(sequential._memo.data.items())  # noqa: SLF001
+    assert all(value is not _PENDING for _, value in batched_items)
+
+    assert batched.spread_many(FAULT_BATCH) == run_sequential()
+    assert batched.calls == sequential.calls
+    assert list(batched._memo.data.items()) == list(  # noqa: SLF001
+        sequential._memo.data.items()  # noqa: SLF001
+    )

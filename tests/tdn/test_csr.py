@@ -151,7 +151,7 @@ class TestAdaptiveScalarCutover:
         monkeypatch.setenv(csr_mod.SCALAR_LIMIT_ENV, "999")
         assert csr_mod.resolve_scalar_pair_limit(override=123) == 123
 
-    def test_env_override_beats_calibration(self, monkeypatch):
+    def test_env_override_beats_default(self, monkeypatch):
         """The env var beats the default; a bad value fails the engine."""
         from repro.tdn import csr as csr_mod
 
