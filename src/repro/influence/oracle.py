@@ -26,10 +26,10 @@ Two interchangeable reachability engines sit behind the same API:
 * ``"dict"``: the reference pure-Python BFS over the graph's dict-of-dict
   adjacency (:func:`repro.influence.reachability.reachable_set`).
 
-A cache miss is evaluated one of two ways, chosen once per request by
-:meth:`InfluenceOracle._per_set_evaluator`.  A serial csr ``count``
-oracle below the scalar cutover (``DeltaCSR.scalar_reach`` is not
-``None``) walks each miss alone where the cache protocol finds it:
+A cache miss is evaluated one of two ways, chosen at a request's
+first miss by :meth:`InfluenceOracle._per_set_evaluator`.  A serial csr
+``count`` oracle below the scalar cutover (``DeltaCSR.scalar_reach`` is
+not ``None``) walks each miss alone where the cache protocol finds it:
 intern, ``reach_scalar``, insert.  There a batch shares no sweep, so
 nothing is gathered; this is the paper's per-edge setting.  Every other
 miss goes to :meth:`InfluenceOracle._evaluate_batch`, the one place a
@@ -137,14 +137,13 @@ therefore stay those of the same requests without ``prefetch``
 ``repro_oracle_prefetch_served_total`` show what rode and what was
 used.
 
-:meth:`InfluenceOracle.spread` keeps its own protocol (one probe, one
-count, one insert), since a batch of one has no duplicates or shared
-sweep to replay, and evaluates its miss the same way: the per-set walk
-below the cutover, otherwise :meth:`InfluenceOracle._evaluate_batch`.
-There a lone set walks because a one-plane sweep pays for a whole-graph
-mask: on ``gowalla`` engines of 2.8k-9.4k alive pairs a lone count costs
-24-45 us walked, 43-98 us swept, and Greedy past the cutover ran at 179
-events/s walked, 112 swept (2-core Xeon).
+:meth:`InfluenceOracle.spread` is ``spread_many`` over a batch of one,
+so a lone miss takes the per-set walk below the cutover and otherwise
+:meth:`InfluenceOracle._evaluate_batch`.  There a lone set walks
+because a one-plane sweep pays for a whole-graph mask: on ``gowalla``
+engines of 2.8k-9.4k alive pairs a lone count costs 24-45 us walked,
+43-98 us swept, and Greedy past the cutover ran at 179 events/s walked,
+112 swept (2-core Xeon).
 
 Both backends return identical values and spend identical oracle calls —
 the cross-backend equivalence suite pins this on seeded streams — so the
@@ -245,22 +244,25 @@ def replay_batch_protocol(
     zero,
     semantics=None,
     prefetch=None,
-    evaluate_one=None,
+    resolve_walk=None,
 ):
     """The sequential-replay cache protocol behind batched ``spread_many``.
 
     Walk the batch in submission order taking hits and count one oracle
-    call per miss.  Given a per-set evaluator ``evaluate_one``, a miss is
-    evaluated and inserted where the walk finds it, so a later in-batch
-    duplicate is a plain hit.  Otherwise each miss's FIFO slot is reserved
-    with ``_PENDING`` (so in-batch duplicates replay as the hits they would
-    sequentially be), the distinct misses go to one ``evaluate`` call, and
-    the reservations are fulfilled.  Either way values, call counts and
-    eviction order are exactly those of ``[spread(s) for s in sets]``.
+    call per miss.  At the first miss, ``resolve_walk(min_expiry)`` (if
+    given) names a per-set walk or ``None``, and that answer holds for
+    the rest of the batch, so an all-hit batch resolves nothing.  Given a
+    walk, a miss is evaluated and inserted where the protocol finds it,
+    so a later in-batch duplicate is a plain hit.  Otherwise each miss's
+    FIFO slot is reserved with ``_PENDING`` (so in-batch duplicates
+    replay as the hits they would sequentially be), the distinct misses
+    go to one ``evaluate`` call, and the reservations are fulfilled.
+    Either way values, call counts and eviction order are exactly those
+    of ``[spread(s) for s in sets]``.
 
     The walk is flat: a set costs one key build and one probe of the
     memo's dict, and the call counter and the hit/miss registry counters
-    are bumped once per batch, after the walk, also when ``evaluate_one``
+    are bumped once per batch, after the walk, also when a per-set walk
     raises (counting the miss that raised, as ``spread`` would).
 
     Every set is frozen *before* the first cache mutation: a bad input
@@ -282,6 +284,8 @@ def replay_batch_protocol(
     placements: list = []  # (result index, miss slot)
     hits = 0
     misses = 0
+    walk = None
+    resolved = resolve_walk is None
     try:
         for i, key_nodes in enumerate(frozen_sets):
             if not key_nodes:
@@ -293,9 +297,12 @@ def replay_batch_protocol(
             )
             hit = probe(key)
             if hit is None:
+                if not resolved:
+                    walk = resolve_walk(min_expiry)
+                    resolved = True
                 misses += 1
-                if evaluate_one is not None:
-                    results[i] = value = evaluate_one(key_nodes)
+                if walk is not None:
+                    results[i] = value = walk(key_nodes)
                     memo.put(key, value)
                     continue
                 slot = slot_of.get(key)
@@ -734,32 +741,13 @@ class InfluenceOracle:
         other semantics score the same reached set through their fold and
         return a float.  ``f_t(empty set) = 0`` (the function is
         normalized).  The horizon ``min_expiry`` restricts traversal to
-        edges expiring at or after it.  A miss is evaluated as a
-        ``spread_many`` miss would be (see "Backends").
+        edges expiring at or after it.  A non-empty set is evaluated as
+        ``spread_many`` evaluates a batch of one.
         """
         key_nodes = frozenset(nodes)
-        token = self._semantics_token
         if not key_nodes:
-            return 0 if token is None else 0.0
-        self._memo.sync()
-        key = (
-            (min_expiry, key_nodes)
-            if token is None
-            else (min_expiry, key_nodes, token)
-        )
-        hit = self._memo.data.get(key)
-        if hit is not None and hit is not _PENDING:
-            _MEMO_HITS.inc()
-            return hit
-        self.counter.increment()
-        _MEMO_MISSES.inc()
-        walk = self._per_set_evaluator(min_expiry)
-        if walk is not None:
-            value = walk(key_nodes)
-        else:
-            value = self._evaluate_batch([key_nodes], min_expiry)[0]
-        self._memo.put(key, value)
-        return value
+            return 0 if self._semantics_token is None else 0.0
+        return self.spread_many((key_nodes,), min_expiry)[0]
 
     def sync_dirty(self) -> None:
         """Sync the memo table with the graph now (evictions only).
@@ -801,7 +789,7 @@ class InfluenceOracle:
             0 if self._semantics_token is None else 0.0,
             semantics=self._semantics_token,
             prefetch=prefetch,
-            evaluate_one=self._per_set_evaluator(min_expiry),
+            resolve_walk=self._per_set_evaluator,
         )
 
     def marginal_gain(
@@ -870,7 +858,8 @@ class InfluenceOracle:
     ) -> Optional[Callable[[FrozenSet[Node]], int]]:
         """The walk that evaluates a miss where the protocol finds it, or
         ``None`` to leave misses to :meth:`_evaluate_batch` (see "Backends"
-        in the module docstring).  Resolved per request, never kept.
+        in the module docstring).  Resolved at a request's first miss,
+        never kept.
         """
         if self._semantics_token is not None or self._executor is not None:
             return None

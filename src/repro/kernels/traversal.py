@@ -42,11 +42,14 @@ TraversalKernel.spread_counts` is the multi-source **bit-plane** sweep:
 up to :data:`PLANE_WIDTH` seed sets are packed into uint64 visited-mask
 planes (bit *i* of ``masks[v]`` = "set *i* reaches *v*") and all planes
 propagate to fixpoint in one shared traversal.  :meth:`~TraversalKernel.
-weighted_spread_sums` rides the *same* fixpoint and folds a dense
-float64 node-weight array over each plane's reached ids — 64 weighted
-evaluations per physical traversal, in the canonical ascending-id
-summation order of :func:`dense_weight_sum` so serial, batched and
-sharded weighted values are bit-identical.
+weighted_spread_sums` and :meth:`~TraversalKernel.spread_level_counts`
+ride the *same* fixpoint.  The first folds a dense float64 node-weight
+array over each plane's reached ids — 64 weighted evaluations per
+physical traversal, in the canonical ascending-id summation order of
+:func:`dense_weight_sum` so serial, batched and sharded weighted values
+are bit-identical.  The second also counts each round's newly set bits
+per plane: a bit moves one hop per round, so those are the nodes first
+reached at that hop, and the counts form each set's hop-level histogram.
 
 Seed validation is unified here: every engine raises the same
 ``IndexError`` message for an out-of-range seed id, on every path
@@ -61,6 +64,8 @@ import heapq
 import math
 from itertools import chain
 from typing import (
+    Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -181,17 +186,28 @@ def _check_seed_range(seeds: np.ndarray, num_nodes: int) -> None:
         raise seed_range_error(high, num_nodes)
 
 
-def _seed_level_counts(
-    masks: np.ndarray, frontier: Optional[np.ndarray], planes: int
-) -> List[List[int]]:
-    """Level-0 histogram entries: each seeded plane's distinct seed count
-    (a plane whose set was empty starts, and stays, with no levels)."""
-    counts: List[List[int]] = [[] for _ in range(planes)]
-    if frontier is not None:
-        for plane, seeded in enumerate(plane_popcounts(masks[frontier], planes)):
-            if seeded:
-                counts[plane].append(seeded)
-    return counts
+def _plane_counts(
+    masks: np.ndarray, rounds: Optional[List[List[int]]], planes: int
+) -> Tuple[List[int], int]:
+    """Each plane's reached count, and the distinct ids any plane reached."""
+    reached = masks[masks != np.uint64(0)]
+    return plane_popcounts(reached, planes), int(reached.size)
+
+
+def _plane_levels(
+    masks: np.ndarray, rounds: Optional[List[List[int]]], planes: int
+) -> Tuple[List[List[int]], int]:
+    """Each plane's level histogram, read down its ``rounds`` column with
+    trailing zeros trimmed (an empty set's plane never flips, so it has
+    no level), and the histograms' total."""
+    assert rounds is not None
+    histograms: List[List[int]] = []
+    for column in zip(*rounds):
+        end = len(column)
+        while end and not column[end - 1]:
+            end -= 1
+        histograms.append(list(column[:end]))
+    return histograms, sum(map(sum, histograms))
 
 
 def dense_weight_sum(weights: np.ndarray, reached: Iterable[int]) -> float:
@@ -579,28 +595,11 @@ class TraversalKernel:
         on the vectorized path."""
         if self._use_scalar():
             return len(self.reach_scalar(seed_ids, eff))
-        if self._native_ok():
-            frontier = self._seed_frontier(seed_ids)
-            if frontier is None:
-                return 0
-            count = int(
-                native_reach(
-                    self.indptr, self.indices, self.expiries,
-                    frontier, self._visit, self._stamp, eff,
-                ).size
-            )
-            sampler = _SWEEP_SAMPLER
-            if sampler is not None:
-                sampler.record("reach", 1, count)
-            return count
-        frontier = self._seed_frontier(seed_ids)
-        if frontier is None:
-            return 0
-        count = int(frontier.size)
-        for frontier in self._frontiers(frontier, eff):
-            count += int(frontier.size)
+        count = 0
+        for reached in self._drain(seed_ids, eff, self._native_ok()):
+            count += int(reached.size)
         sampler = _SWEEP_SAMPLER
-        if sampler is not None:
+        if count and sampler is not None:
             sampler.record("reach", 1, count)
         return count
 
@@ -696,31 +695,23 @@ class TraversalKernel:
     ) -> Set[int]:
         """Compiled frontier traversal (same seed validation/stamping as
         the vectorized path; overlay-free by :meth:`_native_ok`)."""
-        frontier = self._seed_frontier(seed_ids)
-        if frontier is None:
-            return set()
-        reached = native_reach(
-            self.indptr, self.indices, self.expiries,
-            frontier, self._visit, self._stamp, eff,
-        )
-        result = set(reached.tolist())
-        sampler = _SWEEP_SAMPLER
-        if sampler is not None:
-            sampler.record("reach", 1, len(result))
-        return result
+        return self._reach_set(seed_ids, eff, True)
 
     def reach_vector(
         self, seed_ids: Iterable[int], eff: Optional[float]
     ) -> Set[int]:
         """Vectorized frontier traversal: the path above the cutover."""
-        frontier = self._seed_frontier(seed_ids)
-        if frontier is None:
-            return set()
-        reached = set(frontier.tolist())
-        for frontier in self._frontiers(frontier, eff):
-            reached.update(frontier.tolist())
+        return self._reach_set(seed_ids, eff, False)
+
+    def _reach_set(
+        self, seed_ids: Iterable[int], eff: Optional[float], native: bool
+    ) -> Set[int]:
+        """The ids :meth:`_drain` yields, as one set."""
+        reached: Set[int] = set()
+        for ids in self._drain(seed_ids, eff, native):
+            reached.update(ids.tolist())
         sampler = _SWEEP_SAMPLER
-        if sampler is not None:
+        if reached and sampler is not None:
             sampler.record("reach", 1, len(reached))
         return reached
 
@@ -738,20 +729,7 @@ class TraversalKernel:
         """
         if self._use_scalar():
             return [len(self.reach_scalar(ids, eff)) for ids in id_sets]
-        results = [0] * len(id_sets)
-        for start in range(0, len(id_sets), PLANE_WIDTH):
-            chunk = id_sets[start : start + PLANE_WIDTH]
-            masks = self._masks_for(chunk, eff)
-            if masks is None:
-                continue
-            reached = masks[masks != np.uint64(0)]
-            sampler = _SWEEP_SAMPLER
-            if sampler is not None:
-                sampler.record("spread", len(chunk), int(reached.size))
-            results[start : start + len(chunk)] = plane_popcounts(
-                reached, len(chunk)
-            )
-        return results
+        return self._plane_sweeps("spread", id_sets, eff, int, _plane_counts)
 
     def weighted_spread_sums(
         self,
@@ -773,29 +751,25 @@ class TraversalKernel:
                 dense_weight_sum(weights, self.reach_scalar(ids, eff))
                 for ids in id_sets
             ]
-        results = [0.0] * len(id_sets)
-        for start in range(0, len(id_sets), PLANE_WIDTH):
-            chunk = id_sets[start : start + PLANE_WIDTH]
-            masks = self._masks_for(chunk, eff)
-            if masks is None:
-                continue
+
+        def plane_sums(
+            masks: np.ndarray, rounds: Optional[List[List[int]]], planes: int
+        ) -> Tuple[List[float], int]:
             reached_ids = np.flatnonzero(masks)
             reached_masks = masks[reached_ids]
-            sampler = _SWEEP_SAMPLER
-            if sampler is not None:
-                sampler.record("wspread", len(chunk), int(reached_ids.size))
-            results[start : start + len(chunk)] = [
+            sums = [
                 float(
                     weights[
                         reached_ids[
-                            (reached_masks & np.uint64(1 << plane))
-                            != np.uint64(0)
+                            (reached_masks & _PLANE_BITS[plane]) != np.uint64(0)
                         ]
                     ].sum()
                 )
-                for plane in range(len(chunk))
+                for plane in range(planes)
             ]
-        return results
+            return sums, int(reached_ids.size)
+
+        return self._plane_sweeps("wspread", id_sets, eff, float, plane_sums)
 
     def spread_level_counts(
         self, id_sets: Sequence[Sequence[int]], eff: Optional[float]
@@ -814,25 +788,15 @@ class TraversalKernel:
         """
         if self._use_scalar():
             return [self._level_counts_scalar(ids, eff) for ids in id_sets]
-        results: List[List[int]] = [[] for _ in id_sets]
-        for start in range(0, len(id_sets), PLANE_WIDTH):
-            chunk = id_sets[start : start + PLANE_WIDTH]
-            per_plane = self._level_counts_for(chunk, eff)
-            sampler = _SWEEP_SAMPLER
-            if sampler is not None:
-                sampler.record(
-                    "spread_levels",
-                    len(chunk),
-                    sum(sum(levels) for levels in per_plane),
-                )
-            results[start : start + len(chunk)] = per_plane
-        return results
+        return self._plane_sweeps(
+            "spread_levels", id_sets, eff, list, _plane_levels
+        )
 
     def _level_counts_scalar(
         self, seed_ids: Sequence[int], eff: Optional[float]
     ) -> List[int]:
         """Level-synchronous plain-Python BFS (the scalar-cutover twin of
-        :meth:`_plane_level_counts` for a single seed set)."""
+        the leveled bit-plane sweep for a single seed set)."""
         adjacency = self._scalar_view()
         listed = len(adjacency)
         num_nodes = self.num_nodes
@@ -865,19 +829,24 @@ class TraversalKernel:
     # Internals
     # ------------------------------------------------------------------
     def _distinct(self, ids: np.ndarray) -> np.ndarray:
-        """One copy of each id in ``ids``, in input order, without a sort.
+        """One copy of each id in ``ids``, in input order, without a sort
+        (see :meth:`_first_copies`)."""
+        if ids.size < 2:
+            return ids
+        return ids[self._first_copies(ids)]
+
+    def _first_copies(self, ids: np.ndarray) -> np.ndarray:
+        """Boolean selector of one copy of each id in ``ids``.
 
         Position ``i`` writes itself into ``_slot[ids[i]]``, and the
         positions that read their own index back survive: exactly one
         copy of every id does, whichever duplicate's write landed last.
         ``ids`` must already lie in ``[0, num_nodes)``.
         """
-        if ids.size < 2:
-            return ids
         positions = np.arange(ids.size)
         slot = self._slot
         slot[ids] = positions
-        return ids[slot[ids] == positions]
+        return slot[ids] == positions
 
     def _seed_frontier(
         self, seed_ids: Iterable[int]
@@ -891,6 +860,34 @@ class TraversalKernel:
         self._stamp += 1
         self._visit[frontier] = self._stamp
         return frontier
+
+    def _drain(
+        self, seed_ids: Iterable[int], eff: Optional[float], native: bool
+    ) -> Iterator[np.ndarray]:
+        """The one frontier sweep behind every vectorized reach: yield the
+        distinct ids reached from ``seed_ids`` (nothing for no seeds) as
+        the stamped seed frontier and each later BFS frontier over base
+        plus overlay, or, compiled, as one array."""
+        frontier = self._seed_frontier(seed_ids)
+        if frontier is None:
+            return
+        visit = self._visit
+        stamp = self._stamp
+        if native:
+            yield native_reach(
+                self.indptr, self.indices, self.expiries,
+                frontier, visit, stamp, eff,
+            )
+            return
+        log_rows = self._log_rows(eff)
+        while True:
+            yield frontier
+            _, targets = self._round_edges(frontier, eff, log_rows, False)
+            targets = targets[visit[targets] != stamp]
+            if not targets.size:
+                return
+            frontier = self._distinct(targets)
+            visit[frontier] = stamp
 
     def _log_rows(
         self, eff: Optional[float]
@@ -940,7 +937,7 @@ class TraversalKernel:
         counts = indptr[frontier + 1] - starts
         total = int(counts.sum())
         if not total:
-            return _NO_IDS, _NO_IDS
+            return (_NO_IDS if with_sources else None), _NO_IDS
         # Gather the concatenated adjacency slices of the frontier:
         # block i spans starts[i] .. starts[i] + counts[i].
         ends = np.cumsum(counts)
@@ -959,41 +956,20 @@ class TraversalKernel:
         frontier: np.ndarray,
         eff: Optional[float],
         log_rows: Optional[Tuple[np.ndarray, np.ndarray]],
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        with_sources: bool,
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
         """Every traversable edge out of ``frontier``: ``(sources, targets)``,
-        base slots first, then the overlay rows the frontier heads."""
-        sources, slots = self._base_slots(frontier, eff, True)
-        assert sources is not None
+        base slots first, then the overlay rows the frontier heads
+        (``sources`` is ``None`` unless ``with_sources``)."""
+        sources, slots = self._base_slots(frontier, eff, with_sources)
         targets = self.indices[slots]
         if log_rows is not None:
             heads, tails = log_rows
             selected = self._headed_by(frontier, heads)
-            sources = np.concatenate((sources, heads[selected]))
             targets = np.concatenate((targets, tails[selected]))
+            if sources is not None:
+                sources = np.concatenate((sources, heads[selected]))
         return sources, targets
-
-    def _frontiers(
-        self, frontier: np.ndarray, eff: Optional[float]
-    ) -> Iterator[np.ndarray]:
-        """Yield successive stamped BFS frontiers over base plus overlay."""
-        visit = self._visit
-        stamp = self._stamp
-        indices = self.indices
-        log_rows = self._log_rows(eff)
-        while frontier.size:
-            _, slots = self._base_slots(frontier, eff, False)
-            targets = indices[slots]
-            if log_rows is not None:
-                heads, tails = log_rows
-                extra = tails[self._headed_by(frontier, heads)]
-                if extra.size:
-                    targets = np.concatenate((targets, extra))
-            targets = targets[visit[targets] != stamp]
-            if not targets.size:
-                return
-            frontier = self._distinct(targets)
-            visit[frontier] = stamp
-            yield frontier
 
     def _seed_planes(
         self, chunk: Sequence[Sequence[int]]
@@ -1032,132 +1008,94 @@ class TraversalKernel:
         np.bitwise_or.at(masks, seeds, np.repeat(_PLANE_BITS[: len(sets)], sizes))
         return masks, self._distinct(seeds)
 
-    def _masks_for(
-        self, chunk: Sequence[Sequence[int]], eff: Optional[float]
-    ) -> Optional[np.ndarray]:
-        """Backend dispatch for the bit-plane fixpoint: both paths
-        produce the identical uint64 mask array, so every downstream
-        float fold runs the same numpy expression either way."""
-        if self._native_ok():
+    def _plane_sweeps(
+        self,
+        kind: str,
+        id_sets: Sequence[Sequence[int]],
+        eff: Optional[float],
+        empty: Callable[[], Any],
+        fold: Callable[..., Tuple[list, int]],
+    ) -> list:
+        """The bit-plane sweeps' one chunk loop and one backend dispatch.
+
+        Each chunk of up to :data:`PLANE_WIDTH` sets is seeded once and
+        propagated to its fixpoint, compiled or by :meth:`_plane_fixpoint`.
+        Both give the identical uint64 masks (bit *i* of ``masks[v]`` =
+        "set *i* reaches *v*"), so every fold runs the same numpy
+        expression either way.  For ``"spread_levels"`` the sweep also
+        fills ``rounds``: row 0 holds each plane's distinct seed count, row
+        ``r`` its nodes first reached at hop ``r``.  ``fold`` turns these
+        into per-set values plus the reached total the sampler records.
+        A chunk whose sets are all empty sweeps and records nothing; its
+        values are ``empty()``.
+        """
+        results: list = []
+        for start in range(0, len(id_sets), PLANE_WIDTH):
+            chunk = id_sets[start : start + PLANE_WIDTH]
+            planes = len(chunk)
             masks, frontier = self._seed_planes(chunk)
             if frontier is None:
-                return None
-            native_plane_masks(
-                self.indptr, self.indices, self.expiries,
-                masks, frontier, eff,
-            )
-            return masks
-        return self._plane_masks(chunk, eff)
+                results.extend(empty() for _ in chunk)
+                continue
+            rounds = None
+            if kind == "spread_levels":
+                rounds = [plane_popcounts(masks[frontier], planes)]
+            if not self._native_ok():
+                self._plane_fixpoint(masks, frontier, eff, rounds)
+            elif rounds is None:
+                native_plane_masks(
+                    self.indptr, self.indices, self.expiries, masks, frontier, eff
+                )
+            else:
+                flips = native_plane_level_flips(
+                    self.indptr, self.indices, self.expiries, masks, frontier, eff
+                )
+                rounds.extend(flips[:, :planes].tolist())
+            values, reached = fold(masks, rounds, planes)
+            sampler = _SWEEP_SAMPLER
+            if sampler is not None:
+                sampler.record(kind, planes, reached)
+            results.extend(values)
+        return results
 
-    def _level_counts_for(
-        self, chunk: Sequence[Sequence[int]], eff: Optional[float]
-    ) -> List[List[int]]:
-        """Backend dispatch for the level-counting fixpoint."""
-        if self._native_ok():
-            return self._plane_level_counts_native(chunk, eff)
-        return self._plane_level_counts(chunk, eff)
+    def _plane_fixpoint(
+        self,
+        masks: np.ndarray,
+        frontier: np.ndarray,
+        eff: Optional[float],
+        rounds: Optional[List[List[int]]],
+    ) -> None:
+        """Propagate seeded planes to their fixpoint, in place.
 
-    def _plane_level_counts_native(
-        self, chunk: Sequence[Sequence[int]], eff: Optional[float]
-    ) -> List[List[int]]:
-        """Native twin of :meth:`_plane_level_counts`.
-
-        The compiled fixpoint reports per-round, per-plane flip counts;
-        this rebuilds the histogram lists with the python sweep's exact
-        bookkeeping — seed level first, zeros appended only to planes
-        already live, trailing zeros trimmed — so both backends return
-        identical lists, element for element.
+        Every source pushes the mask it held at the start of the round
+        (all ``contrib`` masks are gathered before the update), so a bit
+        moves exactly one hop per round, and a bit that flips in round
+        ``r`` marks a node first reached at hop level ``r``.  Given
+        ``rounds``, each round appends its per-plane count of those newly
+        set bits; the masks come out the same either way.
         """
-        masks, frontier = self._seed_planes(chunk)
-        counts = _seed_level_counts(masks, frontier, len(chunk))
-        if frontier is None:
-            return counts
-        flips = native_plane_level_flips(
-            self.indptr, self.indices, self.expiries, masks, frontier, eff
-        )
-        for round_index in range(flips.shape[0]):
-            for plane in range(len(chunk)):
-                flipped = int(flips[round_index, plane])
-                if flipped:
-                    counts[plane].append(flipped)
-                elif counts[plane]:
-                    counts[plane].append(0)
-        for plane_counts_list in counts:
-            while plane_counts_list and plane_counts_list[-1] == 0:
-                plane_counts_list.pop()
-        return counts
-
-    def _plane_masks(
-        self, chunk: Sequence[Sequence[int]], eff: Optional[float]
-    ) -> Optional[np.ndarray]:
-        """Run one shared fixpoint sweep for up to 64 seed sets.
-
-        Returns the final uint64 mask array (bit *i* of ``masks[v]`` =
-        "set *i* reaches *v*"), or ``None`` when every set was empty.
-        """
-        masks, frontier = self._seed_planes(chunk)
-        if frontier is None:
-            return None
         log_rows = self._log_rows(eff)
         while frontier.size:
-            sources, targets = self._round_edges(frontier, eff, log_rows)
+            sources, targets = self._round_edges(frontier, eff, log_rows, True)
             if not targets.size:
                 break
             contrib = masks[sources]
             before = masks[targets]
             np.bitwise_or.at(masks, targets, contrib)
-            changed = targets[masks[targets] != before]
-            if not changed.size:
-                break
-            frontier = self._distinct(changed)
-        return masks
-
-    def _plane_level_counts(
-        self, chunk: Sequence[Sequence[int]], eff: Optional[float]
-    ) -> List[List[int]]:
-        """One shared fixpoint sweep that also histograms first-reach levels.
-
-        The same bit-plane propagation as :meth:`_plane_masks`, with one
-        addition: after each round's or-update the newly-set bits
-        (``after & ~before``) are counted per plane, because a bit that
-        flips in round ``r`` marks a node first reached at hop level
-        ``r``.  That holds because every source pushes the mask it held
-        at the start of the round (all ``contrib`` masks are gathered
-        before the update), so a bit moves exactly one hop per round.
-        Kept separate from :meth:`_plane_masks` so the count and weighted
-        sweeps stay byte-identical to their pre-fold selves.
-        """
-        masks, frontier = self._seed_planes(chunk)
-        counts = _seed_level_counts(masks, frontier, len(chunk))
-        if frontier is None:
-            return counts
-        log_rows = self._log_rows(eff)
-        while frontier.size:
-            sources, targets = self._round_edges(frontier, eff, log_rows)
-            if not targets.size:
-                break
-            contrib = masks[sources]
-            before = masks[targets]
-            np.bitwise_or.at(masks, targets, contrib)
-            gained = masks[targets] & ~before
-            hit = gained != np.uint64(0)
+            after = masks[targets]
+            hit = after != before
             changed = targets[hit]
             if not changed.size:
                 break
-            # Duplicate targets carry identical before/after gathers, so
-            # any one representative's gained mask is the round's full
-            # flip set for that node.
-            frontier, first = np.unique(changed, return_index=True)
-            flips = plane_popcounts(gained[hit][first], len(chunk))
-            for plane, flipped in enumerate(flips):
-                if flipped:
-                    counts[plane].append(flipped)
-                elif counts[plane]:
-                    counts[plane].append(0)
-        for plane_counts_list in counts:
-            while plane_counts_list and plane_counts_list[-1] == 0:
-                plane_counts_list.pop()
-        return counts
+            if rounds is None:
+                frontier = self._distinct(changed)
+                continue
+            # Duplicate targets gather identical before/after masks, so
+            # one copy's gained bits are the node's.
+            first = self._first_copies(changed)
+            frontier = changed[first]
+            gained = (after[hit] & ~before[hit])[first]
+            rounds.append(plane_popcounts(gained, len(rounds[0])))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

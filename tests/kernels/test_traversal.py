@@ -4,8 +4,8 @@ The differential suite (``tests/property/test_kernel_unification.py``)
 pins the three engine adapters to each other; this module tests the
 kernel's own contracts directly: arrival-log overlay injection, the
 scalar/vector cutover, the unified out-of-range seed validation, the
-weighted bit-plane fold, the per-plane bit counter, and the transpose
-helper.
+weighted bit-plane fold, the leveled sweep's hop histograms, the sweep
+sampler's records, the per-plane bit counter, and the transpose helper.
 """
 
 import numpy as np
@@ -22,7 +22,9 @@ from repro.kernels import (
     dense_weight_sum,
     seed_range_error,
 )
-from repro.kernels.traversal import plane_popcounts
+from repro.kernels import traversal
+from repro.kernels.folds import HopDiscountFold
+from repro.kernels.traversal import plane_popcounts, set_sweep_sampler
 
 
 def chain_arrays(num_nodes=5, expiry=10.0):
@@ -40,6 +42,29 @@ def log_overlay(rows, reverse=False):
         [u for u, _, _ in rows], [v for _, v, _ in rows], [e for _, _, e in rows]
     )
     return LogOverlay(log, reverse)
+
+
+def merge_arrays():
+    """Base pairs 0->1, 0->2, 1->3, 3->4 (expiry 10) and 4->5 (expiry 2),
+    plus log rows 2->3 (expiry 9) and 4->5 (expiry 3).  At horizon 5 the
+    frontier {1, 2} reaches 3 twice in one round, through 1's base slot
+    and through 2's log row, and node 5 stays out of reach."""
+    indptr = np.array([0, 2, 3, 3, 4, 5, 5], dtype=np.int64)
+    indices = np.array([1, 2, 3, 4, 5], dtype=np.int64)
+    expiries = np.array([10.0, 10.0, 10.0, 10.0, 2.0])
+    return indptr, indices, expiries, [(2, 3, 9.0), (4, 5, 3.0)]
+
+
+def merge_kernel(scalar_limit=None):
+    indptr, indices, expiries, rows = merge_arrays()
+    return TraversalKernel(
+        indptr,
+        indices,
+        expiries,
+        num_nodes=6,
+        overlay=log_overlay(rows),
+        scalar_limit=scalar_limit,
+    )
 
 
 class TestOverlayInjection:
@@ -333,3 +358,91 @@ class TestTransposeAndCapacity:
         assert kernel.reachable_ids([5], None) == {5}  # isolated id
         kernel.ensure_capacity(4)  # shrinking is a no-op
         assert kernel.num_nodes == 8
+
+
+class TestLeveledSweep:
+    """One chunk: set {0} reaches 3 through a base slot and a log row in
+    the same round; plane {3} already holds bits when the first plane's
+    bits arrive and stops two rounds early; plane {1, 2} has both copies
+    of node 3 in its first round; the empty set's plane never flips."""
+
+    ID_SETS = [[0], [], [3], [1, 2]]
+    LEVELS = [
+        {0: 0, 1: 1, 2: 1, 3: 2, 4: 3},
+        {},
+        {3: 0, 4: 1},
+        {1: 0, 2: 0, 3: 1, 4: 2},
+    ]
+    HISTOGRAMS = [[1, 2, 1, 1], [], [1, 1], [2, 1, 1]]
+    EFF = 5.0
+
+    def test_vector_histograms_equal_the_scalar_walk_and_the_reference(self):
+        vector = merge_kernel()
+        scalar = merge_kernel(scalar_limit=10**9)
+        assert not vector._use_scalar() and scalar._use_scalar()  # noqa: SLF001
+        assert vector.spread_level_counts(self.ID_SETS, self.EFF) == self.HISTOGRAMS
+        assert scalar.spread_level_counts(self.ID_SETS, self.EFF) == self.HISTOGRAMS
+        fold = HopDiscountFold(alpha=0.5)
+        expected = [fold.reference(levels) for levels in self.LEVELS]
+        assert fold.batch(vector, self.ID_SETS, self.EFF) == expected
+        assert fold.batch(scalar, self.ID_SETS, self.EFF) == expected
+        assert vector.spread_counts(self.ID_SETS, self.EFF) == [
+            sum(levels) for levels in self.HISTOGRAMS
+        ]
+
+    def test_levels_do_not_depend_on_the_chunk(self):
+        kernel = merge_kernel()
+        for id_sets in (self.ID_SETS[::-1], [[]] * 63 + self.ID_SETS):
+            expected = {
+                tuple(ids): levels
+                for ids, levels in zip(self.ID_SETS, self.HISTOGRAMS)
+            }
+            assert kernel.spread_level_counts(id_sets, self.EFF) == [
+                expected[tuple(ids)] for ids in id_sets
+            ]
+
+
+class RecordingSampler:
+    def __init__(self):
+        self.records = []
+
+    def record(self, kind, sets, reached):
+        self.records.append((kind, sets, reached))
+
+
+@pytest.fixture
+def recorded():
+    previous = traversal._SWEEP_SAMPLER  # noqa: SLF001 - restored below
+    sampler = RecordingSampler()
+    set_sweep_sampler(sampler)
+    yield sampler.records
+    set_sweep_sampler(previous)
+
+
+class TestSweepRecords:
+    def test_one_record_per_swept_chunk(self, recorded):
+        kernel = merge_kernel()
+        id_sets = [[0]] * PLANE_WIDTH + [[]] * 3  # the second chunk is empty
+        kernel.spread_counts(id_sets, 5.0)
+        kernel.weighted_spread_sums(id_sets, 5.0, np.ones(6))
+        kernel.spread_level_counts(id_sets, 5.0)
+        assert recorded == [
+            ("spread", PLANE_WIDTH, 5),
+            ("wspread", PLANE_WIDTH, 5),
+            ("spread_levels", PLANE_WIDTH, 5 * PLANE_WIDTH),
+        ]
+
+    def test_an_all_empty_request_records_nothing(self, recorded):
+        kernel = merge_kernel()
+        assert kernel.spread_counts([[], []], None) == [0, 0]
+        assert kernel.weighted_spread_sums([[]], None, np.ones(6)) == [0.0]
+        assert kernel.spread_level_counts([[], [], []], None) == [[], [], []]
+        assert kernel.reachable_count([], None) == 0
+        assert kernel.reach_vector([], None) == set()
+        assert recorded == []
+
+    def test_reach_records_once(self, recorded):
+        kernel = merge_kernel()
+        assert kernel.reachable_count([0], 5.0) == 5
+        assert kernel.reach_vector([0, 1], 5.0) == {0, 1, 2, 3, 4}
+        assert recorded == [("reach", 1, 5), ("reach", 1, 5)]
