@@ -23,9 +23,9 @@ now?".  :class:`repro.parallel.IngestService` packages that loop:
 
 * **Sharded evaluation** — constructing the tracker with ``workers=N``
   puts a :class:`repro.parallel.ShardedOracleExecutor` behind its oracle:
-  each applied epoch cuts fresh per-thread kernel clones of the graph's
-  CSR engine and the executor's threads shard the spread sweeps,
-  bit-identically to the serial engine.  On the small batches of this
+  the first sharded sweep after a batch cuts fresh per-thread kernel
+  clones of the graph's CSR engine, and the executor's threads shard the
+  spread sweeps, bit-identically to the serial engine.  On the small batches of this
   demo the thread hand-off outweighs the gain, so this script defaults
   to ``workers=1``; pass ``--workers 2`` to see it run sharded.
 

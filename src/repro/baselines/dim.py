@@ -8,9 +8,12 @@ weight reaches ``beta * (n + m)``, with ``beta = 32`` in the paper).
 
 This reproduction maintains invariant (i) with *conservative regeneration*:
 whenever the probability of a directed pair ``(u, v)`` changes (new
-interactions arrived, or alive interactions expired — observed through the
-TDN's removal listener), every sketch containing ``v`` is resampled from a
-fresh random root, as is every sketch whose root died.  Sketches never grow
+interactions arrived, or alive interactions expired), every sketch
+containing ``v`` is resampled from a fresh random root, as is every sketch
+whose root died.  An edge's expiry step is known when it arrives (the TDN
+removes it at ``tau + l`` and no other way), so the index schedules the
+pairs it saw arrive by expiry step and marks them dirty when
+:meth:`DIMIndex.on_batch` reaches that step.  Sketches never grow
 incrementally as in the original C++ implementation, so updates here are
 strictly more expensive, but the sampled distribution is exact — quality
 behaviour (the paper's Fig. 13 instability on fast-churning workloads comes
@@ -19,7 +22,7 @@ relative throughput ordering (faster than re-indexing IMM/TIM+, slower than
 HISTAPPROX, Fig. 14) both survive.
 
 Cost per query: incremental.  The sketch pool is maintained between
-queries (:meth:`DIMIndex.on_batch` and the removal listener), and a query
+queries (:meth:`DIMIndex.on_batch` absorbs arrivals and expiries), and a query
 only runs greedy max-coverage over it.  Its oracle cost is the one call
 that reports the chosen seeds' true spread, a memo hit when no delta
 since the last query touched that set's cone.
@@ -27,7 +30,9 @@ since the last query touched that set's cone.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+import heapq
+import math
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.tracker import Solution
 from repro.errors import check_positive, check_positive_int
@@ -44,8 +49,9 @@ class DIMIndex:
 
     Args:
         k: seed budget.
-        graph: shared TDN; the index registers a removal listener to observe
-            expiries.
+        graph: shared TDN; the edges alive when the index is built enter
+            its view at the first :meth:`on_batch` and expire like the
+            ones it later sees.
         oracle: counted oracle for reporting comparable spread values.
         beta: pool-sizing parameter (paper suggests 32).
         seed: RNG seed.
@@ -78,26 +84,47 @@ class DIMIndex:
         self._roots: List = []
         # Membership index: node label -> sketch ids containing it.
         self._member_index: Dict = {}
-        # Pairs whose alive multiplicity changed since last maintenance.
-        self._dirty_pairs: Set = set()
-        graph.add_removal_listener(self._on_removal)
+        # Pairs whose alive multiplicity changed since last maintenance,
+        # in the order the changes happened (a dict keeps it); the pairs
+        # already alive enter the view on the first batch.
+        self._dirty_pairs: Dict[Tuple, None] = dict.fromkeys(graph.alive_pairs())
+        # Expiry schedule: step -> pairs with an edge expiring then, one
+        # entry per edge in arrival order; the heap holds the steps.
+        self._expiring: Dict[int, List[Tuple]] = {}
+        self._expiry_steps: List[int] = []
+        for u, v, step in graph.edges_with_expiry_in(graph.time + 1, math.inf):
+            self._schedule((u, v), step)
 
     # ------------------------------------------------------------------
     # Update path
     # ------------------------------------------------------------------
-    def _on_removal(self, u, v, remaining_count: int) -> None:
-        self._dirty_pairs.add((u, v))
+    def _schedule(self, pair: Tuple, step: int) -> None:
+        pairs = self._expiring.get(step)
+        if pairs is None:
+            self._expiring[step] = [pair]
+            heapq.heappush(self._expiry_steps, step)
+        else:
+            pairs.append(pair)
 
     def on_batch(self, t: int, batch: Sequence[Interaction]) -> None:
-        """Absorb arrivals and buffered expiries; repair affected sketches."""
+        """Absorb expiries due by ``t`` and the batch's arrivals, in that
+        order; repair affected sketches."""
         self._last_time = t
+        dirty = self._dirty_pairs
+        steps = self._expiry_steps
+        while steps and steps[0] <= t:
+            for pair in self._expiring.pop(heapq.heappop(steps)):
+                dirty[pair] = None
         for interaction in batch:
-            self._dirty_pairs.add((interaction.source, interaction.target))
-        if not self._dirty_pairs:
+            pair = (interaction.source, interaction.target)
+            dirty[pair] = None
+            if interaction.expiry != math.inf:
+                self._schedule(pair, int(interaction.expiry))
+        if not dirty:
             self._resize_pool()
             return
         affected_targets = set()
-        for u, v in self._dirty_pairs:
+        for u, v in dirty:
             probability = interactions_to_probability(
                 self.graph.interaction_count(u, v)
             )
@@ -110,7 +137,7 @@ class DIMIndex:
                     if not bucket:
                         del self._in_prob[v]
             affected_targets.add(v)
-        self._dirty_pairs.clear()
+        dirty.clear()
         self._regenerate_affected(affected_targets)
         self._resize_pool()
 
@@ -131,7 +158,7 @@ class DIMIndex:
             self._roots.clear()
             self._member_index.clear()
             return
-        for sketch_id in stale:
+        for sketch_id in sorted(stale):
             self._replace_sketch(sketch_id, alive)
 
     def _resize_pool(self) -> None:
@@ -174,6 +201,11 @@ class DIMIndex:
         frontier = [root]
         while frontier:
             node = frontier.pop()
+            # Order-safe: ``_in_prob[node]`` is a dict filled in the order
+            # ``on_batch`` walks its dirty pairs (expiry step, then
+            # arrival, then the batch), so the draws follow one order in
+            # every process.
+            # repro-lint: disable-next=RPL401
             for in_neighbor, probability in self._in_prob.get(node, {}).items():
                 if in_neighbor not in visited and self._rng.random() < probability:
                     visited.add(in_neighbor)

@@ -393,9 +393,9 @@ class TraversalKernel:
         num_nodes: the live id space (defaults to the base node count).
         overlay: optional arrival rows added to the base (see
             :class:`LogOverlay` for the protocol).
-        entry_count: adjacency entries the cutover weighs (base pairs
-            plus overlay entries); engines keep it current from their
-            mutation hooks.
+        entry_count: the size the cutover weighs (defaults to the base's
+            entries; the delta engine passes the graph's alive pairs and
+            keeps it current from its mutation hooks).
         scalar_limit: the scalar/vector cutover, resolved once by the
             engine that builds the kernel: queries take the scalar path
             while ``entry_count <= scalar_limit``.  ``None`` (stored as

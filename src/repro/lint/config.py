@@ -69,7 +69,13 @@ RNG_OWNER = "repro/utils/rng.py"
 
 #: Package prefixes (as path fragments) the determinism pass covers:
 #: everything on the bit-identical-results path.
-DETERMINISM_SCOPE = ("repro/kernels/", "repro/influence/", "repro/parallel/")
+DETERMINISM_SCOPE = (
+    "repro/kernels/",
+    "repro/influence/",
+    "repro/parallel/",
+    "repro/core/",
+    "repro/baselines/",
+)
 
 #: Repo functions known to return sets — iteration over their result is
 #: set iteration even though the AST only shows a call.

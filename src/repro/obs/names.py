@@ -51,7 +51,6 @@ INGEST_EPOCH = "repro_ingest_epoch"
 INGEST_EPOCH_LAG = "repro_ingest_epoch_lag"
 INGEST_EPOCH_LAG_BATCHES = "repro_ingest_epoch_lag_batches"
 INGEST_BATCH_APPLY_SECONDS = "repro_ingest_batch_apply_seconds"
-INGEST_REPUBLISH_SECONDS = "repro_ingest_republish_seconds"
 INGEST_BATCHES_APPLIED_TOTAL = "repro_ingest_batches_applied_total"
 
 #: Histogram bucket ladders (upper edges, ascending; +Inf is implicit).
@@ -180,12 +179,7 @@ CATALOG: Tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         INGEST_BATCH_APPLY_SECONDS, "histogram",
-        "tracker.step + republish + commit time per batch",
-        LATENCY_BUCKETS_SECONDS,
-    ),
-    MetricSpec(
-        INGEST_REPUBLISH_SECONDS, "histogram",
-        "sharded executor kernel-clone refresh time per committed epoch",
+        "tracker.step + commit time per batch",
         LATENCY_BUCKETS_SECONDS,
     ),
     MetricSpec(

@@ -7,19 +7,17 @@ InfluenceTracker` into a small always-on service:
   queue, so a slow tracker exerts *backpressure* on fast producers
   instead of buffering unboundedly;
 * one consumer loop applies batches in order on a single worker thread
-  (the TDN graph and trackers are single-writer structures), advances the
-  service **epoch** after each batch, and refreshes the sharded
-  executor's kernel clones when the tracker's oracle runs one — so shard
-  threads always sweep the last *consistent* graph;
+  (the TDN graph and trackers are single-writer structures) and advances
+  the service **epoch** after each batch;
 * ``await top_k()`` answers immediately from the last consistent epoch's
   solution — queries never block behind ingestion and never observe a
   half-applied batch.
 
 Failure handling
 ----------------
-An exception from ``tracker.step`` (or the clone refresh) *poisons* the
-service: the batch's epoch is never published (``_latest`` is assigned
-only after both complete), the backlog is discarded, and ``submit`` /
+An exception from ``tracker.step`` *poisons* the service: the batch's
+epoch is never published (``_latest`` is assigned only after the step
+completes), the backlog is discarded, and ``submit`` /
 ``drain`` / ``close`` raise the recorded failure.  ``top_k`` keeps
 answering from the last consistent epoch but says so: the answer
 carries ``stale=True`` and the number of unapplied batches (queued plus
@@ -74,8 +72,8 @@ class IngestService:
         max_pending: bound of the ingest queue; :meth:`submit` awaits
             (backpressure) while the queue is full.
         metrics: the :class:`~repro.obs.registry.MetricsRegistry` the
-            service records into — queue depth, epoch, epoch lag,
-            batch-apply and republish timings.  Defaults to the process
+            service records into — queue depth, epoch, epoch lag and
+            batch-apply timings.  Defaults to the process
             registry (:func:`repro.obs.metrics_registry`), which is what
             a scrape endpoint will read; pass a private registry to
             isolate one service's series (tests do).
@@ -109,9 +107,6 @@ class IngestService:
         )
         self._apply_hist = self.metrics.histogram(
             metric_names.INGEST_BATCH_APPLY_SECONDS
-        )
-        self._republish_hist = self.metrics.histogram(
-            metric_names.INGEST_REPUBLISH_SECONDS
         )
         self._batches_counter = self.metrics.counter(
             metric_names.INGEST_BATCHES_APPLIED_TOTAL
@@ -264,13 +259,12 @@ class IngestService:
     def _apply(self, t: int, batch: List[Tuple]) -> None:
         """Apply one batch and publish its epoch (apply thread only).
 
-        ``tracker.step`` + clone refresh run first; only then does
-        ``_latest`` flip to the new epoch, so no epoch is ever served
-        before its batch fully applied.
+        ``tracker.step`` runs first; only then does ``_latest`` flip to
+        the new epoch, so no epoch is ever served before its batch fully
+        applied.
         """
         apply_started = time.monotonic()
         solution = self._tracker.step(t, batch)
-        self._republish()
         self._latest = TopKAnswer(
             epoch=self._latest.epoch + 1,
             time=solution.time,
@@ -283,22 +277,6 @@ class IngestService:
         self._batches_counter.inc()
         self._epoch_gauge.set(self._latest.epoch)
         self._lag_gauge.set(self._unapplied)
-
-    def _republish(self) -> None:
-        """Cut the sharded executor's kernel clones for the new epoch.
-
-        Only once the executor's shard threads are running: a stream
-        whose sweeps all fall below the dispatch floor never needs
-        clones.  Dispatch cuts them anyway; this merely moves the cut
-        onto the apply thread, so epoch-N query traffic never pays it.
-        """
-        oracle = getattr(self._tracker, "oracle", None)
-        executor = getattr(oracle, "executor", None)
-        if executor is None or not executor.pool_running:
-            return
-        republish_started = time.monotonic()
-        executor.ensure_plane(self._tracker.graph)
-        self._republish_hist.observe(time.monotonic() - republish_started)
 
     def _check_failure(self) -> None:
         if self._failure is not None:

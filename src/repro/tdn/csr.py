@@ -322,11 +322,6 @@ class DeltaCSR:
         return self._graph.num_interned
 
     @property
-    def num_entries(self) -> int:
-        """Base pair entries plus log rows (stale ones included)."""
-        return self._base.num_pairs + len(self._log)
-
-    @property
     def overlay_entries(self) -> int:
         """Arrivals logged since the last compaction."""
         return len(self._log)
@@ -367,22 +362,29 @@ class DeltaCSR:
     ) -> None:
         """Log one ingested batch of arrived edges (equal-length columns).
 
-        Also keeps the live kernels' entry count and id space current, so
-        queries do no upkeep of their own.  Every id in the batch is
-        already interned, so the graph's id space bounds them all.
+        Also keeps the live kernels' entry count (the graph's alive pairs)
+        and id space current, so queries do no upkeep of their own.  Every
+        id in the batch is already interned, so the graph's id space
+        bounds them all.
         """
         self._log.extend(uids, vids, expiries)
-        count = len(uids)
-        num_nodes = self._graph.num_interned
+        graph = self._graph
+        num_pairs = graph.num_pairs
+        num_nodes = graph.num_interned
         for kernel in (self._fwd, self._rev):
             if kernel is not None:
-                kernel.entry_count += count
+                kernel.entry_count = num_pairs
                 if num_nodes > kernel.num_nodes:
                     kernel.ensure_capacity(num_nodes)
 
     def record_pair_deaths(self, count: int) -> None:
-        """Count a tombstone per pair whose last alive edge expired."""
+        """Count a tombstone per pair whose last alive edge expired, and
+        let the live kernels' cutover weigh the pairs left alive."""
         self._tombstones += count
+        num_pairs = self._graph.num_pairs
+        for kernel in (self._fwd, self._rev):
+            if kernel is not None:
+                kernel.entry_count = num_pairs
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -500,7 +502,7 @@ class DeltaCSR:
             expiries,
             num_nodes=self.num_nodes,
             overlay=LogOverlay(self._log, reverse),
-            entry_count=self.num_entries,
+            entry_count=self._graph.num_pairs,
             scalar_limit=self.scalar_pair_limit,
             backend=self.backend,
         )

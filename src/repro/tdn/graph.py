@@ -133,7 +133,6 @@ class TDNGraph:
         self._num_edges = 0
         self._alive_nodes = 0
         self._alive_pairs = 0
-        self._removal_listeners: List = []
         self._delta = None  # DeltaCSR engine, created lazily by csr()
         # Dirty-source journal: interned ids of nodes whose forward cone a
         # structural change touched, in mutation order.  ``_dirty_trimmed``
@@ -148,16 +147,6 @@ class TDNGraph:
     #: full memo clear).  Oracles sync on every query, so in practice the
     #: log stays far below the cap between consumer reads.
     DIRTY_LOG_MAX = 1 << 17
-
-    def add_removal_listener(self, callback) -> None:
-        """Register ``callback(u, v, remaining_count)`` fired on edge expiry.
-
-        Incremental baselines (the DIM-style dynamic RR index) need to know
-        which directed pairs lost edges as the clock advanced; the listener
-        fires once per removed edge instance with the pair's remaining alive
-        multiplicity.
-        """
-        self._removal_listeners.append(callback)
 
     # ------------------------------------------------------------------
     # Clock
@@ -176,13 +165,9 @@ class TDNGraph:
         Cost is O(expired edges) plus one :meth:`_expiry_keys_in` over
         ``(time, t]``, O(min(t - time, K)) for ``K`` live bucket keys: a
         dense single-step tick probes one key, and a sparse (e.g.
-        unix-second) jump scans the keys once.  Every due bucket is popped
-        before the drain, so a removal listener's range scan never sees
-        one; listeners fire per edge, with the pair's remaining
-        multiplicity.  The dead pairs' sources are journaled and their
-        tombstones counted once per drain (and before each callback when
-        listeners are registered, so the journal keeps per-edge order).
-        The drain repeats only if a listener re-created a due bucket.
+        unix-second) jump scans the keys once.  Each due bucket is popped
+        and drained once, in ascending order; the dead pairs' sources are
+        journaled, and their tombstones counted, once per drain.
         """
         if t < self._time:
             raise ValueError(f"cannot rewind time from {self._time} to {t}")
@@ -197,64 +182,49 @@ class TDNGraph:
         into = self._in
         buckets = self._expiry_buckets
         node_ids = self._node_ids
-        listeners = self._removal_listeners
         dead: List[int] = []
         removed = 0
-        while due:
-            drained = [(step, buckets.pop(step)) for step in due]
-            for expiry, bucket in drained:
-                removed += len(bucket)
-                self._num_edges -= len(bucket)
-                for u, v in bucket:
-                    out_u = out[u]
-                    pair = out_u[v]
-                    expiries = pair.expiries
-                    remaining = expiries[expiry]
-                    if remaining == 1:
-                        del expiries[expiry]
-                        if expiry == pair.max_expiry:
-                            pair.max_expiry = max(expiries) if expiries else 0.0
-                    else:
-                        expiries[expiry] = remaining - 1
-                    pair.count -= 1
-                    if listeners:
-                        self._record_deaths(dead)
-                        for callback in listeners:
-                            callback(u, v, pair.count)
-                    if pair.count:
-                        continue
-                    # The pair stays listed while listeners run, so
-                    # ``out_u`` and ``in_v`` are still the live adjacency
-                    # dicts here.  A node with no entry left on either side
-                    # is dropped from both maps and stops counting as alive
-                    # (u != v: no self-loops).
-                    in_v = into[v]
-                    del out_u[v]
-                    del in_v[u]
-                    self._alive_pairs -= 1
-                    if not out_u and not into.get(u):
-                        del out[u]
-                        into.pop(u, None)
-                        self._alive_nodes -= 1
-                    if not in_v and not out.get(v):
-                        del into[v]
-                        out.pop(v, None)
-                        self._alive_nodes -= 1
-                    dead.append(node_ids[u])
-            due = self._expiry_keys_in(self._time + 1, t + 1) if listeners else None
-        self._record_deaths(dead)
-        self._time = t
-        self.version += 1
-        return removed
-
-    def _record_deaths(self, dead: List[int]) -> None:
-        """Journal the dead pairs' sources and count their tombstones;
-        empties ``dead``."""
+        for expiry in due:
+            bucket = buckets.pop(expiry)
+            removed += len(bucket)
+            for u, v in bucket:
+                out_u = out[u]
+                pair = out_u[v]
+                expiries = pair.expiries
+                remaining = expiries[expiry]
+                if remaining == 1:
+                    del expiries[expiry]
+                    if expiry == pair.max_expiry:
+                        pair.max_expiry = max(expiries) if expiries else 0.0
+                else:
+                    expiries[expiry] = remaining - 1
+                pair.count -= 1
+                if pair.count:
+                    continue
+                # A node with no entry left on either side is dropped from
+                # both maps and stops counting as alive (u != v: no
+                # self-loops).
+                in_v = into[v]
+                del out_u[v]
+                del in_v[u]
+                self._alive_pairs -= 1
+                if not out_u and not into.get(u):
+                    del out[u]
+                    into.pop(u, None)
+                    self._alive_nodes -= 1
+                if not in_v and not out.get(v):
+                    del into[v]
+                    out.pop(v, None)
+                    self._alive_nodes -= 1
+                dead.append(node_ids[u])
+        self._num_edges -= removed
         if dead:
             self._journal(dead)
             if self._delta is not None:
                 self._delta.record_pair_deaths(len(dead))
-            dead.clear()
+        self._time = t
+        self.version += 1
+        return removed
 
     def tick(self) -> int:
         """Advance the clock by one step; returns the number of expiries."""

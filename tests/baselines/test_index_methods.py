@@ -162,3 +162,50 @@ class TestDIMIndex:
         dim.on_batch(0, batch)
         # hub activates a and b with probability ~1: spread ~3 of 3 nodes.
         assert dim.estimated_spread(["hub"]) == pytest.approx(3.0, abs=0.3)
+
+
+#: A short DIM replay printing every step's seeds, value and pool size.
+DIM_REPLAY = """
+from repro.baselines.dim import DIMIndex
+from repro.datasets.registry import make_interactions
+from repro.tdn.graph import TDNGraph
+from repro.tdn.lifetimes import GeometricLifetime
+
+policy = GeometricLifetime(0.2, 50, seed=7)
+graph = TDNGraph()
+dim = DIMIndex(5, graph, beta=4.0, seed=0, max_sketches=600)
+steps = {}
+for row in make_interactions("twitter-higgs", 900, seed=0, events_per_step=3):
+    steps.setdefault(row.time, []).append(policy.assign(row))
+for t, batch in sorted(steps.items()):
+    graph.advance_to(t)
+    graph.add_batch(batch)
+    dim.on_batch(t, batch)
+    solution = dim.query()
+    print(t, solution.nodes, solution.value, dim.num_sketches)
+"""
+
+
+def test_dim_gives_the_same_results_under_every_hash_seed():
+    """String hashing is salted per process; DIM's draws must not follow
+    set order, or two processes replaying one stream diverge."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", DIM_REPLAY],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+            timeout=300,
+            check=True,
+        ).stdout
+        for hash_seed in ("0", "1")
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]

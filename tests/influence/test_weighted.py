@@ -129,24 +129,41 @@ class TestSubmodularityProperties:
         small=st.sets(st.sampled_from(NODES), max_size=2),
         extra=st.sets(st.sampled_from(NODES), max_size=2),
         candidate=st.sampled_from(NODES),
+        horizon=st.one_of(st.none(), st.integers(1, 10)),
+        alpha=st.floats(min_value=0.01, max_value=1.0),
+        lam=st.floats(min_value=0.01, max_value=5.0),
     )
     @settings(max_examples=60, deadline=None)
-    def test_weighted_spread_monotone_submodular(self, seed, small, extra, candidate):
-        """Theorem 1 must hold for the weighted objective too."""
+    def test_weighted_spread_monotone_submodular(
+        self, seed, small, extra, candidate, horizon, alpha, lam
+    ):
+        """Theorem 1 must hold for every fold: ``count``, ``weighted_sum``,
+        ``hop_discount`` with alpha in (0, 1] and ``time_decay`` with
+        lam > 0, at any horizon."""
         rng = random.Random(seed)
         graph = TDNGraph()
         for _ in range(rng.randint(1, 12)):
             u, v = rng.sample(range(len(NODES)), 2)
             graph.add_interaction(Interaction(NODES[u], NODES[v], 0, rng.randint(1, 9)))
         weights = {node: rng.uniform(0.0, 5.0) for node in NODES}
-        oracle = weighted_oracle(graph, weights)
+        oracles = [
+            InfluenceOracle(graph),
+            weighted_oracle(graph, weights),
+            InfluenceOracle(graph, semantics=("hop_discount", {"alpha": alpha})),
+            InfluenceOracle(graph, semantics=("time_decay", {"lam": lam})),
+        ]
         large = small | extra
-        # Monotone.
-        assert oracle.spread(large | {candidate}) >= oracle.spread(large) - 1e-12
-        # Submodular.
-        gain_small = oracle.spread(small | {candidate}) - oracle.spread(small)
-        gain_large = oracle.spread(large | {candidate}) - oracle.spread(large)
-        assert gain_small >= gain_large - 1e-9
+        for oracle in oracles:
+
+            def spread(seeds, oracle=oracle):
+                return oracle.spread(seeds, horizon)
+
+            # Monotone.
+            assert spread(large | {candidate}) >= spread(large) - 1e-9
+            # Submodular.
+            gain_small = spread(small | {candidate}) - spread(small)
+            gain_large = spread(large | {candidate}) - spread(large)
+            assert gain_small >= gain_large - 1e-9
 
 
 class TestTrackersWithWeightedObjective:

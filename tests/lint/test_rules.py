@@ -567,6 +567,18 @@ def test_rpl401_sum_genexp_over_set_returning_call():
     )
 
 
+@pytest.mark.parametrize("package", ["core", "baselines"])
+def test_rpl401_covers_trackers_and_baselines(package):
+    assert_fires(
+        """
+        def order(nodes: frozenset):
+            return [n for n in nodes]
+        """,
+        f"src/repro/{package}/fixture.py",
+        "RPL401",
+    )
+
+
 def test_rpl401_out_of_scope_path_not_flagged():
     assert not _lint(
         """

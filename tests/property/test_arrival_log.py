@@ -97,7 +97,6 @@ def graph_state(graph):
             "tombstones": engine.tombstones,
             "compactions": engine.compactions,
             "version": engine.version,
-            "entries": engine.num_entries,
         }
     return state
 

@@ -1,19 +1,18 @@
 """Property suite for ``TDNGraph``'s per-edge mutation hooks.
 
 ``add_interaction`` and ``advance_to`` keep the O(1) node, pair and edge
-counters, the dirty-source journal, the removal listeners and the live
-delta engine's overlay current edge by edge.  Random streams with
-parallel edges and infinite lifetimes are replayed against a plain
-reference model, and after every add and every ``advance_to``:
+counters, the dirty-source journal and the live delta engine's overlay
+current edge by edge.  Random streams with parallel edges and infinite
+lifetimes are replayed against a plain reference model, and after every
+add and every ``advance_to``:
 
 * ``num_nodes``, ``num_pairs`` and ``num_edges`` equal brute-force
   recounts from ``node_set()`` / ``alive_pairs()`` and the model;
 * the journal lists, in order, the source id of every arrival and of
   every pair whose last edge expired, expiries draining by time step and
   then in arrival order;
-* a removal listener sees every expired edge with the pair's remaining
-  multiplicity, in the same order;
-* the live engine's kernels cover exactly the interned id space.
+* the live engine's kernels cover exactly the interned id space and
+  weigh the scalar cutover by the graph's alive pairs.
 """
 
 import math
@@ -45,7 +44,6 @@ class ReferenceModel:
         self.edges = []  # [u, v, expiry] in arrival order
         self.ids = {}
         self.journal = []
-        self.removals = []
 
     def intern(self, node):
         return self.ids.setdefault(node, len(self.ids))
@@ -67,9 +65,7 @@ class ReferenceModel:
         for edge in due:
             self.edges.remove(edge)
             u, v, _ = edge
-            remaining = self.multiplicity(u, v)
-            self.removals.append((u, v, remaining))
-            if remaining == 0:
+            if self.multiplicity(u, v) == 0:
                 self.journal.append(self.ids[u])
         self.time = t
 
@@ -80,7 +76,7 @@ class ReferenceModel:
         return {(u, v) for u, v, _ in self.edges}
 
 
-def assert_matches(graph, model, removals):
+def assert_matches(graph, model):
     nodes = graph.node_set()
     pairs = list(graph.alive_pairs())
     assert nodes == model.node_set()
@@ -91,28 +87,22 @@ def assert_matches(graph, model, removals):
     counts = [count for *_, count in graph.alive_pairs_with_counts()]
     assert graph.num_edges == sum(counts)
     assert graph._dirty_log == model.journal  # noqa: SLF001 - test probe
-    if removals is not None:
-        assert removals == model.removals
     engine = graph._delta  # noqa: SLF001 - test probe
     if engine is not None:
         for kernel in (engine._fwd, engine._rev):  # noqa: SLF001 - test probe
             if kernel is not None:
                 assert kernel.num_nodes == graph.num_interned
-                assert kernel.entry_count == engine.num_entries
+                assert kernel.entry_count == graph.num_pairs
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     ops=st.lists(OPS, max_size=60),
-    listen=st.booleans(),
     live_engine=st.booleans(),
 )
-def test_counters_journal_and_listeners_match_the_reference(ops, listen, live_engine):
+def test_counters_journal_and_listeners_match_the_reference(ops, live_engine):
     graph = TDNGraph()
     model = ReferenceModel()
-    removals = [] if listen else None
-    if listen:
-        graph.add_removal_listener(lambda u, v, count: removals.append((u, v, count)))
     if live_engine:
         graph.csr()
     for step, op in enumerate(ops):
@@ -134,7 +124,7 @@ def test_counters_journal_and_listeners_match_the_reference(ops, listen, live_en
             engine = graph.csr()
             engine.reachable_count([])
             engine.ancestor_ids([])
-        assert_matches(graph, model, removals)
+        assert_matches(graph, model)
 
 
 def test_rejects_an_interaction_not_alive_now():

@@ -211,6 +211,32 @@ class TestAdaptiveScalarCutover:
             forced_scalar.spread_counts([(i,) for i in ids], horizon)
         )
 
+    def test_cutover_weighs_alive_pairs(self, monkeypatch):
+        """The cutover weighs the graph's alive pairs, not the base plus
+        log rows: pairs that die drop out of it at once, so a graph that
+        falls back under the limit walks scalar before any compaction."""
+        from repro.tdn import csr as csr_mod
+
+        monkeypatch.setenv(csr_mod.SCALAR_LIMIT_ENV, "3")
+        graph = TDNGraph()
+        engine = graph.csr()
+        assert engine.scalar_reach(None) is not None  # empty: scalar
+        graph.add_batch(
+            [
+                Interaction("a", "b", 0, 1),
+                Interaction("c", "d", 0, 1),
+                Interaction("e", "f", 0, 5),
+                Interaction("g", "h", 0, 5),
+            ]
+        )
+        assert engine.scalar_reach(None) is None  # 4 alive pairs > 3
+        graph.advance_to(1)
+        assert graph.csr() is engine and engine.compactions == 1
+        assert (graph.num_pairs, len(engine.arrival_log)) == (2, 4)
+        walk, eff = engine.scalar_reach(None)
+        e, f = graph.node_id("e"), graph.node_id("f")
+        assert walk([e], eff) == {e, f} == engine.reachable_ids([e])
+
     def test_engine_resolves_cutover_once(self, monkeypatch):
         """The env is read when an engine is built, never again after."""
         from repro.kernels.traversal import TraversalKernel

@@ -225,17 +225,6 @@ class TestExpiryRangeScan:
         ]
 
 
-class TestRemovalListener:
-    def test_listener_fires_per_removed_edge(self):
-        removed = []
-        graph = TDNGraph()
-        graph.add_removal_listener(lambda u, v, left: removed.append((u, v, left)))
-        graph.add_interaction(Interaction("a", "b", 0, 1))
-        graph.add_interaction(Interaction("a", "b", 0, 1))
-        graph.advance_to(1)
-        assert removed == [("a", "b", 1), ("a", "b", 0)]
-
-
 class TestInventories:
     def test_node_set_and_alive_interactions(self):
         graph = TDNGraph()
@@ -338,24 +327,6 @@ class TestNodeInterning:
 
     def test_unknown_node_id_is_none(self):
         assert TDNGraph().node_id("nope") is None
-
-    def test_removal_listener_may_mutate_mid_drain(self):
-        # A removal listener that inserts edges while advance_to drains
-        # must not desync the sorted key structure from the buckets.
-        graph = TDNGraph()
-
-        def reinsert(u, v, remaining):
-            if u == "a" and graph.num_edges < 5:
-                graph.add_interaction(Interaction("x", "y", 0, 100))
-
-        graph.add_removal_listener(reinsert)
-        graph.add_interaction(Interaction("a", "b", 0, 3))
-        graph.add_interaction(Interaction("b", "c", 0, 8))
-        assert graph.advance_to(5) == 1  # (a, b) expired, (x, y) inserted
-        assert set(graph.alive_pairs()) == {("b", "c"), ("x", "y")}
-        assert graph.advance_to(8) == 1  # (b, c) expires cleanly afterwards
-        assert graph.advance_to(100) == 1  # and so does the reinserted edge
-        assert graph.num_edges == 0
 
 
 class TestO1Inventories:
@@ -480,75 +451,6 @@ class TestExpiryKeyStructures:
         # Full drain leaves the index empty of finite keys.
         graph.advance_to(t + 1_000)
         assert graph._expiry_buckets == {}
-
-    def test_removal_listener_may_scan_ranges_mid_drain(self):
-        """The seed guarantee: listeners can call edges_with_expiry_in
-        while advance_to is draining, without tripping on popped keys."""
-        graph = TDNGraph()
-        graph.add_interaction(Interaction("a", "b", 0, 3))
-        graph.add_interaction(Interaction("b", "c", 0, 4))
-        graph.add_interaction(Interaction("c", "d", 0, 50))
-        seen = []
-
-        def listener(u, v, remaining):
-            seen.append([e for _, _, e in graph.edges_with_expiry_in(0, 100)])
-
-        graph.add_removal_listener(listener)
-        assert graph.advance_to(10) == 2
-        # Each mid-drain scan completed (no KeyError) and never yielded a
-        # key at or below the drain target.
-        assert len(seen) == 2
-        for rows in seen:
-            assert all(e > 10 for e in rows)
-        assert [e for _, _, e in graph.edges_with_expiry_in(0, 100)] == [50]
-
-    def test_listener_adding_a_due_edge_mid_drain(self):
-        """An edge a listener adds with an already-due expiry re-creates a
-        drained bucket: the drain loops, and the edge is gone on return.
-        Counters, buckets, journal and tombstones equal a reference that
-        ticks one step at a time, so drains edge by edge."""
-
-        def build():
-            graph = TDNGraph()
-            graph.add_batch(
-                [
-                    Interaction("a", "b", 0, 3),
-                    Interaction("c", "d", 0, 5),
-                    Interaction("c", "e", 0, 5),
-                    Interaction("b", "f", 0, 40),
-                ]
-            )
-            graph.csr()  # count tombstones too
-            added = []
-
-            def listener(u, v, remaining):
-                if (u, v) == ("c", "d") and not added:
-                    # Alive at the pre-drain clock, due at the target.
-                    added.append(Interaction("x", "y", graph.time, 5 - graph.time))
-                    graph.add_batch(added)
-
-            graph.add_removal_listener(listener)
-            return graph, added
-
-        def state(graph):
-            return (
-                graph.num_edges,
-                graph.num_pairs,
-                graph.num_nodes,
-                {key: list(bucket) for key, bucket in graph._expiry_buckets.items()},
-                list(graph._dirty_log),
-                graph._delta.tombstones,
-            )
-
-        jumped, added = build()
-        assert jumped.advance_to(10) == 4
-        assert added and jumped.has_node("x") is False
-        assert jumped.interaction_count("x", "y") == 0
-        ticked, _ = build()
-        while ticked.time < 10:
-            ticked.tick()
-        assert state(jumped) == state(ticked)
-        assert state(jumped)[:3] == (1, 1, 2)
 
 
 #: One ingest step for the range-scan property: the clock gap before it
