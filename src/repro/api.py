@@ -114,6 +114,9 @@ def open_tracker(
             :class:`~repro.kernels.Fold`.  ``None`` picks the algorithm's
             natural semantics (``hop_discount`` for decayed-centrality,
             ``time_decay`` for trend, ``count`` otherwise).
+            ``"hist-approx"`` and ``"basic-reduction"`` refuse
+            ``time_decay`` (a ``SemanticsError``): their bounds need
+            values that never fall as edges arrive.
         semantics_params: fold parameters (e.g. ``{"alpha": 0.8}``) when
             ``semantics`` is given by name; rejected if ``semantics``
             already carries parameters.

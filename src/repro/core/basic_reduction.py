@@ -33,7 +33,7 @@ from collections import deque
 from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.core.sieve_adn import SieveADN
-from repro.core.tracker import Solution
+from repro.core.tracker import Solution, check_horizon_oracle
 from repro.errors import check_fraction, check_positive_int
 from repro.influence.changed import (
     candidates_at,
@@ -75,7 +75,9 @@ class BasicReduction:
         self.L = check_positive_int(L, "L")
         self.epsilon = check_fraction(epsilon, "epsilon")
         self.graph = graph
-        self.oracle = oracle if oracle is not None else InfluenceOracle(graph)
+        self.oracle = check_horizon_oracle(
+            oracle if oracle is not None else InfluenceOracle(graph), "BasicReduction"
+        )
         self.changed_mode = check_changed_mode(changed_mode)
         # Deque of (horizon, instance), ascending horizon; contiguous range
         # [t + 1, t + L] after _ensure_instances(t).

@@ -40,7 +40,7 @@ import math
 from typing import Dict, Hashable, List, Optional, Sequence
 
 from repro.core.sieve_adn import SieveADN
-from repro.core.tracker import Solution
+from repro.core.tracker import Solution, check_horizon_oracle
 from repro.errors import check_fraction, check_positive_int
 from repro.influence.changed import (
     Labelled,
@@ -88,7 +88,9 @@ class HistApprox:
         self.k = check_positive_int(k, "k")
         self.epsilon = check_fraction(epsilon, "epsilon")
         self.graph = graph
-        self.oracle = oracle if oracle is not None else InfluenceOracle(graph)
+        self.oracle = check_horizon_oracle(
+            oracle if oracle is not None else InfluenceOracle(graph), "HistApprox"
+        )
         self.changed_mode = check_changed_mode(changed_mode)
         self.refine_head = refine_head
         self._horizons: List[Horizon] = []  # sorted ascending; mirrors x_t

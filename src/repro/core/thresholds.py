@@ -158,10 +158,6 @@ class ThresholdSet:
         return iter(self._sieves.values())
 
     def __len__(self) -> int:
-        return len(self._sieves)
-
-    @property
-    def num_thresholds(self) -> int:
         """Current grid size; O(log(2k)/eps) by construction."""
         return len(self._sieves)
 

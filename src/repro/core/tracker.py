@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, List, Optional, Protocol, Tuple, Union
 
-from repro.errors import ConfigError, check_workers
+from repro.errors import ConfigError, SemanticsError, check_workers
 from repro.influence.oracle import InfluenceOracle
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
@@ -46,6 +46,24 @@ class Solution:
     def empty(time: int = 0) -> "Solution":
         """The empty solution (value 0)."""
         return Solution(nodes=(), value=0.0, time=time)
+
+
+def check_horizon_oracle(oracle: InfluenceOracle, tracker: str) -> InfluenceOracle:
+    """Return ``oracle`` unless its fold can lose value as edges arrive.
+
+    BASICREDUCTION and HISTAPPROX answer with an instance's value over the
+    edges alive past its horizon, a subgraph of ``G_t``.  Their bounds
+    (Theorems 4 and 7) need that value never to exceed ``f_t`` and never
+    to fall while the instance only takes edges.  ``time_decay`` breaks
+    both: a node with no alive in-edge scores 1, and its first in-edge or
+    a clock tick lowers that term.
+    """
+    if oracle.semantics == "time_decay":
+        raise SemanticsError(
+            f"{tracker} needs a fold whose values never fall as edges "
+            "arrive; 'time_decay' can"
+        )
+    return oracle
 
 
 class TrackingAlgorithm(Protocol):

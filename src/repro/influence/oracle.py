@@ -26,16 +26,17 @@ Two interchangeable reachability engines sit behind the same API:
 * ``"dict"``: the reference pure-Python BFS over the graph's dict-of-dict
   adjacency (:func:`repro.influence.reachability.reachable_set`).
 
-A cache miss is evaluated one of two ways, chosen at a request's
-first miss by :meth:`InfluenceOracle._per_set_evaluator`.  A serial csr
+Every cache miss is evaluated where the cache protocol finds it, by
+the one evaluator :meth:`InfluenceOracle._miss_evaluator` returns at a
+request's first miss (see "The cache protocol" below).  A serial csr
 ``count`` oracle below the scalar cutover (``DeltaCSR.scalar_reach`` is
-not ``None``) walks each miss alone where the cache protocol finds it:
-intern, ``reach_scalar``, insert.  There a batch shares no sweep, so
-nothing is gathered; this is the paper's per-edge setting.  Every other
-miss goes to :meth:`InfluenceOracle._evaluate_batch`, the one place a
-sweep is chosen.  ``"dict"`` walks each set with ``reachable_set``.  On
-csr the sets are interned once, never-interned seeds add their own term,
-a lone set walks on the caller's thread (``reachable_count``,
+not ``None``) walks each miss alone: intern, ``reach_scalar``.  There a
+batch shares no sweep; this is the paper's per-edge setting.  Every
+other oracle evaluates a request's misses in one call to
+:meth:`InfluenceOracle._evaluate_misses`, the one place a sweep is
+chosen.  ``"dict"`` walks each set with ``reachable_set``.  On csr the
+sets are interned once, never-interned seeds add their own term, a lone
+set walks on the caller's thread (``reachable_count``,
 ``reachable_ids``), and two or more go to one sweep on ``graph.csr()``
 or the executor method of the same name: ``spread_counts`` (count,
 uniform weights), the mapping's ``weighted_spread_sums``, a callable's
@@ -107,16 +108,25 @@ canonical ascending-id order, which keeps them bit-identical across
 single, batched and sharded evaluation.  ``"hop_discount"`` and
 ``"time_decay"`` derive their node terms from the graph itself.
 
-Bit-plane batching
+The cache protocol
 ------------------
 :meth:`InfluenceOracle.spread_many` replays the *sequential* cache
-protocol (:func:`replay_batch_protocol`: hits taken in order, one call
-counted per miss).  Where misses share a sweep, each miss's FIFO slot is
-reserved and all distinct misses are evaluated in one evaluator call,
-where the csr sweeps pack up to 64 seed sets into uint64 visited-mask
-planes of one shared traversal.  A serial ``count`` oracle below the
-scalar cutover walks and inserts each miss where the protocol finds it.
-The accounting is exactly that of ``[self.spread(s) for s in sets]``.
+protocol (:func:`replay_batch_protocol`): it takes hits in order and
+counts, evaluates and memoizes each miss where it finds it, so the
+accounting is exactly that of ``[self.spread(s) for s in sets]``.  At a
+request's first miss it asks for the evaluator once.  Below the scalar
+cutover that is the per-set walk.  Otherwise the request's distinct
+misses that are neither memoized nor prefetched are evaluated in one
+call, where the csr sweeps pack up to 64 seed sets into uint64
+visited-mask planes of one shared traversal, and each miss is served
+from that table.  When ``len(memo)`` plus the request's remaining sets
+exceeds the capacity by ``overflow``, the request can evict its
+``overflow`` oldest entries before it asks for them again, and its own
+puts once ``overflow`` exceeds ``len(memo)``; so those hits, and then
+the prefetched keys, are swept too.  A retained entry equals a fresh
+evaluation, so no value moves.  Either way a
+request makes at most one evaluator call, and a sweep that raises has
+counted only the miss that asked for it, as ``spread`` would.
 
 A caller that knows which sets it will ask for next at the same horizon
 passes them as ``prefetch`` (a zero-argument builder; SIEVEADN passes
@@ -139,7 +149,8 @@ used.
 
 :meth:`InfluenceOracle.spread` is ``spread_many`` over a batch of one,
 so a lone miss takes the per-set walk below the cutover and otherwise
-:meth:`InfluenceOracle._evaluate_batch`.  There a lone set walks
+:meth:`InfluenceOracle._evaluate_misses` with one set.  There a lone set
+walks
 because a one-plane sweep pays for a whole-graph mask: on ``gowalla``
 engines of 2.8k-9.4k alive pairs a lone count costs 24-45 us walked,
 43-98 us swept, and Greedy past the cutover ran at 179 events/s walked,
@@ -173,6 +184,7 @@ a failed shard), so ``parallel`` never changes results, only wall-clock.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import (
     Any,
     Callable,
@@ -216,7 +228,7 @@ _PREFETCH_SERVED = metrics_registry().counter(
 )
 
 #: Builds, on demand, the sets a caller will ask for later at the same
-#: horizon (see "Bit-plane batching" in the module docstring).
+#: horizon (see "The cache protocol" in the module docstring).
 Prefetch = Callable[[], Iterable[Iterable[Node]]]
 
 #: Count-semantics cache key.  Non-count semantics append the fold's
@@ -228,124 +240,67 @@ _CacheKey = Tuple[Optional[float], FrozenSet[Node]]
 #: Selectable reachability engines.
 ORACLE_BACKENDS = ("csr", "dict")
 
-#: In-batch placeholder for a cache slot whose value is still being
-#: evaluated by the shared bit-plane sweep.  Reserving the slot up front
-#: keeps FIFO insertion (and eviction) order identical to a sequential
-#: evaluation of the batch.
-_PENDING = object()
-
-
 def replay_batch_protocol(
-    memo,
-    counter,
-    sets,
-    min_expiry,
-    evaluate,
-    zero,
-    semantics=None,
-    prefetch=None,
-    resolve_walk=None,
+    memo, counter, sets, min_expiry, resolve, zero, semantics=None
 ):
-    """The sequential-replay cache protocol behind batched ``spread_many``.
+    """The sequential cache protocol behind ``spread_many``.
 
-    Walk the batch in submission order taking hits and count one oracle
-    call per miss.  At the first miss, ``resolve_walk(min_expiry)`` (if
-    given) names a per-set walk or ``None``, and that answer holds for
-    the rest of the batch, so an all-hit batch resolves nothing.  Given a
-    walk, a miss is evaluated and inserted where the protocol finds it,
-    so a later in-batch duplicate is a plain hit.  Otherwise each miss's
-    FIFO slot is reserved with ``_PENDING`` (so in-batch duplicates
-    replay as the hits they would sequentially be), the distinct misses
-    go to one ``evaluate`` call, and the reservations are fulfilled.
-    Either way values, call counts and eviction order are exactly those
-    of ``[spread(s) for s in sets]``.
+    Walk the batch in submission order, taking hits and counting one
+    oracle call per miss.  Each miss is evaluated and inserted where the
+    walk finds it, so a later in-batch duplicate is a plain hit, and
+    values, call counts and FIFO eviction order are exactly those of
+    ``[spread(s) for s in sets]``.  At the first miss, ``resolve`` is
+    called once with the remaining memo keys (``None`` for an empty set)
+    and returns the evaluator, ``key -> value``, for every miss of the
+    batch, so an all-hit batch resolves nothing.
 
     The walk is flat: a set costs one key build and one probe of the
     memo's dict, and the call counter and the hit/miss registry counters
-    are bumped once per batch, after the walk, also when a per-set walk
+    are bumped once per batch, after the walk, also when an evaluation
     raises (counting the miss that raised, as ``spread`` would).
 
-    Every set is frozen *before* the first cache mutation: a bad input
-    (unhashable member, exhausted iterator) must raise while the memo
-    still holds nothing of the batch, and reservations are rolled back
-    when ``evaluate`` itself raises.
+    Every set is frozen *before* the first cache mutation, so a bad input
+    (unhashable member, exhausted iterator) raises while the memo still
+    holds nothing of the batch.
 
     ``semantics`` is an optional hashable token appended to every cache
     key (``None`` keeps the historical two-element key), so oracles
     evaluating different fold semantics over one shared graph keep fully
-    disjoint memo populations.  A ``prefetch`` builder is handed to
-    ``evaluate`` as its third argument.
+    disjoint memo populations.
     """
-    frozen_sets = [frozenset(nodes) for nodes in sets]
+    keys = [
+        None
+        if not nodes
+        else (min_expiry, nodes)
+        if semantics is None
+        else (min_expiry, nodes, semantics)
+        for nodes in map(frozenset, sets)
+    ]
     probe = memo.data.get
-    results: list = [zero] * len(frozen_sets)
-    miss_keys: list = []  # distinct reserved misses, first-miss order
-    slot_of: dict = {}  # miss key -> its index in miss_keys
-    placements: list = []  # (result index, miss slot)
+    results: list = [zero] * len(keys)
     hits = 0
     misses = 0
-    walk = None
-    resolved = resolve_walk is None
+    evaluate = None
     try:
-        for i, key_nodes in enumerate(frozen_sets):
-            if not key_nodes:
+        for i, key in enumerate(keys):
+            if key is None:
                 continue
-            key = (
-                (min_expiry, key_nodes)
-                if semantics is None
-                else (min_expiry, key_nodes, semantics)
-            )
-            hit = probe(key)
-            if hit is None:
-                if not resolved:
-                    walk = resolve_walk(min_expiry)
-                    resolved = True
+            value = probe(key)
+            if value is None:
                 misses += 1
-                if walk is not None:
-                    results[i] = value = walk(key_nodes)
-                    memo.put(key, value)
-                    continue
-                slot = slot_of.get(key)
-                if slot is None:
-                    slot = slot_of[key] = len(miss_keys)
-                    miss_keys.append(key)
-                # Reserve the FIFO slot exactly where a sequential
-                # evaluation would have inserted the computed value (a
-                # re-counted miss — its reservation evicted mid-batch —
-                # re-inserts, as it would sequentially).
-                memo.put(key, _PENDING)
-                placements.append((i, slot))
-            elif hit is _PENDING:
-                # Duplicate of an in-batch miss: a sequential run would hit
-                # the (by then populated) cache entry — no call counted.
-                placements.append((i, slot_of[key]))
-                hits += 1
+                if evaluate is None:
+                    evaluate = resolve(keys[i:])
+                value = evaluate(key)
+                memo.put(key, value)
             else:
-                results[i] = hit
                 hits += 1
+            results[i] = value
     finally:
         if hits:
             _MEMO_HITS.inc(hits)
         if misses:
             counter.increment(misses)
             _MEMO_MISSES.inc(misses)
-    if not miss_keys:
-        return results
-    try:
-        key_sets = [key[1] for key in miss_keys]
-        if prefetch is None:
-            values = evaluate(key_sets, min_expiry)
-        else:
-            values = evaluate(key_sets, min_expiry, prefetch)
-    except BaseException:
-        for key in miss_keys:
-            if memo.data.get(key) is _PENDING:
-                memo.delete(key)
-        raise
-    for key, value in zip(miss_keys, values):
-        memo.fulfill(key, value)
-    for i, slot in placements:
-        results[i] = values[slot]
     return results
 
 
@@ -462,17 +417,6 @@ class MemoTable:
                 index[node] = {key}
             else:
                 keys.add(key)
-
-    def fulfill(self, key: _CacheKey, value) -> None:
-        """Replace a reserved ``_PENDING`` placeholder with its value.
-
-        No-op when the reservation was already evicted mid-batch under
-        capacity pressure (a sequential run would have lost that slot the
-        same way).  The slot was indexed at reservation time, so this
-        write never touches FIFO order or the inverted index.
-        """
-        if self.data.get(key) is _PENDING:
-            self.data[key] = value
 
     def delete(self, key: _CacheKey) -> None:
         """Drop one entry (no-op when absent), keeping the index exact."""
@@ -771,13 +715,13 @@ class InfluenceOracle:
         the same order (the table is synced once before the batch replays
         the sequential protocol).  Misses share one bit-plane traversal
         per 64 sets on csr, or are walked one by one below the scalar
-        cutover (see "Backends" in the module docstring).
+        cutover (see "The cache protocol" in the module docstring).
 
         ``prefetch`` is a zero-argument callable returning sets the
         caller will ask for later at this horizon.  It is called only
         when the misses' sweep has idle planes, and what it returns rides
-        in them without changing any value or count (see "Bit-plane
-        batching" in the module docstring).
+        in them without changing any value or count (see "The cache
+        protocol" in the module docstring).
         """
         self._memo.sync()
         return replay_batch_protocol(
@@ -785,11 +729,9 @@ class InfluenceOracle:
             self.counter,
             sets,
             min_expiry,
-            self._evaluate_batch,
+            lambda keys: self._miss_evaluator(keys, min_expiry, prefetch),
             0 if self._semantics_token is None else 0.0,
             semantics=self._semantics_token,
-            prefetch=prefetch,
-            resolve_walk=self._per_set_evaluator,
         )
 
     def marginal_gain(
@@ -813,53 +755,77 @@ class InfluenceOracle:
         )
 
     # ------------------------------------------------------------------
-    def _evaluate_batch(
+    def _miss_evaluator(
         self,
-        key_sets: Sequence[FrozenSet[Node]],
+        keys: Sequence[Optional[_CacheKey]],
         min_expiry: Optional[float],
-        prefetch: Optional[Prefetch] = None,
-    ) -> List:
-        """Evaluate distinct cache misses that are not walked one by one:
-        the one place a miss picks its sweep (see "Backends" in the module
-        docstring).  A miss that was prefetched at this graph version and
-        time is served from the prefetch store; the rest go to
-        :meth:`_evaluate_misses`.  An exception drops every prefetched value.
+        prefetch: Optional[Prefetch],
+    ) -> Callable[[_CacheKey], Union[int, float]]:
+        """The evaluator of a request's misses, asked for at its first miss
+        with the request's remaining memo keys (see "The cache protocol"
+        in the module docstring).
+
+        Below the scalar cutover it is the per-set walk.  Otherwise the
+        distinct keys that are neither memoized nor prefetched are swept
+        now, in one :meth:`_evaluate_misses` call, and each miss is served
+        from that table or, when prefetched, from the prefetch store.  When
+        ``len(memo)`` plus the remaining sets exceeds the capacity by
+        ``overflow``, the request can evict its ``overflow`` oldest
+        entries before it asks for them again, so those hits are swept
+        too, and the prefetched keys as well once ``overflow`` exceeds
+        ``len(memo)`` (the request may then evict its own puts).  A
+        retained entry equals a fresh evaluation.  An exception drops
+        every prefetched value.
         """
+        walk = self._per_set_evaluator(min_expiry)
+        if walk is not None:
+            return walk
+        memo = self._memo
         stash = self._prefetched
-        try:
-            graph = self.graph
-            if stash and self._prefetch_stamp != (graph.version, graph.time):
-                stash.clear()
-            if not stash:
-                return self._evaluate_misses(key_sets, min_expiry, prefetch)
-            values = [
-                stash.pop(self._memo_key(min_expiry, key_nodes), _PENDING)
-                for key_nodes in key_sets
-            ]
-            rest = [
-                key_nodes
-                for key_nodes, value in zip(key_sets, values)
-                if value is _PENDING
-            ]
-            if len(rest) < len(key_sets):
-                _PREFETCH_SERVED.inc(len(key_sets) - len(rest))
-            if rest:
-                fresh = iter(self._evaluate_misses(rest, min_expiry, prefetch))
-                values = [
-                    next(fresh) if value is _PENDING else value for value in values
-                ]
-            return values
-        except BaseException:
+        graph = self.graph
+        if stash and self._prefetch_stamp != (graph.version, graph.time):
             stash.clear()
-            raise
+        data = memo.data
+        # Each put past capacity evicts the oldest entry, so the request
+        # can evict at most its ``overflow`` oldest entries, and its own
+        # puts (a served prefetch a later duplicate misses again) only
+        # once every older entry is gone.
+        overflow = len(data) + len(keys) - memo.max_entries
+        evictable = set(islice(data, overflow)) if overflow > 0 else ()
+        served = stash if overflow <= len(data) else ()
+        wanted = dict.fromkeys(
+            key
+            for key in keys
+            if key is not None
+            and key not in served
+            and (key in evictable or key not in data)
+        )
+        swept: dict = {}
+        if wanted:
+            try:
+                values = self._evaluate_misses(
+                    [key[1] for key in wanted], min_expiry, prefetch
+                )
+            except BaseException:
+                stash.clear()
+                raise
+            swept = dict(zip(wanted, values))
+
+        def evaluate(key: _CacheKey) -> Union[int, float]:
+            value = stash.pop(key, None)
+            if value is None:
+                return swept[key]
+            _PREFETCH_SERVED.inc()
+            return value
+
+        return evaluate
 
     def _per_set_evaluator(
         self, min_expiry: Optional[float]
-    ) -> Optional[Callable[[FrozenSet[Node]], int]]:
-        """The walk that evaluates a miss where the protocol finds it, or
-        ``None`` to leave misses to :meth:`_evaluate_batch` (see "Backends"
-        in the module docstring).  Resolved at a request's first miss,
-        never kept.
+    ) -> Optional[Callable[[_CacheKey], int]]:
+        """The per-set walk of a serial csr ``count`` oracle below the
+        scalar cutover, or ``None`` (see "Backends" in the module
+        docstring).  Resolved at a request's first miss, never kept.
         """
         if self._semantics_token is not None or self._executor is not None:
             return None
@@ -871,8 +837,8 @@ class InfluenceOracle:
         walk, eff = scalar
         intern_ids = self.graph.intern_ids
 
-        def count(key_nodes: FrozenSet[Node]) -> int:
-            ids, unknown = intern_ids(key_nodes)
+        def count(key: _CacheKey) -> int:
+            ids, unknown = intern_ids(key[1])
             return len(walk(ids, eff)) + unknown if ids else unknown
 
         return count

@@ -2,31 +2,34 @@
 
 ``spread_many`` walks a batch once, probing the memo's dict directly and
 bumping the call counter and the hit/miss registry counters once per
-batch.  A serial csr ``count`` oracle below the scalar cutover evaluates
-each miss where the walk finds it, with no ``_evaluate_batch`` call; every
-other leaf reserves the misses' slots and evaluates the distinct misses
-in one ``_evaluate_batch`` call.  The contract is that none of this is
-observable: against a twin oracle that runs ``[spread(s) for s in sets]``
-over an identical graph, every value, the oracle call count, the memo's
-FIFO key order and the ``repro_oracle_memo_{hits,misses}`` deltas must
-agree after every batch, also after a walk that raises mid-batch.
+batch.  Every miss is counted, evaluated and memoized where the walk
+finds it.  A serial csr ``count`` oracle below the scalar cutover walks
+each miss alone, with no ``_evaluate_misses`` call; every other leaf
+evaluates the batch's distinct misses in at most one ``_evaluate_misses``
+call, made at the first miss, and serves each miss from that table.  The
+contract is that none of this is observable: against a twin oracle that
+runs ``[spread(s) for s in sets]`` over an identical graph, every value,
+the oracle call count, the memo's FIFO key order and the
+``repro_oracle_memo_{hits,misses}`` deltas must agree after every batch,
+also after a walk or a sweep that raises mid-batch.
 
-Tiny memo capacities (1–3 entries) make reservations evict each other
-mid-batch; batches carry duplicates, empty sets and never-interned
-nodes; and the graph mutates between batches, so dirty-cone eviction
-runs too.  Both protocols share one miss evaluator, so the oracle
-configurations below cover each of its leaves: all four semantics, the
-three weight forms (uniform default, mapping, callable), and the dict
-backend's reference walk.  A csr engine built with a zero scalar cutover
-puts the count leaf on ``spread_counts`` instead of the scalar walk, and
-a lone miss (every sequential ``spread``, and a batch with one distinct
-miss) on the per-set walk instead of a one-plane sweep; a cutover of 3
-pairs, with compaction after 2 log rows or tombstones, moves one replay
-across it both ways as pairs arrive and expire.  A
-drawn executor with a one-set floor shards every csr batch of two or
-more misses; a lone miss stays on the caller's thread.
-Since both protocols share that evaluator, the sequential values are
-also pinned, value and type, against an independent dict-BFS reference.
+Tiny memo capacities (1–3 entries) make a batch evict its own entries
+mid-batch, which makes it also sweep the keys it may evict; batches carry
+duplicates, empty sets and never-interned nodes; and the graph mutates
+between batches, so dirty-cone eviction runs too.  The batch and its
+sequential twin share one miss evaluator, so the oracle configurations
+below cover each of its leaves: all four semantics, the three weight
+forms (uniform default, mapping, callable), and the dict backend's
+reference walk.  A csr engine built with a zero scalar cutover puts the
+count leaf on ``spread_counts`` instead of the scalar walk, and a lone
+miss (every sequential ``spread``, and a batch with one distinct miss)
+on the per-set walk instead of a one-plane sweep; a cutover of 3 pairs,
+with compaction after 2 log rows or tombstones, moves one replay across
+it both ways as pairs arrive and expire.  A drawn executor with a
+one-set floor shards every csr batch of two or more misses; a lone miss
+stays on the caller's thread.  Since the batch and its twin share that
+evaluator, the sequential values are also pinned, value and type,
+against an independent dict-BFS reference.
 """
 
 import os
@@ -36,7 +39,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.influence.oracle import _PENDING, InfluenceOracle
+from repro.influence.oracle import InfluenceOracle
 from repro.kernels.traversal import TraversalKernel
 from repro.obs import names as metric_names
 from repro.obs.registry import metrics_registry
@@ -194,13 +197,13 @@ def replay_config(capacity, config, scalar_limit, sharded, script):
 def replay(batched, sequential, semantics, options, script):
     batched_graph, sequential_graph = batched.graph, sequential.graph
     evaluations = []
-    evaluate = batched._evaluate_batch  # noqa: SLF001 - counting engine calls
+    evaluate = batched._evaluate_misses  # noqa: SLF001 - counting engine calls
 
-    def count_evaluations(key_sets, min_expiry):
+    def count_evaluations(key_sets, min_expiry, prefetch):
         evaluations.append(len(key_sets))
-        return evaluate(key_sets, min_expiry)
+        return evaluate(key_sets, min_expiry, prefetch)
 
-    batched._evaluate_batch = count_evaluations  # noqa: SLF001
+    batched._evaluate_misses = count_evaluations  # noqa: SLF001
     serial_count = (
         batched.backend == "csr" and semantics == "count" and batched.executor is None
     )
@@ -264,40 +267,66 @@ def fault_on_walk(n):
     return mock.patch.object(TraversalKernel, "reach_scalar", walk)
 
 
+class SweepFault(Exception):
+    pass
+
+
+def fault_on_sweep():
+    """An ``_evaluate_misses`` that raises: every sweep leaf fails."""
+
+    def sweep(oracle, key_sets, min_expiry, prefetch):
+        raise SweepFault
+
+    return mock.patch.object(InfluenceOracle, "_evaluate_misses", sweep)
+
+
 #: A hit, in-batch duplicates, an empty set and a never-interned seed
 #: (which walks nothing): 4 walks at capacities 3 and up, more below.
 FAULT_BATCH = [
     {"a"}, {"b"}, {"c", "d"}, {"b"}, set(), {"ghost"}, {"e"}, {"a", "e"}, {"c", "d"}
 ]
 
+#: The leaves that sweep their misses once the scalar cutover is zero.
+SWEEP_LEAVES = [
+    ("count", {}),
+    ("weighted_sum", {"weights": {"a": 0.3, "c": 0.7, "ghost": 1.1}}),
+    ("hop_discount", {}),
+]
 
-@pytest.mark.parametrize("capacity", [1, 2, 3, 200])
-@pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
-def test_walk_that_raises_mid_batch_leaves_the_sequential_state(capacity, fail_at):
-    """A raising scalar walk leaves what a raising sequential ``spread`` does.
 
-    The calls counted, the memo's items in FIFO order and the hit/miss
-    registry deltas match the twin's, the memo holds no reservation, and
-    the same batch then returns the twin's values.
-    """
-    batched, sequential = (
-        InfluenceOracle(TDNGraph(), max_cache_entries=capacity) for _ in range(2)
-    )
-    for oracle in (batched, sequential):
-        graph = oracle.graph
+def fault_twins(capacity, scalar_limit=None, **options):
+    """Two oracles over identical 3-edge graphs, each primed with one hit."""
+    twins = []
+    for _ in range(2):
+        graph = TDNGraph()
+        if scalar_limit is not None:
+            with mock.patch.dict(os.environ, {"REPRO_SCALAR_PAIR_LIMIT": scalar_limit}):
+                graph.csr()
+        oracle = InfluenceOracle(graph, max_cache_entries=capacity, **options)
         for source, target in (("a", "b"), ("b", "c"), ("d", "e")):
             graph.add_interaction(Interaction(source, target, graph.time, None))
-        assert graph.csr().scalar_reach(None) is not None  # the scalar leaf
-        oracle.spread({"a"})  # primes one hit
+        oracle.spread({"a"})
+        twins.append(oracle)
+    return twins
+
+
+def check_fault_leaves_the_sequential_state(batched, sequential, fault, error):
+    """A batch that raises under ``fault()`` leaves what a raising
+    sequential ``spread`` loop does.
+
+    The calls counted, the memo's items in FIFO order and the hit/miss
+    registry deltas match the twin's, the memo holds only values, and the
+    same batch then returns the twin's values.
+    """
 
     def run_sequential():
         return [sequential.spread(nodes) for nodes in FAULT_BATCH]
 
     before = memo_counters()
-    with fault_on_walk(fail_at), pytest.raises(WalkFault):
+    with fault(), pytest.raises(error):
         batched.spread_many(FAULT_BATCH)
     middle = memo_counters()
-    with fault_on_walk(fail_at), pytest.raises(WalkFault):
+    with fault(), pytest.raises(error):
         run_sequential()
     after = memo_counters()
 
@@ -307,9 +336,70 @@ def test_walk_that_raises_mid_batch_leaves_the_sequential_state(capacity, fail_a
     )
     batched_items = list(batched._memo.data.items())  # noqa: SLF001
     assert batched_items == list(sequential._memo.data.items())  # noqa: SLF001
-    assert all(value is not _PENDING for _, value in batched_items)
+    assert all(isinstance(value, (int, float)) for _, value in batched_items)
 
     assert batched.spread_many(FAULT_BATCH) == run_sequential()
+    assert batched.calls == sequential.calls
+    assert list(batched._memo.data.items()) == list(  # noqa: SLF001
+        sequential._memo.data.items()  # noqa: SLF001
+    )
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 200])
+@pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
+def test_walk_that_raises_mid_batch_leaves_the_sequential_state(capacity, fail_at):
+    """A raising scalar walk leaves what a raising sequential ``spread`` does."""
+    batched, sequential = fault_twins(capacity)
+    for oracle in (batched, sequential):
+        assert oracle.graph.csr().scalar_reach(None) is not None  # the scalar leaf
+    check_fault_leaves_the_sequential_state(
+        batched, sequential, lambda: fault_on_walk(fail_at), WalkFault
+    )
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 200])
+@pytest.mark.parametrize(
+    "semantics, options", SWEEP_LEAVES, ids=[leaf for leaf, _ in SWEEP_LEAVES]
+)
+def test_sweep_that_raises_leaves_the_sequential_state(capacity, semantics, options):
+    """A raising sweep counts only the miss that asked for it, as the
+    sequential loop's first miss does, and memoizes nothing of the batch."""
+    batched, sequential = fault_twins(capacity, "0", semantics=semantics, **options)
+    for oracle in (batched, sequential):
+        assert oracle.graph.csr().scalar_reach(None) is None  # a sweep leaf
+    check_fault_leaves_the_sequential_state(
+        batched, sequential, fault_on_sweep, SweepFault
+    )
+
+
+@pytest.mark.parametrize(
+    "capacity, batch, swept",
+    [
+        # Two over capacity, and the two oldest entries are not asked for.
+        (5, [{"e"}, {"d"}, {"c"}], [{"e"}]),
+        # {"e"} evicts {"a"} before the batch asks for it again.
+        (4, [{"e"}, {"d"}, {"a"}], [{"e"}, {"a"}]),
+    ],
+)
+def test_capacity_pressure_sweeps_only_what_the_batch_can_evict(
+    capacity, batch, swept
+):
+    """Past capacity, the one sweep adds only the hits among the oldest
+    entries the batch can evict, not every hit of the batch."""
+    batched, sequential = fault_twins(capacity, "0")
+    for oracle in (batched, sequential):
+        for nodes in ({"b"}, {"c"}, {"d"}):
+            oracle.spread(nodes)
+    sweeps = []
+    evaluate = batched._evaluate_misses  # noqa: SLF001 - recording engine calls
+
+    def record(key_sets, min_expiry, prefetch):
+        sweeps.append(list(key_sets))
+        return evaluate(key_sets, min_expiry, prefetch)
+
+    batched._evaluate_misses = record  # noqa: SLF001
+    assert batched.spread_many(batch) == [sequential.spread(s) for s in batch]
+    assert sweeps == [[frozenset(nodes) for nodes in swept]]
     assert batched.calls == sequential.calls
     assert list(batched._memo.data.items()) == list(  # noqa: SLF001
         sequential._memo.data.items()  # noqa: SLF001

@@ -159,6 +159,19 @@ class TestRiding:
         finally:
             executor.close()
 
+    def test_served_rider_evicted_mid_batch_is_swept_for_its_duplicate(
+        self, sweeps
+    ):
+        """At capacity 1, ``n6`` evicts the served ``n5`` before the batch
+        asks for ``n5`` again; the store gave it away, so the one sweep
+        evaluates it too."""
+        oracle = InfluenceOracle(chain_graph(), max_cache_entries=1)
+        oracle.spread_many(singletons(0, 2), prefetch=lambda: iter([("n5",)]))
+        assert oracle.spread_many([("n5",), ("n6",), ("n5",)]) == [135, 134, 135]
+        assert oracle.calls == 5
+        assert sweeps["sweeps"] == [3, 2]
+        assert oracle._prefetched == {}  # noqa: SLF001
+
     def test_sharded_request_fills_its_last_chunk(self):
         executor = ShardedOracleExecutor(2, min_batch=8)
         try:
