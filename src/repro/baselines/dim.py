@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.tracker import Solution
 from repro.errors import check_positive, check_positive_int
 from repro.influence.oracle import InfluenceOracle
 from repro.influence.probabilities import interactions_to_probability
 from repro.submodular.functions import CoverageFunction
+from repro.tdn.batch import EdgeBatch, as_edge_batch
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 from repro.utils.rng import SeedLike, make_rng
@@ -106,7 +107,9 @@ class DIMIndex:
         else:
             pairs.append(pair)
 
-    def on_batch(self, t: int, batch: Sequence[Interaction]) -> None:
+    def on_batch(
+        self, t: int, batch: Union[EdgeBatch, Iterable[Interaction]]
+    ) -> None:
         """Absorb expiries due by ``t`` and the batch's arrivals, in that
         order; repair affected sketches."""
         self._last_time = t
@@ -115,11 +118,11 @@ class DIMIndex:
         while steps and steps[0] <= t:
             for pair in self._expiring.pop(heapq.heappop(steps)):
                 dirty[pair] = None
-        for interaction in batch:
-            pair = (interaction.source, interaction.target)
+        batch = as_edge_batch(t, batch)
+        for pair, expiry in zip(zip(batch.sources, batch.targets), batch.expiries):
             dirty[pair] = None
-            if interaction.expiry != math.inf:
-                self._schedule(pair, int(interaction.expiry))
+            if expiry != math.inf:
+                self._schedule(pair, int(expiry))
         if not dirty:
             self._resize_pool()
             return

@@ -29,8 +29,9 @@ the worst case.  This is the bottleneck HISTAPPROX removes.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, Iterable, List, Optional, Tuple, Union
 
 from repro.core.sieve_adn import SieveADN
 from repro.core.tracker import Solution, check_horizon_oracle
@@ -42,6 +43,7 @@ from repro.influence.changed import (
     latest_expiry_by_source,
 )
 from repro.influence.oracle import InfluenceOracle
+from repro.tdn.batch import EdgeBatch, as_edge_batch
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
@@ -52,8 +54,8 @@ class BasicReduction:
     Args:
         k: cardinality budget.
         epsilon: sieve grid resolution.
-        L: maximum lifetime; every arriving edge must satisfy
-            ``1 <= lifetime <= L`` (the TDN model's upper bound).
+        L: maximum lifetime; every arriving edge must have at most ``L``
+            steps left at its batch time (the TDN model's upper bound).
         graph: shared TDN.
         oracle: counted oracle (private one created when omitted).
         changed_mode: changed-node derivation mode for the instances.
@@ -108,36 +110,46 @@ class BasicReduction:
             self._instances.append((horizon, instance))
 
     # ------------------------------------------------------------------
-    def on_batch(self, t: int, batch: Sequence[Interaction]) -> None:
+    def on_batch(
+        self, t: int, batch: Union[EdgeBatch, Iterable[Interaction]]
+    ) -> None:
         """Feed every instance whose horizon some batch edge reaches.
 
         Instance ``h`` processes the batch edges with expiry at or above
         ``h`` — the union of lifetime groups ``l >= h - t`` in a single
-        call, as Alg. 2 prescribes.  One reverse sweep labels each source
+        call, as Alg. 2 prescribes, where ``l`` is the lifetime an edge
+        has left at ``t`` (its expiry minus ``t``), which must not exceed
+        ``L``.  One reverse sweep labels each source
         with its latest batch expiry and each candidate with the widest
         horizon it reaches (:func:`~repro.influence.changed.
         changed_node_labels`), and each instance receives the candidates
         labelled at or above its horizon, largest horizon first.
         """
+        batch = as_edge_batch(t, batch)
         self._last_time = t
         self._ensure_instances(t)
         if not batch:
             return
-        for interaction in batch:
-            if interaction.lifetime is None or interaction.lifetime > self.L:
-                raise ValueError(
-                    f"BasicReduction requires lifetimes in [1, L={self.L}]; "
-                    f"got {interaction.lifetime!r} — use a truncated lifetime "
-                    "policy or HistApprox (which allows unbounded lifetimes)"
-                )
-        seeds = latest_expiry_by_source((e.source, e.expiry) for e in batch)
+        expiries = batch.expiries
+        reach = max(expiries)
+        if reach > t + self.L:
+            got = (
+                "an edge that never expires"
+                if reach == math.inf
+                else f"an edge with {reach - t} steps left at time {t}"
+            )
+            raise ValueError(
+                f"BasicReduction requires lifetimes in [1, L={self.L}]; "
+                f"got {got} — use a truncated lifetime "
+                "policy or HistApprox (which allows unbounded lifetimes)"
+            )
+        seeds = latest_expiry_by_source(zip(batch.sources, expiries))
         labelled = changed_node_labels(
             self.graph,
             seeds,
             self.changed_mode,
             backend=getattr(self.oracle, "backend", "dict"),
         )
-        reach = max(seeds.values())
         for horizon, instance in reversed(self._instances):
             if horizon <= reach:
                 instance.on_candidates(t, candidates_at(labelled, horizon))

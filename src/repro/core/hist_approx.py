@@ -13,6 +13,9 @@ horizon ``h = t + l`` (see "Horizon filtering" in :mod:`repro.tdn.graph`),
 so:
 
 * Alg. 3's index shift (line 7) is a no-op;
+* an arrival belongs to the group of the lifetime it has left at ``t``,
+  so the group's horizon is simply the arrival's expiry: the batch is
+  grouped by its expiry column (line 3);
 * an instance terminates when ``t`` reaches its horizon (line 5);
 * "feed the new instance the edges of ``G_t`` with lifetime in ``[l, l*)``"
   (line 15) is a range scan of the shared graph's expiry buckets over
@@ -36,8 +39,7 @@ cost; the ablation benchmark measures the trade.
 from __future__ import annotations
 
 import bisect
-import math
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, Iterable, List, Optional, Union
 
 from repro.core.sieve_adn import SieveADN
 from repro.core.tracker import Solution, check_horizon_oracle
@@ -50,9 +52,9 @@ from repro.influence.changed import (
     latest_expiry_by_source,
 )
 from repro.influence.oracle import InfluenceOracle
+from repro.tdn.batch import EdgeBatch, as_edge_batch
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
-from repro.tdn.stream import group_by_lifetime
 
 Horizon = float  # int horizons plus math.inf for infinite lifetimes
 Node = Hashable
@@ -100,33 +102,41 @@ class HistApprox:
     # ------------------------------------------------------------------
     # Alg. 3 main loop
     # ------------------------------------------------------------------
-    def on_batch(self, t: int, batch: Sequence[Interaction]) -> None:
+    def on_batch(
+        self, t: int, batch: Union[EdgeBatch, Iterable[Interaction]]
+    ) -> None:
         """Process the arrivals of step ``t`` group-by-group (Alg. 3 line 3).
 
-        Lifetime groups are visited in increasing lifetime order (``None`` =
-        infinite last), matching the paper's ``l = 1..L`` loop; empty groups
-        are skipped — ProcessEdges on an empty group would only create
-        spurious instances.
+        The group ``l`` holds the edges with ``l`` steps left at ``t``,
+        the ones expiring at ``t + l``, so the batch is grouped by expiry
+        and an edge's group is its horizon.  Groups are visited in
+        increasing lifetime order (infinite last), matching the paper's
+        ``l = 1..L`` loop; empty groups are skipped — ProcessEdges on an
+        empty group would only create spurious instances.
         """
+        batch = as_edge_batch(t, batch)
         self._last_time = t
         self._expire(t)
         if not batch:
             return
-        groups = group_by_lifetime(batch)
-        for lifetime in sorted(groups, key=lambda g: math.inf if g is None else g):
-            self._process_group(t, lifetime, groups[lifetime])
+        groups: Dict[Horizon, List[Node]] = {}
+        for source, expiry in zip(batch.sources, batch.expiries):
+            sources = groups.get(expiry)
+            if sources is None:
+                groups[expiry] = [source]
+            else:
+                sources.append(source)
+        for horizon in sorted(groups):
+            self._process_group(t, horizon, groups[horizon])
 
-    def _process_group(
-        self, t: int, lifetime: Optional[int], edges: List[Interaction]
-    ) -> None:
-        """ProcessEdges (Alg. 3 lines 8-18) for one lifetime group."""
-        horizon: Horizon = math.inf if lifetime is None else t + lifetime
+    def _process_group(self, t: int, horizon: Horizon, sources: List[Node]) -> None:
+        """ProcessEdges (Alg. 3 lines 8-18) for the group expiring at ``horizon``."""
         if horizon not in self._instances:
             self._create_instance(t, horizon)
         # Line 17: feed the group to every instance at or below its horizon.
         # Every group edge expires at ``horizon``, so one sweep labels each
         # candidate with the widest horizon whose instance it reaches.
-        labelled = self._labels({edge.source: horizon for edge in edges})
+        labelled = self._labels(dict.fromkeys(sources, horizon))
         position = bisect.bisect_right(self._horizons, horizon)
         for existing in self._horizons[:position]:
             self._instances[existing].on_candidates(

@@ -24,12 +24,13 @@ a building block inside BASICREDUCTION / HISTAPPROX (horizon ``t + i``; see
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional, Sequence
+from typing import Hashable, Iterable, List, Optional, Sequence, Union
 
 from repro.core.thresholds import ThresholdSet
 from repro.core.tracker import Solution
 from repro.influence.changed import changed_nodes, check_changed_mode
 from repro.influence.oracle import InfluenceOracle
+from repro.tdn.batch import EdgeBatch, as_edge_batch
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
@@ -74,13 +75,17 @@ class SieveADN:
         self._last_time = 0
 
     # ------------------------------------------------------------------
-    def on_batch(self, t: int, batch: Sequence[Interaction]) -> None:
+    def on_batch(
+        self, t: int, batch: Union[EdgeBatch, Iterable[Interaction]]
+    ) -> None:
         """Process the edges that arrived at time ``t`` (Alg. 1 lines 3-11).
 
-        The batch must already be present in the shared graph.  Edges whose
-        expiry falls below this instance's horizon are ignored — they are
-        invisible in its subgraph.
+        The batch must already be present in the shared graph; rows are
+        read as their columns (:func:`~repro.tdn.batch.as_edge_batch`).
+        Edges whose expiry falls below this instance's horizon are
+        ignored — they are invisible in its subgraph.
         """
+        batch = as_edge_batch(t, batch)
         self._last_time = t
         # One dirty sync per batch, before the horizon filter: the oracle's
         # delta-aware memo table must observe every structural change (even
@@ -89,7 +94,7 @@ class SieveADN:
         if sync is not None:
             sync()
         if self.min_expiry is not None:
-            batch = [e for e in batch if e.expiry >= self.min_expiry]
+            batch = batch.reaching(self.min_expiry)
         if not batch:
             return
         # The changed-node sweep runs on the same engine family as the

@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, List, Optional, Protocol, Tuple, Union
 
-from repro.errors import ConfigError, SemanticsError, check_workers
+from repro.errors import ConfigError, ConfigTypeError, SemanticsError, check_workers
 from repro.influence.oracle import InfluenceOracle
-from repro.tdn.graph import TDNGraph
+from repro.tdn.batch import EdgeBatch
+from repro.tdn.graph import INFINITE_EXPIRY, TDNGraph
 from repro.tdn.interaction import Interaction
 from repro.tdn.lifetimes import LifetimePolicy
 from repro.tdn.stream import InteractionStream
@@ -73,6 +74,13 @@ class TrackingAlgorithm(Protocol):
     batch *before* calling :meth:`on_batch`; the algorithm may then evaluate
     spreads through its oracle and update internal state.  :meth:`query` may
     be called at any time after at least one batch.
+
+    The batch is an :class:`~repro.tdn.batch.EdgeBatch`: the step's
+    ``sources``, ``targets`` and ``expiries`` as columns, which the
+    library's algorithms read directly.  Iterating it yields
+    :class:`Interaction` rows stamped at ``t`` (an edge stamped earlier
+    reads with the lifetime it has left), so an algorithm written against
+    rows keeps working.
     """
 
     #: Human-readable name used in experiment reports.
@@ -81,8 +89,9 @@ class TrackingAlgorithm(Protocol):
     #: The oracle whose counter records this algorithm's cost.
     oracle: InfluenceOracle
 
-    def on_batch(self, t: int, batch: List[Interaction]) -> None:
-        """Observe the batch that just arrived at time ``t``."""
+    def on_batch(self, t: int, batch: EdgeBatch) -> None:
+        """Observe the batch that just arrived at time ``t`` (already in
+        the graph), as columns that also iterate as rows."""
         ...
 
     def query(self) -> Solution:
@@ -201,21 +210,21 @@ class InfluenceTracker:
         """Advance to time ``t``, ingest ``interactions``, return the solution.
 
         Each item may be an :class:`Interaction` or a ``(source, target)`` /
-        ``(source, target, lifetime)`` tuple; tuples are stamped with time
-        ``t``.  Lifetimes missing after that are drawn from the tracker's
-        lifetime policy (or remain infinite without one).
+        ``(source, target, lifetime)`` tuple; tuples arrive at ``t``.
+        Lifetimes missing after that are drawn from the tracker's lifetime
+        policy (or remain infinite without one).
+
+        The whole step is checked before anything changes: ``t`` must be
+        an int (not a bool), at least 0, past the previous step and not
+        behind the graph's clock, and every item must be a valid edge
+        alive at ``t``.  A wrong type raises ``ConfigTypeError`` and a
+        wrong value ``ConfigError``, and the graph and the algorithm are
+        left as they were.  The step's edges then travel as one
+        :class:`~repro.tdn.batch.EdgeBatch` of columns, to the graph and
+        to the algorithm; a tuple never becomes an :class:`Interaction`.
         """
-        if self._last_time is not None and t <= self._last_time:
-            raise ConfigError(
-                f"steps must have strictly increasing times; got {t} after {self._last_time}"
-            )
+        batch = self._step_batch(t, interactions)
         self.graph.advance_to(t)
-        batch = [self._coerce(item, t) for item in interactions]
-        if self.lifetime_policy is not None:
-            batch = [
-                i if i.lifetime is not None else self.lifetime_policy.assign(i)
-                for i in batch
-            ]
         self.graph.add_batch(batch)
         self.algorithm.on_batch(t, batch)
         self._last_time = t
@@ -250,19 +259,74 @@ class InfluenceTracker:
         self.close()
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _coerce(item, t: int) -> Interaction:
-        if isinstance(item, Interaction):
-            return item
-        if isinstance(item, tuple):
-            if len(item) == 2:
-                return Interaction(item[0], item[1], t)
-            if len(item) == 3:
-                return Interaction(item[0], item[1], t, item[2])
-        raise TypeError(
-            f"cannot interpret {item!r} as an interaction; pass Interaction "
-            "objects or (source, target[, lifetime]) tuples"
-        )
+    def _step_batch(self, t, interactions: Iterable) -> EdgeBatch:
+        """Check a step and build its columns (see :meth:`step`).
+
+        Lifetimes are drawn from the policy only once every item has
+        passed, in item order, so a rejected step draws nothing.
+        """
+        if isinstance(t, bool) or not isinstance(t, int):
+            raise ConfigTypeError(f"step time must be an int, got {type(t).__name__}")
+        if t < 0:
+            raise ConfigError(f"step time must be >= 0, got {t}")
+        if self._last_time is not None and t <= self._last_time:
+            raise ConfigError(
+                f"steps must have strictly increasing times; got {t} after {self._last_time}"
+            )
+        if t < self.graph.time:
+            raise ConfigError(f"cannot step to {t}: the graph is at time {self.graph.time}")
+        policy = self.lifetime_policy
+        sources: List[Node] = []
+        targets: List[Node] = []
+        expiries: List[float] = []
+        undrawn: List[Tuple[int, Interaction]] = []
+        for item in interactions:
+            if isinstance(item, tuple) and 2 <= len(item) <= 3:
+                source, target = item[0], item[1]
+                lifetime = item[2] if len(item) == 3 else None
+                if source == target:
+                    raise ConfigError(_self_loop(source))
+                if lifetime is None:
+                    if policy is not None:
+                        undrawn.append((len(expiries), Interaction(source, target, t)))
+                    expiry = INFINITE_EXPIRY
+                elif isinstance(lifetime, bool) or not isinstance(lifetime, int):
+                    raise ConfigTypeError(
+                        f"lifetime must be an int or None, got {type(lifetime).__name__}"
+                    )
+                elif lifetime < 1:
+                    raise ConfigError(f"lifetime must be >= 1, got {lifetime}")
+                else:
+                    expiry = t + lifetime
+            elif isinstance(item, Interaction):
+                source, target = item.source, item.target
+                if item.lifetime is None and policy is not None:
+                    undrawn.append((len(expiries), item))
+                elif item.time > t or item.expiry <= t:
+                    raise ConfigError(f"interaction {item} is not alive at step {t}")
+                expiry = item.expiry
+            else:
+                raise ConfigTypeError(
+                    f"cannot interpret {item!r} as an interaction; pass Interaction "
+                    "objects or (source, target[, lifetime]) tuples"
+                )
+            sources.append(source)
+            targets.append(target)
+            expiries.append(expiry)
+        for index, row in undrawn:
+            row = policy.assign(row)
+            if row.time > t or row.expiry <= t:
+                raise ConfigError(f"interaction {row} is not alive at step {t}")
+            expiries[index] = row.expiry
+        return EdgeBatch(t, sources, targets, expiries)
+
+
+def _self_loop(node) -> str:
+    """:class:`Interaction`'s self-loop message, for a step that names one."""
+    return (
+        f"self-loop interaction not allowed (node {node!r}); "
+        "the paper's TDN model forbids a node influencing itself"
+    )
 
 
 def _default_semantics(algorithm) -> str:

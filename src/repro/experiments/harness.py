@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Mapping, Optional
 from repro.core.tracker import TrackingAlgorithm
 from repro.experiments.metrics import AlgorithmSeries
 from repro.influence.oracle import InfluenceOracle
+from repro.tdn.batch import EdgeBatch
 from repro.tdn.graph import TDNGraph
 from repro.tdn.lifetimes import LifetimePolicy
 from repro.tdn.stream import InteractionStream
@@ -99,6 +100,8 @@ def run_tracking(
                 i if i.lifetime is not None else lifetime_policy.assign(i)
                 for i in batch
             ]
+        # One set of columns for the graph and every algorithm.
+        batch = EdgeBatch.from_rows(t, batch)
         shared_graph.add_batch(batch)
         events_seen += len(batch)
         is_query_point = (index % query_interval == 0) or (index == len(batches) - 1)

@@ -54,10 +54,21 @@ with never-interned nodes last by ``repr``.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.errors import ConfigError
 from repro.influence.reachability import ancestor_bottlenecks, ancestors
+from repro.tdn.batch import EdgeBatch
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 
@@ -88,7 +99,7 @@ def _check_backend(backend: str) -> None:
 
 def changed_nodes(
     graph: TDNGraph,
-    batch: Iterable[Interaction],
+    batch: Union[EdgeBatch, Iterable[Interaction]],
     min_expiry: Optional[float] = None,
     mode: str = "ancestors",
     backend: str = "dict",
@@ -100,7 +111,7 @@ def changed_nodes(
 
     Args:
         graph: the shared TDN (batch already inserted).
-        batch: the interactions that just arrived.
+        batch: the edges that just arrived, as columns or as rows.
         min_expiry: the calling instance's horizon filter.
         mode: ``"ancestors"`` or ``"sources"`` (see module docstring).
         backend: ``"dict"`` (reference reverse BFS) or ``"csr"``
@@ -115,7 +126,10 @@ def changed_nodes(
     """
     check_changed_mode(mode)
     _check_backend(backend)
-    sources: Set[Node] = {interaction.source for interaction in batch}
+    if isinstance(batch, EdgeBatch):
+        sources: Set[Node] = set(batch.sources)
+    else:
+        sources = {interaction.source for interaction in batch}
     if not sources:
         return []
     if mode == "ancestors" and backend == "csr":

@@ -435,17 +435,29 @@ class MemoTable:
         self._index.clear()
 
     def evict_nodes(self, dirty_nodes: Set[Node]) -> int:
-        """Evict every entry whose key-set intersects ``dirty_nodes``."""
+        """Evict every entry whose key-set intersects ``dirty_nodes``.
+
+        Each dirty node's index entry goes whole, so a victim is then
+        unlinked only from its other nodes' entries.
+        """
         index = self._index
         if not index or not dirty_nodes:
             return 0
         victims: Set[_CacheKey] = set()
         for node in index.keys() & dirty_nodes:
-            victims.update(index[node])
+            victims.update(index.pop(node))
+        if not victims:
+            return 0
+        data = self.data
         for key in victims:
-            self.delete(key)
-        if victims:
-            _MEMO_EVICTIONS.inc(len(victims))
+            del data[key]
+            for node in key[1]:
+                keys = index.get(node)
+                if keys is not None:
+                    keys.discard(key)
+                    if not keys:
+                        del index[node]
+        _MEMO_EVICTIONS.inc(len(victims))
         return len(victims)
 
     # ------------------------------------------------------------------

@@ -58,8 +58,8 @@ from repro.core.sieve_adn import SieveADN
 from repro.core.thresholds import SieveSet, ThresholdSet
 from repro.influence.oracle import InfluenceOracle
 from repro.kernels import resolve_fold
+from repro.tdn.batch import EdgeBatch
 from repro.tdn.graph import INFINITE_EXPIRY, TDNGraph
-from repro.tdn.interaction import Interaction
 
 _FORMAT_VERSION = 1
 _JSONABLE_LABEL_TYPES = (str, int, float)
@@ -101,15 +101,15 @@ def graph_from_dict(payload: Dict) -> TDNGraph:
     _check_payload(payload, "TDNGraph")
     graph = TDNGraph(start_time=payload["time"])
     for node in payload.get("interned", ()):
-        if node not in graph._node_ids:  # noqa: SLF001 - own module
-            graph._node_ids[node] = len(graph._id_nodes)  # noqa: SLF001
-            graph._id_nodes.append(node)  # noqa: SLF001
-    t = payload["time"]
+        graph._intern(node)  # noqa: SLF001 - own module
+    edges = payload["edges"]
     graph.add_batch(
-        [
-            Interaction(u, v, t, None if expiry is None else int(expiry) - t)
-            for u, v, expiry in payload["edges"]
-        ]
+        EdgeBatch(
+            payload["time"],
+            [u for u, _, _ in edges],
+            [v for _, v, _ in edges],
+            [math.inf if expiry is None else int(expiry) for _, _, expiry in edges],
+        )
     )
     return graph
 

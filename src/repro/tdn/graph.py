@@ -42,10 +42,13 @@ Bookkeeping
   their last sync through :meth:`dirty_source_ids_since` and evict only
   entries whose key intersects the ancestor closure of those ids, instead
   of dropping their whole table on every version bump.
-* alive-node and alive-pair counters are maintained inline by
-  :meth:`add_batch` and :meth:`advance_to`, so :attr:`num_nodes` and
-  :attr:`num_pairs` are O(1) property reads instead of full adjacency
+* alive-node and alive-pair counters are maintained by :meth:`add_batch`
+  and :meth:`advance_to` (a drain moves them once), so :attr:`num_nodes`
+  and :attr:`num_pairs` are O(1) property reads instead of full adjacency
   scans.
+* a list indexed by interned id counts each node's alive in-pairs (the
+  length of its ``_in`` entry), so :meth:`split_by_in_pairs` answers
+  "has an alive in-pair?" by id without going through the node label.
 * :meth:`csr` owns the incrementally maintained :class:`~repro.tdn.csr.
   DeltaCSR` engine: every mutation feeds it directly — each ingested batch
   extends its arrival log in one call, each expiry drain counts its pair
@@ -56,12 +59,15 @@ Bookkeeping
 Ingest
 ------
 The paper's model delivers interactions one batch per time step, so the
-batch is the unit of ingest: :meth:`add_batch` is the only ingest path,
-and :meth:`add_interaction` is a batch of one.  A batch is checked for
-aliveness as a whole before anything is mutated, then applied in one
-pass; its end state (adjacency, counters, expiry buckets, journal,
-``version`` and the engine's log) is the state the same edges added one
-at a time would leave.
+batch is the unit of ingest, and its form is columnar: :meth:`add_batch`
+reads the ``(source, target, expiry)`` columns of an
+:class:`~repro.tdn.batch.EdgeBatch` and is the only ingest path.  Every
+entry point that takes :class:`Interaction` rows is an adapter onto it:
+:meth:`add_batch` converts rows itself, and :meth:`add_interaction` is a
+batch of one row.  A batch is checked for aliveness as a whole before
+anything is mutated, then applied in one pass; its end state (adjacency,
+counters, expiry buckets, journal, ``version`` and the engine's log) is
+the state the same edges added one at a time would leave.
 """
 
 from __future__ import annotations
@@ -76,8 +82,10 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
+from repro.tdn.batch import EdgeBatch
 from repro.tdn.interaction import Interaction
 
 Node = Hashable
@@ -105,6 +113,22 @@ class _PairEdges:
         self.max_expiry: float = expiry
 
 
+def _not_alive(batch: EdgeBatch, now: int) -> ValueError:
+    """The error for a batch holding an edge that is not alive at ``now``."""
+    if batch.time > now:
+        what = f"a batch of time {batch.time}"
+    else:
+        index = next(i for i, expiry in enumerate(batch.expiries) if expiry <= now)
+        what = (
+            f"edge {batch.sources[index]!r} -> {batch.targets[index]!r} "
+            f"expiring at {batch.expiries[index]}"
+        )
+    return ValueError(
+        f"{what} is not alive at current time {now}; "
+        "advance_to() the batch time before adding"
+    )
+
+
 class TDNGraph:
     """A time-decaying dynamic interaction network.
 
@@ -130,6 +154,8 @@ class TDNGraph:
         self._expiry_buckets: Dict[int, List[Tuple[Node, Node]]] = {}
         self._node_ids: Dict[Node, int] = {}
         self._id_nodes: List[Node] = []
+        # Alive in-pairs per interned id: len(_in[node]), read by id.
+        self._in_pair_counts: List[int] = []
         self._num_edges = 0
         self._alive_nodes = 0
         self._alive_pairs = 0
@@ -167,7 +193,13 @@ class TDNGraph:
         dense single-step tick probes one key, and a sparse (e.g.
         unix-second) jump scans the keys once.  Each due bucket is popped
         and drained once, in ascending order; the dead pairs' sources are
-        journaled, and their tombstones counted, once per drain.
+        journaled, their tombstones counted and the alive counters moved
+        once per drain.
+
+        Because drains run in increasing expiry, every edge a surviving
+        pair still holds expires at or after the one just removed, so its
+        cached maximum never changes; and a pair's last edge takes the
+        pair record with it, without touching its expiry multiset.
         """
         if t < self._time:
             raise ValueError(f"cannot rewind time from {self._time} to {t}")
@@ -182,7 +214,9 @@ class TDNGraph:
         into = self._in
         buckets = self._expiry_buckets
         node_ids = self._node_ids
+        in_counts = self._in_pair_counts
         dead: List[int] = []
+        dead_nodes = 0
         removed = 0
         for expiry in due:
             bucket = buckets.pop(expiry)
@@ -190,35 +224,38 @@ class TDNGraph:
             for u, v in bucket:
                 out_u = out[u]
                 pair = out_u[v]
-                expiries = pair.expiries
-                remaining = expiries[expiry]
-                if remaining == 1:
-                    del expiries[expiry]
-                    if expiry == pair.max_expiry:
-                        pair.max_expiry = max(expiries) if expiries else 0.0
-                else:
-                    expiries[expiry] = remaining - 1
-                pair.count -= 1
-                if pair.count:
+                count = pair.count - 1
+                if count:
+                    pair.count = count
+                    expiries = pair.expiries
+                    remaining = expiries[expiry]
+                    if remaining == 1:
+                        del expiries[expiry]
+                    else:
+                        expiries[expiry] = remaining - 1
                     continue
-                # A node with no entry left on either side is dropped from
-                # both maps and stops counting as alive (u != v: no
-                # self-loops).
+                # The pair's last edge.  A node with no entry left on
+                # either side is dropped from both maps and stops counting
+                # as alive (u != v: no self-loops).
+                uid = node_ids[u]
+                vid = node_ids[v]
                 in_v = into[v]
                 del out_u[v]
                 del in_v[u]
-                self._alive_pairs -= 1
-                if not out_u and not into.get(u):
+                in_counts[vid] -= 1
+                if not out_u and not in_counts[uid]:
                     del out[u]
                     into.pop(u, None)
-                    self._alive_nodes -= 1
+                    dead_nodes += 1
                 if not in_v and not out.get(v):
                     del into[v]
                     out.pop(v, None)
-                    self._alive_nodes -= 1
-                dead.append(node_ids[u])
+                    dead_nodes += 1
+                dead.append(uid)
         self._num_edges -= removed
         if dead:
+            self._alive_pairs -= len(dead)
+            self._alive_nodes -= dead_nodes
             self._journal(dead)
             if self._delta is not None:
                 self._delta.record_pair_deaths(len(dead))
@@ -234,56 +271,54 @@ class TDNGraph:
     # Mutation
     # ------------------------------------------------------------------
     def add_interaction(self, interaction: Interaction) -> None:
-        """Insert one interaction: :meth:`add_batch` of a single edge."""
+        """Insert one interaction: :meth:`add_batch` of a single row."""
         self.add_batch((interaction,))
 
-    def add_batch(self, interactions: Iterable[Interaction]) -> int:
-        """Insert a batch of interactions as (possibly parallel) directed
-        edges; returns how many were added.
+    def add_batch(self, batch: Union[EdgeBatch, Iterable[Interaction]]) -> int:
+        """Insert a batch of (possibly parallel) directed edges; returns how
+        many were added.
 
-        This is the graph's one ingest path.  Every interaction must be
+        This is the graph's one ingest path, and it reads the columns of an
+        :class:`~repro.tdn.batch.EdgeBatch`; :class:`Interaction` rows are
+        converted first (:meth:`EdgeBatch.from_rows`).  Every edge must be
         alive at the current time (the stream is replayed in chronological
         order: advance the clock before adding a batch); if one is not,
         ``ValueError`` is raised before anything is mutated.  Then, in one
-        pass, ids are interned and the adjacency, pair counters and expiry
-        buckets are updated per edge; the dirty-source journal is extended
-        once (per-edge order, same trim points); :attr:`version` moves by
-        the batch size, the value per-edge bumps would reach; and the CSR
-        engine logs the whole batch in one call.
+        pass, ids are interned and the adjacency, pair counters, in-pair
+        counts and expiry buckets are updated per edge; the dirty-source
+        journal is extended once (per-edge order, same trim points);
+        :attr:`version` moves by the batch size, the value per-edge bumps
+        would reach; and the CSR engine logs the whole batch in one call.
         """
-        if not isinstance(interactions, (list, tuple)):
-            interactions = list(interactions)
         now = self._time
-        expiries = [interaction.expiry for interaction in interactions]
-        for interaction, expiry in zip(interactions, expiries):
-            # Interaction.alive_at(now), with the expiry read once.
-            if not interaction.time <= now < expiry:
-                raise ValueError(
-                    f"interaction {interaction} is not alive at current time {now}; "
-                    "advance_to() the batch time before adding"
-                )
-        count = len(interactions)
+        if not isinstance(batch, EdgeBatch):
+            batch = EdgeBatch.from_rows(now, batch)
+        expiries = batch.expiries
+        count = len(expiries)
         if not count:
             return 0
+        if batch.time > now or min(expiries) <= now:
+            raise _not_alive(batch, now)
         node_ids = self._node_ids
         id_nodes = self._id_nodes
+        in_counts = self._in_pair_counts
         out = self._out
         into = self._in
         buckets = self._expiry_buckets
         uids: List[int] = []
         vids: List[int] = []
         new_pairs = new_nodes = 0
-        for interaction, expiry in zip(interactions, expiries):
-            u = interaction.source
-            v = interaction.target
+        for u, v, expiry in zip(batch.sources, batch.targets, expiries):
             uid = node_ids.get(u)
             if uid is None:
                 uid = node_ids[u] = len(id_nodes)
                 id_nodes.append(u)
+                in_counts.append(0)
             vid = node_ids.get(v)
             if vid is None:
                 vid = node_ids[v] = len(id_nodes)
                 id_nodes.append(v)
+                in_counts.append(0)
             out_u = out.get(u)
             if out_u is None:
                 out_u = out[u] = {}
@@ -293,7 +328,7 @@ class TDNGraph:
                 # inserting (aliveness of u/v is read off the pre-insert
                 # adjacency).
                 new_pairs += 1
-                if not out_u and not into.get(u):
+                if not out_u and not in_counts[uid]:
                     new_nodes += 1
                 in_v = into.get(v)
                 if not in_v and not out.get(v):
@@ -303,6 +338,7 @@ class TDNGraph:
                     into[v] = {u: pair}
                 else:
                     in_v[u] = pair
+                in_counts[vid] += 1
             else:
                 pair_expiries = pair.expiries
                 pair_expiries[expiry] = pair_expiries.get(expiry, 0) + 1
@@ -326,6 +362,15 @@ class TDNGraph:
         if self._delta is not None:
             self._delta.record_arrivals(uids, vids, expiries)
         return count
+
+    def _intern(self, node: Node) -> int:
+        """The dense id of ``node``, interning it first if it is new."""
+        node_id = self._node_ids.get(node)
+        if node_id is None:
+            node_id = self._node_ids[node] = len(self._id_nodes)
+            self._id_nodes.append(node)
+            self._in_pair_counts.append(0)
+        return node_id
 
     # ------------------------------------------------------------------
     # Dirty-source journal
@@ -498,21 +543,20 @@ class TDNGraph:
         """``(edged, lone)``: ``node_ids`` in input order, split into the
         ids that may have an alive in-pair and those known to have none.
 
-        O(1) per id: ``_in`` lists exactly the alive in-pairs, and an
-        emptied entry is falsy.  A node without an alive in-pair has no
-        ancestor at any live horizon, which is what lets the CSR engine's
-        reverse sweeps skip it as a seed.  An id outside ``[0,
-        num_interned)`` names no node, so it goes to ``edged``, where the
-        sweep's range check rejects it (probing it here would read a
-        negative id from the end of the id list).
+        O(1) per id: the graph counts each interned id's alive in-pairs.
+        A node without an alive in-pair has no ancestor at any live
+        horizon, which is what lets the CSR engine's reverse sweeps skip
+        it as a seed.  An id outside ``[0, num_interned)`` names no node,
+        so it goes to ``edged``, where the sweep's range check rejects it
+        (probing it here would read a negative id from the end of the
+        count list).
         """
-        into = self._in
-        id_nodes = self._id_nodes
-        interned = len(id_nodes)
+        in_counts = self._in_pair_counts
+        interned = len(in_counts)
         edged: List[int] = []
         lone: List[int] = []
         for node_id in node_ids:
-            if 0 <= node_id < interned and not into.get(id_nodes[node_id]):
+            if 0 <= node_id < interned and not in_counts[node_id]:
                 lone.append(node_id)
             else:
                 edged.append(node_id)

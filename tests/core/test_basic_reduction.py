@@ -60,6 +60,22 @@ class TestInstanceBookkeeping:
         with pytest.raises(ValueError, match="lifetimes in"):
             basic.on_batch(0, batch)
 
+    def test_lifetime_is_read_as_what_is_left(self):
+        # Stamped at 3 with lifetime 6 (above L = 5), the edge has 4 steps
+        # left at t = 5: BasicReduction takes it.
+        graph = TDNGraph()
+        basic = BasicReduction(2, 0.1, 5, graph)
+        graph.advance_to(5)
+        batch = [Interaction("a", "b", 3, 6)]
+        graph.add_batch(batch)
+        basic.on_batch(5, batch)
+        assert basic.query().nodes == ("a",)
+        graph.advance_to(6)
+        too_long = [Interaction("c", "d", 6, 6)]
+        graph.add_batch(too_long)
+        with pytest.raises(ValueError, match="6 steps left at time 6"):
+            basic.on_batch(6, too_long)
+
     def test_infinite_lifetime_rejected(self):
         graph = TDNGraph()
         basic = BasicReduction(2, 0.1, 3, graph)

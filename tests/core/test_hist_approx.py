@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.basic_reduction import BasicReduction
 from repro.core.hist_approx import HistApprox
+from repro.core.tracker import InfluenceTracker
 from repro.errors import ConfigError
 from repro.influence.oracle import InfluenceOracle
 from repro.submodular.functions import SpreadFunction
@@ -81,6 +82,18 @@ class TestInstanceManagement:
         hist.on_batch(1000, [])
         assert hist.horizons() == [math.inf]
         assert hist.query().value == 2.0
+
+
+class TestLifetimeLeft:
+    def test_late_stamped_arrival_is_indexed_by_its_expiry(self):
+        # Stamped at 3 with lifetime 4, the edge expires at 7: at t = 5 it
+        # has 2 steps left, so its group's horizon is 7, not 5 + 4.
+        tracker = InfluenceTracker("hist-approx", k=2, epsilon=0.2)
+        tracker.step(3, [("x", "y", 50)])
+        solution = tracker.step(5, [Interaction("a", "b", 3, 4)])
+        assert tracker.algorithm.horizons() == [7, 53]
+        # Under horizon 9 the head could not see a -> b and read 3.
+        assert (set(solution.nodes), solution.value) == ({"a", "x"}, 4.0)
 
 
 class TestSuccessorCopyFill:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.tracker import InfluenceTracker, Solution
+from repro.errors import ConfigError, ConfigTypeError
+from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 from repro.tdn.lifetimes import ConstantLifetime, GeometricLifetime
 from repro.tdn.stream import MemoryStream
@@ -61,6 +63,75 @@ class TestStep:
         tracker.step(0, [("a", "b", 10)])
         tracker.step(5, [])
         assert tracker.query().value == 2.0
+
+
+class TestStepValidation:
+    """A rejected step changes nothing: the clock, the graph, the answer."""
+
+    def started(self):
+        tracker = InfluenceTracker("hist-approx", k=2, epsilon=0.2)
+        tracker.step(0, [("a", "b", 3), ("b", "c", 9)])
+        return tracker
+
+    def snapshot(self, tracker):
+        graph = tracker.graph
+        return (graph.time, graph.version, graph.num_edges, tracker.query())
+
+    @pytest.mark.parametrize(
+        "t, items, error, match",
+        [
+            # The self-loop comes after a valid edge, and t = 5 expires
+            # ("a", "b"): neither may happen.
+            (5, [("x", "y", 2), ("c", "c", 2)], ConfigError, "self-loop"),
+            (1.5, [], ConfigTypeError, "step time must be an int"),
+            (True, [], ConfigTypeError, "step time must be an int"),
+            ("3", [], ConfigTypeError, "step time must be an int"),
+            (-1, [], ConfigError, ">= 0"),
+            (0, [("x", "y")], ConfigError, "strictly increasing"),
+            (5, [("x", "y", 0)], ConfigError, "lifetime must be >= 1"),
+            (5, [("x", "y", 2.0)], ConfigTypeError, "lifetime must be an int"),
+            (5, [("x", "y", True)], ConfigTypeError, "lifetime must be an int"),
+            (5, [("x", "y", 1, 2)], ConfigTypeError, "cannot interpret"),
+            (5, ["nonsense"], ConfigTypeError, "cannot interpret"),
+            (5, [Interaction("x", "y", 1, 2)], ConfigError, "not alive"),
+            (5, [Interaction("x", "y", 6, 2)], ConfigError, "not alive"),
+        ],
+    )
+    def test_rejected_step_changes_nothing(self, t, items, error, match):
+        tracker = self.started()
+        before = self.snapshot(tracker)
+        with pytest.raises(error, match=match):
+            tracker.step(t, items)
+        assert self.snapshot(tracker) == before
+        # The tracker still takes the next valid step.
+        assert tracker.step(5, [("x", "y", 2)]).time == 5
+
+    def test_errors_keep_their_builtin_types(self):
+        assert issubclass(ConfigError, ValueError)
+        assert issubclass(ConfigTypeError, TypeError)
+
+    def test_graph_ahead_of_the_tracker_is_rejected(self):
+        graph = TDNGraph(start_time=10)
+        tracker = InfluenceTracker("sieve-adn", k=1, epsilon=0.2, graph=graph)
+        with pytest.raises(ConfigError, match="graph is at time 10"):
+            tracker.step(5, [("a", "b")])
+        assert graph.time == 10 and graph.version == 0
+
+    def test_rejected_step_draws_no_lifetime(self):
+        policy = GeometricLifetime(0.2, 50, seed=3)
+        twin = GeometricLifetime(0.2, 50, seed=3)
+        tracker = InfluenceTracker("hist-approx", k=1, epsilon=0.2, lifetime_policy=policy)
+        with pytest.raises(ConfigError):
+            tracker.step(0, [("a", "b"), ("c", "c")])
+        tracker.step(0, [("a", "b")])
+        (expiry,) = tracker.graph._expiry_buckets  # noqa: SLF001 - test probe
+        assert expiry == twin.draw(Interaction("a", "b", 0))
+
+    def test_late_stamped_interaction_keeps_its_expiry(self):
+        tracker = InfluenceTracker("sieve-adn", k=1, epsilon=0.2)
+        tracker.step(3, [("x", "y", 50)])
+        tracker.step(5, [Interaction("a", "b", 3, 4)])
+        assert tracker.graph.max_expiry("a", "b") == 7
 
 
 class TestAlgorithmSelection:

@@ -117,15 +117,24 @@ def test_labels_are_widest_path_bottlenecks():
 
 
 class PerInstanceHistApprox(HistApprox):
-    """HISTAPPROX feeding each instance its group through ``on_batch``."""
+    """HISTAPPROX feeding each instance its group through ``on_batch``.
 
-    def _process_group(self, t, lifetime, edges):
-        horizon = math.inf if lifetime is None else t + lifetime
-        if horizon not in self._instances:
-            self._create_instance(t, horizon)
-        for existing in [h for h in self._horizons if h <= horizon]:
-            self._instances[existing].on_batch(t, edges)
-        self._reduce_redundancy()
+    A group holds the rows with the same lifetime left at ``t``, so its
+    horizon is their expiry.
+    """
+
+    def on_batch(self, t, batch):
+        self._last_time = t
+        self._expire(t)
+        groups = {}
+        for edge in batch:
+            groups.setdefault(edge.expiry, []).append(edge)
+        for horizon in sorted(groups):
+            if horizon not in self._instances:
+                self._create_instance(t, horizon)
+            for existing in [h for h in self._horizons if h <= horizon]:
+                self._instances[existing].on_batch(t, groups[horizon])
+            self._reduce_redundancy()
 
     def _fill(self, t, instance, lo, hi):
         fill = [
