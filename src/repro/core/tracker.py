@@ -221,7 +221,8 @@ class InfluenceTracker:
         wrong value ``ConfigError``, and the graph and the algorithm are
         left as they were.  The step's edges then travel as one
         :class:`~repro.tdn.batch.EdgeBatch` of columns, to the graph and
-        to the algorithm; a tuple never becomes an :class:`Interaction`.
+        to the algorithm.  A tuple becomes an :class:`Interaction` only
+        when the lifetime policy draws its lifetime (a policy reads rows).
         """
         batch = self._step_batch(t, interactions)
         self.graph.advance_to(t)
