@@ -22,7 +22,6 @@ from repro.tdn.stream import (
     BatchedStream,
     InteractionStream,
     MemoryStream,
-    group_by_lifetime,
 )
 
 def __getattr__(name):
@@ -50,5 +49,4 @@ __all__ = [
     "InteractionStream",
     "MemoryStream",
     "BatchedStream",
-    "group_by_lifetime",
 ]

@@ -13,7 +13,7 @@ replayed as a stream.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.tdn.interaction import Interaction
 from repro.tdn.lifetimes import LifetimePolicy
@@ -147,14 +147,3 @@ class _TruncatedStream(InteractionStream):
                 return
             yield item
 
-
-def group_by_lifetime(batch: Iterable[Interaction]) -> Dict[Optional[int], Batch]:
-    """Partition a batch by lifetime: the paper's ``E_t^(l)`` groups.
-
-    BASICREDUCTION and HISTAPPROX both route the arriving edges by lifetime
-    (``E_t = union of E_t^(l)``); infinite lifetimes map to key ``None``.
-    """
-    groups: Dict[Optional[int], Batch] = {}
-    for interaction in batch:
-        groups.setdefault(interaction.lifetime, []).append(interaction)
-    return groups
