@@ -29,12 +29,11 @@ the worst case.  This is the bottleneck HISTAPPROX removes.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Deque, Iterable, List, Optional, Tuple, Union
 
 from repro.core.sieve_adn import SieveADN
-from repro.core.tracker import Solution, check_horizon_oracle
+from repro.core.tracker import Solution, check_horizon_oracle, check_lifetime_bound
 from repro.errors import check_fraction, check_positive_int
 from repro.influence.changed import (
     candidates_at,
@@ -132,17 +131,7 @@ class BasicReduction:
             return
         expiries = batch.expiries
         reach = max(expiries)
-        if reach > t + self.L:
-            got = (
-                "an edge that never expires"
-                if reach == math.inf
-                else f"an edge with {reach - t} steps left at time {t}"
-            )
-            raise ValueError(
-                f"BasicReduction requires lifetimes in [1, L={self.L}]; "
-                f"got {got} — use a truncated lifetime "
-                "policy or HistApprox (which allows unbounded lifetimes)"
-            )
+        check_lifetime_bound(t, reach, self.L)
         seeds = latest_expiry_by_source(zip(batch.sources, expiries))
         labelled = changed_node_labels(
             self.graph,

@@ -15,6 +15,7 @@ lifetimes, and drives a single algorithm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, List, Optional, Protocol, Tuple, Union
 
@@ -22,7 +23,7 @@ from repro.errors import ConfigError, ConfigTypeError, SemanticsError, check_wor
 from repro.influence.oracle import InfluenceOracle
 from repro.tdn.batch import EdgeBatch
 from repro.tdn.graph import INFINITE_EXPIRY, TDNGraph
-from repro.tdn.interaction import Interaction
+from repro.tdn.interaction import Interaction, check_edge, check_time
 from repro.tdn.lifetimes import LifetimePolicy
 from repro.tdn.stream import InteractionStream
 
@@ -65,6 +66,24 @@ def check_horizon_oracle(oracle: InfluenceOracle, tracker: str) -> InfluenceOrac
             "arrive; 'time_decay' can"
         )
     return oracle
+
+
+def check_lifetime_bound(t: int, reach: float, L: int) -> None:
+    """Require a batch whose latest expiry ``reach`` leaves at most ``L``
+    steps at ``t``: BASICREDUCTION keeps one instance per lifetime up to
+    ``L`` and has none for an edge that outlives them.
+    """
+    if reach > t + L:
+        got = (
+            "an edge that never expires"
+            if reach == math.inf
+            else f"an edge with {reach - t} steps left at time {t}"
+        )
+        raise ConfigError(
+            f"BasicReduction requires lifetimes in [1, L={L}]; "
+            f"got {got} — use a truncated lifetime "
+            "policy or HistApprox (which allows unbounded lifetimes)"
+        )
 
 
 class TrackingAlgorithm(Protocol):
@@ -204,6 +223,13 @@ class InfluenceTracker:
                 refine_head=refine_head,
                 seed=seed,
             )
+        from repro.core.basic_reduction import BasicReduction
+
+        # The one tracker that bounds lifetimes; step checks the bound
+        # before the graph moves.
+        self._lifetime_bound: Optional[int] = (
+            self.algorithm.L if isinstance(self.algorithm, BasicReduction) else None
+        )
 
     # ------------------------------------------------------------------
     def step(self, t: int, interactions: Iterable) -> Solution:
@@ -217,9 +243,10 @@ class InfluenceTracker:
         The whole step is checked before anything changes: ``t`` must be
         an int (not a bool), at least 0, past the previous step and not
         behind the graph's clock, and every item must be a valid edge
-        alive at ``t``.  A wrong type raises ``ConfigTypeError`` and a
-        wrong value ``ConfigError``, and the graph and the algorithm are
-        left as they were.  The step's edges then travel as one
+        alive at ``t`` (under BASICREDUCTION, with at most ``L`` steps
+        left).  A wrong type raises ``ConfigTypeError`` and a wrong value
+        ``ConfigError``, and the graph and the algorithm are left as they
+        were.  The step's edges then travel as one
         :class:`~repro.tdn.batch.EdgeBatch` of columns, to the graph and
         to the algorithm.  A tuple becomes an :class:`Interaction` only
         when the lifetime policy draws its lifetime (a policy reads rows).
@@ -264,12 +291,10 @@ class InfluenceTracker:
         """Check a step and build its columns (see :meth:`step`).
 
         Lifetimes are drawn from the policy only once every item has
-        passed, in item order, so a rejected step draws nothing.
+        passed, in item order, so a step with a rejected item draws
+        nothing; the drawn lifetimes then face the alive and ``L`` checks.
         """
-        if isinstance(t, bool) or not isinstance(t, int):
-            raise ConfigTypeError(f"step time must be an int, got {type(t).__name__}")
-        if t < 0:
-            raise ConfigError(f"step time must be >= 0, got {t}")
+        check_time(t, ConfigError, ConfigTypeError, "step time")
         if self._last_time is not None and t <= self._last_time:
             raise ConfigError(
                 f"steps must have strictly increasing times; got {t} after {self._last_time}"
@@ -285,20 +310,13 @@ class InfluenceTracker:
             if isinstance(item, tuple) and 2 <= len(item) <= 3:
                 source, target = item[0], item[1]
                 lifetime = item[2] if len(item) == 3 else None
-                if source == target:
-                    raise ConfigError(_self_loop(source))
-                if lifetime is None:
+                check_edge(source, target, lifetime, ConfigError, ConfigTypeError)
+                if lifetime is not None:
+                    expiry = t + lifetime
+                else:
                     if policy is not None:
                         undrawn.append((len(expiries), Interaction(source, target, t)))
                     expiry = INFINITE_EXPIRY
-                elif isinstance(lifetime, bool) or not isinstance(lifetime, int):
-                    raise ConfigTypeError(
-                        f"lifetime must be an int or None, got {type(lifetime).__name__}"
-                    )
-                elif lifetime < 1:
-                    raise ConfigError(f"lifetime must be >= 1, got {lifetime}")
-                else:
-                    expiry = t + lifetime
             elif isinstance(item, Interaction):
                 source, target = item.source, item.target
                 if item.lifetime is None and policy is not None:
@@ -319,15 +337,9 @@ class InfluenceTracker:
             if row.time > t or row.expiry <= t:
                 raise ConfigError(f"interaction {row} is not alive at step {t}")
             expiries[index] = row.expiry
+        if self._lifetime_bound is not None and expiries:
+            check_lifetime_bound(t, max(expiries), self._lifetime_bound)
         return EdgeBatch(t, sources, targets, expiries)
-
-
-def _self_loop(node) -> str:
-    """:class:`Interaction`'s self-loop message, for a step that names one."""
-    return (
-        f"self-loop interaction not allowed (node {node!r}); "
-        "the paper's TDN model forbids a node influencing itself"
-    )
 
 
 def _default_semantics(algorithm) -> str:

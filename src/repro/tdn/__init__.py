@@ -22,6 +22,7 @@ from repro.tdn.stream import (
     BatchedStream,
     InteractionStream,
     MemoryStream,
+    group_by_lifetime,
 )
 
 def __getattr__(name):
@@ -49,4 +50,5 @@ __all__ = [
     "InteractionStream",
     "MemoryStream",
     "BatchedStream",
+    "group_by_lifetime",
 ]

@@ -46,9 +46,6 @@ Bookkeeping
   and :meth:`advance_to` (a drain moves them once), so :attr:`num_nodes`
   and :attr:`num_pairs` are O(1) property reads instead of full adjacency
   scans.
-* a list indexed by interned id counts each node's alive in-pairs (the
-  length of its ``_in`` entry), so :meth:`split_by_in_pairs` answers
-  "has an alive in-pair?" by id without going through the node label.
 * :meth:`csr` owns the incrementally maintained :class:`~repro.tdn.csr.
   DeltaCSR` engine: every mutation feeds it directly — each ingested batch
   extends its arrival log in one call, each expiry drain counts its pair
@@ -154,8 +151,6 @@ class TDNGraph:
         self._expiry_buckets: Dict[int, List[Tuple[Node, Node]]] = {}
         self._node_ids: Dict[Node, int] = {}
         self._id_nodes: List[Node] = []
-        # Alive in-pairs per interned id: len(_in[node]), read by id.
-        self._in_pair_counts: List[int] = []
         self._num_edges = 0
         self._alive_nodes = 0
         self._alive_pairs = 0
@@ -214,7 +209,6 @@ class TDNGraph:
         into = self._in
         buckets = self._expiry_buckets
         node_ids = self._node_ids
-        in_counts = self._in_pair_counts
         dead: List[int] = []
         dead_nodes = 0
         removed = 0
@@ -238,12 +232,10 @@ class TDNGraph:
                 # either side is dropped from both maps and stops counting
                 # as alive (u != v: no self-loops).
                 uid = node_ids[u]
-                vid = node_ids[v]
                 in_v = into[v]
                 del out_u[v]
                 del in_v[u]
-                in_counts[vid] -= 1
-                if not out_u and not in_counts[uid]:
+                if not out_u and not into.get(u):
                     del out[u]
                     into.pop(u, None)
                     dead_nodes += 1
@@ -284,11 +276,11 @@ class TDNGraph:
         alive at the current time (the stream is replayed in chronological
         order: advance the clock before adding a batch); if one is not,
         ``ValueError`` is raised before anything is mutated.  Then, in one
-        pass, ids are interned and the adjacency, pair counters, in-pair
-        counts and expiry buckets are updated per edge; the dirty-source
-        journal is extended once (per-edge order, same trim points);
-        :attr:`version` moves by the batch size, the value per-edge bumps
-        would reach; and the CSR engine logs the whole batch in one call.
+        pass, ids are interned and the adjacency, pair counters and expiry
+        buckets are updated per edge; the dirty-source journal is extended
+        once (per-edge order, same trim points); :attr:`version` moves by
+        the batch size, the value per-edge bumps would reach; and the CSR
+        engine logs the whole batch in one call.
         """
         now = self._time
         if not isinstance(batch, EdgeBatch):
@@ -301,7 +293,6 @@ class TDNGraph:
             raise _not_alive(batch, now)
         node_ids = self._node_ids
         id_nodes = self._id_nodes
-        in_counts = self._in_pair_counts
         out = self._out
         into = self._in
         buckets = self._expiry_buckets
@@ -313,12 +304,10 @@ class TDNGraph:
             if uid is None:
                 uid = node_ids[u] = len(id_nodes)
                 id_nodes.append(u)
-                in_counts.append(0)
             vid = node_ids.get(v)
             if vid is None:
                 vid = node_ids[v] = len(id_nodes)
                 id_nodes.append(v)
-                in_counts.append(0)
             out_u = out.get(u)
             if out_u is None:
                 out_u = out[u] = {}
@@ -328,7 +317,7 @@ class TDNGraph:
                 # inserting (aliveness of u/v is read off the pre-insert
                 # adjacency).
                 new_pairs += 1
-                if not out_u and not in_counts[uid]:
+                if not out_u and not into.get(u):
                     new_nodes += 1
                 in_v = into.get(v)
                 if not in_v and not out.get(v):
@@ -338,7 +327,6 @@ class TDNGraph:
                     into[v] = {u: pair}
                 else:
                     in_v[u] = pair
-                in_counts[vid] += 1
             else:
                 pair_expiries = pair.expiries
                 pair_expiries[expiry] = pair_expiries.get(expiry, 0) + 1
@@ -369,7 +357,6 @@ class TDNGraph:
         if node_id is None:
             node_id = self._node_ids[node] = len(self._id_nodes)
             self._id_nodes.append(node)
-            self._in_pair_counts.append(0)
         return node_id
 
     # ------------------------------------------------------------------
@@ -543,20 +530,21 @@ class TDNGraph:
         """``(edged, lone)``: ``node_ids`` in input order, split into the
         ids that may have an alive in-pair and those known to have none.
 
-        O(1) per id: the graph counts each interned id's alive in-pairs.
-        A node without an alive in-pair has no ancestor at any live
-        horizon, which is what lets the CSR engine's reverse sweeps skip
-        it as a seed.  An id outside ``[0, num_interned)`` names no node,
-        so it goes to ``edged``, where the sweep's range check rejects it
-        (probing it here would read a negative id from the end of the
-        count list).
+        O(1) per id: ``_in`` lists exactly the alive in-pairs, and an
+        emptied entry is falsy.  A node without an alive in-pair has no
+        ancestor at any live horizon, which is what lets the CSR engine's
+        reverse sweeps skip it as a seed.  An id outside ``[0,
+        num_interned)`` names no node, so it goes to ``edged``, where the
+        sweep's range check rejects it (probing it here would read a
+        negative id from the end of the id list).
         """
-        in_counts = self._in_pair_counts
-        interned = len(in_counts)
+        into = self._in
+        id_nodes = self._id_nodes
+        interned = len(id_nodes)
         edged: List[int] = []
         lone: List[int] = []
         for node_id in node_ids:
-            if 0 <= node_id < interned and not in_counts[node_id]:
+            if 0 <= node_id < interned and not into.get(id_nodes[node_id]):
                 lone.append(node_id)
             else:
                 edged.append(node_id)

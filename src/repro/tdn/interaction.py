@@ -11,7 +11,7 @@ VI of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, Type
 
 
 @dataclass(frozen=True)
@@ -37,22 +37,8 @@ class Interaction:
     lifetime: int = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.source == self.target:
-            raise ValueError(
-                f"self-loop interaction not allowed (node {self.source!r}); "
-                "the paper's TDN model forbids a node influencing itself"
-            )
-        if not isinstance(self.time, int) or isinstance(self.time, bool):
-            raise TypeError(f"time must be an int, got {type(self.time).__name__}")
-        if self.time < 0:
-            raise ValueError(f"time must be >= 0, got {self.time}")
-        if self.lifetime is not None:
-            if not isinstance(self.lifetime, int) or isinstance(self.lifetime, bool):
-                raise TypeError(
-                    f"lifetime must be an int or None, got {type(self.lifetime).__name__}"
-                )
-            if self.lifetime < 1:
-                raise ValueError(f"lifetime must be >= 1, got {self.lifetime}")
+        check_edge(self.source, self.target, self.lifetime)
+        check_time(self.time)
 
     @property
     def expiry(self) -> float:
@@ -85,3 +71,43 @@ class Interaction:
     def with_lifetime(self, lifetime) -> "Interaction":
         """Return a copy of this interaction with a different lifetime."""
         return Interaction(self.source, self.target, self.time, lifetime)
+
+
+def check_edge(
+    source: Hashable,
+    target: Hashable,
+    lifetime,
+    value_error: Type[ValueError] = ValueError,
+    type_error: Type[TypeError] = TypeError,
+) -> None:
+    """Require a valid edge: no self-loop, and a lifetime that is ``None``
+    or an int (not a bool) of at least 1.
+
+    The one rule behind :class:`Interaction` and every entry point that
+    takes ``(source, target, lifetime)`` fields without building a row;
+    such a caller passes its own error classes (subclasses of the two
+    defaults).
+    """
+    if source == target:
+        raise value_error(
+            f"self-loop interaction not allowed (node {source!r}); "
+            "the paper's TDN model forbids a node influencing itself"
+        )
+    if lifetime is not None:
+        if isinstance(lifetime, bool) or not isinstance(lifetime, int):
+            raise type_error(f"lifetime must be an int or None, got {type(lifetime).__name__}")
+        if lifetime < 1:
+            raise value_error(f"lifetime must be >= 1, got {lifetime}")
+
+
+def check_time(
+    time,
+    value_error: Type[ValueError] = ValueError,
+    type_error: Type[TypeError] = TypeError,
+    name: str = "time",
+) -> None:
+    """Require a time step: an int (not a bool) of at least 0."""
+    if isinstance(time, bool) or not isinstance(time, int):
+        raise type_error(f"{name} must be an int, got {type(time).__name__}")
+    if time < 0:
+        raise value_error(f"{name} must be >= 0, got {time}")

@@ -13,7 +13,7 @@ replayed as a stream.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.tdn.interaction import Interaction
 from repro.tdn.lifetimes import LifetimePolicy
@@ -147,3 +147,17 @@ class _TruncatedStream(InteractionStream):
                 return
             yield item
 
+
+def group_by_lifetime(batch: Iterable[Interaction]) -> Dict[Optional[int], Batch]:
+    """Partition a batch by the lifetime stamped on each row.
+
+    For rows stamped at the step's time these are the paper's ``E_t^(l)``
+    groups (``E_t = union of E_t^(l)``); infinite lifetimes map to key
+    ``None``.  BASICREDUCTION and HISTAPPROX group a batch's expiry column
+    instead, which also places a row stamped before its step by the
+    lifetime it has left.
+    """
+    groups: Dict[Optional[int], Batch] = {}
+    for interaction in batch:
+        groups.setdefault(interaction.lifetime, []).append(interaction)
+    return groups

@@ -127,6 +127,24 @@ class TestStepValidation:
         (expiry,) = tracker.graph._expiry_buckets  # noqa: SLF001 - test probe
         assert expiry == twin.draw(Interaction("a", "b", 0))
 
+    @pytest.mark.parametrize(
+        "items, match",
+        [
+            ([("x", "y", 2), ("p", "q", 6)], "6 steps left at time 5"),
+            ([("x", "y", 2), ("p", "q")], "never expires"),
+            ([Interaction("p", "q", 5)], "never expires"),
+        ],
+    )
+    def test_lifetime_past_the_bound_changes_nothing(self, items, match):
+        tracker = InfluenceTracker("basic-reduction", k=2, epsilon=0.2, L=5)
+        tracker.step(0, [("a", "b", 3), ("b", "c", 5)])
+        before = self.snapshot(tracker)
+        with pytest.raises(ConfigError, match=match):
+            tracker.step(5, items)
+        assert self.snapshot(tracker) == before
+        assert tracker.step(5, [("x", "y", 5)]).time == 5
+        assert tracker.graph.num_edges == 1
+
     def test_late_stamped_interaction_keeps_its_expiry(self):
         tracker = InfluenceTracker("sieve-adn", k=1, epsilon=0.2)
         tracker.step(3, [("x", "y", 50)])

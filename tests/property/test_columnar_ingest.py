@@ -10,8 +10,8 @@ properties pin that path:
   through the columns leave the graph equal to a plain row-by-row model:
   alive pairs with their counts, expiry buckets, the dirty journal,
   ``version``, the counters and the engine's arrival log.  After every
-  mutation, the graph's count of alive in-pairs per id equals a recount
-  of its in-adjacency;
+  mutation, :meth:`~repro.tdn.graph.TDNGraph.split_by_in_pairs` calls
+  lone exactly the interned ids that are no alive pair's target;
 * **input form** — a step given as ``(source, target, lifetime)`` tuples
   and the same step given as ``Interaction`` rows (stamped at the step,
   or earlier with the lifetime extended to match) give identical
@@ -135,12 +135,11 @@ def graph_state(graph):
     }
 
 
-def assert_in_pair_counts(graph):
-    recount = [
-        len(graph._in.get(node, ()))  # noqa: SLF001 - test probe
-        for node in graph._id_nodes  # noqa: SLF001
-    ]
-    assert graph._in_pair_counts == recount  # noqa: SLF001
+def assert_lone_ids(graph, state):
+    targets = {v for _, v in state["pairs"]}
+    id_nodes = graph._id_nodes  # noqa: SLF001 - test probe
+    _, lone = graph.split_by_in_pairs(range(len(id_nodes)))
+    assert lone == [i for i, node in enumerate(id_nodes) if node not in targets]
 
 
 class Recorder:
@@ -181,15 +180,17 @@ def test_columnar_step_matches_row_by_row_reference(steps):
                 reference.add(u, v, math.inf if lifetime is None else t + lifetime)
         batch_t, batch = tracker.algorithm.batches[-1]
         assert batch_t == t and isinstance(batch, EdgeBatch)
-        assert graph_state(graph) == reference.state()
-        assert_in_pair_counts(graph)
+        state = reference.state()
+        assert graph_state(graph) == state
+        assert_lone_ids(graph, state)
         # Row iteration keeps each edge's expiry.
         assert [row.expiry for row in batch] == batch.expiries
         # An expiry-only tick between steps.
         graph.advance_to(t + 1)
         reference.advance(t + 1)
-        assert graph_state(graph) == reference.state()
-        assert_in_pair_counts(graph)
+        state = reference.state()
+        assert graph_state(graph) == state
+        assert_lone_ids(graph, state)
         t += 1
 
 

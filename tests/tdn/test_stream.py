@@ -4,7 +4,7 @@ import pytest
 
 from repro.tdn.interaction import Interaction
 from repro.tdn.lifetimes import ConstantLifetime
-from repro.tdn.stream import BatchedStream, MemoryStream
+from repro.tdn.stream import BatchedStream, MemoryStream, group_by_lifetime
 
 
 def events():
@@ -84,3 +84,18 @@ class TestStreamCombinators:
 
     def test_materialize(self):
         assert MemoryStream(events()).materialize() == list(MemoryStream(events()))
+
+
+class TestGroupByLifetime:
+    def test_partitions_by_lifetime(self):
+        batch = [
+            Interaction("a", "b", 0, 1),
+            Interaction("b", "c", 0, 1),
+            Interaction("c", "d", 0, 3),
+            Interaction("d", "e", 0),
+        ]
+        groups = group_by_lifetime(batch)
+        assert {k: len(v) for k, v in groups.items()} == {1: 2, 3: 1, None: 1}
+
+    def test_empty_batch(self):
+        assert group_by_lifetime([]) == {}
