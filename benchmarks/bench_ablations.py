@@ -1,19 +1,13 @@
 """Ablation benches for design choices of this reproduction.
 
 Not figures from the paper — these quantify (1) the head-refinement remark
-of Section IV, (2) the changed-node derivation mode, (3) the interchange
-greedy's behaviour under churn (the Related Work claim), and (4) the eps
-quality/efficiency trade-off curve.
+of Section IV, (2) the interchange greedy's behaviour under churn (the
+Related Work claim), and (3) the eps quality/efficiency trade-off curve.
 """
 
 from conftest import run_once
 
-from repro.experiments.ablations import (
-    changed_mode,
-    epsilon_grid,
-    head_refinement,
-    interchange,
-)
+from repro.experiments.ablations import epsilon_grid, head_refinement, interchange
 
 
 def test_ablation_head_refinement(benchmark):
@@ -38,29 +32,6 @@ def test_ablation_head_refinement(benchmark):
             >= rows["hist"]["value_ratio"] - 0.02
         ), dataset
         assert rows["hist+refine"]["calls"] >= rows["hist"]["calls"], dataset
-
-
-def test_ablation_changed_mode(benchmark):
-    result = run_once(
-        benchmark,
-        changed_mode,
-        datasets=("twitter-hk", "stackoverflow-c2q"),
-        num_events=250,
-        k=10,
-        epsilon=0.2,
-        L=150,
-        p=0.01,
-        seed=0,
-    )
-    for dataset in ("twitter-hk", "stackoverflow-c2q"):
-        rows = {r["mode"]: r for r in result.rows if r["dataset"] == dataset}
-        # The sources heuristic must be cheaper; ancestors is the
-        # paper-faithful exact superset.
-        assert (
-            rows["sources"]["calls_ratio_vs_greedy"]
-            <= rows["ancestors"]["calls_ratio_vs_greedy"] + 1e-9
-        ), dataset
-        assert rows["ancestors"]["value_ratio"] >= 0.7, dataset
 
 
 def test_ablation_interchange_under_churn(benchmark):

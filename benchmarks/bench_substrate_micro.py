@@ -130,7 +130,7 @@ def test_changed_nodes_reverse_bfs(benchmark):
     graph = build_graph(events)
     batch = events[-10:]
 
-    result = benchmark(lambda: changed_nodes(graph, batch, mode="ancestors"))
+    result = benchmark(lambda: changed_nodes(graph, batch))
     assert result
 
 

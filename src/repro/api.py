@@ -90,12 +90,10 @@ def open_tracker(
     k: int = 10,
     epsilon: float = 0.1,
     semantics: Union[Semantics, str, tuple, Fold, None] = None,
-    semantics_params: Optional[dict] = None,
     weights=None,
     default_weight: float = 1.0,
     lifetime_policy: Optional[LifetimePolicy] = None,
     L: Optional[int] = None,
-    changed_mode: str = "ancestors",
     refine_head: bool = False,
     seed=None,
     workers: int = 1,
@@ -117,9 +115,6 @@ def open_tracker(
             ``"hist-approx"`` and ``"basic-reduction"`` refuse
             ``time_decay`` (a ``SemanticsError``): their bounds need
             values that never fall as edges arrive.
-        semantics_params: fold parameters (e.g. ``{"alpha": 0.8}``) when
-            ``semantics`` is given by name; rejected if ``semantics``
-            already carries parameters.
         weights: node weights (mapping or callable) for
             :data:`Semantics.WEIGHTED_SUM` — the one semantics whose
             per-node state cannot ride in a fold parameter, so the facade
@@ -127,8 +122,8 @@ def open_tracker(
             InfluenceOracle` itself and injects it into the tracker.
             Only valid with ``weighted_sum``.
         default_weight: weight for nodes missing from ``weights``.
-        lifetime_policy, L, changed_mode, refine_head, seed, workers,
-            graph: forwarded to :class:`InfluenceTracker` (see its docs).
+        lifetime_policy, L, refine_head, seed, workers, graph:
+            forwarded to :class:`InfluenceTracker` (see its docs).
 
     Raises:
         SemanticsError: unknown semantics name or invalid parameters.
@@ -137,13 +132,6 @@ def open_tracker(
     """
     check_workers(workers)
     name = semantics.value if isinstance(semantics, Semantics) else semantics
-    if semantics_params is not None:
-        if not isinstance(name, str):
-            raise ConfigError(
-                "semantics_params requires semantics to be given by name; "
-                f"got semantics={semantics!r}"
-            )
-        name = (name, dict(semantics_params))
     fold = resolve_fold(name) if name is not None else None
     oracle = None
     if fold is not None and fold.name == Semantics.WEIGHTED_SUM.value:
@@ -169,7 +157,6 @@ def open_tracker(
         epsilon=epsilon,
         lifetime_policy=lifetime_policy,
         L=L,
-        changed_mode=changed_mode,
         refine_head=refine_head,
         seed=seed,
         graph=graph,

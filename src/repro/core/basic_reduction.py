@@ -38,7 +38,6 @@ from repro.errors import check_fraction, check_positive_int
 from repro.influence.changed import (
     candidates_at,
     changed_node_labels,
-    check_changed_mode,
     latest_expiry_by_source,
 )
 from repro.influence.oracle import InfluenceOracle
@@ -57,7 +56,6 @@ class BasicReduction:
             steps left at its batch time (the TDN model's upper bound).
         graph: shared TDN.
         oracle: counted oracle (private one created when omitted).
-        changed_mode: changed-node derivation mode for the instances.
     """
 
     label = "BasicReduction"
@@ -69,8 +67,6 @@ class BasicReduction:
         L: int,
         graph: TDNGraph,
         oracle: Optional[InfluenceOracle] = None,
-        *,
-        changed_mode: str = "ancestors",
     ) -> None:
         self.k = check_positive_int(k, "k")
         self.L = check_positive_int(L, "L")
@@ -79,7 +75,6 @@ class BasicReduction:
         self.oracle = check_horizon_oracle(
             oracle if oracle is not None else InfluenceOracle(graph), "BasicReduction"
         )
-        self.changed_mode = check_changed_mode(changed_mode)
         # Deque of (horizon, instance), ascending horizon; contiguous range
         # [t + 1, t + L] after _ensure_instances(t).
         self._instances: Deque[Tuple[int, SieveADN]] = deque()
@@ -104,7 +99,6 @@ class BasicReduction:
                 self.graph,
                 self.oracle,
                 min_expiry=horizon,
-                changed_mode=self.changed_mode,
             )
             self._instances.append((horizon, instance))
 
@@ -134,10 +128,7 @@ class BasicReduction:
         check_lifetime_bound(t, reach, self.L)
         seeds = latest_expiry_by_source(zip(batch.sources, expiries))
         labelled = changed_node_labels(
-            self.graph,
-            seeds,
-            self.changed_mode,
-            backend=getattr(self.oracle, "backend", "dict"),
+            self.graph, seeds, backend=getattr(self.oracle, "backend", "dict")
         )
         for horizon, instance in reversed(self._instances):
             if horizon <= reach:

@@ -48,7 +48,6 @@ from repro.influence.changed import (
     Labelled,
     candidates_at,
     changed_node_labels,
-    check_changed_mode,
     latest_expiry_by_source,
 )
 from repro.influence.oracle import InfluenceOracle
@@ -69,7 +68,6 @@ class HistApprox:
             histogram redundancy threshold, as in the paper.
         graph: shared TDN.
         oracle: counted oracle (private one created when omitted).
-        changed_mode: changed-node derivation for the instances.
         refine_head: when True, :meth:`query` upgrades the head output to
             the ``(1/2 - eps)`` guarantee by processing the alive edges the
             head never saw (extra oracle calls per query).
@@ -84,7 +82,6 @@ class HistApprox:
         graph: TDNGraph,
         oracle: Optional[InfluenceOracle] = None,
         *,
-        changed_mode: str = "ancestors",
         refine_head: bool = False,
     ) -> None:
         self.k = check_positive_int(k, "k")
@@ -93,7 +90,6 @@ class HistApprox:
         self.oracle = check_horizon_oracle(
             oracle if oracle is not None else InfluenceOracle(graph), "HistApprox"
         )
-        self.changed_mode = check_changed_mode(changed_mode)
         self.refine_head = refine_head
         self._horizons: List[Horizon] = []  # sorted ascending; mirrors x_t
         self._instances: Dict[Horizon, SieveADN] = {}
@@ -148,10 +144,7 @@ class HistApprox:
     def _labels(self, seeds: Dict[Node, float]) -> Labelled:
         """The shared changed-node sweep, on the oracle's engine family."""
         return changed_node_labels(
-            self.graph,
-            seeds,
-            self.changed_mode,
-            backend=getattr(self.oracle, "backend", "dict"),
+            self.graph, seeds, backend=getattr(self.oracle, "backend", "dict")
         )
 
     def _fill(self, t: int, instance: SieveADN, lo: Horizon, hi: Horizon) -> None:
@@ -184,7 +177,6 @@ class HistApprox:
                 self.graph,
                 self.oracle,
                 min_expiry=horizon,
-                changed_mode=self.changed_mode,
             )
         else:
             successor = self._horizons[position]

@@ -28,7 +28,7 @@ from typing import Hashable, Iterable, List, Optional, Sequence, Union
 
 from repro.core.thresholds import ThresholdSet
 from repro.core.tracker import Solution
-from repro.influence.changed import changed_nodes, check_changed_mode
+from repro.influence.changed import changed_nodes
 from repro.influence.oracle import InfluenceOracle
 from repro.tdn.batch import EdgeBatch, as_edge_batch
 from repro.tdn.graph import TDNGraph
@@ -49,8 +49,6 @@ class SieveADN:
             created when omitted.
         min_expiry: evaluation horizon — only edges with expiry at or above
             it are visible to this instance (``None`` = every alive edge).
-        changed_mode: how ``V_t-bar`` is derived from a batch
-            (``"ancestors"`` exact-superset, or ``"sources"`` heuristic).
     """
 
     label = "SieveADN"
@@ -63,12 +61,10 @@ class SieveADN:
         oracle: Optional[InfluenceOracle] = None,
         *,
         min_expiry: Optional[float] = None,
-        changed_mode: str = "ancestors",
     ) -> None:
         self.graph = graph
         self.oracle = oracle if oracle is not None else InfluenceOracle(graph)
         self.min_expiry = min_expiry
-        self.changed_mode = check_changed_mode(changed_mode)
         self.thresholds = ThresholdSet(k, epsilon)
         self.k = self.thresholds.k
         self.epsilon = self.thresholds.epsilon
@@ -105,7 +101,6 @@ class SieveADN:
             self.graph,
             batch,
             self.min_expiry,
-            self.changed_mode,
             backend=getattr(self.oracle, "backend", "dict"),
         )
         self.process_candidates(candidates)
@@ -245,7 +240,6 @@ class SieveADN:
             self.graph,
             self.oracle,
             min_expiry=self.min_expiry if min_expiry is None else min_expiry,
-            changed_mode=self.changed_mode,
         )
         dup.thresholds = self.thresholds.copy()
         dup._last_time = self._last_time

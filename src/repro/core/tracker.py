@@ -133,7 +133,6 @@ class InfluenceTracker:
             do not carry one (``None`` keeps bare interactions infinite,
             i.e. the addition-only regime).
         L: maximum lifetime (required by ``"basic-reduction"``).
-        changed_mode: ``"ancestors"`` (paper-faithful) or ``"sources"``.
         refine_head: enable HISTAPPROX's (1/2 - eps) head refinement.
         seed: RNG seed (used by the ``"random"`` baseline).
         workers: evaluation worker count for the oracle's sharded
@@ -177,7 +176,6 @@ class InfluenceTracker:
         epsilon: float = 0.1,
         lifetime_policy: Optional[LifetimePolicy] = None,
         L: Optional[int] = None,
-        changed_mode: str = "ancestors",
         refine_head: bool = False,
         seed=None,
         graph: Optional[TDNGraph] = None,
@@ -219,7 +217,6 @@ class InfluenceTracker:
                 k=k,
                 epsilon=epsilon,
                 L=L,
-                changed_mode=changed_mode,
                 refine_head=refine_head,
                 seed=seed,
             )
@@ -367,7 +364,6 @@ def _build_algorithm(
     k: int,
     epsilon: float,
     L: Optional[int],
-    changed_mode: str,
     refine_head: bool,
     seed,
 ) -> TrackingAlgorithm:
@@ -381,7 +377,6 @@ def _build_algorithm(
             epsilon=epsilon,
             graph=graph,
             oracle=oracle,
-            changed_mode=changed_mode,
             refine_head=refine_head,
         )
     if key in ("basic-reduction", "basic", "basicreduction"):
@@ -389,20 +384,11 @@ def _build_algorithm(
 
         if L is None:
             raise ConfigError("basic-reduction requires the maximum lifetime L")
-        return BasicReduction(
-            k=k,
-            epsilon=epsilon,
-            L=L,
-            graph=graph,
-            oracle=oracle,
-            changed_mode=changed_mode,
-        )
+        return BasicReduction(k=k, epsilon=epsilon, L=L, graph=graph, oracle=oracle)
     if key in ("sieve-adn", "sieve", "sieveadn"):
         from repro.core.sieve_adn import SieveADN
 
-        return SieveADN(
-            k=k, epsilon=epsilon, graph=graph, oracle=oracle, changed_mode=changed_mode
-        )
+        return SieveADN(k=k, epsilon=epsilon, graph=graph, oracle=oracle)
     if key in ("decayed-centrality", "decayed", "decayedcentrality"):
         from repro.core.decayed import DecayedCentralityTracker
 

@@ -126,12 +126,12 @@ class PersistenceError(ReproError, ValueError):
 
 
 class UnsupportedCheckpointError(ReproError, TypeError):
-    """A checkpoint was asked to save an algorithm it cannot serialize.
+    """A checkpoint was asked to save something it cannot serialize.
 
     A ``TypeError`` like the bare one ``save_checkpoint`` raised before:
     the algorithm's *type* is outside what persistence supports
-    (SieveADN, BasicReduction, HistApprox).  Raised before any file is
-    written.
+    (SieveADN, BasicReduction, HistApprox), or a node label is not a
+    JSON str/int/float.  Raised before any file is written.
     """
 
 

@@ -31,7 +31,6 @@ RUNNERS: Dict[str, Callable] = {
     "fig13": figures_baselines.fig13,
     "fig14": figures_baselines.fig14,
     "ablation-head": ablations.head_refinement,
-    "ablation-changed": ablations.changed_mode,
     "ablation-interchange": ablations.interchange,
     "ablation-epsilon": ablations.epsilon_grid,
 }

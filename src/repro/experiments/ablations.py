@@ -5,8 +5,6 @@ These quantify design choices of this reproduction:
 * ``head_refinement`` — HISTAPPROX with vs without the (1/2 - eps) head
   refinement the paper sketches in its Section IV remark: quality gained
   vs oracle calls paid.
-* ``changed_mode`` — the exact-superset ``"ancestors"`` changed-node
-  derivation vs the cheap ``"sources"`` heuristic.
 * ``interchange`` — the interchange-greedy baseline (Song et al.) on a
   bursty stream, quantifying the paper's claim that swap-based maintenance
   degrades under heavy churn while remaining fine on smooth streams.
@@ -19,11 +17,10 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Sequence
 
 from repro.baselines.interchange import InterchangeGreedy
-from repro.core.hist_approx import HistApprox
 from repro.datasets.registry import make_stream
 from repro.experiments.figures import FigureResult, greedy_factory, hist_factory
 from repro.experiments.harness import run_tracking
-from repro.experiments.metrics import final_calls_ratio, mean_value_ratio
+from repro.experiments.metrics import mean_value_ratio
 from repro.tdn.lifetimes import GeometricLifetime
 
 
@@ -65,51 +62,6 @@ def head_refinement(
         figure_id="Ablation: head refinement",
         rows=rows,
         notes="refinement should never lower the value ratio; calls increase",
-    )
-
-
-def changed_mode(
-    datasets: Sequence[str] = ("twitter-hk", "stackoverflow-c2q"),
-    num_events: int = 500,
-    k: int = 10,
-    epsilon: float = 0.2,
-    L: int = 300,
-    p: float = 0.01,
-    seed: int = 0,
-) -> FigureResult:
-    """Changed-node derivation: exact-superset ancestors vs sources."""
-
-    def _factory(mode: str) -> Callable:
-        return lambda graph: HistApprox(k, epsilon, graph, changed_mode=mode)
-
-    rows: List[Dict[str, object]] = []
-    for dataset in datasets:
-        stream = make_stream(dataset, num_events, seed=seed)
-        policy = GeometricLifetime(p, L, seed=seed + 1)
-        report = run_tracking(
-            stream,
-            {
-                "ancestors": _factory("ancestors"),
-                "sources": _factory("sources"),
-                "greedy": greedy_factory(k),
-            },
-            lifetime_policy=policy,
-            query_interval=5,
-        )
-        greedy = report["greedy"]
-        for name in ("ancestors", "sources"):
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "mode": name,
-                    "value_ratio": mean_value_ratio(report[name], greedy),
-                    "calls_ratio_vs_greedy": final_calls_ratio(report[name], greedy),
-                }
-            )
-    return FigureResult(
-        figure_id="Ablation: changed-node mode",
-        rows=rows,
-        notes="sources is cheaper; ancestors should match or beat its value",
     )
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.core.tracker import TrackingAlgorithm
+from repro.errors import ConfigError
 from repro.experiments.metrics import AlgorithmSeries
 from repro.influence.oracle import InfluenceOracle
 from repro.tdn.batch import EdgeBatch
@@ -79,7 +80,7 @@ def run_tracking(
         A :class:`TrackingReport` with one series per algorithm.
     """
     if query_interval < 1:
-        raise ValueError(f"query_interval must be >= 1, got {query_interval}")
+        raise ConfigError(f"query_interval must be >= 1, got {query_interval}")
     shared_graph = graph if graph is not None else TDNGraph()
     instances: Dict[str, TrackingAlgorithm] = {}
     wall: Dict[str, float] = {}

@@ -6,17 +6,11 @@ edge ``(u, v)`` can only increase the spread of nodes that can reach ``u``
 (their reachable set may now extend through ``v``), so the exact changed set
 is contained in the ancestors of the batch's source endpoints.
 
-Two modes are provided:
-
-* ``"ancestors"`` (default, used by the paper-faithful configuration):
-  reverse BFS from the source endpoints over the instance's subgraph.  This
-  is a tight superset of the truly changed nodes and preserves the
-  approximation proof — feeding extra unchanged nodes never hurts
-  correctness, only costs oracle calls.
-* ``"sources"``: just the source endpoints themselves.  This is the cheap
-  heuristic many streaming systems use; it can miss upstream nodes whose
-  spread grew, so it trades a little quality for speed.  Exposed for the
-  ablation benchmarks.
+``V_t-bar`` is those ancestors over the instance's subgraph: a tight
+superset of the truly changed nodes.  Feeding extra unchanged nodes never
+hurts correctness, only costs oracle calls; missing a changed one can
+(Theorem 2 needs every node whose spread grew), so the sources alone are
+not enough.
 
 Two interchangeable sweep engines compute the ancestors (``backend``):
 
@@ -74,20 +68,10 @@ from repro.tdn.interaction import Interaction
 
 Node = Hashable
 
-CHANGED_NODE_MODES = ("ancestors", "sources")
 CHANGED_NODE_BACKENDS = ("dict", "csr")
 
 #: Nodes paired with their widest-path labels, in canonical order.
 Labelled = List[Tuple[Node, float]]
-
-
-def check_changed_mode(mode: str) -> str:
-    """Return ``mode`` if it names a changed-node mode, else raise."""
-    if mode not in CHANGED_NODE_MODES:
-        raise ConfigError(
-            f"changed_mode must be one of {CHANGED_NODE_MODES}, got {mode!r}"
-        )
-    return mode
 
 
 def _check_backend(backend: str) -> None:
@@ -101,7 +85,6 @@ def changed_nodes(
     graph: TDNGraph,
     batch: Union[EdgeBatch, Iterable[Interaction]],
     min_expiry: Optional[float] = None,
-    mode: str = "ancestors",
     backend: str = "dict",
 ) -> List[Node]:
     """Return ``V_t-bar`` for a batch already inserted into ``graph``.
@@ -113,7 +96,6 @@ def changed_nodes(
         graph: the shared TDN (batch already inserted).
         batch: the edges that just arrived, as columns or as rows.
         min_expiry: the calling instance's horizon filter.
-        mode: ``"ancestors"`` or ``"sources"`` (see module docstring).
         backend: ``"dict"`` (reference reverse BFS) or ``"csr"``
             (transpose-backed array sweep); identical results either way.
 
@@ -124,7 +106,6 @@ def changed_nodes(
         regardless of set iteration order and the common path never pays
         the per-node ``repr`` allocation.
     """
-    check_changed_mode(mode)
     _check_backend(backend)
     if isinstance(batch, EdgeBatch):
         sources: Set[Node] = set(batch.sources)
@@ -132,13 +113,9 @@ def changed_nodes(
         sources = {interaction.source for interaction in batch}
     if not sources:
         return []
-    if mode == "ancestors" and backend == "csr":
+    if backend == "csr":
         return _csr_ancestors_ordered(graph, sources, min_expiry)
-    if mode == "sources":
-        result = sources
-    else:
-        result = ancestors(graph, sources, min_expiry)
-    return sorted(result, key=_order_key(graph))
+    return sorted(ancestors(graph, sources, min_expiry), key=_order_key(graph))
 
 
 def _order_key(graph: TDNGraph):
@@ -204,30 +181,27 @@ def latest_expiry_by_source(
 def changed_node_labels(
     graph: TDNGraph,
     seeds: Mapping[Node, float],
-    mode: str = "ancestors",
     backend: str = "dict",
 ) -> Labelled:
     """Every horizon's ``V_t-bar`` from one reverse sweep.
 
     ``seeds`` maps each batch source to its latest batch expiry (see
-    :func:`latest_expiry_by_source`; the batch is already inserted).  In
-    ``"ancestors"`` mode every ancestor is labelled with the largest
-    horizon at which it reaches a seed labelled at least as high
+    :func:`latest_expiry_by_source`; the batch is already inserted).
+    Every ancestor is labelled with the largest horizon at which it
+    reaches a seed labelled at least as high
     (:func:`~repro.influence.reachability.ancestor_bottlenecks` or its
-    CSR twin); ``"sources"`` mode labels the seeds alone.  For every
-    horizon ``h >= t + 1``, ``candidates_at(result, h)`` equals
-    ``changed_nodes(graph, <batch edges with expiry >= h>, h, mode,
-    backend)``, order included.
+    CSR twin).  For every horizon ``h >= t + 1``,
+    ``candidates_at(result, h)`` equals ``changed_nodes(graph, <batch
+    edges with expiry >= h>, h, backend)``, order included.
 
     Returns ``(node, label)`` pairs in the canonical changed-node order.
     """
-    check_changed_mode(mode)
     _check_backend(backend)
     if not seeds:
         return []
-    if mode == "ancestors" and backend == "csr":
+    if backend == "csr":
         return _csr_labels_ordered(graph, seeds)
-    labels = dict(seeds) if mode == "sources" else ancestor_bottlenecks(graph, seeds)
+    labels = ancestor_bottlenecks(graph, seeds)
     ordered = sorted(labels, key=_order_key(graph))
     return [(node, labels[node]) for node in ordered]
 

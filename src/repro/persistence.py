@@ -230,7 +230,6 @@ def sieve_adn_to_dict(sieve: SieveADN, include_oracle: bool = True) -> Dict:
         "k": sieve.k,
         "epsilon": sieve.epsilon,
         "min_expiry": min_expiry,
-        "changed_mode": sieve.changed_mode,
         "last_time": sieve._last_time,  # noqa: SLF001
         "thresholds": _thresholds_to_dict(sieve.thresholds),
     }
@@ -253,7 +252,6 @@ def sieve_adn_from_dict(
         graph,
         oracle,
         min_expiry=min_expiry,
-        changed_mode=payload["changed_mode"],
     )
     sieve.thresholds = _thresholds_from_dict(payload["thresholds"])
     sieve._last_time = payload["last_time"]  # noqa: SLF001
@@ -274,7 +272,6 @@ def algorithm_to_dict(algorithm) -> Dict:
             "k": algorithm.k,
             "epsilon": algorithm.epsilon,
             "L": algorithm.L,
-            "changed_mode": algorithm.changed_mode,
             "last_time": algorithm._last_time,  # noqa: SLF001
             "oracle": _maybe_oracle_to_dict(algorithm.oracle),
             "instances": [
@@ -291,7 +288,6 @@ def algorithm_to_dict(algorithm) -> Dict:
             "type": "HistApprox",
             "k": algorithm.k,
             "epsilon": algorithm.epsilon,
-            "changed_mode": algorithm.changed_mode,
             "refine_head": algorithm.refine_head,
             "last_time": algorithm._last_time,  # noqa: SLF001
             "oracle": _maybe_oracle_to_dict(algorithm.oracle),
@@ -329,12 +325,7 @@ def algorithm_from_dict(payload: Dict, graph: TDNGraph, oracle=None):
     if kind == "BasicReduction":
         _check_payload(payload, "BasicReduction")
         algorithm = BasicReduction(
-            payload["k"],
-            payload["epsilon"],
-            payload["L"],
-            graph,
-            oracle,
-            changed_mode=payload["changed_mode"],
+            payload["k"], payload["epsilon"], payload["L"], graph, oracle
         )
         algorithm._last_time = payload["last_time"]  # noqa: SLF001
         for row in payload["instances"]:
@@ -348,7 +339,6 @@ def algorithm_from_dict(payload: Dict, graph: TDNGraph, oracle=None):
             payload["epsilon"],
             graph,
             oracle,
-            changed_mode=payload["changed_mode"],
             refine_head=payload["refine_head"],
         )
         algorithm._last_time = payload["last_time"]  # noqa: SLF001
@@ -404,22 +394,32 @@ def save_checkpoint(path: Union[str, Path], graph: TDNGraph, algorithm) -> None:
 
 
 def load_checkpoint(path: Union[str, Path]):
-    """Load a checkpoint; returns ``(graph, algorithm)`` rewired together."""
+    """Load a checkpoint; returns ``(graph, algorithm)`` rewired together.
+
+    A file that is not JSON (a truncated write, say) or a payload missing
+    a key raises :class:`~repro.errors.PersistenceError`.
+    """
     with open(path) as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as error:
+            raise PersistenceError(f"checkpoint {path} is not JSON: {error}") from error
     if payload.get("format_version") != _FORMAT_VERSION:
         raise PersistenceError(
             f"unsupported checkpoint format {payload.get('format_version')!r}"
         )
-    graph = graph_from_dict(payload["graph"])
-    algorithm = algorithm_from_dict(payload["algorithm"], graph)
+    try:
+        graph = graph_from_dict(payload["graph"])
+        algorithm = algorithm_from_dict(payload["algorithm"], graph)
+    except KeyError as error:
+        raise PersistenceError(f"checkpoint {path} lacks the key {error}") from error
     return graph, algorithm
 
 
 # ----------------------------------------------------------------------
 def _check_label(label) -> None:
     if not isinstance(label, _JSONABLE_LABEL_TYPES) or isinstance(label, bool):
-        raise TypeError(
+        raise UnsupportedCheckpointError(
             f"node label {label!r} is not JSON-serializable; persistence "
             "supports str/int/float labels"
         )
@@ -433,4 +433,12 @@ def _check_payload(payload: Dict, expected_type: str) -> None:
     if payload.get("format_version") != _FORMAT_VERSION:
         raise PersistenceError(
             f"unsupported format version {payload.get('format_version')!r}"
+        )
+    # Older payloads name the changed-node rule; "ancestors" is the only
+    # one left, and resuming under another would change the solutions.
+    mode = payload.get("changed_mode", "ancestors")
+    if mode != "ancestors":
+        raise PersistenceError(
+            f"checkpoint uses the retired changed_mode {mode!r}; "
+            "only 'ancestors' is supported"
         )

@@ -15,6 +15,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.errors import ConfigError
 from repro.tdn.interaction import Interaction
 from repro.tdn.lifetimes import LifetimePolicy
 
@@ -98,7 +99,7 @@ class BatchedStream(InteractionStream):
         self, interactions: Sequence[Interaction], batch_size: int = 1
     ) -> None:
         if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
         self._interactions = list(interactions)
         self._batch_size = batch_size
 
@@ -137,7 +138,7 @@ class _TruncatedStream(InteractionStream):
 
     def __init__(self, upstream: InteractionStream, max_steps: int) -> None:
         if max_steps < 0:
-            raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+            raise ConfigError(f"max_steps must be >= 0, got {max_steps}")
         self._upstream = upstream
         self._max_steps = max_steps
 

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.core.basic_reduction import BasicReduction
-from repro.errors import ConfigError
 from repro.influence.oracle import InfluenceOracle
 from repro.submodular.functions import SpreadFunction
 from repro.submodular.greedy import brute_force_optimum
@@ -140,10 +139,6 @@ class TestApproximationGuarantee:
 
 
 class TestConstructorValidation:
-    def test_unknown_changed_mode_rejected(self):
-        with pytest.raises(ConfigError, match="changed_mode"):
-            BasicReduction(3, 0.2, 10, TDNGraph(), changed_mode="bogus")
-
     def test_epsilon_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
             BasicReduction(3, 5.0, 10, TDNGraph())

@@ -3,12 +3,9 @@
 import math
 import random
 
-import pytest
-
 from repro.core.basic_reduction import BasicReduction
 from repro.core.hist_approx import HistApprox
 from repro.core.tracker import InfluenceTracker
-from repro.errors import ConfigError
 from repro.influence.oracle import InfluenceOracle
 from repro.submodular.functions import SpreadFunction
 from repro.submodular.greedy import brute_force_optimum
@@ -253,10 +250,6 @@ class TestHeadRefinement:
 
 
 class TestQueryEdgeCases:
-    def test_unknown_changed_mode_rejected(self):
-        with pytest.raises(ConfigError, match="changed_mode"):
-            HistApprox(3, 0.2, TDNGraph(), changed_mode="bogus")
-
     def test_query_empty(self):
         graph = TDNGraph()
         hist = HistApprox(2, 0.2, graph)

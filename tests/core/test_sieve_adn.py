@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.core.sieve_adn import SieveADN
-from repro.errors import ConfigError
 from repro.influence.oracle import InfluenceOracle
 from repro.submodular.functions import SpreadFunction
 from repro.submodular.greedy import brute_force_optimum
@@ -148,10 +147,6 @@ class TestCachedValueReadout:
 
 
 class TestProcessCandidates:
-    def test_unknown_changed_mode_rejected(self):
-        with pytest.raises(ConfigError, match="changed_mode"):
-            SieveADN(k=1, epsilon=0.2, graph=TDNGraph(), changed_mode="bogus")
-
     def test_on_candidates_syncs_and_feeds(self):
         graph = TDNGraph()
         sieve = SieveADN(k=1, epsilon=0.2, graph=graph, min_expiry=5)

@@ -111,12 +111,6 @@ class TestAblations:
             >= by_variant["hist"]["value_ratio"] - 0.05
         )
 
-    def test_changed_mode(self):
-        result = ablations.changed_mode(
-            datasets=("twitter-hk",), num_events=100, L=60, p=0.02, seed=0
-        )
-        assert {row["mode"] for row in result.rows} == {"ancestors", "sources"}
-
     def test_epsilon_grid_monotone_calls(self):
         result = ablations.epsilon_grid(
             dataset="gowalla", num_events=100, L=60, p=0.02, seed=0,

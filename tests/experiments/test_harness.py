@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.greedy_recompute import GreedyRecompute
 from repro.core.hist_approx import HistApprox
+from repro.errors import ConfigError
 from repro.experiments.harness import run_tracking
 from repro.tdn.interaction import Interaction
 from repro.tdn.lifetimes import ConstantLifetime
@@ -77,7 +78,7 @@ class TestRunTracking:
         assert report.num_steps == 3
 
     def test_invalid_query_interval(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="query_interval must be >= 1, got 0"):
             run_tracking(small_stream(), factories(), query_interval=0)
 
     def test_final_nodes_exposed(self):

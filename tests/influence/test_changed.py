@@ -9,22 +9,12 @@ from repro.tdn.interaction import Interaction
 
 
 class TestModes:
-    def test_sources_mode_returns_batch_sources(self):
-        graph = TDNGraph()
-        batch = [Interaction("a", "b", 0, 5), Interaction("c", "d", 0, 5)]
-        graph.add_batch(batch)
-        assert set(changed_nodes(graph, batch, mode="sources")) == {"a", "c"}
-
     def test_ancestors_mode_includes_upstream(self):
         graph = TDNGraph()
         graph.add_interaction(Interaction("up", "a", 0, 9))
         batch = [Interaction("a", "b", 0, 9)]
         graph.add_batch(batch)
-        assert set(changed_nodes(graph, batch, mode="ancestors")) == {"up", "a"}
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            changed_nodes(TDNGraph(), [], mode="bogus")
+        assert set(changed_nodes(graph, batch)) == {"up", "a"}
 
     def test_empty_batch(self):
         assert changed_nodes(TDNGraph(), []) == []
@@ -35,7 +25,7 @@ class TestModes:
         # order, not lexicographic repr order).
         batch = [Interaction("b", "x", 0, 5), Interaction("a", "y", 0, 5)]
         graph.add_batch(batch)
-        assert changed_nodes(graph, batch, mode="sources") == ["b", "a"]
+        assert changed_nodes(graph, batch) == ["b", "a"]
         assert graph.node_id("b") < graph.node_id("a")
 
     def test_uninterned_nodes_sort_after_interned_by_repr(self):
@@ -44,8 +34,7 @@ class TestModes:
         # Batch not inserted (contract violation, but the ordering must
         # still be deterministic): sources never interned fall back to repr.
         phantom = [Interaction("b", "q", 0, 5), Interaction("a", "q", 0, 5)]
-        ordered = changed_nodes(graph, phantom + [Interaction("z", "x", 0, 5)],
-                                mode="sources")
+        ordered = changed_nodes(graph, phantom + [Interaction("z", "x", 0, 5)])
         assert ordered == ["z", "a", "b"]
 
 
@@ -69,12 +58,8 @@ class TestBackends:
             batch = [Interaction(f"n{u}", f"n{v}", t, rng.randint(1, 12))]
             graph.add_batch(batch)
             for min_expiry in (None, t + 2):
-                via_dict = changed_nodes(
-                    graph, batch, min_expiry, "ancestors", backend="dict"
-                )
-                via_csr = changed_nodes(
-                    graph, batch, min_expiry, "ancestors", backend="csr"
-                )
+                via_dict = changed_nodes(graph, batch, min_expiry, backend="dict")
+                via_csr = changed_nodes(graph, batch, min_expiry, backend="csr")
                 assert via_csr == via_dict  # same set, same order
 
 
@@ -97,7 +82,7 @@ class TestSupersetProperty:
         batch = [Interaction("c", "x", 0, 9)]
         graph.add_batch(batch)
         oracle_after = InfluenceOracle(graph)
-        changed = set(changed_nodes(graph, batch, mode="ancestors"))
+        changed = set(changed_nodes(graph, batch))
         for node, old in before.items():
             if oracle_after.spread([node]) != old:
                 assert node in changed, f"{node} changed but was not reported"
@@ -117,5 +102,5 @@ class TestSupersetProperty:
         graph.add_batch(batch)
         # a reaches b through the first edge of the same batch, so a is an
         # ancestor of source b as well.
-        changed = set(changed_nodes(graph, batch, mode="ancestors"))
+        changed = set(changed_nodes(graph, batch))
         assert changed == {"a", "b"}

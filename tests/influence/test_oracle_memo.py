@@ -387,7 +387,7 @@ class TestSharedSweep:
                 graph.advance_to(t)
                 graph.add_batch(batch)
                 expected = (
-                    changed_nodes(graph, batch, None, "ancestors", backend="csr")
+                    changed_nodes(graph, batch, None, backend="csr")
                     if batch
                     else []
                 )

@@ -241,3 +241,44 @@ def test_facade_refuses_time_decay_for_horizon_trackers(algorithm):
     horizon-4 instance, where ``f_t({n0})`` was 0.865 (``lam`` = 1)."""
     with pytest.raises(SemanticsError, match="time_decay"):
         open_tracker(algorithm, k=K, L=MAX_LIFETIME, semantics=("time_decay", {"lam": 1.0}))
+
+
+#: Step 0: ``x`` reaches 19 leaves and ``a`` five ``u_j``; step 1 gives
+#: every ``u_j`` ten out-edges, so ``{a}`` grows to 56 while ``{x}`` stays
+#: at 20.  The grown node ``a`` is no source of step 1's batch, only an
+#: ancestor of its sources.
+GROWN_ANCESTOR_TRACE = [
+    [Interaction("x", f"y{i}", 0, 10) for i in range(19)]
+    + [Interaction("a", f"u{j}", 0, 10) for j in range(5)],
+    [Interaction(f"u{j}", f"w{j}_{i}", 1, 10) for j in range(5) for i in range(10)],
+]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda graph, oracle: SieveADN(1, EPS, graph, oracle),
+        lambda graph, oracle: BasicReduction(1, EPS, 10, graph, oracle),
+        lambda graph, oracle: HistApprox(1, EPS, graph, oracle, refine_head=True),
+    ],
+    ids=["sieve-adn", "basic-reduction", "hist-approx-refined"],
+)
+def test_grown_ancestor_of_the_batch_sources_is_a_candidate(build):
+    """Theorem 2 needs every node whose spread grew among the candidates.
+
+    Fed only the batch's sources, each tracker kept ``{x}`` = 20 against
+    OPT ``{a}`` = 56, a ratio of 0.357 below ``1/2 - eps`` = 0.4.
+    """
+    graph = TDNGraph()
+    oracle = InfluenceOracle(graph)
+    tracker = build(graph, oracle)
+    for t, batch in enumerate(GROWN_ANCESTOR_TRACE):
+        graph.advance_to(t)
+        graph.add_batch(batch)
+        tracker.on_batch(t, batch)
+    optimum = brute_force_optimum(
+        SpreadFunction(InfluenceOracle(graph)), sorted(graph.node_set(), key=repr), 1
+    )
+    assert (optimum.nodes, optimum.value) == (["a"], 56)
+    solution = tracker.query()
+    assert (solution.nodes, solution.value) == (("a",), 56.0)

@@ -9,7 +9,7 @@ prefixes differ per instance) this suite checks:
 
 * every horizon's candidate list equals a per-instance ``changed_nodes``
   call on the edges that instance is fed — node for node and in order,
-  on both backends and in both modes, through the arrival overlay and
+  on both backends, through the arrival overlay and
   across compactions that leave stale base entries behind;
 * HISTAPPROX and BASICREDUCTION replays match a per-instance-feed
   reference (the trackers as they were before the shared sweep) in
@@ -90,13 +90,12 @@ def test_shared_candidates_match_per_instance_sweeps(stream, compact_min):
             graph.add_batch(batch)
             seeds = latest_expiry_by_source((e.source, e.expiry) for e in batch)
             for backend in ("csr", "dict"):
-                for mode in ("ancestors", "sources"):
-                    labelled = changed_node_labels(graph, seeds, mode, backend)
-                    for horizon in fed_horizons(t, batch):
-                        fed = [e for e in batch if e.expiry >= horizon]
-                        assert candidates_at(labelled, horizon) == changed_nodes(
-                            graph, fed, horizon, mode, backend
-                        ), (backend, mode, horizon)
+                labelled = changed_node_labels(graph, seeds, backend)
+                for horizon in fed_horizons(t, batch):
+                    fed = [e for e in batch if e.expiry >= horizon]
+                    assert candidates_at(labelled, horizon) == changed_nodes(
+                        graph, fed, horizon, backend
+                    ), (backend, horizon)
 
 
 def test_labels_are_widest_path_bottlenecks():
@@ -178,14 +177,11 @@ def replay(make, stream, backend, infinite_every=0):
 @given(
     stream=streams,
     backend=st.sampled_from(["csr", "dict"]),
-    mode=st.sampled_from(["ancestors", "sources"]),
     refine_head=st.booleans(),
 )
-def test_hist_approx_matches_per_instance_feed(stream, backend, mode, refine_head):
+def test_hist_approx_matches_per_instance_feed(stream, backend, refine_head):
     def make(cls):
-        return lambda graph, oracle: cls(
-            2, 0.2, graph, oracle, changed_mode=mode, refine_head=refine_head
-        )
+        return lambda graph, oracle: cls(2, 0.2, graph, oracle, refine_head=refine_head)
 
     shared = replay(make(HistApprox), stream, backend, infinite_every=7)
     reference = replay(make(PerInstanceHistApprox), stream, backend, infinite_every=7)
@@ -196,13 +192,10 @@ def test_hist_approx_matches_per_instance_feed(stream, backend, mode, refine_hea
 @given(
     stream=streams,
     backend=st.sampled_from(["csr", "dict"]),
-    mode=st.sampled_from(["ancestors", "sources"]),
 )
-def test_basic_reduction_matches_per_instance_feed(stream, backend, mode):
+def test_basic_reduction_matches_per_instance_feed(stream, backend):
     def make(cls):
-        return lambda graph, oracle: cls(
-            2, 0.2, MAX_LIFETIME, graph, oracle, changed_mode=mode
-        )
+        return lambda graph, oracle: cls(2, 0.2, MAX_LIFETIME, graph, oracle)
 
     shared = replay(make(BasicReduction), stream, backend)
     reference = replay(make(PerInstanceBasicReduction), stream, backend)

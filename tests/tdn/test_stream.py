@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.tdn.interaction import Interaction
 from repro.tdn.lifetimes import ConstantLifetime
 from repro.tdn.stream import BatchedStream, MemoryStream, group_by_lifetime
@@ -63,7 +64,7 @@ class TestBatchedStream:
         assert len(BatchedStream(events(), batch_size=3)) == 2
 
     def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="batch_size must be >= 1, got 0"):
             BatchedStream(events(), batch_size=0)
 
 
@@ -81,6 +82,10 @@ class TestStreamCombinators:
 
     def test_take_zero(self):
         assert list(MemoryStream(events()).take(0)) == []
+
+    def test_take_negative(self):
+        with pytest.raises(ConfigError, match="max_steps must be >= 0, got -1"):
+            MemoryStream(events()).take(-1)
 
     def test_materialize(self):
         assert MemoryStream(events()).materialize() == list(MemoryStream(events()))

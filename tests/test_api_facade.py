@@ -49,17 +49,9 @@ class TestOpenTracker:
         tracker = open_tracker(
             "decayed-centrality",
             k=3,
-            semantics=Semantics.HOP_DISCOUNT,
-            semantics_params={"alpha": 0.8},
+            semantics=(Semantics.HOP_DISCOUNT.value, {"alpha": 0.8}),
         )
         assert tracker.oracle.fold.spec() == ("hop_discount", {"alpha": 0.8})
-
-    def test_semantics_params_require_a_name(self):
-        with pytest.raises(ConfigError, match="given by name"):
-            open_tracker(
-                semantics=("hop_discount", {"alpha": 0.5}),
-                semantics_params={"alpha": 0.8},
-            )
 
     def test_unknown_semantics_fail_fast_at_the_facade(self):
         with pytest.raises(SemanticsError, match="unknown influence semantics"):

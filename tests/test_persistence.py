@@ -4,6 +4,7 @@ The gold standard: a run that checkpoints halfway and resumes must produce
 exactly the same solutions and values as an uninterrupted run.
 """
 
+import json
 import math
 import random
 
@@ -248,6 +249,73 @@ class TestWeightedCheckpoint:
         assert restored.query() == live
 
 
+def _tag_changed_mode(payload, top, nested):
+    """Write the ``changed_mode`` key older builds put in every payload."""
+    payload["changed_mode"] = top
+    for row in payload.get("instances", ()):
+        row["state"]["changed_mode"] = nested
+
+
+def _run(algorithm, graph, batches):
+    for t, batch in batches:
+        graph.advance_to(t)
+        graph.add_batch(batch)
+        algorithm.on_batch(t, batch)
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda graph: SieveADN(2, 0.1, graph),
+        lambda graph: BasicReduction(2, 0.1, 6, graph),
+        lambda graph: HistApprox(2, 0.1, graph),
+    ],
+    ids=["sieve-adn", "basic-reduction", "hist-approx"],
+)
+class TestRetiredChangedMode:
+    """Payloads name the changed-node rule; only ``"ancestors"`` is left."""
+
+    def _batches(self, factory):
+        events = random_events(11, infinite_fraction=0.0)
+        if isinstance(factory(TDNGraph()), SieveADN):
+            events = [e.with_lifetime(None) for e in events]
+        return list(MemoryStream(events, fill_gaps=True))
+
+    def test_ancestors_payload_loads_and_resumes(self, factory, tmp_path):
+        batches = self._batches(factory)
+        half = len(batches) // 2
+        graph_ref = TDNGraph()
+        reference = factory(graph_ref)
+        _run(reference, graph_ref, batches)
+
+        graph = TDNGraph()
+        algorithm = factory(graph)
+        _run(algorithm, graph, batches[:half])
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, graph, algorithm)
+        payload = json.loads(path.read_text())
+        assert "changed_mode" not in payload["algorithm"]
+        _tag_changed_mode(payload["algorithm"], "ancestors", "ancestors")
+        path.write_text(json.dumps(payload))
+        graph_b, resumed = load_checkpoint(path)
+        _run(resumed, graph_b, batches[half:])
+        assert resumed.query() == reference.query()
+
+    def test_sources_is_refused_at_any_level(self, factory):
+        graph = TDNGraph()
+        algorithm = factory(graph)
+        _run(algorithm, graph, self._batches(factory))
+        tags = [("sources", "ancestors")]
+        if not isinstance(algorithm, SieveADN):
+            tags.append(("ancestors", "sources"))  # a nested instance only
+        for top, nested in tags:
+            payload = algorithm_to_dict(algorithm)
+            _tag_changed_mode(payload, top, nested)
+            restored = graph_from_dict(graph_to_dict(graph))
+            with pytest.raises(PersistenceError, match="changed_mode 'sources'"):
+                algorithm_from_dict(payload, restored)
+
+
 class TestErrorHandling:
     def test_unknown_algorithm_type(self):
         with pytest.raises(ValueError, match="unknown serialized algorithm"):
@@ -257,6 +325,36 @@ class TestErrorHandling:
         path = tmp_path / "bad.json"
         path.write_text('{"format_version": 99}')
         with pytest.raises(ValueError, match="unsupported checkpoint format"):
+            load_checkpoint(path)
+
+    def test_unserializable_label_is_a_typed_error(self, tmp_path):
+        graph = TDNGraph()
+        graph.add_interaction(Interaction(("a", 1), "b", 0, 3))
+        with pytest.raises(UnsupportedCheckpointError, match="not JSON-serializable"):
+            save_checkpoint(tmp_path / "c.json", graph, SieveADN(2, 0.1, graph))
+        assert list(tmp_path.iterdir()) == []
+
+    def _saved(self, tmp_path):
+        graph = TDNGraph()
+        algorithm = HistApprox(2, 0.1, graph)
+        _run(algorithm, graph, MemoryStream(random_events(3), fill_gaps=True))
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, graph, algorithm)
+        return path
+
+    def test_truncated_file_raises_persistence_error(self, tmp_path):
+        path = self._saved(tmp_path)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(PersistenceError, match="not JSON"):
+            load_checkpoint(path)
+
+    def test_missing_key_raises_persistence_error(self, tmp_path):
+        path = self._saved(tmp_path)
+        payload = json.loads(path.read_text())
+        del payload["algorithm"]["instances"][0]["state"]["thresholds"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(PersistenceError, match="thresholds"):
             load_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
